@@ -23,7 +23,7 @@ from .embeddings import (G2Basis, MVector, Sl3Param, g2_basis, h_map, hat3,
                          so6_to_so7)
 from .fields import Domain, SplitSpec, StencilConfig
 from .g2construct import (G2MetricBundle, MonopoleData, g2_build_thm1,
-                          g2_build_thm2, holonomy_residual, monopole_residual,
+                          holonomy_residual, monopole_residual,
                           torsionfree_residual, weak_monopole_residual)
 from .gibbons import GHData, dirac_potential, gh_build
 from .killing import KillingData, RhoConnectionSetup, da_conditions_check, \
@@ -49,7 +49,7 @@ __all__ = [
     "KillingData", "RhoConnectionSetup", "gamma_field",
     "killing_conditions_check", "da_conditions_check", "rho_torsion_check",
     "GHData", "dirac_potential", "gh_build",
-    "MonopoleData", "G2MetricBundle", "g2_build_thm1", "g2_build_thm2",
+    "MonopoleData", "G2MetricBundle", "g2_build_thm1",
     "monopole_residual", "weak_monopole_residual", "torsionfree_residual",
     "holonomy_residual",
 ]

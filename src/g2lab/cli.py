@@ -1,8 +1,9 @@
 """Command-line front end: run check suites, emit JSON-lines reports.
 
 One report per line on stdout; a human summary table on stderr (suppressed by
---json-only).  Exit code 0 when every check passes, 1 when any fails, 2 on
-usage errors.  Two runs with the same seed and configuration produce
+--json-only).  A check that raises is reported with status "error" and the
+run goes on.  Exit code 0 when every check passes, 1 when any fails or errs,
+2 on usage errors.  Two runs with the same seed and configuration produce
 byte-identical stdout.
 """
 
@@ -10,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 import time
+import traceback
 
-from .reports import SuiteContext
+from .reports import CheckReport, SuiteContext
 from .suites import SUITE_NAMES, suite_checks, suite_manifest
 
 
@@ -25,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "stdout, summary table on stderr.")
     p.add_argument("--suite", default="all",
                    help=f"one of: {', '.join(SUITE_NAMES)} (default: all)")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=42, help="non-negative sampler seed")
     p.add_argument("--samples", type=int, default=200,
                    help="global sample budget; per-check counts scale with it")
     p.add_argument("--h", type=float, default=None,
@@ -55,8 +58,9 @@ def main(argv=None) -> int:
         print(f"error: unknown suite {args.suite!r}; known: "
               f"{', '.join(SUITE_NAMES)}", file=sys.stderr)
         return 2
-    if args.samples <= 0 or (args.h is not None and args.h <= 0):
-        print("error: --samples and --h must be positive", file=sys.stderr)
+    if args.samples <= 0 or args.seed < 0 or (args.h is not None and args.h <= 0):
+        print("error: --samples and --h must be positive, --seed non-negative",
+              file=sys.stderr)
         return 2
 
     if args.list_checks:
@@ -71,8 +75,19 @@ def main(argv=None) -> int:
     try:
         for check_id, fn in checks:
             t0 = time.perf_counter()
-            rep = fn(ctx)
-            rep.runtime_ms = int((time.perf_counter() - t0) * 1000)
+            try:
+                rep = fn(ctx)
+            except Exception as exc:
+                where = traceback.extract_tb(exc.__traceback__)[-1]
+                print(f"error: {check_id} raised {type(exc).__name__} at "
+                      f"{os.path.basename(where.filename)}:{where.lineno} "
+                      f"in {where.name}", file=sys.stderr)
+                rep = CheckReport(check_id=check_id, status="error", residuals={},
+                                  tolerance=0.0, seed=ctx.seed,
+                                  params={"error": f"{type(exc).__name__}: {exc}"})
+            # a copy: a check's report may be shared with another check
+            rep = dataclasses.replace(
+                rep, runtime_ms=int((time.perf_counter() - t0) * 1000))
             reports.append(rep)
             line = rep.json_line()
             print(line)
@@ -103,9 +118,11 @@ def main(argv=None) -> int:
             print(f"{r.check_id:<{width}}{r.status:<8}{worst:<16.3e}"
                   f"{order:<10}{r.runtime_ms:>6}", file=sys.stderr)
         n_fail = sum(1 for r in reports if r.status == "fail")
-        print(f"\n{len(reports)} checks, {n_fail} failed", file=sys.stderr)
+        n_err = sum(1 for r in reports if r.status == "error")
+        print(f"\n{len(reports)} checks, {n_fail} failed, {n_err} errors",
+              file=sys.stderr)
 
-    return 1 if any(r.status == "fail" for r in reports) else 0
+    return 1 if any(r.status in ("fail", "error") for r in reports) else 0
 
 
 if __name__ == "__main__":

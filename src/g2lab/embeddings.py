@@ -206,15 +206,6 @@ class G2Basis:
         return coeffs if tuple(recon) == v else None
 
 
-@dataclass(frozen=True)
-class ReductivePair:
-    """Certified decomposition: h and m subspaces with [h, m] contained in m."""
-
-    h_sub: Subspace
-    m_sub: Subspace
-    ambient_dim: int
-
-
 def _pivot_solver(mats: Sequence[ExactMatrix]):
     """Choose coordinate rows making the basis square-invertible; exact inverse."""
     flat = [m.flatten() for m in mats]
@@ -265,12 +256,6 @@ def g2_basis() -> G2Basis:
                 raise AssertionError(f"bracket of basis elements {i},{j} escapes the span")
             sc[(i, j)] = c
     return G2Basis(tuple(els), tuple(range(8)), tuple(range(8, 14)), sc, pivots, inv)
-
-
-def reductive_pair() -> ReductivePair:
-    b = g2_basis()
-    return ReductivePair(Subspace.span_matrices(b.h_elements),
-                         Subspace.span_matrices(b.m_elements), 49)
 
 
 def reductivity_certificate(basis: G2Basis | None = None) -> bool:

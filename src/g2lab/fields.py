@@ -112,12 +112,6 @@ def fd_gradient(f: Callable, p: Point, cfg: StencilConfig,
     return np.array([fd_partial(f, p, d, cfg, domain) for d in range(len(p))])
 
 
-def fd_jacobian(vec_field: Callable, p: Point, cfg: StencilConfig,
-                domain: Domain | None = None) -> np.ndarray:
-    """J[d, i] = d_d (field_i)."""
-    return np.array([fd_partial(vec_field, p, d, cfg, domain) for d in range(len(p))])
-
-
 def combinations_index(n: int, k: int):
     combos = list(itertools.combinations(range(n), k))
     return combos, {c: i for i, c in enumerate(combos)}
@@ -143,17 +137,6 @@ def exterior_d(omega: Callable, p: Point, k: int, cfg: StencilConfig,
             rest = J[:m] + J[m + 1:]
             s += (-1.0) ** m * partials[J[m], kindex[rest]]
         out[ci] = s
-    return out
-
-
-def form_on_vectors(comps: np.ndarray, k: int, n: int, vectors: Sequence[np.ndarray]) -> float:
-    """Evaluate a k-form (component vector) on k coordinate vectors."""
-    combos, _ = combinations_index(n, k)
-    mat = np.column_stack(vectors)
-    out = 0.0
-    for c, idx in zip(comps, combos):
-        if c != 0.0:
-            out += c * np.linalg.det(mat[np.ix_(idx, range(k))])
     return out
 
 

@@ -1,4 +1,4 @@
-"""The two G2-metric builders and their verifiers.
+"""The warped-product G2-metric builder and its verifiers.
 
 A bundle is a 7-metric on coordinates (t, x1..x6) together with an adapted
 orthonormal coframe ordered into the model slots (plus-block | axis | minus-
@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .curvature import ricci, riemann
+from .curvature import riemann
 from .fields import (Domain, SplitSpec, StencilConfig, combinations_index,
                      exterior_d, fd_gradient, fd_partial, hodge_restricted,
                      restrict_two_form, sample_points, transform_form)
@@ -92,115 +92,6 @@ def _chol_coframe(gblock: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky(gblock).T
 
 
-def g2_build_thm1(k6: Callable[[np.ndarray], np.ndarray], split: SplitSpec,
-                  mono: MonopoleData, domain6: Domain,
-                  t_range=(-1.0, 1.0), signs: CoframeSigns = CoframeSigns(),
-                  check_cfg: StencilConfig | None = None,
-                  tolerance: float = 1e-4, n_precheck: int = 10) -> G2MetricBundle:
-    """Warped product bundle k_V + v k_H + v^-1 (dt + A)^2 from a monopole pair.
-
-    The hypothesis dA = -*_H dv is sampled; a violation beyond `tolerance` is
-    recorded as a warning in the provenance and the build proceeds (negative
-    controls rely on that).
-    """
-    return _build_bundle(k6, split, mono, domain6, t_range, signs,
-                         warp_plus=False, theorem="construction-1",
-                         check_cfg=check_cfg, tolerance=tolerance,
-                         n_precheck=n_precheck)
-
-
-def g2_build_thm2(k6: Callable[[np.ndarray], np.ndarray], split: SplitSpec,
-                  mono: MonopoleData, domain6: Domain,
-                  t_range=(-1.0, 1.0), signs: CoframeSigns = CoframeSigns(),
-                  check_cfg: StencilConfig | None = None,
-                  tolerance: float = 1e-4, n_precheck: int = 10) -> G2MetricBundle:
-    """k_+ + v k_- + v^-1 (dt + A)^2 over a weak base with twist form alpha.
-
-    With alpha = None this runs the same assembly as the first builder; the
-    blockwise weak monopole residuals are sampled for the provenance record.
-    """
-    return _build_bundle(k6, split, mono, domain6, t_range, signs,
-                         warp_plus=False, theorem="construction-2",
-                         check_cfg=check_cfg, tolerance=tolerance,
-                         n_precheck=n_precheck, weak=True)
-
-
-def _build_bundle(k6, split, mono, domain6, t_range, signs, warp_plus, theorem,
-                  check_cfg, tolerance, n_precheck, weak=False) -> G2MetricBundle:
-    plus = split.indices("plus")
-    minus = split.indices("minus")
-
-    def metric7(p: np.ndarray) -> np.ndarray:
-        x = p[1:]
-        v = float(mono.v(x))
-        if v <= 0:
-            raise ValueError(f"v must be positive, got {v}")
-        k = np.asarray(k6(x), dtype=float)
-        g = np.zeros((7, 7))
-        pidx = [1 + i for i in plus]
-        midx = [1 + i for i in minus]
-        g[np.ix_(pidx, pidx)] = k[np.ix_(plus, plus)]
-        g[np.ix_(midx, midx)] = v * k[np.ix_(minus, minus)]
-        a = np.asarray(mono.a(x), dtype=float)
-        w = np.zeros(7)
-        w[0] = 1.0
-        w[1:] = a
-        g += np.outer(w, w) / v
-        return g
-
-    def coframe(p: np.ndarray) -> np.ndarray:
-        x = p[1:]
-        v = float(mono.v(x))
-        if v <= 0:
-            raise ValueError(f"v must be positive, got {v}")
-        k = np.asarray(k6(x), dtype=float)
-        e = np.zeros((7, 7))
-        cp = _chol_coframe(k[np.ix_(plus, plus)])
-        for leg in range(3):
-            for j, ci in enumerate(plus):
-                e[leg, 1 + ci] = cp[leg, j]
-        a = np.asarray(mono.a(x), dtype=float)
-        e[3, 0] = v ** -0.5
-        e[3, 1:] += v ** -0.5 * a
-        cm = np.sqrt(v) * _chol_coframe(k[np.ix_(minus, minus)])
-        for leg in range(3):
-            for j, ci in enumerate(minus):
-                e[4 + leg, 1 + ci] = cm[leg, j]
-        e[0] *= signs.plus_leg
-        e[3] *= signs.axis_leg
-        e[4] *= signs.minus_leg
-        return e
-
-    domain7 = Domain(lo=(t_range[0],) + tuple(domain6.lo),
-                     hi=(t_range[1],) + tuple(domain6.hi),
-                     exclusions=tuple(_lift_exclusion(x) for x in domain6.exclusions))
-
-    cfg = check_cfg or StencilConfig(h=1e-3)
-    pre = sample_points(domain6, n_precheck, cfg, seed=911)
-    for x in pre:
-        v = float(mono.v(x))
-        if v <= 0:
-            raise ValueError(f"v must be positive on the domain, got {v} at {x}")
-    if weak:
-        res = weak_monopole_residual(mono, k6, split, pre, cfg)
-        worst = max(res["plus_plus"], res["mixed"], res["minus_minus"])
-    else:
-        res = monopole_residual(mono, k6, split, pre, cfg)
-        worst = res["monopole"]
-    provenance = {"builder": theorem,
-                  "monopole_residuals": res,
-                  "warning": None}
-    if worst > tolerance:
-        provenance["warning"] = (f"monopole hypothesis violated: residual {worst:.3e} "
-                                 f"exceeds {tolerance:.1e}")
-    return G2MetricBundle(metric=metric7, coframe=coframe, domain=domain7,
-                          provenance=provenance)
-
-
-def _lift_exclusion(excl):
-    return lambda p: excl(p[1:])
-
-
 def monopole_residual(mono: MonopoleData, k6, split: SplitSpec, samples,
                       cfg: StencilConfig) -> dict:
     """Residual of dA = -*_H dv plus basicness of v and A."""
@@ -273,6 +164,89 @@ def weak_monopole_residual(mono: MonopoleData, k6, split: SplitSpec, samples,
         worst_basic_a = max(worst_basic_a, float(np.max(np.abs(a[list(plus)]))))
     return {"plus_plus": worst_pp, "mixed": worst_pm, "minus_minus": worst_mm,
             "basic_v": worst_basic_v, "basic_a": worst_basic_a}
+
+
+def g2_build_thm1(k6: Callable[[np.ndarray], np.ndarray], split: SplitSpec,
+                  mono: MonopoleData, domain6: Domain,
+                  t_range=(-1.0, 1.0), signs: CoframeSigns = CoframeSigns(),
+                  check_cfg: StencilConfig | None = None,
+                  tolerance: float = 1e-4, n_precheck: int = 10,
+                  hypothesis: Callable[..., dict] = monopole_residual) -> G2MetricBundle:
+    """Warped product bundle k_+ + v k_- + v^-1 (dt + A)^2 over a 6-base.
+
+    Both constructions assemble this metric; they differ only in the
+    hypothesis on (v, A, alpha): the monopole equation dA = -*_H dv
+    (`monopole_residual`) or its weak, twisted form (`weak_monopole_residual`).
+    The hypothesis is sampled; a residual other than basicness beyond
+    `tolerance` is recorded as a warning in the provenance and the build
+    proceeds (negative controls rely on that).
+    """
+    plus = split.indices("plus")
+    minus = split.indices("minus")
+
+    def metric7(p: np.ndarray) -> np.ndarray:
+        x = p[1:]
+        v = float(mono.v(x))
+        if v <= 0:
+            raise ValueError(f"v must be positive, got {v}")
+        k = np.asarray(k6(x), dtype=float)
+        g = np.zeros((7, 7))
+        pidx = [1 + i for i in plus]
+        midx = [1 + i for i in minus]
+        g[np.ix_(pidx, pidx)] = k[np.ix_(plus, plus)]
+        g[np.ix_(midx, midx)] = v * k[np.ix_(minus, minus)]
+        a = np.asarray(mono.a(x), dtype=float)
+        w = np.zeros(7)
+        w[0] = 1.0
+        w[1:] = a
+        g += np.outer(w, w) / v
+        return g
+
+    def coframe(p: np.ndarray) -> np.ndarray:
+        x = p[1:]
+        v = float(mono.v(x))
+        if v <= 0:
+            raise ValueError(f"v must be positive, got {v}")
+        k = np.asarray(k6(x), dtype=float)
+        e = np.zeros((7, 7))
+        cp = _chol_coframe(k[np.ix_(plus, plus)])
+        for leg in range(3):
+            for j, ci in enumerate(plus):
+                e[leg, 1 + ci] = cp[leg, j]
+        a = np.asarray(mono.a(x), dtype=float)
+        e[3, 0] = v ** -0.5
+        e[3, 1:] += v ** -0.5 * a
+        cm = np.sqrt(v) * _chol_coframe(k[np.ix_(minus, minus)])
+        for leg in range(3):
+            for j, ci in enumerate(minus):
+                e[4 + leg, 1 + ci] = cm[leg, j]
+        e[0] *= signs.plus_leg
+        e[3] *= signs.axis_leg
+        e[4] *= signs.minus_leg
+        return e
+
+    domain7 = Domain(lo=(t_range[0],) + tuple(domain6.lo),
+                     hi=(t_range[1],) + tuple(domain6.hi),
+                     exclusions=tuple(_lift_exclusion(x) for x in domain6.exclusions))
+
+    cfg = check_cfg or StencilConfig(h=1e-3)
+    pre = sample_points(domain6, n_precheck, cfg, seed=911)
+    for x in pre:
+        v = float(mono.v(x))
+        if v <= 0:
+            raise ValueError(f"v must be positive on the domain, got {v} at {x}")
+    res = hypothesis(mono, k6, split, pre, cfg)
+    worst = max(r for name, r in res.items() if not name.startswith("basic_"))
+    provenance = {"monopole_residuals": res, "warning": None}
+    if worst > tolerance:
+        provenance["warning"] = (f"monopole hypothesis violated: residual {worst:.3e} "
+                                 f"exceeds {tolerance:.1e}")
+    return G2MetricBundle(metric=metric7, coframe=coframe, domain=domain7,
+                          provenance=provenance)
+
+
+def _lift_exclusion(excl):
+    return lambda p: excl(p[1:])
 
 
 def weak_sl3_consistency(k6, split: SplitSpec, alpha, samples,

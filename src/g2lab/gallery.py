@@ -10,14 +10,14 @@ data, and the twisted-pair equations with vanishing twist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .fields import Domain
 from .g2construct import (CoframeSigns, G2MetricBundle, MonopoleData, N_SPLIT,
-                          flat_product_metric, g2_build_thm1, g2_build_thm2)
+                          flat_product_metric, g2_build_thm1,
+                          weak_monopole_residual)
 from .gibbons import (CENTER_MARGIN, STRING_MARGIN, GHData, dirac_potential,
                       dirac_string_exclusion, margined,
                       monopole_center_exclusion, spatial_domain, v_flat_quotient,
@@ -50,10 +50,6 @@ def monopole_potential6() -> Callable[[np.ndarray], np.ndarray]:
 
 def taub_nut_v6(x: np.ndarray) -> float:
     return v_taub_nut(x[3:])
-
-
-def flat_quotient_v6(x: np.ndarray) -> float:
-    return v_flat_quotient(x[3:])
 
 
 # ---------------------------------------------------------------- classical GH
@@ -102,11 +98,12 @@ def thm1_broken_monopole_bundle(eps: float = 0.1) -> G2MetricBundle:
 
 
 def thm2_taub_nut_bundle() -> G2MetricBundle:
-    """The same pair through the weak-pair builder with zero twist; the base
-    has B = 0 and a plus-constant pole, the regime where the two builders
+    """The same pair under the weak hypothesis with zero twist; the base has
+    B = 0 and a plus-constant pole, the regime where the two constructions
     coincide."""
     mono = MonopoleData(v=taub_nut_v6, a=monopole_potential6(), alpha=None)
-    return g2_build_thm2(flat_product_metric, N_SPLIT, mono, base_domain6())
+    return g2_build_thm1(flat_product_metric, N_SPLIT, mono, base_domain6(),
+                         hypothesis=weak_monopole_residual)
 
 
 def thm2_mismatched_alpha_bundle(eps: float = 0.1):
@@ -129,7 +126,8 @@ def thm2_mismatched_alpha_bundle(eps: float = 0.1):
         return np.array([-eps * u, 0.0, 0.0])
 
     mono = MonopoleData(v=taub_nut_v6, a=a, alpha=fake_alpha)
-    bundle = g2_build_thm2(flat_product_metric, N_SPLIT, mono, base_domain6())
+    bundle = g2_build_thm1(flat_product_metric, N_SPLIT, mono, base_domain6(),
+                           hypothesis=weak_monopole_residual)
     return bundle, mono
 
 

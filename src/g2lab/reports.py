@@ -17,7 +17,7 @@ import numpy as np
 @dataclass
 class CheckReport:
     check_id: str
-    status: str                      # "pass" | "fail" | "warn"
+    status: str                      # "pass" | "fail" | "warn" | "error"
     residuals: dict
     tolerance: float
     seed: int
@@ -94,15 +94,6 @@ def control_report(check_id: str, measured: dict, required: float, seed: int,
                        params=params, order_estimate=order_estimate)
 
 
-def convergence_study(residual_fn: Callable[[float], float],
-                      h_list: Sequence[float]) -> tuple:
-    """(order, {h: residual}) with the least-squares slope of the log-log fit;
-    order is "exact" when every residual sits at the zero floor."""
-    from .g2construct import estimate_order
-    values = [float(residual_fn(h)) for h in h_list]
-    return estimate_order(h_list, values), dict(zip(h_list, values))
-
-
 @dataclass(frozen=True)
 class SuiteManifest:
     name: str
@@ -115,13 +106,21 @@ class SuiteManifest:
 
 @dataclass
 class SuiteContext:
-    """Knobs shared by every check in a run."""
+    """Knobs shared by every check in a run, and the results they share."""
 
     seed: int = 42
     samples: int = 200
     h: float | None = None
     dump_dir: str | None = None
     sample_rows: dict = field(default_factory=dict)
+    memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def once(self, key: str, compute: Callable[[], object]):
+        """compute(), evaluated at most once per run under `key`; a raising
+        compute stores nothing."""
+        if key not in self.memo:
+            self.memo[key] = compute()
+        return self.memo[key]
 
     def record_samples(self, check_id: str, header: Sequence[str], rows):
         if self.dump_dir is not None:

@@ -240,9 +240,6 @@ class CrossProduct7:
             out[i] += c * (xq[j] * yq[k] - xq[k] * yq[j])
         return tuple(out)
 
-    def structure_constant(self, i: int, j: int, k: int) -> Fraction:
-        return self.phi.value(i, j, k)
-
     def to_json_obj(self) -> dict:
         obj = self.phi.to_json_obj()
         obj["kind"] = "cross_product"

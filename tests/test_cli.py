@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from g2lab.cli import main
 from g2lab.suites import SUITE_NAMES, suite_checks
 
@@ -27,8 +29,9 @@ def test_unknown_suite_exits_2(capsys):
 
 
 def test_bad_samples_exits_2(capsys):
-    code, *_ = run_cli(capsys, ["--samples", "0"])
-    assert code == 2
+    for args in (["--samples", "0"], ["--seed", "-5"]):
+        code, *_ = run_cli(capsys, args)
+        assert code == 2, args
 
 
 def test_list_checks(capsys):
@@ -122,3 +125,41 @@ def test_suite_manifest_unique_ids():
     for name in SUITE_NAMES:
         m = suite_manifest(name)
         assert len(set(m.check_ids)) == len(m.check_ids)
+
+
+def test_raising_check_reports_error_and_run_goes_on(capsys):
+    # a step this large leaves the sampler of gh.flat-trivial no admissible point
+    code, out, err = run_cli(capsys, ["--suite", "gh", "--h", "0.3"])
+    lines = [json.loads(l) for l in out.strip().splitlines()]
+    assert code == 1
+    assert [l["check_id"] for l in lines] == [cid for cid, _ in suite_checks("gh")]
+    flat = lines[0]
+    assert flat["check_id"] == "gh.flat-trivial"
+    assert flat["status"] == "error"
+    assert flat["residuals"] == {} and flat["tolerance"] == 0.0
+    assert flat["params"]["error"].startswith("RuntimeError: ")
+    assert "Traceback" not in err
+    assert "gh.flat-trivial raised RuntimeError" in err
+    n_err = sum(l["status"] == "error" for l in lines)
+    assert f"{len(lines)} checks, 0 failed, {n_err} errors" in err
+
+
+@pytest.mark.parametrize("samples", ["1", "25"])
+def test_negative_controls_hold_at_small_budgets(capsys, samples):
+    code, out, _ = run_cli(capsys, ["--suite", "negative-controls", "--samples",
+                                    samples, "--json-only"])
+    lines = [json.loads(l) for l in out.strip().splitlines()]
+    assert len(lines) == len(suite_checks("negative-controls"))
+    assert code == 0, [l["check_id"] for l in lines if l["status"] != "pass"]
+
+
+def test_shared_results_match_suites_run_alone(capsys):
+    """Work shared across checks in one run (bundles, the Taub-NUT torsion
+    study, aliased controls) gives each check the line it gets on its own."""
+    args = ["--json-only", "--samples", "20"]
+    _, out, _ = run_cli(capsys, ["--suite", "all"] + args)
+    in_all = {json.loads(l)["check_id"]: l for l in out.strip().splitlines()}
+    for suite in ("g2-thm1", "g2-thm2", "gh", "hypersurface", "negative-controls"):
+        _, out, _ = run_cli(capsys, ["--suite", suite] + args)
+        for line in out.strip().splitlines():
+            assert line == in_all.get(json.loads(line)["check_id"])
