@@ -11,7 +11,7 @@ The exact layer (rational arithmetic, zero-residual certificates):
 
 The numerical layer (pointwise stencils, convergence-order reporting):
 
-    fields, curvature       forms, block Hodge stars, Christoffel/Riemann/Ricci
+    fields, curvature       stencils, forms, frames, domains; Riemann/Ricci
     killing                 quotient-data condition checkers and their oracles
     gibbons, g2construct    the 4- and 7-dimensional metric builders + verifiers
     hypersurfaces           almost-Hermitian checks of hypersurfaces in R^7

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -58,9 +59,10 @@ def main(argv=None) -> int:
         print(f"error: unknown suite {args.suite!r}; known: "
               f"{', '.join(SUITE_NAMES)}", file=sys.stderr)
         return 2
-    if args.samples <= 0 or args.seed < 0 or (args.h is not None and args.h <= 0):
-        print("error: --samples and --h must be positive, --seed non-negative",
-              file=sys.stderr)
+    if args.samples <= 0 or args.seed < 0 or (
+            args.h is not None and not (math.isfinite(args.h) and args.h > 0)):
+        print("error: --samples must be positive, --h finite and positive, "
+              "--seed non-negative", file=sys.stderr)
         return 2
 
     if args.list_checks:
@@ -68,9 +70,17 @@ def main(argv=None) -> int:
             print(check_id)
         return 0
 
+    # output paths are checked before any check runs
+    try:
+        if args.dump_samples:
+            os.makedirs(args.dump_samples, exist_ok=True)
+        out_fh = open(args.out, "w") if args.out else None
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
+
     ctx = SuiteContext(seed=args.seed, samples=args.samples, h=args.h,
                        dump_dir=args.dump_samples)
-    out_fh = open(args.out, "w") if args.out else None
     reports = []
     try:
         for check_id, fn in checks:
@@ -98,7 +108,6 @@ def main(argv=None) -> int:
             out_fh.close()
 
     if args.dump_samples:
-        os.makedirs(args.dump_samples, exist_ok=True)
         for check_id, (header, rows) in ctx.sample_rows.items():
             path = os.path.join(args.dump_samples, check_id.replace("/", "_") + ".csv")
             with open(path, "w", newline="") as fh:

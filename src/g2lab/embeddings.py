@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .rational import ExactMatrix, Q, bracket, trace_form
-from .subspaces import Subspace, kernel_basis, rref, solve_linear
+from .rational import ExactMatrix, Q, bracket, common_ratio, trace_form
+from .subspaces import Subspace, inverse, kernel_basis, rref
 
 PLUS = (0, 1, 2)
 AXIS = 3
@@ -224,14 +224,7 @@ def _pivot_solver(mats: Sequence[ExactMatrix]):
     if len(chosen) != n:
         raise ValueError("matrices are linearly dependent")
     square = ExactMatrix.from_rows([[flat[j][i] for j in range(n)] for i in chosen])
-    # invert by solving square @ X = I column by column
-    cols = []
-    for k in range(n):
-        e = [Q(1) if t == k else Q(0) for t in range(n)]
-        sol = solve_linear(square, e)
-        cols.append(sol.particular)
-    inv = ExactMatrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
-    return tuple(chosen), inv
+    return tuple(chosen), inverse(square)
 
 
 @functools.lru_cache(maxsize=1)
@@ -298,25 +291,15 @@ def h_equivariance_certificate() -> bool:
 
 def h_scale_certificate() -> Fraction:
     """The single scale s with so(6)-part of m_embed(v) = s * h_map(v), all basis v."""
-    scale = None
+    scales = []
     for v in m_vector_basis():
-        part = so7_to_so6(m_embed(v))
-        h = h_map(v)
-        s = None
-        for x, y in zip(part.flatten(), h.flatten()):
-            if y != 0:
-                cand = x / y
-                if s is None:
-                    s = cand
-                elif s != cand:
-                    raise AssertionError("so(6)-part is not proportional to h_map")
-            elif x != 0:
-                raise AssertionError("so(6)-part is not proportional to h_map")
-        if scale is None:
-            scale = s
-        elif scale != s:
-            raise AssertionError("scale differs between basis vectors")
-    return scale
+        s = common_ratio(so7_to_so6(m_embed(v)).flatten(), h_map(v).flatten())
+        if s is None:
+            raise AssertionError("so(6)-part is not proportional to h_map")
+        scales.append(s)
+    if len(set(scales)) != 1:
+        raise AssertionError("scale differs between basis vectors")
+    return scales[0]
 
 
 AXIS_TO_LAST = (0, 1, 2, 4, 5, 6, 3)  # permutation moving the axis slot to slot 7
@@ -329,25 +312,17 @@ def permute_matrix(m: ExactMatrix, perm: Sequence[int]) -> ExactMatrix:
 
 def lift_scale_certificate() -> Fraction:
     """m_embed agrees with the lift after moving the axis slot last, up to one scale."""
-    scale = None
+    scales = []
     for v in m_vector_basis():
         lhs = permute_matrix(m_embed(v), AXIS_TO_LAST)
         rhs = lift_gtilde(ExactMatrix.zeros(6), v)
-        s = None
-        for x, y in zip(lhs.flatten(), rhs.flatten()):
-            if y != 0:
-                cand = x / y
-                if s is None:
-                    s = cand
-                elif s != cand:
-                    raise AssertionError("permuted m_embed not proportional to the lift")
-            elif x != 0:
-                raise AssertionError("permuted m_embed not proportional to the lift")
-        if scale is None:
-            scale = s
-        elif scale != s:
-            raise AssertionError("lift scale differs between basis vectors")
-    return scale
+        s = common_ratio(lhs.flatten(), rhs.flatten())
+        if s is None:
+            raise AssertionError("permuted m_embed not proportional to the lift")
+        scales.append(s)
+    if len(set(scales)) != 1:
+        raise AssertionError("lift scale differs between basis vectors")
+    return scales[0]
 
 
 @dataclass(frozen=True)
@@ -362,24 +337,8 @@ class IntertwinerResult:
         return self.invertible is not None
 
 
-def _det(m: ExactMatrix) -> Fraction:
-    n = m.rows
-    rows = [list(m.row(i)) for i in range(n)]
-    det = Q(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if piv is None:
-            return Q(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            f = rows[i][c] * inv
-            if f:
-                rows[i] = [rows[i][j] - f * rows[c][j] for j in range(n)]
-    return det
+def _full_rank(m: ExactMatrix) -> bool:
+    return len(rref([m.row(i) for i in range(m.rows)])[0]) == m.rows
 
 
 def intertwiner_solve(rep1: Sequence[ExactMatrix], rep2: Sequence[ExactMatrix]) -> IntertwinerResult:
@@ -411,7 +370,7 @@ def intertwiner_solve(rep1: Sequence[ExactMatrix], rep2: Sequence[ExactMatrix]) 
     witness = None
     if m == n:
         for t in mats:
-            if _det(t) != 0:
+            if _full_rank(t):
                 witness = t
                 break
         if witness is None and len(mats) > 1:
@@ -419,7 +378,7 @@ def intertwiner_solve(rep1: Sequence[ExactMatrix], rep2: Sequence[ExactMatrix]) 
                 for j in range(i + 1, len(mats)):
                     for c in (1, -1, 2, -2, 3):
                         t = mats[i] + mats[j].scale(c)
-                        if _det(t) != 0:
+                        if _full_rank(t):
                             witness = t
                             break
                     if witness is not None:

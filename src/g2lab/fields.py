@@ -8,6 +8,7 @@ sets, and samplers reject points too close to an exclusion or the boundary.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -31,8 +32,8 @@ class StencilConfig:
     richardson: bool = False
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("step must be positive")
+        if not (np.isfinite(self.h) and self.h > 0):
+            raise ValueError("step must be finite and positive")
         if self.order not in (2, 4):
             raise ValueError("order must be 2 or 4")
 
@@ -64,6 +65,16 @@ class Domain:
         if np.any(p < lo + pad) or np.any(p > hi - pad):
             return False
         return all(excl(p) > pad for excl in self.exclusions)
+
+    def lift_t(self, t_range=(-1.0, 1.0)) -> "Domain":
+        """This domain times a leading t-interval; the exclusions ignore t."""
+        return Domain(lo=(t_range[0],) + tuple(self.lo),
+                      hi=(t_range[1],) + tuple(self.hi),
+                      exclusions=tuple(_lift_exclusion(e) for e in self.exclusions))
+
+
+def _lift_exclusion(excl):
+    return lambda p: excl(p[1:])
 
 
 class StencilDomainError(ValueError):
@@ -112,9 +123,27 @@ def fd_gradient(f: Callable, p: Point, cfg: StencilConfig,
     return np.array([fd_partial(f, p, d, cfg, domain) for d in range(len(p))])
 
 
+@functools.lru_cache(maxsize=None)
 def combinations_index(n: int, k: int):
-    combos = list(itertools.combinations(range(n), k))
+    combos = tuple(itertools.combinations(range(n), k))
     return combos, {c: i for i, c in enumerate(combos)}
+
+
+@functools.lru_cache(maxsize=None)
+def _combination_array(n: int, k: int) -> np.ndarray:
+    """The sorted k-index combinations as rows of an integer array."""
+    return np.array(combinations_index(n, k)[0], dtype=int).reshape(-1, k)
+
+
+@functools.lru_cache(maxsize=None)
+def _d_table(n: int, k: int) -> tuple:
+    """For each m, the pair (J_m, index of J minus J_m) over the sorted
+    (k+1)-tuples J, as integer arrays."""
+    _, kindex = combinations_index(n, k)
+    combos_k1, _ = combinations_index(n, k + 1)
+    return tuple((np.array([J[m] for J in combos_k1], dtype=int),
+                  np.array([kindex[J[:m] + J[m + 1:]] for J in combos_k1], dtype=int))
+                 for m in range(k + 1))
 
 
 def exterior_d(omega: Callable, p: Point, k: int, cfg: StencilConfig,
@@ -124,35 +153,31 @@ def exterior_d(omega: Callable, p: Point, k: int, cfg: StencilConfig,
     (d omega)_J = sum_m (-1)^m d_{J_m} omega_{J minus J_m} on sorted (k+1)-tuples.
     A scalar field (k = 0) may return a plain float.
     """
-    n = len(p)
+    partials = fd_gradient(omega, p, cfg, domain)
     if k == 0:
-        return fd_gradient(omega, p, cfg, domain)
-    combos_k, kindex = combinations_index(n, k)
-    combos_k1, _ = combinations_index(n, k + 1)
-    partials = np.array([fd_partial(omega, p, d, cfg, domain) for d in range(n)])
-    out = np.zeros(len(combos_k1))
-    for ci, J in enumerate(combos_k1):
-        s = 0.0
-        for m in range(k + 1):
-            rest = J[:m] + J[m + 1:]
-            s += (-1.0) ** m * partials[J[m], kindex[rest]]
-        out[ci] = s
+        return partials
+    out = np.zeros(len(combinations_index(len(p), k + 1)[0]))
+    for m, (lead, rest) in enumerate(_d_table(len(p), k)):
+        out += (-1.0) ** m * partials[lead, rest]
     return out
 
 
 def transform_form(comps: np.ndarray, k: int, n: int, frame: np.ndarray) -> np.ndarray:
     """Components of a k-form on the frame (columns of `frame`) from coordinate
-    components: out_I = omega(f_{I1}, ..., f_{Ik})."""
-    combos, _ = combinations_index(n, k)
+    components: out_I = omega(f_{I1}, ..., f_{Ik}) = sum_J comps_J det frame[J, I].
+
+    This is the k-th exterior power of the frame applied to the components.
+    All minors come from one batched determinant over (nonzero J) x (all I),
+    and the nonzero components are summed in index order.
+    """
+    combos = _combination_array(n, k)
+    comps = np.asarray(comps)
+    nonzero = np.flatnonzero(comps)
+    minors = np.linalg.det(frame[combos[nonzero][:, None, :, None],
+                                 combos[None, :, None, :]])
     out = np.zeros(len(combos))
-    for oi, I in enumerate(combos):
-        sub = frame[:, I]
-        val = 0.0
-        for ci, J in enumerate(combos):
-            c = comps[ci]
-            if c != 0.0:
-                val += c * np.linalg.det(sub[J, :])
-        out[oi] = val
+    for c, row in zip(comps[nonzero], minors):
+        out += c * row
     return out
 
 
@@ -192,10 +217,36 @@ class SplitSpec:
         return SplitSpec(self.blocks, tuple(signs))
 
 
-_EPS3 = np.zeros((3, 3, 3))
-for _i, _j, _k in itertools.permutations(range(3)):
-    _EPS3[_i, _j, _k] = (1.0 if (_i, _j, _k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-                         else -1.0)
+def adapted_frame(g: np.ndarray, split: SplitSpec) -> np.ndarray:
+    """Columns = orthonormal frame respecting the split (blockwise Cholesky).
+
+    Requires the metric to be block diagonal w.r.t. the split.
+    """
+    plus = split.indices("plus")
+    minus = split.indices("minus")
+    if float(np.max(np.abs(g[np.ix_(plus, minus)]))) > 1e-9:
+        raise ValueError("metric does not respect the split")
+    f = np.zeros((6, 6))
+    for cols, block in ((range(0, 3), plus), (range(3, 6), minus)):
+        l = np.linalg.cholesky(g[np.ix_(block, block)])
+        finv = np.linalg.inv(l).T
+        for j, cj in enumerate(cols):
+            for i, ci in enumerate(block):
+                f[ci, cj] = finv[i, j]
+    return f
+
+
+EPS3 = np.zeros((3, 3, 3))
+for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    EPS3[_i, _j, _k] = 1.0
+    EPS3[_i, _k, _j] = -1.0
+
+
+def hat(w: np.ndarray) -> np.ndarray:
+    """3x3 skew matrix of the cross product: hat(w) @ x = w x x."""
+    return np.array([[0.0, -w[2], w[1]],
+                     [w[2], 0.0, -w[0]],
+                     [-w[1], w[0], 0.0]])
 
 
 def hodge_restricted(comps: np.ndarray, k: int, n: int, block: Sequence[int],
@@ -227,7 +278,7 @@ def hodge_restricted(comps: np.ndarray, k: int, n: int, block: Sequence[int],
     if k == 1:
         a = np.array([comps[kindex[(b,)]] for b in block])
         aup = np.linalg.solve(gb, a)
-        two = np.einsum('m,mij->ij', aup, _EPS3) * volf
+        two = np.einsum('m,mij->ij', aup, EPS3) * volf
         combos2, idx2 = combinations_index(n, 2)
         out = np.zeros(len(combos2))
         for li, lj in itertools.combinations(range(3), 2):
@@ -237,15 +288,8 @@ def hodge_restricted(comps: np.ndarray, k: int, n: int, block: Sequence[int],
         return out
 
     if k == 2:
-        two = np.zeros((3, 3))
-        for li in range(3):
-            for lj in range(3):
-                if li == lj:
-                    continue
-                i, j = block[li], block[lj]
-                sgn = 1.0 if i < j else -1.0
-                two[li, lj] = sgn * comps[kindex[tuple(sorted((i, j)))]]
-        bvec = np.einsum('mij,ij->m', _EPS3, two) / 2.0
+        two = restrict_two_form(comps, n, block, block)
+        bvec = np.einsum('mij,ij->m', EPS3, two) / 2.0
         low = gb @ bvec / volf
         combos1, idx1 = combinations_index(n, 1)
         out = np.zeros(len(combos1))

@@ -16,9 +16,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .curvature import riemann
-from .fields import (Domain, SplitSpec, StencilConfig, combinations_index,
-                     exterior_d, fd_gradient, fd_partial, hodge_restricted,
-                     restrict_two_form, sample_points, transform_form)
+from .fields import (Domain, SplitSpec, StencilConfig, adapted_frame,
+                     combinations_index, exterior_d, fd_gradient, fd_partial,
+                     hodge_restricted, restrict_two_form, sample_points,
+                     transform_form)
 from .modeldata import (decompose_so6, h6, off_g2_fraction, phi_constants,
                         star_phi_constants)
 
@@ -60,10 +61,10 @@ class G2MetricBundle:
         return np.linalg.inv(self.coframe(p))
 
     def phi_field(self, p: np.ndarray) -> np.ndarray:
-        return _assemble_form(phi_constants(), 3, self.coframe(p))
+        return transform_form(phi_constants(), 3, 7, self.coframe(p))
 
     def star_phi_field(self, p: np.ndarray) -> np.ndarray:
-        return _assemble_form(star_phi_constants(), 4, self.coframe(p))
+        return transform_form(star_phi_constants(), 4, 7, self.coframe(p))
 
     def orthonormality_residual(self, samples) -> float:
         worst = 0.0
@@ -72,19 +73,6 @@ class G2MetricBundle:
             g = self.metric(p)
             worst = max(worst, float(np.max(np.abs(e.T @ e - g))))
         return worst
-
-
-def _assemble_form(constants: dict, k: int, coframe_rows: np.ndarray) -> np.ndarray:
-    """Coordinate components of sum_T c_T eps^{T1} ^ ... ^ eps^{Tk}."""
-    combos, _ = combinations_index(7, k)
-    out = np.zeros(len(combos))
-    cols = np.array(combos)
-    for t, c in constants.items():
-        sub = coframe_rows[list(t)]            # k x 7
-        minors = sub[:, cols]                  # k x ncombos x k
-        minors = np.transpose(minors, (1, 0, 2))
-        out += c * np.linalg.det(minors)
-    return out
 
 
 def _chol_coframe(gblock: np.ndarray) -> np.ndarray:
@@ -225,10 +213,6 @@ def g2_build_thm1(k6: Callable[[np.ndarray], np.ndarray], split: SplitSpec,
         e[4] *= signs.minus_leg
         return e
 
-    domain7 = Domain(lo=(t_range[0],) + tuple(domain6.lo),
-                     hi=(t_range[1],) + tuple(domain6.hi),
-                     exclusions=tuple(_lift_exclusion(x) for x in domain6.exclusions))
-
     cfg = check_cfg or StencilConfig(h=1e-3)
     pre = sample_points(domain6, n_precheck, cfg, seed=911)
     for x in pre:
@@ -241,12 +225,8 @@ def g2_build_thm1(k6: Callable[[np.ndarray], np.ndarray], split: SplitSpec,
     if worst > tolerance:
         provenance["warning"] = (f"monopole hypothesis violated: residual {worst:.3e} "
                                  f"exceeds {tolerance:.1e}")
-    return G2MetricBundle(metric=metric7, coframe=coframe, domain=domain7,
-                          provenance=provenance)
-
-
-def _lift_exclusion(excl):
-    return lambda p: excl(p[1:])
+    return G2MetricBundle(metric=metric7, coframe=coframe,
+                          domain=domain6.lift_t(t_range), provenance=provenance)
 
 
 def weak_sl3_consistency(k6, split: SplitSpec, alpha, samples,
@@ -266,12 +246,11 @@ def weak_sl3_consistency(k6, split: SplitSpec, alpha, samples,
     worst_a_alt = 0.0
     for x in samples:
         g = np.asarray(k6(x), float)
-        fr = _frame6(g, plus, minus)
+        fr = adapted_frame(g, split)
         gam = christoffel(k6, x, cfg)
         # connection form in the frame: omega(f_c)[k, b] = <f^k, nabla_{f_c} f_b>
-        dframe = np.array([fd_partial(lambda q: _frame6(np.asarray(k6(q), float),
-                                                        plus, minus), x, d, cfg)
-                           for d in range(6)])
+        dframe = fd_gradient(lambda q: adapted_frame(np.asarray(k6(q), float), split),
+                             x, cfg)
         e = np.linalg.inv(fr)
         alpha_v = np.zeros(3) if alpha is None else np.asarray(alpha(x), float)
         gb_minus = g[np.ix_(minus, minus)]
@@ -293,22 +272,6 @@ def weak_sl3_consistency(k6, split: SplitSpec, alpha, samples,
                 _h_component(omega) - h6(s_alt)))))
     return {"complex_structure_part": worst_j, "twist_mismatch": worst_a,
             "twist_mismatch_unwarped_sharp": worst_a_alt}
-
-
-def _frame6(g: np.ndarray, plus, minus) -> np.ndarray:
-    """Columns = adapted orthonormal frame of a block-diagonal 6-metric."""
-    f = np.zeros((6, 6))
-    lp = np.linalg.cholesky(g[np.ix_(plus, plus)])
-    fp = np.linalg.inv(lp).T
-    for j in range(3):
-        for i, ci in enumerate(plus):
-            f[ci, j] = fp[i, j]
-    lm = np.linalg.cholesky(g[np.ix_(minus, minus)])
-    fm = np.linalg.inv(lm).T
-    for j in range(3):
-        for i, ci in enumerate(minus):
-            f[ci, 3 + j] = fm[i, j]
-    return f
 
 
 def _s_alpha(xvec, e, plus, minus, sharp) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import Domain
+from .fields import Domain, hat
 from .g2construct import (CoframeSigns, G2MetricBundle, MonopoleData, N_SPLIT,
                           flat_product_metric, g2_build_thm1,
                           weak_monopole_residual)
@@ -206,7 +206,7 @@ def killing_taub_nut_data() -> KillingData:
         cof = np.diag(1.0 / scale)
         u_val = v ** -0.5
         gamma_f = np.zeros((6, 6))
-        gamma_f[3:, 3:] = _hat3(gm) / u_val
+        gamma_f[3:, 3:] = hat(gm) / u_val
         corr = np.zeros((6, 6, 6))
         for a in range(6):
             corr[:, a, :] = frame @ h6(gamma_f @ cof[:, a]) @ cof
@@ -229,12 +229,6 @@ def killing_perturbed_data(eps: float = 0.1) -> KillingData:
     return KillingData(metric=good.metric, u=good.u, a_form=a_form,
                        b_plus=good.b_plus, b_hom=good.b_hom,
                        domain=good.domain, connection=good.connection)
-
-
-def _hat3(w: np.ndarray) -> np.ndarray:
-    return np.array([[0.0, -w[2], w[1]],
-                     [w[2], 0.0, -w[0]],
-                     [-w[1], w[0], 0.0]])
 
 
 # ------------------------------------------------------ anchored-torsion data

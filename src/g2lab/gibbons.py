@@ -97,16 +97,6 @@ def gh_build(data: GHData):
     return metric
 
 
-def gh_domain4(spatial: Domain, t_range=(-1.0, 1.0)) -> Domain:
-    return Domain(lo=(t_range[0],) + tuple(spatial.lo),
-                  hi=(t_range[1],) + tuple(spatial.hi),
-                  exclusions=tuple(_lift_exclusion(e) for e in spatial.exclusions))
-
-
-def _lift_exclusion(excl):
-    return lambda p: excl(p[1:])
-
-
 def v_flat_quotient(p3: np.ndarray) -> float:
     """V = 1/(2r): the build is locally flat."""
     return 0.5 / float(np.linalg.norm(p3))

@@ -9,13 +9,14 @@ operator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .curvature import christoffel
-from .fields import Domain, StencilConfig, fd_partial
+from .fields import Domain, StencilConfig, fd_gradient
 from .modeldata import cross7
 
 
@@ -66,33 +67,42 @@ def ellipsoid(axis: float = 2.0) -> Immersion:
     return Immersion(chart, sphere.domain, "ellipsoid")
 
 
+def _tangent(imm: Immersion, cfg: StencilConfig, y: np.ndarray) -> np.ndarray:
+    """Columns = the coordinate tangent vectors d_a F at y, by stencils."""
+    return np.column_stack(fd_gradient(imm.chart, y, cfg))
+
+
+def _normal(imm: Immersion, cfg: StencilConfig, y: np.ndarray) -> np.ndarray:
+    """Unit normal completing the tangent frame to a positive basis of R^7."""
+    t = _tangent(imm, cfg, y)
+    _, s, vt = np.linalg.svd(t.T, full_matrices=True)
+    if s[-1] < 1e-8:
+        raise ValueError("degenerate induced metric")
+    n = vt[-1]
+    if np.linalg.det(np.column_stack([t, n])) < 0:
+        n = -n
+    return n
+
+
+def _j_matrix(imm: Immersion, cfg: StencilConfig, y: np.ndarray) -> np.ndarray:
+    """J(X) = n x X in coordinate components of the tangent space."""
+    t = _tangent(imm, cfg, y)
+    n = _normal(imm, cfg, y)
+    cols = []
+    for b in range(6):
+        jb, *_ = np.linalg.lstsq(t, cross7(n, t[:, b]), rcond=None)
+        cols.append(jb)
+    return np.column_stack(cols)
+
+
 def hypersurface_checks(imm: Immersion, samples, cfg: StencilConfig) -> dict:
     """Residual report at the samples; all derivatives by stencils."""
-    def tangent(y: np.ndarray) -> np.ndarray:
-        return np.column_stack([fd_partial(imm.chart, y, a, cfg) for a in range(6)])
+    tangent = functools.partial(_tangent, imm, cfg)
+    j_matrix = functools.partial(_j_matrix, imm, cfg)
 
     def induced_metric(y: np.ndarray) -> np.ndarray:
         t = tangent(y)
         return t.T @ t
-
-    def normal(y: np.ndarray) -> np.ndarray:
-        t = tangent(y)
-        _, s, vt = np.linalg.svd(t.T, full_matrices=True)
-        if s[-1] < 1e-8:
-            raise ValueError("degenerate induced metric")
-        n = vt[-1]
-        if np.linalg.det(np.column_stack([t, n])) < 0:
-            n = -n
-        return n
-
-    def j_matrix(y: np.ndarray) -> np.ndarray:
-        t = tangent(y)
-        n = normal(y)
-        cols = []
-        for b in range(6):
-            jb, *_ = np.linalg.lstsq(t, cross7(n, t[:, b]), rcond=None)
-            cols.append(jb)
-        return np.column_stack(cols)
 
     worst_nk = worst_k = worst_umb = worst_geo = 0.0
     for y in samples:
@@ -100,10 +110,10 @@ def hypersurface_checks(imm: Immersion, samples, cfg: StencilConfig) -> dict:
         g = t.T @ t
         if np.linalg.det(g) < 1e-10:
             raise ValueError("degenerate induced metric")
-        n = normal(y)
+        n = _normal(imm, cfg, y)
         jmat = j_matrix(y)
         gam = christoffel(induced_metric, y, cfg)
-        dj = np.array([fd_partial(j_matrix, y, c, cfg) for c in range(6)])
+        dj = fd_gradient(j_matrix, y, cfg)
         # (nabla_c J)^a_b
         ndj = dj + np.einsum('acd,db->cab', gam, jmat) \
             - np.einsum('dcb,ad->cab', gam, jmat)
@@ -118,7 +128,7 @@ def hypersurface_checks(imm: Immersion, samples, cfg: StencilConfig) -> dict:
         worst_k = max(worst_k, float(np.max(np.abs(ndj_f))))
 
         # second fundamental form and shape operator
-        ddf = np.array([fd_partial(tangent, y, c, cfg) for c in range(6)])
+        ddf = fd_gradient(tangent, y, cfg)
         ii = np.einsum('k,ckb->cb', n, ddf)
         shape = np.linalg.solve(g, ii)
         shape_f = e6 @ shape @ f6
@@ -133,13 +143,6 @@ def j_squared_residual(imm: Immersion, samples, cfg: StencilConfig) -> float:
     """Sanity: J^2 = -identity on the tangent space, up to stencil noise."""
     worst = 0.0
     for y in samples:
-        t = np.column_stack([fd_partial(imm.chart, y, a, cfg) for a in range(6)])
-        _, s, vt = np.linalg.svd(t.T, full_matrices=True)
-        n = vt[-1]
-        cols = []
-        for b in range(6):
-            jb, *_ = np.linalg.lstsq(t, cross7(n, t[:, b]), rcond=None)
-            cols.append(jb)
-        jmat = np.column_stack(cols)
+        jmat = _j_matrix(imm, cfg, y)
         worst = max(worst, float(np.max(np.abs(jmat @ jmat + np.eye(6)))))
     return worst

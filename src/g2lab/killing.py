@@ -26,8 +26,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .curvature import christoffel
-from .fields import (Domain, SplitSpec, StencilConfig, exterior_d, fd_gradient,
-                     fd_partial, hodge_restricted, restrict_two_form)
+from .fields import (EPS3, Domain, SplitSpec, StencilConfig, adapted_frame,
+                     exterior_d, fd_gradient, hat, hodge_restricted,
+                     restrict_two_form)
 from .modeldata import h6
 
 SPLIT6 = SplitSpec(blocks=(("plus", (0, 1, 2)), ("minus", (3, 4, 5))))
@@ -66,31 +67,6 @@ class KillingData:
                 "B": np.asarray(self.b_hom(x), dtype=float)}
 
 
-def adapted_frame(g: np.ndarray, split: SplitSpec) -> np.ndarray:
-    """Columns = orthonormal frame respecting the split (blockwise Cholesky).
-
-    Requires the metric to be block diagonal w.r.t. the split.
-    """
-    plus = split.indices("plus")
-    minus = split.indices("minus")
-    if float(np.max(np.abs(g[np.ix_(plus, minus)]))) > 1e-9:
-        raise ValueError("metric does not respect the split")
-    f = np.zeros((6, 6))
-    for cols, block in ((range(0, 3), plus), (range(3, 6), minus)):
-        l = np.linalg.cholesky(g[np.ix_(block, block)])
-        finv = np.linalg.inv(l).T
-        for j, cj in enumerate(cols):
-            for i, ci in enumerate(block):
-                f[ci, cj] = finv[i, j]
-    return f
-
-
-def _hat(w: np.ndarray) -> np.ndarray:
-    return np.array([[0.0, -w[2], w[1]],
-                     [w[2], 0.0, -w[0]],
-                     [-w[1], w[0], 0.0]])
-
-
 def gamma_expanded(info: dict) -> np.ndarray:
     """Blockwise twist endomorphism in frame components:
     gamma(X)_+ = b x X_+ - B X_- - (1/2) u^-1 (grad u)_- x X_+ - (1/2) u^-1 (grad u)_+ x X_-,
@@ -100,10 +76,10 @@ def gamma_expanded(info: dict) -> np.ndarray:
     gp, gm = info["grad_frame"][:3], info["grad_frame"][3:]
     b, bb = info["b"], info["B"]
     out = np.zeros((6, 6))
-    out[:3, :3] = _hat(b) - 0.5 / u * _hat(gm)
-    out[:3, 3:] = -bb - 0.5 / u * _hat(gp)
-    out[3:, :3] = bb - 0.5 / u * _hat(gp)
-    out[3:, 3:] = _hat(b) + 0.5 / u * _hat(gm)
+    out[:3, :3] = hat(b) - 0.5 / u * hat(gm)
+    out[:3, 3:] = -bb - 0.5 / u * hat(gp)
+    out[3:, :3] = bb - 0.5 / u * hat(gp)
+    out[3:, 3:] = hat(b) + 0.5 / u * hat(gm)
     return out
 
 
@@ -113,10 +89,10 @@ def gamma_unexpanded(info: dict) -> np.ndarray:
     u = info["u"]
     b, bb = info["b"], info["B"]
     bcal = np.zeros((6, 6))
-    bcal[:3, :3] = _hat(b)
+    bcal[:3, :3] = hat(b)
     bcal[:3, 3:] = -bb
     bcal[3:, :3] = bb
-    bcal[3:, 3:] = _hat(b)
+    bcal[3:, 3:] = hat(b)
     return bcal - h6(info["grad_frame"]) / u
 
 
@@ -164,7 +140,7 @@ def killing_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> 
         gam = _connection_at(data, x, cfg)
         gamma_f = gamma_expanded(info)
         # dframe[d, i, j] = d_d frame[i, j]
-        dframe = np.array([fd_partial(frame_field, x, d, cfg) for d in range(6)])
+        dframe = fd_gradient(frame_field, x, cfg)
 
         # nabla_{f_a} f_b and [f_a, f_b], in coordinates
         nabla = np.zeros((6, 6, 6))
@@ -217,7 +193,6 @@ def da_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> dict:
     a genuine mutual oracle with an O(h^2) discrepancy.
     """
     worst_pp = worst_mm_plain = worst_mm_resc = worst_mixed = worst_pair = 0.0
-    eps = _eps3()
     for x in samples:
         info = data.gamma_info(x, cfg)
         fr, u = info["frame"], info["u"]
@@ -230,10 +205,10 @@ def da_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> dict:
 
         s_plus = data.split.orientation("plus")
         s_minus = data.split.orientation("minus")
-        rhs_pp = s_plus / u * np.einsum('m,mij->ij', alpha, eps)
+        rhs_pp = s_plus / u * np.einsum('m,mij->ij', alpha, EPS3)
         worst_pp = max(worst_pp, float(np.max(np.abs(da_f[:3, :3] - rhs_pp))))
 
-        rhs_mm_plain = s_minus / u * np.einsum('m,mij->ij', alpha + 2.0 / u * gm, eps)
+        rhs_mm_plain = s_minus / u * np.einsum('m,mij->ij', alpha + 2.0 / u * gm, EPS3)
 
         du2 = fd_gradient(lambda q: float(data.u(q)) ** -2, x, cfg)
         du2_frame = (fr.T @ du2)[3:]
@@ -252,19 +227,11 @@ def da_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> dict:
                          float(np.max(np.abs(rhs_mm_plain - rhs_mm_resc))))
 
         bb = info["B"]
-        rhs_mixed = 2.0 / u * (bb.T - 0.5 / u * np.einsum('m,mij->ij', gp, eps))
+        rhs_mixed = 2.0 / u * (bb.T - 0.5 / u * np.einsum('m,mij->ij', gp, EPS3))
         worst_mixed = max(worst_mixed, float(np.max(np.abs(da_f[:3, 3:] - rhs_mixed))))
     return {"plus_plus": worst_pp, "minus_minus": worst_mm_plain,
             "minus_minus_rescaled": worst_mm_resc, "mixed": worst_mixed,
             "route_agreement": worst_pair}
-
-
-def _eps3() -> np.ndarray:
-    eps = np.zeros((3, 3, 3))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        eps[i, j, k] = 1.0
-        eps[i, k, j] = -1.0
-    return eps
 
 
 @dataclass(frozen=True)
@@ -327,8 +294,8 @@ def rho_torsion_check(setup: RhoConnectionSetup, sections: Sequence, samples,
                     + np.einsum('kcd,c,d->k', gam, xv, yv)
                 nab_yx = _directional(xs, x, yv, cfg.h) \
                     + np.einsum('kcd,c,d->k', gam, yv, xv)
-                jac_y = np.array([fd_partial(ys, x, d, cfg) for d in range(6)])
-                jac_x = np.array([fd_partial(xs, x, d, cfg) for d in range(6)])
+                jac_y = fd_gradient(ys, x, cfg)
+                jac_x = fd_gradient(xs, x, cfg)
                 lie = xv @ jac_y - yv @ jac_x
                 direct_tm = (nab_xy + h6(gx) @ yv) - (nab_yx + h6(gy) @ xv) - lie
                 da_xy = float(xv @ da @ yv)

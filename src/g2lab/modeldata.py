@@ -15,14 +15,14 @@ from .threeform import invariant_threeform, star_phi
 
 
 @functools.lru_cache(maxsize=1)
-def phi_constants() -> dict:
-    """{(i, j, k): float} nonzero components of the model 3-form."""
-    return {t: float(c) for t, c in invariant_threeform().nonzero_items()}
+def phi_constants() -> np.ndarray:
+    """Components of the model 3-form over the sorted triples, as floats."""
+    return np.array([float(c) for c in invariant_threeform().components])
 
 
 @functools.lru_cache(maxsize=1)
-def star_phi_constants() -> dict:
-    return {q: float(c) for q, c in star_phi(invariant_threeform()).nonzero_items()}
+def star_phi_constants() -> np.ndarray:
+    return np.array([float(c) for c in star_phi(invariant_threeform()).components])
 
 
 @functools.lru_cache(maxsize=1)

@@ -19,8 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .embeddings import G2Basis, g2_basis, intertwiner_solve
-from .rational import ExactMatrix, Q, bracket, trace_form
-from .subspaces import Subspace, gram_matrix, kernel_basis, solve_linear
+from .rational import (ExactMatrix, Q, bracket, combination, common_ratio,
+                       trace_form)
+from .subspaces import Subspace, gram_matrix, inverse, kernel_basis, solve_linear
 from .threeform import (CrossProduct7, ThreeForm, invariant_threeform,
                         phi_cross_duality, so7_basis)
 
@@ -57,13 +58,7 @@ def torsion_cross(basis: G2Basis | None = None) -> TorsionCrossResult:
     so7 = so7_basis()
     cond = ExactMatrix.from_rows(
         [[trace_form(e, a) for e in so7] for a in basis.elements])
-    comp = []
-    for k in kernel_basis(cond):
-        m = ExactMatrix.zeros(7)
-        for c, e in zip(k, so7):
-            if c:
-                m = m + e.scale(c)
-        comp.append(m)
+    comp = [combination(k, so7) for k in kernel_basis(cond)]
     if len(comp) != 7:
         raise ValueError(f"complement has dimension {len(comp)}, expected 7")
 
@@ -91,14 +86,9 @@ def torsion_cross(basis: G2Basis | None = None) -> TorsionCrossResult:
     t = res.invertible
 
     def to_complement(x: Sequence) -> ExactMatrix:
-        coords = t.apply(x)
-        m = ExactMatrix.zeros(7)
-        for c, e in zip(coords, comp):
-            if c:
-                m = m + e.scale(c)
-        return m
+        return combination(t.apply(x), comp)
 
-    t_inv = _invert(t)
+    t_inv = inverse(t)
 
     # project the bracket of complement elements back to the complement
     all_mat = ExactMatrix.from_rows(
@@ -113,40 +103,22 @@ def torsion_cross(basis: G2Basis | None = None) -> TorsionCrossResult:
 
     cross_phi = phi_cross_duality(invariant_threeform(basis))
     product = {}
-    ratio = None
+    pulled, ref = [], []
     for i in range(7):
         ei = [Q(1) if s == i else Q(0) for s in range(7)]
         for j in range(i + 1, 7):
             ej = [Q(1) if s == j else Q(0) for s in range(7)]
-            pij = project_pullback(bracket(to_complement(ei), to_complement(ej)))
-            product[(i, j)] = pij
-            ref = cross_phi.cross(ei, ej)
-            for p, r in zip(pij, ref):
-                if r != 0:
-                    cand = p / r
-                    if ratio is None:
-                        ratio = cand
-                    elif ratio != cand:
-                        raise ValueError("pulled-back product is not proportional "
-                                         "to the 3-form cross product")
-                elif p != 0:
-                    raise ValueError("pulled-back product is not proportional "
-                                     "to the 3-form cross product")
-    if ratio is None or ratio == 0:
+            product[(i, j)] = project_pullback(bracket(to_complement(ei),
+                                                       to_complement(ej)))
+            pulled.extend(product[(i, j)])
+            ref.extend(cross_phi.cross(ei, ej))
+    ratio = common_ratio(pulled, ref)
+    if ratio is None:
+        raise ValueError("pulled-back product is not proportional "
+                         "to the 3-form cross product")
+    if ratio == 0:
         raise ValueError("pulled-back product vanishes")
     return TorsionCrossResult(product, ratio, len(comp))
-
-
-def _invert(m: ExactMatrix) -> ExactMatrix:
-    n = m.rows
-    cols = []
-    for k in range(n):
-        e = [Q(1) if t == k else Q(0) for t in range(n)]
-        sol = solve_linear(m, e)
-        if sol.particular is None:
-            raise ValueError("matrix not invertible")
-        cols.append(sol.particular)
-    return ExactMatrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
 
 
 @dataclass(frozen=True)

@@ -157,3 +157,27 @@ def trace_form(a: ExactMatrix, b: ExactMatrix) -> Fraction:
         raise ValueError("trace_form requires square matrices of equal size")
     n = a.rows
     return sum((a[i, j] * b[j, i] for i in range(n) for j in range(n)), Q(0))
+
+
+def combination(coeffs: Sequence, mats: Sequence[ExactMatrix]) -> ExactMatrix:
+    """sum_i coeffs[i] * mats[i], skipping zero coefficients."""
+    out = ExactMatrix.zeros(mats[0].rows, mats[0].cols)
+    for c, m in zip(coeffs, mats):
+        if c:
+            out = out + m.scale(c)
+    return out
+
+
+def common_ratio(xs: Sequence, ys: Sequence) -> Fraction | None:
+    """The single r with xs = r * ys entrywise, or None if there is none (or
+    if ys is all zero, so that r is not determined)."""
+    r = None
+    for x, y in zip(xs, ys):
+        if y != 0:
+            if r is None:
+                r = x / y
+            elif x / y != r:
+                return None
+        elif x != 0:
+            return None
+    return r

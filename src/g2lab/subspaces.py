@@ -86,6 +86,18 @@ def kernel_basis(a: ExactMatrix) -> list[tuple]:
     return basis
 
 
+def inverse(m: ExactMatrix) -> ExactMatrix:
+    """Exact inverse of a square matrix, read off the reduced form of [m | I]."""
+    n = m.rows
+    if m.cols != n:
+        raise ValueError("inverse of a non-square matrix")
+    eye = ExactMatrix.identity(n)
+    rows, pivots = rref([m.row(i) + eye.row(i) for i in range(n)])
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix not invertible")
+    return ExactMatrix.from_rows([r[n:] for r in rows])
+
+
 @dataclass(frozen=True)
 class LinearSolution:
     """General solution of a x = b: a particular solution plus the kernel."""

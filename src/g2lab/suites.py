@@ -20,7 +20,7 @@ from .g2construct import (estimate_order, holonomy_residual, model_phi_check,
                           monopole_residual, torsionfree_residual,
                           weak_monopole_residual, weak_sl3_consistency,
                           N_SPLIT, flat_product_metric)
-from .gibbons import gh_build, gh_domain4
+from .gibbons import gh_build
 from .hypersurfaces import (affine_plane, ellipsoid, hypersurface_checks,
                             unit_sphere)
 from .killing import (da_conditions_check, gamma_pair_residual,
@@ -28,7 +28,7 @@ from .killing import (da_conditions_check, gamma_pair_residual,
 from .octonions import (alternativity_certificate, associative_test,
                         calibration_gap, norm_multiplicativity_certificate,
                         standard_cross, standard_octonions, torsion_cross)
-from .rational import ExactMatrix, bracket, trace_form
+from .rational import bracket, combination, trace_form
 from .reports import (CheckReport, SuiteContext, control_report, simple_report)
 from .spin8 import so8_intersection_report
 from .subspaces import Subspace
@@ -72,11 +72,7 @@ def check_algebra_closure(ctx: SuiteContext) -> CheckReport:
     b = emb.g2_basis()
     worst = 0
     for (i, j), coeffs in b.structure_constants.items():
-        recon = ExactMatrix.zeros(7)
-        for c, el in zip(coeffs, b.elements):
-            if c:
-                recon = recon + el.scale(c)
-        diff = bracket(b.elements[i], b.elements[j]) - recon
+        diff = bracket(b.elements[i], b.elements[j]) - combination(coeffs, b.elements)
         worst = max(worst, max(abs(v) for v in diff.flatten()))
     return simple_report("algebra.closure", {"closure": float(worst)}, 0.0,
                          ctx.seed, params={"pairs": len(b.structure_constants)})
@@ -237,8 +233,7 @@ def check_octonion_star(ctx: SuiteContext) -> CheckReport:
 # ---------------------------------------------------------------------- gh
 
 def _gh_samples(ctx: SuiteContext, data, n_default: int, h: float):
-    dom = gh_domain4(data.domain)
-    return sample_points(dom, ctx.scaled_samples(n_default),
+    return sample_points(data.domain.lift_t(), ctx.scaled_samples(n_default),
                          StencilConfig(h=h), seed=ctx.seed)
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .embeddings import G2Basis, g2_basis
-from .rational import ExactMatrix, Q
+from .rational import ExactMatrix, Q, combination
 from .subspaces import Subspace, kernel_basis
 
 TRIPLES = tuple(itertools.combinations(range(7), 3))
@@ -52,10 +52,30 @@ def _rational_sqrt(x: Fraction) -> Fraction | None:
 
 
 @dataclass(frozen=True)
-class ThreeForm:
+class _AlternatingForm:
+    """Alternating form on Q^7 with components on the sorted index tuples
+    `INDICES` of its degree; `KIND` names it in JSON."""
+
+    components: tuple  # 35 Fractions, INDICES order
+
+    def norm_sq(self) -> Fraction:
+        return sum((c * c for c in self.components), Q(0))
+
+    def nonzero_items(self):
+        return [(t, c) for t, c in zip(self.INDICES, self.components) if c != 0]
+
+    def to_json_obj(self) -> dict:
+        return {"kind": self.KIND, "dimension": 7,
+                "components": [{"indices": list(t),
+                                "num": str(c.numerator), "den": str(c.denominator)}
+                               for t, c in self.nonzero_items()]}
+
+
+class ThreeForm(_AlternatingForm):
     """Totally antisymmetric 3-tensor on Q^7, components on sorted triples."""
 
-    components: tuple  # 35 Fractions, TRIPLES order
+    INDICES = TRIPLES
+    KIND = "three_form"
 
     def value(self, i: int, j: int, k: int) -> Fraction:
         t, s = sort_with_sign((i, j, k))
@@ -68,9 +88,6 @@ class ThreeForm:
                 continue
             out += c * _det3(x, y, z, i, j, k)
         return out
-
-    def norm_sq(self) -> Fraction:
-        return sum((c * c for c in self.components), Q(0))
 
     def normalize(self) -> "ThreeForm":
         """Scale so that the squared norm is 7 and the first nonzero component
@@ -89,35 +106,16 @@ class ThreeForm:
     def scale(self, s) -> "ThreeForm":
         return ThreeForm(tuple(Fraction(s) * c for c in self.components))
 
-    def nonzero_items(self):
-        return [(t, c) for t, c in zip(TRIPLES, self.components) if c != 0]
 
-    def to_json_obj(self) -> dict:
-        return {"kind": "three_form", "dimension": 7,
-                "components": [{"indices": list(t),
-                                "num": str(c.numerator), "den": str(c.denominator)}
-                               for t, c in self.nonzero_items()]}
+class FourForm(_AlternatingForm):
+    """Totally antisymmetric 4-tensor on Q^7, components on sorted quads."""
 
-
-@dataclass(frozen=True)
-class FourForm:
-    components: tuple  # 35 Fractions, QUADS order
+    INDICES = QUADS
+    KIND = "four_form"
 
     def value(self, i, j, k, l) -> Fraction:
         q, s = sort_with_sign((i, j, k, l))
         return Q(0) if s == 0 else s * self.components[QUAD_INDEX[q]]
-
-    def norm_sq(self) -> Fraction:
-        return sum((c * c for c in self.components), Q(0))
-
-    def nonzero_items(self):
-        return [(q, c) for q, c in zip(QUADS, self.components) if c != 0]
-
-    def to_json_obj(self) -> dict:
-        return {"kind": "four_form", "dimension": 7,
-                "components": [{"indices": list(q),
-                                "num": str(c.numerator), "den": str(c.denominator)}
-                               for q, c in self.nonzero_items()]}
 
 
 def _det3(x, y, z, i, j, k) -> Fraction:
@@ -192,13 +190,7 @@ def stabilizer_in_so7(phi: ThreeForm) -> Subspace:
         cols.append(op.apply(phi.components))
     mat = ExactMatrix.from_rows([[cols[c][t] for c in range(21)] for t in range(35)])
     ker = kernel_basis(mat)
-    flats = []
-    for coeffs in ker:
-        m = ExactMatrix.zeros(7)
-        for c, b in zip(coeffs, basis):
-            if c:
-                m = m + b.scale(c)
-        flats.append(m.flatten())
+    flats = [combination(coeffs, basis).flatten() for coeffs in ker]
     return Subspace.span(flats, 49) if flats else Subspace.span([], 49)
 
 

@@ -28,10 +28,17 @@ def test_unknown_suite_exits_2(capsys):
     assert "unknown suite" in err
 
 
-def test_bad_samples_exits_2(capsys):
-    for args in (["--samples", "0"], ["--seed", "-5"]):
-        code, *_ = run_cli(capsys, args)
+def test_bad_samples_exits_2(capsys, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for args in (["--samples", "0"], ["--seed", "-5"], ["--h", "nan"],
+                 ["--h", "inf"], ["--h", "-inf"],
+                 ["--out", str(tmp_path / "missing" / "x.jsonl")],
+                 ["--dump-samples", str(taken)]):
+        code, out, err = run_cli(capsys, ["--suite", "gh"] + args)
         assert code == 2, args
+        assert out == "", args      # no check ran
+        assert "Traceback" not in err, args
 
 
 def test_list_checks(capsys):

@@ -7,6 +7,72 @@ from g2lab.fields import (Domain, SplitSpec, StencilConfig, StencilDomainError,
                           transform_form)
 
 
+def reference_transform_form(comps, k, n, frame):
+    """The per-minor double loop that the batched transform_form replaced."""
+    combos, _ = combinations_index(n, k)
+    out = np.zeros(len(combos))
+    for oi, I in enumerate(combos):
+        sub = frame[:, I]
+        val = 0.0
+        for ci, J in enumerate(combos):
+            c = comps[ci]
+            if c != 0.0:
+                val += c * np.linalg.det(sub[J, :])
+        out[oi] = val
+    return out
+
+
+def reference_exterior_d(omega, p, k, cfg):
+    """The per-J loop that the table-driven exterior_d replaced."""
+    n = len(p)
+    _, kindex = combinations_index(n, k)
+    combos_k1, _ = combinations_index(n, k + 1)
+    partials = np.array([fd_partial(omega, p, d, cfg) for d in range(n)])
+    if k == 0:
+        return partials
+    out = np.zeros(len(combos_k1))
+    for ci, J in enumerate(combos_k1):
+        s = 0.0
+        for m in range(k + 1):
+            s += (-1.0) ** m * partials[J[m], kindex[J[:m] + J[m + 1:]]]
+        out[ci] = s
+    return out
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_transform_form_matches_reference_loop(k):
+    rng = np.random.default_rng(100 + k)
+    n = 7
+    ncombos = len(combinations_index(n, k)[0])
+    for _ in range(20):
+        frame = rng.normal(size=(n, n))
+        comps = rng.normal(size=ncombos)
+        comps[rng.random(ncombos) < 0.4] = 0.0
+        assert np.array_equal(transform_form(comps, k, n, frame),
+                              reference_transform_form(comps, k, n, frame))
+
+
+@pytest.mark.parametrize("k", range(0, 6))
+def test_exterior_d_matches_reference_loop(k):
+    rng = np.random.default_rng(200 + k)
+    n = 7
+    ncombos = len(combinations_index(n, k)[0])
+    coef = rng.normal(size=(ncombos, n))
+    omega = (lambda q: float(np.sin(coef[0] @ q))) if k == 0 else \
+        (lambda q: np.sin(coef @ q) * (1.0 + q @ q))
+    cfg = StencilConfig(h=1e-3)
+    for _ in range(5):
+        p = rng.uniform(-1.0, 1.0, size=n)
+        assert np.array_equal(exterior_d(omega, p, k, cfg),
+                              reference_exterior_d(omega, p, k, cfg))
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, float("nan"), float("inf")])
+def test_stencil_step_must_be_finite_and_positive(h):
+    with pytest.raises(ValueError):
+        StencilConfig(h=h)
+
+
 def test_fd_exact_on_quadratic():
     f = lambda p: p[0] ** 2
     cfg = StencilConfig(h=0.25)

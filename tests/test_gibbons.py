@@ -6,14 +6,13 @@ from g2lab.fields import Domain, StencilConfig, sample_points
 from g2lab.g2construct import estimate_order
 from g2lab.gallery import (GH_REFERENCE_POINTS, gh_flat_example,
                            gh_nonharmonic_example, gh_taub_nut_example)
-from g2lab.gibbons import GHData, dirac_potential, gh_build, gh_domain4
+from g2lab.gibbons import GHData, dirac_potential, gh_build
 
 H_LIST = (2e-2, 1e-2, 5e-3)
 
 
 def sample4(data, n=8, seed=21):
-    dom = gh_domain4(data.domain)
-    return sample_points(dom, n, StencilConfig(h=max(H_LIST)), seed=seed)
+    return sample_points(data.domain.lift_t(), n, StencilConfig(h=max(H_LIST)), seed=seed)
 
 
 def test_potential_satisfies_star_equation():

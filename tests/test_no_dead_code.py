@@ -33,3 +33,30 @@ def test_every_definition_is_referenced():
         if sum(len(word.findall(t)) for t in texts) <= n_defs:
             unused.append(name)
     assert not unused, f"defined but never referenced: {unused}"
+
+
+def _body_key(node) -> str:
+    """`ast.dump` of a function's arguments and body, docstring dropped."""
+    body = node.body
+    if (body and isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant)
+            and isinstance(body[0].value.value, str)):
+        body = body[1:]
+    return ast.dump(node.args) + "".join(ast.dump(stmt) for stmt in body)
+
+
+def test_no_two_functions_share_a_body():
+    """One implementation per primitive: no function or method repeats the
+    arguments and body of another under a different name."""
+    seen = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [(tree, "")] + [(n, n.name + ".") for n in ast.walk(tree)
+                                 if isinstance(n, ast.ClassDef)]
+        for scope, prefix in scopes:
+            for node in ast.iter_child_nodes(scope):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = f"{path.stem}.{prefix}{node.name}"
+                    seen.setdefault(_body_key(node), []).append(name)
+    copies = sorted(names for names in seen.values() if len(names) > 1)
+    assert not copies, f"functions with identical bodies: {copies}"
