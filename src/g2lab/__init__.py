@@ -21,7 +21,7 @@ The numerical layer (pointwise stencils, convergence-order reporting):
 from .embeddings import (G2Basis, MVector, Sl3Param, g2_basis, h_map, hat3,
                          intertwiner_solve, lift_gtilde, m_embed, sl3_embed,
                          so6_to_so7)
-from .fields import Domain, SplitSpec, StencilConfig
+from .fields import Domain, StencilConfig
 from .g2construct import (G2MetricBundle, MonopoleData, g2_build_thm1,
                           holonomy_residual, monopole_residual,
                           torsionfree_residual, weak_monopole_residual)
@@ -45,7 +45,7 @@ __all__ = [
     "ThreeForm", "invariant_threeform", "star_phi", "phi_cross_duality",
     "CrossProduct7", "OctonionTable", "torsion_cross", "octonion_from_cross",
     "associator", "associative_test", "standard_cross", "standard_octonions",
-    "Domain", "SplitSpec", "StencilConfig",
+    "Domain", "StencilConfig",
     "KillingData", "RhoConnectionSetup", "gamma_field",
     "killing_conditions_check", "da_conditions_check", "rho_torsion_check",
     "GHData", "dirac_potential", "gh_build",

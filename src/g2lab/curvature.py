@@ -17,44 +17,34 @@ from .fields import Domain, Point, StencilConfig, _check_stencil
 
 def metric_jet(g: Callable, p: Point, cfg: StencilConfig,
                domain: Domain | None = None):
-    """(g, dg, ddg) with dg[a] = d_a g and ddg[a, b] = d_a d_b g.
-
-    Order 2 uses the standard 3- and 4-point stencils; order 4 (or the
-    richardson flag) adds one Richardson pass over the whole jet.
-    """
+    """(g, dg, ddg) with dg[a] = d_a g and ddg[a, b] = d_a d_b g, from the
+    standard second-order 3- and 4-point stencils."""
     _check_stencil(p, cfg, domain)
-
-    def jet(h):
-        n = len(p)
-        g0 = np.asarray(g(p), dtype=float)
-        gp, gm = {}, {}
-        for a in range(n):
-            pp, pm = p.copy(), p.copy()
-            pp[a] += h
-            pm[a] -= h
-            gp[a] = np.asarray(g(pp), dtype=float)
-            gm[a] = np.asarray(g(pm), dtype=float)
-        dg = np.array([(gp[a] - gm[a]) / (2 * h) for a in range(n)])
-        ddg = np.zeros((n, n) + g0.shape)
-        for a in range(n):
-            ddg[a, a] = (gp[a] - 2 * g0 + gm[a]) / h**2
-            for b in range(a + 1, n):
-                pa, pb, pc, pd = p.copy(), p.copy(), p.copy(), p.copy()
-                pa[a] += h; pa[b] += h
-                pb[a] += h; pb[b] -= h
-                pc[a] -= h; pc[b] += h
-                pd[a] -= h; pd[b] -= h
-                cross = (np.asarray(g(pa), float) - np.asarray(g(pb), float)
-                         - np.asarray(g(pc), float) + np.asarray(g(pd), float)) / (4 * h**2)
-                ddg[a, b] = cross
-                ddg[b, a] = cross
-        return g0, dg, ddg
-
-    if cfg.order == 2 and not cfg.richardson:
-        return jet(cfg.h)
-    g1, dg1, ddg1 = jet(cfg.h)
-    g2, dg2, ddg2 = jet(cfg.h / 2)
-    return g2, (4 * dg2 - dg1) / 3.0, (4 * ddg2 - ddg1) / 3.0
+    h = cfg.h
+    n = len(p)
+    g0 = np.asarray(g(p), dtype=float)
+    gp, gm = {}, {}
+    for a in range(n):
+        pp, pm = p.copy(), p.copy()
+        pp[a] += h
+        pm[a] -= h
+        gp[a] = np.asarray(g(pp), dtype=float)
+        gm[a] = np.asarray(g(pm), dtype=float)
+    dg = np.array([(gp[a] - gm[a]) / (2 * h) for a in range(n)])
+    ddg = np.zeros((n, n) + g0.shape)
+    for a in range(n):
+        ddg[a, a] = (gp[a] - 2 * g0 + gm[a]) / h**2
+        for b in range(a + 1, n):
+            pa, pb, pc, pd = p.copy(), p.copy(), p.copy(), p.copy()
+            pa[a] += h; pa[b] += h
+            pb[a] += h; pb[b] -= h
+            pc[a] -= h; pc[b] += h
+            pd[a] -= h; pd[b] -= h
+            cross = (np.asarray(g(pa), float) - np.asarray(g(pb), float)
+                     - np.asarray(g(pc), float) + np.asarray(g(pd), float)) / (4 * h**2)
+            ddg[a, b] = cross
+            ddg[b, a] = cross
+    return g0, dg, ddg
 
 
 def christoffel(g: Callable, p: Point, cfg: StencilConfig,

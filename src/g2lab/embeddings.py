@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .rational import ExactMatrix, Q, bracket, common_ratio, trace_form
+from .rational import ExactMatrix, Q, _as_q, bracket, common_ratio, trace_form
 from .subspaces import Subspace, inverse, kernel_basis, rref
 
 PLUS = (0, 1, 2)
@@ -24,7 +24,7 @@ MINUS = (4, 5, 6)
 
 def hat3(x: Sequence) -> ExactMatrix:
     """3x3 skew matrix of the cross product: hat3(x) @ y = x x y (e1 x e2 = e3)."""
-    x0, x1, x2 = (Fraction(v) if not isinstance(v, Fraction) else v for v in x)
+    x0, x1, x2 = (_as_q(v) for v in x)
     return ExactMatrix.from_rows([
         [0, -x2, x1],
         [x2, 0, -x0],
@@ -54,7 +54,7 @@ class Sl3Param:
     @staticmethod
     def make(x=(0, 0, 0), y=None) -> "Sl3Param":
         y = ExactMatrix.zeros(3) if y is None else y
-        return Sl3Param(tuple(Fraction(v) if not isinstance(v, Fraction) else v for v in x), y)
+        return Sl3Param(tuple(_as_q(v) for v in x), y)
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,7 @@ class MVector:
 
     @staticmethod
     def make(a=(0, 0, 0), b=(0, 0, 0)) -> "MVector":
-        conv = lambda v: tuple(Fraction(t) if not isinstance(t, Fraction) else t for t in v)
-        return MVector(conv(a), conv(b))
+        return MVector(tuple(_as_q(t) for t in a), tuple(_as_q(t) for t in b))
 
     def as_vector6(self) -> tuple:
         return self.a + self.b
@@ -171,13 +170,15 @@ def m_vector_basis() -> list[MVector]:
 class G2Basis:
     """14 certified skew 7x7 matrices: 8 sl(3) images then 6 complement images.
 
-    `expand` writes any matrix of the span exactly in this basis; construction
-    fails loudly if independence, skewness or bracket closure does not certify.
+    `span` is their span in flattened 7x7 matrices.  `expand` writes any
+    matrix of the span exactly in this basis; construction fails loudly if
+    independence, skewness or bracket closure does not certify.
     """
 
     elements: tuple
     h_indices: tuple
     m_indices: tuple
+    span: Subspace
     structure_constants: dict     # (i, j) i<j -> coefficient tuple, exact
     _pivot_rows: tuple
     _pivot_inverse: ExactMatrix
@@ -189,9 +190,6 @@ class G2Basis:
     @property
     def m_elements(self):
         return [self.elements[i] for i in self.m_indices]
-
-    def span(self) -> Subspace:
-        return Subspace.span_matrices(list(self.elements))
 
     def expand(self, m: ExactMatrix) -> tuple | None:
         """Exact coefficients of m in the basis, or None if m is outside the span."""
@@ -240,7 +238,8 @@ def g2_basis() -> G2Basis:
     if span.dim != 14:
         raise AssertionError(f"expected span of dimension 14, got {span.dim}")
     pivots, inv = _pivot_solver(els)
-    probe = G2Basis(tuple(els), tuple(range(8)), tuple(range(8, 14)), {}, pivots, inv)
+    probe = G2Basis(tuple(els), tuple(range(8)), tuple(range(8, 14)), span, {},
+                    pivots, inv)
     sc = {}
     for i in range(14):
         for j in range(i + 1, 14):
@@ -248,20 +247,21 @@ def g2_basis() -> G2Basis:
             if c is None:
                 raise AssertionError(f"bracket of basis elements {i},{j} escapes the span")
             sc[(i, j)] = c
-    return G2Basis(tuple(els), tuple(range(8)), tuple(range(8, 14)), sc, pivots, inv)
+    return G2Basis(tuple(els), tuple(range(8)), tuple(range(8, 14)), span, sc,
+                   pivots, inv)
 
 
-def reductivity_certificate(basis: G2Basis | None = None) -> bool:
+def reductivity_certificate() -> bool:
     """[h, m] lies in m, exactly, for every pair of basis elements."""
-    basis = basis or g2_basis()
+    basis = g2_basis()
     msub = Subspace.span_matrices(basis.m_elements)
     return all(msub.contains_matrix(bracket(a, x))
                for a in basis.h_elements for x in basis.m_elements)
 
 
-def non_symmetry_witness(basis: G2Basis | None = None):
+def non_symmetry_witness():
     """A pair of complement elements whose bracket has a nonzero sl(3) part."""
-    basis = basis or g2_basis()
+    basis = g2_basis()
     msub = Subspace.span_matrices(basis.m_elements)
     for i, x in enumerate(basis.m_elements):
         for j, y in enumerate(basis.m_elements):
@@ -270,9 +270,9 @@ def non_symmetry_witness(basis: G2Basis | None = None):
     return None
 
 
-def orthogonality_certificate(basis: G2Basis | None = None) -> bool:
+def orthogonality_certificate() -> bool:
     """trace_form(h-block, m-block) = 0 on all basis pairs."""
-    basis = basis or g2_basis()
+    basis = g2_basis()
     return all(trace_form(a, x) == 0
                for a in basis.h_elements for x in basis.m_elements)
 
@@ -388,9 +388,9 @@ def intertwiner_solve(rep1: Sequence[ExactMatrix], rep2: Sequence[ExactMatrix]) 
     return IntertwinerResult(tuple(mats), witness)
 
 
-def adjoint_rep_on_m(basis: G2Basis | None = None) -> list[ExactMatrix]:
+def adjoint_rep_on_m() -> list[ExactMatrix]:
     """Matrices of ad(A)|_m in the complement basis, for the 8 sl(3) basis elements."""
-    basis = basis or g2_basis()
+    basis = g2_basis()
     out = []
     for a in basis.h_elements:
         cols = []

@@ -20,31 +20,19 @@ Point = np.ndarray
 
 @dataclass(frozen=True)
 class StencilConfig:
-    """Step size and order for all derivative stencils.
-
-    order 2 uses 3-point central differences; order 4 uses 5-point first
-    derivatives and one Richardson pass on second derivatives.  The
-    `richardson` flag forces the extrapolation pass at order 2 as well.
-    """
+    """Step size of the derivative stencils: 3-point central differences,
+    second order."""
 
     h: float = 1e-3
-    order: int = 2
-    richardson: bool = False
 
     def __post_init__(self):
         if not (np.isfinite(self.h) and self.h > 0):
             raise ValueError("step must be finite and positive")
-        if self.order not in (2, 4):
-            raise ValueError("order must be 2 or 4")
-
-    def with_h(self, h: float) -> "StencilConfig":
-        return StencilConfig(h=h, order=self.order, richardson=self.richardson)
 
     @property
     def reach(self) -> float:
         """Largest coordinate offset any stencil of this config can touch."""
-        base = 2 * self.h if self.order == 4 else self.h
-        return 2 * base  # cross second-derivative stencils double up
+        return 2 * self.h  # cross second-derivative stencils double up
 
 
 @dataclass(frozen=True)
@@ -66,10 +54,10 @@ class Domain:
             return False
         return all(excl(p) > pad for excl in self.exclusions)
 
-    def lift_t(self, t_range=(-1.0, 1.0)) -> "Domain":
-        """This domain times a leading t-interval; the exclusions ignore t."""
-        return Domain(lo=(t_range[0],) + tuple(self.lo),
-                      hi=(t_range[1],) + tuple(self.hi),
+    def lift_t(self) -> "Domain":
+        """This domain times the t-interval [-1, 1]; the exclusions ignore t."""
+        return Domain(lo=(-1.0,) + tuple(self.lo),
+                      hi=(1.0,) + tuple(self.hi),
                       exclusions=tuple(_lift_exclusion(e) for e in self.exclusions))
 
 
@@ -90,32 +78,14 @@ def fd_partial(f: Callable, p: Point, direction: int, cfg: StencilConfig,
                domain: Domain | None = None):
     """Central-difference partial derivative in one coordinate direction.
 
-    Works for scalar- or array-valued fields.  Exact on quadratics at order 2
-    and on quartics at order 4.
+    Works for scalar- or array-valued fields; exact on quadratics.
     """
     _check_stencil(p, cfg, domain)
-
-    def central(h):
-        if cfg.order == 2:
-            pp, pm = p.copy(), p.copy()
-            pp[direction] += h
-            pm[direction] -= h
-            return (np.asarray(f(pp), dtype=float) - np.asarray(f(pm), dtype=float)) / (2 * h)
-        offsets = (2 * h, h, -h, -2 * h)
-        weights = (-1.0, 8.0, -8.0, 1.0)
-        acc = None
-        for o, w in zip(offsets, weights):
-            q = p.copy()
-            q[direction] += o
-            val = w * np.asarray(f(q), dtype=float)
-            acc = val if acc is None else acc + val
-        return acc / (12 * h)
-
-    if not cfg.richardson:
-        return central(cfg.h)
-    d1, d2 = central(cfg.h), central(cfg.h / 2)
-    w = 4.0 if cfg.order == 2 else 16.0
-    return (w * d2 - d1) / (w - 1.0)
+    h = cfg.h
+    pp, pm = p.copy(), p.copy()
+    pp[direction] += h
+    pm[direction] -= h
+    return (np.asarray(f(pp), dtype=float) - np.asarray(f(pm), dtype=float)) / (2 * h)
 
 
 def fd_gradient(f: Callable, p: Point, cfg: StencilConfig,
@@ -181,53 +151,20 @@ def transform_form(comps: np.ndarray, k: int, n: int, frame: np.ndarray) -> np.n
     return out
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Named partition of coordinate indices into blocks with orientations."""
-
-    blocks: tuple          # ((name, (i, j, k)), ...)
-    orientations: tuple = ()
-
-    def __post_init__(self):
-        idx = [i for _, ids in self.blocks for i in ids]
-        if len(set(idx)) != len(idx):
-            raise ValueError("blocks overlap")
-        if self.orientations and len(self.orientations) != len(self.blocks):
-            raise ValueError("one orientation sign per block required")
-
-    def indices(self, name: str) -> tuple:
-        for bname, ids in self.blocks:
-            if bname == name:
-                return tuple(ids)
-        raise KeyError(f"no block named {name!r}")
-
-    def orientation(self, name: str) -> float:
-        if not self.orientations:
-            return 1.0
-        for (bname, _), s in zip(self.blocks, self.orientations):
-            if bname == name:
-                return float(s)
-        raise KeyError(f"no block named {name!r}")
-
-    def with_orientation(self, name: str, sign: float) -> "SplitSpec":
-        signs = list(self.orientations) if self.orientations else [1.0] * len(self.blocks)
-        for i, (bname, _) in enumerate(self.blocks):
-            if bname == name:
-                signs[i] = sign
-        return SplitSpec(self.blocks, tuple(signs))
+PLUS6 = (0, 1, 2)    # the plus block of the 6-dimensional base
+MINUS6 = (3, 4, 5)   # the minus block, carrying the monopole (v, A)
 
 
-def adapted_frame(g: np.ndarray, split: SplitSpec) -> np.ndarray:
-    """Columns = orthonormal frame respecting the split (blockwise Cholesky).
+def adapted_frame(g: np.ndarray) -> np.ndarray:
+    """Columns = orthonormal frame respecting the plus/minus split (blockwise
+    Cholesky).
 
     Requires the metric to be block diagonal w.r.t. the split.
     """
-    plus = split.indices("plus")
-    minus = split.indices("minus")
-    if float(np.max(np.abs(g[np.ix_(plus, minus)]))) > 1e-9:
+    if float(np.max(np.abs(g[np.ix_(PLUS6, MINUS6)]))) > 1e-9:
         raise ValueError("metric does not respect the split")
     f = np.zeros((6, 6))
-    for cols, block in ((range(0, 3), plus), (range(3, 6), minus)):
+    for cols, block in ((range(0, 3), PLUS6), (range(3, 6), MINUS6)):
         l = np.linalg.cholesky(g[np.ix_(block, block)])
         finv = np.linalg.inv(l).T
         for j, cj in enumerate(cols):
@@ -250,33 +187,29 @@ def hat(w: np.ndarray) -> np.ndarray:
 
 
 def hodge_restricted(comps: np.ndarray, k: int, n: int, block: Sequence[int],
-                     g: np.ndarray, orientation: float = 1.0) -> np.ndarray:
-    """Hodge star of the block-restriction of a k-form on a 3-dimensional block.
+                     g: np.ndarray) -> np.ndarray:
+    """Hodge star of the block-restriction of a k-form (k = 1 or 2) on a
+    3-dimensional block.
 
     `comps` are full-space components; the result is again full-space
     components supported on the block.  `g` is the full metric value; only its
     block restriction enters.  On an oriented orthonormal frame this realizes
-    *1 = f1^f2^f3, *f1 = f2^f3 (cyclic) and its inverses.
+    *f1 = f2^f3 (cyclic) and its inverse.
     """
     block = tuple(block)
     if len(block) != 3:
         raise ValueError("hodge_restricted needs a 3-dimensional block")
+    if k not in (1, 2):
+        raise ValueError("block star implemented for k = 1, 2 only")
     gb = np.asarray(g, dtype=float)[np.ix_(block, block)]
     det = np.linalg.det(gb)
     if det <= 0:
         raise ValueError("metric is degenerate on the block")
-    volf = orientation * np.sqrt(det)
-    combos_k, kindex = combinations_index(n, k)
-
-    if k == 0:
-        w = float(comps) if np.ndim(comps) == 0 else float(comps[0])
-        out = np.zeros(len(combinations_index(n, 3)[0]))
-        _, q3 = combinations_index(n, 3)
-        out[q3[tuple(sorted(block))]] = w * volf * _block_perm_sign(block)
-        return out
+    volf = np.sqrt(det)
 
     if k == 1:
-        a = np.array([comps[kindex[(b,)]] for b in block])
+        _, idx1 = combinations_index(n, 1)
+        a = np.array([comps[idx1[(b,)]] for b in block])
         aup = np.linalg.solve(gb, a)
         two = np.einsum('m,mij->ij', aup, EPS3) * volf
         combos2, idx2 = combinations_index(n, 2)
@@ -287,32 +220,14 @@ def hodge_restricted(comps: np.ndarray, k: int, n: int, block: Sequence[int],
             out[idx2[pair]] += sgn * two[li, lj]
         return out
 
-    if k == 2:
-        two = restrict_two_form(comps, n, block, block)
-        bvec = np.einsum('mij,ij->m', EPS3, two) / 2.0
-        low = gb @ bvec / volf
-        combos1, idx1 = combinations_index(n, 1)
-        out = np.zeros(len(combos1))
-        for li in range(3):
-            out[idx1[(block[li],)]] = low[li]
-        return out
-
-    if k == 3:
-        _, idx3 = combinations_index(n, 3)
-        w = comps[idx3[tuple(sorted(block))]] * _block_perm_sign(block)
-        return np.array([w / volf])
-
-    raise ValueError("block star implemented for k = 0..3 only")
-
-
-def _block_perm_sign(block) -> float:
-    b = list(block)
-    s = 1.0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if b[i] > b[j]:
-                s = -s
-    return s
+    two = restrict_two_form(comps, n, block, block)
+    bvec = np.einsum('mij,ij->m', EPS3, two) / 2.0
+    low = gb @ bvec / volf
+    combos1, idx1 = combinations_index(n, 1)
+    out = np.zeros(len(combos1))
+    for li in range(3):
+        out[idx1[(block[li],)]] = low[li]
+    return out
 
 
 def restrict_two_form(comps: np.ndarray, n: int, rows: Sequence[int],
@@ -342,12 +257,11 @@ def halton_sequence(index: int, base: int) -> float:
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
-def sample_points(domain: Domain, n: int, cfg: StencilConfig, seed: int = 42,
-                  pad_factor: float = 10.0) -> list[Point]:
+def sample_points(domain: Domain, n: int, cfg: StencilConfig,
+                  seed: int = 42) -> list[Point]:
     """Deterministic quasi-random interior points, rejecting anything within
-    `pad_factor * h` (at least the stencil reach) of the boundary or an
-    excluded set."""
-    pad = max(pad_factor * cfg.h, cfg.reach * 1.5)
+    `10 h` (at least the stencil reach) of the boundary or an excluded set."""
+    pad = max(10.0 * cfg.h, cfg.reach * 1.5)
     dim = domain.dim
     lo = np.asarray(domain.lo, dtype=float)
     hi = np.asarray(domain.hi, dtype=float)

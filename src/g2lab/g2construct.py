@@ -16,14 +16,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .curvature import riemann
-from .fields import (Domain, SplitSpec, StencilConfig, adapted_frame,
+from .fields import (MINUS6, PLUS6, Domain, StencilConfig, adapted_frame,
                      combinations_index, exterior_d, fd_gradient, fd_partial,
                      hodge_restricted, restrict_two_form, sample_points,
                      transform_form)
 from .modeldata import (decompose_so6, h6, off_g2_fraction, phi_constants,
                         star_phi_constants)
 
-N_SPLIT = SplitSpec(blocks=(("plus", (0, 1, 2)), ("minus", (3, 4, 5))))
+HYPOTHESIS_TOLERANCE = 1e-4   # a larger sampled hypothesis residual is a warning
 
 
 @dataclass(frozen=True)
@@ -80,37 +80,31 @@ def _chol_coframe(gblock: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky(gblock).T
 
 
-def monopole_residual(mono: MonopoleData, k6, split: SplitSpec, samples,
-                      cfg: StencilConfig) -> dict:
+def monopole_residual(mono: MonopoleData, k6, samples, cfg: StencilConfig) -> dict:
     """Residual of dA = -*_H dv plus basicness of v and A."""
-    minus = split.indices("minus")
-    plus = split.indices("plus")
     worst_mono = 0.0
     worst_basic_v = 0.0
     worst_basic_a = 0.0
     for x in samples:
         da = exterior_d(mono.a, x, 1, cfg)
         dv = fd_gradient(mono.v, x, cfg)
-        star = hodge_restricted(dv, 1, 6, minus, np.asarray(k6(x), float),
-                                orientation=split.orientation("minus"))
+        star = hodge_restricted(dv, 1, 6, MINUS6, np.asarray(k6(x), float))
         worst_mono = max(worst_mono, float(np.max(np.abs(da + star))))
-        for d in plus:
+        for d in PLUS6:
             worst_basic_v = max(worst_basic_v, abs(float(dv[d])))
             worst_basic_a = max(worst_basic_a,
                                 float(np.max(np.abs(fd_partial(mono.a, x, d, cfg)))))
         a = np.asarray(mono.a(x), float)
-        worst_basic_a = max(worst_basic_a, float(np.max(np.abs(a[list(plus)]))))
+        worst_basic_a = max(worst_basic_a, float(np.max(np.abs(a[list(PLUS6)]))))
     return {"monopole": worst_mono, "basic_v": worst_basic_v, "basic_a": worst_basic_a}
 
 
-def weak_monopole_residual(mono: MonopoleData, k6, split: SplitSpec, samples,
+def weak_monopole_residual(mono: MonopoleData, k6, samples,
                            cfg: StencilConfig) -> dict:
     """Blockwise weak monopole residuals:
     (dA)++ - u^-1 *_+ alpha,  (dA)+-,  (dA)-- + *^1_- (dv - v alpha),
     plus basicness, with u = v^(-1/2) and the base metric playing the role of
     the rescaled pairing."""
-    plus = split.indices("plus")
-    minus = split.indices("minus")
     worst_pp = worst_pm = worst_mm = 0.0
     worst_basic_v = worst_basic_a = 0.0
     for x in samples:
@@ -121,56 +115,50 @@ def weak_monopole_residual(mono: MonopoleData, k6, split: SplitSpec, samples,
         da = exterior_d(mono.a, x, 1, cfg)
         dv = fd_gradient(mono.v, x, cfg)
 
-        da_pp = restrict_two_form(da, 6, plus, plus)
-        da_pm = restrict_two_form(da, 6, plus, minus)
-        da_mm = restrict_two_form(da, 6, minus, minus)
+        da_pp = restrict_two_form(da, 6, PLUS6, PLUS6)
+        da_pm = restrict_two_form(da, 6, PLUS6, MINUS6)
+        da_mm = restrict_two_form(da, 6, MINUS6, MINUS6)
 
         # alpha transported to the plus block by the positional identification
         alpha_plus = np.zeros(6)
-        for i, ci in enumerate(plus):
+        for i, ci in enumerate(PLUS6):
             alpha_plus[ci] = alpha[i]
-        star_pa = hodge_restricted(alpha_plus, 1, 6, plus, g,
-                                   orientation=split.orientation("plus"))
-        rhs_pp = u ** -1 * restrict_two_form(star_pa, 6, plus, plus)
+        star_pa = hodge_restricted(alpha_plus, 1, 6, PLUS6, g)
+        rhs_pp = u ** -1 * restrict_two_form(star_pa, 6, PLUS6, PLUS6)
         worst_pp = max(worst_pp, float(np.max(np.abs(da_pp - rhs_pp))))
 
         worst_pm = max(worst_pm, float(np.max(np.abs(da_pm))))
 
         twisted = np.zeros(6)
-        for i, ci in enumerate(minus):
+        for i, ci in enumerate(MINUS6):
             twisted[ci] = dv[ci] - v * alpha[i]
-        star_m = hodge_restricted(twisted, 1, 6, minus, g,
-                                  orientation=split.orientation("minus"))
-        rhs_mm = restrict_two_form(star_m, 6, minus, minus)
+        star_m = hodge_restricted(twisted, 1, 6, MINUS6, g)
+        rhs_mm = restrict_two_form(star_m, 6, MINUS6, MINUS6)
         worst_mm = max(worst_mm, float(np.max(np.abs(da_mm + rhs_mm))))
 
-        for d in plus:
+        for d in PLUS6:
             worst_basic_v = max(worst_basic_v, abs(float(dv[d])))
             worst_basic_a = max(worst_basic_a,
                                 float(np.max(np.abs(fd_partial(mono.a, x, d, cfg)))))
         a = np.asarray(mono.a(x), float)
-        worst_basic_a = max(worst_basic_a, float(np.max(np.abs(a[list(plus)]))))
+        worst_basic_a = max(worst_basic_a, float(np.max(np.abs(a[list(PLUS6)]))))
     return {"plus_plus": worst_pp, "mixed": worst_pm, "minus_minus": worst_mm,
             "basic_v": worst_basic_v, "basic_a": worst_basic_a}
 
 
-def g2_build_thm1(k6: Callable[[np.ndarray], np.ndarray], split: SplitSpec,
-                  mono: MonopoleData, domain6: Domain,
-                  t_range=(-1.0, 1.0), signs: CoframeSigns = CoframeSigns(),
-                  check_cfg: StencilConfig | None = None,
-                  tolerance: float = 1e-4, n_precheck: int = 10,
+def g2_build_thm1(k6: Callable[[np.ndarray], np.ndarray], mono: MonopoleData,
+                  domain6: Domain, signs: CoframeSigns = CoframeSigns(),
                   hypothesis: Callable[..., dict] = monopole_residual) -> G2MetricBundle:
     """Warped product bundle k_+ + v k_- + v^-1 (dt + A)^2 over a 6-base.
 
     Both constructions assemble this metric; they differ only in the
     hypothesis on (v, A, alpha): the monopole equation dA = -*_H dv
     (`monopole_residual`) or its weak, twisted form (`weak_monopole_residual`).
-    The hypothesis is sampled; a residual other than basicness beyond
-    `tolerance` is recorded as a warning in the provenance and the build
-    proceeds (negative controls rely on that).
+    The hypothesis is sampled at 10 points; a residual other than basicness
+    beyond `HYPOTHESIS_TOLERANCE` is recorded as a warning in the provenance
+    and the build proceeds (negative controls rely on that).  The bundle lives
+    over t in [-1, 1].
     """
-    plus = split.indices("plus")
-    minus = split.indices("minus")
 
     def metric7(p: np.ndarray) -> np.ndarray:
         x = p[1:]
@@ -179,10 +167,10 @@ def g2_build_thm1(k6: Callable[[np.ndarray], np.ndarray], split: SplitSpec,
             raise ValueError(f"v must be positive, got {v}")
         k = np.asarray(k6(x), dtype=float)
         g = np.zeros((7, 7))
-        pidx = [1 + i for i in plus]
-        midx = [1 + i for i in minus]
-        g[np.ix_(pidx, pidx)] = k[np.ix_(plus, plus)]
-        g[np.ix_(midx, midx)] = v * k[np.ix_(minus, minus)]
+        pidx = [1 + i for i in PLUS6]
+        midx = [1 + i for i in MINUS6]
+        g[np.ix_(pidx, pidx)] = k[np.ix_(PLUS6, PLUS6)]
+        g[np.ix_(midx, midx)] = v * k[np.ix_(MINUS6, MINUS6)]
         a = np.asarray(mono.a(x), dtype=float)
         w = np.zeros(7)
         w[0] = 1.0
@@ -197,40 +185,39 @@ def g2_build_thm1(k6: Callable[[np.ndarray], np.ndarray], split: SplitSpec,
             raise ValueError(f"v must be positive, got {v}")
         k = np.asarray(k6(x), dtype=float)
         e = np.zeros((7, 7))
-        cp = _chol_coframe(k[np.ix_(plus, plus)])
+        cp = _chol_coframe(k[np.ix_(PLUS6, PLUS6)])
         for leg in range(3):
-            for j, ci in enumerate(plus):
+            for j, ci in enumerate(PLUS6):
                 e[leg, 1 + ci] = cp[leg, j]
         a = np.asarray(mono.a(x), dtype=float)
         e[3, 0] = v ** -0.5
         e[3, 1:] += v ** -0.5 * a
-        cm = np.sqrt(v) * _chol_coframe(k[np.ix_(minus, minus)])
+        cm = np.sqrt(v) * _chol_coframe(k[np.ix_(MINUS6, MINUS6)])
         for leg in range(3):
-            for j, ci in enumerate(minus):
+            for j, ci in enumerate(MINUS6):
                 e[4 + leg, 1 + ci] = cm[leg, j]
         e[0] *= signs.plus_leg
         e[3] *= signs.axis_leg
         e[4] *= signs.minus_leg
         return e
 
-    cfg = check_cfg or StencilConfig(h=1e-3)
-    pre = sample_points(domain6, n_precheck, cfg, seed=911)
+    cfg = StencilConfig(h=1e-3)
+    pre = sample_points(domain6, 10, cfg, seed=911)
     for x in pre:
         v = float(mono.v(x))
         if v <= 0:
             raise ValueError(f"v must be positive on the domain, got {v} at {x}")
-    res = hypothesis(mono, k6, split, pre, cfg)
+    res = hypothesis(mono, k6, pre, cfg)
     worst = max(r for name, r in res.items() if not name.startswith("basic_"))
     provenance = {"monopole_residuals": res, "warning": None}
-    if worst > tolerance:
+    if worst > HYPOTHESIS_TOLERANCE:
         provenance["warning"] = (f"monopole hypothesis violated: residual {worst:.3e} "
-                                 f"exceeds {tolerance:.1e}")
+                                 f"exceeds {HYPOTHESIS_TOLERANCE:.1e}")
     return G2MetricBundle(metric=metric7, coframe=coframe,
-                          domain=domain6.lift_t(t_range), provenance=provenance)
+                          domain=domain6.lift_t(), provenance=provenance)
 
 
-def weak_sl3_consistency(k6, split: SplitSpec, alpha, samples,
-                         cfg: StencilConfig) -> dict:
+def weak_sl3_consistency(k6, alpha, samples, cfg: StencilConfig) -> dict:
     """Decompose the Levi-Civita form of the base in the adapted frame and
     compare its complement part with the twist prescribed by alpha.
 
@@ -239,21 +226,19 @@ def weak_sl3_consistency(k6, split: SplitSpec, alpha, samples,
     with the sharp computed in both the warped and unwarped readings.
     """
     from .curvature import christoffel
-    plus = split.indices("plus")
-    minus = split.indices("minus")
     worst_j = 0.0
     worst_a = 0.0
     worst_a_alt = 0.0
     for x in samples:
         g = np.asarray(k6(x), float)
-        fr = adapted_frame(g, split)
+        fr = adapted_frame(g)
         gam = christoffel(k6, x, cfg)
         # connection form in the frame: omega(f_c)[k, b] = <f^k, nabla_{f_c} f_b>
-        dframe = fd_gradient(lambda q: adapted_frame(np.asarray(k6(q), float), split),
+        dframe = fd_gradient(lambda q: adapted_frame(np.asarray(k6(q), float)),
                              x, cfg)
         e = np.linalg.inv(fr)
         alpha_v = np.zeros(3) if alpha is None else np.asarray(alpha(x), float)
-        gb_minus = g[np.ix_(minus, minus)]
+        gb_minus = g[np.ix_(MINUS6, MINUS6)]
         sharp = np.linalg.solve(gb_minus, alpha_v)
         sharp_alt = alpha_v  # unwarped reading: raise with the identity pairing
         for c in range(6):
@@ -263,18 +248,18 @@ def weak_sl3_consistency(k6, split: SplitSpec, alpha, samples,
             omega = 0.5 * (omega - omega.T)
             parts = decompose_so6(omega)
             worst_j = max(worst_j, parts["J"])
-            s_of_x = _s_alpha(fr[:, c], e, plus, minus, sharp)
+            s_of_x = _s_alpha(fr[:, c], e, sharp)
             target = h6(s_of_x)
             worst_a = max(worst_a, float(np.max(np.abs(
                 _h_component(omega) - target))))
-            s_alt = _s_alpha(fr[:, c], e, plus, minus, sharp_alt)
+            s_alt = _s_alpha(fr[:, c], e, sharp_alt)
             worst_a_alt = max(worst_a_alt, float(np.max(np.abs(
                 _h_component(omega) - h6(s_alt)))))
     return {"complex_structure_part": worst_j, "twist_mismatch": worst_a,
             "twist_mismatch_unwarped_sharp": worst_a_alt}
 
 
-def _s_alpha(xvec, e, plus, minus, sharp) -> np.ndarray:
+def _s_alpha(xvec, e, sharp) -> np.ndarray:
     """S(X) = (a X_-, a X_+) in frame components, a = 1/4 hat(sharp) x."""
     xf = e @ xvec
     xp, xm = xf[:3], xf[3:]
@@ -295,7 +280,7 @@ def torsionfree_residual(bundle: G2MetricBundle, samples, cfg: StencilConfig,
     """sup |d phi| and sup |d *phi| in orthonormal-frame components, with
     order estimates under step halving when h_list is given."""
     def at(h: float) -> tuple[float, float]:
-        c = cfg.with_h(h)
+        c = StencilConfig(h=h)
         worst3, worst4 = 0.0, 0.0
         for p in samples:
             fr = bundle.frame(p)
@@ -320,11 +305,11 @@ def torsionfree_residual(bundle: G2MetricBundle, samples, cfg: StencilConfig,
             "order_dstarphi": estimate_order(h_list, d4s)}
 
 
-def estimate_order(h_list: Sequence[float], residuals: Sequence[float],
-                   exact_floor: float = 1e-13):
+def estimate_order(h_list: Sequence[float], residuals: Sequence[float]):
     """Least-squares slope of log residual vs log h; 'exact' when all residuals
-    sit at the floor (an identically-zero discrepancy converges at any order)."""
-    if all(r <= exact_floor for r in residuals):
+    sit at the 1e-13 floor (an identically-zero discrepancy converges at any
+    order)."""
+    if all(r <= 1e-13 for r in residuals):
         return "exact"
     logs_h = np.log(np.asarray(h_list, dtype=float))
     logs_r = np.log(np.maximum(np.asarray(residuals, dtype=float), 1e-300))

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import Domain, hat
-from .g2construct import (CoframeSigns, G2MetricBundle, MonopoleData, N_SPLIT,
+from .g2construct import (CoframeSigns, G2MetricBundle, MonopoleData,
                           flat_product_metric, g2_build_thm1,
                           weak_monopole_residual)
 from .gibbons import (CENTER_MARGIN, STRING_MARGIN, GHData, dirac_potential,
@@ -26,12 +26,13 @@ from .killing import KillingData, RhoConnectionSetup
 from .modeldata import h6
 
 
-def base_domain6(box_plus: float = 1.0, box_minus: float = 1.2) -> Domain:
-    """6-box with the monopole center and string removed from the minus block."""
+def base_domain6() -> Domain:
+    """6-box, [-1, 1] on the plus block and [-1.2, 1.2] on the minus block,
+    with the monopole center and string removed from the minus block."""
     center = margined(monopole_center_exclusion, CENTER_MARGIN)
     string = margined(dirac_string_exclusion, STRING_MARGIN)
-    return Domain(lo=(-box_plus,) * 3 + (-box_minus,) * 3,
-                  hi=(box_plus,) * 3 + (box_minus,) * 3,
+    return Domain(lo=(-1.0,) * 3 + (-1.2,) * 3,
+                  hi=(1.0,) * 3 + (1.2,) * 3,
                   exclusions=(lambda x: center(x[3:]), lambda x: string(x[3:])))
 
 
@@ -79,12 +80,12 @@ GH_REFERENCE_POINTS = [np.array([0.1, 0.55, 0.35, 0.4]),
 def thm1_flat_bundle(**kwargs) -> G2MetricBundle:
     mono = MonopoleData(v=lambda x: 1.0, a=lambda x: np.zeros(6))
     dom = Domain(lo=(-1.0,) * 6, hi=(1.0,) * 6)
-    return g2_build_thm1(flat_product_metric, N_SPLIT, mono, dom, **kwargs)
+    return g2_build_thm1(flat_product_metric, mono, dom, **kwargs)
 
 
 def thm1_taub_nut_bundle(signs: CoframeSigns = CoframeSigns()) -> G2MetricBundle:
     mono = MonopoleData(v=taub_nut_v6, a=monopole_potential6())
-    return g2_build_thm1(flat_product_metric, N_SPLIT, mono, base_domain6(),
+    return g2_build_thm1(flat_product_metric, mono, base_domain6(),
                          signs=signs)
 
 
@@ -94,7 +95,7 @@ def thm1_broken_monopole_bundle(eps: float = 0.1) -> G2MetricBundle:
         return taub_nut_v6(x) * (1.0 + eps * float(x[3]))
 
     mono = MonopoleData(v=v, a=monopole_potential6())
-    return g2_build_thm1(flat_product_metric, N_SPLIT, mono, base_domain6())
+    return g2_build_thm1(flat_product_metric, mono, base_domain6())
 
 
 def thm2_taub_nut_bundle() -> G2MetricBundle:
@@ -102,7 +103,7 @@ def thm2_taub_nut_bundle() -> G2MetricBundle:
     B = 0 and a plus-constant pole, the regime where the two constructions
     coincide."""
     mono = MonopoleData(v=taub_nut_v6, a=monopole_potential6(), alpha=None)
-    return g2_build_thm1(flat_product_metric, N_SPLIT, mono, base_domain6(),
+    return g2_build_thm1(flat_product_metric, mono, base_domain6(),
                          hypothesis=weak_monopole_residual)
 
 
@@ -126,7 +127,7 @@ def thm2_mismatched_alpha_bundle(eps: float = 0.1):
         return np.array([-eps * u, 0.0, 0.0])
 
     mono = MonopoleData(v=taub_nut_v6, a=a, alpha=fake_alpha)
-    bundle = g2_build_thm1(flat_product_metric, N_SPLIT, mono, base_domain6(),
+    bundle = g2_build_thm1(flat_product_metric, mono, base_domain6(),
                            hypothesis=weak_monopole_residual)
     return bundle, mono
 
@@ -302,9 +303,10 @@ def rho_polynomial_setup(seed: int = 42) -> RhoConnectionSetup:
                               gamma_one=gamma_one, domain=dom)
 
 
-def polynomial_sections(seed: int = 43, count: int = 3) -> list:
+def polynomial_sections(seed: int = 43) -> list:
+    """Three cubic-coefficient vector fields on the flat 6-box."""
     rng = np.random.default_rng(seed)
-    coefs = rng.uniform(-0.5, 0.5, size=(count, 6, 3, 6))
+    coefs = rng.uniform(-0.5, 0.5, size=(3, 6, 3, 6))
 
     def make(c):
         def section(x):

@@ -45,9 +45,9 @@ def margined(excl, margin: float):
     return lambda p: excl(p) - margin
 
 
-def spatial_domain(box: float = 1.2) -> Domain:
-    """Standard 3-box avoiding the monopole center and the string."""
-    return Domain(lo=(-box, -box, -box), hi=(box, box, box),
+def spatial_domain() -> Domain:
+    """The 3-box [-1.2, 1.2]^3 avoiding the monopole center and the string."""
+    return Domain(lo=(-1.2, -1.2, -1.2), hi=(1.2, 1.2, 1.2),
                   exclusions=(margined(monopole_center_exclusion, CENTER_MARGIN),
                               margined(dirac_string_exclusion, STRING_MARGIN)))
 

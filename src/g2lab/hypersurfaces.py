@@ -29,16 +29,15 @@ class Immersion:
     name: str = ""
 
 
-def affine_plane(point=None) -> Immersion:
+def affine_plane() -> Immersion:
     """The hyperplane spanned by slots (1, 2, 3, 5, 6, 7): geodesic, so its
     induced structure is parallel."""
-    base = np.zeros(7) if point is None else np.asarray(point, float)
     cols = np.zeros((7, 6))
     for j, slot in enumerate((0, 1, 2, 4, 5, 6)):
         cols[slot, j] = 1.0
 
     def chart(y: np.ndarray) -> np.ndarray:
-        return base + cols @ y
+        return cols @ y
 
     return Immersion(chart, Domain(lo=(-0.5,) * 6, hi=(0.5,) * 6), "plane")
 
@@ -54,14 +53,14 @@ def unit_sphere() -> Immersion:
     return Immersion(chart, Domain(lo=(-0.28,) * 6, hi=(0.28,) * 6), "sphere")
 
 
-def ellipsoid(axis: float = 2.0) -> Immersion:
-    """The sphere chart stretched by `axis` along the last slot: neither
+def ellipsoid() -> Immersion:
+    """The sphere chart stretched by 2 along the last slot: neither
     umbilical nor nearly-Kahler."""
     sphere = unit_sphere()
 
     def chart(y: np.ndarray) -> np.ndarray:
         p = sphere.chart(y)
-        p[6] *= axis
+        p[6] *= 2.0
         return p
 
     return Immersion(chart, sphere.domain, "ellipsoid")

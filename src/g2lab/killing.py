@@ -26,12 +26,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .curvature import christoffel
-from .fields import (EPS3, Domain, SplitSpec, StencilConfig, adapted_frame,
+from .fields import (EPS3, MINUS6, Domain, StencilConfig, adapted_frame,
                      exterior_d, fd_gradient, hat, hodge_restricted,
                      restrict_two_form)
 from .modeldata import h6
-
-SPLIT6 = SplitSpec(blocks=(("plus", (0, 1, 2)), ("minus", (3, 4, 5))))
 
 
 @dataclass(frozen=True)
@@ -49,13 +47,12 @@ class KillingData:
     b_plus: Callable[[np.ndarray], np.ndarray]
     b_hom: Callable[[np.ndarray], np.ndarray]
     domain: Domain
-    split: SplitSpec = SPLIT6
     connection: object = "levi-civita"
 
     def gamma_info(self, x: np.ndarray, cfg: StencilConfig) -> dict:
         """Frame-component data entering the twist endomorphism at a point."""
         g = np.asarray(self.metric(x), dtype=float)
-        frame = adapted_frame(g, self.split)
+        frame = adapted_frame(g)
         u = float(self.u(x))
         if u == 0.0:
             raise ValueError(f"u vanishes at {x}")
@@ -130,7 +127,7 @@ def killing_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> 
     """Residuals of the three structure conditions at the samples, evaluated
     on adapted-frame pairs with honest frame-field brackets."""
     def frame_field(q: np.ndarray) -> np.ndarray:
-        return adapted_frame(np.asarray(data.metric(q), dtype=float), data.split)
+        return adapted_frame(np.asarray(data.metric(q), dtype=float))
 
     worst_a = worst_b = worst_metr = 0.0
     for x in samples:
@@ -203,12 +200,10 @@ def da_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> dict:
         da_mat = restrict_two_form(da_comps, 6, range(6), range(6))
         da_f = fr.T @ da_mat @ fr   # frame components
 
-        s_plus = data.split.orientation("plus")
-        s_minus = data.split.orientation("minus")
-        rhs_pp = s_plus / u * np.einsum('m,mij->ij', alpha, EPS3)
+        rhs_pp = 1.0 / u * np.einsum('m,mij->ij', alpha, EPS3)
         worst_pp = max(worst_pp, float(np.max(np.abs(da_f[:3, :3] - rhs_pp))))
 
-        rhs_mm_plain = s_minus / u * np.einsum('m,mij->ij', alpha + 2.0 / u * gm, EPS3)
+        rhs_mm_plain = 1.0 / u * np.einsum('m,mij->ij', alpha + 2.0 / u * gm, EPS3)
 
         du2 = fd_gradient(lambda q: float(data.u(q)) ** -2, x, cfg)
         du2_frame = (fr.T @ du2)[3:]
@@ -216,8 +211,8 @@ def da_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> dict:
         twisted6[3:] = du2_frame - alpha / u ** 2
         g1 = np.eye(6)
         g1[3:, 3:] *= u ** 2
-        star1 = hodge_restricted(twisted6, 1, 6, (3, 4, 5), g1, orientation=s_minus)
-        rhs_mm_resc = -restrict_two_form(star1, 6, (3, 4, 5), (3, 4, 5))
+        star1 = hodge_restricted(twisted6, 1, 6, MINUS6, g1)
+        rhs_mm_resc = -restrict_two_form(star1, 6, MINUS6, MINUS6)
 
         worst_mm_plain = max(worst_mm_plain,
                              float(np.max(np.abs(da_f[3:, 3:] - rhs_mm_plain))))
@@ -236,11 +231,10 @@ def da_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> dict:
 
 @dataclass(frozen=True)
 class RhoConnectionSetup:
-    """Data for the anchored-connection torsion oracle on a flat 6-box.
+    """Data for the anchored-connection torsion oracle on a flat 6-box, with
+    the flat coordinate connection.
 
-    gamma_tm and gamma_one are the two components of the Hom(E, TM) section;
-    nabla_gamma (coordinate Christoffels) and nabla_one (the pointwise
-    derivative along the axis section) default to zero.
+    gamma_tm and gamma_one are the two components of the Hom(E, TM) section.
     """
 
     u: Callable[[np.ndarray], float]
@@ -248,8 +242,6 @@ class RhoConnectionSetup:
     gamma_tm: Callable[[np.ndarray], np.ndarray]          # 6x6
     gamma_one: Callable[[np.ndarray], np.ndarray]         # 6
     domain: Domain
-    nabla_gamma: Callable[[np.ndarray], np.ndarray] | None = None
-    nabla_one: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def _directional(f: Callable, x: np.ndarray, v: np.ndarray, h: float):
@@ -271,8 +263,6 @@ def rho_torsion_check(setup: RhoConnectionSetup, sections: Sequence, samples,
     worst_xy = 0.0
     worst_x1 = 0.0
     for x in samples:
-        gam = (np.asarray(setup.nabla_gamma(x), float)
-               if setup.nabla_gamma is not None else np.zeros((6, 6, 6)))
         gtm = np.asarray(setup.gamma_tm(x), float)
         g1 = np.asarray(setup.gamma_one(x), float)
         u = float(setup.u(x))
@@ -290,10 +280,8 @@ def rho_torsion_check(setup: RhoConnectionSetup, sections: Sequence, samples,
                 gy = gtm @ yv
 
                 # direct: directional covariant derivatives, coordinate bracket
-                nab_xy = _directional(ys, x, xv, cfg.h) \
-                    + np.einsum('kcd,c,d->k', gam, xv, yv)
-                nab_yx = _directional(xs, x, yv, cfg.h) \
-                    + np.einsum('kcd,c,d->k', gam, yv, xv)
+                nab_xy = _directional(ys, x, xv, cfg.h)
+                nab_yx = _directional(xs, x, yv, cfg.h)
                 jac_y = fd_gradient(ys, x, cfg)
                 jac_x = fd_gradient(xs, x, cfg)
                 lie = xv @ jac_y - yv @ jac_x
@@ -301,10 +289,9 @@ def rho_torsion_check(setup: RhoConnectionSetup, sections: Sequence, samples,
                 da_xy = float(xv @ da @ yv)
                 direct_ax = u * da_xy - float(gx @ yv) + float(gy @ xv)
 
-                # closed: tensorial torsion of the connection plus the twist terms
-                t_tensor = np.einsum('kcd,c,d->k', gam, xv, yv) \
-                    - np.einsum('kcd,c,d->k', gam, yv, xv)
-                closed_tm = t_tensor + h6(gx) @ yv - h6(gy) @ xv
+                # closed: the flat connection is torsion-free, so only the
+                # twist terms remain
+                closed_tm = h6(gx) @ yv - h6(gy) @ xv
                 closed_ax = u * da_xy - float(gx @ yv) + float(gy @ xv)
 
                 worst_xy = max(worst_xy,

@@ -63,14 +63,14 @@ def g2_orthonormal_span() -> np.ndarray:
     return q.T[:14]
 
 
-def off_g2_fraction(m: np.ndarray, tiny: float = 1e-10) -> float:
+def off_g2_fraction(m: np.ndarray) -> float:
     """Fraction of a skew 7x7 matrix lying trace-form-orthogonal to the algebra.
 
-    Returns 0 for matrices of norm below `tiny` (the 0/0 convention).
+    Returns 0 for matrices of norm below 1e-10 (the 0/0 convention).
     """
     v = m.reshape(-1)
     total = np.linalg.norm(v)
-    if total < tiny:
+    if total < 1e-10:
         return 0.0
     q = g2_orthonormal_span()
     inside = q.T @ (q @ v)

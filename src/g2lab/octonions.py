@@ -18,16 +18,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .embeddings import G2Basis, g2_basis, intertwiner_solve
-from .rational import (ExactMatrix, Q, bracket, combination, common_ratio,
-                       trace_form)
+from .embeddings import g2_basis, intertwiner_solve
+from .rational import (ExactMatrix, Q, _as_q, bracket, combination, common_ratio,
+                       exact_json, trace_form)
 from .subspaces import Subspace, gram_matrix, inverse, kernel_basis, solve_linear
-from .threeform import (CrossProduct7, ThreeForm, invariant_threeform,
-                        phi_cross_duality, so7_basis)
+from .threeform import (CrossProduct7, invariant_threeform, phi_cross_duality,
+                        so7_basis)
 
 
 def dot(x: Sequence, y: Sequence) -> Fraction:
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(x, y)), Q(0))
+    return sum((_as_q(a) * _as_q(b) for a, b in zip(x, y)), Q(0))
 
 
 @dataclass(frozen=True)
@@ -39,19 +39,21 @@ class TorsionCrossResult:
     complement_dim: int
 
     def cross(self, x: Sequence, y: Sequence) -> tuple:
+        xq = [_as_q(v) for v in x]
+        yq = [_as_q(v) for v in y]
         out = [Q(0)] * 7
         for (i, j), v in self.product.items():
-            c = Fraction(x[i]) * Fraction(y[j]) - Fraction(x[j]) * Fraction(y[i])
+            c = xq[i] * yq[j] - xq[j] * yq[i]
             if c:
                 for k in range(7):
                     out[k] += c * v[k]
         return tuple(out)
 
 
-def torsion_cross(basis: G2Basis | None = None) -> TorsionCrossResult:
+def torsion_cross() -> TorsionCrossResult:
     """Pull the complement-projected so(7) bracket back to Q^7 and certify it
     is a nonzero rational multiple of the 3-form cross product."""
-    basis = basis or g2_basis()
+    basis = g2_basis()
 
     # trace-form complement of the algebra inside so(7):
     # kernel of C = sum_k c_k E_k  |->  (tr(C A_i))_i over the algebra basis
@@ -101,7 +103,7 @@ def torsion_cross(basis: G2Basis | None = None) -> TorsionCrossResult:
             raise ValueError("projection failed")
         return t_inv.apply(sol.particular[:7])
 
-    cross_phi = phi_cross_duality(invariant_threeform(basis))
+    cross_phi = standard_cross()
     product = {}
     pulled, ref = [], []
     for i in range(7):
@@ -131,13 +133,13 @@ class OctonionTable:
     table: tuple   # table[i][j] = 8-tuple, product of basis elements e_i e_j
 
     def multiply(self, p: Sequence, q: Sequence) -> tuple:
+        pq = [_as_q(v) for v in p]
+        qq = [_as_q(v) for v in q]
         out = [Q(0)] * 8
-        for i in range(8):
-            pi = Fraction(p[i]) if not isinstance(p[i], Fraction) else p[i]
+        for i, pi in enumerate(pq):
             if pi == 0:
                 continue
-            for j in range(8):
-                qj = Fraction(q[j]) if not isinstance(q[j], Fraction) else q[j]
+            for j, qj in enumerate(qq):
                 if qj == 0:
                     continue
                 c = pi * qj
@@ -146,7 +148,7 @@ class OctonionTable:
         return tuple(out)
 
     def conjugate(self, p: Sequence) -> tuple:
-        pq = [Fraction(v) if not isinstance(v, Fraction) else v for v in p]
+        pq = [_as_q(v) for v in p]
         return (pq[0],) + tuple(-v for v in pq[1:])
 
     def norm_sq(self, p: Sequence) -> Fraction:
@@ -154,8 +156,7 @@ class OctonionTable:
 
     def to_json_obj(self) -> dict:
         return {"kind": "octonion_table",
-                "products": [[[{"num": str(c.numerator), "den": str(c.denominator)}
-                               for c in self.table[i][j]]
+                "products": [[[exact_json(c) for c in self.table[i][j]]
                               for j in range(8)] for i in range(8)]}
 
 
@@ -241,11 +242,10 @@ def _random_octonion(rng) -> tuple:
     return tuple(Fraction(int(n), int(d)) for n, d in zip(nums, dens))
 
 
-def associative_test(p1: Sequence, p2: Sequence, p3: Sequence,
-                     cross: CrossProduct7 | None = None) -> bool:
+def associative_test(p1: Sequence, p2: Sequence, p3: Sequence) -> bool:
     """True iff the span of the three independent vectors is closed under the
     cross product (basis independent, exact)."""
-    cross = cross or phi_cross_duality(invariant_threeform())
+    cross = standard_cross()
     plane = Subspace.span([list(p1), list(p2), list(p3)], 7)
     if plane.dim != 3:
         raise ValueError("vectors do not span a 3-plane")
@@ -257,11 +257,11 @@ def associative_test(p1: Sequence, p2: Sequence, p3: Sequence,
     return True
 
 
-def calibration_gap(p1: Sequence, p2: Sequence, p3: Sequence,
-                    phi: ThreeForm | None = None) -> tuple[Fraction, Fraction]:
+def calibration_gap(p1: Sequence, p2: Sequence,
+                    p3: Sequence) -> tuple[Fraction, Fraction]:
     """(phi(v1,v2,v3)^2, Gram determinant): equal iff the plane is associative,
     and the first is strictly smaller otherwise (exact calibration bound)."""
-    phi = phi or invariant_threeform()
+    phi = invariant_threeform()
     val = phi(p1, p2, p3)
     g = gram_matrix([p1, p2, p3], dot)
     det = (g[0, 0] * (g[1, 1] * g[2, 2] - g[1, 2] * g[2, 1])

@@ -21,6 +21,11 @@ def _as_q(x) -> Fraction:
     raise TypeError(f"exact scalar expected (int or Fraction), got {type(x).__name__}")
 
 
+def exact_json(q: Fraction) -> dict:
+    """The JSON form of an exact scalar: numerator and denominator as strings."""
+    return {"num": str(q.numerator), "den": str(q.denominator)}
+
+
 @dataclass(frozen=True)
 class ExactMatrix:
     """Immutable rows x cols matrix of rationals, stored row-major."""

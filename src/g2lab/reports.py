@@ -112,7 +112,7 @@ class SuiteContext:
     samples: int = 200
     h: float | None = None
     dump_dir: str | None = None
-    sample_rows: dict = field(default_factory=dict)
+    sample_rows: dict = field(default_factory=dict, init=False)
     memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def once(self, key: str, compute: Callable[[], object]):

@@ -12,14 +12,15 @@ import functools
 from dataclasses import dataclass
 
 from .embeddings import g2_basis
-from .octonions import OctonionTable, standard_octonions
+from .octonions import standard_octonions
 from .rational import ExactMatrix, Q, bracket
 from .subspaces import Subspace
 
 
-def gamma_matrices(table: OctonionTable | None = None) -> list[ExactMatrix]:
+@functools.lru_cache(maxsize=1)
+def gamma_matrices() -> tuple[ExactMatrix, ...]:
     """Left multiplication by the 7 imaginary units, as 8x8 exact matrices."""
-    table = table or standard_octonions()
+    table = standard_octonions()
     out = []
     for i in range(1, 8):
         cols = []
@@ -29,12 +30,12 @@ def gamma_matrices(table: OctonionTable | None = None) -> list[ExactMatrix]:
             cols.append(table.multiply(ei, ej))
         out.append(ExactMatrix.from_rows(
             [[cols[j][k] for j in range(8)] for k in range(8)]))
-    return out
+    return tuple(out)
 
 
-def clifford_certificate(gammas: list[ExactMatrix] | None = None) -> bool:
+def clifford_certificate() -> bool:
     """gamma_i gamma_j + gamma_j gamma_i = -2 delta_ij, exactly."""
-    gammas = gammas or gamma_matrices()
+    gammas = gamma_matrices()
     ident = ExactMatrix.identity(8)
     for i in range(7):
         for j in range(7):
@@ -45,9 +46,9 @@ def clifford_certificate(gammas: list[ExactMatrix] | None = None) -> bool:
     return True
 
 
-def spin7_basis(gammas: list[ExactMatrix] | None = None) -> list[ExactMatrix]:
+def spin7_basis() -> list[ExactMatrix]:
     """21 generators (1/2)[gamma_i, gamma_j] = gamma_i gamma_j, i < j."""
-    gammas = gammas or gamma_matrices()
+    gammas = gamma_matrices()
     out = []
     for i in range(7):
         for j in range(i + 1, 7):
@@ -77,10 +78,9 @@ class So8IntersectionReport:
 
 @functools.lru_cache(maxsize=1)
 def so8_intersection_report() -> So8IntersectionReport:
-    gammas = gamma_matrices()
-    if not clifford_certificate(gammas):
+    if not clifford_certificate():
         raise ValueError("gamma anticommutation failed: octonion table corrupt")
-    spin = Subspace.span_matrices(spin7_basis(gammas))
+    spin = Subspace.span_matrices(spin7_basis())
     canon = Subspace.span_matrices(so7_canonical_basis())
     total = spin.sum(canon)
     inter = spin.intersect(canon)
@@ -93,10 +93,9 @@ def so8_intersection_report() -> So8IntersectionReport:
             raise ValueError("intersection element does not fix the unit axis")
         restricted.append(m.submatrix(range(1, 8), range(1, 8)).flatten())
     inter7 = Subspace.span(restricted, 49) if restricted else Subspace.span([], 49)
-    g2span = Subspace.span_matrices(list(g2_basis().elements))
     return So8IntersectionReport(
         sum_dim=total.dim,
         intersection_dim=inter.dim,
-        intersection_is_g2=(inter7 == g2span),
+        intersection_is_g2=(inter7 == g2_basis().span),
         clifford_ok=True,
     )

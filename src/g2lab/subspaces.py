@@ -14,11 +14,11 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .rational import ExactMatrix, Q
+from .rational import ExactMatrix, Q, _as_q
 
 
 def _to_int_row(row) -> list[int]:
-    fracs = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
+    fracs = [_as_q(x) for x in row]
     mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
     ints = [int(f * mult) for f in fracs]
     g = 0
@@ -138,8 +138,7 @@ class Subspace:
 
     @staticmethod
     def span(vectors: Sequence[Sequence], ambient_dim: int | None = None) -> "Subspace":
-        vecs = [tuple(Fraction(x) if not isinstance(x, Fraction) else x for x in v)
-                for v in vectors]
+        vecs = [tuple(_as_q(x) for x in v) for v in vectors]
         if ambient_dim is None:
             if not vecs:
                 raise ValueError("ambient dimension required for an empty span")
@@ -164,7 +163,7 @@ class Subspace:
     def contains(self, v: Sequence) -> bool:
         if len(v) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        vq = [Fraction(x) if not isinstance(x, Fraction) else x for x in v]
+        vq = [_as_q(x) for x in v]
         rows, _ = rref(list(self.basis) + [vq])
         return len(rows) == self.dim
 

@@ -9,6 +9,7 @@ expected violation is observed.
 from __future__ import annotations
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .fields import Domain, StencilConfig, sample_points
 from .g2construct import (estimate_order, holonomy_residual, model_phi_check,
                           monopole_residual, torsionfree_residual,
                           weak_monopole_residual, weak_sl3_consistency,
-                          N_SPLIT, flat_product_metric)
+                          flat_product_metric)
 from .gibbons import gh_build
 from .hypersurfaces import (affine_plane, ellipsoid, hypersurface_checks,
                             unit_sphere)
@@ -28,10 +29,9 @@ from .killing import (da_conditions_check, gamma_pair_residual,
 from .octonions import (alternativity_certificate, associative_test,
                         calibration_gap, norm_multiplicativity_certificate,
                         standard_cross, standard_octonions, torsion_cross)
-from .rational import bracket, combination, trace_form
+from .rational import bracket, combination, exact_json
 from .reports import (CheckReport, SuiteContext, control_report, simple_report)
 from .spin8 import so8_intersection_report
-from .subspaces import Subspace
 from .threeform import invariant_threeform, star_phi, wedge_3_4, stabilizer_in_so7
 
 ORDER_BAND = (1.8, 2.2)
@@ -62,10 +62,10 @@ def _tag(name: str, extra: dict | None = None) -> dict:
 # ----------------------------------------------------------------- algebra
 
 def check_algebra_dimension(ctx: SuiteContext) -> CheckReport:
-    b = emb.g2_basis()
-    res = {"dim_defect": float(abs(b.span().dim - 14))}
+    dim = emb.g2_basis().span.dim
+    res = {"dim_defect": float(abs(dim - 14))}
     return simple_report("algebra.dimension", res, 0.0, ctx.seed,
-                         params={"dim": b.span().dim})
+                         params={"dim": dim})
 
 
 def check_algebra_closure(ctx: SuiteContext) -> CheckReport:
@@ -88,10 +88,9 @@ def check_algebra_reductive(ctx: SuiteContext) -> CheckReport:
 
 
 def check_algebra_orthogonality(ctx: SuiteContext) -> CheckReport:
-    b = emb.g2_basis()
-    worst = max(abs(trace_form(a, m)) for a in b.h_elements for m in b.m_elements)
-    return simple_report("algebra.orthogonality", {"trace_pairing": float(worst)},
-                         0.0, ctx.seed)
+    ok = emb.orthogonality_certificate()
+    return simple_report("algebra.orthogonality",
+                         {"trace_pairing": 0.0 if ok else 1.0}, 0.0, ctx.seed)
 
 
 def check_algebra_equivariance(ctx: SuiteContext) -> CheckReport:
@@ -100,17 +99,13 @@ def check_algebra_equivariance(ctx: SuiteContext) -> CheckReport:
                          {"equivariance": 0.0 if ok else 1.0}, 0.0, ctx.seed)
 
 
-def _exact(q) -> dict:
-    return {"num": str(q.numerator), "den": str(q.denominator)}
-
-
 def check_algebra_scales(ctx: SuiteContext) -> CheckReport:
     s1 = emb.h_scale_certificate()
     s2 = emb.lift_scale_certificate()
     res = {"h_scale_inconsistency": 0.0, "lift_scale_inconsistency": 0.0,
            "scales_differ": 0.0 if s1 == s2 else 1.0}
     return simple_report("algebra.embedding-scales", res, 0.0, ctx.seed,
-                         params={"scale": _exact(s1)})
+                         params={"scale": exact_json(s1)})
 
 
 def check_algebra_rep_equivalence(ctx: SuiteContext) -> CheckReport:
@@ -160,9 +155,8 @@ def check_octonion_kernel(ctx: SuiteContext) -> CheckReport:
 
 def check_octonion_stabilizer(ctx: SuiteContext) -> CheckReport:
     stab = stabilizer_in_so7(invariant_threeform())
-    g2span = Subspace.span_matrices(list(emb.g2_basis().elements))
     res = {"dim_defect": float(abs(stab.dim - 14)),
-           "span_mismatch": 0.0 if stab == g2span else 1.0}
+           "span_mismatch": 0.0 if stab == emb.g2_basis().span else 1.0}
     return simple_report("octonion.stabilizer-roundtrip", res, 0.0, ctx.seed)
 
 
@@ -171,7 +165,7 @@ def check_octonion_torsion(ctx: SuiteContext) -> CheckReport:
     res = {"ratio_zero": 0.0 if tc.proportionality != 0 else 1.0,
            "complement_dim_defect": float(abs(tc.complement_dim - 7))}
     return simple_report("octonion.torsion-proportional", res, 0.0, ctx.seed,
-                         params={"ratio": _exact(tc.proportionality)})
+                         params={"ratio": exact_json(tc.proportionality)})
 
 
 def check_octonion_table(ctx: SuiteContext) -> CheckReport:
@@ -187,7 +181,6 @@ def check_octonion_table(ctx: SuiteContext) -> CheckReport:
 def check_octonion_cross_identities(ctx: SuiteContext) -> CheckReport:
     cross = standard_cross()
     rng = np.random.default_rng(ctx.seed)
-    from fractions import Fraction
     worst = 0
     for _ in range(20):
         x = tuple(Fraction(int(v)) for v in rng.integers(-6, 7, size=7))
@@ -210,7 +203,6 @@ def check_octonion_planes(ctx: SuiteContext) -> CheckReport:
     res = {"plus_block_defect": 0.0 if plus_ok else 1.0,
            "minus_block_form_value": float(abs(phi.value(4, 5, 6)))}
     rng = np.random.default_rng(ctx.seed)
-    from fractions import Fraction
     x = tuple(Fraction(int(v)) for v in rng.integers(-4, 5, size=7))
     y = tuple(Fraction(int(v)) for v in rng.integers(-4, 5, size=7))
     v2, det = calibration_gap(x, y, tuple(Fraction(int(v))
@@ -430,8 +422,8 @@ def check_thm2_weak_monopole(ctx: SuiteContext) -> CheckReport:
     cfg = _base_cfg(ctx, 1e-3)
     dom = gallery.base_domain6()
     pts = sample_points(dom, ctx.scaled_samples(50), cfg, seed=ctx.seed)
-    res = weak_monopole_residual(mono, flat_product_metric, N_SPLIT, pts, cfg)
-    base = weak_sl3_consistency(flat_product_metric, N_SPLIT, None, pts[:6], cfg)
+    res = weak_monopole_residual(mono, flat_product_metric, pts, cfg)
+    base = weak_sl3_consistency(flat_product_metric, None, pts[:6], cfg)
     res["twist_consistency"] = base["twist_mismatch"]
     res["complex_structure_part"] = base["complex_structure_part"]
     return simple_report("g2-thm2.weak-monopole", res, 1e-4, ctx.seed)
@@ -588,9 +580,8 @@ def check_neg_mismatched_twist(ctx: SuiteContext) -> CheckReport:
     pts6 = sample_points(dom, max(6, ctx.scaled_samples(15)), cfg, seed=ctx.seed)
     from .g2construct import MonopoleData
     honest = MonopoleData(v=mono.v, a=mono.a, alpha=None)
-    weak = weak_monopole_residual(honest, flat_product_metric, N_SPLIT, pts6, cfg)
-    base = weak_sl3_consistency(flat_product_metric, N_SPLIT, mono.alpha,
-                                pts6[:6], cfg)
+    weak = weak_monopole_residual(honest, flat_product_metric, pts6, cfg)
+    base = weak_sl3_consistency(flat_product_metric, mono.alpha, pts6[:6], cfg)
     pts7 = sample_points(bundle.domain, ctx.scaled_samples(10),
                          StencilConfig(h=1e-2), seed=ctx.seed)
     tf = torsionfree_residual(bundle, pts7, StencilConfig(h=1e-2))
@@ -609,7 +600,7 @@ def check_neg_nonbasic(ctx: SuiteContext) -> CheckReport:
     cfg = _base_cfg(ctx, 1e-3)
     dom = gallery.base_domain6()
     pts = sample_points(dom, ctx.scaled_samples(15), cfg, seed=ctx.seed)
-    res = monopole_residual(mono, flat_product_metric, N_SPLIT, pts, cfg)
+    res = monopole_residual(mono, flat_product_metric, pts, cfg)
     return control_report("negative.nonbasic-pole", {"basic_v": res["basic_v"]},
                           0.01, ctx.seed)
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .embeddings import G2Basis, g2_basis
-from .rational import ExactMatrix, Q, combination
+from .embeddings import g2_basis
+from .rational import ExactMatrix, Q, _as_q, combination, exact_json
 from .subspaces import Subspace, kernel_basis
 
 TRIPLES = tuple(itertools.combinations(range(7), 3))
@@ -66,8 +66,7 @@ class _AlternatingForm:
 
     def to_json_obj(self) -> dict:
         return {"kind": self.KIND, "dimension": 7,
-                "components": [{"indices": list(t),
-                                "num": str(c.numerator), "den": str(c.denominator)}
+                "components": [{"indices": list(t), **exact_json(c)}
                                for t, c in self.nonzero_items()]}
 
 
@@ -104,7 +103,8 @@ class ThreeForm(_AlternatingForm):
         return ThreeForm(tuple(s * c for c in self.components))
 
     def scale(self, s) -> "ThreeForm":
-        return ThreeForm(tuple(Fraction(s) * c for c in self.components))
+        s = _as_q(s)
+        return ThreeForm(tuple(s * c for c in self.components))
 
 
 class FourForm(_AlternatingForm):
@@ -143,28 +143,18 @@ def action_on_threeforms(a: ExactMatrix) -> ExactMatrix:
     return ExactMatrix.from_rows(ent)
 
 
-def invariant_threeform(basis: G2Basis | None = None) -> ThreeForm:
+@functools.lru_cache(maxsize=1)
+def invariant_threeform() -> ThreeForm:
     """The unique (up to scale) 3-form annihilated by the whole algebra,
     normalized to squared norm 7 with the fixed sign convention."""
-    if basis is None:
-        return _invariant_threeform_cached()
-    return _invariant_threeform_of(basis)
-
-
-@functools.lru_cache(maxsize=1)
-def _invariant_threeform_cached() -> ThreeForm:
-    return _invariant_threeform_of(g2_basis())
-
-
-def _invariant_threeform_of(basis: G2Basis) -> ThreeForm:
     rows = []
-    for el in basis.elements:
+    for el in g2_basis().elements:
         op = action_on_threeforms(el)
         rows.extend(op.row(i) for i in range(35))
     ker = kernel_basis(ExactMatrix.from_rows(rows))
     if len(ker) != 1:
         raise ValueError(f"invariance kernel has dimension {len(ker)}, not 1: "
-                         "the input basis does not span a copy of the 14-dim algebra")
+                         "the basis does not span a copy of the 14-dim algebra")
     return ThreeForm(tuple(ker[0])).normalize()
 
 
@@ -222,8 +212,8 @@ class CrossProduct7:
     phi: ThreeForm
 
     def cross(self, x: Sequence, y: Sequence) -> tuple:
-        xq = [Fraction(v) if not isinstance(v, Fraction) else v for v in x]
-        yq = [Fraction(v) if not isinstance(v, Fraction) else v for v in y]
+        xq = [_as_q(v) for v in x]
+        yq = [_as_q(v) for v in y]
         out = [Q(0)] * 7
         for (i, j, k), c in self.phi.nonzero_items():
             # all six orderings of the triple contribute

@@ -79,10 +79,3 @@ def test_algebraic_bianchi():
     r = riemann_lowered(warped, p, cfg)
     cyc = r + np.einsum('acdb->abcd', r) + np.einsum('adbc->abcd', r)
     assert np.max(np.abs(cyc)) < 1e-6
-
-
-def test_order4_jet_more_accurate():
-    p = np.array([0.7, 0.1])
-    e2 = abs(scalar_curvature(stereographic_sphere, p, StencilConfig(h=5e-2, order=2)) - 2.0)
-    e4 = abs(scalar_curvature(stereographic_sphere, p, StencilConfig(h=5e-2, order=4)) - 2.0)
-    assert e4 < e2 / 10

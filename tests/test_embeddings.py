@@ -59,7 +59,7 @@ def test_m_embed_displayed_matrix():
 def test_g2_basis_certifies():
     b = emb.g2_basis()
     assert len(b.elements) == 14
-    assert b.span().dim == 14
+    assert b.span.dim == 14
     assert len(b.structure_constants) == 91
     # closure was certified during construction; spot check an expansion
     c = b.expand(bracket(b.elements[0], b.elements[9]))

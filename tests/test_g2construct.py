@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from g2lab.fields import Domain, StencilConfig, sample_points
-from g2lab.g2construct import (MonopoleData, N_SPLIT, estimate_order,
+from g2lab.g2construct import (MonopoleData, estimate_order,
                                flat_product_metric, g2_build_thm1,
                                holonomy_residual, model_phi_check,
                                monopole_residual, torsionfree_residual,
@@ -35,7 +35,7 @@ def test_monopole_hypothesis_holds_for_pole_pair():
     mono = MonopoleData(v=taub_nut_v6, a=monopole_potential6())
     cfg = StencilConfig(h=1e-3)
     pts = sample_points(base_domain6(), 10, cfg, seed=7)
-    res = monopole_residual(mono, flat_product_metric, N_SPLIT, pts, cfg)
+    res = monopole_residual(mono, flat_product_metric, pts, cfg)
     assert res["monopole"] <= 1e-4
     assert res["basic_v"] <= 1e-12
     assert res["basic_a"] <= 1e-12
@@ -85,7 +85,7 @@ def test_weak_monopole_residuals_zero_twist():
     mono = MonopoleData(v=taub_nut_v6, a=monopole_potential6(), alpha=None)
     cfg = StencilConfig(h=1e-3)
     pts = sample_points(base_domain6(), 10, cfg, seed=8)
-    res = weak_monopole_residual(mono, flat_product_metric, N_SPLIT, pts, cfg)
+    res = weak_monopole_residual(mono, flat_product_metric, pts, cfg)
     assert res["plus_plus"] <= 1e-10
     assert res["mixed"] <= 1e-10
     assert res["minus_minus"] <= 1e-4
@@ -94,7 +94,7 @@ def test_weak_monopole_residuals_zero_twist():
 def test_flat_base_has_no_twist():
     cfg = StencilConfig(h=1e-3)
     pts = sample_points(base_domain6(), 5, cfg, seed=10)
-    res = weak_sl3_consistency(flat_product_metric, N_SPLIT, None, pts, cfg)
+    res = weak_sl3_consistency(flat_product_metric, None, pts, cfg)
     assert res["complex_structure_part"] <= 1e-10
     assert res["twist_mismatch"] <= 1e-10
 
@@ -106,14 +106,13 @@ def test_mismatched_twist_flagged_everywhere():
     # the fabricated twist was derived to solve the plus-block equation for
     # this potential, a sign-sensitive closed form; the minus-block equation
     # then breaks, exposing the inconsistency of the triple
-    fake = weak_monopole_residual(mono, flat_product_metric, N_SPLIT, pts6, cfg)
+    fake = weak_monopole_residual(mono, flat_product_metric, pts6, cfg)
     assert fake["plus_plus"] <= 1e-4
     assert fake["minus_minus"] >= 0.01
     honest = MonopoleData(v=mono.v, a=mono.a, alpha=None)
-    weak = weak_monopole_residual(honest, flat_product_metric, N_SPLIT, pts6, cfg)
+    weak = weak_monopole_residual(honest, flat_product_metric, pts6, cfg)
     assert weak["plus_plus"] >= 0.01          # the pair fails the true equations
-    base = weak_sl3_consistency(flat_product_metric, N_SPLIT, mono.alpha,
-                                pts6[:4], cfg)
+    base = weak_sl3_consistency(flat_product_metric, mono.alpha, pts6[:4], cfg)
     assert base["twist_mismatch"] >= 0.01     # alpha disagrees with the base
     pts7 = bundle_points(bundle, n=5, h=1e-2)
     tf = torsionfree_residual(bundle, pts7, StencilConfig(h=1e-2))
@@ -125,7 +124,7 @@ def test_weak_sl3_sharp_readings_agree_for_flat_base():
     cfg = StencilConfig(h=1e-3)
     pts = sample_points(base_domain6(), 4, cfg, seed=12)
     alpha = lambda x: np.array([0.1, 0.0, 0.0])
-    res = weak_sl3_consistency(flat_product_metric, N_SPLIT, alpha, pts, cfg)
+    res = weak_sl3_consistency(flat_product_metric, alpha, pts, cfg)
     assert abs(res["twist_mismatch"] - res["twist_mismatch_unwarped_sharp"]) <= 1e-12
 
 
@@ -142,7 +141,7 @@ def test_nonbasic_pole_detected():
     mono = MonopoleData(v=v, a=monopole_potential6())
     cfg = StencilConfig(h=1e-3)
     pts = sample_points(base_domain6(), 6, cfg, seed=13)
-    res = monopole_residual(mono, flat_product_metric, N_SPLIT, pts, cfg)
+    res = monopole_residual(mono, flat_product_metric, pts, cfg)
     assert res["basic_v"] >= 0.01
 
 
@@ -156,7 +155,7 @@ def test_builder_rejects_nonpositive_v():
     mono = MonopoleData(v=lambda x: -1.0, a=lambda x: np.zeros(6))
     dom = Domain(lo=(-1.0,) * 6, hi=(1.0,) * 6)
     with pytest.raises(ValueError):
-        g2_build_thm1(flat_product_metric, N_SPLIT, mono, dom)
+        g2_build_thm1(flat_product_metric, mono, dom)
 
 
 def test_flat_bundle_holonomy_zero_over_zero_convention():

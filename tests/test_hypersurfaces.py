@@ -21,12 +21,6 @@ def test_plane_is_geodesic_and_parallel():
     assert r["nearly_kahler"] <= 1e-8
 
 
-def test_plane_off_origin():
-    imm = affine_plane(point=np.array([0.1, -0.2, 0.3, 0.5, 0.0, 0.1, -0.4]))
-    r = hypersurface_checks(imm, pts_of(imm, n=4), CFG)
-    assert r["kahler"] <= 1e-8
-
-
 def test_sphere_umbilical_nearly_kahler_not_kahler():
     imm = unit_sphere()
     r = hypersurface_checks(imm, pts_of(imm), CFG)

@@ -60,3 +60,107 @@ def test_no_two_functions_share_a_body():
                     seen.setdefault(_body_key(node), []).append(name)
     copies = sorted(names for names in seen.values() if len(names) > 1)
     assert not copies, f"functions with identical bodies: {copies}"
+
+
+# Defaults that no call sets but that stay settings, each with its reason.
+KEEP = {
+    (name, "domain"): "stencil guard: a caller may pass the declared domain, "
+                      "and a stencil leaving it raises StencilDomainError"
+    for name in ("exterior_d", "christoffel", "scalar_curvature",
+                 "curvature_operator", "riemann_lowered")
+}
+
+
+def _is_dataclass(node) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _init_false(value) -> bool:
+    return (isinstance(value, ast.Call)
+            and any(k.arg == "init" and isinstance(k.value, ast.Constant)
+                    and k.value.value is False for k in value.keywords))
+
+
+def _settings() -> list:
+    """(callable name, setting name, positional slot or None) for every
+    parameter with a default and every dataclass field with a default."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = set()
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    static = any(getattr(d, "id", "") == "staticmethod"
+                                 for d in node.decorator_list)
+                    if not static:
+                        methods.add(node)
+            if _is_dataclass(cls):
+                slot = 0
+                for node in cls.body:
+                    if not (isinstance(node, ast.AnnAssign)
+                            and isinstance(node.target, ast.Name)):
+                        continue
+                    if _init_false(node.value):
+                        continue
+                    if node.value is not None:
+                        out.append((cls.name, node.target.id, slot))
+                    slot += 1
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            positional = node.args.posonlyargs + node.args.args
+            shift = 1 if node in methods else 0
+            first = len(positional) - len(node.args.defaults)
+            for i in range(first, len(positional)):
+                out.append((node.name, positional[i].arg, i - shift))
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    out.append((node.name, arg.arg, None))
+    return out
+
+
+def _passed() -> tuple:
+    """Keyword arguments and the number of positional arguments of every call
+    in the package and the tests, keyed by the called name.  A starred
+    argument counts as filling every slot."""
+    keywords, widths = {}, {}
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name is None:
+                continue
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords if k.arg)
+            width = (float("inf") if any(isinstance(a, ast.Starred) for a in node.args)
+                     else len(node.args))
+            widths[name] = max(widths.get(name, 0), width)
+    return keywords, widths
+
+
+def test_every_default_is_set():
+    """One value per setting: a parameter or dataclass field with a default
+    is passed, by keyword or by position, by some call in the package or the
+    tests (`dataclasses.replace` sets fields by keyword); a value no call
+    sets is a constant."""
+    keywords, widths = _passed()
+    replaced = keywords.get("replace", set())
+    unset = []
+    for owner, name, slot in _settings():
+        by_keyword = name in keywords.get(owner, ()) or name in replaced
+        by_position = slot is not None and widths.get(owner, 0) > slot
+        if not (by_keyword or by_position):
+            unset.append((owner, name))
+    new = sorted(f"{o}({n})" for o, n in unset if (o, n) not in KEEP)
+    stale = sorted(f"{o}({n})" for o, n in KEEP if (o, n) not in unset)
+    assert not new, f"defaults that no call sets: {new}"
+    assert not stale, f"KEEP entries that are set or gone: {stale}"

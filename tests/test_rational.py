@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from g2lab.embeddings import MVector, Sl3Param, hat3
+from g2lab.octonions import (TorsionCrossResult, dot, standard_cross,
+                             standard_octonions)
 from g2lab.rational import ExactMatrix, Q, bracket, trace_form
+from g2lab.subspaces import Subspace, rref
+from g2lab.threeform import ThreeForm
 
 
 def rand_skew(rng, n):
@@ -72,3 +77,34 @@ def test_matrix_ops_exact():
 def test_apply():
     a = ExactMatrix.from_rows([[1, 2], [3, 4]])
     assert a.apply([1, 1]) == (Q(3), Q(7))
+
+
+# Each entry point of the exact layer, called with one scalar s in its input.
+EXACT_ENTRY_POINTS = {
+    "ExactMatrix.from_rows": lambda s: ExactMatrix.from_rows([[s]]),
+    "hat3": lambda s: hat3((s, 0, 0)),
+    "Sl3Param.make": lambda s: Sl3Param.make(x=(s, 0, 0)),
+    "MVector.make": lambda s: MVector.make(b=(0, 0, s)),
+    "OctonionTable.multiply":
+        lambda s: standard_octonions().multiply([s] + [0] * 7, [1] + [0] * 7),
+    "OctonionTable.conjugate": lambda s: standard_octonions().conjugate([s] * 8),
+    "dot": lambda s: dot((1, s), (s, 1)),
+    "CrossProduct7.cross": lambda s: standard_cross().cross([s] * 7, [1] * 7),
+    "TorsionCrossResult.cross":
+        lambda s: TorsionCrossResult({(0, 1): (Q(1),) * 7}, Q(1), 7).cross(
+            [s] * 7, [1] * 7),
+    "ThreeForm.scale": lambda s: ThreeForm((Q(1),) * 35).scale(s),
+    "rref": lambda s: rref([[s, 1]]),
+    "Subspace.span": lambda s: Subspace.span([[s, 1]]),
+    "Subspace.contains": lambda s: Subspace.span([[1, 0]]).contains([s, 0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_ENTRY_POINTS))
+def test_exact_layer_rejects_floats(name):
+    call = EXACT_ENTRY_POINTS[name]
+    with pytest.raises(TypeError):
+        call(0.1)
+    call(2)
+    call(Fraction(1, 3))
+

@@ -92,13 +92,14 @@ def test_json_export_shape():
     assert all(set(c) == {"indices", "num", "den"} for c in obj["components"])
 
 
-def test_invariance_solver_rejects_non_algebra_basis():
-    from g2lab.embeddings import G2Basis, g2_basis, _pivot_solver
+def test_invariance_solver_rejects_non_algebra_basis(monkeypatch):
+    from g2lab import threeform
+    from g2lab.embeddings import G2Basis, _pivot_solver
     from g2lab.threeform import so7_basis
-    import pytest
     wrong = so7_basis()[:14]
     pivots, inv = _pivot_solver(wrong)
-    fake = G2Basis(tuple(wrong), tuple(range(8)), tuple(range(8, 14)), {},
-                   pivots, inv)
+    fake = G2Basis(tuple(wrong), tuple(range(8)), tuple(range(8, 14)),
+                   Subspace.span_matrices(wrong), {}, pivots, inv)
+    monkeypatch.setattr(threeform, "g2_basis", lambda: fake)
     with pytest.raises(ValueError):
-        invariant_threeform(fake)
+        invariant_threeform.__wrapped__()   # the solver, past its cache
