@@ -19,7 +19,7 @@ import time
 import traceback
 
 from .reports import CheckReport, SuiteContext
-from .suites import SUITE_NAMES, suite_checks, suite_manifest
+from .suites import SUITE_NAMES, suite_checks
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,7 +53,6 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
 
     try:
-        suite_manifest(args.suite)
         checks = suite_checks(args.suite)
     except KeyError:
         print(f"error: unknown suite {args.suite!r}; known: "

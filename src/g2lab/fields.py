@@ -265,6 +265,8 @@ def sample_points(domain: Domain, n: int, cfg: StencilConfig,
     dim = domain.dim
     lo = np.asarray(domain.lo, dtype=float)
     hi = np.asarray(domain.hi, dtype=float)
+    if np.any(lo + pad > hi - pad):
+        raise RuntimeError("sampler failed: domain too constrained")
     pts = []
     index = 1 + (seed % 997) * 101
     attempts = 0
@@ -279,3 +281,17 @@ def sample_points(domain: Domain, n: int, cfg: StencilConfig,
         if domain.contains(p, pad=pad):
             pts.append(p)
     return pts
+
+
+def sup(samples: Sequence[Point], at: Callable[[Point], dict]) -> dict:
+    """{name: largest value} of the non-negative residuals at(p) = {name:
+    scalar or array}, over every sample point and every entry.  A NaN
+    anywhere gives NaN, so a residual that cannot be evaluated fails its
+    tolerance instead of passing.  No sample points is an error, not a pass."""
+    out = {}
+    for p in samples:
+        for name, value in at(p).items():
+            out[name] = float(np.max(value, initial=out.get(name, 0.0)))
+    if not out:
+        raise ValueError("sup over no sample points")
+    return out

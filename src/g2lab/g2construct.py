@@ -10,18 +10,20 @@ reported under step halving.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .curvature import riemann
+from .curvature import christoffel, riemann
 from .fields import (MINUS6, PLUS6, Domain, StencilConfig, adapted_frame,
                      combinations_index, exterior_d, fd_gradient, fd_partial,
-                     hodge_restricted, restrict_two_form, sample_points,
+                     hodge_restricted, restrict_two_form, sample_points, sup,
                      transform_form)
 from .modeldata import (decompose_so6, h6, off_g2_fraction, phi_constants,
-                        star_phi_constants)
+                        so6_part_projectors, star_phi_constants)
+from .threeform import invariant_threeform
 
 HYPOTHESIS_TOLERANCE = 1e-4   # a larger sampled hypothesis residual is a warning
 
@@ -67,12 +69,10 @@ class G2MetricBundle:
         return transform_form(star_phi_constants(), 4, 7, self.coframe(p))
 
     def orthonormality_residual(self, samples) -> float:
-        worst = 0.0
-        for p in samples:
+        def at(p):
             e = self.coframe(p)
-            g = self.metric(p)
-            worst = max(worst, float(np.max(np.abs(e.T @ e - g))))
-        return worst
+            return {"orthonormality": np.abs(e.T @ e - self.metric(p))}
+        return sup(samples, at)["orthonormality"]
 
 
 def _chol_coframe(gblock: np.ndarray) -> np.ndarray:
@@ -80,23 +80,24 @@ def _chol_coframe(gblock: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky(gblock).T
 
 
+def _basicness(mono: MonopoleData, x: np.ndarray, dv: np.ndarray,
+               cfg: StencilConfig) -> dict:
+    """v and A constant along the plus block, and A annihilating it, at x
+    (dv is the gradient of v there)."""
+    a_plus = [fd_partial(mono.a, x, d, cfg) for d in PLUS6]
+    a_plus.append(np.asarray(mono.a(x), float)[list(PLUS6)])
+    return {"basic_v": np.abs(dv[list(PLUS6)]),
+            "basic_a": np.abs(np.concatenate(a_plus))}
+
+
 def monopole_residual(mono: MonopoleData, k6, samples, cfg: StencilConfig) -> dict:
     """Residual of dA = -*_H dv plus basicness of v and A."""
-    worst_mono = 0.0
-    worst_basic_v = 0.0
-    worst_basic_a = 0.0
-    for x in samples:
+    def at(x):
         da = exterior_d(mono.a, x, 1, cfg)
         dv = fd_gradient(mono.v, x, cfg)
         star = hodge_restricted(dv, 1, 6, MINUS6, np.asarray(k6(x), float))
-        worst_mono = max(worst_mono, float(np.max(np.abs(da + star))))
-        for d in PLUS6:
-            worst_basic_v = max(worst_basic_v, abs(float(dv[d])))
-            worst_basic_a = max(worst_basic_a,
-                                float(np.max(np.abs(fd_partial(mono.a, x, d, cfg)))))
-        a = np.asarray(mono.a(x), float)
-        worst_basic_a = max(worst_basic_a, float(np.max(np.abs(a[list(PLUS6)]))))
-    return {"monopole": worst_mono, "basic_v": worst_basic_v, "basic_a": worst_basic_a}
+        return {"monopole": np.abs(da + star), **_basicness(mono, x, dv, cfg)}
+    return sup(samples, at)
 
 
 def weak_monopole_residual(mono: MonopoleData, k6, samples,
@@ -105,9 +106,7 @@ def weak_monopole_residual(mono: MonopoleData, k6, samples,
     (dA)++ - u^-1 *_+ alpha,  (dA)+-,  (dA)-- + *^1_- (dv - v alpha),
     plus basicness, with u = v^(-1/2) and the base metric playing the role of
     the rescaled pairing."""
-    worst_pp = worst_pm = worst_mm = 0.0
-    worst_basic_v = worst_basic_a = 0.0
-    for x in samples:
+    def at(x):
         g = np.asarray(k6(x), float)
         v = float(mono.v(x))
         u = v ** -0.5
@@ -125,25 +124,16 @@ def weak_monopole_residual(mono: MonopoleData, k6, samples,
             alpha_plus[ci] = alpha[i]
         star_pa = hodge_restricted(alpha_plus, 1, 6, PLUS6, g)
         rhs_pp = u ** -1 * restrict_two_form(star_pa, 6, PLUS6, PLUS6)
-        worst_pp = max(worst_pp, float(np.max(np.abs(da_pp - rhs_pp))))
-
-        worst_pm = max(worst_pm, float(np.max(np.abs(da_pm))))
 
         twisted = np.zeros(6)
         for i, ci in enumerate(MINUS6):
             twisted[ci] = dv[ci] - v * alpha[i]
         star_m = hodge_restricted(twisted, 1, 6, MINUS6, g)
         rhs_mm = restrict_two_form(star_m, 6, MINUS6, MINUS6)
-        worst_mm = max(worst_mm, float(np.max(np.abs(da_mm + rhs_mm))))
-
-        for d in PLUS6:
-            worst_basic_v = max(worst_basic_v, abs(float(dv[d])))
-            worst_basic_a = max(worst_basic_a,
-                                float(np.max(np.abs(fd_partial(mono.a, x, d, cfg)))))
-        a = np.asarray(mono.a(x), float)
-        worst_basic_a = max(worst_basic_a, float(np.max(np.abs(a[list(PLUS6)]))))
-    return {"plus_plus": worst_pp, "mixed": worst_pm, "minus_minus": worst_mm,
-            "basic_v": worst_basic_v, "basic_a": worst_basic_a}
+        return {"plus_plus": np.abs(da_pp - rhs_pp), "mixed": np.abs(da_pm),
+                "minus_minus": np.abs(da_mm + rhs_mm),
+                **_basicness(mono, x, dv, cfg)}
+    return sup(samples, at)
 
 
 def g2_build_thm1(k6: Callable[[np.ndarray], np.ndarray], mono: MonopoleData,
@@ -208,9 +198,10 @@ def g2_build_thm1(k6: Callable[[np.ndarray], np.ndarray], mono: MonopoleData,
         if v <= 0:
             raise ValueError(f"v must be positive on the domain, got {v} at {x}")
     res = hypothesis(mono, k6, pre, cfg)
-    worst = max(r for name, r in res.items() if not name.startswith("basic_"))
+    worst = float(np.max([r for name, r in res.items()
+                          if not name.startswith("basic_")]))
     provenance = {"monopole_residuals": res, "warning": None}
-    if worst > HYPOTHESIS_TOLERANCE:
+    if not worst <= HYPOTHESIS_TOLERANCE:
         provenance["warning"] = (f"monopole hypothesis violated: residual {worst:.3e} "
                                  f"exceeds {HYPOTHESIS_TOLERANCE:.1e}")
     return G2MetricBundle(metric=metric7, coframe=coframe,
@@ -225,11 +216,7 @@ def weak_sl3_consistency(k6, alpha, samples, cfg: StencilConfig) -> dict:
     the h-part and h(S) for S(X+, X-) = (a X-, a X+), a = 1/4 hat(alpha#) --
     with the sharp computed in both the warped and unwarped readings.
     """
-    from .curvature import christoffel
-    worst_j = 0.0
-    worst_a = 0.0
-    worst_a_alt = 0.0
-    for x in samples:
+    def at(x):
         g = np.asarray(k6(x), float)
         fr = adapted_frame(g)
         gam = christoffel(k6, x, cfg)
@@ -241,22 +228,21 @@ def weak_sl3_consistency(k6, alpha, samples, cfg: StencilConfig) -> dict:
         gb_minus = g[np.ix_(MINUS6, MINUS6)]
         sharp = np.linalg.solve(gb_minus, alpha_v)
         sharp_alt = alpha_v  # unwarped reading: raise with the identity pairing
+        out = {"complex_structure_part": [], "twist_mismatch": [],
+               "twist_mismatch_unwarped_sharp": []}
         for c in range(6):
             nabla = np.einsum('a,abk->kb', fr[:, c], dframe) \
                 + np.einsum('kad,a,db->kb', gam, fr[:, c], fr)
             omega = e @ nabla
             omega = 0.5 * (omega - omega.T)
-            parts = decompose_so6(omega)
-            worst_j = max(worst_j, parts["J"])
-            s_of_x = _s_alpha(fr[:, c], e, sharp)
-            target = h6(s_of_x)
-            worst_a = max(worst_a, float(np.max(np.abs(
-                _h_component(omega) - target))))
+            out["complex_structure_part"].append(decompose_so6(omega)["J"])
+            target = h6(_s_alpha(fr[:, c], e, sharp))
+            out["twist_mismatch"].append(np.abs(_h_component(omega) - target))
             s_alt = _s_alpha(fr[:, c], e, sharp_alt)
-            worst_a_alt = max(worst_a_alt, float(np.max(np.abs(
-                _h_component(omega) - h6(s_alt)))))
-    return {"complex_structure_part": worst_j, "twist_mismatch": worst_a,
-            "twist_mismatch_unwarped_sharp": worst_a_alt}
+            out["twist_mismatch_unwarped_sharp"].append(
+                np.abs(_h_component(omega) - h6(s_alt)))
+        return out
+    return sup(samples, at)
 
 
 def _s_alpha(xvec, e, sharp) -> np.ndarray:
@@ -269,40 +255,21 @@ def _s_alpha(xvec, e, sharp) -> np.ndarray:
 
 def _h_component(omega: np.ndarray) -> np.ndarray:
     """Orthogonal projection of a skew 6x6 onto the h-image, as a matrix."""
-    from .modeldata import so6_part_projectors
     q = so6_part_projectors()["h"]
     v = omega.reshape(-1)
     return (q.T @ (q @ v)).reshape(6, 6)
 
 
-def torsionfree_residual(bundle: G2MetricBundle, samples, cfg: StencilConfig,
-                         h_list: Sequence[float] | None = None) -> dict:
-    """sup |d phi| and sup |d *phi| in orthonormal-frame components, with
-    order estimates under step halving when h_list is given."""
-    def at(h: float) -> tuple[float, float]:
-        c = StencilConfig(h=h)
-        worst3, worst4 = 0.0, 0.0
-        for p in samples:
-            fr = bundle.frame(p)
-            dphi = exterior_d(bundle.phi_field, p, 3, c)
-            dphi_f = transform_form(dphi, 4, 7, fr)
-            worst3 = max(worst3, float(np.max(np.abs(dphi_f))))
-            dstar = exterior_d(bundle.star_phi_field, p, 4, c)
-            dstar_f = transform_form(dstar, 5, 7, fr)
-            worst4 = max(worst4, float(np.max(np.abs(dstar_f))))
-        return worst3, worst4
-
-    if h_list is None:
-        d3, d4 = at(cfg.h)
-        return {"sup_dphi": d3, "sup_dstarphi": d4}
-    rows = [at(h) for h in h_list]
-    d3s = [r[0] for r in rows]
-    d4s = [r[1] for r in rows]
-    return {"sup_dphi": d3s[-1], "sup_dstarphi": d4s[-1],
-            "dphi_by_h": dict(zip(h_list, d3s)),
-            "dstarphi_by_h": dict(zip(h_list, d4s)),
-            "order_dphi": estimate_order(h_list, d3s),
-            "order_dstarphi": estimate_order(h_list, d4s)}
+def torsionfree_residual(bundle: G2MetricBundle, samples, cfg: StencilConfig) -> dict:
+    """sup |d phi| and sup |d *phi| in orthonormal-frame components."""
+    def at(p):
+        fr = bundle.frame(p)
+        dphi = exterior_d(bundle.phi_field, p, 3, cfg)
+        dphi_f = transform_form(dphi, 4, 7, fr)
+        dstar = exterior_d(bundle.star_phi_field, p, 4, cfg)
+        dstar_f = transform_form(dstar, 5, 7, fr)
+        return {"sup_dphi": np.abs(dphi_f), "sup_dstarphi": np.abs(dstar_f)}
+    return sup(samples, at)
 
 
 def estimate_order(h_list: Sequence[float], residuals: Sequence[float]):
@@ -320,25 +287,20 @@ def estimate_order(h_list: Sequence[float], residuals: Sequence[float]):
 def holonomy_residual(bundle: G2MetricBundle, samples, cfg: StencilConfig) -> dict:
     """sup fraction of sampled curvature operators outside the model algebra
     (expressed in the adapted coframe) and sup Ricci norm."""
-    worst_off = 0.0
-    worst_ric = 0.0
-    worst_curv = 0.0
-    for p in samples:
+    def at(p):
         r = riemann(bundle.metric, p, cfg)
         ric = np.einsum('abad->bd', r)
         e = bundle.coframe(p)
         fr = np.linalg.inv(e)
         ric_f = fr.T @ ric @ fr
-        worst_ric = max(worst_ric, float(np.linalg.norm(ric_f)))
-        for a in range(7):
-            for b in range(a + 1, 7):
-                op = np.einsum('ijcd,c,d->ij', r, fr[:, a], fr[:, b])
-                m = e @ op @ fr
-                m = 0.5 * (m - m.T)
-                worst_curv = max(worst_curv, float(np.linalg.norm(m)))
-                worst_off = max(worst_off, off_g2_fraction(m))
-    return {"off_g2_fraction": worst_off, "ricci_norm": worst_ric,
-            "curvature_norm": worst_curv}
+        ops = []
+        for a, b in itertools.combinations(range(7), 2):
+            m = e @ np.einsum('ijcd,c,d->ij', r, fr[:, a], fr[:, b]) @ fr
+            ops.append(0.5 * (m - m.T))
+        return {"off_g2_fraction": [off_g2_fraction(m) for m in ops],
+                "ricci_norm": np.linalg.norm(ric_f),
+                "curvature_norm": [np.linalg.norm(m) for m in ops]}
+    return sup(samples, at)
 
 
 def flat_product_metric(x: np.ndarray) -> np.ndarray:
@@ -352,13 +314,9 @@ def model_phi_check(bundle: G2MetricBundle, samples) -> float:
     """Deviation of the assembled 3-form from the constant model form (read
     through the coordinate-to-slot identification); zero for the trivial flat
     build."""
-    from .threeform import invariant_threeform
     phi = invariant_threeform()
     combos, _ = combinations_index(7, 3)
     target = np.array([float(phi.value(COORD_TO_SLOT[a], COORD_TO_SLOT[b],
                                        COORD_TO_SLOT[c]))
                        for a, b, c in combos])
-    worst = 0.0
-    for p in samples:
-        worst = max(worst, float(np.max(np.abs(bundle.phi_field(p) - target))))
-    return worst
+    return sup(samples, lambda p: {"phi": np.abs(bundle.phi_field(p) - target)})["phi"]

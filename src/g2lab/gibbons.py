@@ -9,7 +9,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import Domain, StencilConfig, exterior_d, fd_gradient, hodge_restricted
+from .fields import (Domain, StencilConfig, exterior_d, fd_gradient,
+                     hodge_restricted, sup)
 
 
 def dirac_string_exclusion(p3: np.ndarray) -> float:
@@ -62,21 +63,18 @@ class GHData:
 
     def consistency_residuals(self, samples, cfg: StencilConfig) -> dict:
         """Harmonicity of V and the dA = *dV equation, at sample points."""
-        worst_harm = 0.0
-        worst_mono = 0.0
-        for p in samples:
+        def at(p):
             lap = 0.0
             for d in range(3):
                 pp, pm = p.copy(), p.copy()
                 pp[d] += cfg.h
                 pm[d] -= cfg.h
                 lap += (self.v(pp) - 2 * self.v(p) + self.v(pm)) / cfg.h ** 2
-            worst_harm = max(worst_harm, abs(lap))
             da = exterior_d(self.a, p, 1, cfg)
             dv = fd_gradient(self.v, p, cfg)
             star_dv = hodge_restricted(dv, 1, 3, (0, 1, 2), np.eye(3))
-            worst_mono = max(worst_mono, float(np.max(np.abs(da - star_dv))))
-        return {"harmonicity": worst_harm, "potential": worst_mono}
+            return {"harmonicity": abs(lap), "potential": np.abs(da - star_dv)}
+        return sup(samples, at)
 
 
 def gh_build(data: GHData):

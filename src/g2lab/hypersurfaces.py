@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .curvature import christoffel
-from .fields import Domain, StencilConfig, fd_gradient
+from .fields import Domain, StencilConfig, fd_gradient, sup
 from .modeldata import cross7
 
 
@@ -103,8 +103,7 @@ def hypersurface_checks(imm: Immersion, samples, cfg: StencilConfig) -> dict:
         t = tangent(y)
         return t.T @ t
 
-    worst_nk = worst_k = worst_umb = worst_geo = 0.0
-    for y in samples:
+    def at(y):
         t = tangent(y)
         g = t.T @ t
         if np.linalg.det(g) < 1e-10:
@@ -123,25 +122,22 @@ def hypersurface_checks(imm: Immersion, samples, cfg: StencilConfig) -> dict:
         ndj_f = np.einsum('cg,ae,ceb,bf->gaf', f6, e6, ndj, f6)
         # nearly-Kahler defect: symmetrization over the direction and argument slots
         sym = ndj_f + np.transpose(ndj_f, (2, 1, 0))
-        worst_nk = max(worst_nk, float(np.max(np.abs(sym))) / 2.0)
-        worst_k = max(worst_k, float(np.max(np.abs(ndj_f))))
 
         # second fundamental form and shape operator
         ddf = fd_gradient(tangent, y, cfg)
         ii = np.einsum('k,ckb->cb', n, ddf)
         shape = np.linalg.solve(g, ii)
         shape_f = e6 @ shape @ f6
-        worst_geo = max(worst_geo, float(np.linalg.norm(shape_f)))
         traceless = shape_f - np.trace(shape_f) / 6.0 * np.eye(6)
-        worst_umb = max(worst_umb, float(np.linalg.norm(traceless)))
-    return {"nearly_kahler": worst_nk, "kahler": worst_k,
-            "umbilic": worst_umb, "geodesic": worst_geo}
+        return {"nearly_kahler": float(np.max(np.abs(sym))) / 2.0,
+                "kahler": np.abs(ndj_f), "umbilic": np.linalg.norm(traceless),
+                "geodesic": np.linalg.norm(shape_f)}
+    return sup(samples, at)
 
 
 def j_squared_residual(imm: Immersion, samples, cfg: StencilConfig) -> float:
     """Sanity: J^2 = -identity on the tangent space, up to stencil noise."""
-    worst = 0.0
-    for y in samples:
+    def at(y):
         jmat = _j_matrix(imm, cfg, y)
-        worst = max(worst, float(np.max(np.abs(jmat @ jmat + np.eye(6)))))
-    return worst
+        return {"j_squared": np.abs(jmat @ jmat + np.eye(6))}
+    return sup(samples, at)["j_squared"]

@@ -28,7 +28,7 @@ import numpy as np
 from .curvature import christoffel
 from .fields import (EPS3, MINUS6, Domain, StencilConfig, adapted_frame,
                      exterior_d, fd_gradient, hat, hodge_restricted,
-                     restrict_two_form)
+                     restrict_two_form, sup)
 from .modeldata import h6
 
 
@@ -107,12 +107,10 @@ def gamma_field(data: KillingData, cfg: StencilConfig) -> Callable[[np.ndarray],
 
 
 def gamma_pair_residual(data: KillingData, samples, cfg: StencilConfig) -> float:
-    worst = 0.0
-    for x in samples:
+    def at(x):
         info = data.gamma_info(x, cfg)
-        worst = max(worst, float(np.max(np.abs(gamma_expanded(info)
-                                               - gamma_unexpanded(info)))))
-    return worst
+        return {"pair": np.abs(gamma_expanded(info) - gamma_unexpanded(info))}
+    return sup(samples, at)["pair"]
 
 
 def _connection_at(data: KillingData, x: np.ndarray, cfg: StencilConfig) -> np.ndarray:
@@ -129,8 +127,7 @@ def killing_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> 
     def frame_field(q: np.ndarray) -> np.ndarray:
         return adapted_frame(np.asarray(data.metric(q), dtype=float))
 
-    worst_a = worst_b = worst_metr = 0.0
-    for x in samples:
+    def at(x):
         info = data.gamma_info(x, cfg)
         fr = info["frame"]
         e = np.linalg.inv(fr)
@@ -158,24 +155,28 @@ def killing_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> 
         da_mat = restrict_two_form(da_comps, 6, range(6), range(6))
         u = info["u"]
 
+        out = {"torsion_vs_twist": [], "potential_equation": [],
+               "corrected_metricity": []}
         for a in range(6):
             for b in range(6):
                 if a == b:
                     continue
                 t_frame = e @ (nabla[a, b] - nabla[b, a] - lie[a, b])
                 hterm = h6(gamma_f[:, a])[:, b] - h6(gamma_f[:, b])[:, a]
-                worst_a = max(worst_a, float(np.max(np.abs(t_frame + hterm))))
+                out["torsion_vs_twist"].append(np.abs(t_frame + hterm))
                 da_ab = float(fr[:, a] @ da_mat @ fr[:, b])
                 rhs = 2.0 / u * gamma_f[b, a]
-                worst_b = max(worst_b, abs(da_ab - rhs))
+                out["potential_equation"].append(abs(da_ab - rhs))
             # metricity of (nabla + h o gamma): its frame connection form is skew
             omega = np.zeros((6, 6))
             for b in range(6):
                 omega[:, b] = e @ nabla[a, b]
             omega = omega + h6(gamma_f[:, a])
-            worst_metr = max(worst_metr, float(np.max(np.abs(omega + omega.T))))
-    return {"torsion_vs_twist": worst_a, "potential_equation": worst_b,
-            "corrected_metricity": worst_metr, "corrected_torsion": worst_a}
+            out["corrected_metricity"].append(np.abs(omega + omega.T))
+        return out
+    res = sup(samples, at)
+    res["corrected_torsion"] = res["torsion_vs_twist"]
+    return res
 
 
 def da_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> dict:
@@ -189,8 +190,7 @@ def da_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> dict:
     differentiate u and u^-2 through separate stencils, so their agreement is
     a genuine mutual oracle with an O(h^2) discrepancy.
     """
-    worst_pp = worst_mm_plain = worst_mm_resc = worst_mixed = worst_pair = 0.0
-    for x in samples:
+    def at(x):
         info = data.gamma_info(x, cfg)
         fr, u = info["frame"], info["u"]
         gp, gm = info["grad_frame"][:3], info["grad_frame"][3:]
@@ -201,7 +201,6 @@ def da_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> dict:
         da_f = fr.T @ da_mat @ fr   # frame components
 
         rhs_pp = 1.0 / u * np.einsum('m,mij->ij', alpha, EPS3)
-        worst_pp = max(worst_pp, float(np.max(np.abs(da_f[:3, :3] - rhs_pp))))
 
         rhs_mm_plain = 1.0 / u * np.einsum('m,mij->ij', alpha + 2.0 / u * gm, EPS3)
 
@@ -214,19 +213,14 @@ def da_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> dict:
         star1 = hodge_restricted(twisted6, 1, 6, MINUS6, g1)
         rhs_mm_resc = -restrict_two_form(star1, 6, MINUS6, MINUS6)
 
-        worst_mm_plain = max(worst_mm_plain,
-                             float(np.max(np.abs(da_f[3:, 3:] - rhs_mm_plain))))
-        worst_mm_resc = max(worst_mm_resc,
-                            float(np.max(np.abs(da_f[3:, 3:] - rhs_mm_resc))))
-        worst_pair = max(worst_pair,
-                         float(np.max(np.abs(rhs_mm_plain - rhs_mm_resc))))
-
         bb = info["B"]
         rhs_mixed = 2.0 / u * (bb.T - 0.5 / u * np.einsum('m,mij->ij', gp, EPS3))
-        worst_mixed = max(worst_mixed, float(np.max(np.abs(da_f[:3, 3:] - rhs_mixed))))
-    return {"plus_plus": worst_pp, "minus_minus": worst_mm_plain,
-            "minus_minus_rescaled": worst_mm_resc, "mixed": worst_mixed,
-            "route_agreement": worst_pair}
+        return {"plus_plus": np.abs(da_f[:3, :3] - rhs_pp),
+                "minus_minus": np.abs(da_f[3:, 3:] - rhs_mm_plain),
+                "minus_minus_rescaled": np.abs(da_f[3:, 3:] - rhs_mm_resc),
+                "mixed": np.abs(da_f[:3, 3:] - rhs_mixed),
+                "route_agreement": np.abs(rhs_mm_plain - rhs_mm_resc)}
+    return sup(samples, at)
 
 
 @dataclass(frozen=True)
@@ -260,9 +254,7 @@ def rho_torsion_check(setup: RhoConnectionSetup, sections: Sequence, samples,
     the section values.  The two agree up to stencil truncation; the reported
     discrepancy therefore decreases at the stencil order.
     """
-    worst_xy = 0.0
-    worst_x1 = 0.0
-    for x in samples:
+    def at(x):
         gtm = np.asarray(setup.gamma_tm(x), float)
         g1 = np.asarray(setup.gamma_one(x), float)
         u = float(setup.u(x))
@@ -270,6 +262,7 @@ def rho_torsion_check(setup: RhoConnectionSetup, sections: Sequence, samples,
         da = restrict_two_form(exterior_d(setup.a_form, x, 1, cfg), 6,
                                range(6), range(6))
 
+        out = {"tangent_pairs": [], "axis_pairs": []}
         for si in range(len(sections)):
             xs = sections[si]
             xv = np.asarray(xs(x), float)
@@ -294,9 +287,8 @@ def rho_torsion_check(setup: RhoConnectionSetup, sections: Sequence, samples,
                 closed_tm = h6(gx) @ yv - h6(gy) @ xv
                 closed_ax = u * da_xy - float(gx @ yv) + float(gy @ xv)
 
-                worst_xy = max(worst_xy,
-                               float(np.max(np.abs(direct_tm - closed_tm))),
-                               abs(direct_ax - closed_ax))
+                out["tangent_pairs"] += [*np.abs(direct_tm - closed_tm),
+                                         abs(direct_ax - closed_ax)]
 
             # (X, axis) pair: the axis direction has zero anchor, so the
             # tangent parts agree pointwise; the scalar part differs only in
@@ -305,5 +297,6 @@ def rho_torsion_check(setup: RhoConnectionSetup, sections: Sequence, samples,
             xu_coord = float(xv @ du)
             direct_ax = xu_dir / u + float(g1 @ xv)
             closed_ax = xu_coord / u + float(g1 @ xv)
-            worst_x1 = max(worst_x1, abs(direct_ax - closed_ax))
-    return {"tangent_pairs": worst_xy, "axis_pairs": worst_x1}
+            out["axis_pairs"].append(abs(direct_ax - closed_ax))
+        return out
+    return sup(samples, at)

@@ -10,7 +10,7 @@ import functools
 
 import numpy as np
 
-from .embeddings import g2_basis, h_map, m_vector_basis
+from .embeddings import canonical_rep6, g2_basis, h_map, m_vector_basis
 from .threeform import invariant_threeform, star_phi
 
 
@@ -81,7 +81,6 @@ def off_g2_fraction(m: np.ndarray) -> float:
 def so6_part_projectors() -> dict:
     """Orthonormal bases of the three pieces so(6) = sl3 + R J + h(m), as
     (dim, 36) float arrays keyed by 'sl3', 'J', 'h'."""
-    from .embeddings import canonical_rep6
     sl3 = np.array([[float(v) for v in m.flatten()] for m in canonical_rep6()])
     j = np.zeros((6, 6))
     j[:3, 3:] = -np.eye(3)

@@ -1,4 +1,5 @@
-"""Check reports, suite manifests, and deterministic JSON-lines serialization.
+"""Check reports, the shared run context, and deterministic JSON-lines
+serialization.
 
 A report's canonical JSON form contains no timing and no environment data, so
 two runs with the same seed and configuration produce byte-identical streams;
@@ -52,6 +53,13 @@ def _jsonable(obj):
     return obj
 
 
+def shortfall(required: float, value: float) -> float:
+    """How far `value` falls short of `required`: required - value when that
+    is positive, else 0.0.  A NaN value gives NaN, so the check fails."""
+    gap = required - value
+    return 0.0 if gap <= 0.0 else gap
+
+
 def passes(residuals: dict, tolerance: float) -> bool:
     return all(v <= tolerance for v in residuals.values())
 
@@ -79,8 +87,8 @@ def control_report(check_id: str, measured: dict, required: float, seed: int,
                    order_band: tuple | None = None) -> CheckReport:
     """Negative controls pass when every measured violation stays at or above
     the required size; the decision residual is the shortfall."""
-    shortfall = {f"shortfall_{k}": max(0.0, required - v) for k, v in measured.items()}
-    ok = all(v == 0.0 for v in shortfall.values())
+    gaps = {f"shortfall_{k}": shortfall(required, v) for k, v in measured.items()}
+    ok = all(v == 0.0 for v in gaps.values())
     if order_band is not None and order_estimate != "exact":
         lo, hi = order_band
         ok = ok and order_estimate is not None and lo <= order_estimate <= hi
@@ -90,18 +98,8 @@ def control_report(check_id: str, measured: dict, required: float, seed: int,
     if order_band is not None:
         params["order_band"] = list(order_band)
     return CheckReport(check_id=check_id, status="pass" if ok else "fail",
-                       residuals=shortfall, tolerance=0.0, seed=seed,
+                       residuals=gaps, tolerance=0.0, seed=seed,
                        params=params, order_estimate=order_estimate)
-
-
-@dataclass(frozen=True)
-class SuiteManifest:
-    name: str
-    check_ids: tuple
-
-    def __post_init__(self):
-        if len(set(self.check_ids)) != len(self.check_ids):
-            raise ValueError("duplicate check ids in a manifest")
 
 
 @dataclass

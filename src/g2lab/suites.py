@@ -9,6 +9,7 @@ expected violation is observed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -16,12 +17,12 @@ import numpy as np
 from . import embeddings as emb
 from . import gallery
 from .curvature import ricci, riemann, riemann_lowered
-from .fields import Domain, StencilConfig, sample_points
-from .g2construct import (estimate_order, holonomy_residual, model_phi_check,
-                          monopole_residual, torsionfree_residual,
-                          weak_monopole_residual, weak_sl3_consistency,
-                          flat_product_metric)
-from .gibbons import gh_build
+from .fields import Domain, StencilConfig, sample_points, sup
+from .g2construct import (MonopoleData, estimate_order, holonomy_residual,
+                          model_phi_check, monopole_residual,
+                          torsionfree_residual, weak_monopole_residual,
+                          weak_sl3_consistency, flat_product_metric)
+from .gibbons import GHData, gh_build
 from .hypersurfaces import (affine_plane, ellipsoid, hypersurface_checks,
                             unit_sphere)
 from .killing import (da_conditions_check, gamma_pair_residual,
@@ -30,18 +31,50 @@ from .octonions import (alternativity_certificate, associative_test,
                         calibration_gap, norm_multiplicativity_certificate,
                         standard_cross, standard_octonions, torsion_cross)
 from .rational import bracket, combination, exact_json
-from .reports import (CheckReport, SuiteContext, control_report, simple_report)
+from .reports import (CheckReport, SuiteContext, control_report, shortfall,
+                      simple_report)
 from .spin8 import so8_intersection_report
 from .threeform import invariant_threeform, star_phi, wedge_3_4, stabilizer_in_so7
 
 ORDER_BAND = (1.8, 2.2)
 GH_H_LIST = (2e-2, 1e-2, 5e-3)
+ORACLE_H_LIST = (2e-3, 1e-3, 5e-4)
 
 
 def _base_cfg(ctx: SuiteContext, default_h: float) -> StencilConfig:
     """Fixed-step checks honor the global --h override; order studies keep
     their declared step ladders."""
     return StencilConfig(h=ctx.h if ctx.h else default_h)
+
+
+def _order_study(ctx: SuiteContext, check_id: str, domain: Domain, n: int,
+                 h_list, measure) -> tuple[dict, dict]:
+    """Step-halving order study: `measure(pts, cfg)` -> {series: residual}
+    at each step of `h_list`, on one draw of `n` (scaled) points padded for
+    the largest step.  Returns ({series: {h: residual}}, {series: estimated
+    order}); the h,<series...> table goes to --dump-samples."""
+    pts = sample_points(domain, ctx.scaled_samples(n), StencilConfig(h=max(h_list)),
+                        seed=ctx.seed)
+    rows = [measure(pts, StencilConfig(h=h)) for h in h_list]
+    names = list(rows[0])
+    ctx.record_samples(check_id, ["h", *names],
+                       [[h, *(row[s] for s in names)] for h, row in zip(h_list, rows)])
+    by_h = {s: {h: row[s] for h, row in zip(h_list, rows)} for s in names}
+    return by_h, {s: estimate_order(h_list, list(v.values())) for s, v in by_h.items()}
+
+
+def _final(by_h: dict) -> dict:
+    """Each series of an order study at its finest step."""
+    return {s: list(v.values())[-1] for s, v in by_h.items()}
+
+
+def _over_truncation(by_h: dict) -> tuple[float, float]:
+    """Richardson test of an order-2 oracle pair: the discrepancy at the
+    second step beyond ten times the truncation estimate |r1 - r2| / 3 of the
+    first two steps, and that estimate."""
+    r1, r2 = list(by_h.values())[:2]
+    trunc_est = abs(r1 - r2) / 3.0 + 1e-13
+    return shortfall(r2, 10 * trunc_est), trunc_est
 
 
 def _shared(check):
@@ -70,10 +103,9 @@ def check_algebra_dimension(ctx: SuiteContext) -> CheckReport:
 
 def check_algebra_closure(ctx: SuiteContext) -> CheckReport:
     b = emb.g2_basis()
-    worst = 0
-    for (i, j), coeffs in b.structure_constants.items():
-        diff = bracket(b.elements[i], b.elements[j]) - combination(coeffs, b.elements)
-        worst = max(worst, max(abs(v) for v in diff.flatten()))
+    worst = max(abs(v) for (i, j), coeffs in b.structure_constants.items()
+                for v in (bracket(b.elements[i], b.elements[j])
+                          - combination(coeffs, b.elements)).flatten())
     return simple_report("algebra.closure", {"closure": float(worst)}, 0.0,
                          ctx.seed, params={"pairs": len(b.structure_constants)})
 
@@ -181,16 +213,17 @@ def check_octonion_table(ctx: SuiteContext) -> CheckReport:
 def check_octonion_cross_identities(ctx: SuiteContext) -> CheckReport:
     cross = standard_cross()
     rng = np.random.default_rng(ctx.seed)
-    worst = 0
-    for _ in range(20):
-        x = tuple(Fraction(int(v)) for v in rng.integers(-6, 7, size=7))
-        y = tuple(Fraction(int(v)) for v in rng.integers(-6, 7, size=7))
-        xy = cross.cross(x, y)
+
+    def draw():
+        return tuple(Fraction(int(v)) for v in rng.integers(-6, 7, size=7))
+
+    def defect(x, y):   # |x X (x X y) - (-|x|^2 y + <x, y> x)|
         dxx = sum(a * a for a in x)
         dxy = sum(a * b for a, b in zip(x, y))
-        lhs = cross.cross(x, xy)
-        rhs = tuple(-dxx * yv + dxy * xv for xv, yv in zip(x, y))
-        worst = max(worst, max(abs(a - b) for a, b in zip(lhs, rhs)))
+        lhs = cross.cross(x, cross.cross(x, y))
+        return max(abs(a - (-dxx * yv + dxy * xv)) for a, xv, yv in zip(lhs, x, y))
+
+    worst = max(defect(draw(), draw()) for _ in range(20))
     return simple_report("octonion.cross-identities",
                          {"double_cross": float(worst)}, 0.0, ctx.seed)
 
@@ -230,57 +263,44 @@ def _gh_samples(ctx: SuiteContext, data, n_default: int, h: float):
 
 
 def check_gh_flat_trivial(ctx: SuiteContext) -> CheckReport:
-    from .gibbons import GHData
     data = GHData(v=lambda x: 1.0, a=lambda x: np.zeros(3),
                   domain=Domain(lo=(-1.0,) * 3, hi=(1.0,) * 3))
     g = gh_build(data)
     cfg = _base_cfg(ctx, 1e-2)
     pts = _gh_samples(ctx, data, 20, cfg.h)
-    worst = max(float(np.max(np.abs(riemann(g, p, cfg)))) for p in pts)
-    return simple_report("gh.flat-trivial", {"riemann": worst}, 1e-12, ctx.seed)
+    res = sup(pts, lambda p: {"riemann": np.abs(riemann(g, p, cfg))})
+    return simple_report("gh.flat-trivial", res, 1e-12, ctx.seed)
 
 
 def check_gh_flat_quotient(ctx: SuiteContext) -> CheckReport:
     data = gallery.gh_flat_example()
     g = gh_build(data)
-    pts = _gh_samples(ctx, data, 100, max(GH_H_LIST))
-
-    def residual(h):
-        cfg = StencilConfig(h=h)
-        return max(float(np.max(np.abs(riemann(g, p, cfg)))) for p in pts)
-
-    vals = [residual(h) for h in GH_H_LIST]
-    order = estimate_order(GH_H_LIST, vals)
-    ctx.record_samples("gh.flat-quotient", ["h", "sup_riemann"],
-                       list(zip(GH_H_LIST, vals)))
-    return simple_report("gh.flat-quotient", {"final_riemann": vals[-1]}, 5e-3,
-                         ctx.seed,
+    by_h, order = _order_study(
+        ctx, "gh.flat-quotient", data.domain.lift_t(), 100, GH_H_LIST,
+        lambda pts, cfg: sup(pts, lambda p: {"sup_riemann": np.abs(riemann(g, p, cfg))}))
+    return simple_report("gh.flat-quotient",
+                         {"final_riemann": _final(by_h)["sup_riemann"]}, 5e-3, ctx.seed,
                          params=_tag("gh-flat-quotient",
-                                     {"residuals_by_h": dict(zip(GH_H_LIST, vals))}),
-                         order_estimate=order, order_band=ORDER_BAND)
+                                     {"residuals_by_h": by_h["sup_riemann"]}),
+                         order_estimate=order["sup_riemann"], order_band=ORDER_BAND)
 
 
 def check_gh_taub_nut(ctx: SuiteContext) -> CheckReport:
     data = gallery.gh_taub_nut_example()
     g = gh_build(data)
-    pts = _gh_samples(ctx, data, 100, max(GH_H_LIST))
-
-    def residual(h):
-        cfg = StencilConfig(h=h)
-        return max(float(np.max(np.abs(ricci(g, p, cfg)))) for p in pts)
-
-    vals = [residual(h) for h in GH_H_LIST]
-    order = estimate_order(GH_H_LIST, vals)
+    by_h, order = _order_study(
+        ctx, "gh.taub-nut", data.domain.lift_t(), 100, GH_H_LIST,
+        lambda pts, cfg: sup(pts, lambda p: {"sup_ricci": np.abs(ricci(g, p, cfg))}))
     cfg = StencilConfig(h=5e-3)
     min_riemann = min(float(np.linalg.norm(riemann_lowered(g, p, cfg)))
                       for p in gallery.GH_REFERENCE_POINTS)
-    res = {"final_ricci": vals[-1],
-           "riemann_floor_shortfall": max(0.0, 0.01 - min_riemann)}
+    res = {"final_ricci": _final(by_h)["sup_ricci"],
+           "riemann_floor_shortfall": shortfall(0.01, min_riemann)}
     return simple_report("gh.taub-nut", res, 5e-3, ctx.seed,
                          params=_tag("gh-taub-nut",
-                                     {"residuals_by_h": dict(zip(GH_H_LIST, vals)),
+                                     {"residuals_by_h": by_h["sup_ricci"],
                                       "min_riemann_norm": min_riemann}),
-                         order_estimate=order, order_band=ORDER_BAND)
+                         order_estimate=order["sup_ricci"], order_band=ORDER_BAND)
 
 
 def check_gh_consistency(ctx: SuiteContext) -> CheckReport:
@@ -297,8 +317,8 @@ def check_gh_nonharmonic(ctx: SuiteContext) -> CheckReport:
     g = gh_build(data)
     pts = _gh_samples(ctx, data, 30, 5e-3)
     cfg = StencilConfig(h=5e-3)
-    worst = max(float(np.max(np.abs(ricci(g, p, cfg)))) for p in pts)
-    return control_report("gh.nonharmonic-control", {"ricci": worst}, 0.01,
+    measured = sup(pts, lambda p: {"ricci": np.abs(ricci(g, p, cfg))})
+    return control_report("gh.nonharmonic-control", measured, 0.01,
                           ctx.seed, params=_tag("gh-nonharmonic"))
 
 
@@ -329,54 +349,41 @@ def _taub_nut_torsion(ctx: SuiteContext) -> tuple[dict, object]:
     constructions: they assemble one metric (g2-thm2.agrees-with-thm1)."""
     def study():
         bundle = _thm1_taub_nut(ctx)
-        pts = sample_points(bundle.domain, ctx.scaled_samples(100),
-                            StencilConfig(h=max(GH_H_LIST)), seed=ctx.seed)
-        out = torsionfree_residual(bundle, pts, StencilConfig(h=GH_H_LIST[-1]),
-                                   h_list=GH_H_LIST)
-        order = min(out["order_dphi"], out["order_dstarphi"]) \
-            if "exact" not in (out["order_dphi"], out["order_dstarphi"]) else "exact"
-        return out, order
+        by_h, orders = _order_study(ctx, "g2-thm1.torsion-free", bundle.domain, 100,
+                                    GH_H_LIST,
+                                    functools.partial(torsionfree_residual, bundle))
+        order = min(orders.values()) if "exact" not in orders.values() else "exact"
+        return by_h, order
 
     return ctx.once("taub-nut-torsion", study)
 
 
 def check_thm1_torsionfree(ctx: SuiteContext) -> CheckReport:
     bundle = _thm1_taub_nut(ctx)
-    out, order = _taub_nut_torsion(ctx)
-    ctx.record_samples("g2-thm1.torsion-free", ["h", "sup_dphi", "sup_dstarphi"],
-                       [(h, out["dphi_by_h"][h], out["dstarphi_by_h"][h])
-                        for h in GH_H_LIST])
-    res = {"sup_dphi": out["sup_dphi"], "sup_dstarphi": out["sup_dstarphi"]}
-    return simple_report("g2-thm1.torsion-free", res, 1e-3, ctx.seed,
+    by_h, order = _taub_nut_torsion(ctx)
+    return simple_report("g2-thm1.torsion-free", _final(by_h), 1e-3, ctx.seed,
                          params=_tag("thm1-taub-nut",
-                                     {"dphi_by_h": out["dphi_by_h"],
-                                      "dstarphi_by_h": out["dstarphi_by_h"],
+                                     {"dphi_by_h": by_h["sup_dphi"],
+                                      "dstarphi_by_h": by_h["sup_dstarphi"],
                                       "warning": bundle.provenance["warning"]}),
                          order_estimate=order, order_band=(1.8, 2.5))
 
 
 def check_thm1_einstein(ctx: SuiteContext) -> CheckReport:
     bundle = _thm1_taub_nut(ctx)
-    pts = sample_points(bundle.domain, ctx.scaled_samples(50),
-                        StencilConfig(h=max(GH_H_LIST)), seed=ctx.seed)
-
-    def residual(h):
-        hol = holonomy_residual(bundle, pts, StencilConfig(h=h))
-        return hol
-
-    rows = [residual(h) for h in GH_H_LIST]
-    ric = [r["ricci_norm"] for r in rows]
-    off = [r["off_g2_fraction"] for r in rows]
-    order_ric = estimate_order(GH_H_LIST, ric)
-    order_off = estimate_order(GH_H_LIST, off)
-    res = {"final_ricci": ric[-1], "final_off_fraction": off[-1]}
+    by_h, orders = _order_study(ctx, "g2-thm1.curvature", bundle.domain, 50,
+                                GH_H_LIST, functools.partial(holonomy_residual, bundle))
+    final = _final(by_h)
+    order_ric, order_off = orders["ricci_norm"], orders["off_g2_fraction"]
+    res = {"final_ricci": final["ricci_norm"],
+           "final_off_fraction": final["off_g2_fraction"]}
     ok_orders = all(o == "exact" or o >= 1.8 for o in (order_ric, order_off))
     rep = simple_report("g2-thm1.curvature", res, 1e-2, ctx.seed,
                         params=_tag("thm1-taub-nut",
-                                    {"ricci_by_h": dict(zip(GH_H_LIST, ric)),
-                                     "off_fraction_by_h": dict(zip(GH_H_LIST, off)),
+                                    {"ricci_by_h": by_h["ricci_norm"],
+                                     "off_fraction_by_h": by_h["off_g2_fraction"],
                                      "order_off_g2": order_off,
-                                     "curvature_norm": rows[-1]["curvature_norm"]}),
+                                     "curvature_norm": final["curvature_norm"]}),
                         order_estimate=order_ric, order_band=(1.8, 2.5))
     if not ok_orders:
         rep.status = "fail"
@@ -395,28 +402,21 @@ def check_thm2_agrees(ctx: SuiteContext) -> CheckReport:
     b2 = _thm2_taub_nut(ctx)
     cfg = StencilConfig(h=1e-2)
     pts = sample_points(b1.domain, ctx.scaled_samples(100), cfg, seed=ctx.seed)
-    worst_g = max(float(np.max(np.abs(b1.metric(p) - b2.metric(p)))) for p in pts)
-    worst_e = max(float(np.max(np.abs(b1.coframe(p) - b2.coframe(p)))) for p in pts)
-    worst_phi = max(float(np.max(np.abs(b1.phi_field(p) - b2.phi_field(p))))
-                    for p in pts)
-    res = {"metric": worst_g, "coframe": worst_e, "phi": worst_phi}
+    res = sup(pts, lambda p: {"metric": np.abs(b1.metric(p) - b2.metric(p)),
+                              "coframe": np.abs(b1.coframe(p) - b2.coframe(p)),
+                              "phi": np.abs(b1.phi_field(p) - b2.phi_field(p))})
     return simple_report("g2-thm2.agrees-with-thm1", res, 1e-12, ctx.seed,
                          params=_tag("thm2-taub-nut"))
 
 
 def check_thm2_torsionfree(ctx: SuiteContext) -> CheckReport:
-    out, order = _taub_nut_torsion(ctx)
-    return simple_report("g2-thm2.torsion-free",
-                         {"sup_dphi": out["sup_dphi"],
-                          "sup_dstarphi": out["sup_dstarphi"]},
-                         1e-3, ctx.seed,
-                         params=_tag("thm2-taub-nut",
-                                     {"dphi_by_h": out["dphi_by_h"]}),
+    by_h, order = _taub_nut_torsion(ctx)
+    return simple_report("g2-thm2.torsion-free", _final(by_h), 1e-3, ctx.seed,
+                         params=_tag("thm2-taub-nut", {"dphi_by_h": by_h["sup_dphi"]}),
                          order_estimate=order, order_band=(1.8, 2.5))
 
 
 def check_thm2_weak_monopole(ctx: SuiteContext) -> CheckReport:
-    from .g2construct import MonopoleData
     mono = MonopoleData(v=gallery.taub_nut_v6, a=gallery.monopole_potential6(),
                         alpha=None)
     cfg = _base_cfg(ctx, 1e-3)
@@ -451,7 +451,7 @@ def check_hyp_sphere(ctx: SuiteContext) -> CheckReport:
     r = hypersurface_checks(imm, pts, cfg)
     res = {"nearly_kahler": r["nearly_kahler"],
            "umbilic": r["umbilic"],
-           "kahler_floor_shortfall": max(0.0, SPHERE_KAHLER_FLOOR - r["kahler"])}
+           "kahler_floor_shortfall": shortfall(SPHERE_KAHLER_FLOOR, r["kahler"])}
     return simple_report("hypersurface.sphere", res, 1e-5, ctx.seed,
                          params=_tag("sphere", {"kahler_defect": r["kahler"],
                                                 "kahler_floor": SPHERE_KAHLER_FLOOR}))
@@ -474,53 +474,45 @@ def check_hyp_ellipsoid(ctx: SuiteContext) -> CheckReport:
 def check_oracle_torsion(ctx: SuiteContext) -> CheckReport:
     setup = gallery.rho_polynomial_setup(ctx.seed)
     secs = gallery.polynomial_sections(ctx.seed + 1)
-    cfg0 = StencilConfig(h=2e-3)
-    pts = sample_points(setup.domain, ctx.scaled_samples(200), cfg0, seed=ctx.seed)
-    h_list = (2e-3, 1e-3, 5e-4)
-    vals = []
-    for h in h_list:
-        r = rho_torsion_check(setup, secs, pts, StencilConfig(h=h))
-        vals.append(max(r["tangent_pairs"], r["axis_pairs"]))
-    order = estimate_order(h_list, vals)
-    trunc_est = abs(vals[0] - vals[1]) / 3.0 + 1e-13
-    res = {"discrepancy_over_truncation": max(0.0, vals[1] - 10 * trunc_est)}
-    ctx.record_samples("oracle-pairs.torsion", ["h", "discrepancy"],
-                       list(zip(h_list, vals)))
-    return simple_report("oracle-pairs.torsion", res, 0.0, ctx.seed,
-                         params={"discrepancy_by_h": dict(zip(h_list, vals)),
+
+    def measure(pts, cfg):
+        r = rho_torsion_check(setup, secs, pts, cfg)
+        return {"discrepancy": float(np.maximum(r["tangent_pairs"], r["axis_pairs"]))}
+
+    by_h, order = _order_study(ctx, "oracle-pairs.torsion", setup.domain, 200,
+                               ORACLE_H_LIST, measure)
+    vals = by_h["discrepancy"]
+    excess, trunc_est = _over_truncation(vals)
+    return simple_report("oracle-pairs.torsion",
+                         {"discrepancy_over_truncation": excess}, 0.0, ctx.seed,
+                         params={"discrepancy_by_h": vals,
                                  "truncation_estimate": trunc_est},
-                         order_estimate=order, order_band=(1.9, 2.5))
+                         order_estimate=order["discrepancy"], order_band=(1.9, 2.5))
 
 
 def check_oracle_gamma(ctx: SuiteContext) -> CheckReport:
     data = gallery.killing_taub_nut_data()
-    pts = sample_points(data.domain, ctx.scaled_samples(200),
-                        StencilConfig(h=2e-3), seed=ctx.seed)
-    h_list = (2e-3, 1e-3, 5e-4)
-    vals = [gamma_pair_residual(data, pts, StencilConfig(h=h)) for h in h_list]
-    order = estimate_order(h_list, vals)
-    res = {"discrepancy": vals[-1]}
-    return simple_report("oracle-pairs.twist-assembly", res, 1e-10, ctx.seed,
-                         params={"discrepancy_by_h": dict(zip(h_list, vals))},
-                         order_estimate=order, order_band=(1.9, 2.5))
+    by_h, order = _order_study(
+        ctx, "oracle-pairs.twist-assembly", data.domain, 200, ORACLE_H_LIST,
+        lambda pts, cfg: {"discrepancy": gamma_pair_residual(data, pts, cfg)})
+    return simple_report("oracle-pairs.twist-assembly", _final(by_h), 1e-10, ctx.seed,
+                         params={"discrepancy_by_h": by_h["discrepancy"]},
+                         order_estimate=order["discrepancy"], order_band=(1.9, 2.5))
 
 
 def check_oracle_potential(ctx: SuiteContext) -> CheckReport:
     data = gallery.killing_taub_nut_data()
-    pts = sample_points(data.domain, ctx.scaled_samples(200),
-                        StencilConfig(h=2e-3), seed=ctx.seed)
-    h_list = (2e-3, 1e-3, 5e-4)
-    vals = []
-    for h in h_list:
-        r = da_conditions_check(data, pts, StencilConfig(h=h))
-        vals.append(r["route_agreement"])
-    order = estimate_order(h_list, vals)
-    trunc_est = abs(vals[0] - vals[1]) / 3.0 + 1e-13
-    res = {"discrepancy_over_truncation": max(0.0, vals[1] - 10 * trunc_est)}
-    return simple_report("oracle-pairs.potential-routes", res, 0.0, ctx.seed,
-                         params={"discrepancy_by_h": dict(zip(h_list, vals)),
+    by_h, order = _order_study(
+        ctx, "oracle-pairs.potential-routes", data.domain, 200, ORACLE_H_LIST,
+        lambda pts, cfg: {"discrepancy":
+                          da_conditions_check(data, pts, cfg)["route_agreement"]})
+    vals = by_h["discrepancy"]
+    excess, trunc_est = _over_truncation(vals)
+    return simple_report("oracle-pairs.potential-routes",
+                         {"discrepancy_over_truncation": excess}, 0.0, ctx.seed,
+                         params={"discrepancy_by_h": vals,
                                  "truncation_estimate": trunc_est},
-                         order_estimate=order, order_band=(1.9, 2.5))
+                         order_estimate=order["discrepancy"], order_band=(1.9, 2.5))
 
 
 def check_oracle_blocks(ctx: SuiteContext) -> CheckReport:
@@ -555,17 +547,14 @@ def check_neg_nonharmonic(ctx: SuiteContext) -> CheckReport:
 
 def check_neg_broken_monopole(ctx: SuiteContext) -> CheckReport:
     bundle = gallery.thm1_broken_monopole_bundle(0.1)
-    pts = sample_points(bundle.domain, ctx.scaled_samples(10),
-                        StencilConfig(h=max(GH_H_LIST)), seed=ctx.seed)
-    vals = [torsionfree_residual(bundle, pts, StencilConfig(h=h))["sup_dphi"]
-            for h in GH_H_LIST]
-    order = estimate_order(GH_H_LIST, vals)
-    rep = control_report("negative.broken-monopole", {"sup_dphi": vals[-1]},
-                         0.01, ctx.seed,
+    by_h, order = _order_study(ctx, "negative.broken-monopole", bundle.domain, 10,
+                               GH_H_LIST, functools.partial(torsionfree_residual, bundle))
+    rep = control_report("negative.broken-monopole",
+                         {"sup_dphi": _final(by_h)["sup_dphi"]}, 0.01, ctx.seed,
                          params=_tag("thm1-broken-monopole",
-                                     {"dphi_by_h": dict(zip(GH_H_LIST, vals)),
+                                     {"dphi_by_h": by_h["sup_dphi"],
                                       "warning": bundle.provenance["warning"]}),
-                         order_estimate=order, order_band=(-0.2, 0.2))
+                         order_estimate=order["sup_dphi"], order_band=(-0.2, 0.2))
     if bundle.provenance["warning"] is None:
         rep.status = "fail"
     return rep
@@ -578,7 +567,6 @@ def check_neg_mismatched_twist(ctx: SuiteContext) -> CheckReport:
     # the sampler is prefix-stable: the twist witness is always the same
     # first six points, whatever the budget
     pts6 = sample_points(dom, max(6, ctx.scaled_samples(15)), cfg, seed=ctx.seed)
-    from .g2construct import MonopoleData
     honest = MonopoleData(v=mono.v, a=mono.a, alpha=None)
     weak = weak_monopole_residual(honest, flat_product_metric, pts6, cfg)
     base = weak_sl3_consistency(flat_product_metric, mono.alpha, pts6[:6], cfg)
@@ -593,7 +581,6 @@ def check_neg_mismatched_twist(ctx: SuiteContext) -> CheckReport:
 
 
 def check_neg_nonbasic(ctx: SuiteContext) -> CheckReport:
-    from .g2construct import MonopoleData
     def v(x):
         return gallery.taub_nut_v6(x) + 0.2 * float(x[0])
     mono = MonopoleData(v=v, a=gallery.monopole_potential6())
@@ -682,11 +669,6 @@ SUITES = {
 }
 
 SUITE_NAMES = tuple(SUITES) + ("all",)
-
-
-def suite_manifest(name: str) -> "SuiteManifest":
-    from .reports import SuiteManifest
-    return SuiteManifest(name, tuple(cid for cid, _ in suite_checks(name)))
 
 
 def suite_checks(name: str):

@@ -84,6 +84,26 @@ def test_dump_samples_writes_csv(tmp_path, capsys):
     assert len(content) > 1
 
 
+ORDER_STUDIES = {
+    "gh": ("gh.flat-quotient", "gh.taub-nut"),
+    "g2-thm1": ("g2-thm1.torsion-free", "g2-thm1.curvature"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(ORDER_STUDIES))
+def test_dump_samples_writes_one_csv_per_order_study(tmp_path, capsys, suite):
+    dump = tmp_path / "dumps"
+    code, *_ = run_cli(capsys, ["--suite", suite, "--samples", "10",
+                                "--json-only", "--dump-samples", str(dump)])
+    assert code == 0
+    assert sorted(os.listdir(dump)) == sorted(f"{cid}.csv"
+                                              for cid in ORDER_STUDIES[suite])
+    for name in os.listdir(dump):
+        header, *rows = (dump / name).read_text().splitlines()
+        assert header.startswith("h,"), name
+        assert len(rows) == 3, name
+
+
 def test_reports_have_no_timing_fields(capsys):
     _, out, _ = run_cli(capsys, ["--suite", "hypersurface", "--json-only"])
     for line in out.strip().splitlines():
@@ -128,10 +148,9 @@ def test_h_override_changes_fixed_step_checks(capsys):
 
 
 def test_suite_manifest_unique_ids():
-    from g2lab.suites import SUITE_NAMES, suite_manifest
     for name in SUITE_NAMES:
-        m = suite_manifest(name)
-        assert len(set(m.check_ids)) == len(m.check_ids)
+        ids = [cid for cid, _ in suite_checks(name)]
+        assert len(set(ids)) == len(ids), name
 
 
 def test_raising_check_reports_error_and_run_goes_on(capsys):

@@ -4,7 +4,8 @@ import pytest
 from g2lab.fields import (Domain, StencilConfig, StencilDomainError,
                           combinations_index, exterior_d, fd_partial,
                           hodge_restricted, restrict_two_form, sample_points,
-                          transform_form)
+                          sup, transform_form)
+from g2lab import fields
 
 
 def reference_transform_form(comps, k, n, frame):
@@ -233,6 +234,43 @@ def test_sampler_deterministic_and_respects_exclusions():
     for p in pts1:
         assert np.linalg.norm(p) > 10 * cfg.h
         assert np.all(np.abs(p) < 1.0)
+
+
+def test_sampler_rejects_an_empty_padded_box_before_drawing(monkeypatch):
+    draws = []
+
+    def counted(index, base):
+        draws.append(index)
+        return 0.5
+
+    monkeypatch.setattr(fields, "halton_sequence", counted)
+    dom = Domain(lo=(-1.0, -0.1), hi=(1.0, 0.1))
+    with pytest.raises(RuntimeError, match="sampler failed: domain too constrained"):
+        sample_points(dom, 5, StencilConfig(h=0.3), seed=42)
+    assert draws == []
+    assert len(sample_points(dom, 2, StencilConfig(h=1e-3), seed=42)) == 2
+
+
+def test_sup_over_scalar_and_array_entries():
+    pts = [np.array([0.5]), np.array([2.0]), np.array([1.0])]
+    out = sup(pts, lambda p: {"scalar": abs(float(p[0]) - 1.0),
+                              "array": np.abs(np.array([p[0], -3.0 * p[0]]))})
+    assert out == {"scalar": 1.0, "array": 6.0}
+    assert all(type(v) is float for v in out.values())
+
+
+def test_sup_nan_at_one_point_gives_nan():
+    pts = [np.array([0.0]), np.array([1.0]), np.array([2.0])]
+
+    def at(p):
+        bad = float("nan") if p[0] == 1.0 else 0.0
+        return {"scalar": bad, "array": np.array([p[0], bad]), "clean": p[0]}
+
+    out = sup(pts, at)
+    assert np.isnan(out["scalar"]) and np.isnan(out["array"])
+    assert out["clean"] == 2.0
+    with pytest.raises(ValueError, match="no sample points"):
+        sup([], at)
 
 
 def test_d_squared_structurally_zero_at_shared_step():

@@ -44,9 +44,10 @@ def test_monopole_hypothesis_holds_for_pole_pair():
 def test_taub_nut_bundle_torsion_free_second_order():
     b = thm1_taub_nut_bundle()
     pts = bundle_points(b, n=10)
-    out = torsionfree_residual(b, pts, StencilConfig(h=H_LIST[-1]), h_list=H_LIST)
-    assert out["order_dphi"] >= 1.8, out
-    assert out["order_dstarphi"] >= 1.8, out
+    rows = [torsionfree_residual(b, pts, StencilConfig(h=h)) for h in H_LIST]
+    for name in ("sup_dphi", "sup_dstarphi"):
+        vals = [r[name] for r in rows]
+        assert estimate_order(H_LIST, vals) >= 1.8, (name, vals)
     assert b.provenance["warning"] is None
 
 
@@ -70,6 +71,15 @@ def test_broken_monopole_detected_and_not_convergent():
     assert vals[-1] >= 0.01
     order = estimate_order(H_LIST, vals)
     assert -0.2 <= order <= 0.2, (order, vals)
+
+
+def test_nan_hypothesis_residual_is_a_warning():
+    mono = MonopoleData(v=taub_nut_v6, a=monopole_potential6())
+    nan_monopole = lambda mono, k6, pts, cfg: {"monopole": float("nan"),
+                                               "basic_v": 0.0, "basic_a": 0.0}
+    b = g2_build_thm1(flat_product_metric, mono, base_domain6(),
+                      hypothesis=nan_monopole)
+    assert b.provenance["warning"] is not None
 
 
 def test_thm2_with_zero_twist_matches_thm1_pointwise():

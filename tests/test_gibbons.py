@@ -7,6 +7,7 @@ from g2lab.g2construct import estimate_order
 from g2lab.gallery import (GH_REFERENCE_POINTS, gh_flat_example,
                            gh_nonharmonic_example, gh_taub_nut_example)
 from g2lab.gibbons import GHData, dirac_potential, gh_build
+from g2lab.reports import simple_report
 
 H_LIST = (2e-2, 1e-2, 5e-3)
 
@@ -68,6 +69,21 @@ def test_nonharmonic_control_fails_ricci():
     worst = max(float(np.max(np.abs(ricci(g, p, cfg))))
                 for p in sample4(gh_nonharmonic_example(), 8))
     assert worst >= 0.01
+
+
+def test_nan_potential_fails_consistency():
+    """A V that cannot be evaluated on part of the samples must not read as
+    harmonic: the sup keeps the NaN and the check fails."""
+    nan_region = lambda x: x[0] > 0.2
+    data = GHData(v=lambda x: float("nan") if nan_region(x) else 1.0,
+                  a=lambda x: np.zeros(3),
+                  domain=Domain(lo=(-1.0,) * 3, hi=(1.0,) * 3))
+    cfg = StencilConfig(h=1e-3)
+    pts = sample_points(data.domain, 20, cfg, seed=42)
+    assert 0 < sum(nan_region(p) for p in pts) < len(pts)
+    res = data.consistency_residuals(pts, cfg)
+    assert np.isnan(res["harmonicity"]) and np.isnan(res["potential"])
+    assert simple_report("gh.data-consistency", res, 1e-3, 42).status == "fail"
 
 
 def test_nonpositive_v_rejected():

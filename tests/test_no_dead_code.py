@@ -164,3 +164,44 @@ def test_every_default_is_set():
     stale = sorted(f"{o}({n})" for o, n in KEEP if (o, n) not in unset)
     assert not new, f"defaults that no call sets: {new}"
     assert not stale, f"KEEP entries that are set or gone: {stale}"
+
+
+def _nodes_with_owner():
+    """(path, name of the nearest enclosing function or None, node) for every
+    syntax node of the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        stack = [(ast.parse(path.read_text()), None)]
+        while stack:
+            node, owner = stack.pop()
+            yield path, owner, node
+            inner = (node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     else owner)
+            stack.extend((child, inner) for child in ast.iter_child_nodes(node))
+
+
+def _calls(node, name: str) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == name)
+
+
+def test_no_hand_written_sup():
+    """One reduction per residual: a sup over samples is `fields.sup`, which
+    keeps a NaN; `x = max(x, ...)` drops it (max(0.0, nan) is 0.0)."""
+    copies = []
+    for path, _, node in _nodes_with_owner():
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and _calls(node.value, "max")
+                and any(isinstance(a, ast.Name) and a.id == node.targets[0].id
+                        for a in node.value.args)):
+            copies.append((path.name, node.lineno))
+    assert not copies, f"hand-written sup accumulators: {sorted(copies)}"
+
+
+def test_one_order_study():
+    """One order study per step ladder: in the package only
+    `suites._order_study` estimates an order."""
+    copies = sorted((path.name, node.lineno, owner)
+                    for path, owner, node in _nodes_with_owner()
+                    if _calls(node, "estimate_order") and owner != "_order_study")
+    assert not copies, f"estimate_order outside suites._order_study: {copies}"
