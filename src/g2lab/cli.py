@@ -1,22 +1,24 @@
 """Command-line front end: run check suites, emit JSON-lines reports.
 
-One report per line on stdout; a human summary table on stderr (suppressed by
---json-only).  A check that raises is reported with status "error" and the
-run goes on.  Exit code 0 when every check passes, 1 when any fails or errs,
-2 on usage errors.  Two runs with the same seed and configuration produce
-byte-identical stdout.
+One report per line on stdout, stamped with the check's registry id and the
+run's seed (a check listed under two ids runs once); a human summary table
+with each check's time on stderr (suppressed by --json-only).  A check that
+raises is reported with status "error" and the run goes on.  Exit code 0 when
+every check passes, 1 when any fails or errs, 2 on usage errors.  Two runs
+with the same seed and configuration produce byte-identical stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import math
 import os
 import sys
 import time
 import traceback
+
+import numpy as np
 
 from .reports import CheckReport, SuiteContext
 from .suites import SUITE_NAMES, suite_checks
@@ -80,25 +82,21 @@ def main(argv=None) -> int:
 
     ctx = SuiteContext(seed=args.seed, samples=args.samples, h=args.h,
                        dump_dir=args.dump_samples)
-    reports = []
+    rows = []   # (check_id, report, ms); an id registered twice shares one run
     try:
         for check_id, fn in checks:
             t0 = time.perf_counter()
             try:
-                rep = fn(ctx)
+                rep = ctx.once(fn.__name__, lambda: fn(ctx))
             except Exception as exc:
                 where = traceback.extract_tb(exc.__traceback__)[-1]
                 print(f"error: {check_id} raised {type(exc).__name__} at "
                       f"{os.path.basename(where.filename)}:{where.lineno} "
                       f"in {where.name}", file=sys.stderr)
-                rep = CheckReport(check_id=check_id, status="error", residuals={},
-                                  tolerance=0.0, seed=ctx.seed,
+                rep = CheckReport(status="error", residuals={}, tolerance=0.0,
                                   params={"error": f"{type(exc).__name__}: {exc}"})
-            # a copy: a check's report may be shared with another check
-            rep = dataclasses.replace(
-                rep, runtime_ms=int((time.perf_counter() - t0) * 1000))
-            reports.append(rep)
-            line = rep.json_line()
+            rows.append((check_id, rep, int((time.perf_counter() - t0) * 1000)))
+            line = rep.json_line(check_id, ctx.seed)
             print(line)
             if out_fh:
                 out_fh.write(line + "\n")
@@ -107,30 +105,30 @@ def main(argv=None) -> int:
             out_fh.close()
 
     if args.dump_samples:
-        for check_id, (header, rows) in ctx.sample_rows.items():
+        for check_id, (header, table) in ctx.sample_rows.items():
             path = os.path.join(args.dump_samples, check_id.replace("/", "_") + ".csv")
             with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(header)
-                writer.writerows(rows)
+                writer.writerows(table)
 
     if not args.json_only:
-        width = max(len(r.check_id) for r in reports) + 2
+        width = max(len(check_id) for check_id, _, _ in rows) + 2
         print(f"\n{'check':<{width}}{'status':<8}{'worst residual':<16}"
               f"{'order':<10}{'ms':>6}", file=sys.stderr)
-        for r in reports:
-            worst = max(r.residuals.values()) if r.residuals else 0.0
+        for check_id, r, ms in rows:
+            worst = np.max(list(r.residuals.values())) if r.residuals else 0.0
             order = ("" if r.order_estimate is None
                      else (r.order_estimate if isinstance(r.order_estimate, str)
                            else f"{r.order_estimate:.2f}"))
-            print(f"{r.check_id:<{width}}{r.status:<8}{worst:<16.3e}"
-                  f"{order:<10}{r.runtime_ms:>6}", file=sys.stderr)
-        n_fail = sum(1 for r in reports if r.status == "fail")
-        n_err = sum(1 for r in reports if r.status == "error")
-        print(f"\n{len(reports)} checks, {n_fail} failed, {n_err} errors",
+            print(f"{check_id:<{width}}{r.status:<8}{worst:<16.3e}"
+                  f"{order:<10}{ms:>6}", file=sys.stderr)
+        n_fail = sum(1 for _, r, _ in rows if r.status == "fail")
+        n_err = sum(1 for _, r, _ in rows if r.status == "error")
+        print(f"\n{len(rows)} checks, {n_fail} failed, {n_err} errors",
               file=sys.stderr)
 
-    return 1 if any(r.status in ("fail", "error") for r in reports) else 0
+    return 1 if any(r.status in ("fail", "error") for _, r, _ in rows) else 0
 
 
 if __name__ == "__main__":

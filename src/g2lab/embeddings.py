@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .rational import ExactMatrix, Q, _as_q, bracket, common_ratio, trace_form
-from .subspaces import Subspace, inverse, kernel_basis, rref
+from .subspaces import Coordinates, Subspace, kernel_basis, rref
 
 PLUS = (0, 1, 2)
 AXIS = 3
@@ -170,18 +170,21 @@ def m_vector_basis() -> list[MVector]:
 class G2Basis:
     """14 certified skew 7x7 matrices: 8 sl(3) images then 6 complement images.
 
-    `span` is their span in flattened 7x7 matrices.  `expand` writes any
-    matrix of the span exactly in this basis; construction fails loudly if
-    independence, skewness or bracket closure does not certify.
+    `coordinates` maps a flattened matrix of their span to its exact
+    coefficients in this basis; construction fails loudly if independence,
+    skewness or bracket closure does not certify.
     """
 
     elements: tuple
     h_indices: tuple
     m_indices: tuple
-    span: Subspace
     structure_constants: dict     # (i, j) i<j -> coefficient tuple, exact
-    _pivot_rows: tuple
-    _pivot_inverse: ExactMatrix
+    coordinates: Coordinates
+
+    @property
+    def span(self) -> Subspace:
+        """The span of the elements in flattened 7x7 matrices."""
+        return self.coordinates.span
 
     @property
     def h_elements(self):
@@ -193,36 +196,7 @@ class G2Basis:
 
     def expand(self, m: ExactMatrix) -> tuple | None:
         """Exact coefficients of m in the basis, or None if m is outside the span."""
-        v = m.flatten()
-        coeffs = self._pivot_inverse.apply([v[i] for i in self._pivot_rows])
-        recon = [Q(0)] * 49
-        for c, el in zip(coeffs, self.elements):
-            if c:
-                fl = el.flatten()
-                for k in range(49):
-                    recon[k] += c * fl[k]
-        return coeffs if tuple(recon) == v else None
-
-
-def _pivot_solver(mats: Sequence[ExactMatrix]):
-    """Choose coordinate rows making the basis square-invertible; exact inverse."""
-    flat = [m.flatten() for m in mats]
-    n = len(flat)
-    dim = len(flat[0])
-    chosen: list[int] = []
-    rank_rows: list[list] = []
-    for i in range(dim):
-        cand = rank_rows + [[flat[j][i] for j in range(n)]]
-        rows, _ = rref(cand)
-        if len(rows) > len(rank_rows):
-            chosen.append(i)
-            rank_rows = [list(r) for r in rows]
-        if len(chosen) == n:
-            break
-    if len(chosen) != n:
-        raise ValueError("matrices are linearly dependent")
-    square = ExactMatrix.from_rows([[flat[j][i] for j in range(n)] for i in chosen])
-    return tuple(chosen), inverse(square)
+        return self.coordinates(m.flatten())
 
 
 @functools.lru_cache(maxsize=1)
@@ -234,12 +208,8 @@ def g2_basis() -> G2Basis:
     for m in els:
         if not m.is_skew():
             raise AssertionError("basis element is not skew")
-    span = Subspace.span_matrices(els)
-    if span.dim != 14:
-        raise AssertionError(f"expected span of dimension 14, got {span.dim}")
-    pivots, inv = _pivot_solver(els)
-    probe = G2Basis(tuple(els), tuple(range(8)), tuple(range(8, 14)), span, {},
-                    pivots, inv)
+    coords = Coordinates.of([m.flatten() for m in els])   # raises unless independent
+    probe = G2Basis(tuple(els), tuple(range(8)), tuple(range(8, 14)), {}, coords)
     sc = {}
     for i in range(14):
         for j in range(i + 1, 14):
@@ -247,8 +217,7 @@ def g2_basis() -> G2Basis:
             if c is None:
                 raise AssertionError(f"bracket of basis elements {i},{j} escapes the span")
             sc[(i, j)] = c
-    return G2Basis(tuple(els), tuple(range(8)), tuple(range(8, 14)), span, sc,
-                   pivots, inv)
+    return G2Basis(tuple(els), tuple(range(8)), tuple(range(8, 14)), sc, coords)
 
 
 def reductivity_certificate() -> bool:

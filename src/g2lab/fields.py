@@ -173,6 +173,20 @@ def adapted_frame(g: np.ndarray) -> np.ndarray:
     return f
 
 
+def frame_derivatives(frame_field: Callable, p: Point, frame: np.ndarray,
+                      gam: np.ndarray, cfg: StencilConfig) -> tuple:
+    """Derivatives of a frame field (columns f_b) along its own vectors, in
+    coordinates: (d, nabla) with d[a][:, b] = d_{f_a} f_b and
+    nabla[a, b] = nabla_{f_a} f_b = d_{f_a} f_b + gam[k, c, d] f_a^c f_b^d.
+    `frame` is the field's value at p, `gam` the connection there."""
+    n = len(frame)
+    dframe = fd_gradient(frame_field, p, cfg)     # dframe[d, k, b] = d_d frame[k, b]
+    d = [np.einsum('d,dkb->kb', frame[:, a], dframe) for a in range(n)]
+    nabla = np.array([[d[a][:, b] + np.einsum('kcd,c,d->k', gam, frame[:, a], frame[:, b])
+                       for b in range(n)] for a in range(n)])
+    return d, nabla
+
+
 EPS3 = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     EPS3[_i, _j, _k] = 1.0

@@ -19,8 +19,8 @@ import numpy as np
 from .curvature import christoffel, riemann
 from .fields import (MINUS6, PLUS6, Domain, StencilConfig, adapted_frame,
                      combinations_index, exterior_d, fd_gradient, fd_partial,
-                     hodge_restricted, restrict_two_form, sample_points, sup,
-                     transform_form)
+                     frame_derivatives, hodge_restricted, restrict_two_form,
+                     sample_points, sup, transform_form)
 from .modeldata import (decompose_so6, h6, off_g2_fraction, phi_constants,
                         so6_part_projectors, star_phi_constants)
 from .threeform import invariant_threeform
@@ -221,8 +221,8 @@ def weak_sl3_consistency(k6, alpha, samples, cfg: StencilConfig) -> dict:
         fr = adapted_frame(g)
         gam = christoffel(k6, x, cfg)
         # connection form in the frame: omega(f_c)[k, b] = <f^k, nabla_{f_c} f_b>
-        dframe = fd_gradient(lambda q: adapted_frame(np.asarray(k6(q), float)),
-                             x, cfg)
+        _, nabla = frame_derivatives(lambda q: adapted_frame(np.asarray(k6(q), float)),
+                                     x, fr, gam, cfg)
         e = np.linalg.inv(fr)
         alpha_v = np.zeros(3) if alpha is None else np.asarray(alpha(x), float)
         gb_minus = g[np.ix_(MINUS6, MINUS6)]
@@ -231,9 +231,7 @@ def weak_sl3_consistency(k6, alpha, samples, cfg: StencilConfig) -> dict:
         out = {"complex_structure_part": [], "twist_mismatch": [],
                "twist_mismatch_unwarped_sharp": []}
         for c in range(6):
-            nabla = np.einsum('a,abk->kb', fr[:, c], dframe) \
-                + np.einsum('kad,a,db->kb', gam, fr[:, c], fr)
-            omega = e @ nabla
+            omega = e @ nabla[c].T
             omega = 0.5 * (omega - omega.T)
             out["complex_structure_part"].append(decompose_so6(omega)["J"])
             target = h6(_s_alpha(fr[:, c], e, sharp))

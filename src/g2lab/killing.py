@@ -27,8 +27,8 @@ import numpy as np
 
 from .curvature import christoffel
 from .fields import (EPS3, MINUS6, Domain, StencilConfig, adapted_frame,
-                     exterior_d, fd_gradient, hat, hodge_restricted,
-                     restrict_two_form, sup)
+                     exterior_d, fd_gradient, frame_derivatives, hat,
+                     hodge_restricted, restrict_two_form, sup)
 from .modeldata import h6
 
 
@@ -133,23 +133,8 @@ def killing_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> 
         e = np.linalg.inv(fr)
         gam = _connection_at(data, x, cfg)
         gamma_f = gamma_expanded(info)
-        # dframe[d, i, j] = d_d frame[i, j]
-        dframe = fd_gradient(frame_field, x, cfg)
-
-        # nabla_{f_a} f_b and [f_a, f_b], in coordinates
-        nabla = np.zeros((6, 6, 6))
-        lie = np.zeros((6, 6, 6))
-        for a in range(6):
-            # d_along_a[k, b] = f_a^d d_d frame[k, b]
-            d_along_a = np.einsum('d,dkb->kb', fr[:, a], dframe)
-            for b in range(6):
-                nabla[a, b] = d_along_a[:, b] + np.einsum('kcd,c,d->k',
-                                                          gam, fr[:, a], fr[:, b])
-        for a in range(6):
-            d_along_a = np.einsum('d,dkb->kb', fr[:, a], dframe)
-            for b in range(6):
-                d_along_b = np.einsum('d,dkb->kb', fr[:, b], dframe)
-                lie[a, b] = d_along_a[:, b] - d_along_b[:, a]
+        # d_{f_a} f_b and nabla_{f_a} f_b, in coordinates
+        d_along, nabla = frame_derivatives(frame_field, x, fr, gam, cfg)
 
         da_comps = exterior_d(data.a_form, x, 1, cfg)
         da_mat = restrict_two_form(da_comps, 6, range(6), range(6))
@@ -161,7 +146,8 @@ def killing_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> 
             for b in range(6):
                 if a == b:
                     continue
-                t_frame = e @ (nabla[a, b] - nabla[b, a] - lie[a, b])
+                lie_ab = d_along[a][:, b] - d_along[b][:, a]     # [f_a, f_b]
+                t_frame = e @ (nabla[a, b] - nabla[b, a] - lie_ab)
                 hterm = h6(gamma_f[:, a])[:, b] - h6(gamma_f[:, b])[:, a]
                 out["torsion_vs_twist"].append(np.abs(t_frame + hterm))
                 da_ab = float(fr[:, a] @ da_mat @ fr[:, b])
@@ -179,6 +165,27 @@ def killing_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> 
     return res
 
 
+def _minus_block_routes(data: KillingData, info: dict, x: np.ndarray,
+                        cfg: StencilConfig) -> tuple:
+    """alpha = <2b - u^-1 (grad u)_-, .> and the right-hand side of (dA)-- by
+    the plain and by the rescaled pairing (see da_conditions_check)."""
+    fr, u = info["frame"], info["u"]
+    gm = info["grad_frame"][3:]
+    alpha = 2.0 * info["b"] - gm / u
+
+    rhs_mm_plain = 1.0 / u * np.einsum('m,mij->ij', alpha + 2.0 / u * gm, EPS3)
+
+    du2 = fd_gradient(lambda q: float(data.u(q)) ** -2, x, cfg)
+    du2_frame = (fr.T @ du2)[3:]
+    twisted6 = np.zeros(6)
+    twisted6[3:] = du2_frame - alpha / u ** 2
+    g1 = np.eye(6)
+    g1[3:, 3:] *= u ** 2
+    star1 = hodge_restricted(twisted6, 1, 6, MINUS6, g1)
+    rhs_mm_resc = -restrict_two_form(star1, 6, MINUS6, MINUS6)
+    return alpha, rhs_mm_plain, rhs_mm_resc
+
+
 def da_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> dict:
     """Blockwise potential equations, in both the plain and the rescaled form.
 
@@ -186,32 +193,20 @@ def da_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> dict:
     minus_minus: (dA)-- = u^-1 *_- (alpha + 2 u^-1 du)      [plain pairing]
                  (dA)-- = -*^1_- (d(u^-2) - u^-2 alpha)     [rescaled pairing]
     mixed:       dA(X+, Y-) = 2 u^-1 (<B X+, Y-> - (1/2) u^-1 det((grad u)+, X+, Y-))
-    with alpha = <2b - u^-1 (grad u)_-, .> .  The two minus-block routes
-    differentiate u and u^-2 through separate stencils, so their agreement is
-    a genuine mutual oracle with an O(h^2) discrepancy.
+    with alpha = <2b - u^-1 (grad u)_-, .> .  route_agreement is |plain -
+    rescaled| of the two minus-block right-hand sides (see route_agreement).
     """
     def at(x):
         info = data.gamma_info(x, cfg)
         fr, u = info["frame"], info["u"]
-        gp, gm = info["grad_frame"][:3], info["grad_frame"][3:]
-        alpha = 2.0 * info["b"] - gm / u
+        gp = info["grad_frame"][:3]
+        alpha, rhs_mm_plain, rhs_mm_resc = _minus_block_routes(data, info, x, cfg)
 
         da_comps = exterior_d(data.a_form, x, 1, cfg)
         da_mat = restrict_two_form(da_comps, 6, range(6), range(6))
         da_f = fr.T @ da_mat @ fr   # frame components
 
         rhs_pp = 1.0 / u * np.einsum('m,mij->ij', alpha, EPS3)
-
-        rhs_mm_plain = 1.0 / u * np.einsum('m,mij->ij', alpha + 2.0 / u * gm, EPS3)
-
-        du2 = fd_gradient(lambda q: float(data.u(q)) ** -2, x, cfg)
-        du2_frame = (fr.T @ du2)[3:]
-        twisted6 = np.zeros(6)
-        twisted6[3:] = du2_frame - alpha / u ** 2
-        g1 = np.eye(6)
-        g1[3:, 3:] *= u ** 2
-        star1 = hodge_restricted(twisted6, 1, 6, MINUS6, g1)
-        rhs_mm_resc = -restrict_two_form(star1, 6, MINUS6, MINUS6)
 
         bb = info["B"]
         rhs_mixed = 2.0 / u * (bb.T - 0.5 / u * np.einsum('m,mij->ij', gp, EPS3))
@@ -221,6 +216,16 @@ def da_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> dict:
                 "mixed": np.abs(da_f[:3, 3:] - rhs_mixed),
                 "route_agreement": np.abs(rhs_mm_plain - rhs_mm_resc)}
     return sup(samples, at)
+
+
+def route_agreement(data: KillingData, samples, cfg: StencilConfig) -> float:
+    """sup |plain - rescaled| of the two (dA)-- right-hand sides.  They
+    differentiate u and u^-2 through separate stencils, so their agreement is
+    a genuine mutual oracle with an O(h^2) discrepancy."""
+    def at(x):
+        _, plain, resc = _minus_block_routes(data, data.gamma_info(x, cfg), x, cfg)
+        return {"route_agreement": np.abs(plain - resc)}
+    return sup(samples, at)["route_agreement"]
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 from .embeddings import g2_basis, intertwiner_solve
 from .rational import (ExactMatrix, Q, _as_q, bracket, combination, common_ratio,
                        exact_json, trace_form)
-from .subspaces import Subspace, gram_matrix, inverse, kernel_basis, solve_linear
+from .subspaces import Coordinates, Subspace, gram_matrix, inverse, kernel_basis
 from .threeform import (CrossProduct7, invariant_threeform, phi_cross_duality,
                         so7_basis)
 
@@ -65,18 +65,12 @@ def torsion_cross() -> TorsionCrossResult:
         raise ValueError(f"complement has dimension {len(comp)}, expected 7")
 
     # adjoint action of the algebra on the complement, in complement coordinates
-    comp_mat = ExactMatrix.from_rows(
-        [[comp[j].flatten()[i] for j in range(7)] for i in range(49)])
-
-    def comp_coordinates(m: ExactMatrix) -> tuple:
-        sol = solve_linear(comp_mat, list(m.flatten()))
-        if sol.particular is None:
-            raise ValueError("matrix is not in the complement")
-        return sol.particular
-
+    comp_coords = Coordinates.of([c.flatten() for c in comp])
     adjoint = []
     for a in basis.elements:
-        cols = [comp_coordinates(bracket(a, c)) for c in comp]
+        cols = [comp_coords(bracket(a, c).flatten()) for c in comp]
+        if None in cols:
+            raise ValueError("matrix is not in the complement")
         adjoint.append(ExactMatrix.from_rows(
             [[cols[j][i] for j in range(7)] for i in range(7)]))
 
@@ -92,16 +86,12 @@ def torsion_cross() -> TorsionCrossResult:
 
     t_inv = inverse(t)
 
-    # project the bracket of complement elements back to the complement
-    all_mat = ExactMatrix.from_rows(
-        [[(comp + list(basis.elements))[j].flatten()[i] for j in range(21)]
-         for i in range(49)])
+    # project the bracket of complement elements back to the complement; the
+    # complement and the algebra span so(7), so every bracket has coordinates
+    all_coords = Coordinates.of([m.flatten() for m in comp + list(basis.elements)])
 
     def project_pullback(m: ExactMatrix) -> tuple:
-        sol = solve_linear(all_mat, list(m.flatten()))
-        if sol.particular is None:
-            raise ValueError("projection failed")
-        return t_inv.apply(sol.particular[:7])
+        return t_inv.apply(all_coords(m.flatten())[:7])
 
     cross_phi = standard_cross()
     product = {}

@@ -17,28 +17,25 @@ import numpy as np
 
 @dataclass
 class CheckReport:
-    check_id: str
+    """A check's verdict.  The check id and the run's seed are the runner's:
+    `json_line` stamps them."""
+
     status: str                      # "pass" | "fail" | "warn" | "error"
     residuals: dict
     tolerance: float
-    seed: int
     params: dict = field(default_factory=dict)
     order_estimate: object = None    # float | "exact" | None
-    runtime_ms: int = 0              # human summary only, never serialized
 
-    def json_obj(self) -> dict:
-        out = {"check_id": self.check_id, "status": self.status,
+    def json_line(self, check_id: str, seed: int) -> str:
+        out = {"check_id": check_id, "status": self.status,
                "params": _jsonable(self.params),
                "residuals": {k: float(v) for k, v in sorted(self.residuals.items())},
-               "tolerance": float(self.tolerance), "seed": int(self.seed)}
+               "tolerance": float(self.tolerance), "seed": int(seed)}
         if self.order_estimate is not None:
             out["order_estimate"] = (self.order_estimate
                                      if isinstance(self.order_estimate, str)
                                      else float(self.order_estimate))
-        return out
-
-    def json_line(self) -> str:
-        return json.dumps(self.json_obj(), separators=(",", ":"), sort_keys=False)
+        return json.dumps(out, separators=(",", ":"), sort_keys=False)
 
 
 def _jsonable(obj):
@@ -60,46 +57,34 @@ def shortfall(required: float, value: float) -> float:
     return 0.0 if gap <= 0.0 else gap
 
 
-def passes(residuals: dict, tolerance: float) -> bool:
-    return all(v <= tolerance for v in residuals.values())
-
-
-def simple_report(check_id: str, residuals: dict, tolerance: float, seed: int,
-                  params: dict | None = None, order_estimate=None,
-                  order_band: tuple | None = None) -> CheckReport:
+def simple_report(residuals: dict, tolerance: float, params: dict | None = None,
+                  order_estimate=None, order_band: tuple | None = None) -> CheckReport:
     """Standard pass rule: all residuals within tolerance, and the order
     estimate inside the declared band when one is present ("exact" always
     qualifies)."""
-    ok = passes(residuals, tolerance)
+    ok = all(v <= tolerance for v in residuals.values())
     if order_band is not None and order_estimate != "exact":
         lo, hi = order_band
         ok = ok and order_estimate is not None and lo <= order_estimate <= hi
     params = dict(params or {})
     if order_band is not None:
         params["order_band"] = list(order_band)
-    return CheckReport(check_id=check_id, status="pass" if ok else "fail",
-                       residuals=residuals, tolerance=tolerance, seed=seed,
-                       params=params, order_estimate=order_estimate)
+    return CheckReport(status="pass" if ok else "fail", residuals=residuals,
+                       tolerance=tolerance, params=params,
+                       order_estimate=order_estimate)
 
 
-def control_report(check_id: str, measured: dict, required: float, seed: int,
-                   params: dict | None = None, order_estimate=None,
-                   order_band: tuple | None = None) -> CheckReport:
+def control_report(measured: dict, required: float, params: dict | None = None,
+                   order_estimate=None, order_band: tuple | None = None) -> CheckReport:
     """Negative controls pass when every measured violation stays at or above
-    the required size; the decision residual is the shortfall."""
-    gaps = {f"shortfall_{k}": shortfall(required, v) for k, v in measured.items()}
-    ok = all(v == 0.0 for v in gaps.values())
-    if order_band is not None and order_estimate != "exact":
-        lo, hi = order_band
-        ok = ok and order_estimate is not None and lo <= order_estimate <= hi
+    the required size; the decision residual is the shortfall (>= 0 or NaN,
+    so tolerance 0 is the rule)."""
     params = dict(params or {})
     params["expected"] = f"residual >= {required}"
     params.update({f"measured_{k}": float(v) for k, v in measured.items()})
-    if order_band is not None:
-        params["order_band"] = list(order_band)
-    return CheckReport(check_id=check_id, status="pass" if ok else "fail",
-                       residuals=gaps, tolerance=0.0, seed=seed,
-                       params=params, order_estimate=order_estimate)
+    gaps = {f"shortfall_{k}": shortfall(required, v) for k, v in measured.items()}
+    return simple_report(gaps, 0.0, params=params, order_estimate=order_estimate,
+                         order_band=order_band)
 
 
 @dataclass

@@ -160,22 +160,28 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, v: Sequence) -> bool:
+    @property
+    def pivots(self) -> tuple:
+        """The pivot column of each reduced-echelon basis row."""
+        return tuple(next(i for i, x in enumerate(row) if x) for row in self.basis)
+
+    def coordinates(self, v: Sequence) -> tuple | None:
+        """Coefficients of v in this basis, or None if v is outside.  The
+        basis rows have unit pivots and zeros at each other's pivots, so the
+        coefficients are v at the pivot columns; reconstruction checks them."""
         if len(v) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        vq = [_as_q(x) for x in v]
-        rows, _ = rref(list(self.basis) + [vq])
-        return len(rows) == self.dim
+        vq = tuple(_as_q(x) for x in v)
+        coeffs = tuple(vq[c] for c in self.pivots)
+        recon = tuple(sum((c * row[k] for c, row in zip(coeffs, self.basis)
+                           if c and row[k]), Q(0)) for k in range(self.ambient_dim))
+        return coeffs if recon == vq else None
+
+    def contains(self, v: Sequence) -> bool:
+        return self.coordinates(v) is not None
 
     def contains_matrix(self, m: ExactMatrix) -> bool:
         return self.contains(m.flatten())
-
-    def coordinates(self, v: Sequence) -> tuple | None:
-        """Coefficients of v in this basis, or None if v is outside."""
-        a = ExactMatrix.from_rows([[self.basis[j][i] for j in range(self.dim)]
-                                   for i in range(self.ambient_dim)])
-        sol = solve_linear(a, list(v))
-        return sol.particular
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -228,6 +234,29 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
+
+
+@dataclass(frozen=True)
+class Coordinates:
+    """Exact coordinates in a basis of independent vectors: the reduced-echelon
+    coordinates in their span, mapped through the inverse of the basis read at
+    the pivot columns."""
+
+    span: Subspace
+    pivot_inverse: ExactMatrix
+
+    @staticmethod
+    def of(vectors: Sequence[Sequence]) -> "Coordinates":
+        span = Subspace.span(vectors)
+        if span.dim != len(vectors):
+            raise ValueError("vectors are linearly dependent")
+        return Coordinates(span, inverse(ExactMatrix.from_rows(
+            [[v[c] for v in vectors] for c in span.pivots])))
+
+    def __call__(self, v: Sequence) -> tuple | None:
+        """Coefficients of v in the basis, or None if v is outside its span."""
+        c = self.span.coordinates(v)
+        return None if c is None else self.pivot_inverse.apply(c)
 
 
 def gram_matrix(vectors: Sequence[Sequence], pairing) -> ExactMatrix:

@@ -1,14 +1,15 @@
 """The registered check suites behind the command-line front end.
 
-Each check is a function of the shared context returning one CheckReport.
-Exact certifications carry tolerance 0; finite-difference checks carry the
+Each check is a function of the shared context returning its verdict, a
+CheckReport.  `SUITES` names the checks: a function listed under two ids is
+an alias, and the runner (`cli.main`) runs it once per run and stamps each
+line with its id and the run's seed.  Exact certifications carry tolerance 0; finite-difference checks carry the
 tolerance or order band stated with them.  Negative controls pass when the
 expected violation is observed.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from .gibbons import GHData, gh_build
 from .hypersurfaces import (affine_plane, ellipsoid, hypersurface_checks,
                             unit_sphere)
 from .killing import (da_conditions_check, gamma_pair_residual,
-                      killing_conditions_check, rho_torsion_check)
+                      killing_conditions_check, rho_torsion_check, route_agreement)
 from .octonions import (alternativity_certificate, associative_test,
                         calibration_gap, norm_multiplicativity_certificate,
                         standard_cross, standard_octonions, torsion_cross)
@@ -47,14 +48,18 @@ def _base_cfg(ctx: SuiteContext, default_h: float) -> StencilConfig:
     return StencilConfig(h=ctx.h if ctx.h else default_h)
 
 
+def _points(ctx: SuiteContext, domain: Domain, n: int, cfg: StencilConfig) -> list:
+    """The run's draw of `n` (scaled) sample points, padded for `cfg`."""
+    return sample_points(domain, ctx.scaled_samples(n), cfg, seed=ctx.seed)
+
+
 def _order_study(ctx: SuiteContext, check_id: str, domain: Domain, n: int,
                  h_list, measure) -> tuple[dict, dict]:
     """Step-halving order study: `measure(pts, cfg)` -> {series: residual}
     at each step of `h_list`, on one draw of `n` (scaled) points padded for
     the largest step.  Returns ({series: {h: residual}}, {series: estimated
     order}); the h,<series...> table goes to --dump-samples."""
-    pts = sample_points(domain, ctx.scaled_samples(n), StencilConfig(h=max(h_list)),
-                        seed=ctx.seed)
+    pts = _points(ctx, domain, n, StencilConfig(h=max(h_list)))
     rows = [measure(pts, StencilConfig(h=h)) for h in h_list]
     names = list(rows[0])
     ctx.record_samples(check_id, ["h", *names],
@@ -77,13 +82,6 @@ def _over_truncation(by_h: dict) -> tuple[float, float]:
     return shortfall(r2, 10 * trunc_est), trunc_est
 
 
-def _shared(check):
-    """Run `check` at most once per run; an alias re-ids its report."""
-    def shared(ctx: SuiteContext) -> CheckReport:
-        return ctx.once(check.__name__, lambda: check(ctx))
-    return shared
-
-
 def _tag(name: str, extra: dict | None = None) -> dict:
     entry = gallery.GALLERY[name]
     out = {"gallery": name, "builder": entry["builder"],
@@ -97,8 +95,7 @@ def _tag(name: str, extra: dict | None = None) -> dict:
 def check_algebra_dimension(ctx: SuiteContext) -> CheckReport:
     dim = emb.g2_basis().span.dim
     res = {"dim_defect": float(abs(dim - 14))}
-    return simple_report("algebra.dimension", res, 0.0, ctx.seed,
-                         params={"dim": dim})
+    return simple_report(res, 0.0, params={"dim": dim})
 
 
 def check_algebra_closure(ctx: SuiteContext) -> CheckReport:
@@ -106,8 +103,8 @@ def check_algebra_closure(ctx: SuiteContext) -> CheckReport:
     worst = max(abs(v) for (i, j), coeffs in b.structure_constants.items()
                 for v in (bracket(b.elements[i], b.elements[j])
                           - combination(coeffs, b.elements)).flatten())
-    return simple_report("algebra.closure", {"closure": float(worst)}, 0.0,
-                         ctx.seed, params={"pairs": len(b.structure_constants)})
+    return simple_report({"closure": float(worst)}, 0.0,
+                         params={"pairs": len(b.structure_constants)})
 
 
 def check_algebra_reductive(ctx: SuiteContext) -> CheckReport:
@@ -115,20 +112,18 @@ def check_algebra_reductive(ctx: SuiteContext) -> CheckReport:
     witness = emb.non_symmetry_witness()
     res = {"reductivity": 0.0 if ok else 1.0,
            "non_symmetry_witness_missing": 0.0 if witness is not None else 1.0}
-    return simple_report("algebra.reductive", res, 0.0, ctx.seed,
+    return simple_report(res, 0.0,
                          params={"witness_pair": list(witness) if witness else None})
 
 
 def check_algebra_orthogonality(ctx: SuiteContext) -> CheckReport:
     ok = emb.orthogonality_certificate()
-    return simple_report("algebra.orthogonality",
-                         {"trace_pairing": 0.0 if ok else 1.0}, 0.0, ctx.seed)
+    return simple_report({"trace_pairing": 0.0 if ok else 1.0}, 0.0)
 
 
 def check_algebra_equivariance(ctx: SuiteContext) -> CheckReport:
     ok = emb.h_equivariance_certificate()
-    return simple_report("algebra.h-equivariance",
-                         {"equivariance": 0.0 if ok else 1.0}, 0.0, ctx.seed)
+    return simple_report({"equivariance": 0.0 if ok else 1.0}, 0.0)
 
 
 def check_algebra_scales(ctx: SuiteContext) -> CheckReport:
@@ -136,16 +131,13 @@ def check_algebra_scales(ctx: SuiteContext) -> CheckReport:
     s2 = emb.lift_scale_certificate()
     res = {"h_scale_inconsistency": 0.0, "lift_scale_inconsistency": 0.0,
            "scales_differ": 0.0 if s1 == s2 else 1.0}
-    return simple_report("algebra.embedding-scales", res, 0.0, ctx.seed,
-                         params={"scale": exact_json(s1)})
+    return simple_report(res, 0.0, params={"scale": exact_json(s1)})
 
 
 def check_algebra_rep_equivalence(ctx: SuiteContext) -> CheckReport:
     res = emb.intertwiner_solve(emb.adjoint_rep_on_m(), emb.canonical_rep6())
     ok = res.equivalent
-    return simple_report("algebra.rep-equivalence",
-                         {"no_invertible_intertwiner": 0.0 if ok else 1.0},
-                         0.0, ctx.seed,
+    return simple_report({"no_invertible_intertwiner": 0.0 if ok else 1.0}, 0.0,
                          params={"solution_space_dim": len(res.kernel)})
 
 
@@ -153,16 +145,13 @@ def check_algebra_rep_dual(ctx: SuiteContext) -> CheckReport:
     rep = emb.sl3_canonical_rep3()
     res = emb.intertwiner_solve(rep, emb.dual_rep(rep))
     bad = 1.0 if (res.equivalent or len(res.kernel) != 0) else 0.0
-    return simple_report("algebra.rep-dual-inequivalent",
-                         {"unexpected_intertwiner": bad}, 0.0, ctx.seed,
+    return simple_report({"unexpected_intertwiner": bad}, 0.0,
                          params={"solution_space_dim": len(res.kernel)})
 
 
 def check_algebra_clifford(ctx: SuiteContext) -> CheckReport:
     rep = so8_intersection_report()
-    return simple_report("algebra.clifford",
-                         {"anticommutation": 0.0 if rep.clifford_ok else 1.0},
-                         0.0, ctx.seed)
+    return simple_report({"anticommutation": 0.0 if rep.clifford_ok else 1.0}, 0.0)
 
 
 def check_algebra_so8(ctx: SuiteContext) -> CheckReport:
@@ -170,7 +159,7 @@ def check_algebra_so8(ctx: SuiteContext) -> CheckReport:
     res = {"sum_dim_defect": float(abs(rep.sum_dim - 28)),
            "intersection_dim_defect": float(abs(rep.intersection_dim - 14)),
            "intersection_mismatch": 0.0 if rep.intersection_is_g2 else 1.0}
-    return simple_report("algebra.so8", res, 0.0, ctx.seed,
+    return simple_report(res, 0.0,
                          params={"sum_dim": rep.sum_dim,
                                  "intersection_dim": rep.intersection_dim})
 
@@ -180,7 +169,7 @@ def check_algebra_so8(ctx: SuiteContext) -> CheckReport:
 def check_octonion_kernel(ctx: SuiteContext) -> CheckReport:
     phi = invariant_threeform()
     res = {"norm_defect": float(abs(phi.norm_sq() - 7))}
-    return simple_report("octonion.invariant-kernel", res, 0.0, ctx.seed,
+    return simple_report(res, 0.0,
                          params={"kernel_dim": 1,
                                  "components": len(phi.nonzero_items())})
 
@@ -189,15 +178,14 @@ def check_octonion_stabilizer(ctx: SuiteContext) -> CheckReport:
     stab = stabilizer_in_so7(invariant_threeform())
     res = {"dim_defect": float(abs(stab.dim - 14)),
            "span_mismatch": 0.0 if stab == emb.g2_basis().span else 1.0}
-    return simple_report("octonion.stabilizer-roundtrip", res, 0.0, ctx.seed)
+    return simple_report(res, 0.0)
 
 
 def check_octonion_torsion(ctx: SuiteContext) -> CheckReport:
     tc = torsion_cross()
     res = {"ratio_zero": 0.0 if tc.proportionality != 0 else 1.0,
            "complement_dim_defect": float(abs(tc.complement_dim - 7))}
-    return simple_report("octonion.torsion-proportional", res, 0.0, ctx.seed,
-                         params={"ratio": exact_json(tc.proportionality)})
+    return simple_report(res, 0.0, params={"ratio": exact_json(tc.proportionality)})
 
 
 def check_octonion_table(ctx: SuiteContext) -> CheckReport:
@@ -206,8 +194,7 @@ def check_octonion_table(ctx: SuiteContext) -> CheckReport:
            0.0 if norm_multiplicativity_certificate(table, 100, ctx.seed) else 1.0,
            "alternativity":
            0.0 if alternativity_certificate(table, 50, ctx.seed) else 1.0}
-    return simple_report("octonion.table", res, 0.0, ctx.seed,
-                         params={"random_pairs": 100})
+    return simple_report(res, 0.0, params={"random_pairs": 100})
 
 
 def check_octonion_cross_identities(ctx: SuiteContext) -> CheckReport:
@@ -224,8 +211,7 @@ def check_octonion_cross_identities(ctx: SuiteContext) -> CheckReport:
         return max(abs(a - (-dxx * yv + dxy * xv)) for a, xv, yv in zip(lhs, x, y))
 
     worst = max(defect(draw(), draw()) for _ in range(20))
-    return simple_report("octonion.cross-identities",
-                         {"double_cross": float(worst)}, 0.0, ctx.seed)
+    return simple_report({"double_cross": float(worst)}, 0.0)
 
 
 def check_octonion_planes(ctx: SuiteContext) -> CheckReport:
@@ -243,8 +229,7 @@ def check_octonion_planes(ctx: SuiteContext) -> CheckReport:
     res["generic_plane_defect"] = 0.0 if v2 < det else 1.0
     closure = associative_test(x, y, standard_cross().cross(x, y))
     res["closure_plane_defect"] = 0.0 if closure else 1.0
-    return simple_report("octonion.associative-planes", res, 0.0, ctx.seed,
-                         params={"minus_block_associative": minus_assoc})
+    return simple_report(res, 0.0, params={"minus_block_associative": minus_assoc})
 
 
 def check_octonion_star(ctx: SuiteContext) -> CheckReport:
@@ -252,24 +237,19 @@ def check_octonion_star(ctx: SuiteContext) -> CheckReport:
     sp = star_phi(phi)
     res = {"star_norm_defect": float(abs(sp.norm_sq() - 7)),
            "wedge_defect": float(abs(wedge_3_4(phi, sp) - 7))}
-    return simple_report("octonion.star-wedge", res, 0.0, ctx.seed)
+    return simple_report(res, 0.0)
 
 
 # ---------------------------------------------------------------------- gh
-
-def _gh_samples(ctx: SuiteContext, data, n_default: int, h: float):
-    return sample_points(data.domain.lift_t(), ctx.scaled_samples(n_default),
-                         StencilConfig(h=h), seed=ctx.seed)
-
 
 def check_gh_flat_trivial(ctx: SuiteContext) -> CheckReport:
     data = GHData(v=lambda x: 1.0, a=lambda x: np.zeros(3),
                   domain=Domain(lo=(-1.0,) * 3, hi=(1.0,) * 3))
     g = gh_build(data)
     cfg = _base_cfg(ctx, 1e-2)
-    pts = _gh_samples(ctx, data, 20, cfg.h)
+    pts = _points(ctx, data.domain.lift_t(), 20, cfg)
     res = sup(pts, lambda p: {"riemann": np.abs(riemann(g, p, cfg))})
-    return simple_report("gh.flat-trivial", res, 1e-12, ctx.seed)
+    return simple_report(res, 1e-12)
 
 
 def check_gh_flat_quotient(ctx: SuiteContext) -> CheckReport:
@@ -278,8 +258,7 @@ def check_gh_flat_quotient(ctx: SuiteContext) -> CheckReport:
     by_h, order = _order_study(
         ctx, "gh.flat-quotient", data.domain.lift_t(), 100, GH_H_LIST,
         lambda pts, cfg: sup(pts, lambda p: {"sup_riemann": np.abs(riemann(g, p, cfg))}))
-    return simple_report("gh.flat-quotient",
-                         {"final_riemann": _final(by_h)["sup_riemann"]}, 5e-3, ctx.seed,
+    return simple_report({"final_riemann": _final(by_h)["sup_riemann"]}, 5e-3,
                          params=_tag("gh-flat-quotient",
                                      {"residuals_by_h": by_h["sup_riemann"]}),
                          order_estimate=order["sup_riemann"], order_band=ORDER_BAND)
@@ -292,11 +271,11 @@ def check_gh_taub_nut(ctx: SuiteContext) -> CheckReport:
         ctx, "gh.taub-nut", data.domain.lift_t(), 100, GH_H_LIST,
         lambda pts, cfg: sup(pts, lambda p: {"sup_ricci": np.abs(ricci(g, p, cfg))}))
     cfg = StencilConfig(h=5e-3)
-    min_riemann = min(float(np.linalg.norm(riemann_lowered(g, p, cfg)))
-                      for p in gallery.GH_REFERENCE_POINTS)
+    min_riemann = float(np.min([np.linalg.norm(riemann_lowered(g, p, cfg))
+                                for p in gallery.GH_REFERENCE_POINTS]))
     res = {"final_ricci": _final(by_h)["sup_ricci"],
            "riemann_floor_shortfall": shortfall(0.01, min_riemann)}
-    return simple_report("gh.taub-nut", res, 5e-3, ctx.seed,
+    return simple_report(res, 5e-3,
                          params=_tag("gh-taub-nut",
                                      {"residuals_by_h": by_h["sup_ricci"],
                                       "min_riemann_norm": min_riemann}),
@@ -306,20 +285,18 @@ def check_gh_taub_nut(ctx: SuiteContext) -> CheckReport:
 def check_gh_consistency(ctx: SuiteContext) -> CheckReport:
     data = gallery.gh_taub_nut_example()
     cfg = _base_cfg(ctx, 1e-3)
-    pts = sample_points(data.domain, ctx.scaled_samples(100), cfg, seed=ctx.seed)
+    pts = _points(ctx, data.domain, 100, cfg)
     res = data.consistency_residuals(pts, cfg)
-    return simple_report("gh.data-consistency", res, 1e-3, ctx.seed)
+    return simple_report(res, 1e-3)
 
 
-@_shared
 def check_gh_nonharmonic(ctx: SuiteContext) -> CheckReport:
     data = gallery.gh_nonharmonic_example()
     g = gh_build(data)
-    pts = _gh_samples(ctx, data, 30, 5e-3)
     cfg = StencilConfig(h=5e-3)
+    pts = _points(ctx, data.domain.lift_t(), 30, cfg)
     measured = sup(pts, lambda p: {"ricci": np.abs(ricci(g, p, cfg))})
-    return control_report("gh.nonharmonic-control", measured, 0.01,
-                          ctx.seed, params=_tag("gh-nonharmonic"))
+    return control_report(measured, 0.01, params=_tag("gh-nonharmonic"))
 
 
 # ------------------------------------------------------------------ g2-thm1
@@ -327,13 +304,12 @@ def check_gh_nonharmonic(ctx: SuiteContext) -> CheckReport:
 def check_thm1_flat(ctx: SuiteContext) -> CheckReport:
     bundle = gallery.thm1_flat_bundle()
     cfg = _base_cfg(ctx, 1e-3)
-    pts = sample_points(bundle.domain, ctx.scaled_samples(20), cfg, seed=ctx.seed)
+    pts = _points(ctx, bundle.domain, 20, cfg)
     tf = torsionfree_residual(bundle, pts, cfg)
     res = {"sup_dphi": tf["sup_dphi"], "sup_dstarphi": tf["sup_dstarphi"],
            "model_phi_deviation": model_phi_check(bundle, pts),
            "orthonormality": bundle.orthonormality_residual(pts)}
-    return simple_report("g2-thm1.flat", res, 1e-10, ctx.seed,
-                         params=_tag("thm1-flat"))
+    return simple_report(res, 1e-10, params=_tag("thm1-flat"))
 
 
 def _thm1_taub_nut(ctx: SuiteContext):
@@ -361,7 +337,7 @@ def _taub_nut_torsion(ctx: SuiteContext) -> tuple[dict, object]:
 def check_thm1_torsionfree(ctx: SuiteContext) -> CheckReport:
     bundle = _thm1_taub_nut(ctx)
     by_h, order = _taub_nut_torsion(ctx)
-    return simple_report("g2-thm1.torsion-free", _final(by_h), 1e-3, ctx.seed,
+    return simple_report(_final(by_h), 1e-3,
                          params=_tag("thm1-taub-nut",
                                      {"dphi_by_h": by_h["sup_dphi"],
                                       "dstarphi_by_h": by_h["sup_dstarphi"],
@@ -378,7 +354,7 @@ def check_thm1_einstein(ctx: SuiteContext) -> CheckReport:
     res = {"final_ricci": final["ricci_norm"],
            "final_off_fraction": final["off_g2_fraction"]}
     ok_orders = all(o == "exact" or o >= 1.8 for o in (order_ric, order_off))
-    rep = simple_report("g2-thm1.curvature", res, 1e-2, ctx.seed,
+    rep = simple_report(res, 1e-2,
                         params=_tag("thm1-taub-nut",
                                     {"ricci_by_h": by_h["ricci_norm"],
                                      "off_fraction_by_h": by_h["off_g2_fraction"],
@@ -392,7 +368,7 @@ def check_thm1_einstein(ctx: SuiteContext) -> CheckReport:
 
 def check_thm1_monopole(ctx: SuiteContext) -> CheckReport:
     mono = _thm1_taub_nut(ctx).provenance["monopole_residuals"]
-    return simple_report("g2-thm1.monopole-hypothesis", mono, 1e-4, ctx.seed)
+    return simple_report(mono, 1e-4)
 
 
 # ------------------------------------------------------------------ g2-thm2
@@ -401,17 +377,16 @@ def check_thm2_agrees(ctx: SuiteContext) -> CheckReport:
     b1 = _thm1_taub_nut(ctx)
     b2 = _thm2_taub_nut(ctx)
     cfg = StencilConfig(h=1e-2)
-    pts = sample_points(b1.domain, ctx.scaled_samples(100), cfg, seed=ctx.seed)
+    pts = _points(ctx, b1.domain, 100, cfg)
     res = sup(pts, lambda p: {"metric": np.abs(b1.metric(p) - b2.metric(p)),
                               "coframe": np.abs(b1.coframe(p) - b2.coframe(p)),
                               "phi": np.abs(b1.phi_field(p) - b2.phi_field(p))})
-    return simple_report("g2-thm2.agrees-with-thm1", res, 1e-12, ctx.seed,
-                         params=_tag("thm2-taub-nut"))
+    return simple_report(res, 1e-12, params=_tag("thm2-taub-nut"))
 
 
 def check_thm2_torsionfree(ctx: SuiteContext) -> CheckReport:
     by_h, order = _taub_nut_torsion(ctx)
-    return simple_report("g2-thm2.torsion-free", _final(by_h), 1e-3, ctx.seed,
+    return simple_report(_final(by_h), 1e-3,
                          params=_tag("thm2-taub-nut", {"dphi_by_h": by_h["sup_dphi"]}),
                          order_estimate=order, order_band=(1.8, 2.5))
 
@@ -420,13 +395,12 @@ def check_thm2_weak_monopole(ctx: SuiteContext) -> CheckReport:
     mono = MonopoleData(v=gallery.taub_nut_v6, a=gallery.monopole_potential6(),
                         alpha=None)
     cfg = _base_cfg(ctx, 1e-3)
-    dom = gallery.base_domain6()
-    pts = sample_points(dom, ctx.scaled_samples(50), cfg, seed=ctx.seed)
+    pts = _points(ctx, gallery.base_domain6(), 50, cfg)
     res = weak_monopole_residual(mono, flat_product_metric, pts, cfg)
     base = weak_sl3_consistency(flat_product_metric, None, pts[:6], cfg)
     res["twist_consistency"] = base["twist_mismatch"]
     res["complex_structure_part"] = base["complex_structure_part"]
-    return simple_report("g2-thm2.weak-monopole", res, 1e-4, ctx.seed)
+    return simple_report(res, 1e-4)
 
 
 # -------------------------------------------------------------- hypersurface
@@ -434,11 +408,10 @@ def check_thm2_weak_monopole(ctx: SuiteContext) -> CheckReport:
 def check_hyp_plane(ctx: SuiteContext) -> CheckReport:
     imm = affine_plane()
     cfg = _base_cfg(ctx, 1e-3)
-    pts = sample_points(imm.domain, ctx.scaled_samples(15), cfg, seed=ctx.seed)
+    pts = _points(ctx, imm.domain, 15, cfg)
     r = hypersurface_checks(imm, pts, cfg)
     res = {"kahler": r["kahler"], "geodesic": r["geodesic"]}
-    return simple_report("hypersurface.plane", res, 1e-8, ctx.seed,
-                         params=_tag("plane"))
+    return simple_report(res, 1e-8, params=_tag("plane"))
 
 
 SPHERE_KAHLER_FLOOR = 0.8   # measured 0.983 by the h=1e-4 Richardson oracle run
@@ -447,25 +420,23 @@ SPHERE_KAHLER_FLOOR = 0.8   # measured 0.983 by the h=1e-4 Richardson oracle run
 def check_hyp_sphere(ctx: SuiteContext) -> CheckReport:
     imm = unit_sphere()
     cfg = _base_cfg(ctx, 1e-3)
-    pts = sample_points(imm.domain, ctx.scaled_samples(15), cfg, seed=ctx.seed)
+    pts = _points(ctx, imm.domain, 15, cfg)
     r = hypersurface_checks(imm, pts, cfg)
     res = {"nearly_kahler": r["nearly_kahler"],
            "umbilic": r["umbilic"],
            "kahler_floor_shortfall": shortfall(SPHERE_KAHLER_FLOOR, r["kahler"])}
-    return simple_report("hypersurface.sphere", res, 1e-5, ctx.seed,
+    return simple_report(res, 1e-5,
                          params=_tag("sphere", {"kahler_defect": r["kahler"],
                                                 "kahler_floor": SPHERE_KAHLER_FLOOR}))
 
 
-@_shared
 def check_hyp_ellipsoid(ctx: SuiteContext) -> CheckReport:
     imm = ellipsoid()
     cfg = _base_cfg(ctx, 1e-3)
-    pts = sample_points(imm.domain, ctx.scaled_samples(10), cfg, seed=ctx.seed)
+    pts = _points(ctx, imm.domain, 10, cfg)
     r = hypersurface_checks(imm, pts, cfg)
-    return control_report("hypersurface.ellipsoid-control",
-                          {"umbilic": r["umbilic"],
-                           "nearly_kahler": r["nearly_kahler"]}, 0.01, ctx.seed,
+    return control_report({"umbilic": r["umbilic"],
+                           "nearly_kahler": r["nearly_kahler"]}, 0.01,
                           params=_tag("ellipsoid"))
 
 
@@ -483,8 +454,7 @@ def check_oracle_torsion(ctx: SuiteContext) -> CheckReport:
                                ORACLE_H_LIST, measure)
     vals = by_h["discrepancy"]
     excess, trunc_est = _over_truncation(vals)
-    return simple_report("oracle-pairs.torsion",
-                         {"discrepancy_over_truncation": excess}, 0.0, ctx.seed,
+    return simple_report({"discrepancy_over_truncation": excess}, 0.0,
                          params={"discrepancy_by_h": vals,
                                  "truncation_estimate": trunc_est},
                          order_estimate=order["discrepancy"], order_band=(1.9, 2.5))
@@ -495,7 +465,7 @@ def check_oracle_gamma(ctx: SuiteContext) -> CheckReport:
     by_h, order = _order_study(
         ctx, "oracle-pairs.twist-assembly", data.domain, 200, ORACLE_H_LIST,
         lambda pts, cfg: {"discrepancy": gamma_pair_residual(data, pts, cfg)})
-    return simple_report("oracle-pairs.twist-assembly", _final(by_h), 1e-10, ctx.seed,
+    return simple_report(_final(by_h), 1e-10,
                          params={"discrepancy_by_h": by_h["discrepancy"]},
                          order_estimate=order["discrepancy"], order_band=(1.9, 2.5))
 
@@ -504,12 +474,10 @@ def check_oracle_potential(ctx: SuiteContext) -> CheckReport:
     data = gallery.killing_taub_nut_data()
     by_h, order = _order_study(
         ctx, "oracle-pairs.potential-routes", data.domain, 200, ORACLE_H_LIST,
-        lambda pts, cfg: {"discrepancy":
-                          da_conditions_check(data, pts, cfg)["route_agreement"]})
+        lambda pts, cfg: {"discrepancy": route_agreement(data, pts, cfg)})
     vals = by_h["discrepancy"]
     excess, trunc_est = _over_truncation(vals)
-    return simple_report("oracle-pairs.potential-routes",
-                         {"discrepancy_over_truncation": excess}, 0.0, ctx.seed,
+    return simple_report({"discrepancy_over_truncation": excess}, 0.0,
                          params={"discrepancy_by_h": vals,
                                  "truncation_estimate": trunc_est},
                          order_estimate=order["discrepancy"], order_band=(1.9, 2.5))
@@ -519,13 +487,12 @@ def check_oracle_blocks(ctx: SuiteContext) -> CheckReport:
     """The positive quotient data satisfies every structure condition."""
     data = gallery.killing_taub_nut_data()
     cfg = _base_cfg(ctx, 1e-3)
-    pts = sample_points(data.domain, ctx.scaled_samples(100), cfg, seed=ctx.seed)
+    pts = _points(ctx, data.domain, 100, cfg)
     cond = killing_conditions_check(data, pts, cfg)
     blocks = da_conditions_check(data, pts, cfg)
     res = {**{f"cond_{k}": v for k, v in cond.items()},
            **{f"block_{k}": v for k, v in blocks.items()}}
-    return simple_report("oracle-pairs.quotient-conditions", res, 1e-4, ctx.seed,
-                         params=_tag("killing-taub-nut"))
+    return simple_report(res, 1e-4, params=_tag("killing-taub-nut"))
 
 
 # ---------------------------------------------------------- negative controls
@@ -533,24 +500,17 @@ def check_oracle_blocks(ctx: SuiteContext) -> CheckReport:
 def check_neg_perturbed_potential(ctx: SuiteContext) -> CheckReport:
     data = gallery.killing_perturbed_data(0.1)
     cfg = _base_cfg(ctx, 1e-3)
-    pts = sample_points(data.domain, ctx.scaled_samples(40), cfg, seed=ctx.seed)
+    pts = _points(ctx, data.domain, 40, cfg)
     cond = killing_conditions_check(data, pts, cfg)
-    return control_report("negative.perturbed-potential",
-                          {"potential_equation": cond["potential_equation"]},
-                          0.05, ctx.seed, params=_tag("killing-perturbed"))
-
-
-def check_neg_nonharmonic(ctx: SuiteContext) -> CheckReport:
-    return dataclasses.replace(check_gh_nonharmonic(ctx),
-                               check_id="negative.nonharmonic-pole")
+    return control_report({"potential_equation": cond["potential_equation"]}, 0.05,
+                          params=_tag("killing-perturbed"))
 
 
 def check_neg_broken_monopole(ctx: SuiteContext) -> CheckReport:
     bundle = gallery.thm1_broken_monopole_bundle(0.1)
     by_h, order = _order_study(ctx, "negative.broken-monopole", bundle.domain, 10,
                                GH_H_LIST, functools.partial(torsionfree_residual, bundle))
-    rep = control_report("negative.broken-monopole",
-                         {"sup_dphi": _final(by_h)["sup_dphi"]}, 0.01, ctx.seed,
+    rep = control_report({"sup_dphi": _final(by_h)["sup_dphi"]}, 0.01,
                          params=_tag("thm1-broken-monopole",
                                      {"dphi_by_h": by_h["sup_dphi"],
                                       "warning": bundle.provenance["warning"]}),
@@ -570,13 +530,11 @@ def check_neg_mismatched_twist(ctx: SuiteContext) -> CheckReport:
     honest = MonopoleData(v=mono.v, a=mono.a, alpha=None)
     weak = weak_monopole_residual(honest, flat_product_metric, pts6, cfg)
     base = weak_sl3_consistency(flat_product_metric, mono.alpha, pts6[:6], cfg)
-    pts7 = sample_points(bundle.domain, ctx.scaled_samples(10),
-                         StencilConfig(h=1e-2), seed=ctx.seed)
+    pts7 = _points(ctx, bundle.domain, 10, StencilConfig(h=1e-2))
     tf = torsionfree_residual(bundle, pts7, StencilConfig(h=1e-2))
-    return control_report("negative.mismatched-twist",
-                          {"weak_residual_vs_true_base": weak["plus_plus"],
+    return control_report({"weak_residual_vs_true_base": weak["plus_plus"],
                            "twist_vs_connection": base["twist_mismatch"],
-                           "sup_dphi": tf["sup_dphi"]}, 0.01, ctx.seed,
+                           "sup_dphi": tf["sup_dphi"]}, 0.01,
                           params=_tag("thm2-mismatched-alpha"))
 
 
@@ -585,25 +543,17 @@ def check_neg_nonbasic(ctx: SuiteContext) -> CheckReport:
         return gallery.taub_nut_v6(x) + 0.2 * float(x[0])
     mono = MonopoleData(v=v, a=gallery.monopole_potential6())
     cfg = _base_cfg(ctx, 1e-3)
-    dom = gallery.base_domain6()
-    pts = sample_points(dom, ctx.scaled_samples(15), cfg, seed=ctx.seed)
+    pts = _points(ctx, gallery.base_domain6(), 15, cfg)
     res = monopole_residual(mono, flat_product_metric, pts, cfg)
-    return control_report("negative.nonbasic-pole", {"basic_v": res["basic_v"]},
-                          0.01, ctx.seed)
+    return control_report({"basic_v": res["basic_v"]}, 0.01)
 
 
 def check_neg_warped(ctx: SuiteContext) -> CheckReport:
     bundle = gallery.warped_control_bundle()
-    pts = sample_points(bundle.domain, ctx.scaled_samples(8),
-                        StencilConfig(h=1e-2), seed=ctx.seed)
+    pts = _points(ctx, bundle.domain, 8, StencilConfig(h=1e-2))
     hol = holonomy_residual(bundle, pts, StencilConfig(h=1e-2))
-    return control_report("negative.warped-holonomy",
-                          {"off_g2_fraction": hol["off_g2_fraction"]}, 0.1,
-                          ctx.seed, params=_tag("warped-control"))
-
-
-def check_neg_ellipsoid(ctx: SuiteContext) -> CheckReport:
-    return dataclasses.replace(check_hyp_ellipsoid(ctx), check_id="negative.ellipsoid")
+    return control_report({"off_g2_fraction": hol["off_g2_fraction"]}, 0.1,
+                          params=_tag("warped-control"))
 
 
 SUITES = {
@@ -659,12 +609,12 @@ SUITES = {
     ],
     "negative-controls": [
         ("negative.perturbed-potential", check_neg_perturbed_potential),
-        ("negative.nonharmonic-pole", check_neg_nonharmonic),
+        ("negative.nonharmonic-pole", check_gh_nonharmonic),
         ("negative.broken-monopole", check_neg_broken_monopole),
         ("negative.mismatched-twist", check_neg_mismatched_twist),
         ("negative.nonbasic-pole", check_neg_nonbasic),
         ("negative.warped-holonomy", check_neg_warped),
-        ("negative.ellipsoid", check_neg_ellipsoid),
+        ("negative.ellipsoid", check_hyp_ellipsoid),
     ],
 }
 
@@ -672,11 +622,7 @@ SUITE_NAMES = tuple(SUITES) + ("all",)
 
 
 def suite_checks(name: str):
+    """The (check id, check) pairs of a suite; KeyError for an unknown one."""
     if name == "all":
-        out = []
-        for sname in SUITES:
-            out.extend(SUITES[sname])
-        return out
-    if name not in SUITES:
-        raise KeyError(name)
+        return [entry for checks in SUITES.values() for entry in checks]
     return SUITES[name]

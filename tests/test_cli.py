@@ -3,7 +3,9 @@ import os
 
 import pytest
 
+from g2lab import cli
 from g2lab.cli import main
+from g2lab.reports import control_report
 from g2lab.suites import SUITE_NAMES, suite_checks
 
 
@@ -189,3 +191,31 @@ def test_shared_results_match_suites_run_alone(capsys):
         _, out, _ = run_cli(capsys, ["--suite", suite] + args)
         for line in out.strip().splitlines():
             assert line == in_all.get(json.loads(line)["check_id"])
+
+
+def test_summary_worst_residual_keeps_nan(capsys, monkeypatch):
+    """The stderr table's worst residual is NaN when any residual is, not only
+    the first."""
+    def check_demo(ctx):
+        return control_report({"a": 0.5, "b": float("nan")}, 0.01)
+    monkeypatch.setattr(cli, "suite_checks", lambda name: [("demo.nan", check_demo)])
+    code, out, err = run_cli(capsys, ["--suite", "gh"])
+    assert code == 1
+    row = next(l for l in err.splitlines() if l.startswith("demo.nan"))
+    assert row.split()[1:3] == ["fail", "nan"]
+
+
+def test_aliases_share_their_source_line(capsys):
+    """A function registered under two ids gives both ids the same line,
+    but for check_id."""
+    checks = suite_checks("all")
+    source = {}
+    for cid, fn in checks:
+        source.setdefault(fn, cid)
+    aliases = {cid: source[fn] for cid, fn in checks if source[fn] != cid}
+    assert sorted(aliases) == ["negative.ellipsoid", "negative.nonharmonic-pole"]
+    _, out, _ = run_cli(capsys, ["--suite", "all", "--json-only", "--samples", "20"])
+    lines = {json.loads(l)["check_id"]: l for l in out.strip().splitlines()}
+    for alias, src in aliases.items():
+        assert lines[alias] == lines[src].replace(f'"check_id":"{src}"',
+                                                  f'"check_id":"{alias}"', 1)

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from g2lab.fields import Domain, StencilConfig, sample_points
-from g2lab.g2construct import (MonopoleData, estimate_order,
+from g2lab.curvature import christoffel
+from g2lab.fields import (Domain, StencilConfig, adapted_frame, fd_gradient,
+                          frame_derivatives, sample_points)
+from g2lab.g2construct import (MonopoleData, _h_component, estimate_order,
                                flat_product_metric, g2_build_thm1,
                                holonomy_residual, model_phi_check,
                                monopole_residual, torsionfree_residual,
                                weak_monopole_residual, weak_sl3_consistency)
+from g2lab.modeldata import decompose_so6
 from g2lab.gallery import (base_domain6, monopole_potential6, taub_nut_v6,
                            thm1_broken_monopole_bundle, thm1_flat_bundle,
                            thm1_taub_nut_bundle, thm2_mismatched_alpha_bundle,
@@ -107,6 +110,65 @@ def test_flat_base_has_no_twist():
     res = weak_sl3_consistency(flat_product_metric, None, pts, cfg)
     assert res["complex_structure_part"] <= 1e-10
     assert res["twist_mismatch"] <= 1e-10
+
+
+def _block(a, b, c):
+    return np.array([[1.0 + 0.3 * a * a, 0.4 * b, 0.2 * a * c],
+                     [0.4 * b, 1.0 + 0.2 * c, 0.3 * a * b],
+                     [0.2 * a * c, 0.3 * a * b, 1.2 + 0.1 * b * c]])
+
+
+def curved_base(x):
+    """A non-flat 6-metric, block diagonal for the split, with non-diagonal
+    blocks, so the adapted frame and its derivatives are not symmetric."""
+    g = np.zeros((6, 6))
+    g[:3, :3] = _block(x[0] + 0.5 * x[3], x[1] - x[4], x[2])
+    g[3:, 3:] = _block(x[3] - x[1], x[4] + 0.3 * x[0], x[5] * x[2])
+    return g
+
+
+def _koszul_connection_form(x, cfg):
+    """omega[c][k, b] = <nabla_{f_c} f_b, f_k> of the curved base from frame
+    brackets alone (Koszul formula for an orthonormal frame), no Christoffel
+    symbols: 2 omega = <[f_c, f_b], f_k> - <[f_c, f_k], f_b> - <[f_b, f_k], f_c>."""
+    g = curved_base(x)
+    fr = adapted_frame(g)
+    dframe = fd_gradient(lambda q: adapted_frame(curved_base(q)), x, cfg)
+    along = np.einsum('da,dkb->akb', fr, dframe)          # along[a][:, b] = d_{f_a} f_b
+
+    def pair(a, b, k):     # <[f_a, f_b], f_k>
+        return fr[:, k] @ g @ (along[a][:, b] - along[b][:, a])
+
+    return [np.array([[0.5 * (pair(c, b, k) - pair(c, k, b) - pair(b, k, c))
+                       for b in range(6)] for k in range(6)]) for c in range(6)]
+
+
+def test_frame_derivatives_give_a_metric_connection_form():
+    """The Levi-Civita connection form read in an orthonormal frame is skew."""
+    cfg = StencilConfig(h=1e-3)
+    x = np.array([0.1, -0.2, 0.3, 0.15, -0.1, 0.25])
+    fr = adapted_frame(curved_base(x))
+    _, nabla = frame_derivatives(lambda q: adapted_frame(curved_base(q)), x, fr,
+                                 christoffel(curved_base, x, cfg), cfg)
+    for c in range(6):
+        omega = np.linalg.inv(fr) @ nabla[c].T
+        assert np.max(np.abs(omega + omega.T)) <= 1e-6
+        np.testing.assert_allclose(omega, _koszul_connection_form(x, cfg)[c], atol=1e-6)
+
+
+def test_weak_sl3_consistency_on_a_curved_base_matches_koszul_reference():
+    """With alpha = 0 the twist mismatch is the h-part of the connection form
+    and the complex-structure part its J-part; both match the bracket-only
+    reference on a base where the frame derivative is not symmetric."""
+    cfg = StencilConfig(h=1e-3)
+    pts = sample_points(Domain(lo=(-0.5,) * 6, hi=(0.5,) * 6), 4, cfg, seed=3)
+    got = weak_sl3_consistency(curved_base, None, pts, cfg)
+    omegas = [om for p in pts for om in _koszul_connection_form(p, cfg)]
+    ref_twist = max(float(np.max(np.abs(_h_component(om)))) for om in omegas)
+    ref_j = max(decompose_so6(om)["J"] for om in omegas)
+    assert ref_twist >= 0.1 and ref_j >= 0.1       # the base is far from flat
+    assert abs(got["twist_mismatch"] - ref_twist) <= 1e-6
+    assert abs(got["complex_structure_part"] - ref_j) <= 1e-6
 
 
 def test_mismatched_twist_flagged_everywhere():

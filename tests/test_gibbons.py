@@ -83,7 +83,7 @@ def test_nan_potential_fails_consistency():
     assert 0 < sum(nan_region(p) for p in pts) < len(pts)
     res = data.consistency_residuals(pts, cfg)
     assert np.isnan(res["harmonicity"]) and np.isnan(res["potential"])
-    assert simple_report("gh.data-consistency", res, 1e-3, 42).status == "fail"
+    assert simple_report(res, 1e-3).status == "fail"
 
 
 def test_nonpositive_v_rejected():
@@ -110,3 +110,18 @@ def test_d_squared_of_potential_vanishes():
         da = lambda q: exterior_d(a, q, 1, cfg)
         dda = exterior_d(da, p, 2, cfg)
         assert np.max(np.abs(dda)) <= 1e-6
+
+
+def test_taub_nut_riemann_floor_keeps_nan(monkeypatch):
+    """A Riemann norm that cannot be evaluated at a reference point other than
+    the first must fail the floor, not drop out of the minimum."""
+    import math
+    from g2lab import suites
+    from g2lab.reports import SuiteContext
+    real = suites.riemann_lowered
+    second = GH_REFERENCE_POINTS[1]
+    monkeypatch.setattr(suites, "riemann_lowered", lambda g, p, cfg: (
+        np.full((4, 4, 4, 4), np.nan) if p is second else real(g, p, cfg)))
+    rep = suites.check_gh_taub_nut(SuiteContext(samples=10))
+    assert math.isnan(rep.residuals["riemann_floor_shortfall"])
+    assert rep.status == "fail"

@@ -205,3 +205,26 @@ def test_one_order_study():
                     for path, owner, node in _nodes_with_owner()
                     if _calls(node, "estimate_order") and owner != "_order_study")
     assert not copies, f"estimate_order outside suites._order_study: {copies}"
+
+
+def test_check_ids_live_in_the_registry():
+    """One owner per check id: `suites.SUITES` names every check, and the
+    runner stamps the id on its line.  A registered id appears as a string
+    literal in the package only in `SUITES` and as the name (CSV file) of an
+    order study."""
+    from g2lab.suites import SUITES
+    ids = {cid for checks in SUITES.values() for cid, _ in checks}
+    copies = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", "") == "SUITES" for t in node.targets)):
+                allowed.update(map(id, ast.walk(node.value)))
+            if _calls(node, "_order_study") and len(node.args) > 1:
+                allowed.add(id(node.args[1]))
+        copies += [(path.name, node.lineno, node.value) for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and node.value in ids
+                   and id(node) not in allowed]
+    assert not copies, f"check ids written outside the registry: {sorted(copies)}"

@@ -8,7 +8,7 @@ def test_shortfall_keeps_nan():
 
 
 def test_control_report_fails_on_nan_measurement():
-    rep = control_report("x", {"ricci": float("nan")}, 0.01, 42)
+    rep = control_report({"ricci": float("nan")}, 0.01)
     assert rep.status == "fail"
     assert math.isnan(rep.residuals["shortfall_ricci"])
-    assert control_report("x", {"ricci": 0.5}, 0.01, 42).status == "pass"
+    assert control_report({"ricci": 0.5}, 0.01).status == "pass"

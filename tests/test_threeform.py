@@ -94,12 +94,12 @@ def test_json_export_shape():
 
 def test_invariance_solver_rejects_non_algebra_basis(monkeypatch):
     from g2lab import threeform
-    from g2lab.embeddings import G2Basis, _pivot_solver
+    from g2lab.embeddings import G2Basis
+    from g2lab.subspaces import Coordinates
     from g2lab.threeform import so7_basis
     wrong = so7_basis()[:14]
-    pivots, inv = _pivot_solver(wrong)
-    fake = G2Basis(tuple(wrong), tuple(range(8)), tuple(range(8, 14)),
-                   Subspace.span_matrices(wrong), {}, pivots, inv)
+    fake = G2Basis(tuple(wrong), tuple(range(8)), tuple(range(8, 14)), {},
+                   Coordinates.of([m.flatten() for m in wrong]))
     monkeypatch.setattr(threeform, "g2_basis", lambda: fake)
     with pytest.raises(ValueError):
         invariant_threeform.__wrapped__()   # the solver, past its cache
