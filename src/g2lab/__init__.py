@@ -26,8 +26,8 @@ from .g2construct import (G2MetricBundle, MonopoleData, g2_build_thm1,
                           holonomy_residual, monopole_residual,
                           torsionfree_residual, weak_monopole_residual)
 from .gibbons import GHData, dirac_potential, gh_build
-from .killing import KillingData, RhoConnectionSetup, da_conditions_check, \
-    gamma_field, killing_conditions_check, rho_torsion_check
+from .killing import (KillingData, RhoConnectionSetup, da_conditions_check,
+                      killing_conditions_check, rho_torsion_check)
 from .octonions import (CrossProduct7, OctonionTable, associative_test,
                         associator, octonion_from_cross, standard_cross,
                         standard_octonions, torsion_cross)
@@ -46,7 +46,7 @@ __all__ = [
     "CrossProduct7", "OctonionTable", "torsion_cross", "octonion_from_cross",
     "associator", "associative_test", "standard_cross", "standard_octonions",
     "Domain", "StencilConfig",
-    "KillingData", "RhoConnectionSetup", "gamma_field",
+    "KillingData", "RhoConnectionSetup",
     "killing_conditions_check", "da_conditions_check", "rho_torsion_check",
     "GHData", "dirac_potential", "gh_build",
     "MonopoleData", "G2MetricBundle", "g2_build_thm1",

@@ -166,6 +166,10 @@ def m_vector_basis() -> list[MVector]:
     return [MVector.make(a=v) for v in e] + [MVector.make(b=v) for v in e]
 
 
+H_SLOTS = slice(0, 8)     # the sl(3) images among the 14 basis elements
+M_SLOTS = slice(8, 14)    # the complement images
+
+
 @dataclass(frozen=True)
 class G2Basis:
     """14 certified skew 7x7 matrices: 8 sl(3) images then 6 complement images.
@@ -176,8 +180,6 @@ class G2Basis:
     """
 
     elements: tuple
-    h_indices: tuple
-    m_indices: tuple
     structure_constants: dict     # (i, j) i<j -> coefficient tuple, exact
     coordinates: Coordinates
 
@@ -188,11 +190,11 @@ class G2Basis:
 
     @property
     def h_elements(self):
-        return [self.elements[i] for i in self.h_indices]
+        return list(self.elements[H_SLOTS])
 
     @property
     def m_elements(self):
-        return [self.elements[i] for i in self.m_indices]
+        return list(self.elements[M_SLOTS])
 
     def expand(self, m: ExactMatrix) -> tuple | None:
         """Exact coefficients of m in the basis, or None if m is outside the span."""
@@ -209,7 +211,7 @@ def g2_basis() -> G2Basis:
         if not m.is_skew():
             raise AssertionError("basis element is not skew")
     coords = Coordinates.of([m.flatten() for m in els])   # raises unless independent
-    probe = G2Basis(tuple(els), tuple(range(8)), tuple(range(8, 14)), {}, coords)
+    probe = G2Basis(tuple(els), {}, coords)
     sc = {}
     for i in range(14):
         for j in range(i + 1, 14):
@@ -217,7 +219,7 @@ def g2_basis() -> G2Basis:
             if c is None:
                 raise AssertionError(f"bracket of basis elements {i},{j} escapes the span")
             sc[(i, j)] = c
-    return G2Basis(tuple(els), tuple(range(8)), tuple(range(8, 14)), sc, coords)
+    return G2Basis(tuple(els), sc, coords)
 
 
 def reductivity_certificate() -> bool:
@@ -365,9 +367,9 @@ def adjoint_rep_on_m() -> list[ExactMatrix]:
         cols = []
         for x in basis.m_elements:
             c = basis.expand(bracket(a, x))
-            if c is None or any(c[k] != 0 for k in basis.h_indices):
+            if c is None or any(c[H_SLOTS]):
                 raise AssertionError("adjoint action leaves the complement block")
-            cols.append([c[k] for k in basis.m_indices])
+            cols.append(c[M_SLOTS])
         out.append(ExactMatrix.from_rows([[cols[j][i] for j in range(6)] for i in range(6)]))
     return out
 

@@ -1,9 +1,12 @@
 """Pointwise finite-difference calculus on coordinate boxes.
 
 Fields are plain callables evaluated at query points; nothing is ever stored
-on a grid.  A k-form value is a numpy vector over the sorted k-index
-combinations in lexicographic order.  Domains are boxes with explicit excluded
-sets, and samplers reject points too close to an exclusion or the boundary.
+on a grid.  A 1-form value is a vector and a 2-form value a skew matrix
+(`d_one_form`, the block star `hodge_restricted`); `exterior_d` and
+`transform_form` take a k-form value as a numpy vector over the sorted k-index
+combinations in lexicographic order, which is how the 3- and 4-forms of a
+bundle are held.  Domains are boxes with explicit excluded sets, and samplers
+reject points too close to an exclusion or the boundary.
 """
 
 from __future__ import annotations
@@ -132,6 +135,13 @@ def exterior_d(omega: Callable, p: Point, k: int, cfg: StencilConfig,
     return out
 
 
+def d_one_form(a: Callable, p: Point, cfg: StencilConfig) -> np.ndarray:
+    """Exterior derivative of a 1-form field as a skew matrix:
+    (dA)[i, j] = d_i A_j - d_j A_i."""
+    grad = fd_gradient(a, p, cfg)
+    return grad - grad.T
+
+
 def transform_form(comps: np.ndarray, k: int, n: int, frame: np.ndarray) -> np.ndarray:
     """Components of a k-form on the frame (columns of `frame`) from coordinate
     components: out_I = omega(f_{I1}, ..., f_{Ik}) = sum_J comps_J det frame[J, I].
@@ -151,8 +161,9 @@ def transform_form(comps: np.ndarray, k: int, n: int, frame: np.ndarray) -> np.n
     return out
 
 
-PLUS6 = (0, 1, 2)    # the plus block of the 6-dimensional base
-MINUS6 = (3, 4, 5)   # the minus block, carrying the monopole (v, A)
+PLUS6 = np.arange(0, 3)    # the plus block of the 6-dimensional base
+MINUS6 = np.arange(3, 6)   # the minus block, carrying the monopole (v, A)
+PP, PM, MM = np.ix_(PLUS6, PLUS6), np.ix_(PLUS6, MINUS6), np.ix_(MINUS6, MINUS6)
 
 
 def adapted_frame(g: np.ndarray) -> np.ndarray:
@@ -161,15 +172,11 @@ def adapted_frame(g: np.ndarray) -> np.ndarray:
 
     Requires the metric to be block diagonal w.r.t. the split.
     """
-    if float(np.max(np.abs(g[np.ix_(PLUS6, MINUS6)]))) > 1e-9:
+    if float(np.max(np.abs(g[PM]))) > 1e-9:
         raise ValueError("metric does not respect the split")
     f = np.zeros((6, 6))
-    for cols, block in ((range(0, 3), PLUS6), (range(3, 6), MINUS6)):
-        l = np.linalg.cholesky(g[np.ix_(block, block)])
-        finv = np.linalg.inv(l).T
-        for j, cj in enumerate(cols):
-            for i, ci in enumerate(block):
-                f[ci, cj] = finv[i, j]
+    for block in (PP, MM):
+        f[block] = np.linalg.inv(np.linalg.cholesky(g[block])).T
     return f
 
 
@@ -187,12 +194,6 @@ def frame_derivatives(frame_field: Callable, p: Point, frame: np.ndarray,
     return d, nabla
 
 
-EPS3 = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    EPS3[_i, _j, _k] = 1.0
-    EPS3[_i, _k, _j] = -1.0
-
-
 def hat(w: np.ndarray) -> np.ndarray:
     """3x3 skew matrix of the cross product: hat(w) @ x = w x x."""
     return np.array([[0.0, -w[2], w[1]],
@@ -200,62 +201,14 @@ def hat(w: np.ndarray) -> np.ndarray:
                      [-w[1], w[0], 0.0]])
 
 
-def hodge_restricted(comps: np.ndarray, k: int, n: int, block: Sequence[int],
-                     g: np.ndarray) -> np.ndarray:
-    """Hodge star of the block-restriction of a k-form (k = 1 or 2) on a
-    3-dimensional block.
-
-    `comps` are full-space components; the result is again full-space
-    components supported on the block.  `g` is the full metric value; only its
-    block restriction enters.  On an oriented orthonormal frame this realizes
-    *f1 = f2^f3 (cyclic) and its inverse.
-    """
-    block = tuple(block)
-    if len(block) != 3:
-        raise ValueError("hodge_restricted needs a 3-dimensional block")
-    if k not in (1, 2):
-        raise ValueError("block star implemented for k = 1, 2 only")
-    gb = np.asarray(g, dtype=float)[np.ix_(block, block)]
+def hodge_restricted(a: np.ndarray, gb: np.ndarray) -> np.ndarray:
+    """Hodge star of a 1-form on a 3-dimensional block with metric `gb`: the
+    skew matrix of a 2-form.  On an oriented orthonormal frame this realizes
+    *f1 = f2^f3 (cyclic)."""
     det = np.linalg.det(gb)
     if det <= 0:
         raise ValueError("metric is degenerate on the block")
-    volf = np.sqrt(det)
-
-    if k == 1:
-        _, idx1 = combinations_index(n, 1)
-        a = np.array([comps[idx1[(b,)]] for b in block])
-        aup = np.linalg.solve(gb, a)
-        two = np.einsum('m,mij->ij', aup, EPS3) * volf
-        combos2, idx2 = combinations_index(n, 2)
-        out = np.zeros(len(combos2))
-        for li, lj in itertools.combinations(range(3), 2):
-            pair = tuple(sorted((block[li], block[lj])))
-            sgn = 1.0 if block[li] < block[lj] else -1.0
-            out[idx2[pair]] += sgn * two[li, lj]
-        return out
-
-    two = restrict_two_form(comps, n, block, block)
-    bvec = np.einsum('mij,ij->m', EPS3, two) / 2.0
-    low = gb @ bvec / volf
-    combos1, idx1 = combinations_index(n, 1)
-    out = np.zeros(len(combos1))
-    for li in range(3):
-        out[idx1[(block[li],)]] = low[li]
-    return out
-
-
-def restrict_two_form(comps: np.ndarray, n: int, rows: Sequence[int],
-                      cols: Sequence[int]) -> np.ndarray:
-    """Matrix beta[a, b] = omega(e_rows[a], e_cols[b]) of a 2-form value."""
-    _, idx2 = combinations_index(n, 2)
-    out = np.zeros((len(rows), len(cols)))
-    for a, i in enumerate(rows):
-        for b, j in enumerate(cols):
-            if i == j:
-                continue
-            sgn = 1.0 if i < j else -1.0
-            out[a, b] = sgn * comps[idx2[tuple(sorted((i, j)))]]
-    return out
+    return -hat(np.linalg.solve(gb, a)) * np.sqrt(det)
 
 
 def halton_sequence(index: int, base: int) -> float:

@@ -166,7 +166,7 @@ def killing_flat_data() -> KillingData:
                        a_form=lambda x: np.zeros(6),
                        b_plus=lambda x: np.zeros(3),
                        b_hom=lambda x: np.zeros((3, 3)),
-                       domain=dom, connection="levi-civita")
+                       domain=dom, connection=lambda x: np.zeros((6, 6, 6)))
 
 
 def killing_taub_nut_data() -> KillingData:

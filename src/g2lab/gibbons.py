@@ -9,8 +9,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import (Domain, StencilConfig, exterior_d, fd_gradient,
-                     hodge_restricted, sup)
+from .curvature import metric_jet
+from .fields import Domain, StencilConfig, d_one_form, hodge_restricted, sup
 
 
 def dirac_string_exclusion(p3: np.ndarray) -> float:
@@ -64,16 +64,10 @@ class GHData:
     def consistency_residuals(self, samples, cfg: StencilConfig) -> dict:
         """Harmonicity of V and the dA = *dV equation, at sample points."""
         def at(p):
-            lap = 0.0
-            for d in range(3):
-                pp, pm = p.copy(), p.copy()
-                pp[d] += cfg.h
-                pm[d] -= cfg.h
-                lap += (self.v(pp) - 2 * self.v(p) + self.v(pm)) / cfg.h ** 2
-            da = exterior_d(self.a, p, 1, cfg)
-            dv = fd_gradient(self.v, p, cfg)
-            star_dv = hodge_restricted(dv, 1, 3, (0, 1, 2), np.eye(3))
-            return {"harmonicity": abs(lap), "potential": np.abs(da - star_dv)}
+            _, dv, ddv = metric_jet(self.v, p, cfg)
+            star_dv = hodge_restricted(dv, np.eye(3))
+            return {"harmonicity": abs(np.trace(ddv)),
+                    "potential": np.abs(d_one_form(self.a, p, cfg) - star_dv)}
         return sup(samples, at)
 
 

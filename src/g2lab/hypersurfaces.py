@@ -71,9 +71,9 @@ def _tangent(imm: Immersion, cfg: StencilConfig, y: np.ndarray) -> np.ndarray:
     return np.column_stack(fd_gradient(imm.chart, y, cfg))
 
 
-def _normal(imm: Immersion, cfg: StencilConfig, y: np.ndarray) -> np.ndarray:
-    """Unit normal completing the tangent frame to a positive basis of R^7."""
-    t = _tangent(imm, cfg, y)
+def _normal(t: np.ndarray) -> np.ndarray:
+    """Unit normal completing the tangent frame `t` (columns) to a positive
+    basis of R^7."""
     _, s, vt = np.linalg.svd(t.T, full_matrices=True)
     if s[-1] < 1e-8:
         raise ValueError("degenerate induced metric")
@@ -83,10 +83,10 @@ def _normal(imm: Immersion, cfg: StencilConfig, y: np.ndarray) -> np.ndarray:
     return n
 
 
-def _j_matrix(imm: Immersion, cfg: StencilConfig, y: np.ndarray) -> np.ndarray:
-    """J(X) = n x X in coordinate components of the tangent space."""
-    t = _tangent(imm, cfg, y)
-    n = _normal(imm, cfg, y)
+def _j_matrix(t: np.ndarray) -> np.ndarray:
+    """J(X) = n x X in coordinate components of the tangent space spanned by
+    the columns of `t`."""
+    n = _normal(t)
     cols = []
     for b in range(6):
         jb, *_ = np.linalg.lstsq(t, cross7(n, t[:, b]), rcond=None)
@@ -97,7 +97,9 @@ def _j_matrix(imm: Immersion, cfg: StencilConfig, y: np.ndarray) -> np.ndarray:
 def hypersurface_checks(imm: Immersion, samples, cfg: StencilConfig) -> dict:
     """Residual report at the samples; all derivatives by stencils."""
     tangent = functools.partial(_tangent, imm, cfg)
-    j_matrix = functools.partial(_j_matrix, imm, cfg)
+
+    def j_matrix(y: np.ndarray) -> np.ndarray:
+        return _j_matrix(tangent(y))
 
     def induced_metric(y: np.ndarray) -> np.ndarray:
         t = tangent(y)
@@ -108,8 +110,8 @@ def hypersurface_checks(imm: Immersion, samples, cfg: StencilConfig) -> dict:
         g = t.T @ t
         if np.linalg.det(g) < 1e-10:
             raise ValueError("degenerate induced metric")
-        n = _normal(imm, cfg, y)
-        jmat = j_matrix(y)
+        n = _normal(t)
+        jmat = _j_matrix(t)
         gam = christoffel(induced_metric, y, cfg)
         dj = fd_gradient(j_matrix, y, cfg)
         # (nabla_c J)^a_b
@@ -138,6 +140,6 @@ def hypersurface_checks(imm: Immersion, samples, cfg: StencilConfig) -> dict:
 def j_squared_residual(imm: Immersion, samples, cfg: StencilConfig) -> float:
     """Sanity: J^2 = -identity on the tangent space, up to stencil noise."""
     def at(y):
-        jmat = _j_matrix(imm, cfg, y)
+        jmat = _j_matrix(_tangent(imm, cfg, y))
         return {"j_squared": np.abs(jmat @ jmat + np.eye(6))}
     return sup(samples, at)["j_squared"]

@@ -25,10 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .curvature import christoffel
-from .fields import (EPS3, MINUS6, Domain, StencilConfig, adapted_frame,
-                     exterior_d, fd_gradient, frame_derivatives, hat,
-                     hodge_restricted, restrict_two_form, sup)
+from .fields import (Domain, StencilConfig, adapted_frame, d_one_form,
+                     fd_gradient, frame_derivatives, hat, hodge_restricted, sup)
 from .modeldata import h6
 
 
@@ -36,9 +34,10 @@ from .modeldata import h6
 class KillingData:
     """Quotient data on a 6-dimensional box.
 
-    connection: "levi-civita" or a callable returning Gamma[c, a, b] in
-    coordinates.  b_plus and b_hom are the block sections in adapted-frame
-    components (b_hom trace-free and self-adjoint at samples).
+    connection returns the Christoffel symbols Gamma[c, a, b] of the supplied
+    compatible connection in coordinates.  b_plus and b_hom are the block
+    sections in adapted-frame components (b_hom trace-free and self-adjoint at
+    samples).
     """
 
     metric: Callable[[np.ndarray], np.ndarray]
@@ -47,7 +46,7 @@ class KillingData:
     b_plus: Callable[[np.ndarray], np.ndarray]
     b_hom: Callable[[np.ndarray], np.ndarray]
     domain: Domain
-    connection: object = "levi-civita"
+    connection: Callable[[np.ndarray], np.ndarray]
 
     def gamma_info(self, x: np.ndarray, cfg: StencilConfig) -> dict:
         """Frame-component data entering the twist endomorphism at a point."""
@@ -93,32 +92,11 @@ def gamma_unexpanded(info: dict) -> np.ndarray:
     return bcal - h6(info["grad_frame"]) / u
 
 
-def gamma_field(data: KillingData, cfg: StencilConfig) -> Callable[[np.ndarray], np.ndarray]:
-    """The twist endomorphism as a frame-component field; raises if the two
-    assembly routes disagree beyond numerical noise."""
-    def gamma(x: np.ndarray) -> np.ndarray:
-        info = data.gamma_info(x, cfg)
-        ge = gamma_expanded(info)
-        gu = gamma_unexpanded(info)
-        if float(np.max(np.abs(ge - gu))) > 1e-9 * (1 + float(np.max(np.abs(ge)))):
-            raise AssertionError("blockwise and unexpanded twist assemblies disagree")
-        return ge
-    return gamma
-
-
 def gamma_pair_residual(data: KillingData, samples, cfg: StencilConfig) -> float:
     def at(x):
         info = data.gamma_info(x, cfg)
         return {"pair": np.abs(gamma_expanded(info) - gamma_unexpanded(info))}
     return sup(samples, at)["pair"]
-
-
-def _connection_at(data: KillingData, x: np.ndarray, cfg: StencilConfig) -> np.ndarray:
-    if callable(data.connection):
-        return np.asarray(data.connection(x), dtype=float)
-    if data.connection == "levi-civita":
-        return christoffel(data.metric, x, cfg)
-    raise ValueError(f"unknown connection spec {data.connection!r}")
 
 
 def killing_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> dict:
@@ -131,13 +109,12 @@ def killing_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> 
         info = data.gamma_info(x, cfg)
         fr = info["frame"]
         e = np.linalg.inv(fr)
-        gam = _connection_at(data, x, cfg)
+        gam = np.asarray(data.connection(x), dtype=float)
         gamma_f = gamma_expanded(info)
         # d_{f_a} f_b and nabla_{f_a} f_b, in coordinates
         d_along, nabla = frame_derivatives(frame_field, x, fr, gam, cfg)
 
-        da_comps = exterior_d(data.a_form, x, 1, cfg)
-        da_mat = restrict_two_form(da_comps, 6, range(6), range(6))
+        da_mat = d_one_form(data.a_form, x, cfg)
         u = info["u"]
 
         out = {"torsion_vs_twist": [], "potential_equation": [],
@@ -173,16 +150,11 @@ def _minus_block_routes(data: KillingData, info: dict, x: np.ndarray,
     gm = info["grad_frame"][3:]
     alpha = 2.0 * info["b"] - gm / u
 
-    rhs_mm_plain = 1.0 / u * np.einsum('m,mij->ij', alpha + 2.0 / u * gm, EPS3)
+    rhs_mm_plain = -1.0 / u * hat(alpha + 2.0 / u * gm)
 
     du2 = fd_gradient(lambda q: float(data.u(q)) ** -2, x, cfg)
     du2_frame = (fr.T @ du2)[3:]
-    twisted6 = np.zeros(6)
-    twisted6[3:] = du2_frame - alpha / u ** 2
-    g1 = np.eye(6)
-    g1[3:, 3:] *= u ** 2
-    star1 = hodge_restricted(twisted6, 1, 6, MINUS6, g1)
-    rhs_mm_resc = -restrict_two_form(star1, 6, MINUS6, MINUS6)
+    rhs_mm_resc = -hodge_restricted(du2_frame - alpha / u ** 2, u ** 2 * np.eye(3))
     return alpha, rhs_mm_plain, rhs_mm_resc
 
 
@@ -202,14 +174,9 @@ def da_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> dict:
         gp = info["grad_frame"][:3]
         alpha, rhs_mm_plain, rhs_mm_resc = _minus_block_routes(data, info, x, cfg)
 
-        da_comps = exterior_d(data.a_form, x, 1, cfg)
-        da_mat = restrict_two_form(da_comps, 6, range(6), range(6))
-        da_f = fr.T @ da_mat @ fr   # frame components
-
-        rhs_pp = 1.0 / u * np.einsum('m,mij->ij', alpha, EPS3)
-
-        bb = info["B"]
-        rhs_mixed = 2.0 / u * (bb.T - 0.5 / u * np.einsum('m,mij->ij', gp, EPS3))
+        da_f = fr.T @ d_one_form(data.a_form, x, cfg) @ fr   # frame components
+        rhs_pp = -1.0 / u * hat(alpha)
+        rhs_mixed = 2.0 / u * (info["B"].T + 0.5 / u * hat(gp))
         return {"plus_plus": np.abs(da_f[:3, :3] - rhs_pp),
                 "minus_minus": np.abs(da_f[3:, 3:] - rhs_mm_plain),
                 "minus_minus_rescaled": np.abs(da_f[3:, 3:] - rhs_mm_resc),
@@ -264,8 +231,7 @@ def rho_torsion_check(setup: RhoConnectionSetup, sections: Sequence, samples,
         g1 = np.asarray(setup.gamma_one(x), float)
         u = float(setup.u(x))
         du = fd_gradient(setup.u, x, cfg)
-        da = restrict_two_form(exterior_d(setup.a_form, x, 1, cfg), 6,
-                               range(6), range(6))
+        da = d_one_form(setup.a_form, x, cfg)
 
         out = {"tangent_pairs": [], "axis_pairs": []}
         for si in range(len(sections)):

@@ -20,10 +20,10 @@ import numpy as np
 
 from .embeddings import g2_basis, intertwiner_solve
 from .rational import (ExactMatrix, Q, _as_q, bracket, combination, common_ratio,
-                       exact_json, trace_form)
+                       exact_json, trace_form, unit)
 from .subspaces import Coordinates, Subspace, gram_matrix, inverse, kernel_basis
-from .threeform import (CrossProduct7, invariant_threeform, phi_cross_duality,
-                        so7_basis)
+from .threeform import (CrossProduct7, _det3, invariant_threeform,
+                        phi_cross_duality, so7_basis)
 
 
 def dot(x: Sequence, y: Sequence) -> Fraction:
@@ -97,9 +97,9 @@ def torsion_cross() -> TorsionCrossResult:
     product = {}
     pulled, ref = [], []
     for i in range(7):
-        ei = [Q(1) if s == i else Q(0) for s in range(7)]
+        ei = unit(7, i)
         for j in range(i + 1, 7):
-            ej = [Q(1) if s == j else Q(0) for s in range(7)]
+            ej = unit(7, j)
             product[(i, j)] = project_pullback(bracket(to_complement(ei),
                                                        to_complement(ej)))
             pulled.extend(product[(i, j)])
@@ -160,30 +160,23 @@ def octonion_from_cross(cross: CrossProduct7) -> OctonionTable:
         table.append(tuple(row))
     t = OctonionTable(tuple(table))
     for j in range(8):
-        ej = tuple(Q(1) if s == j else Q(0) for s in range(8))
-        if t.multiply(_unit(), ej) != ej or t.multiply(ej, _unit()) != ej:
+        ej = unit(8, j)
+        if t.multiply(unit(8, 0), ej) != ej or t.multiply(ej, unit(8, 0)) != ej:
             raise ValueError("unit certification failed")
     for i in range(1, 8):
-        ei = tuple(Q(1) if s == i else Q(0) for s in range(8))
+        ei = unit(8, i)
         sq = t.multiply(ei, ei)
         if sq != tuple([Q(-1)] + [Q(0)] * 7):
             raise ValueError(f"imaginary unit {i} does not square to -1")
     return t
 
 
-def _unit() -> tuple:
-    return tuple([Q(1)] + [Q(0)] * 7)
-
-
 def _basis_product(cross: CrossProduct7, i: int, j: int) -> tuple:
-    if i == 0 and j == 0:
-        return _unit()
     if i == 0:
-        return tuple(Q(1) if s == j else Q(0) for s in range(8))
+        return unit(8, j)
     if j == 0:
-        return tuple(Q(1) if s == i else Q(0) for s in range(8))
-    x = [Q(1) if s == i - 1 else Q(0) for s in range(7)]
-    y = [Q(1) if s == j - 1 else Q(0) for s in range(7)]
+        return unit(8, i)
+    x, y = unit(7, i - 1), unit(7, j - 1)
     real = -dot(x, y)
     imag = cross.cross(x, y)
     return (real,) + tuple(imag)
@@ -217,7 +210,7 @@ def alternativity_certificate(table: OctonionTable, n: int = 50, seed: int = 42)
         q = _random_octonion(rng)
         if associator(table, p, p, q) != zero or associator(table, q, p, p) != zero:
             return False
-    basis = [tuple(Q(1) if s == i else Q(0) for s in range(8)) for i in range(8)]
+    basis = [unit(8, i) for i in range(8)]
     for i, j, k in itertools.combinations(range(8), 3):
         a = associator(table, basis[i], basis[j], basis[k])
         b = associator(table, basis[j], basis[i], basis[k])
@@ -254,10 +247,7 @@ def calibration_gap(p1: Sequence, p2: Sequence,
     phi = invariant_threeform()
     val = phi(p1, p2, p3)
     g = gram_matrix([p1, p2, p3], dot)
-    det = (g[0, 0] * (g[1, 1] * g[2, 2] - g[1, 2] * g[2, 1])
-           - g[0, 1] * (g[1, 0] * g[2, 2] - g[1, 2] * g[2, 0])
-           + g[0, 2] * (g[1, 0] * g[2, 1] - g[1, 1] * g[2, 0]))
-    return val * val, det
+    return val * val, _det3(g.row(0), g.row(1), g.row(2), 0, 1, 2)
 
 
 @functools.lru_cache(maxsize=1)

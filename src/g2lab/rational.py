@@ -6,6 +6,7 @@ Everything in this module is a pure function of immutable values; scalars are
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -143,6 +144,22 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols})"
+
+
+def unit(n: int, i: int) -> tuple:
+    """The i-th standard unit vector of Q^n."""
+    return tuple(Q(1) if s == i else Q(0) for s in range(n))
+
+
+def skew_basis(n: int, slots: Sequence[int]) -> list[ExactMatrix]:
+    """Elementary skew n x n matrices E_ij - E_ji for i < j in `slots`, in
+    lexicographic order of (i, j)."""
+    out = []
+    for i, j in itertools.combinations(slots, 2):
+        ent = [Q(0)] * (n * n)
+        ent[i * n + j], ent[j * n + i] = Q(1), Q(-1)
+        out.append(ExactMatrix(n, n, tuple(ent)))
+    return out
 
 
 def bracket(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

@@ -3,12 +3,14 @@ serialization.
 
 A report's canonical JSON form contains no timing and no environment data, so
 two runs with the same seed and configuration produce byte-identical streams;
-wall-clock times appear only in the human summary table.
+wall-clock times appear only in the human summary table.  The lines are strict
+JSON: a non-finite float (a NaN residual, say) is written as null.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -29,13 +31,19 @@ class CheckReport:
     def json_line(self, check_id: str, seed: int) -> str:
         out = {"check_id": check_id, "status": self.status,
                "params": _jsonable(self.params),
-               "residuals": {k: float(v) for k, v in sorted(self.residuals.items())},
+               "residuals": {k: _json_float(v) for k, v in sorted(self.residuals.items())},
                "tolerance": float(self.tolerance), "seed": int(seed)}
         if self.order_estimate is not None:
             out["order_estimate"] = (self.order_estimate
                                      if isinstance(self.order_estimate, str)
-                                     else float(self.order_estimate))
-        return json.dumps(out, separators=(",", ":"), sort_keys=False)
+                                     else _json_float(self.order_estimate))
+        return json.dumps(out, separators=(",", ":"), sort_keys=False, allow_nan=False)
+
+
+def _json_float(x) -> float | None:
+    """x as a float, or None (JSON null) when it is not finite."""
+    x = float(x)
+    return x if math.isfinite(x) else None
 
 
 def _jsonable(obj):
@@ -43,8 +51,8 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return _json_float(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     return obj

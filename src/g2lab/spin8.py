@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .embeddings import g2_basis
 from .octonions import standard_octonions
-from .rational import ExactMatrix, Q, bracket
+from .rational import ExactMatrix, Q, bracket, skew_basis, unit
 from .subspaces import Subspace
 
 
@@ -23,11 +23,7 @@ def gamma_matrices() -> tuple[ExactMatrix, ...]:
     table = standard_octonions()
     out = []
     for i in range(1, 8):
-        cols = []
-        for j in range(8):
-            ej = [Q(1) if s == j else Q(0) for s in range(8)]
-            ei = [Q(1) if s == i else Q(0) for s in range(8)]
-            cols.append(table.multiply(ei, ej))
+        cols = [table.multiply(unit(8, i), unit(8, j)) for j in range(8)]
         out.append(ExactMatrix.from_rows(
             [[cols[j][k] for j in range(8)] for k in range(8)]))
     return tuple(out)
@@ -58,14 +54,7 @@ def spin7_basis() -> list[ExactMatrix]:
 
 def so7_canonical_basis() -> list[ExactMatrix]:
     """so(7) fixing the unit axis: E_ij - E_ji on slots 1..7 of so(8)."""
-    out = []
-    for i in range(1, 8):
-        for j in range(i + 1, 8):
-            ent = [[Q(0)] * 8 for _ in range(8)]
-            ent[i][j] = Q(1)
-            ent[j][i] = Q(-1)
-            out.append(ExactMatrix.from_rows(ent))
-    return out
+    return skew_basis(8, range(1, 8))
 
 
 @dataclass(frozen=True)

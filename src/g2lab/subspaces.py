@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .rational import ExactMatrix, Q, _as_q
+from .rational import ExactMatrix, Q, _as_q, unit
 
 
 def _to_int_row(row) -> list[int]:
@@ -215,7 +215,7 @@ class Subspace:
         if kernel_basis(form):
             raise ValueError("degenerate form")
         if self.dim == 0:
-            return Subspace.span([ExactMatrix.identity(n).row(i) for i in range(n)], n)
+            return Subspace.span([unit(n, i) for i in range(n)], n)
         rows = []
         for b in self.basis:
             rows.append(form.apply(b))

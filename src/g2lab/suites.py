@@ -31,7 +31,7 @@ from .killing import (da_conditions_check, gamma_pair_residual,
 from .octonions import (alternativity_certificate, associative_test,
                         calibration_gap, norm_multiplicativity_certificate,
                         standard_cross, standard_octonions, torsion_cross)
-from .rational import bracket, combination, exact_json
+from .rational import bracket, combination, exact_json, unit
 from .reports import (CheckReport, SuiteContext, control_report, shortfall,
                       simple_report)
 from .spin8 import so8_intersection_report
@@ -215,7 +215,7 @@ def check_octonion_cross_identities(ctx: SuiteContext) -> CheckReport:
 
 
 def check_octonion_planes(ctx: SuiteContext) -> CheckReport:
-    e = [tuple(1 if s == i else 0 for s in range(7)) for i in range(7)]
+    e = [unit(7, i) for i in range(7)]
     plus_ok = associative_test(e[0], e[1], e[2])
     minus_assoc = associative_test(e[4], e[5], e[6])
     phi = invariant_threeform()

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .embeddings import g2_basis
-from .rational import ExactMatrix, Q, _as_q, combination, exact_json
+from .rational import ExactMatrix, Q, _as_q, combination, exact_json, skew_basis
 from .subspaces import Subspace, kernel_basis
 
 TRIPLES = tuple(itertools.combinations(range(7), 3))
@@ -160,14 +160,7 @@ def invariant_threeform() -> ThreeForm:
 
 def so7_basis() -> list[ExactMatrix]:
     """Elementary skew basis E_ij - E_ji, i < j, of so(7) (21 elements)."""
-    out = []
-    for i in range(7):
-        for j in range(i + 1, 7):
-            ent = [[Q(0)] * 7 for _ in range(7)]
-            ent[i][j] = Q(1)
-            ent[j][i] = Q(-1)
-            out.append(ExactMatrix.from_rows(ent))
-    return out
+    return skew_basis(7, range(7))
 
 
 def stabilizer_in_so7(phi: ThreeForm) -> Subspace:

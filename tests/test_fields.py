@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from g2lab.fields import (Domain, StencilConfig, StencilDomainError,
-                          combinations_index, exterior_d, fd_partial,
-                          hodge_restricted, restrict_two_form, sample_points,
-                          sup, transform_form)
+                          combinations_index, d_one_form, exterior_d,
+                          fd_partial, hodge_restricted, sample_points, sup,
+                          transform_form)
 from g2lab import fields
 
 
@@ -159,55 +159,96 @@ def test_d_squared_vanishes():
     assert np.max(np.abs(dd)) < 1e-8
 
 
-def test_hodge_euclidean_block_conventions():
-    n = 7
-    block = (3, 4, 5)
-    combos1, idx1 = combinations_index(n, 1)
-    alpha = np.zeros(len(combos1))
-    alpha[idx1[(3,)]] = 1.0   # dx4
-    g = np.eye(n)
-    out = hodge_restricted(alpha, 1, n, block, g)
+EPS3 = np.zeros((3, 3, 3))
+for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    EPS3[_i, _j, _k] = 1.0
+    EPS3[_i, _k, _j] = -1.0
+
+
+def reference_restrict_two_form(comps, n, rows, cols):
+    """The matrix beta[a, b] = omega(e_rows[a], e_cols[b]) of a 2-form held
+    as a combination vector, which d_one_form and the block star replaced."""
+    _, idx2 = combinations_index(n, 2)
+    out = np.zeros((len(rows), len(cols)))
+    for a, i in enumerate(rows):
+        for b, j in enumerate(cols):
+            if i == j:
+                continue
+            sgn = 1.0 if i < j else -1.0
+            out[a, b] = sgn * comps[idx2[tuple(sorted((i, j)))]]
+    return out
+
+
+def reference_hodge_one_form(comps, n, block, g):
+    """The combination-vector block star of a full-space 1-form that
+    hodge_restricted replaced: a 2-form combination vector on the block."""
+    gb = g[np.ix_(block, block)]
+    _, idx1 = combinations_index(n, 1)
+    a = np.array([comps[idx1[(b,)]] for b in block])
+    two = np.einsum('m,mij->ij', np.linalg.solve(gb, a), EPS3) * np.sqrt(np.linalg.det(gb))
     combos2, idx2 = combinations_index(n, 2)
-    expected = np.zeros(len(combos2))
-    expected[idx2[(4, 5)]] = 1.0   # dx5 ^ dx6
-    assert np.allclose(out, expected)
+    out = np.zeros(len(combos2))
+    for li in range(3):
+        for lj in range(li + 1, 3):
+            out[idx2[(block[li], block[lj])]] += two[li, lj]
+    return out
+
+
+def test_d_one_form_and_block_star_match_the_combination_vector_route():
+    rng = np.random.default_rng(300)
+    n = 6
+    coef = rng.normal(size=(n, n))
+    a = lambda q: np.sin(coef @ q) * (1.0 + q @ q)
+    cfg = StencilConfig(h=1e-3)
+    for block in ((0, 1, 2), (3, 4, 5), (1, 3, 4)):
+        for _ in range(5):
+            p = rng.uniform(-1.0, 1.0, size=n)
+            old_da = reference_restrict_two_form(exterior_d(a, p, 1, cfg), n,
+                                                 range(n), range(n))
+            assert np.array_equal(d_one_form(a, p, cfg), old_da)
+            s = rng.normal(size=(n, n))
+            g = s @ s.T + n * np.eye(n)
+            alpha = rng.normal(size=n)
+            old_star = reference_restrict_two_form(
+                reference_hodge_one_form(alpha, n, block, g), n, block, block)
+            star = hodge_restricted(alpha[list(block)], g[np.ix_(block, block)])
+            assert np.array_equal(star, old_star)
+
+
+def test_hodge_euclidean_block_conventions():
+    # on the minus block (x4, x5, x6): *dx4 = dx5 ^ dx6
+    out = hodge_restricted(np.array([1.0, 0.0, 0.0]), np.eye(3))
+    expected = np.zeros((3, 3))
+    expected[1, 2], expected[2, 1] = 1.0, -1.0
+    assert np.array_equal(out, expected)
+
+
+def star_two_form(beta, gb):
+    """The block star of a 2-form (skew matrix) back to a 1-form: the
+    inverse of hodge_restricted on a 3-dimensional block."""
+    b = np.einsum('mij,ij->m', EPS3, beta) / 2.0
+    return gb @ b / np.sqrt(np.linalg.det(gb))
 
 
 def test_hodge_star_squared_identity_on_one_forms():
-    n = 6
-    block = (3, 4, 5)
     rng = np.random.default_rng(9)
-    g = np.eye(n)
     s = rng.normal(size=(3, 3))
-    g[np.ix_(block, block)] = s @ s.T + 3 * np.eye(3)
-    combos1, idx1 = combinations_index(n, 1)
-    alpha = np.zeros(len(combos1))
-    for i, b in enumerate(block):
-        alpha[idx1[(b,)]] = rng.normal()
-    once = hodge_restricted(alpha, 1, n, block, g)
-    twice = hodge_restricted(once, 2, n, block, g)
+    gb = s @ s.T + 3 * np.eye(3)
+    alpha = rng.normal(size=3)
+    twice = star_two_form(hodge_restricted(alpha, gb), gb)
     assert np.allclose(twice, alpha, atol=1e-12)
 
 
 def test_hodge_isometric():
-    n = 6
-    block = (0, 1, 2)
     rng = np.random.default_rng(11)
     a = rng.normal(size=(3, 3))
     gb = a @ a.T + 2 * np.eye(3)
-    g = np.eye(n)
-    g[np.ix_(block, block)] = gb
-    combos1, idx1 = combinations_index(n, 1)
-    alpha = np.zeros(len(combos1))
-    vals = rng.normal(size=3)
-    for i, b in enumerate(block):
-        alpha[idx1[(b,)]] = vals[i]
+    alpha = rng.normal(size=3)
     ginv = np.linalg.inv(gb)
-    norm_alpha = vals @ ginv @ vals
-    beta = hodge_restricted(alpha, 1, n, block, g)
-    bmat = restrict_two_form(beta, n, block, block)
+    norm_alpha = alpha @ ginv @ alpha
+    beta = hodge_restricted(alpha, gb)
     # |beta|^2 = (1/2) beta_ij beta_kl g^ik g^jl
-    norm_beta = 0.5 * np.einsum('ij,kl,ik,jl->', bmat, bmat, ginv, ginv)
+    norm_beta = 0.5 * np.einsum('ij,kl,ik,jl->', beta, beta, ginv, ginv)
     assert abs(norm_alpha - norm_beta) < 1e-12
 
 

@@ -123,7 +123,7 @@ def test_minus_block_equation_reproduces_determinant_form():
             b_plus=lambda x: 0.5 / u(x) * du_minus(x),
             b_hom=lambda x: np.zeros((3, 3)),
             domain=Domain(lo=(-0.6,) * 6, hi=(0.6,) * 6),
-            connection="levi-civita")
+            connection=lambda x: np.zeros((6, 6, 6)))
         cfg = StencilConfig(h=1e-4)
         pts = sample_points(data.domain, 5, StencilConfig(h=1e-3), seed=19)
         for p in pts:
