@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import Domain, hat
+from .fields import MM, Domain, hat
 from .g2construct import (CoframeSigns, G2MetricBundle, MonopoleData,
                           flat_product_metric, g2_build_thm1,
                           weak_monopole_residual)
@@ -42,15 +42,15 @@ def monopole_potential6() -> Callable[[np.ndarray], np.ndarray]:
     dirac = dirac_potential(0.5)
 
     def a(x: np.ndarray) -> np.ndarray:
-        out = np.zeros(6)
-        out[3:] = -dirac(x[3:])
+        out = np.zeros(np.shape(x))
+        out[..., 3:] = -dirac(x[..., 3:])
         return out
 
     return a
 
 
 def taub_nut_v6(x: np.ndarray) -> float:
-    return v_taub_nut(x[3:])
+    return v_taub_nut(x[..., 3:])
 
 
 # ---------------------------------------------------------------- classical GH
@@ -153,20 +153,32 @@ def warped_control_bundle() -> G2MetricBundle:
 
 # ------------------------------------------------------------- quotient data
 
-def _pole(x3: np.ndarray) -> tuple[float, np.ndarray]:
-    r = float(np.linalg.norm(x3))
+# The quotient fields below take a point or a block of points.  A power of a
+# value that is a numpy scalar at a point (r, v) is np.power, not **: on a
+# scalar ** takes the C library's pow, whose last bit can differ from the
+# array loop's, and the rows of a block must carry the bits of its points.
+
+def _constant(value) -> Callable[[np.ndarray], np.ndarray]:
+    """The field x -> value, at a point or at every point of a block."""
+    value = np.asarray(value, dtype=float)
+    return lambda x: np.broadcast_to(value, np.shape(x)[:-1] + value.shape)
+
+
+def _pole(x3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """v = 1 + 1/(2r) and its gradient on the minus block."""
+    r = np.sqrt(np.vecdot(x3, x3))
     v = 1.0 + 0.5 / r
-    dv = -0.5 * x3 / r ** 3
+    dv = -0.5 * x3 / np.power(r, 3)[..., None]
     return v, dv
 
 
 def killing_flat_data() -> KillingData:
     dom = Domain(lo=(-1.0,) * 6, hi=(1.0,) * 6)
-    return KillingData(metric=lambda x: np.eye(6), u=lambda x: 1.0,
-                       a_form=lambda x: np.zeros(6),
-                       b_plus=lambda x: np.zeros(3),
-                       b_hom=lambda x: np.zeros((3, 3)),
-                       domain=dom, connection=lambda x: np.zeros((6, 6, 6)))
+    return KillingData(metric=_constant(np.eye(6)), u=_constant(1.0),
+                       a_form=_constant(np.zeros(6)),
+                       b_plus=_constant(np.zeros(3)),
+                       b_hom=_constant(np.zeros((3, 3))),
+                       domain=dom, connection=_constant(np.zeros((6, 6, 6))))
 
 
 def killing_taub_nut_data() -> KillingData:
@@ -177,44 +189,47 @@ def killing_taub_nut_data() -> KillingData:
     a6 = monopole_potential6()
 
     def metric(x: np.ndarray) -> np.ndarray:
-        v, _ = _pole(x[3:])
-        g = np.eye(6)
-        g[3:, 3:] *= v
+        v, _ = _pole(x[..., 3:])
+        g = np.tile(np.eye(6), np.shape(v) + (1, 1))
+        g[MM] *= v[..., None, None]
         return g
 
-    def u(x: np.ndarray) -> float:
-        v, _ = _pole(x[3:])
-        return v ** -0.5
+    def u(x: np.ndarray) -> np.ndarray:
+        v, _ = _pole(x[..., 3:])
+        return np.power(v, -0.5)
 
     def b_plus(x: np.ndarray) -> np.ndarray:
-        v, dv = _pole(x[3:])
-        return -0.25 * v ** -1.5 * dv
+        v, dv = _pole(x[..., 3:])
+        return -0.25 * np.power(v, -1.5)[..., None] * dv
 
     def connection(x: np.ndarray) -> np.ndarray:
-        v, dv = _pole(x[3:])
-        gam = np.zeros((6, 6, 6))
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    gam[3 + k, 3 + i, 3 + j] = (
-                        (dv[i] if j == k else 0.0) + (dv[j] if i == k else 0.0)
-                        - (dv[k] if i == j else 0.0)) / (2 * v)
+        v, dv = _pole(x[..., 3:])
+        # Levi-Civita of dx_+^2 + v dx_-^2, on the minus block:
+        # (dv_i delta_jk + dv_j delta_ik - dv_k delta_ij) / 2v at [k, i, j]
+        delta = np.eye(3)
+        levi_civita = (np.einsum('...i,kj->...kij', dv, delta)
+                       + np.einsum('...j,ki->...kij', dv, delta)
+                       - np.einsum('...k,ij->...kij', dv, delta)) / (2 * v)[..., None, None, None]
         # subtract the h-twist of the closed-form gamma: only the minus block
         # of the twist endomorphism is nonzero, gamma_f = u^-1 hat(g_minus)
-        gm = -0.5 * v ** -2 * dv          # frame components of (grad u)_minus
-        scale = np.concatenate([np.ones(3), np.full(3, v ** -0.5)])
-        frame = np.diag(scale)            # columns
-        cof = np.diag(1.0 / scale)
-        u_val = v ** -0.5
-        gamma_f = np.zeros((6, 6))
-        gamma_f[3:, 3:] = hat(gm) / u_val
-        corr = np.zeros((6, 6, 6))
-        for a in range(6):
-            corr[:, a, :] = frame @ h6(gamma_f @ cof[:, a]) @ cof
-        return gam - corr
+        gm = -0.5 * np.power(v, -2.0)[..., None] * dv   # frame components of (grad u)_minus
+        u_val = np.power(v, -0.5)
+        scale = np.ones(np.shape(x))                     # the diagonal frame
+        scale[..., 3:] = u_val[..., None]
+        cof = 1.0 / scale
+        gamma_f = np.zeros(np.shape(x)[:-1] + (6, 6))
+        gamma_f[MM] = hat(gm) / u_val[..., None, None]
+        # minus the twist along f_a, in coordinates: [a, c, b] holds
+        # -scale_c h6(gamma_f f_a)[c, b] cof_b, and gam is its [c, a, b] view
+        twist = h6(gamma_f.mT * cof[..., :, None])
+        twist *= scale[..., None, :, None]
+        twist *= -cof[..., None, None, :]
+        gam = np.swapaxes(twist, -3, -2)
+        gam[..., 3:, 3:, 3:] += levi_civita
+        return gam
 
     return KillingData(metric=metric, u=u, a_form=a6, b_plus=b_plus,
-                       b_hom=lambda x: np.zeros((3, 3)),
+                       b_hom=_constant(np.zeros((3, 3))),
                        domain=base_domain6(), connection=connection)
 
 
@@ -224,7 +239,7 @@ def killing_perturbed_data(eps: float = 0.1) -> KillingData:
 
     def a_form(x: np.ndarray) -> np.ndarray:
         out = good.a_form(x).copy()
-        out[5] += eps * float(x[4])
+        out[..., 5] += eps * x[..., 4]
         return out
 
     return KillingData(metric=good.metric, u=good.u, a_form=a_form,
@@ -269,9 +284,14 @@ GALLERY = {
 
 def rho_flat_setup() -> RhoConnectionSetup:
     dom = Domain(lo=(-1.0,) * 6, hi=(1.0,) * 6)
-    return RhoConnectionSetup(u=lambda x: 1.0, a_form=lambda x: np.zeros(6),
-                              gamma_tm=lambda x: np.zeros((6, 6)),
-                              gamma_one=lambda x: np.zeros(6), domain=dom)
+    return RhoConnectionSetup(u=_constant(1.0), gamma_tm=_constant(np.zeros((6, 6))),
+                              gamma_one=_constant(np.zeros(6)), domain=dom)
+
+
+def _powers(x: np.ndarray) -> np.ndarray:
+    """The stacked powers (x, x^2, x^3), of shape (..., 3, dim): a cubic
+    polynomial without constant term is one contraction with them."""
+    return np.stack([x, x ** 2, x ** 3], axis=-2)
 
 
 def rho_polynomial_setup(seed: int = 42) -> RhoConnectionSetup:
@@ -280,27 +300,21 @@ def rho_polynomial_setup(seed: int = 42) -> RhoConnectionSetup:
     rng = np.random.default_rng(seed)
     c_g = rng.uniform(-0.4, 0.4, size=(6, 6, 3, 6))
     c_u = rng.uniform(-0.2, 0.2, size=(3, 6))
-    c_a = rng.uniform(-0.4, 0.4, size=(6, 3, 6))
+    rng.uniform(-0.4, 0.4, size=(6, 3, 6))   # the potential's, unread: keeps c_1's draw
     c_1 = rng.uniform(-0.4, 0.4, size=(6, 3, 6))
 
-    def poly(coefs, x):
-        return float(sum(coefs[d] @ (x ** (d + 1)) for d in range(3)))
-
     def gamma_tm(x):
-        return np.array([[poly(c_g[i, j], x) for j in range(6)] for i in range(6)])
+        return np.einsum('ijdm,...dm->...ij', c_g, _powers(x))
 
     def u(x):
-        return 2.0 + poly(c_u, x)
-
-    def a_form(x):
-        return np.array([poly(c_a[i], x) for i in range(6)])
+        return 2.0 + np.einsum('dm,...dm->...', c_u, _powers(x))
 
     def gamma_one(x):
-        return np.array([poly(c_1[i], x) for i in range(6)])
+        return np.einsum('idm,...dm->...i', c_1, _powers(x))
 
     dom = Domain(lo=(-0.8,) * 6, hi=(0.8,) * 6)
-    return RhoConnectionSetup(u=u, a_form=a_form, gamma_tm=gamma_tm,
-                              gamma_one=gamma_one, domain=dom)
+    return RhoConnectionSetup(u=u, gamma_tm=gamma_tm, gamma_one=gamma_one,
+                              domain=dom)
 
 
 def polynomial_sections(seed: int = 43) -> list:
@@ -310,8 +324,7 @@ def polynomial_sections(seed: int = 43) -> list:
 
     def make(c):
         def section(x):
-            return np.array([sum(c[i, d] @ (x ** (d + 1)) for d in range(3))
-                             for i in range(6)])
+            return np.einsum('idm,...dm->...i', c, _powers(x))
         return section
 
     return [make(c) for c in coefs]

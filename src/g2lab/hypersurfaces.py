@@ -83,10 +83,9 @@ def _normal(t: np.ndarray) -> np.ndarray:
     return n
 
 
-def _j_matrix(t: np.ndarray) -> np.ndarray:
+def _j_matrix(t: np.ndarray, n: np.ndarray) -> np.ndarray:
     """J(X) = n x X in coordinate components of the tangent space spanned by
-    the columns of `t`."""
-    n = _normal(t)
+    the columns of `t`, with `n` its unit normal (`_normal(t)`)."""
     cols = []
     for b in range(6):
         jb, *_ = np.linalg.lstsq(t, cross7(n, t[:, b]), rcond=None)
@@ -99,7 +98,8 @@ def hypersurface_checks(imm: Immersion, samples, cfg: StencilConfig) -> dict:
     tangent = functools.partial(_tangent, imm, cfg)
 
     def j_matrix(y: np.ndarray) -> np.ndarray:
-        return _j_matrix(tangent(y))
+        t = tangent(y)
+        return _j_matrix(t, _normal(t))
 
     def induced_metric(y: np.ndarray) -> np.ndarray:
         t = tangent(y)
@@ -111,7 +111,7 @@ def hypersurface_checks(imm: Immersion, samples, cfg: StencilConfig) -> dict:
         if np.linalg.det(g) < 1e-10:
             raise ValueError("degenerate induced metric")
         n = _normal(t)
-        jmat = _j_matrix(t)
+        jmat = _j_matrix(t, n)
         gam = christoffel(induced_metric, y, cfg)
         dj = fd_gradient(j_matrix, y, cfg)
         # (nabla_c J)^a_b
@@ -140,6 +140,7 @@ def hypersurface_checks(imm: Immersion, samples, cfg: StencilConfig) -> dict:
 def j_squared_residual(imm: Immersion, samples, cfg: StencilConfig) -> float:
     """Sanity: J^2 = -identity on the tangent space, up to stencil noise."""
     def at(y):
-        jmat = _j_matrix(_tangent(imm, cfg, y))
+        t = _tangent(imm, cfg, y)
+        jmat = _j_matrix(t, _normal(t))
         return {"j_squared": np.abs(jmat @ jmat + np.eye(6))}
     return sup(samples, at)["j_squared"]

@@ -2,7 +2,7 @@
 
 Given a 6-metric with an adapted split, a nowhere-zero function u, a potential
 1-form A and the block data (b, B), the checkers evaluate, in an adapted
-orthonormal frame at sample points:
+orthonormal frame at blocks of sample points:
 
   (a) torsion of the supplied compatible connection against the h-twist,
   (b) dA(X, Y) = 2 u^-1 <gamma X, Y>,
@@ -20,13 +20,15 @@ plus/minus identification positionally.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .fields import (Domain, StencilConfig, adapted_frame, d_one_form,
-                     fd_gradient, frame_derivatives, hat, hodge_restricted, sup)
+from .fields import (MM, PM, PP, Domain, StencilConfig, adapted_frame, blocks,
+                     d_one_form, fd_gradient, frame_derivatives, hat,
+                     hodge_restricted, sup)
 from .modeldata import h6
 
 
@@ -34,14 +36,14 @@ from .modeldata import h6
 class KillingData:
     """Quotient data on a 6-dimensional box.
 
-    connection returns the Christoffel symbols Gamma[c, a, b] of the supplied
-    compatible connection in coordinates.  b_plus and b_hom are the block
-    sections in adapted-frame components (b_hom trace-free and self-adjoint at
-    samples).
+    Every field takes a point or a block of points.  connection returns the
+    Christoffel symbols Gamma[c, a, b] of the supplied compatible connection
+    in coordinates.  b_plus and b_hom are the block sections in adapted-frame
+    components (b_hom trace-free and self-adjoint at samples).
     """
 
     metric: Callable[[np.ndarray], np.ndarray]
-    u: Callable[[np.ndarray], float]
+    u: Callable[[np.ndarray], np.ndarray]
     a_form: Callable[[np.ndarray], np.ndarray]
     b_plus: Callable[[np.ndarray], np.ndarray]
     b_hom: Callable[[np.ndarray], np.ndarray]
@@ -49,16 +51,15 @@ class KillingData:
     connection: Callable[[np.ndarray], np.ndarray]
 
     def gamma_info(self, x: np.ndarray, cfg: StencilConfig) -> dict:
-        """Frame-component data entering the twist endomorphism at a point."""
-        g = np.asarray(self.metric(x), dtype=float)
-        frame = adapted_frame(g)
-        u = float(self.u(x))
-        if u == 0.0:
+        """Frame-component data entering the twist endomorphism at a point or
+        a block of points."""
+        frame = adapted_frame(np.asarray(self.metric(x), dtype=float))
+        u = np.asarray(self.u(x), dtype=float)
+        if np.any(u == 0.0):
             raise ValueError(f"u vanishes at {x}")
-        du = fd_gradient(self.u, x, cfg)
-        grad_frame = frame.T @ du     # frame components of the gradient
-        return {"g": g, "frame": frame, "u": u, "du": du,
-                "grad_frame": grad_frame,
+        # frame components of the gradient
+        grad_frame = np.vecmat(fd_gradient(self.u, x, cfg), frame)
+        return {"frame": frame, "u": u, "grad_frame": grad_frame,
                 "b": np.asarray(self.b_plus(x), dtype=float),
                 "B": np.asarray(self.b_hom(x), dtype=float)}
 
@@ -68,27 +69,27 @@ def gamma_expanded(info: dict) -> np.ndarray:
     gamma(X)_+ = b x X_+ - B X_- - (1/2) u^-1 (grad u)_- x X_+ - (1/2) u^-1 (grad u)_+ x X_-,
     gamma(X)_- = B X_+ + b x X_- - (1/2) u^-1 (grad u)_+ x X_+ + (1/2) u^-1 (grad u)_- x X_-.
     """
-    u = info["u"]
-    gp, gm = info["grad_frame"][:3], info["grad_frame"][3:]
+    u = info["u"][..., None, None]
+    gp, gm = info["grad_frame"][..., :3], info["grad_frame"][..., 3:]
     b, bb = info["b"], info["B"]
-    out = np.zeros((6, 6))
-    out[:3, :3] = hat(b) - 0.5 / u * hat(gm)
-    out[:3, 3:] = -bb - 0.5 / u * hat(gp)
-    out[3:, :3] = bb - 0.5 / u * hat(gp)
-    out[3:, 3:] = hat(b) + 0.5 / u * hat(gm)
+    out = np.zeros(bb.shape[:-2] + (6, 6))
+    out[..., :3, :3] = hat(b) - 0.5 / u * hat(gm)
+    out[..., :3, 3:] = -bb - 0.5 / u * hat(gp)
+    out[..., 3:, :3] = bb - 0.5 / u * hat(gp)
+    out[..., 3:, 3:] = hat(b) + 0.5 / u * hat(gm)
     return out
 
 
 def gamma_unexpanded(info: dict) -> np.ndarray:
     """The same endomorphism assembled as the adjoint-bundle section minus
     u^-1 h(grad u), through the exactly certified h constants."""
-    u = info["u"]
+    u = info["u"][..., None, None]
     b, bb = info["b"], info["B"]
-    bcal = np.zeros((6, 6))
-    bcal[:3, :3] = hat(b)
-    bcal[:3, 3:] = -bb
-    bcal[3:, :3] = bb
-    bcal[3:, 3:] = hat(b)
+    bcal = np.zeros(bb.shape[:-2] + (6, 6))
+    bcal[..., :3, :3] = hat(b)
+    bcal[..., :3, 3:] = -bb
+    bcal[..., 3:, :3] = bb
+    bcal[..., 3:, 3:] = hat(b)
     return bcal - h6(info["grad_frame"]) / u
 
 
@@ -96,7 +97,7 @@ def gamma_pair_residual(data: KillingData, samples, cfg: StencilConfig) -> float
     def at(x):
         info = data.gamma_info(x, cfg)
         return {"pair": np.abs(gamma_expanded(info) - gamma_unexpanded(info))}
-    return sup(samples, at)["pair"]
+    return sup(blocks(samples), at)["pair"]
 
 
 def killing_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> dict:
@@ -109,35 +110,40 @@ def killing_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> 
         info = data.gamma_info(x, cfg)
         fr = info["frame"]
         e = np.linalg.inv(fr)
-        gam = np.asarray(data.connection(x), dtype=float)
         gamma_f = gamma_expanded(info)
         # d_{f_a} f_b and nabla_{f_a} f_b, in coordinates
-        d_along, nabla = frame_derivatives(frame_field, x, fr, gam, cfg)
+        d_along, nabla = frame_derivatives(
+            frame_field, x, fr, np.asarray(data.connection(x), dtype=float), cfg)
 
         da_mat = d_one_form(data.a_form, x, cfg)
         u = info["u"]
 
         out = {"torsion_vs_twist": [], "potential_equation": [],
                "corrected_metricity": []}
+        # t_frame + hterm is skew in (a, b) bit for bit (each term changes
+        # sign exactly under the swap), so the entry of (b, a) repeats that
+        # of (a, b) and each unordered pair is taken once.
+        for a, b in itertools.combinations(range(6), 2):
+            lie_ab = d_along[..., a, :, b] - d_along[..., b, :, a]     # [f_a, f_b]
+            t_frame = np.matvec(e, nabla[..., a, b, :] - nabla[..., b, a, :] - lie_ab)
+            hterm = h6(gamma_f[..., :, a])[..., :, b] - h6(gamma_f[..., :, b])[..., :, a]
+            out["torsion_vs_twist"].append(np.abs(t_frame + hterm))
+        del d_along   # the brackets are taken: free the block's frame derivatives
+        for a, b in itertools.permutations(range(6), 2):
+            da_ab = np.vecdot(np.vecmat(fr[..., :, a], da_mat), fr[..., :, b])
+            rhs = 2.0 / u * gamma_f[..., b, a]
+            out["potential_equation"].append(np.abs(da_ab - rhs))
         for a in range(6):
-            for b in range(6):
-                if a == b:
-                    continue
-                lie_ab = d_along[a][:, b] - d_along[b][:, a]     # [f_a, f_b]
-                t_frame = e @ (nabla[a, b] - nabla[b, a] - lie_ab)
-                hterm = h6(gamma_f[:, a])[:, b] - h6(gamma_f[:, b])[:, a]
-                out["torsion_vs_twist"].append(np.abs(t_frame + hterm))
-                da_ab = float(fr[:, a] @ da_mat @ fr[:, b])
-                rhs = 2.0 / u * gamma_f[b, a]
-                out["potential_equation"].append(abs(da_ab - rhs))
             # metricity of (nabla + h o gamma): its frame connection form is skew
-            omega = np.zeros((6, 6))
-            for b in range(6):
-                omega[:, b] = e @ nabla[a, b]
-            omega = omega + h6(gamma_f[:, a])
-            out["corrected_metricity"].append(np.abs(omega + omega.T))
+            omega = np.matvec(e[..., None, :, :], nabla[..., a, :, :]).mT
+            omega = omega + h6(gamma_f[..., :, a])
+            out["corrected_metricity"].append(np.abs(omega + omega.mT))
         return out
-    res = sup(samples, at)
+    res = sup(blocks(samples), at)
+    # The corrected connection's torsion is
+    # T^{nabla + h o gamma}(X, Y) = T^nabla(X, Y) + h(gamma X) Y - h(gamma Y) X,
+    # on frame pairs exactly t_frame + hterm above: condition (c)'s torsion
+    # is torsion_vs_twist, reported under both names.
     res["corrected_torsion"] = res["torsion_vs_twist"]
     return res
 
@@ -146,15 +152,16 @@ def _minus_block_routes(data: KillingData, info: dict, x: np.ndarray,
                         cfg: StencilConfig) -> tuple:
     """alpha = <2b - u^-1 (grad u)_-, .> and the right-hand side of (dA)-- by
     the plain and by the rescaled pairing (see da_conditions_check)."""
-    fr, u = info["frame"], info["u"]
-    gm = info["grad_frame"][3:]
+    fr, u = info["frame"], info["u"][..., None]
+    gm = info["grad_frame"][..., 3:]
     alpha = 2.0 * info["b"] - gm / u
 
-    rhs_mm_plain = -1.0 / u * hat(alpha + 2.0 / u * gm)
+    rhs_mm_plain = -1.0 / u[..., None] * hat(alpha + 2.0 / u * gm)
 
-    du2 = fd_gradient(lambda q: float(data.u(q)) ** -2, x, cfg)
-    du2_frame = (fr.T @ du2)[3:]
-    rhs_mm_resc = -hodge_restricted(du2_frame - alpha / u ** 2, u ** 2 * np.eye(3))
+    du2 = fd_gradient(lambda q: data.u(q) ** -2, x, cfg)
+    du2_frame = np.vecmat(du2, fr)[..., 3:]
+    rhs_mm_resc = -hodge_restricted(du2_frame - alpha / u ** 2,
+                                    u[..., None] ** 2 * np.eye(3))
     return alpha, rhs_mm_plain, rhs_mm_resc
 
 
@@ -170,19 +177,19 @@ def da_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> dict:
     """
     def at(x):
         info = data.gamma_info(x, cfg)
-        fr, u = info["frame"], info["u"]
-        gp = info["grad_frame"][:3]
+        fr, u = info["frame"], info["u"][..., None, None]
+        gp = info["grad_frame"][..., :3]
         alpha, rhs_mm_plain, rhs_mm_resc = _minus_block_routes(data, info, x, cfg)
 
-        da_f = fr.T @ d_one_form(data.a_form, x, cfg) @ fr   # frame components
+        da_f = fr.mT @ d_one_form(data.a_form, x, cfg) @ fr   # frame components
         rhs_pp = -1.0 / u * hat(alpha)
-        rhs_mixed = 2.0 / u * (info["B"].T + 0.5 / u * hat(gp))
-        return {"plus_plus": np.abs(da_f[:3, :3] - rhs_pp),
-                "minus_minus": np.abs(da_f[3:, 3:] - rhs_mm_plain),
-                "minus_minus_rescaled": np.abs(da_f[3:, 3:] - rhs_mm_resc),
-                "mixed": np.abs(da_f[:3, 3:] - rhs_mixed),
+        rhs_mixed = 2.0 / u * (info["B"].mT + 0.5 / u * hat(gp))
+        return {"plus_plus": np.abs(da_f[PP] - rhs_pp),
+                "minus_minus": np.abs(da_f[MM] - rhs_mm_plain),
+                "minus_minus_rescaled": np.abs(da_f[MM] - rhs_mm_resc),
+                "mixed": np.abs(da_f[PM] - rhs_mixed),
                 "route_agreement": np.abs(rhs_mm_plain - rhs_mm_resc)}
-    return sup(samples, at)
+    return sup(blocks(samples), at)
 
 
 def route_agreement(data: KillingData, samples, cfg: StencilConfig) -> float:
@@ -192,19 +199,19 @@ def route_agreement(data: KillingData, samples, cfg: StencilConfig) -> float:
     def at(x):
         _, plain, resc = _minus_block_routes(data, data.gamma_info(x, cfg), x, cfg)
         return {"route_agreement": np.abs(plain - resc)}
-    return sup(samples, at)["route_agreement"]
+    return sup(blocks(samples), at)["route_agreement"]
 
 
 @dataclass(frozen=True)
 class RhoConnectionSetup:
     """Data for the anchored-connection torsion oracle on a flat 6-box, with
-    the flat coordinate connection.
+    the flat coordinate connection; every field takes a point or a block of
+    points.
 
     gamma_tm and gamma_one are the two components of the Hom(E, TM) section.
     """
 
-    u: Callable[[np.ndarray], float]
-    a_form: Callable[[np.ndarray], np.ndarray]
+    u: Callable[[np.ndarray], np.ndarray]
     gamma_tm: Callable[[np.ndarray], np.ndarray]          # 6x6
     gamma_one: Callable[[np.ndarray], np.ndarray]         # 6
     domain: Domain
@@ -229,45 +236,37 @@ def rho_torsion_check(setup: RhoConnectionSetup, sections: Sequence, samples,
     def at(x):
         gtm = np.asarray(setup.gamma_tm(x), float)
         g1 = np.asarray(setup.gamma_one(x), float)
-        u = float(setup.u(x))
+        u = np.asarray(setup.u(x), float)
         du = fd_gradient(setup.u, x, cfg)
-        da = d_one_form(setup.a_form, x, cfg)
+        values = [np.asarray(s(x), float) for s in sections]
+        jacobians = [fd_gradient(s, x, cfg) for s in sections]
 
         out = {"tangent_pairs": [], "axis_pairs": []}
-        for si in range(len(sections)):
-            xs = sections[si]
-            xv = np.asarray(xs(x), float)
-            gx = gtm @ xv
+        for si, (xs, xv) in enumerate(zip(sections, values)):
+            gx = np.matvec(gtm, xv)
             for sj in range(si + 1, len(sections)):
-                ys = sections[sj]
-                yv = np.asarray(ys(x), float)
-                gy = gtm @ yv
+                ys, yv = sections[sj], values[sj]
+                gy = np.matvec(gtm, yv)
 
                 # direct: directional covariant derivatives, coordinate bracket
                 nab_xy = _directional(ys, x, xv, cfg.h)
                 nab_yx = _directional(xs, x, yv, cfg.h)
-                jac_y = fd_gradient(ys, x, cfg)
-                jac_x = fd_gradient(xs, x, cfg)
-                lie = xv @ jac_y - yv @ jac_x
-                direct_tm = (nab_xy + h6(gx) @ yv) - (nab_yx + h6(gy) @ xv) - lie
-                da_xy = float(xv @ da @ yv)
-                direct_ax = u * da_xy - float(gx @ yv) + float(gy @ xv)
+                lie = np.vecmat(xv, jacobians[sj]) - np.vecmat(yv, jacobians[si])
+                direct_tm = ((nab_xy + np.matvec(h6(gx), yv))
+                             - (nab_yx + np.matvec(h6(gy), xv)) - lie)
 
                 # closed: the flat connection is torsion-free, so only the
                 # twist terms remain
-                closed_tm = h6(gx) @ yv - h6(gy) @ xv
-                closed_ax = u * da_xy - float(gx @ yv) + float(gy @ xv)
-
-                out["tangent_pairs"] += [*np.abs(direct_tm - closed_tm),
-                                         abs(direct_ax - closed_ax)]
+                closed_tm = np.matvec(h6(gx), yv) - np.matvec(h6(gy), xv)
+                out["tangent_pairs"].append(np.abs(direct_tm - closed_tm))
 
             # (X, axis) pair: the axis direction has zero anchor, so the
             # tangent parts agree pointwise; the scalar part differs only in
             # the X(u) stencil (directional vs assembled from the gradient)
-            xu_dir = float(_directional(setup.u, x, xv, cfg.h))
-            xu_coord = float(xv @ du)
-            direct_ax = xu_dir / u + float(g1 @ xv)
-            closed_ax = xu_coord / u + float(g1 @ xv)
-            out["axis_pairs"].append(abs(direct_ax - closed_ax))
+            xu_dir = _directional(setup.u, x, xv, cfg.h)
+            xu_coord = np.vecdot(xv, du)
+            direct_ax = xu_dir / u + np.vecdot(g1, xv)
+            closed_ax = xu_coord / u + np.vecdot(g1, xv)
+            out["axis_pairs"].append(np.abs(direct_ax - closed_ax))
         return out
-    return sup(samples, at)
+    return sup(blocks(samples), at)

@@ -51,8 +51,9 @@ def h_tensors() -> np.ndarray:
 
 
 def h6(w: np.ndarray) -> np.ndarray:
-    """h of a 6-vector in frame components, as a 6x6 float matrix."""
-    return np.einsum('i,iab->ab', np.asarray(w, dtype=float), h_tensors())
+    """h of a 6-vector in frame components, as a 6x6 float matrix, over the
+    last axis of `w`."""
+    return np.einsum('...i,iab->...ab', np.asarray(w, dtype=float), h_tensors())
 
 
 @functools.lru_cache(maxsize=1)

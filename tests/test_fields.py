@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from g2lab.fields import (Domain, StencilConfig, StencilDomainError,
-                          combinations_index, d_one_form, exterior_d,
-                          fd_partial, hodge_restricted, sample_points, sup,
-                          transform_form)
+from g2lab.fields import (BLOCK, Domain, StencilConfig, StencilDomainError,
+                          adapted_frame, blocks, combinations_index, d_one_form,
+                          exterior_d, fd_gradient, fd_partial,
+                          frame_derivatives, hat, hodge_restricted,
+                          sample_points, sup, transform_form)
 from g2lab import fields
+from g2lab.gallery import killing_taub_nut_data
+from g2lab.modeldata import h6
 
 
 def reference_transform_form(comps, k, n, frame):
@@ -353,3 +356,99 @@ def test_d_squared_decreases_at_stencil_order():
         res[h] = np.max(np.abs(exterior_d(domega, p, 2, StencilConfig(h=h / 2))))
     assert res[2e-2] > 1e-8
     assert res[2e-2] / res[1e-2] > 3.4
+
+
+# ------------------------------------------------------------ blocked sup
+
+@pytest.mark.parametrize("n", [1, BLOCK, BLOCK + 1])
+def test_blocked_sup_equals_the_whole_array_max(n):
+    rng = np.random.default_rng(n)
+    pts = list(rng.uniform(-1.0, 1.0, size=(n, 3)))
+    sizes = [len(b) for b in blocks(pts)]
+    assert sum(sizes) == n and max(sizes) <= BLOCK
+
+    def at(x):
+        return {"scalar": np.abs(x[..., 0] * x[..., 1]), "array": np.abs(np.sin(x))}
+
+    whole = np.array(pts)
+    out = sup(blocks(pts), at)
+    assert out == {"scalar": float(np.max(np.abs(whole[:, 0] * whole[:, 1]))),
+                   "array": float(np.max(np.abs(np.sin(whole))))}
+
+
+def test_blocked_sup_keeps_a_nan_in_the_last_block():
+    pts = [np.array([float(i)]) for i in range(BLOCK + 3)]
+
+    def at(x):
+        value = x[..., 0].copy()
+        value[x[..., 0] == BLOCK + 2] = np.nan
+        return {"value": value}
+
+    assert np.isnan(sup(blocks(pts), at)["value"])
+
+
+def test_blocked_sup_over_no_points_raises():
+    with pytest.raises(ValueError, match="no sample points"):
+        sup(blocks([]), lambda x: {"value": x})
+
+
+# ------------------------------------------- point/block parity of the core
+
+def _block(n=20, dim=6, seed=3):
+    return np.random.default_rng(seed).uniform(-0.9, 0.9, size=(n, dim))
+
+
+def _stack_rows(f, block):
+    return np.array([f(p) for p in block])
+
+
+def test_fd_gradient_and_d_one_form_on_a_block_equal_their_points():
+    cfg = StencilConfig(h=1e-3)
+    matrix_field = lambda q: np.sin(q)[..., :, None] * np.cos(q)[..., None, :]
+    one_form = lambda q: np.sin(q) * np.exp(0.5 * np.roll(q, 1, axis=-1))
+    block = _block()
+    for f in (matrix_field, one_form):
+        assert np.array_equal(fd_gradient(f, block, cfg),
+                              _stack_rows(lambda p: fd_gradient(f, p, cfg), block))
+    assert np.array_equal(d_one_form(one_form, block, cfg),
+                          _stack_rows(lambda p: d_one_form(one_form, p, cfg), block))
+
+
+def test_frame_algebra_on_a_block_equals_its_points():
+    rng = np.random.default_rng(5)
+    s = rng.normal(size=(20, 3, 3))
+    gb = s @ s.mT + 3 * np.eye(3)
+    a = rng.normal(size=(20, 3))
+    assert np.array_equal(hodge_restricted(a, gb),
+                          np.array([hodge_restricted(x, g) for x, g in zip(a, gb)]))
+    assert np.array_equal(hat(a), _stack_rows(hat, a))
+    w = rng.normal(size=(20, 6))
+    assert np.array_equal(h6(w), _stack_rows(h6, w))
+
+
+def test_frame_derivatives_on_a_block_equal_their_points():
+    data = killing_taub_nut_data()
+    cfg = StencilConfig(h=1e-3)
+    block = np.array(sample_points(data.domain, 12, cfg, seed=9))
+
+    def frame_field(q):
+        return adapted_frame(data.metric(q))
+
+    def both(x):
+        return frame_derivatives(frame_field, x, frame_field(x), data.connection(x), cfg)
+
+    d_block, nabla_block = both(block)
+    rows = [both(p) for p in block]
+    assert np.array_equal(d_block, np.array([d for d, _ in rows]))
+    assert np.array_equal(nabla_block, np.array([n for _, n in rows]))
+
+
+def test_block_checks_hold_at_every_point_of_a_block():
+    g = np.tile(np.eye(6), (4, 1, 1))
+    g[2, 0, 4] = g[2, 4, 0] = 0.1          # one point leaves the split
+    with pytest.raises(ValueError, match="does not respect the split"):
+        adapted_frame(g)
+    gb = np.tile(np.eye(3), (4, 1, 1))
+    gb[3] = -gb[3]                           # one point with det <= 0
+    with pytest.raises(ValueError, match="degenerate"):
+        hodge_restricted(np.ones((4, 3)), gb)

@@ -4,9 +4,11 @@ import pytest
 from g2lab.curvature import ricci, riemann, riemann_lowered
 from g2lab.fields import Domain, StencilConfig, sample_points
 from g2lab.g2construct import estimate_order
-from g2lab.gallery import (GH_REFERENCE_POINTS, gh_flat_example,
-                           gh_nonharmonic_example, gh_taub_nut_example)
-from g2lab.gibbons import GHData, dirac_potential, gh_build
+from g2lab.gallery import (GH_REFERENCE_POINTS, base_domain6, gh_flat_example,
+                           gh_nonharmonic_example, gh_taub_nut_example,
+                           monopole_potential6, taub_nut_v6)
+from g2lab.gibbons import (GHData, dirac_potential, gh_build, spatial_domain,
+                           v_taub_nut)
 from g2lab.reports import simple_report
 
 H_LIST = (2e-2, 1e-2, 5e-3)
@@ -125,3 +127,54 @@ def test_taub_nut_riemann_floor_keeps_nan(monkeypatch):
     rep = suites.check_gh_taub_nut(SuiteContext(samples=10))
     assert math.isnan(rep.residuals["riemann_floor_shortfall"])
     assert rep.status == "fail"
+
+
+# The pole fields shared by the quotient layer (which evaluates them on blocks
+# of points) and the GH and G2 layers (which evaluate them at single points):
+# the single-point formulas they had before they took blocks.
+
+def pointwise_dirac_potential(charge):
+    def a(p3):
+        x, y, z = float(p3[0]), float(p3[1]), float(p3[2])
+        r = float(np.linalg.norm(p3))
+        den = r * (r + z)
+        return np.array([charge * y / den, -charge * x / den, 0.0])
+    return a
+
+
+def pointwise_v_taub_nut(p3):
+    return 1.0 + 0.5 / float(np.linalg.norm(p3))
+
+
+def pointwise_taub_nut_v6(x):
+    return pointwise_v_taub_nut(x[3:])
+
+
+def pointwise_monopole_potential6():
+    dirac = pointwise_dirac_potential(0.5)
+
+    def a(x):
+        out = np.zeros(6)
+        out[3:] = -dirac(x[3:])
+        return out
+    return a
+
+
+SHARED_FIELDS = {
+    "dirac_potential": (spatial_domain, lambda: dirac_potential(0.5),
+                        lambda: pointwise_dirac_potential(0.5)),
+    "v_taub_nut": (spatial_domain, lambda: v_taub_nut, lambda: pointwise_v_taub_nut),
+    "taub_nut_v6": (base_domain6, lambda: taub_nut_v6, lambda: pointwise_taub_nut_v6),
+    "monopole_potential6": (base_domain6, monopole_potential6,
+                            pointwise_monopole_potential6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_FIELDS))
+def test_shared_pole_field_keeps_its_pointwise_bits(name):
+    domain, make, make_pointwise = SHARED_FIELDS[name]
+    field, pointwise = make(), make_pointwise()
+    block = np.array(sample_points(domain(), 300, StencilConfig(h=1e-3), seed=41))
+    rows = np.array([np.asarray(pointwise(p), float) for p in block])
+    assert np.array_equal(np.array([np.asarray(field(p), float) for p in block]), rows)
+    assert np.array_equal(np.asarray(field(block), float), rows)

@@ -1,12 +1,19 @@
-import numpy as np
+import tracemalloc
 
-from g2lab.fields import StencilConfig, sample_points
+import numpy as np
+import pytest
+
+from g2lab.fields import (StencilConfig, adapted_frame, d_one_form,
+                          fd_gradient, frame_derivatives, hat,
+                          hodge_restricted, sample_points, sup)
 from g2lab.g2construct import estimate_order
 from g2lab.gallery import (killing_flat_data, killing_perturbed_data,
                            killing_taub_nut_data, polynomial_sections,
                            rho_flat_setup, rho_polynomial_setup)
 from g2lab.killing import (da_conditions_check, gamma_pair_residual,
-                           killing_conditions_check, rho_torsion_check)
+                           killing_conditions_check, rho_torsion_check,
+                           route_agreement)
+from g2lab.modeldata import h6
 
 CFG = StencilConfig(h=1e-3)
 
@@ -143,3 +150,268 @@ def test_minus_block_equation_reproduces_determinant_form():
                         np.linalg.det(np.column_stack([
                             g, np.eye(3)[:, i], np.eye(3)[:, j]])))
                     assert abs(rhs[i, j] - det_form) <= 1e-7
+
+
+# ------------------------------------------------ pointwise reference bodies
+#
+# The verifiers evaluate their fields once per stencil offset per block of
+# points.  These are the per-point bodies they replaced, run through the same
+# `sup` one point at a time.
+
+def reference_gamma_info(data, x, cfg):
+    g = np.asarray(data.metric(x), dtype=float)
+    frame = adapted_frame(g)
+    u = float(data.u(x))
+    du = fd_gradient(data.u, x, cfg)
+    return {"frame": frame, "u": u, "grad_frame": frame.T @ du,
+            "b": np.asarray(data.b_plus(x), dtype=float),
+            "B": np.asarray(data.b_hom(x), dtype=float)}
+
+
+def reference_gamma_expanded(info):
+    u = info["u"]
+    gp, gm = info["grad_frame"][:3], info["grad_frame"][3:]
+    b, bb = info["b"], info["B"]
+    out = np.zeros((6, 6))
+    out[:3, :3] = hat(b) - 0.5 / u * hat(gm)
+    out[:3, 3:] = -bb - 0.5 / u * hat(gp)
+    out[3:, :3] = bb - 0.5 / u * hat(gp)
+    out[3:, 3:] = hat(b) + 0.5 / u * hat(gm)
+    return out
+
+
+def reference_gamma_unexpanded(info):
+    u = info["u"]
+    b, bb = info["b"], info["B"]
+    bcal = np.zeros((6, 6))
+    bcal[:3, :3] = hat(b)
+    bcal[:3, 3:] = -bb
+    bcal[3:, :3] = bb
+    bcal[3:, 3:] = hat(b)
+    return bcal - h6(info["grad_frame"]) / u
+
+
+def reference_gamma_pair(data, pts, cfg):
+    def at(x):
+        info = reference_gamma_info(data, x, cfg)
+        return {"pair": np.abs(reference_gamma_expanded(info)
+                               - reference_gamma_unexpanded(info))}
+    return sup(pts, at)["pair"]
+
+
+def reference_killing_conditions(data, pts, cfg):
+    def frame_field(q):
+        return adapted_frame(np.asarray(data.metric(q), dtype=float))
+
+    def at(x):
+        info = reference_gamma_info(data, x, cfg)
+        fr = info["frame"]
+        e = np.linalg.inv(fr)
+        gam = np.asarray(data.connection(x), dtype=float)
+        gamma_f = reference_gamma_expanded(info)
+        d_along, nabla = frame_derivatives(frame_field, x, fr, gam, cfg)
+        da_mat = d_one_form(data.a_form, x, cfg)
+        u = info["u"]
+        out = {"torsion_vs_twist": [], "potential_equation": [],
+               "corrected_metricity": []}
+        for a in range(6):
+            for b in range(6):
+                if a == b:
+                    continue
+                lie_ab = d_along[a][:, b] - d_along[b][:, a]
+                t_frame = e @ (nabla[a, b] - nabla[b, a] - lie_ab)
+                hterm = h6(gamma_f[:, a])[:, b] - h6(gamma_f[:, b])[:, a]
+                out["torsion_vs_twist"].append(np.abs(t_frame + hterm))
+                da_ab = float(fr[:, a] @ da_mat @ fr[:, b])
+                rhs = 2.0 / u * gamma_f[b, a]
+                out["potential_equation"].append(abs(da_ab - rhs))
+            omega = np.zeros((6, 6))
+            for b in range(6):
+                omega[:, b] = e @ nabla[a, b]
+            omega = omega + h6(gamma_f[:, a])
+            out["corrected_metricity"].append(np.abs(omega + omega.T))
+        return out
+    res = sup(pts, at)
+    res["corrected_torsion"] = res["torsion_vs_twist"]
+    return res
+
+
+def reference_minus_block_routes(data, info, x, cfg):
+    fr, u = info["frame"], info["u"]
+    gm = info["grad_frame"][3:]
+    alpha = 2.0 * info["b"] - gm / u
+    rhs_mm_plain = -1.0 / u * hat(alpha + 2.0 / u * gm)
+    du2 = fd_gradient(lambda q: float(data.u(q)) ** -2, x, cfg)
+    du2_frame = (fr.T @ du2)[3:]
+    rhs_mm_resc = -hodge_restricted(du2_frame - alpha / u ** 2, u ** 2 * np.eye(3))
+    return alpha, rhs_mm_plain, rhs_mm_resc
+
+
+def reference_da_conditions(data, pts, cfg):
+    def at(x):
+        info = reference_gamma_info(data, x, cfg)
+        fr, u = info["frame"], info["u"]
+        gp = info["grad_frame"][:3]
+        alpha, plain, resc = reference_minus_block_routes(data, info, x, cfg)
+        da_f = fr.T @ d_one_form(data.a_form, x, cfg) @ fr
+        rhs_pp = -1.0 / u * hat(alpha)
+        rhs_mixed = 2.0 / u * (info["B"].T + 0.5 / u * hat(gp))
+        return {"plus_plus": np.abs(da_f[:3, :3] - rhs_pp),
+                "minus_minus": np.abs(da_f[3:, 3:] - plain),
+                "minus_minus_rescaled": np.abs(da_f[3:, 3:] - resc),
+                "mixed": np.abs(da_f[:3, 3:] - rhs_mixed),
+                "route_agreement": np.abs(plain - resc)}
+    return sup(pts, at)
+
+
+def reference_route_agreement(data, pts, cfg):
+    def at(x):
+        info = reference_gamma_info(data, x, cfg)
+        _, plain, resc = reference_minus_block_routes(data, info, x, cfg)
+        return {"route_agreement": np.abs(plain - resc)}
+    return sup(pts, at)["route_agreement"]
+
+
+def _directional(f, x, v, h):
+    return (np.asarray(f(x + h * v), float) - np.asarray(f(x - h * v), float)) / (2 * h)
+
+
+def reference_rho_torsion(setup, sections, pts, cfg):
+    """The per-point body without the tangent pairs' scalar entry, which
+    compared one expression with itself and so was exactly 0."""
+    def at(x):
+        gtm = np.asarray(setup.gamma_tm(x), float)
+        g1 = np.asarray(setup.gamma_one(x), float)
+        u = float(setup.u(x))
+        du = fd_gradient(setup.u, x, cfg)
+        out = {"tangent_pairs": [], "axis_pairs": []}
+        for si in range(len(sections)):
+            xs = sections[si]
+            xv = np.asarray(xs(x), float)
+            gx = gtm @ xv
+            for sj in range(si + 1, len(sections)):
+                ys = sections[sj]
+                yv = np.asarray(ys(x), float)
+                gy = gtm @ yv
+                nab_xy = _directional(ys, x, xv, cfg.h)
+                nab_yx = _directional(xs, x, yv, cfg.h)
+                lie = xv @ fd_gradient(ys, x, cfg) - yv @ fd_gradient(xs, x, cfg)
+                direct_tm = (nab_xy + h6(gx) @ yv) - (nab_yx + h6(gy) @ xv) - lie
+                closed_tm = h6(gx) @ yv - h6(gy) @ xv
+                out["tangent_pairs"] += [*np.abs(direct_tm - closed_tm)]
+            xu_dir = float(_directional(setup.u, x, xv, cfg.h))
+            xu_coord = float(xv @ du)
+            direct_ax = xu_dir / u + float(g1 @ xv)
+            closed_ax = xu_coord / u + float(g1 @ xv)
+            out["axis_pairs"].append(abs(direct_ax - closed_ax))
+        return out
+    return sup(pts, at)
+
+
+def _assert_close(new, ref, rtol):
+    if isinstance(ref, dict):
+        assert new.keys() == ref.keys()
+        for name in ref:
+            _assert_close(new[name], ref[name], rtol)
+    else:
+        assert new == pytest.approx(ref, rel=rtol, abs=0.0), (new, ref)
+
+
+QUOTIENT_DATA = {"taub-nut": killing_taub_nut_data,
+                 "perturbed": lambda: killing_perturbed_data(0.1),
+                 "flat": killing_flat_data}
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_DATA))
+def test_quotient_verifiers_match_their_pointwise_references(name):
+    data = QUOTIENT_DATA[name]()
+    pts = sample_points(data.domain, 70, StencilConfig(h=2e-3), seed=29)
+    _assert_close(gamma_pair_residual(data, pts, CFG),
+                  reference_gamma_pair(data, pts, CFG), 1e-9)
+    _assert_close(killing_conditions_check(data, pts, CFG),
+                  reference_killing_conditions(data, pts, CFG), 1e-9)
+    _assert_close(da_conditions_check(data, pts, CFG),
+                  reference_da_conditions(data, pts, CFG), 1e-9)
+    _assert_close(route_agreement(data, pts, CFG),
+                  reference_route_agreement(data, pts, CFG), 1e-9)
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_rho_torsion_matches_its_pointwise_reference(flat):
+    setup = rho_flat_setup() if flat else rho_polynomial_setup()
+    secs = polynomial_sections()
+    pts = sample_points(setup.domain, 70, StencilConfig(h=2e-3), seed=31)
+    # the discrepancy is a stencil truncation, which amplifies the roundoff
+    # of reordered sums
+    _assert_close(rho_torsion_check(setup, secs, pts, CFG),
+                  reference_rho_torsion(setup, secs, pts, CFG), 1e-5)
+
+
+# ------------------------------------------------------ broadcasting fields
+
+QUOTIENT_FIELDS = ("metric", "u", "a_form", "b_plus", "b_hom", "connection")
+RHO_FIELDS = ("u", "gamma_tm", "gamma_one")
+
+
+def _block_fields() -> dict:
+    """{name: (domain, field)} for every field of the quotient layer."""
+    out = {}
+    for tag, obj, names in (("taub-nut", killing_taub_nut_data(), QUOTIENT_FIELDS),
+                            ("perturbed", killing_perturbed_data(0.1), QUOTIENT_FIELDS),
+                            ("flat", killing_flat_data(), QUOTIENT_FIELDS),
+                            ("rho", rho_polynomial_setup(), RHO_FIELDS),
+                            ("rho-flat", rho_flat_setup(), RHO_FIELDS)):
+        out.update({f"{tag}.{name}": (obj.domain, getattr(obj, name)) for name in names})
+    domain = rho_polynomial_setup().domain
+    out.update({f"section{i}": (domain, s) for i, s in enumerate(polynomial_sections())})
+    return out
+
+
+BLOCK_FIELDS = _block_fields()
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_FIELDS))
+def test_quotient_field_on_a_block_equals_row_by_row(name):
+    domain, field = BLOCK_FIELDS[name]
+    block = np.array(sample_points(domain, 40, StencilConfig(h=1e-3), seed=37))
+    rows = np.array([np.asarray(field(p), float) for p in block])
+    assert np.array_equal(np.asarray(field(block), float), rows)
+
+
+# --------------------------------------------------------------- memory guard
+
+# The verifiers run block by block (fields.BLOCK points).  A block's
+# temporaries bound the peak: on 800 points the 64-point blocks peak far below
+# this bound, and doubling the block or dropping blocking exceeds it.
+PEAK_BOUND = 512 * 1024
+
+
+def _peak_bytes(run) -> int:
+    run()                      # warm the model-data caches outside the trace
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _memory_runs():
+    data = killing_taub_nut_data()
+    setup = rho_polynomial_setup()
+    secs = polynomial_sections()
+    pts = sample_points(data.domain, 800, StencilConfig(h=2e-3), seed=7)
+    rho_pts = sample_points(setup.domain, 800, StencilConfig(h=2e-3), seed=7)
+    return {
+        "gamma_pair_residual": lambda: gamma_pair_residual(data, pts, CFG),
+        "killing_conditions_check": lambda: killing_conditions_check(data, pts, CFG),
+        "da_conditions_check": lambda: da_conditions_check(data, pts, CFG),
+        "route_agreement": lambda: route_agreement(data, pts, CFG),
+        "rho_torsion_check": lambda: rho_torsion_check(setup, secs, rho_pts, CFG),
+    }
+
+
+def test_verifiers_stay_within_the_block_memory_bound():
+    peaks = {name: _peak_bytes(run) for name, run in _memory_runs().items()}
+    over = {name: peak for name, peak in peaks.items() if peak > PEAK_BOUND}
+    assert not over, f"tracemalloc peaks over {PEAK_BOUND} bytes: {over}"
