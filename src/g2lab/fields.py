@@ -78,6 +78,10 @@ class StencilDomainError(ValueError):
 
 
 def _check_stencil(p: Point, cfg: StencilConfig, domain: Domain | None):
+    if domain is not None and np.ndim(p) > 1:
+        # the exclusions index the coordinates of one point; on a block they
+        # would index rows, and a norm over rows can pass an excluded point
+        raise ValueError("a stencil domain guards one point, not a block")
     if domain is not None and not domain.contains(p, pad=cfg.reach):
         raise StencilDomainError(f"stencil of reach {cfg.reach} exits the domain at {p}")
 

@@ -20,8 +20,8 @@ from .g2construct import (CoframeSigns, G2MetricBundle, MonopoleData,
                           weak_monopole_residual)
 from .gibbons import (CENTER_MARGIN, STRING_MARGIN, GHData, dirac_potential,
                       dirac_string_exclusion, margined,
-                      monopole_center_exclusion, spatial_domain, v_flat_quotient,
-                      v_nonharmonic, v_taub_nut)
+                      monopole_center_exclusion, radius, spatial_domain,
+                      v_flat_quotient, v_nonharmonic, v_taub_nut)
 from .killing import KillingData, RhoConnectionSetup
 from .modeldata import h6
 
@@ -166,7 +166,7 @@ def _constant(value) -> Callable[[np.ndarray], np.ndarray]:
 
 def _pole(x3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """v = 1 + 1/(2r) and its gradient on the minus block."""
-    r = np.sqrt(np.vecdot(x3, x3))
+    r = radius(x3)
     v = 1.0 + 0.5 / r
     dv = -0.5 * x3 / np.power(r, 3)[..., None]
     return v, dv

@@ -24,7 +24,7 @@ def monopole_center_exclusion(p3: np.ndarray) -> float:
     return float(np.linalg.norm(p3))
 
 
-def _radius(p3: np.ndarray):
+def radius(p3: np.ndarray):
     """|p3| over the last axis.  sqrt(vecdot) carries the bits of
     np.linalg.norm at a point and row by row on a block; norm(axis=-1) and
     einsum do not."""
@@ -37,7 +37,7 @@ def dirac_potential(charge: float = 0.5) -> Callable[[np.ndarray], np.ndarray]:
     at a point or a block of points."""
     def a(p3: np.ndarray) -> np.ndarray:
         x, y, z = p3.T            # .T leads with the coordinate axis at a point
-        r = _radius(p3)           # and at a block alike
+        r = radius(p3)            # and at a block alike
         den = r * (r + z)
         out = np.zeros(p3.shape)
         out.T[0] = charge * y / den
@@ -107,7 +107,7 @@ def v_flat_quotient(p3: np.ndarray) -> float:
 
 def v_taub_nut(p3: np.ndarray) -> float:
     """V = 1 + 1/(2r): Ricci-flat with curvature bounded away from zero."""
-    return 1.0 + 0.5 / _radius(p3)
+    return 1.0 + 0.5 / radius(p3)
 
 
 def v_nonharmonic(p3: np.ndarray) -> float:

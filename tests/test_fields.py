@@ -116,6 +116,21 @@ def test_stencil_domain_error():
         fd_partial(lambda p: p[0], np.array([0.1]), 0, cfg, domain=dom)
 
 
+def test_stencil_domain_guard_refuses_a_block():
+    # The exclusions index one point's coordinates, so a block is refused
+    # outright, even one whose every point lies inside the domain.
+    dom = Domain(lo=(-1.0,) * 3, hi=(1.0,) * 3,
+                 exclusions=(lambda p: float(np.linalg.norm(p)),))
+    cfg = StencilConfig(h=1e-3)
+    block = np.array([[0.5, 0.5, 0.5], [-0.5, 0.2, 0.1]])
+    f = lambda q: q[..., 0]
+    assert fd_partial(f, block, 0, cfg).shape == (2,)
+    with pytest.raises(ValueError, match="not a block"):
+        fd_partial(f, block, 0, cfg, domain=dom)
+    with pytest.raises(ValueError, match="not a block"):
+        fd_gradient(f, block, cfg, domain=dom)
+
+
 def test_exterior_d_scalar_is_gradient():
     f = lambda p: p[0] * p[1]
     cfg = StencilConfig(h=1e-3)
