@@ -12,14 +12,12 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import Domain, Point, StencilConfig, _check_stencil
+from .fields import Point, StencilConfig
 
 
-def metric_jet(g: Callable, p: Point, cfg: StencilConfig,
-               domain: Domain | None = None):
+def metric_jet(g: Callable, p: Point, cfg: StencilConfig):
     """(g, dg, ddg) with dg[a] = d_a g and ddg[a, b] = d_a d_b g, from the
     standard second-order 3- and 4-point stencils."""
-    _check_stencil(p, cfg, domain)
     h = cfg.h
     n = len(p)
     g0 = np.asarray(g(p), dtype=float)
@@ -47,9 +45,8 @@ def metric_jet(g: Callable, p: Point, cfg: StencilConfig,
     return g0, dg, ddg
 
 
-def christoffel(g: Callable, p: Point, cfg: StencilConfig,
-                domain: Domain | None = None) -> np.ndarray:
-    g0, dg, _ = metric_jet(g, p, cfg, domain)
+def christoffel(g: Callable, p: Point, cfg: StencilConfig) -> np.ndarray:
+    g0, dg, _ = metric_jet(g, p, cfg)
     return _christoffel_from_jet(g0, dg)
 
 
@@ -66,10 +63,9 @@ def _inverse(g0):
     return np.linalg.inv(g0)
 
 
-def riemann(g: Callable, p: Point, cfg: StencilConfig,
-            domain: Domain | None = None) -> np.ndarray:
+def riemann(g: Callable, p: Point, cfg: StencilConfig) -> np.ndarray:
     """R^a_{b cd} at p."""
-    g0, dg, ddg = metric_jet(g, p, cfg, domain)
+    g0, dg, ddg = metric_jet(g, p, cfg)
     ginv = _inverse(g0)
     gam = _christoffel_from_jet(g0, dg)
     dginv = -np.einsum('ab,ebc,cd->ead', ginv, dg, ginv)
@@ -84,25 +80,22 @@ def riemann(g: Callable, p: Point, cfg: StencilConfig,
             - np.einsum('ade,ecb->abcd', gam, gam))
 
 
-def ricci(g: Callable, p: Point, cfg: StencilConfig,
-          domain: Domain | None = None) -> np.ndarray:
-    return np.einsum('abad->bd', riemann(g, p, cfg, domain))
+def ricci(g: Callable, p: Point, cfg: StencilConfig) -> np.ndarray:
+    return np.einsum('abad->bd', riemann(g, p, cfg))
 
 
-def scalar_curvature(g: Callable, p: Point, cfg: StencilConfig,
-                     domain: Domain | None = None) -> float:
+def scalar_curvature(g: Callable, p: Point, cfg: StencilConfig) -> float:
     g0 = np.asarray(g(p), dtype=float)
-    return float(np.einsum('bd,bd->', _inverse(g0), ricci(g, p, cfg, domain)))
+    return float(np.einsum('bd,bd->', _inverse(g0), ricci(g, p, cfg)))
 
 
 def curvature_operator(g: Callable, p: Point, x: np.ndarray, y: np.ndarray,
-                       cfg: StencilConfig, domain: Domain | None = None) -> np.ndarray:
+                       cfg: StencilConfig) -> np.ndarray:
     """The endomorphism R(x, y): v -> R^a_{b cd} x^c y^d v^b; skew w.r.t. g."""
-    r = riemann(g, p, cfg, domain)
+    r = riemann(g, p, cfg)
     return np.einsum('abcd,c,d->ab', r, x, y)
 
 
-def riemann_lowered(g: Callable, p: Point, cfg: StencilConfig,
-                    domain: Domain | None = None) -> np.ndarray:
+def riemann_lowered(g: Callable, p: Point, cfg: StencilConfig) -> np.ndarray:
     g0 = np.asarray(g(p), dtype=float)
-    return np.einsum('ae,ebcd->abcd', g0, riemann(g, p, cfg, domain))
+    return np.einsum('ae,ebcd->abcd', g0, riemann(g, p, cfg))

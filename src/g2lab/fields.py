@@ -37,11 +37,6 @@ class StencilConfig:
         if not (np.isfinite(self.h) and self.h > 0):
             raise ValueError("step must be finite and positive")
 
-    @property
-    def reach(self) -> float:
-        """Largest coordinate offset any stencil of this config can touch."""
-        return 2 * self.h  # cross second-derivative stencils double up
-
 
 @dataclass(frozen=True)
 class Domain:
@@ -55,7 +50,7 @@ class Domain:
     def dim(self) -> int:
         return len(self.lo)
 
-    def contains(self, p: Point, pad: float = 0.0) -> bool:
+    def contains(self, p: Point, pad: float) -> bool:
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
         if np.any(p < lo + pad) or np.any(p > hi - pad):
@@ -73,28 +68,13 @@ def _lift_exclusion(excl):
     return lambda p: excl(p[1:])
 
 
-class StencilDomainError(ValueError):
-    """A derivative stencil would evaluate outside the declared domain."""
-
-
-def _check_stencil(p: Point, cfg: StencilConfig, domain: Domain | None):
-    if domain is not None and np.ndim(p) > 1:
-        # the exclusions index the coordinates of one point; on a block they
-        # would index rows, and a norm over rows can pass an excluded point
-        raise ValueError("a stencil domain guards one point, not a block")
-    if domain is not None and not domain.contains(p, pad=cfg.reach):
-        raise StencilDomainError(f"stencil of reach {cfg.reach} exits the domain at {p}")
-
-
-def fd_partial(f: Callable, p: Point, direction: int, cfg: StencilConfig,
-               domain: Domain | None = None):
+def fd_partial(f: Callable, p: Point, direction: int, cfg: StencilConfig):
     """Central-difference partial derivative in one coordinate direction.
 
     Works for scalar- or array-valued fields; exact on quadratics.  At a
     block `p` of shape (k, dim) the field is called once on each shifted
     block and the result has a leading point axis.
     """
-    _check_stencil(p, cfg, domain)
     h = cfg.h
     pp, pm = p.copy(), p.copy()
     pp.T[direction] += h     # .T leads with the coordinate axis at a point
@@ -102,11 +82,10 @@ def fd_partial(f: Callable, p: Point, direction: int, cfg: StencilConfig,
     return (np.asarray(f(pp), dtype=float) - np.asarray(f(pm), dtype=float)) / (2 * h)
 
 
-def fd_gradient(f: Callable, p: Point, cfg: StencilConfig,
-                domain: Domain | None = None) -> np.ndarray:
+def fd_gradient(f: Callable, p: Point, cfg: StencilConfig) -> np.ndarray:
     """The partials d_d f stacked after the point axes: shape (dim, ...) at a
     point and (k, dim, ...) at a block."""
-    partials = np.array([fd_partial(f, p, d, cfg, domain) for d in range(p.shape[-1])])
+    partials = np.array([fd_partial(f, p, d, cfg) for d in range(p.shape[-1])])
     return partials.swapaxes(0, p.ndim - 1)
 
 
@@ -133,14 +112,13 @@ def _d_table(n: int, k: int) -> tuple:
                  for m in range(k + 1))
 
 
-def exterior_d(omega: Callable, p: Point, k: int, cfg: StencilConfig,
-               domain: Domain | None = None) -> np.ndarray:
+def exterior_d(omega: Callable, p: Point, k: int, cfg: StencilConfig) -> np.ndarray:
     """Coordinate exterior derivative of a k-form field at a point.
 
     (d omega)_J = sum_m (-1)^m d_{J_m} omega_{J minus J_m} on sorted (k+1)-tuples.
     A scalar field (k = 0) may return a plain float.
     """
-    partials = fd_gradient(omega, p, cfg, domain)
+    partials = fd_gradient(omega, p, cfg)
     if k == 0:
         return partials
     out = np.zeros(len(combinations_index(len(p), k + 1)[0]))
@@ -250,8 +228,10 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 def sample_points(domain: Domain, n: int, cfg: StencilConfig,
                   seed: int = 42) -> list[Point]:
     """Deterministic quasi-random interior points, rejecting anything within
-    `10 h` (at least the stencil reach) of the boundary or an excluded set."""
-    pad = max(10.0 * cfg.h, cfg.reach * 1.5)
+    `10 h` of the boundary or an excluded set.  A stencil, nested ones
+    included, moves a coordinate by at most 2 h, so this pad keeps every
+    stencil evaluated at a sample inside the domain."""
+    pad = 10.0 * cfg.h
     dim = domain.dim
     lo = np.asarray(domain.lo, dtype=float)
     hi = np.asarray(domain.hi, dtype=float)

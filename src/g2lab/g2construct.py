@@ -21,8 +21,8 @@ from .fields import (MINUS6, MM, PLUS6, PM, PP, Domain, StencilConfig,
                      adapted_frame, combinations_index, d_one_form, exterior_d,
                      fd_gradient, fd_partial, frame_derivatives,
                      hodge_restricted, sample_points, sup, transform_form)
-from .modeldata import (decompose_so6, h6, off_g2_fraction, phi_constants,
-                        so6_part_projectors, star_phi_constants)
+from .modeldata import (complex_structure_norm, h6, off_g2_fraction,
+                        phi_constants, so6_part_projectors, star_phi_constants)
 from .threeform import invariant_threeform
 
 HYPOTHESIS_TOLERANCE = 1e-4   # a larger sampled hypothesis residual is a warning
@@ -191,8 +191,8 @@ def weak_sl3_consistency(k6, alpha, samples, cfg: StencilConfig) -> dict:
     compare its complement part with the twist prescribed by alpha.
 
     Reports the spurious complex-structure component and the mismatch between
-    the h-part and h(S) for S(X+, X-) = (a X-, a X+), a = 1/4 hat(alpha#) --
-    with the sharp computed in both the warped and unwarped readings.
+    the h-part and h(S) for S(X+, X-) = (a X-, a X+), a = 1/4 hat(alpha#),
+    with the sharp taken in the base metric.
     """
     def at(x):
         g = np.asarray(k6(x), float)
@@ -204,18 +204,13 @@ def weak_sl3_consistency(k6, alpha, samples, cfg: StencilConfig) -> dict:
         e = np.linalg.inv(fr)
         alpha_v = np.zeros(3) if alpha is None else np.asarray(alpha(x), float)
         sharp = np.linalg.solve(g[MM], alpha_v)
-        sharp_alt = alpha_v  # unwarped reading: raise with the identity pairing
-        out = {"complex_structure_part": [], "twist_mismatch": [],
-               "twist_mismatch_unwarped_sharp": []}
+        out = {"complex_structure_part": [], "twist_mismatch": []}
         for c in range(6):
             omega = e @ nabla[c].T
             omega = 0.5 * (omega - omega.T)
-            out["complex_structure_part"].append(decompose_so6(omega)["J"])
+            out["complex_structure_part"].append(complex_structure_norm(omega))
             target = h6(_s_alpha(fr[:, c], e, sharp))
             out["twist_mismatch"].append(np.abs(_h_component(omega) - target))
-            s_alt = _s_alpha(fr[:, c], e, sharp_alt)
-            out["twist_mismatch_unwarped_sharp"].append(
-                np.abs(_h_component(omega) - h6(s_alt)))
         return out
     return sup(samples, at)
 

@@ -147,8 +147,7 @@ def warped_control_bundle() -> G2MetricBundle:
         return np.linalg.cholesky(metric(p)).T
 
     dom = Domain(lo=(-1.0,) * 7, hi=(1.0,) * 7)
-    return G2MetricBundle(metric=metric, coframe=coframe, domain=dom,
-                          provenance={"builder": "warped-control"})
+    return G2MetricBundle(metric=metric, coframe=coframe, domain=dom)
 
 
 # ------------------------------------------------------------- quotient data

@@ -53,7 +53,7 @@ STRING_MARGIN = 0.25
 def margined(excl, margin: float):
     """Shrink an exclusion distance by a safety margin: derivatives of the
     pole fields grow fast near the singular sets, so samplers must keep a
-    fixed standoff on top of the stencil reach."""
+    fixed standoff on top of the sampler's 10 h pad."""
     return lambda p: excl(p) - margin
 
 

@@ -26,7 +26,6 @@ class Immersion:
 
     chart: Callable[[np.ndarray], np.ndarray]
     domain: Domain
-    name: str = ""
 
 
 def affine_plane() -> Immersion:
@@ -39,7 +38,7 @@ def affine_plane() -> Immersion:
     def chart(y: np.ndarray) -> np.ndarray:
         return cols @ y
 
-    return Immersion(chart, Domain(lo=(-0.5,) * 6, hi=(0.5,) * 6), "plane")
+    return Immersion(chart, Domain(lo=(-0.5,) * 6, hi=(0.5,) * 6))
 
 
 def unit_sphere() -> Immersion:
@@ -50,7 +49,7 @@ def unit_sphere() -> Immersion:
             raise ValueError("chart leaves the hemisphere")
         return np.concatenate([y, [np.sqrt(1.0 - r2)]])
 
-    return Immersion(chart, Domain(lo=(-0.28,) * 6, hi=(0.28,) * 6), "sphere")
+    return Immersion(chart, Domain(lo=(-0.28,) * 6, hi=(0.28,) * 6))
 
 
 def ellipsoid() -> Immersion:
@@ -63,7 +62,7 @@ def ellipsoid() -> Immersion:
         p[6] *= 2.0
         return p
 
-    return Immersion(chart, sphere.domain, "ellipsoid")
+    return Immersion(chart, sphere.domain)
 
 
 def _tangent(imm: Immersion, cfg: StencilConfig, y: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ import functools
 
 import numpy as np
 
-from .embeddings import canonical_rep6, g2_basis, h_map, m_vector_basis
+from .embeddings import g2_basis, h_map, m_vector_basis
 from .threeform import invariant_threeform, star_phi
 
 
@@ -80,35 +80,18 @@ def off_g2_fraction(m: np.ndarray) -> float:
 
 @functools.lru_cache(maxsize=1)
 def so6_part_projectors() -> dict:
-    """Orthonormal bases of the three pieces so(6) = sl3 + R J + h(m), as
-    (dim, 36) float arrays keyed by 'sl3', 'J', 'h'."""
-    sl3 = np.array([[float(v) for v in m.flatten()] for m in canonical_rep6()])
+    """Orthonormal bases of two pieces of so(6) = sl3 + R J + h(m), as
+    (dim, 36) float arrays keyed by 'J' and 'h'."""
     j = np.zeros((6, 6))
     j[:3, 3:] = -np.eye(3)
     j[3:, :3] = np.eye(3)
     hpart = np.array([[float(v) for v in h_map(mv).flatten()]
                       for mv in m_vector_basis()])
-
-    def orth(rows):
-        q, _ = np.linalg.qr(rows.T)
-        return q.T[:rows.shape[0]]
-
-    return {"sl3": orth(sl3), "J": j.reshape(1, 36) / np.linalg.norm(j),
-            "h": orth(hpart)}
+    q, _ = np.linalg.qr(hpart.T)
+    return {"J": j.reshape(1, 36) / np.linalg.norm(j), "h": q.T[:hpart.shape[0]]}
 
 
-def decompose_so6(m: np.ndarray) -> dict:
-    """Orthogonal components of a skew 6x6 matrix along sl3, the complex
-    structure direction, and the h-image; returns norms and the h-preimage."""
-    v = m.reshape(-1)
-    parts = so6_part_projectors()
-    out = {}
-    for name, q in parts.items():
-        coef = q @ v
-        out[name] = float(np.linalg.norm(coef))
-    # h-preimage: solve h6(w) ~ h-part of m in the (non-orthonormal) h basis
-    hbasis = np.array([[float(x) for x in h_map(mv).flatten()]
-                       for mv in m_vector_basis()])
-    coef, *_ = np.linalg.lstsq(hbasis.T, v, rcond=None)
-    out["h_preimage"] = coef
-    return out
+def complex_structure_norm(m: np.ndarray) -> float:
+    """Norm of the orthogonal component of a skew 6x6 matrix along the
+    complex structure J."""
+    return float(np.linalg.norm(so6_part_projectors()["J"] @ m.reshape(-1)))

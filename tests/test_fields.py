@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from g2lab.fields import (BLOCK, Domain, StencilConfig, StencilDomainError,
-                          adapted_frame, blocks, combinations_index, d_one_form,
-                          exterior_d, fd_gradient, fd_partial,
-                          frame_derivatives, hat, hodge_restricted,
-                          sample_points, sup, transform_form)
+from g2lab.fields import (BLOCK, Domain, StencilConfig, adapted_frame, blocks,
+                          combinations_index, d_one_form, exterior_d,
+                          fd_gradient, fd_partial, frame_derivatives, hat,
+                          hodge_restricted, sample_points, sup, transform_form)
 from g2lab import fields
 from g2lab.gallery import killing_taub_nut_data
 from g2lab.modeldata import h6
@@ -107,28 +106,6 @@ def test_fd_linearity():
     lhs = fd_partial(combo, p, 0, cfg)
     rhs = 2.5 * fd_partial(f1, p, 0, cfg) - 1.25 * fd_partial(f2, p, 0, cfg)
     assert abs(lhs - rhs) < 1e-12
-
-
-def test_stencil_domain_error():
-    dom = Domain(lo=(0.0,), hi=(1.0,))
-    cfg = StencilConfig(h=0.2)
-    with pytest.raises(StencilDomainError):
-        fd_partial(lambda p: p[0], np.array([0.1]), 0, cfg, domain=dom)
-
-
-def test_stencil_domain_guard_refuses_a_block():
-    # The exclusions index one point's coordinates, so a block is refused
-    # outright, even one whose every point lies inside the domain.
-    dom = Domain(lo=(-1.0,) * 3, hi=(1.0,) * 3,
-                 exclusions=(lambda p: float(np.linalg.norm(p)),))
-    cfg = StencilConfig(h=1e-3)
-    block = np.array([[0.5, 0.5, 0.5], [-0.5, 0.2, 0.1]])
-    f = lambda q: q[..., 0]
-    assert fd_partial(f, block, 0, cfg).shape == (2,)
-    with pytest.raises(ValueError, match="not a block"):
-        fd_partial(f, block, 0, cfg, domain=dom)
-    with pytest.raises(ValueError, match="not a block"):
-        fd_gradient(f, block, cfg, domain=dom)
 
 
 def test_exterior_d_scalar_is_gradient():

@@ -65,6 +65,13 @@ def test_taub_nut_ricci_flat_but_curved():
         assert np.linalg.norm(riemann_lowered(g, p, cfg)) >= 0.01
 
 
+def test_reference_points_keep_the_sampler_pad():
+    # gh.taub-nut evaluates riemann_lowered at h = 5e-3 on these fixed points,
+    # the one stencil site not fed by sample_points; they keep its 10 h pad
+    for p in GH_REFERENCE_POINTS:
+        assert spatial_domain().lift_t().contains(p, pad=10 * 5e-3)
+
+
 def test_nonharmonic_control_fails_ricci():
     g = gh_build(gh_nonharmonic_example())
     cfg = StencilConfig(h=5e-3)

@@ -55,6 +55,6 @@ def test_degenerate_immersion_rejected():
         out[5] = y[5]
         return out
 
-    imm = Immersion(chart, Domain(lo=(-0.4,) * 6, hi=(0.4,) * 6), "degenerate")
+    imm = Immersion(chart, Domain(lo=(-0.4,) * 6, hi=(0.4,) * 6))
     with pytest.raises(ValueError):
         hypersurface_checks(imm, pts_of(imm, n=1), CFG)

@@ -63,15 +63,6 @@ def test_no_two_functions_share_a_body():
     assert not copies, f"functions with identical bodies: {copies}"
 
 
-# Defaults that no call sets but that stay settings, each with its reason.
-KEEP = {
-    (name, "domain"): "stencil guard: a caller may pass the declared domain, "
-                      "and a stencil leaving it raises StencilDomainError"
-    for name in ("exterior_d", "christoffel", "scalar_curvature",
-                 "curvature_operator", "riemann_lowered")
-}
-
-
 def _is_dataclass(node) -> bool:
     for dec in node.decorator_list:
         target = dec.func if isinstance(dec, ast.Call) else dec
@@ -161,10 +152,7 @@ def test_every_default_is_set():
         by_position = slot is not None and widths.get(owner, 0) > slot
         if not (by_keyword or by_position):
             unset.append((owner, name))
-    new = sorted(f"{o}({n})" for o, n in unset if (o, n) not in KEEP)
-    stale = sorted(f"{o}({n})" for o, n in KEEP if (o, n) not in unset)
-    assert not new, f"defaults that no call sets: {new}"
-    assert not stale, f"KEEP entries that are set or gone: {stale}"
+    assert not unset, f"defaults that no call sets: {sorted(unset)}"
 
 
 def _nodes_with_owner():
