@@ -21,7 +21,7 @@ import traceback
 import numpy as np
 
 from .reports import CheckReport, SuiteContext
-from .suites import SUITE_NAMES, suite_checks
+from .suites import MAX_STEP, SUITE_NAMES, suite_checks
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,6 +65,12 @@ def main(argv=None) -> int:
         print("error: --samples must be positive, --h finite and positive, "
               "--seed non-negative", file=sys.stderr)
         return 2
+
+    for check_id, fn in checks:
+        if args.h is not None and args.h > MAX_STEP.get(fn, math.inf):
+            print(f"error: --h {args.h} is larger than {MAX_STEP[fn]}, the largest "
+                  f"step the domain of {check_id} admits", file=sys.stderr)
+            return 2
 
     if args.list_checks:
         for check_id, _ in checks:

@@ -14,7 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .rational import ExactMatrix, Q, _as_q, bracket, common_ratio, trace_form
+import numpy as np
+
+from .rational import (ExactMatrix, Q, _as_q, bracket, common_ratio, flat_rows,
+                       trace_form, unflatten_rows)
 from .subspaces import Coordinates, Subspace, kernel_basis, rref
 
 PLUS = (0, 1, 2)
@@ -198,7 +201,7 @@ class G2Basis:
 
     def expand(self, m: ExactMatrix) -> tuple | None:
         """Exact coefficients of m in the basis, or None if m is outside the span."""
-        return self.coordinates(m.flatten())
+        return self.coordinates(m)
 
 
 @functools.lru_cache(maxsize=1)
@@ -210,7 +213,7 @@ def g2_basis() -> G2Basis:
     for m in els:
         if not m.is_skew():
             raise AssertionError("basis element is not skew")
-    coords = Coordinates.of([m.flatten() for m in els])   # raises unless independent
+    coords = Coordinates.of(flat_rows(els))   # raises unless independent
     probe = G2Basis(tuple(els), {}, coords)
     sc = {}
     for i in range(14):
@@ -226,7 +229,7 @@ def reductivity_certificate() -> bool:
     """[h, m] lies in m, exactly, for every pair of basis elements."""
     basis = g2_basis()
     msub = Subspace.span_matrices(basis.m_elements)
-    return all(msub.contains_matrix(bracket(a, x))
+    return all(msub.contains(bracket(a, x))
                for a in basis.h_elements for x in basis.m_elements)
 
 
@@ -236,7 +239,7 @@ def non_symmetry_witness():
     msub = Subspace.span_matrices(basis.m_elements)
     for i, x in enumerate(basis.m_elements):
         for j, y in enumerate(basis.m_elements):
-            if i < j and not msub.contains_matrix(bracket(x, y)):
+            if i < j and not msub.contains(bracket(x, y)):
                 return (i, j)
     return None
 
@@ -309,7 +312,7 @@ class IntertwinerResult:
 
 
 def _full_rank(m: ExactMatrix) -> bool:
-    return len(rref([m.row(i) for i in range(m.rows)])[0]) == m.rows
+    return len(rref(m)[1]) == m.rows
 
 
 def intertwiner_solve(rep1: Sequence[ExactMatrix], rep2: Sequence[ExactMatrix]) -> IntertwinerResult:
@@ -323,21 +326,16 @@ def intertwiner_solve(rep1: Sequence[ExactMatrix], rep2: Sequence[ExactMatrix]) 
         raise ValueError("representations must list images of the same basis")
     n = rep1[0].rows
     m = rep2[0].rows
-    rows = []
     for r1, r2 in zip(rep1, rep2):
         if r1.rows != n or r2.rows != m:
             raise ValueError("inconsistent representation dimensions")
-        # (T r1 - r2 T)_{ij} = sum_kl T_kl (delta_ik (r1)_lj) - (r2)_ik T_kj
-        for i in range(m):
-            for j in range(n):
-                row = [Q(0)] * (m * n)
-                for l in range(n):
-                    row[i * n + l] += r1[l, j]
-                for k in range(m):
-                    row[k * n + j] -= r2[i, k]
-                rows.append(row)
-    ker = kernel_basis(ExactMatrix.from_rows(rows))
-    mats = [ExactMatrix(m, n, tuple(v)) for v in ker]
+    # Over the unknowns T_kl, row-major, the rows (i, j) of T r1 - r2 T are
+    # kron(I_m, r1^T) - kron(r2, I_n).
+    system = ExactMatrix.stack(
+        [ExactMatrix(np.kron(np.eye(m, dtype=np.int64), r1.num.T), r1.den)
+         - ExactMatrix(np.kron(r2.num, np.eye(n, dtype=np.int64)), r2.den)
+         for r1, r2 in zip(rep1, rep2)])
+    mats = unflatten_rows(kernel_basis(system), m, n)
     witness = None
     if m == n:
         for t in mats:

@@ -9,7 +9,6 @@ from typing import Callable
 
 import numpy as np
 
-from .curvature import metric_jet
 from .fields import Domain, StencilConfig, d_one_form, hodge_restricted, sup
 
 
@@ -73,11 +72,24 @@ class GHData:
     domain: Domain
 
     def consistency_residuals(self, samples, cfg: StencilConfig) -> dict:
-        """Harmonicity of V and the dA = *dV equation, at sample points."""
+        """Harmonicity of V and the dA = *dV equation, at sample points.  The
+        gradient and Laplacian of V come from its 7-point star p, p +- h e_a,
+        by the central differences of `curvature.metric_jet`."""
+        h = cfg.h
+
         def at(p):
-            _, dv, ddv = metric_jet(self.v, p, cfg)
+            v0 = np.asarray(self.v(p), dtype=float)
+            dv, lap = np.zeros(3), np.zeros(3)
+            for a in range(3):
+                pp, pm = p.copy(), p.copy()
+                pp[a] += h
+                pm[a] -= h
+                vp = np.asarray(self.v(pp), dtype=float)
+                vm = np.asarray(self.v(pm), dtype=float)
+                dv[a] = (vp - vm) / (2 * h)
+                lap[a] = (vp - 2 * v0 + vm) / h**2
             star_dv = hodge_restricted(dv, np.eye(3))
-            return {"harmonicity": abs(np.trace(ddv)),
+            return {"harmonicity": abs(np.sum(lap)),
                     "potential": np.abs(d_one_form(self.a, p, cfg) - star_dv)}
         return sup(samples, at)
 

@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .embeddings import g2_basis, intertwiner_solve
-from .rational import (ExactMatrix, Q, _as_q, bracket, combination, common_ratio,
-                       exact_json, trace_form, unit)
+from .rational import (ExactMatrix, Q, _as_q, _fit, bracket, combination, common_ratio,
+                       exact_json, flat_rows, trace_form, unflatten_rows, unit)
 from .subspaces import Coordinates, Subspace, gram_matrix, inverse, kernel_basis
 from .threeform import (CrossProduct7, _det3, invariant_threeform,
                         phi_cross_duality, so7_basis)
@@ -60,19 +60,19 @@ def torsion_cross() -> TorsionCrossResult:
     so7 = so7_basis()
     cond = ExactMatrix.from_rows(
         [[trace_form(e, a) for e in so7] for a in basis.elements])
-    comp = [combination(k, so7) for k in kernel_basis(cond)]
+    comp_rows = kernel_basis(cond) @ flat_rows(so7)
+    comp = unflatten_rows(comp_rows, 7, 7)
     if len(comp) != 7:
         raise ValueError(f"complement has dimension {len(comp)}, expected 7")
 
     # adjoint action of the algebra on the complement, in complement coordinates
-    comp_coords = Coordinates.of([c.flatten() for c in comp])
+    comp_coords = Coordinates.of(comp_rows)
     adjoint = []
     for a in basis.elements:
-        cols = [comp_coords(bracket(a, c).flatten()) for c in comp]
+        cols = [comp_coords(bracket(a, c)) for c in comp]
         if None in cols:
             raise ValueError("matrix is not in the complement")
-        adjoint.append(ExactMatrix.from_rows(
-            [[cols[j][i] for j in range(7)] for i in range(7)]))
+        adjoint.append(ExactMatrix.from_rows(cols).transpose())
 
     # equivariant identification of Q^7 with the complement
     res = intertwiner_solve(list(basis.elements), adjoint)
@@ -88,10 +88,10 @@ def torsion_cross() -> TorsionCrossResult:
 
     # project the bracket of complement elements back to the complement; the
     # complement and the algebra span so(7), so every bracket has coordinates
-    all_coords = Coordinates.of([m.flatten() for m in comp + list(basis.elements)])
+    all_coords = Coordinates.of(ExactMatrix.stack([comp_rows, flat_rows(basis.elements)]))
 
     def project_pullback(m: ExactMatrix) -> tuple:
-        return t_inv.apply(all_coords(m.flatten())[:7])
+        return t_inv.apply(all_coords(m)[:7])
 
     cross_phi = standard_cross()
     product = {}
@@ -113,29 +113,26 @@ def torsion_cross() -> TorsionCrossResult:
     return TorsionCrossResult(product, ratio, len(comp))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OctonionTable:
     """8x8 multiplication table over the rationals, slot 0 the unit.
 
     (a, x)(b, y) = (ab - <x, y>, ay + bx + x X y) for the supplied cross product.
+    Every product of basis elements is a signed basis element, so the table is
+    held signed-sparse: e_i e_j = sign[i, j] e_index[i, j].
     """
 
-    table: tuple   # table[i][j] = 8-tuple, product of basis elements e_i e_j
+    index: np.ndarray   # (8, 8) slot of the product e_i e_j
+    sign: np.ndarray    # (8, 8) its sign, +1 or -1
 
     def multiply(self, p: Sequence, q: Sequence) -> tuple:
-        pq = [_as_q(v) for v in p]
-        qq = [_as_q(v) for v in q]
-        out = [Q(0)] * 8
-        for i, pi in enumerate(pq):
-            if pi == 0:
-                continue
-            for j, qj in enumerate(qq):
-                if qj == 0:
-                    continue
-                c = pi * qj
-                for k in range(8):
-                    out[k] += c * self.table[i][j][k]
-        return tuple(out)
+        """pq: one integer outer product of the numerators, signed and
+        scattered by index, over the product of the denominators."""
+        p, q = ExactMatrix.from_rows([p]), ExactMatrix.from_rows([q])
+        a, b = _fit(8 * p.bound * q.bound, p.num[0], q.num[0])
+        out = np.zeros(8, dtype=a.dtype)
+        np.add.at(out, self.index, self.sign * np.multiply.outer(a, b))
+        return tuple(Fraction(x, p.den * q.den) for x in out.tolist())
 
     def conjugate(self, p: Sequence) -> tuple:
         pq = [_as_q(v) for v in p]
@@ -146,19 +143,25 @@ class OctonionTable:
 
     def to_json_obj(self) -> dict:
         return {"kind": "octonion_table",
-                "products": [[[exact_json(c) for c in self.table[i][j]]
+                "products": [[[exact_json(Q(int(self.sign[i, j]) if k == self.index[i, j]
+                                            else 0)) for k in range(8)]
                               for j in range(8)] for i in range(8)]}
 
 
 def octonion_from_cross(cross: CrossProduct7) -> OctonionTable:
-    """Build the 8-dimensional algebra and certify unit and basis squares."""
-    table = []
+    """Build the 8-dimensional algebra and certify that every basis product
+    is a signed basis element, and the unit and the basis squares."""
+    index = np.zeros((8, 8), dtype=np.int64)
+    sign = np.zeros((8, 8), dtype=np.int64)
     for i in range(8):
-        row = []
         for j in range(8):
-            row.append(_basis_product(cross, i, j))
-        table.append(tuple(row))
-    t = OctonionTable(tuple(table))
+            prod = _basis_product(cross, i, j)
+            slots = [k for k, c in enumerate(prod) if c != 0]
+            if len(slots) != 1 or abs(prod[slots[0]]) != 1:
+                raise ValueError(f"e_{i} e_{j} is not a signed basis element")
+            index[i, j], sign[i, j] = slots[0], int(prod[slots[0]])
+    index.flags.writeable = sign.flags.writeable = False
+    t = OctonionTable(index, sign)
     for j in range(8):
         ej = unit(8, j)
         if t.multiply(unit(8, 0), ej) != ej or t.multiply(ej, unit(8, 0)) != ej:

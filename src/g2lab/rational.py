@@ -1,17 +1,32 @@
 """Dense exact-rational matrices: the carrier for all algebraic certification.
 
-Everything in this module is a pure function of immutable values; scalars are
-`fractions.Fraction` throughout and no floating point ever enters.
+An `ExactMatrix` is an integer numpy array of numerators over one positive
+common denominator, kept in lowest terms (no factor divides the denominator
+and every numerator), so equality of matrices is literal equality of the pair;
+FLINT's `fmpq_mat` is the same design.  Arithmetic is numpy integer
+arithmetic.  Before each product or sum the bound on the entries of the result
+(for a product, max|A| * max|B| * k) is checked against 2^62; when it is not
+below, the same expression runs on Python integers (`dtype=object`).  The
+result is exact either way, and the check is the certificate.  Numerators are
+held as int64 exactly when all of them lie below 2^62.
+
+`fractions.Fraction` appears only at the boundary.  `_as_q` reads scalars in
+(an int or a Fraction; a float is a TypeError, so no floating point ever
+enters), and `__getitem__`, `row`, `flatten`, iteration over rows and
+`exact_json` hand them out.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
+import numpy as np
+
 Q = Fraction
+LIMIT = 1 << 62   # int64 numerators and bounds of int64 results stay below this
 
 
 def _as_q(x) -> Fraction:
@@ -27,123 +42,187 @@ def exact_json(q: Fraction) -> dict:
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
-@dataclass(frozen=True)
+def _fit(bound: int, *arrays) -> tuple:
+    """`arrays` as they are when `bound`, a bound on every entry of the
+    result to be computed from them, is below 2^62; else as Python ints."""
+    if bound < LIMIT:
+        return arrays
+    return tuple(a.astype(object) for a in arrays)
+
+
+def _magnitude(num: np.ndarray) -> int:
+    """max |entry| of an integer array, 0 when it is empty."""
+    return int(max(num.max(), -num.min())) if num.size else 0
+
+
 class ExactMatrix:
-    """Immutable rows x cols matrix of rationals, stored row-major."""
+    """Immutable rows x cols rational matrix: integer numerators `num` over
+    one positive denominator `den`, in lowest terms, with `bound` = max |num|.
 
-    rows: int
-    cols: int
-    entries: tuple  # length rows*cols, Fraction
+    A matrix is also the sequence of its rows: `len` counts them and
+    iteration yields each as a tuple of Fractions."""
 
-    def __post_init__(self):
-        if self.rows <= 0 or self.cols <= 0:
-            raise ValueError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
+    __slots__ = ("num", "den", "bound")
+
+    def __init__(self, num: np.ndarray, den: int):
+        g = gcd(den, int(np.gcd.reduce(num, axis=None)))
+        if g > 1:
+            num = num // g
+            den //= g
+        bound = _magnitude(num)
+        dtype = object if bound >= LIMIT else np.int64
+        if num.dtype != dtype:
+            num = num.astype(dtype)
+        num.flags.writeable = False
+        self.num, self.den, self.bound = num, den, bound
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "ExactMatrix":
-        r = len(rows)
-        c = len(rows[0])
-        ent = []
+    def from_rows(rows) -> "ExactMatrix":
+        """The matrix of a sequence of equal-length rows of exact scalars (a
+        matrix is returned as it is)."""
+        if isinstance(rows, ExactMatrix):
+            return rows
+        width = len(rows[0])
+        fracs = []
         for row in rows:
-            if len(row) != c:
+            if len(row) != width:
                 raise ValueError("ragged rows")
-            ent.extend(_as_q(x) for x in row)
-        return ExactMatrix(r, c, tuple(ent))
+            fracs.extend(_as_q(x) for x in row)
+        den = lcm(*(f.denominator for f in fracs))
+        nums = [f.numerator * (den // f.denominator) for f in fracs]
+        dtype = object if max(map(abs, nums), default=0) >= LIMIT else np.int64
+        return ExactMatrix(np.array(nums, dtype=dtype).reshape(len(rows), width), den)
 
     @staticmethod
     def zeros(rows: int, cols: int | None = None) -> "ExactMatrix":
         cols = rows if cols is None else cols
-        return ExactMatrix(rows, cols, (Q(0),) * (rows * cols))
+        return ExactMatrix(np.zeros((rows, cols), dtype=np.int64), 1)
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        ent = [Q(0)] * (n * n)
-        for i in range(n):
-            ent[i * n + i] = Q(1)
-        return ExactMatrix(n, n, tuple(ent))
+        return ExactMatrix(np.eye(n, dtype=np.int64), 1)
+
+    @staticmethod
+    def stack(mats: Sequence["ExactMatrix"]) -> "ExactMatrix":
+        """The rows of `mats`, each matrix under the last, over their common
+        denominator."""
+        den = lcm(*(m.den for m in mats))
+        parts = []
+        for m in mats:
+            f = den // m.den
+            a, = _fit(max(m.bound * f, f), m.num)
+            parts.append(a if f == 1 else a * f)
+        return ExactMatrix(np.concatenate(parts), den)
+
+    @property
+    def rows(self) -> int:
+        return self.num.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.num.shape[1]
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self.entries[i * self.cols + j]
+        return Fraction(int(self.num[i, j]), self.den)
 
     def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        return tuple(Fraction(x, self.den) for x in self.num[i].tolist())
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def __iter__(self):
+        return (self.row(i) for i in range(self.rows))
+
+    def reshape(self, rows: int, cols: int) -> "ExactMatrix":
+        """The entries read row-major into a rows x cols matrix."""
+        return ExactMatrix(self.num.reshape(rows, cols), self.den)
+
+    def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
+        """self + sign * other over the least common denominator."""
+        self._check_same_shape(other)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        a, b = _fit(max(self.bound * fa + other.bound * fb, fa, fb), self.num, other.num)
+        return ExactMatrix(a * fa + b * (sign * fb), den)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_shape(other)
-        return ExactMatrix(self.rows, self.cols,
-                           tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_shape(other)
-        return ExactMatrix(self.rows, self.cols,
-                           tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        return ExactMatrix(-self.num, self.den)
 
     def scale(self, s) -> "ExactMatrix":
         s = _as_q(s)
-        return ExactMatrix(self.rows, self.cols, tuple(s * a for a in self.entries))
+        a, = _fit(max(self.bound, 1) * abs(s.numerator), self.num)
+        return ExactMatrix(a * s.numerator, self.den * s.denominator)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        n, m, k = self.rows, other.cols, self.cols
-        a, b = self.entries, other.entries
-        out = []
-        for i in range(n):
-            arow = a[i * k:(i + 1) * k]
-            for j in range(m):
-                out.append(sum((arow[t] * b[t * m + j] for t in range(k)), Q(0)))
-        return ExactMatrix(n, m, tuple(out))
+        a, b = _fit(self.bound * other.bound * self.cols, self.num, other.num)
+        return ExactMatrix(a @ b, self.den * other.den)
 
     def apply(self, v: Sequence) -> tuple:
         """Matrix-vector product, v given as a plain sequence of rationals."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        vq = [_as_q(x) for x in v]
-        return tuple(sum((self[i, j] * vq[j] for j in range(self.cols)), Q(0))
-                     for i in range(self.rows))
+        return (self @ ExactMatrix.from_rows([v]).transpose()).flatten()
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.cols, self.rows,
-                           tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)))
+        return ExactMatrix(self.num.T, self.den)
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        return sum((self[i, i] for i in range(self.rows)), Q(0))
+        return Fraction(sum(np.diagonal(self.num).tolist()), self.den)
 
     def flatten(self) -> tuple:
-        return self.entries
+        return self.reshape(1, -1).row(0)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+        return self.bound == 0
 
     def is_skew(self) -> bool:
-        return self.rows == self.cols and all(
-            self[i, j] == -self[j, i] for i in range(self.rows) for j in range(i, self.cols))
+        return self.rows == self.cols and np.array_equal(self.num, -self.num.T)
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self[i, j] == self[j, i] for i in range(self.rows) for j in range(i + 1, self.cols))
+        return self.rows == self.cols and np.array_equal(self.num, self.num.T)
 
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "ExactMatrix":
-        ri, ci = list(row_idx), list(col_idx)
-        return ExactMatrix.from_rows([[self[i, j] for j in ci] for i in ri])
+        return ExactMatrix(self.num[np.ix_(list(row_idx), list(col_idx))], self.den)
 
     def to_floats(self):
         return [[float(self[i, j]) for j in range(self.cols)] for i in range(self.rows)]
 
     def _check_same_shape(self, other: "ExactMatrix"):
-        if (self.rows, self.cols) != (other.rows, other.cols):
+        if self.num.shape != other.num.shape:
             raise ValueError("shape mismatch")
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, ExactMatrix) and self.den == other.den
+                and self.num.shape == other.num.shape
+                and np.array_equal(self.num, other.num))
+
+    def __hash__(self):
+        return hash((self.num.shape, self.den, tuple(self.num.ravel().tolist())))
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols})"
+
+
+def flat_rows(mats: Sequence[ExactMatrix]) -> ExactMatrix:
+    """The matrices flattened row-major (the fixed convention), one per row."""
+    return ExactMatrix.stack([m.reshape(1, -1) for m in mats])
+
+
+def unflatten_rows(m: ExactMatrix, rows: int, cols: int) -> list[ExactMatrix]:
+    """Each row of `m` read row-major into a rows x cols matrix."""
+    return [ExactMatrix(r.reshape(rows, cols), m.den) for r in m.num]
 
 
 def unit(n: int, i: int) -> tuple:
@@ -156,9 +235,9 @@ def skew_basis(n: int, slots: Sequence[int]) -> list[ExactMatrix]:
     lexicographic order of (i, j)."""
     out = []
     for i, j in itertools.combinations(slots, 2):
-        ent = [Q(0)] * (n * n)
-        ent[i * n + j], ent[j * n + i] = Q(1), Q(-1)
-        out.append(ExactMatrix(n, n, tuple(ent)))
+        num = np.zeros((n, n), dtype=np.int64)
+        num[i, j], num[j, i] = 1, -1
+        out.append(ExactMatrix(num, 1))
     return out
 
 
@@ -177,17 +256,15 @@ def trace_form(a: ExactMatrix, b: ExactMatrix) -> Fraction:
     """
     if a.rows != a.cols or b.rows != b.cols or a.rows != b.rows:
         raise ValueError("trace_form requires square matrices of equal size")
-    n = a.rows
-    return sum((a[i, j] * b[j, i] for i in range(n) for j in range(n)), Q(0))
+    x, y = _fit(a.bound * b.bound * a.rows * a.rows, a.num, b.num)
+    return Fraction(int((x * y.T).sum()), a.den * b.den)
 
 
 def combination(coeffs: Sequence, mats: Sequence[ExactMatrix]) -> ExactMatrix:
-    """sum_i coeffs[i] * mats[i], skipping zero coefficients."""
-    out = ExactMatrix.zeros(mats[0].rows, mats[0].cols)
-    for c, m in zip(coeffs, mats):
-        if c:
-            out = out + m.scale(c)
-    return out
+    """sum_i coeffs[i] * mats[i]: one row of coefficients times the matrices
+    flattened into rows."""
+    total = ExactMatrix.from_rows([coeffs]) @ flat_rows(mats)
+    return total.reshape(mats[0].rows, mats[0].cols)
 
 
 def common_ratio(xs: Sequence, ys: Sequence) -> Fraction | None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .embeddings import g2_basis
 from .octonions import standard_octonions
-from .rational import ExactMatrix, Q, bracket, skew_basis, unit
+from .rational import ExactMatrix, Q, bracket, skew_basis, unflatten_rows, unit
 from .subspaces import Subspace
 
 
@@ -76,12 +76,11 @@ def so8_intersection_report() -> So8IntersectionReport:
 
     # restrict intersection elements (which kill slot 0) to the imaginary block
     restricted = []
-    for v in inter.basis:
-        m = ExactMatrix(8, 8, tuple(v))
+    for m in unflatten_rows(inter.basis, 8, 8):
         if any(m[0, j] != 0 or m[j, 0] != 0 for j in range(8)):
             raise ValueError("intersection element does not fix the unit axis")
-        restricted.append(m.submatrix(range(1, 8), range(1, 8)).flatten())
-    inter7 = Subspace.span(restricted, 49) if restricted else Subspace.span([], 49)
+        restricted.append(m.submatrix(range(1, 8), range(1, 8)))
+    inter7 = Subspace.span_matrices(restricted) if restricted else Subspace.span([], 49)
     return So8IntersectionReport(
         sum_dim=total.dim,
         intersection_dim=inter.dim,

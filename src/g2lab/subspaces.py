@@ -1,89 +1,84 @@
 """Exact subspace arithmetic: canonical echelon forms, spans, kernels, solving.
 
-The elimination core is fraction-free (Bareiss-style) on integer rows, so
-coefficient growth stays polynomial; rows are rescaled to rationals only when
-producing the final reduced echelon form.  Every subspace is normalized to its
-reduced row-echelon basis, which makes equality of subspaces literal equality
-of bases.
+Elimination runs on the integer numerator rows of an `ExactMatrix` and is
+fraction-free (Bareiss-style): each step combines integer rows and divides
+out each new row's content, so coefficient growth stays polynomial.  Before
+each step the bound on the new entries is checked against 2^62, as in
+`rational`, and past it the rows continue as Python integers.  The reduced
+echelon form comes out once, at the end, as an `ExactMatrix` over the least
+common multiple of the pivots.  Every subspace is held in its reduced
+row-echelon basis, which makes equality of subspaces literal equality of
+bases; Fractions appear only where a caller reads rows or coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
-from .rational import ExactMatrix, Q, _as_q, unit
+import numpy as np
+
+from .rational import ExactMatrix, Q, _fit, _magnitude, flat_rows
 
 
-def _to_int_row(row) -> list[int]:
-    fracs = [_as_q(x) for x in row]
-    mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * mult) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+def _divide_content(rows: np.ndarray) -> np.ndarray:
+    """Each integer row divided by the gcd of its entries (zero rows kept)."""
+    g = np.gcd.reduce(rows, axis=1)
+    g[g == 0] = 1
+    return rows // g[:, None]
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+def rref(rows) -> tuple[ExactMatrix, list[int]]:
     """Reduced row echelon form with unit pivots; zero rows dropped.
 
-    Returns (rows, pivot_columns).  Forward elimination is integer
-    fraction-free; the reduction to unit pivots happens once at the end.
+    `rows` is a matrix or a sequence of rows of exact scalars.  Returns
+    (the reduced rows as a matrix, pivot_columns).  Forward elimination is
+    integer fraction-free; the reduction to unit pivots happens once at the
+    end.
     """
-    work = [_to_int_row(r) for r in rows]
-    work = [r for r in work if any(r)]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    if any(len(r) != ncols for r in work):
-        raise ValueError("ragged rows")
+    m = ExactMatrix.from_rows(rows)
+    work = _divide_content(m.num[(m.num != 0).any(axis=1)])
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        p = work[r][c]
-        for i in range(len(work)):
-            if i == r or work[i][c] == 0:
-                continue
-            q = work[i][c]
-            work[i] = [p * work[i][j] - q * work[r][j] for j in range(ncols)]
-            g = 0
-            for v in work[i]:
-                g = gcd(g, v)
-            if g > 1:
-                work[i] = [v // g for v in work[i]]
-        pivots.append(c)
-        r += 1
+    for c in range(m.cols):
         if r == len(work):
             break
-    out = []
-    for i, c in enumerate(pivots):
-        p = Fraction(work[i][c])
-        out.append([Fraction(v) / p for v in work[i]])
-    return out, pivots
+        nz = np.flatnonzero(work[r:, c])
+        if not nz.size:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            work[[r, piv]] = work[[piv, r]]
+        hit = np.flatnonzero(work[:, c])
+        hit = hit[hit != r]
+        if hit.size:
+            # |p * w - q * w_r| <= 2 max|w|^2
+            work, = _fit(2 * _magnitude(work) ** 2, work)
+            work[hit] = _divide_content(work[r, c] * work[hit] - work[hit, c, None] * work[r])
+        pivots.append(c)
+        r += 1
+    lead = [int(x) for x in work[np.arange(r), pivots]]
+    den = lcm(*(abs(p) for p in lead))
+    top, = _fit(_magnitude(work) * den, work[:r])
+    scale = np.array([den // p for p in lead], dtype=top.dtype)
+    return ExactMatrix(top * scale[:, None], den), pivots
 
 
-def kernel_basis(a: ExactMatrix) -> list[tuple]:
-    """Canonical basis of {x : a x = 0}, one vector per free column."""
-    rows, pivots = rref([a.row(i) for i in range(a.rows)])
-    n = a.cols
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Q(0)] * n
-        v[f] = Q(1)
-        for i, c in enumerate(pivots):
-            v[c] = -rows[i][f]
-        basis.append(tuple(v))
-    return basis
+def kernel_basis(a: ExactMatrix) -> ExactMatrix:
+    """Canonical basis of {x : a x = 0}, one row per free column: 1 at the
+    free column and minus that column of the reduced form at the pivots."""
+    red, pivots = rref(a)
+    free = [c for c in range(a.cols) if c not in pivots]
+    num = np.zeros((len(free), a.cols), dtype=red.num.dtype)
+    num[np.arange(len(free)), free] = red.den
+    num[:, pivots] = -red.num[:, free].T
+    return ExactMatrix(num, red.den)
+
+
+def _side_by_side(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """[a | b] for matrices with the same number of rows."""
+    return ExactMatrix.stack([a.transpose(), b.transpose()]).transpose()
 
 
 def inverse(m: ExactMatrix) -> ExactMatrix:
@@ -91,11 +86,10 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
     n = m.rows
     if m.cols != n:
         raise ValueError("inverse of a non-square matrix")
-    eye = ExactMatrix.identity(n)
-    rows, pivots = rref([m.row(i) + eye.row(i) for i in range(n)])
+    red, pivots = rref(_side_by_side(m, ExactMatrix.identity(n)))
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix not invertible")
-    return ExactMatrix.from_rows([r[n:] for r in rows])
+    return red.submatrix(range(n), range(n, 2 * n))
 
 
 @dataclass(frozen=True)
@@ -103,7 +97,7 @@ class LinearSolution:
     """General solution of a x = b: a particular solution plus the kernel."""
 
     particular: tuple | None          # None when the system is inconsistent
-    kernel: tuple                     # tuple of kernel basis vectors
+    kernel: ExactMatrix               # rows: a basis of the kernel
 
     @property
     def consistent(self) -> bool:
@@ -118,92 +112,83 @@ def solve_linear(a: ExactMatrix, b: Sequence) -> LinearSolution:
     """Exact general solution of the linear system a x = b."""
     if len(b) != a.rows:
         raise ValueError("right-hand side length mismatch")
-    aug = [list(a.row(i)) + [b[i]] for i in range(a.rows)]
-    rows, pivots = rref(aug)
+    red, pivots = rref(_side_by_side(a, ExactMatrix.from_rows([b]).transpose()))
     n = a.cols
     if n in pivots:
-        return LinearSolution(None, tuple(kernel_basis(a)))
+        return LinearSolution(None, kernel_basis(a))
     x = [Q(0)] * n
     for i, c in enumerate(pivots):
-        x[c] = rows[i][n]
-    return LinearSolution(tuple(x), tuple(kernel_basis(a)))
+        x[c] = red[i, n]
+    return LinearSolution(tuple(x), kernel_basis(a))
 
 
 @dataclass(frozen=True)
 class Subspace:
     """A linear subspace of Q^n held in canonical reduced-echelon basis."""
 
-    ambient_dim: int
-    basis: tuple  # tuple of tuples of Fraction, RREF rows
+    basis: ExactMatrix   # the reduced row-echelon rows, one per basis vector
+    pivots: tuple        # the pivot column of each basis row
 
     @staticmethod
-    def span(vectors: Sequence[Sequence], ambient_dim: int | None = None) -> "Subspace":
-        vecs = [tuple(_as_q(x) for x in v) for v in vectors]
-        if ambient_dim is None:
-            if not vecs:
+    def span(vectors, ambient_dim: int | None = None) -> "Subspace":
+        """Span of the rows of a matrix, or of a sequence of vectors of exact
+        scalars."""
+        if not isinstance(vectors, ExactMatrix) and not vectors:
+            if ambient_dim is None:
                 raise ValueError("ambient dimension required for an empty span")
-            ambient_dim = len(vecs[0])
-        if any(len(v) != ambient_dim for v in vecs):
+            vectors = ExactMatrix.zeros(0, ambient_dim)
+        rows = ExactMatrix.from_rows(vectors)
+        if ambient_dim is not None and rows.cols != ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        rows, _ = rref(vecs) if vecs else ([], [])
-        return Subspace(ambient_dim, tuple(tuple(r) for r in rows))
+        basis, pivots = rref(rows)
+        return Subspace(basis, tuple(pivots))
 
     @staticmethod
     def span_matrices(mats: Sequence[ExactMatrix]) -> "Subspace":
         """Span of matrices flattened row-major (the fixed convention)."""
         if not mats:
             raise ValueError("need at least one matrix")
-        n = mats[0].rows * mats[0].cols
-        return Subspace.span([m.flatten() for m in mats], n)
+        return Subspace.span(flat_rows(mats))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.cols
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.basis.rows
 
-    @property
-    def pivots(self) -> tuple:
-        """The pivot column of each reduced-echelon basis row."""
-        return tuple(next(i for i, x in enumerate(row) if x) for row in self.basis)
-
-    def coordinates(self, v: Sequence) -> tuple | None:
-        """Coefficients of v in this basis, or None if v is outside.  The
-        basis rows have unit pivots and zeros at each other's pivots, so the
+    def _coefficients(self, v) -> ExactMatrix | None:
+        """The coefficients of v as one row, or None if v is outside.  v is a
+        sequence of exact scalars or a matrix read row-major.  The basis rows
+        have unit pivots and zeros at each other's pivots, so the
         coefficients are v at the pivot columns; reconstruction checks them."""
-        if len(v) != self.ambient_dim:
+        v = v.reshape(1, -1) if isinstance(v, ExactMatrix) else ExactMatrix.from_rows([v])
+        if v.cols != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        vq = tuple(_as_q(x) for x in v)
-        coeffs = tuple(vq[c] for c in self.pivots)
-        recon = tuple(sum((c * row[k] for c, row in zip(coeffs, self.basis)
-                           if c and row[k]), Q(0)) for k in range(self.ambient_dim))
-        return coeffs if recon == vq else None
+        c = v.submatrix([0], self.pivots)
+        return c if c @ self.basis == v else None
 
-    def contains(self, v: Sequence) -> bool:
-        return self.coordinates(v) is not None
+    def coordinates(self, v) -> tuple | None:
+        """Coefficients of v in this basis, or None if v is outside."""
+        c = self._coefficients(v)
+        return None if c is None else c.row(0)
 
-    def contains_matrix(self, m: ExactMatrix) -> bool:
-        return self.contains(m.flatten())
+    def contains(self, v) -> bool:
+        return self._coefficients(v) is not None
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace.span(list(self.basis) + list(other.basis), self.ambient_dim)
+        return Subspace.span(ExactMatrix.stack([self.basis, other.basis]))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
         if self.dim == 0 or other.dim == 0:
             return Subspace.span([], self.ambient_dim)
         # x^T B1 = y^T B2  <=>  [B1^T | -B2^T] (x; y) = 0
-        cols = self.dim + other.dim
-        rows = []
-        for i in range(self.ambient_dim):
-            rows.append([self.basis[j][i] for j in range(self.dim)] +
-                        [-other.basis[j][i] for j in range(other.dim)])
-        ker = kernel_basis(ExactMatrix.from_rows(rows)) if rows else []
-        vecs = []
-        for k in ker:
-            x = k[:self.dim]
-            vecs.append(tuple(sum((x[j] * self.basis[j][i] for j in range(self.dim)), Q(0))
-                              for i in range(self.ambient_dim)))
-        return Subspace.span(vecs, self.ambient_dim)
+        ker = kernel_basis(ExactMatrix.stack([self.basis, -other.basis]).transpose())
+        x = ker.submatrix(range(ker.rows), range(self.dim))
+        return Subspace.span(x @ self.basis)
 
     def ortho_complement(self, form: ExactMatrix | None = None) -> "Subspace":
         """Complement w.r.t. a nondegenerate symmetric bilinear form (default: dot)."""
@@ -215,22 +200,12 @@ class Subspace:
         if kernel_basis(form):
             raise ValueError("degenerate form")
         if self.dim == 0:
-            return Subspace.span([unit(n, i) for i in range(n)], n)
-        rows = []
-        for b in self.basis:
-            rows.append(form.apply(b))
-        return Subspace.span(kernel_basis(ExactMatrix.from_rows(rows)) or [], n)
+            return Subspace.span(ExactMatrix.identity(n))
+        return Subspace.span(kernel_basis(self.basis @ form.transpose()))
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -239,24 +214,25 @@ class Subspace:
 @dataclass(frozen=True)
 class Coordinates:
     """Exact coordinates in a basis of independent vectors: the reduced-echelon
-    coordinates in their span, mapped through the inverse of the basis read at
-    the pivot columns."""
+    coordinates in their span, times the inverse of the basis read at the
+    pivot columns."""
 
     span: Subspace
     pivot_inverse: ExactMatrix
 
     @staticmethod
-    def of(vectors: Sequence[Sequence]) -> "Coordinates":
-        span = Subspace.span(vectors)
-        if span.dim != len(vectors):
+    def of(vectors) -> "Coordinates":
+        """Coordinates in the rows of a matrix, or in a sequence of vectors."""
+        rows = ExactMatrix.from_rows(vectors)
+        span = Subspace.span(rows)
+        if span.dim != rows.rows:
             raise ValueError("vectors are linearly dependent")
-        return Coordinates(span, inverse(ExactMatrix.from_rows(
-            [[v[c] for v in vectors] for c in span.pivots])))
+        return Coordinates(span, inverse(rows.submatrix(range(rows.rows), span.pivots)))
 
-    def __call__(self, v: Sequence) -> tuple | None:
+    def __call__(self, v) -> tuple | None:
         """Coefficients of v in the basis, or None if v is outside its span."""
-        c = self.span.coordinates(v)
-        return None if c is None else self.pivot_inverse.apply(c)
+        c = self.span._coefficients(v)
+        return None if c is None else (c @ self.pivot_inverse).row(0)
 
 
 def gram_matrix(vectors: Sequence[Sequence], pairing) -> ExactMatrix:

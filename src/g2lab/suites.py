@@ -620,6 +620,24 @@ SUITES = {
 
 SUITE_NAMES = tuple(SUITES) + ("all",)
 
+# The largest --h each fixed-step check admits.  Its sample domain must keep
+# points beyond the 10 h pad of `fields.sample_points`, which gives up when
+# fewer than 1 in 1000 candidates survive; each step here is the largest
+# multiple of 0.005 at which at least 2% of the sampler's first 4000
+# candidates survive on the check's domain.
+MAX_STEP = {
+    check_gh_flat_trivial: 0.06,
+    check_gh_consistency: 0.05,
+    check_thm1_flat: 0.04,
+    check_thm2_weak_monopole: 0.04,
+    check_hyp_plane: 0.02,
+    check_hyp_sphere: 0.01,
+    check_hyp_ellipsoid: 0.01,
+    check_oracle_blocks: 0.04,
+    check_neg_perturbed_potential: 0.04,
+    check_neg_nonbasic: 0.04,
+}
+
 
 def suite_checks(name: str):
     """The (check id, check) pairs of a suite; KeyError for an unknown one."""

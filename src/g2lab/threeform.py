@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .embeddings import g2_basis
-from .rational import ExactMatrix, Q, _as_q, combination, exact_json, skew_basis
+from .rational import ExactMatrix, Q, _as_q, _fit, exact_json, flat_rows, skew_basis
 from .subspaces import Subspace, kernel_basis
 
 TRIPLES = tuple(itertools.combinations(range(7), 3))
@@ -124,38 +126,42 @@ def _det3(x, y, z, i, j, k) -> Fraction:
             + x[k] * (y[i] * z[j] - y[j] * z[i]))
 
 
+@functools.lru_cache(maxsize=1)
+def _threeform_action_terms() -> tuple:
+    """The nonzero terms of (A.phi)_ijk = -sum_m (A_mi phi_mjk + A_mj phi_imk
+    + A_mk phi_ijm) as index arrays (row, column, sign, m, i): the entry
+    sign * A[m, i] adds to the 35x35 action at (row, column)."""
+    terms = []
+    for row, triple in enumerate(TRIPLES):
+        for slot, i in enumerate(triple):
+            for m in range(7):
+                t, s = sort_with_sign(triple[:slot] + (m,) + triple[slot + 1:])
+                if s != 0:
+                    terms.append((row, TRIPLE_INDEX[t], -s, m, i))
+    return tuple(np.array(col) for col in zip(*terms))
+
+
 def action_on_threeforms(a: ExactMatrix) -> ExactMatrix:
     """35x35 matrix of the so(7) action (A.phi)(x,y,z) = -phi(Ax,y,z) - ... ."""
     if a.rows != 7 or a.cols != 7:
         raise ValueError("expected a 7x7 matrix")
-    ent = [[Q(0)] * 35 for _ in range(35)]
-
-    def add(row, idx, coef):
-        t, s = sort_with_sign(idx)
-        if s != 0 and coef != 0:
-            ent[row][TRIPLE_INDEX[t]] += s * coef
-
-    for row, (i, j, k) in enumerate(TRIPLES):
-        for m in range(7):
-            add(row, (m, j, k), -a[m, i])
-            add(row, (i, m, k), -a[m, j])
-            add(row, (i, j, m), -a[m, k])
-    return ExactMatrix.from_rows(ent)
+    row, col, sign, m, i = _threeform_action_terms()
+    num, = _fit(3 * a.bound, a.num)     # at most three terms meet in an entry
+    out = np.zeros((35, 35), dtype=num.dtype)
+    np.add.at(out, (row, col), sign * num[m, i])
+    return ExactMatrix(out, a.den)
 
 
 @functools.lru_cache(maxsize=1)
 def invariant_threeform() -> ThreeForm:
     """The unique (up to scale) 3-form annihilated by the whole algebra,
     normalized to squared norm 7 with the fixed sign convention."""
-    rows = []
-    for el in g2_basis().elements:
-        op = action_on_threeforms(el)
-        rows.extend(op.row(i) for i in range(35))
-    ker = kernel_basis(ExactMatrix.from_rows(rows))
+    ker = kernel_basis(ExactMatrix.stack(
+        [action_on_threeforms(el) for el in g2_basis().elements]))
     if len(ker) != 1:
         raise ValueError(f"invariance kernel has dimension {len(ker)}, not 1: "
                          "the basis does not span a copy of the 14-dim algebra")
-    return ThreeForm(tuple(ker[0])).normalize()
+    return ThreeForm(ker.row(0)).normalize()
 
 
 def so7_basis() -> list[ExactMatrix]:
@@ -166,15 +172,11 @@ def so7_basis() -> list[ExactMatrix]:
 def stabilizer_in_so7(phi: ThreeForm) -> Subspace:
     """{A in so(7) : A.phi = 0} as a subspace of flattened 7x7 matrices."""
     basis = so7_basis()
-    # column c = action of basis[c] applied to phi
-    cols = []
-    for b in basis:
-        op = action_on_threeforms(b)
-        cols.append(op.apply(phi.components))
-    mat = ExactMatrix.from_rows([[cols[c][t] for c in range(21)] for t in range(35)])
-    ker = kernel_basis(mat)
-    flats = [combination(coeffs, basis).flatten() for coeffs in ker]
-    return Subspace.span(flats, 49) if flats else Subspace.span([], 49)
+    phi_col = ExactMatrix.from_rows([phi.components]).transpose()
+    # row c = action of basis[c] applied to phi; the kernel is of the transpose
+    images = ExactMatrix.stack([(action_on_threeforms(b) @ phi_col).transpose()
+                                for b in basis])
+    return Subspace.span(kernel_basis(images.transpose()) @ flat_rows(basis), 49)
 
 
 def star_phi(phi: ThreeForm) -> FourForm:

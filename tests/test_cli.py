@@ -1,11 +1,12 @@
+import ast
 import json
 import os
 
 import pytest
 
-from g2lab import cli
+from g2lab import cli, suites
 from g2lab.cli import main
-from g2lab.reports import control_report
+from g2lab.reports import SuiteContext, control_report
 from g2lab.suites import SUITE_NAMES, suite_checks
 
 
@@ -155,21 +156,49 @@ def test_suite_manifest_unique_ids():
         assert len(set(ids)) == len(ids), name
 
 
-def test_raising_check_reports_error_and_run_goes_on(capsys):
-    # a step this large leaves the sampler of gh.flat-trivial no admissible point
-    code, out, err = run_cli(capsys, ["--suite", "gh", "--h", "0.3"])
+def test_raising_check_reports_error_and_run_goes_on(capsys, monkeypatch):
+    def check_raises(ctx):
+        raise RuntimeError("sampler failed: domain too constrained")
+    checks = [("demo.raises", check_raises)] + suite_checks("gh")
+    monkeypatch.setattr(cli, "suite_checks", lambda name: checks)
+    code, out, err = run_cli(capsys, ["--suite", "gh", "--samples", "20"])
     lines = [json.loads(l) for l in out.strip().splitlines()]
     assert code == 1
-    assert [l["check_id"] for l in lines] == [cid for cid, _ in suite_checks("gh")]
-    flat = lines[0]
-    assert flat["check_id"] == "gh.flat-trivial"
-    assert flat["status"] == "error"
-    assert flat["residuals"] == {} and flat["tolerance"] == 0.0
-    assert flat["params"]["error"].startswith("RuntimeError: ")
+    assert [l["check_id"] for l in lines] == [cid for cid, _ in checks]
+    raised = lines[0]
+    assert raised["status"] == "error"
+    assert raised["residuals"] == {} and raised["tolerance"] == 0.0
+    assert raised["params"]["error"].startswith("RuntimeError: ")
+    assert all(l["status"] == "pass" for l in lines[1:])
     assert "Traceback" not in err
-    assert "gh.flat-trivial raised RuntimeError" in err
-    n_err = sum(l["status"] == "error" for l in lines)
-    assert f"{len(lines)} checks, 0 failed, {n_err} errors" in err
+    assert "demo.raises raised RuntimeError" in err
+    assert f"{len(lines)} checks, 0 failed, 1 errors" in err
+
+
+def test_step_too_large_for_a_domain_is_a_usage_error(capsys):
+    """A --h whose 10 h sampler pad leaves some check's domain no room is
+    refused before any check runs; a step every domain admits runs."""
+    code, out, err = run_cli(capsys, ["--suite", "all", "--h", "0.3"])
+    assert code == 2 and out == ""
+    assert "the largest step the domain of gh.flat-trivial admits" in err
+    code, out, err = run_cli(capsys, ["--suite", "all", "--h", "0.01",
+                                      "--samples", "20", "--json-only"])
+    lines = [json.loads(l) for l in out.strip().splitlines()]
+    assert code != 2 and len(lines) == len(suite_checks("all"))
+    assert not any(l["status"] == "error" for l in lines)
+
+
+def test_every_fixed_step_check_declares_its_largest_step():
+    """The checks that honor --h (the `_base_cfg` callers) are the keys of
+    MAX_STEP, and each one samples its domain at its declared step."""
+    tree = ast.parse(open(suites.__file__).read())
+    callers = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name != "_base_cfg"
+               and any(isinstance(c, ast.Call) and getattr(c.func, "id", "") == "_base_cfg"
+                       for c in ast.walk(node))}
+    assert callers == {fn.__name__ for fn in suites.MAX_STEP}
+    for fn, step in suites.MAX_STEP.items():
+        fn(SuiteContext(samples=20, h=step))
 
 
 @pytest.mark.parametrize("samples", ["1", "25"])

@@ -27,6 +27,19 @@ def test_potential_satisfies_star_equation():
     assert res["harmonicity"] <= 1e-3
 
 
+def test_consistency_reads_v_on_the_seven_point_star():
+    """V's gradient and Laplacian take V at p and p +- h e_a only: 7
+    evaluations per sample, not the 19 of a full second-order jet."""
+    data = gh_taub_nut_example()
+    calls = []
+    counted = GHData(v=lambda x: calls.append(1) or data.v(x), a=data.a,
+                     domain=data.domain)
+    cfg = StencilConfig(h=1e-3)
+    pts = sample_points(data.domain, 5, cfg, seed=3)
+    assert counted.consistency_residuals(pts, cfg) == data.consistency_residuals(pts, cfg)
+    assert len(calls) == 7 * len(pts)
+
+
 def test_trivial_build_is_flat_exactly():
     data = GHData(v=lambda x: 1.0, a=lambda x: np.zeros(3),
                   domain=Domain(lo=(-1.0,) * 3, hi=(1.0,) * 3))

@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from fractions import Fraction
 
-from g2lab.octonions import (alternativity_certificate, associative_test,
-                             associator, calibration_gap, dot,
+from g2lab.embeddings import adjoint_rep_on_m, canonical_rep6, intertwiner_solve
+from g2lab.octonions import (_basis_product, alternativity_certificate,
+                             associative_test, associator, calibration_gap, dot,
                              norm_multiplicativity_certificate, standard_cross,
                              standard_octonions, torsion_cross)
-from g2lab.rational import Q
+from g2lab.rational import ExactMatrix, Q
 from g2lab.threeform import invariant_threeform
 
 
@@ -137,3 +140,70 @@ def test_table_and_star_json_export():
     sp = star_phi(invariant_threeform()).to_json_obj()
     assert sp["kind"] == "four_form"
     assert all(set(c) == {"indices", "num", "den"} for c in sp["components"])
+
+
+def dense_product(table, p, q):
+    """The dense sum sum_ij p_i q_j table[i][j][k] over the 8x8 table of
+    8-tuples that the signed-sparse table replaced, kept as the reference."""
+    out = [Q(0)] * 8
+    for i in range(8):
+        for j in range(8):
+            for k in range(8):
+                out[k] += p[i] * q[j] * table[i][j][k]
+    return tuple(out)
+
+
+def test_signed_sparse_product_matches_the_dense_sum():
+    tab = standard_octonions()
+    cross = standard_cross()
+    table = [[_basis_product(cross, i, j) for j in range(8)] for i in range(8)]
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        p, q = (tuple(Fraction(int(n), int(d)) for n, d in
+                      zip(rng.integers(-9, 10, size=8), rng.integers(1, 7, size=8)))
+                for _ in range(2))
+        assert tab.multiply(p, q) == dense_product(table, p, q)
+    # numerators near 2^35 over mixed denominators put 8 max|p| max|q| past
+    # 2^62, so this product runs on Python ints
+    p = tuple(Fraction(int(n) + (1 << 35), int(d)) for n, d in
+              zip(rng.integers(-99, 99, size=8), rng.integers(1, 7, size=8)))
+    q = tuple(Fraction(int(n) - (1 << 35), int(d)) for n, d in
+              zip(rng.integers(-99, 99, size=8), rng.integers(1, 7, size=8)))
+    wide = [ExactMatrix.from_rows([v]) for v in (p, q)]
+    assert 8 * wide[0].bound * wide[1].bound >= 1 << 62
+    assert tab.multiply(p, q) == dense_product(table, p, q)
+
+
+# ------------------------------------------------------------ memory bounds
+
+# Warm tracemalloc peaks of the three largest exact systems, which are built
+# as integer arrays (numpy 2.4.6: 850, 431 and 322 KiB).  Built as Fraction
+# rows and then an object array they peaked at 1,848, 739 and 600 KiB.
+EXACT_PEAK_BOUNDS = {
+    "torsion_cross": 1536 * 1024,
+    "invariant_threeform": 640 * 1024,
+    "intertwiner_solve": 480 * 1024,
+}
+
+
+def _peak_bytes(run) -> int:
+    run()                      # warm the cached algebra outside the trace
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exact_systems_stay_within_their_memory_bounds():
+    runs = {
+        "torsion_cross": torsion_cross,
+        "invariant_threeform": invariant_threeform.__wrapped__,
+        "intertwiner_solve":
+            lambda: intertwiner_solve(adjoint_rep_on_m(), canonical_rep6()),
+    }
+    peaks = {name: _peak_bytes(run) for name, run in runs.items()}
+    over = {name: peak for name, peak in peaks.items()
+            if peak > EXACT_PEAK_BOUNDS[name]}
+    assert not over, f"tracemalloc peaks over their bounds: {over}"

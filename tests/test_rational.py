@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from g2lab.embeddings import MVector, Sl3Param, hat3
 from g2lab.octonions import (TorsionCrossResult, dot, standard_cross,
                              standard_octonions)
@@ -108,3 +110,98 @@ def test_exact_layer_rejects_floats(name):
     call(2)
     call(Fraction(1, 3))
 
+
+
+# ------------------------------------------- the kernel against Fractions
+
+def ref_matmul(a, b):
+    """The Fraction triple loop that integer numerators replaced, kept as the
+    reference: lists of rows of Fractions in, the same out."""
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def ref_rref(rows):
+    """Gauss-Jordan elimination on Fraction rows: (nonzero reduced rows, pivots)."""
+    rows = [list(r) for r in rows]
+    pivots, r = [], 0
+    for c in range(len(rows[0])):
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def entries(m):
+    return [list(row) for row in m]
+
+
+# mixed denominators, so every operand carries its own common denominator
+RATIONALS = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@st.composite
+def rational_rows(draw, rows, cols, scalars=RATIONALS):
+    return [[draw(scalars) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+def test_kernel_matches_the_fraction_reference(data, n, k, m):
+    a, c = data.draw(rational_rows(n, k)), data.draw(rational_rows(n, k))
+    b = data.draw(rational_rows(k, m))
+    sq1, sq2 = data.draw(rational_rows(n, n)), data.draw(rational_rows(n, n))
+    s = data.draw(RATIONALS)
+    v = data.draw(rational_rows(1, k))[0]
+    A, B, C = (ExactMatrix.from_rows(x) for x in (a, b, c))
+    S1, S2 = ExactMatrix.from_rows(sq1), ExactMatrix.from_rows(sq2)
+
+    assert entries(A @ B) == ref_matmul(a, b)
+    assert entries(A + C) == [[x + y for x, y in zip(r, q)] for r, q in zip(a, c)]
+    assert entries(A - C) == [[x - y for x, y in zip(r, q)] for r, q in zip(a, c)]
+    assert entries(A.scale(s)) == [[s * x for x in r] for r in a]
+    assert list(A.apply(v)) == [r[0] for r in ref_matmul(a, [[x] for x in v])]
+    lhs, rhs = ref_matmul(sq1, sq2), ref_matmul(sq2, sq1)
+    assert entries(bracket(S1, S2)) == [[x - y for x, y in zip(r, q)]
+                                        for r, q in zip(lhs, rhs)]
+    assert trace_form(S1, S2) == sum(sq1[i][j] * sq2[j][i]
+                                     for i in range(n) for j in range(n))
+    red, pivots = rref(a)
+    assert (entries(red), pivots) == ref_rref(a)
+
+
+def test_large_entries_take_the_python_int_path():
+    """Entries near 2^40 put max|A| max|B| k past 2^62: the product runs on
+    Python ints (dtype object) and still equals the Fraction reference entry
+    by entry; so do the sum, the bracket and the echelon form."""
+    rng = np.random.default_rng(40)
+
+    def big(rows, cols):
+        return [[Fraction(int(x) + (1 << 40), int(d)) for x, d in zip(r, q)]
+                for r, q in zip(rng.integers(-1000, 1000, size=(rows, cols)),
+                                rng.integers(1, 9, size=(rows, cols)))]
+
+    a, b = big(3, 4), big(4, 3)
+    A, B = ExactMatrix.from_rows(a), ExactMatrix.from_rows(b)
+    assert A.num.dtype == np.int64 and B.num.dtype == np.int64
+    assert A.bound * B.bound * A.cols >= 1 << 62
+    product = A @ B
+    assert product.num.dtype == object
+    expected = ref_matmul(a, b)
+    for i in range(3):
+        for j in range(3):
+            assert product[i, j] == expected[i][j]
+    assert entries(product + product) == [[2 * x for x in r] for r in expected]
+    sq = ExactMatrix.from_rows(expected)
+    assert entries(bracket(product, sq)) == [[0] * 3] * 3
+    assert (entries(rref(expected)[0]), rref(expected)[1]) == ref_rref(expected)
+    # a result that fits again goes back to machine integers
+    assert (product - product).num.dtype == np.int64
