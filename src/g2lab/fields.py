@@ -4,9 +4,9 @@ points.
 Fields are plain callables evaluated at a point or a block of points; nothing
 is ever stored on a grid.  A point is an array of shape (dim,) and a block one
 of shape (k, dim): the stencils shift the last axis, and the frame and form
-helpers below broadcast over leading axes, so one implementation serves both
-and a block's rows carry the bits of the point results.  A 1-form value is a
-vector and a 2-form value a skew matrix
+helpers below (`transform_form` among them) broadcast over leading axes, so
+one implementation serves both and a block's rows carry the bits of the point
+results.  A 1-form value is a vector and a 2-form value a skew matrix
 (`d_one_form`, the block star `hodge_restricted`); `exterior_d` and
 `transform_form` take a k-form value as a numpy vector over the sorted k-index
 combinations in lexicographic order, which is how the 3- and 4-forms of a
@@ -89,16 +89,32 @@ def fd_gradient(f: Callable, p: Point, cfg: StencilConfig) -> np.ndarray:
     return partials.swapaxes(0, p.ndim - 1)
 
 
+def star_jet(f: Callable, p: Point, cfg: StencilConfig) -> tuple:
+    """(f, df, dd) from the first-order star p, p +- h e_a: df[..., a, :] =
+    d_a f by the central differences of `fd_partial` and dd[..., a, :] =
+    d_a d_a f by the 3-point second difference, each stacked after the point
+    axes as in `fd_gradient`.  2 dim + 1 field evaluations."""
+    h = cfg.h
+    f0 = np.asarray(f(p), dtype=float)
+    lead = p.shape[:-1]
+    df = np.empty(lead + p.shape[-1:] + f0.shape[len(lead):])
+    dd = np.empty(df.shape)
+    for a in range(p.shape[-1]):
+        pp, pm = p.copy(), p.copy()
+        pp.T[a] += h
+        pm.T[a] -= h
+        fp = np.asarray(f(pp), dtype=float)
+        fm = np.asarray(f(pm), dtype=float)
+        at = (slice(None),) * len(lead) + (a,)
+        df[at] = (fp - fm) / (2 * h)
+        dd[at] = (fp - 2 * f0 + fm) / h**2
+    return f0, df, dd
+
+
 @functools.lru_cache(maxsize=None)
 def combinations_index(n: int, k: int):
     combos = tuple(itertools.combinations(range(n), k))
     return combos, {c: i for i, c in enumerate(combos)}
-
-
-@functools.lru_cache(maxsize=None)
-def _combination_array(n: int, k: int) -> np.ndarray:
-    """The sorted k-index combinations as rows of an integer array."""
-    return np.array(combinations_index(n, k)[0], dtype=int).reshape(-1, k)
 
 
 @functools.lru_cache(maxsize=None)
@@ -113,7 +129,8 @@ def _d_table(n: int, k: int) -> tuple:
 
 
 def exterior_d(omega: Callable, p: Point, k: int, cfg: StencilConfig) -> np.ndarray:
-    """Coordinate exterior derivative of a k-form field at a point.
+    """Coordinate exterior derivative of a k-form field at a point or a block
+    of points.
 
     (d omega)_J = sum_m (-1)^m d_{J_m} omega_{J minus J_m} on sorted (k+1)-tuples.
     A scalar field (k = 0) may return a plain float.
@@ -121,9 +138,10 @@ def exterior_d(omega: Callable, p: Point, k: int, cfg: StencilConfig) -> np.ndar
     partials = fd_gradient(omega, p, cfg)
     if k == 0:
         return partials
-    out = np.zeros(len(combinations_index(len(p), k + 1)[0]))
-    for m, (lead, rest) in enumerate(_d_table(len(p), k)):
-        out += (-1.0) ** m * partials[lead, rest]
+    n = p.shape[-1]
+    out = np.zeros(p.shape[:-1] + (len(combinations_index(n, k + 1)[0]),))
+    for m, (lead, rest) in enumerate(_d_table(n, k)):
+        out += (-1.0) ** m * partials[..., lead, rest]
     return out
 
 
@@ -134,23 +152,68 @@ def d_one_form(a: Callable, p: Point, cfg: StencilConfig) -> np.ndarray:
     return grad - grad.mT
 
 
+@functools.lru_cache(maxsize=None)
+def _antisymmetrizer(n: int, k: int) -> tuple:
+    """(E, S): E of shape (C(n, k), n**k) takes components over the sorted
+    k-combinations to the dense antisymmetric tensor, flattened (+-1, the
+    sign of the permutation, at every ordering of each combination); S holds
+    the flat positions of the sorted combinations themselves."""
+    combos, _ = combinations_index(n, k)
+    shape = (n,) * k
+    expand = np.zeros((len(combos), n ** k))
+    for ci, combo in enumerate(combos):
+        for perm in itertools.permutations(range(k)):
+            inversions = sum(perm[i] > perm[j]
+                             for i, j in itertools.combinations(range(k), 2))
+            at = np.ravel_multi_index(tuple(combo[i] for i in perm), shape)
+            expand[ci, at] = (-1.0) ** inversions
+    return expand, np.array([np.ravel_multi_index(c, shape) for c in combos], dtype=int)
+
+
+@functools.lru_cache(maxsize=None)
+def _complements(n: int, k: int) -> tuple:
+    """(C, eps) over the sorted k-combinations J: C[J] is the index of the
+    complement of J among the sorted (n-k)-combinations, and eps[J] =
+    (-1)^(sum of J)."""
+    combos, _ = combinations_index(n, k)
+    _, cindex = combinations_index(n, n - k)
+    comp = [cindex[tuple(i for i in range(n) if i not in J)] for J in combos]
+    return (np.array(comp, dtype=int),
+            np.array([(-1.0) ** sum(J) for J in combos]))
+
+
 def transform_form(comps: np.ndarray, k: int, n: int, frame: np.ndarray) -> np.ndarray:
     """Components of a k-form on the frame (columns of `frame`) from coordinate
     components: out_I = omega(f_{I1}, ..., f_{Ik}) = sum_J comps_J det frame[J, I].
 
     This is the k-th exterior power of the frame applied to the components.
-    All minors come from one batched determinant over (nonzero J) x (all I),
-    and the nonzero components are summed in index order.
+    `frame` is (..., n, n) and `comps` (..., C(n, k)) or constant; leading
+    axes broadcast.  For 2k <= n it is one contraction of the dense
+    antisymmetric tensor of `comps` with k copies of the frame, taken one
+    copy at a time by matmul and read at the sorted combinations.  For 2k > n it takes the (n - k)-form route of
+    Jacobi's complementary-minor identity (Horn & Johnson, Matrix Analysis,
+    0.8.4): with G = frame^-1,
+        det frame[J, I] = eps(J) eps(I) det frame det G[I^c, J^c],
+    so out = det frame eps(I) (transform of eps(J) comps_J on G^T)[I^c];
+    the frame must then be invertible.
     """
-    combos = _combination_array(n, k)
-    comps = np.asarray(comps)
-    nonzero = np.flatnonzero(comps)
-    minors = np.linalg.det(frame[combos[nonzero][:, None, :, None],
-                                 combos[None, :, None, :]])
-    out = np.zeros(len(combos))
-    for c, row in zip(comps[nonzero], minors):
-        out += c * row
-    return out
+    comps = np.asarray(comps, dtype=float)
+    if 2 * k > n:
+        comp, eps = _complements(n, k)
+        dual = np.empty(comps.shape)
+        dual[..., comp] = eps * comps
+        inner = transform_form(dual, n - k, n, np.linalg.inv(frame).mT)
+        return np.linalg.det(frame)[..., None] * eps * inner[..., comp]
+    expand, sorted_at = _antisymmetrizer(n, k)
+    # dense[..., 1, a, b, c] (k = 3): the unit axis makes the last two axes a
+    # matrix for every k, and each matmul takes the frame into the leading
+    # tensor axis and appends the result, so k of them leave
+    # sum T[a, b, c] F[a, i] F[b, j] F[c, k] at [..., 1, i, j, k].
+    dense = (comps @ expand).reshape(comps.shape[:-1] + (1,) + (n,) * k)
+    frame = np.expand_dims(frame, tuple(range(-k - 1, -2)))
+    for _ in range(k):
+        dense = np.moveaxis(dense, -k, -1) @ frame
+    return dense.reshape(dense.shape[:dense.ndim - k - 1] + (-1,))[..., sorted_at]
 
 
 PLUS6 = np.arange(0, 3)    # the plus block of the 6-dimensional base
@@ -262,11 +325,11 @@ def sample_points(domain: Domain, n: int, cfg: StencilConfig,
 BLOCK = 64
 
 
-def blocks(samples: Sequence[Point]):
-    """Consecutive row blocks of at most BLOCK sample points, each of shape
+def blocks(samples: Sequence[Point], size: int = BLOCK):
+    """Consecutive row blocks of at most `size` sample points, each of shape
     (k, dim): the units of a blocked `sup`."""
-    for start in range(0, len(samples), BLOCK):
-        yield np.asarray(samples[start:start + BLOCK], dtype=float)
+    for start in range(0, len(samples), size):
+        yield np.asarray(samples[start:start + size], dtype=float)
 
 
 def sup(samples: Sequence, at: Callable[[Point], dict]) -> dict:

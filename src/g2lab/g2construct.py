@@ -10,7 +10,6 @@ reported under step halving.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -18,8 +17,8 @@ import numpy as np
 
 from .curvature import christoffel, riemann
 from .fields import (MINUS6, MM, PLUS6, PM, PP, Domain, StencilConfig,
-                     adapted_frame, combinations_index, d_one_form, exterior_d,
-                     fd_gradient, fd_partial, frame_derivatives,
+                     adapted_frame, blocks, combinations_index, d_one_form,
+                     exterior_d, fd_gradient, fd_partial, frame_derivatives,
                      hodge_restricted, sample_points, sup, transform_form)
 from .modeldata import (complex_structure_norm, h6, off_g2_fraction,
                         phi_constants, so6_part_projectors, star_phi_constants)
@@ -34,12 +33,14 @@ class MonopoleData:
     of the weak case.  v and A must be basic: constant along the plus block
     and, for A, annihilating it."""
 
-    v: Callable[[np.ndarray], float]
+    v: Callable[[np.ndarray], np.ndarray]
     a: Callable[[np.ndarray], np.ndarray]          # 6 components
     alpha: Callable[[np.ndarray], np.ndarray] | None = None   # minus-block 1-form, 3 comps
 
     def alpha_or_zero(self, x: np.ndarray) -> np.ndarray:
-        return np.zeros(3) if self.alpha is None else np.asarray(self.alpha(x), float)
+        if self.alpha is None:
+            return np.zeros(np.shape(x)[:-1] + (3,))
+        return np.asarray(self.alpha(x), float)
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,9 @@ class CoframeSigns:
 
 @dataclass(frozen=True)
 class G2MetricBundle:
+    """A 7-metric with its coframe; both, and the fields below, take a point
+    (7,) or a block of points (k, 7)."""
+
     metric: Callable[[np.ndarray], np.ndarray]
     coframe: Callable[[np.ndarray], np.ndarray]    # rows = 7 coframe covectors
     domain: Domain
@@ -71,13 +75,13 @@ class G2MetricBundle:
     def orthonormality_residual(self, samples) -> float:
         def at(p):
             e = self.coframe(p)
-            return {"orthonormality": np.abs(e.T @ e - self.metric(p))}
-        return sup(samples, at)["orthonormality"]
+            return {"orthonormality": np.abs(e.mT @ e - self.metric(p))}
+        return sup(blocks(samples), at)["orthonormality"]
 
 
 def _chol_coframe(gblock: np.ndarray) -> np.ndarray:
     """Rows = coframe covectors of a positive block metric (Cholesky transpose)."""
-    return np.linalg.cholesky(gblock).T
+    return np.linalg.cholesky(gblock).mT
 
 
 def _basicness(mono: MonopoleData, x: np.ndarray, dv: np.ndarray,
@@ -85,9 +89,9 @@ def _basicness(mono: MonopoleData, x: np.ndarray, dv: np.ndarray,
     """v and A constant along the plus block, and A annihilating it, at x
     (dv is the gradient of v there)."""
     a_plus = [fd_partial(mono.a, x, d, cfg) for d in PLUS6]
-    a_plus.append(np.asarray(mono.a(x), float)[PLUS6])
-    return {"basic_v": np.abs(dv[PLUS6]),
-            "basic_a": np.abs(np.concatenate(a_plus))}
+    a_plus.append(np.asarray(mono.a(x), float)[..., PLUS6])
+    return {"basic_v": np.abs(dv[..., PLUS6]),
+            "basic_a": np.abs(np.concatenate(a_plus, axis=-1))}
 
 
 def monopole_residual(mono: MonopoleData, k6, samples, cfg: StencilConfig) -> dict:
@@ -95,9 +99,9 @@ def monopole_residual(mono: MonopoleData, k6, samples, cfg: StencilConfig) -> di
     def at(x):
         da = d_one_form(mono.a, x, cfg)
         dv = fd_gradient(mono.v, x, cfg)
-        da[MM] += hodge_restricted(dv[MINUS6], np.asarray(k6(x), float)[MM])
+        da[MM] += hodge_restricted(dv[..., MINUS6], np.asarray(k6(x), float)[MM])
         return {"monopole": np.abs(da), **_basicness(mono, x, dv, cfg)}
-    return sup(samples, at)
+    return sup(blocks(samples), at)
 
 
 def weak_monopole_residual(mono: MonopoleData, k6, samples,
@@ -108,18 +112,18 @@ def weak_monopole_residual(mono: MonopoleData, k6, samples,
     the rescaled pairing."""
     def at(x):
         g = np.asarray(k6(x), float)
-        v = float(mono.v(x))
-        u = v ** -0.5
+        v = np.asarray(mono.v(x), float)[..., None]
         alpha = mono.alpha_or_zero(x)
         da = d_one_form(mono.a, x, cfg)
         dv = fd_gradient(mono.v, x, cfg)
-        # alpha is carried to the plus block by the positional identification
-        rhs_pp = u ** -1 * hodge_restricted(alpha, g[PP])
-        rhs_mm = hodge_restricted(dv[MINUS6] - v * alpha, g[MM])
+        # alpha is carried to the plus block by the positional identification;
+        # u^-1 = v^(1/2)
+        rhs_pp = np.sqrt(v)[..., None] * hodge_restricted(alpha, g[PP])
+        rhs_mm = hodge_restricted(dv[..., MINUS6] - v * alpha, g[MM])
         return {"plus_plus": np.abs(da[PP] - rhs_pp), "mixed": np.abs(da[PM]),
                 "minus_minus": np.abs(da[MM] + rhs_mm),
                 **_basicness(mono, x, dv, cfg)}
-    return sup(samples, at)
+    return sup(blocks(samples), at)
 
 
 def g2_build_thm1(k6: Callable[[np.ndarray], np.ndarray], mono: MonopoleData,
@@ -133,48 +137,48 @@ def g2_build_thm1(k6: Callable[[np.ndarray], np.ndarray], mono: MonopoleData,
     The hypothesis is sampled at 10 points; a residual other than basicness
     beyond `HYPOTHESIS_TOLERANCE` is recorded as a warning in the provenance
     and the build proceeds (negative controls rely on that).  The bundle lives
-    over t in [-1, 1].
+    over t in [-1, 1]; its metric and coframe take a point or a block of
+    points, as must `k6` and the fields of `mono`.
     """
 
+    def positive_v(x: np.ndarray) -> np.ndarray:
+        """v at x, with a trailing axis; raises unless positive at every point."""
+        v = np.asarray(mono.v(x), dtype=float)
+        if np.any(v <= 0):
+            raise ValueError(f"v must be positive, got {np.min(v)}")
+        return v[..., None]
+
     def metric7(p: np.ndarray) -> np.ndarray:
-        x = p[1:]
-        v = float(mono.v(x))
-        if v <= 0:
-            raise ValueError(f"v must be positive, got {v}")
+        x = p[..., 1:]
+        v = positive_v(x)[..., None]
         k = np.asarray(k6(x), dtype=float)
-        g = np.zeros((7, 7))
-        g[1:4, 1:4] = k[PP]
-        g[4:, 4:] = v * k[MM]
-        a = np.asarray(mono.a(x), dtype=float)
-        w = np.zeros(7)
-        w[0] = 1.0
-        w[1:] = a
-        g += np.outer(w, w) / v
+        g = np.zeros(p.shape[:-1] + (7, 7))
+        g[..., 1:4, 1:4] = k[PP]
+        g[..., 4:, 4:] = v * k[MM]
+        w = np.zeros(p.shape[:-1] + (7,))
+        w[..., 0] = 1.0
+        w[..., 1:] = mono.a(x)
+        g += w[..., :, None] * w[..., None, :] / v
         return g
 
     def coframe(p: np.ndarray) -> np.ndarray:
-        x = p[1:]
-        v = float(mono.v(x))
-        if v <= 0:
-            raise ValueError(f"v must be positive, got {v}")
+        x = p[..., 1:]
+        v = positive_v(x)
         k = np.asarray(k6(x), dtype=float)
-        e = np.zeros((7, 7))
-        e[:3, 1:4] = _chol_coframe(k[PP])
+        e = np.zeros(p.shape[:-1] + (7, 7))
+        e[..., :3, 1:4] = _chol_coframe(k[PP])
         a = np.asarray(mono.a(x), dtype=float)
-        e[3, 0] = v ** -0.5
-        e[3, 1:] += v ** -0.5 * a
-        e[4:, 4:] = np.sqrt(v) * _chol_coframe(k[MM])
-        e[0] *= signs.plus_leg
-        e[3] *= signs.axis_leg
-        e[4] *= signs.minus_leg
+        e[..., 3, :1] = np.power(v, -0.5)
+        e[..., 3, 1:] += np.power(v, -0.5) * a
+        e[..., 4:, 4:] = np.sqrt(v)[..., None] * _chol_coframe(k[MM])
+        e[..., 0, :] *= signs.plus_leg
+        e[..., 3, :] *= signs.axis_leg
+        e[..., 4, :] *= signs.minus_leg
         return e
 
     cfg = StencilConfig(h=1e-3)
     pre = sample_points(domain6, 10, cfg, seed=911)
-    for x in pre:
-        v = float(mono.v(x))
-        if v <= 0:
-            raise ValueError(f"v must be positive on the domain, got {v} at {x}")
+    positive_v(np.asarray(pre))
     res = hypothesis(mono, k6, pre, cfg)
     worst = float(np.max([r for name, r in res.items()
                           if not name.startswith("basic_")]))
@@ -239,7 +243,7 @@ def torsionfree_residual(bundle: G2MetricBundle, samples, cfg: StencilConfig) ->
         dstar = exterior_d(bundle.star_phi_field, p, 4, cfg)
         dstar_f = transform_form(dstar, 5, 7, fr)
         return {"sup_dphi": np.abs(dphi_f), "sup_dstarphi": np.abs(dstar_f)}
-    return sup(samples, at)
+    return sup(blocks(samples), at)
 
 
 def estimate_order(h_list: Sequence[float], residuals: Sequence[float]):
@@ -254,27 +258,36 @@ def estimate_order(h_list: Sequence[float], residuals: Sequence[float]):
     return float(slope)
 
 
+# Points per block of `holonomy_residual`.  A block of 7-dimensional
+# `riemann` holds about three (k, 7, 7, 7, 7) arrays: on 200 points at three
+# steps the tracemalloc peak was 608 KiB at 8-point blocks, 1,120 KiB at 16,
+# 2,157 KiB at 32 and 4,237 KiB at 64 (NumPy 2.4.6), against at most 1.1 MiB
+# for every other blocked verifier at `fields.BLOCK`.
+CURVATURE_BLOCK = 16
+
+
 def holonomy_residual(bundle: G2MetricBundle, samples, cfg: StencilConfig) -> dict:
     """sup fraction of sampled curvature operators outside the model algebra
     (expressed in the adapted coframe) and sup Ricci norm."""
     def at(p):
         r = riemann(bundle.metric, p, cfg)
-        ric = np.einsum('abad->bd', r)
+        ric = np.einsum('...abad->...bd', r)
         e = bundle.coframe(p)
         fr = np.linalg.inv(e)
-        ric_f = fr.T @ ric @ fr
-        ops = []
-        for a, b in itertools.combinations(range(7), 2):
-            m = e @ np.einsum('ijcd,c,d->ij', r, fr[:, a], fr[:, b]) @ fr
-            ops.append(0.5 * (m - m.T))
-        return {"off_g2_fraction": [off_g2_fraction(m) for m in ops],
-                "ricci_norm": np.linalg.norm(ric_f),
-                "curvature_norm": [np.linalg.norm(m) for m in ops]}
-    return sup(samples, at)
+        ric_f = fr.mT @ ric @ fr
+        # R(f_a, f_b) for the 21 pairs a < b, in the coframe
+        r_f = np.einsum('...ijcd,...ca,...db->...abij', r, fr, fr, optimize=True)
+        del r
+        a, b = np.triu_indices(7, 1)
+        m = e[..., None, :, :] @ r_f[..., a, b, :, :] @ fr[..., None, :, :]
+        return {"off_g2_fraction": off_g2_fraction(0.5 * (m - m.mT)),
+                "ricci_norm": np.linalg.norm(ric_f, axis=(-2, -1)),
+                "curvature_norm": np.linalg.norm(m, axis=(-2, -1))}
+    return sup(blocks(samples, CURVATURE_BLOCK), at)
 
 
 def flat_product_metric(x: np.ndarray) -> np.ndarray:
-    return np.eye(6)
+    return np.broadcast_to(np.eye(6), np.shape(x)[:-1] + (6, 6))
 
 
 COORD_TO_SLOT = (3, 0, 1, 2, 4, 5, 6)   # bundle coordinates (t, x1..x6) -> model slots
@@ -289,4 +302,5 @@ def model_phi_check(bundle: G2MetricBundle, samples) -> float:
     target = np.array([float(phi.value(COORD_TO_SLOT[a], COORD_TO_SLOT[b],
                                        COORD_TO_SLOT[c]))
                        for a, b, c in combos])
-    return sup(samples, lambda p: {"phi": np.abs(bundle.phi_field(p) - target)})["phi"]
+    return sup(blocks(samples),
+               lambda p: {"phi": np.abs(bundle.phi_field(p) - target)})["phi"]

@@ -49,7 +49,7 @@ def monopole_potential6() -> Callable[[np.ndarray], np.ndarray]:
     return a
 
 
-def taub_nut_v6(x: np.ndarray) -> float:
+def taub_nut_v6(x: np.ndarray) -> np.ndarray:
     return v_taub_nut(x[..., 3:])
 
 
@@ -77,8 +77,19 @@ GH_REFERENCE_POINTS = [np.array([0.1, 0.55, 0.35, 0.4]),
 
 # ------------------------------------------------------------------ 7-bundles
 
+# The fields below take a point or a block of points.  A power of a value
+# that is a numpy scalar at a point (r, v) is np.power, not **: on a scalar **
+# takes the C library's pow, whose last bit can differ from the array loop's,
+# and the rows of a block must carry the bits of its points.
+
+def constant_field(value) -> Callable[[np.ndarray], np.ndarray]:
+    """The field x -> value, at a point or at every point of a block."""
+    value = np.asarray(value, dtype=float)
+    return lambda x: np.broadcast_to(value, np.shape(x)[:-1] + value.shape)
+
+
 def thm1_flat_bundle(**kwargs) -> G2MetricBundle:
-    mono = MonopoleData(v=lambda x: 1.0, a=lambda x: np.zeros(6))
+    mono = MonopoleData(v=constant_field(1.0), a=constant_field(np.zeros(6)))
     dom = Domain(lo=(-1.0,) * 6, hi=(1.0,) * 6)
     return g2_build_thm1(flat_product_metric, mono, dom, **kwargs)
 
@@ -91,8 +102,8 @@ def thm1_taub_nut_bundle(signs: CoframeSigns = CoframeSigns()) -> G2MetricBundle
 
 def thm1_broken_monopole_bundle(eps: float = 0.1) -> G2MetricBundle:
     """v perturbed off the monopole equation by a factor (1 + eps x4)."""
-    def v(x: np.ndarray) -> float:
-        return taub_nut_v6(x) * (1.0 + eps * float(x[3]))
+    def v(x: np.ndarray) -> np.ndarray:
+        return taub_nut_v6(x) * (1.0 + eps * x[..., 3])
 
     mono = MonopoleData(v=v, a=monopole_potential6())
     return g2_build_thm1(flat_product_metric, mono, base_domain6())
@@ -118,13 +129,14 @@ def thm2_mismatched_alpha_bundle(eps: float = 0.1):
 
     def a(x: np.ndarray) -> np.ndarray:
         out = base_a(x)
-        out[1] += eps * float(x[2])   # adds eps dx2(x3) -> (dA)++ = -eps dx2^dx3
+        out[..., 1] += eps * x[..., 2]   # adds eps dx2(x3) -> (dA)++ = -eps dx2^dx3
         return out
 
     def fake_alpha(x: np.ndarray) -> np.ndarray:
         # the twist that the ++ equation would require of this potential
-        u = taub_nut_v6(x) ** -0.5
-        return np.array([-eps * u, 0.0, 0.0])
+        out = np.zeros(np.shape(x)[:-1] + (3,))
+        out[..., 0] = -eps * np.power(taub_nut_v6(x), -0.5)
+        return out
 
     mono = MonopoleData(v=taub_nut_v6, a=a, alpha=fake_alpha)
     bundle = g2_build_thm1(flat_product_metric, mono, base_domain6(),
@@ -135,33 +147,23 @@ def thm2_mismatched_alpha_bundle(eps: float = 0.1):
 def warped_control_bundle() -> G2MetricBundle:
     """A generic warped 7-metric: curvature operators leave the model algebra."""
     def metric(p: np.ndarray) -> np.ndarray:
-        g = np.eye(7)
-        g[0, 0] = 1.0 + 0.4 * np.sin(p[1]) ** 2
-        g[1, 1] = 1.0 + 0.4 * p[2] ** 2
-        g[2, 2] = 1.0 + 0.4 * np.cos(p[3]) ** 2
-        g[4, 4] = 1.0 + 0.3 * p[5] ** 2
-        g[0, 4] = g[4, 0] = 0.15 * p[6]
+        g = np.zeros(p.shape[:-1] + (7, 7))
+        g[..., range(7), range(7)] = 1.0
+        g[..., 0, 0] += 0.4 * np.sin(p[..., 1]) ** 2
+        g[..., 1, 1] += 0.4 * p[..., 2] ** 2
+        g[..., 2, 2] += 0.4 * np.cos(p[..., 3]) ** 2
+        g[..., 4, 4] += 0.3 * p[..., 5] ** 2
+        g[..., 0, 4] = g[..., 4, 0] = 0.15 * p[..., 6]
         return g
 
     def coframe(p: np.ndarray) -> np.ndarray:
-        return np.linalg.cholesky(metric(p)).T
+        return np.linalg.cholesky(metric(p)).mT
 
     dom = Domain(lo=(-1.0,) * 7, hi=(1.0,) * 7)
     return G2MetricBundle(metric=metric, coframe=coframe, domain=dom)
 
 
 # ------------------------------------------------------------- quotient data
-
-# The quotient fields below take a point or a block of points.  A power of a
-# value that is a numpy scalar at a point (r, v) is np.power, not **: on a
-# scalar ** takes the C library's pow, whose last bit can differ from the
-# array loop's, and the rows of a block must carry the bits of its points.
-
-def _constant(value) -> Callable[[np.ndarray], np.ndarray]:
-    """The field x -> value, at a point or at every point of a block."""
-    value = np.asarray(value, dtype=float)
-    return lambda x: np.broadcast_to(value, np.shape(x)[:-1] + value.shape)
-
 
 def _pole(x3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """v = 1 + 1/(2r) and its gradient on the minus block."""
@@ -173,11 +175,11 @@ def _pole(x3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def killing_flat_data() -> KillingData:
     dom = Domain(lo=(-1.0,) * 6, hi=(1.0,) * 6)
-    return KillingData(metric=_constant(np.eye(6)), u=_constant(1.0),
-                       a_form=_constant(np.zeros(6)),
-                       b_plus=_constant(np.zeros(3)),
-                       b_hom=_constant(np.zeros((3, 3))),
-                       domain=dom, connection=_constant(np.zeros((6, 6, 6))))
+    return KillingData(metric=constant_field(np.eye(6)), u=constant_field(1.0),
+                       a_form=constant_field(np.zeros(6)),
+                       b_plus=constant_field(np.zeros(3)),
+                       b_hom=constant_field(np.zeros((3, 3))),
+                       domain=dom, connection=constant_field(np.zeros((6, 6, 6))))
 
 
 def killing_taub_nut_data() -> KillingData:
@@ -228,7 +230,7 @@ def killing_taub_nut_data() -> KillingData:
         return gam
 
     return KillingData(metric=metric, u=u, a_form=a6, b_plus=b_plus,
-                       b_hom=_constant(np.zeros((3, 3))),
+                       b_hom=constant_field(np.zeros((3, 3))),
                        domain=base_domain6(), connection=connection)
 
 
@@ -283,8 +285,9 @@ GALLERY = {
 
 def rho_flat_setup() -> RhoConnectionSetup:
     dom = Domain(lo=(-1.0,) * 6, hi=(1.0,) * 6)
-    return RhoConnectionSetup(u=_constant(1.0), gamma_tm=_constant(np.zeros((6, 6))),
-                              gamma_one=_constant(np.zeros(6)), domain=dom)
+    return RhoConnectionSetup(u=constant_field(1.0),
+                              gamma_tm=constant_field(np.zeros((6, 6))),
+                              gamma_one=constant_field(np.zeros(6)), domain=dom)
 
 
 def _powers(x: np.ndarray) -> np.ndarray:

@@ -9,7 +9,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import Domain, StencilConfig, d_one_form, hodge_restricted, sup
+from .fields import (Domain, StencilConfig, d_one_form, hodge_restricted,
+                     star_jet, sup)
 
 
 def dirac_string_exclusion(p3: np.ndarray) -> float:
@@ -65,29 +66,19 @@ def spatial_domain() -> Domain:
 
 @dataclass(frozen=True)
 class GHData:
-    """Harmonic positive V and potential A on a 3-box minus exclusions."""
+    """Harmonic positive V and potential A on a 3-box minus exclusions.  The
+    metric of `gh_build` evaluates them on blocks of points."""
 
-    v: Callable[[np.ndarray], float]
+    v: Callable[[np.ndarray], np.ndarray]
     a: Callable[[np.ndarray], np.ndarray]
     domain: Domain
 
     def consistency_residuals(self, samples, cfg: StencilConfig) -> dict:
         """Harmonicity of V and the dA = *dV equation, at sample points.  The
-        gradient and Laplacian of V come from its 7-point star p, p +- h e_a,
-        by the central differences of `curvature.metric_jet`."""
-        h = cfg.h
-
+        gradient and Laplacian of V come from its first-order star p, p +- h
+        e_a (`fields.star_jet`).  Point by point: V need not take blocks."""
         def at(p):
-            v0 = np.asarray(self.v(p), dtype=float)
-            dv, lap = np.zeros(3), np.zeros(3)
-            for a in range(3):
-                pp, pm = p.copy(), p.copy()
-                pp[a] += h
-                pm[a] -= h
-                vp = np.asarray(self.v(pp), dtype=float)
-                vm = np.asarray(self.v(pm), dtype=float)
-                dv[a] = (vp - vm) / (2 * h)
-                lap[a] = (vp - 2 * v0 + vm) / h**2
+            _, dv, lap = star_jet(self.v, p, cfg)
             star_dv = hodge_restricted(dv, np.eye(3))
             return {"harmonicity": abs(np.sum(lap)),
                     "potential": np.abs(d_one_form(self.a, p, cfg) - star_dv)}
@@ -95,33 +86,33 @@ class GHData:
 
 
 def gh_build(data: GHData):
-    """Metric field on (t, x, y, z); raises if V is not positive at a query."""
+    """Metric field on (t, x, y, z), at a point or a block of points; raises
+    if V is not positive at any of them."""
     def metric(p: np.ndarray) -> np.ndarray:
-        x = p[1:4]
-        v = float(data.v(x))
-        if v <= 0:
-            raise ValueError(f"V must be positive, got {v} at {x}")
-        a = data.a(x)
-        g = np.zeros((4, 4))
-        g[1:, 1:] = v * np.eye(3)
-        w = np.zeros(4)
-        w[0] = 1.0
-        w[1:] = a
-        g += np.outer(w, w) / v
+        x = p[..., 1:4]
+        v = np.asarray(data.v(x), dtype=float)
+        if np.any(v <= 0):
+            raise ValueError(f"V must be positive, got {np.min(v)}")
+        g = np.zeros(p.shape[:-1] + (4, 4))
+        g[..., 1:, 1:] = v[..., None, None] * np.eye(3)
+        w = np.zeros(p.shape[:-1] + (4,))
+        w[..., 0] = 1.0
+        w[..., 1:] = data.a(x)
+        g += w[..., :, None] * w[..., None, :] / v[..., None, None]
         return g
     return metric
 
 
-def v_flat_quotient(p3: np.ndarray) -> float:
+def v_flat_quotient(p3: np.ndarray) -> np.ndarray:
     """V = 1/(2r): the build is locally flat."""
-    return 0.5 / float(np.linalg.norm(p3))
+    return 0.5 / radius(p3)
 
 
-def v_taub_nut(p3: np.ndarray) -> float:
+def v_taub_nut(p3: np.ndarray) -> np.ndarray:
     """V = 1 + 1/(2r): Ricci-flat with curvature bounded away from zero."""
     return 1.0 + 0.5 / radius(p3)
 
 
-def v_nonharmonic(p3: np.ndarray) -> float:
+def v_nonharmonic(p3: np.ndarray) -> np.ndarray:
     """V = 1 + r^2: fails harmonicity, a negative control."""
-    return 1.0 + float(p3 @ p3)
+    return 1.0 + np.vecdot(p3, p3)

@@ -16,13 +16,14 @@ from typing import Callable
 import numpy as np
 
 from .curvature import christoffel
-from .fields import Domain, StencilConfig, fd_gradient, sup
+from .fields import Domain, StencilConfig, blocks, fd_gradient, sup
 from .modeldata import cross7
 
 
 @dataclass(frozen=True)
 class Immersion:
-    """A parametrized hypersurface patch y -> F(y) in R^7."""
+    """A parametrized hypersurface patch y -> F(y) in R^7, at a point or a
+    block of points."""
 
     chart: Callable[[np.ndarray], np.ndarray]
     domain: Domain
@@ -36,7 +37,7 @@ def affine_plane() -> Immersion:
         cols[slot, j] = 1.0
 
     def chart(y: np.ndarray) -> np.ndarray:
-        return cols @ y
+        return np.matvec(cols, y)
 
     return Immersion(chart, Domain(lo=(-0.5,) * 6, hi=(0.5,) * 6))
 
@@ -44,10 +45,10 @@ def affine_plane() -> Immersion:
 def unit_sphere() -> Immersion:
     """Graph chart of the unit 6-sphere over a patch away from the equator."""
     def chart(y: np.ndarray) -> np.ndarray:
-        r2 = float(y @ y)
-        if r2 >= 1.0:
+        r2 = np.vecdot(y, y)
+        if np.any(r2 >= 1.0):
             raise ValueError("chart leaves the hemisphere")
-        return np.concatenate([y, [np.sqrt(1.0 - r2)]])
+        return np.concatenate([y, np.sqrt(1.0 - r2)[..., None]], axis=-1)
 
     return Immersion(chart, Domain(lo=(-0.28,) * 6, hi=(0.28,) * 6))
 
@@ -59,7 +60,7 @@ def ellipsoid() -> Immersion:
 
     def chart(y: np.ndarray) -> np.ndarray:
         p = sphere.chart(y)
-        p[6] *= 2.0
+        p[..., 6] *= 2.0
         return p
 
     return Immersion(chart, sphere.domain)
@@ -67,29 +68,26 @@ def ellipsoid() -> Immersion:
 
 def _tangent(imm: Immersion, cfg: StencilConfig, y: np.ndarray) -> np.ndarray:
     """Columns = the coordinate tangent vectors d_a F at y, by stencils."""
-    return np.column_stack(fd_gradient(imm.chart, y, cfg))
+    return fd_gradient(imm.chart, y, cfg).mT
 
 
 def _normal(t: np.ndarray) -> np.ndarray:
     """Unit normal completing the tangent frame `t` (columns) to a positive
     basis of R^7."""
-    _, s, vt = np.linalg.svd(t.T, full_matrices=True)
-    if s[-1] < 1e-8:
+    _, s, vt = np.linalg.svd(t.mT, full_matrices=True)
+    if np.any(s[..., -1] < 1e-8):
         raise ValueError("degenerate induced metric")
-    n = vt[-1]
-    if np.linalg.det(np.column_stack([t, n])) < 0:
-        n = -n
-    return n
+    n = vt[..., -1, :]
+    negative = np.linalg.det(np.concatenate([t, n[..., None]], axis=-1)) < 0
+    return np.where(negative[..., None], -n, n)
 
 
 def _j_matrix(t: np.ndarray, n: np.ndarray) -> np.ndarray:
     """J(X) = n x X in coordinate components of the tangent space spanned by
-    the columns of `t`, with `n` its unit normal (`_normal(t)`)."""
-    cols = []
-    for b in range(6):
-        jb, *_ = np.linalg.lstsq(t, cross7(n, t[:, b]), rcond=None)
-        cols.append(jb)
-    return np.column_stack(cols)
+    the columns of `t`, with `n` its unit normal (`_normal(t)`): n x X is
+    tangent, so it solves [t | n] (J; 0) = n x t exactly."""
+    basis = np.concatenate([t, n[..., None]], axis=-1)
+    return np.linalg.solve(basis, cross7(n[..., None, :], t.mT).mT)[..., :6, :]
 
 
 def hypersurface_checks(imm: Immersion, samples, cfg: StencilConfig) -> dict:
@@ -102,38 +100,41 @@ def hypersurface_checks(imm: Immersion, samples, cfg: StencilConfig) -> dict:
 
     def induced_metric(y: np.ndarray) -> np.ndarray:
         t = tangent(y)
-        return t.T @ t
+        return t.mT @ t
 
     def at(y):
         t = tangent(y)
-        g = t.T @ t
-        if np.linalg.det(g) < 1e-10:
+        g = t.mT @ t
+        if np.any(np.linalg.det(g) < 1e-10):
             raise ValueError("degenerate induced metric")
         n = _normal(t)
         jmat = _j_matrix(t, n)
         gam = christoffel(induced_metric, y, cfg)
         dj = fd_gradient(j_matrix, y, cfg)
         # (nabla_c J)^a_b
-        ndj = dj + np.einsum('acd,db->cab', gam, jmat) \
-            - np.einsum('dcb,ad->cab', gam, jmat)
+        ndj = dj + np.einsum('...acd,...db->...cab', gam, jmat) \
+            - np.einsum('...dcb,...ad->...cab', gam, jmat)
 
         l = np.linalg.cholesky(g)
-        e6 = l.T                      # coframe rows
+        e6 = l.mT                     # coframe rows
         f6 = np.linalg.inv(e6)        # frame columns
-        ndj_f = np.einsum('cg,ae,ceb,bf->gaf', f6, e6, ndj, f6)
+        ndj_f = np.einsum('...cg,...ae,...ceb,...bf->...gaf', f6, e6, ndj, f6,
+                          optimize=True)
         # nearly-Kahler defect: symmetrization over the direction and argument slots
-        sym = ndj_f + np.transpose(ndj_f, (2, 1, 0))
+        sym = ndj_f + np.swapaxes(ndj_f, -3, -1)
 
         # second fundamental form and shape operator
         ddf = fd_gradient(tangent, y, cfg)
-        ii = np.einsum('k,ckb->cb', n, ddf)
+        ii = np.einsum('...k,...ckb->...cb', n, ddf)
         shape = np.linalg.solve(g, ii)
         shape_f = e6 @ shape @ f6
-        traceless = shape_f - np.trace(shape_f) / 6.0 * np.eye(6)
-        return {"nearly_kahler": float(np.max(np.abs(sym))) / 2.0,
-                "kahler": np.abs(ndj_f), "umbilic": np.linalg.norm(traceless),
-                "geodesic": np.linalg.norm(shape_f)}
-    return sup(samples, at)
+        trace = np.trace(shape_f, axis1=-2, axis2=-1)[..., None, None]
+        traceless = shape_f - trace / 6.0 * np.eye(6)
+        return {"nearly_kahler": np.abs(sym) / 2.0,
+                "kahler": np.abs(ndj_f),
+                "umbilic": np.linalg.norm(traceless, axis=(-2, -1)),
+                "geodesic": np.linalg.norm(shape_f, axis=(-2, -1))}
+    return sup(blocks(samples), at)
 
 
 def j_squared_residual(imm: Immersion, samples, cfg: StencilConfig) -> float:
@@ -142,4 +143,4 @@ def j_squared_residual(imm: Immersion, samples, cfg: StencilConfig) -> float:
         t = _tangent(imm, cfg, y)
         jmat = _j_matrix(t, _normal(t))
         return {"j_squared": np.abs(jmat @ jmat + np.eye(6))}
-    return sup(samples, at)["j_squared"]
+    return sup(blocks(samples), at)["j_squared"]

@@ -38,7 +38,8 @@ def cross_tensor() -> np.ndarray:
 
 
 def cross7(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.einsum('i,j,ijk->k', x, y, cross_tensor())
+    """x X y over the last axes of `x` and `y`; leading axes broadcast."""
+    return np.einsum('...i,...j,ijk->...k', x, y, cross_tensor())
 
 
 @functools.lru_cache(maxsize=1)
@@ -64,18 +65,17 @@ def g2_orthonormal_span() -> np.ndarray:
     return q.T[:14]
 
 
-def off_g2_fraction(m: np.ndarray) -> float:
-    """Fraction of a skew 7x7 matrix lying trace-form-orthogonal to the algebra.
+def off_g2_fraction(m: np.ndarray) -> np.ndarray:
+    """Fraction of a skew 7x7 matrix lying trace-form-orthogonal to the
+    algebra, over any leading axes of `m`.
 
-    Returns 0 for matrices of norm below 1e-10 (the 0/0 convention).
+    Reads 0 for matrices of norm below 1e-10 (the 0/0 convention).
     """
-    v = m.reshape(-1)
-    total = np.linalg.norm(v)
-    if total < 1e-10:
-        return 0.0
+    v = m.reshape(m.shape[:-2] + (49,))
+    total = np.linalg.norm(v, axis=-1)
     q = g2_orthonormal_span()
-    inside = q.T @ (q @ v)
-    return float(np.linalg.norm(v - inside) / total)
+    outside = np.linalg.norm(v - (v @ q.T) @ q, axis=-1)
+    return np.divide(outside, total, out=np.zeros(total.shape), where=total >= 1e-10)
 
 
 @functools.lru_cache(maxsize=1)

@@ -18,7 +18,7 @@ import numpy as np
 from . import embeddings as emb
 from . import gallery
 from .curvature import ricci, riemann, riemann_lowered
-from .fields import Domain, StencilConfig, sample_points, sup
+from .fields import Domain, StencilConfig, blocks, sample_points, sup
 from .g2construct import (MonopoleData, estimate_order, holonomy_residual,
                           model_phi_check, monopole_residual,
                           torsionfree_residual, weak_monopole_residual,
@@ -248,7 +248,7 @@ def check_gh_flat_trivial(ctx: SuiteContext) -> CheckReport:
     g = gh_build(data)
     cfg = _base_cfg(ctx, 1e-2)
     pts = _points(ctx, data.domain.lift_t(), 20, cfg)
-    res = sup(pts, lambda p: {"riemann": np.abs(riemann(g, p, cfg))})
+    res = sup(blocks(pts), lambda p: {"riemann": np.abs(riemann(g, p, cfg))})
     return simple_report(res, 1e-12)
 
 
@@ -257,7 +257,8 @@ def check_gh_flat_quotient(ctx: SuiteContext) -> CheckReport:
     g = gh_build(data)
     by_h, order = _order_study(
         ctx, "gh.flat-quotient", data.domain.lift_t(), 100, GH_H_LIST,
-        lambda pts, cfg: sup(pts, lambda p: {"sup_riemann": np.abs(riemann(g, p, cfg))}))
+        lambda pts, cfg: sup(blocks(pts),
+                             lambda p: {"sup_riemann": np.abs(riemann(g, p, cfg))}))
     return simple_report({"final_riemann": _final(by_h)["sup_riemann"]}, 5e-3,
                          params=_tag("gh-flat-quotient",
                                      {"residuals_by_h": by_h["sup_riemann"]}),
@@ -269,7 +270,8 @@ def check_gh_taub_nut(ctx: SuiteContext) -> CheckReport:
     g = gh_build(data)
     by_h, order = _order_study(
         ctx, "gh.taub-nut", data.domain.lift_t(), 100, GH_H_LIST,
-        lambda pts, cfg: sup(pts, lambda p: {"sup_ricci": np.abs(ricci(g, p, cfg))}))
+        lambda pts, cfg: sup(blocks(pts),
+                             lambda p: {"sup_ricci": np.abs(ricci(g, p, cfg))}))
     cfg = StencilConfig(h=5e-3)
     min_riemann = float(np.min([np.linalg.norm(riemann_lowered(g, p, cfg))
                                 for p in gallery.GH_REFERENCE_POINTS]))
@@ -295,7 +297,7 @@ def check_gh_nonharmonic(ctx: SuiteContext) -> CheckReport:
     g = gh_build(data)
     cfg = StencilConfig(h=5e-3)
     pts = _points(ctx, data.domain.lift_t(), 30, cfg)
-    measured = sup(pts, lambda p: {"ricci": np.abs(ricci(g, p, cfg))})
+    measured = sup(blocks(pts), lambda p: {"ricci": np.abs(ricci(g, p, cfg))})
     return control_report(measured, 0.01, params=_tag("gh-nonharmonic"))
 
 
@@ -378,9 +380,9 @@ def check_thm2_agrees(ctx: SuiteContext) -> CheckReport:
     b2 = _thm2_taub_nut(ctx)
     cfg = StencilConfig(h=1e-2)
     pts = _points(ctx, b1.domain, 100, cfg)
-    res = sup(pts, lambda p: {"metric": np.abs(b1.metric(p) - b2.metric(p)),
-                              "coframe": np.abs(b1.coframe(p) - b2.coframe(p)),
-                              "phi": np.abs(b1.phi_field(p) - b2.phi_field(p))})
+    res = sup(blocks(pts), lambda p: {"metric": np.abs(b1.metric(p) - b2.metric(p)),
+                                      "coframe": np.abs(b1.coframe(p) - b2.coframe(p)),
+                                      "phi": np.abs(b1.phi_field(p) - b2.phi_field(p))})
     return simple_report(res, 1e-12, params=_tag("thm2-taub-nut"))
 
 
@@ -540,7 +542,7 @@ def check_neg_mismatched_twist(ctx: SuiteContext) -> CheckReport:
 
 def check_neg_nonbasic(ctx: SuiteContext) -> CheckReport:
     def v(x):
-        return gallery.taub_nut_v6(x) + 0.2 * float(x[0])
+        return gallery.taub_nut_v6(x) + 0.2 * x[..., 0]
     mono = MonopoleData(v=v, a=gallery.monopole_potential6())
     cfg = _base_cfg(ctx, 1e-3)
     pts = _points(ctx, gallery.base_domain6(), 15, cfg)

@@ -1,0 +1,107 @@
+"""The G2, curvature, Gibbons-Hawking and hypersurface layers on blocks of
+points: a block's rows carry the bits of its points, and a blocked verifier's
+memory is bounded by its block."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from g2lab import gallery
+from g2lab.curvature import ricci, riemann
+from g2lab.fields import StencilConfig, blocks, sample_points, sup
+from g2lab.g2construct import holonomy_residual, torsionfree_residual
+from g2lab.gibbons import gh_build
+from g2lab.hypersurfaces import (affine_plane, ellipsoid, hypersurface_checks,
+                                 unit_sphere)
+
+CURVATURE_CFG = StencilConfig(h=1e-2)
+
+
+def _block_fields() -> dict:
+    """{name: (domain, field)} for every field that takes blocks in these
+    layers, with riemann of each metric."""
+    out = {}
+    bundles = {"thm1-flat": gallery.thm1_flat_bundle(),
+               "thm1-taub-nut": gallery.thm1_taub_nut_bundle(),
+               "thm1-broken-monopole": gallery.thm1_broken_monopole_bundle(),
+               "thm2-mismatched-alpha": gallery.thm2_mismatched_alpha_bundle()[0],
+               "warped-control": gallery.warped_control_bundle()}
+    for tag, b in bundles.items():
+        for name in ("metric", "coframe", "frame", "phi_field", "star_phi_field"):
+            out[f"{tag}.{name}"] = (b.domain, getattr(b, name))
+        out[f"{tag}.riemann"] = (b.domain,
+                                 lambda p, g=b.metric: riemann(g, p, CURVATURE_CFG))
+    for tag, data in (("gh-flat-quotient", gallery.gh_flat_example()),
+                      ("gh-taub-nut", gallery.gh_taub_nut_example()),
+                      ("gh-nonharmonic", gallery.gh_nonharmonic_example())):
+        g = gh_build(data)
+        out[f"{tag}.metric"] = (data.domain.lift_t(), g)
+        out[f"{tag}.riemann"] = (data.domain.lift_t(),
+                                 lambda p, g=g: riemann(g, p, CURVATURE_CFG))
+    for tag, imm in (("plane", affine_plane()), ("sphere", unit_sphere()),
+                     ("ellipsoid", ellipsoid())):
+        out[f"{tag}.chart"] = (imm.domain, imm.chart)
+    return out
+
+
+BLOCK_FIELDS = _block_fields()
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_FIELDS))
+def test_field_on_a_block_equals_row_by_row(name):
+    """Every one takes the same path at a point and on a block, so the
+    equality is bitwise."""
+    domain, field = BLOCK_FIELDS[name]
+    block = np.array(sample_points(domain, 24, StencilConfig(h=1e-2), seed=37))
+    rows = np.array([np.asarray(field(p), float) for p in block])
+    assert np.array_equal(np.asarray(field(block), float), rows)
+
+
+# --------------------------------------------------------------- memory guard
+
+# Measured with NumPy 2.4.6 on 160 points, two or more blocks each:
+# holonomy_residual (16-point blocks, g2construct.CURVATURE_BLOCK) 1,112 KiB,
+# hypersurface_checks 1,091 KiB, torsionfree_residual 609 KiB and GH riemann
+# and ricci 565 KiB (64-point blocks), so the top is 72% of this bound.  A
+# 64-point block of 7-dimensional riemann reads 4,237 KiB.  tracemalloc counts
+# NumPy's temporaries, so another NumPy version or a reshuffle of these
+# verifiers can move the margin: re-measure before changing the bound.
+PEAK_BOUND = 1536 * 1024
+
+
+def _peak_bytes(run) -> int:
+    run()                      # warm the model-data caches outside the trace
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _memory_runs():
+    bundle = gallery.thm1_taub_nut_bundle()
+    gh = gallery.gh_taub_nut_example()
+    g = gh_build(gh)
+    sphere = unit_sphere()
+    pts7 = sample_points(bundle.domain, 160, StencilConfig(h=2e-2), seed=7)
+    pts4 = sample_points(gh.domain.lift_t(), 160, StencilConfig(h=2e-2), seed=7)
+    pts6 = sample_points(sphere.domain, 160, StencilConfig(h=1e-3), seed=7)
+    cfg = StencilConfig(h=5e-3)
+    return {
+        "torsionfree_residual": lambda: torsionfree_residual(bundle, pts7, cfg),
+        "holonomy_residual": lambda: holonomy_residual(bundle, pts7, cfg),
+        "gh riemann": lambda: sup(blocks(pts4),
+                                  lambda p: {"r": np.abs(riemann(g, p, cfg))}),
+        "gh ricci": lambda: sup(blocks(pts4),
+                                lambda p: {"r": np.abs(ricci(g, p, cfg))}),
+        "hypersurface_checks": lambda: hypersurface_checks(sphere, pts6,
+                                                           StencilConfig(h=1e-3)),
+    }
+
+
+def test_verifiers_stay_within_the_block_memory_bound():
+    peaks = {name: _peak_bytes(run) for name, run in _memory_runs().items()}
+    over = {name: peak for name, peak in peaks.items() if peak > PEAK_BOUND}
+    assert not over, f"tracemalloc peaks over {PEAK_BOUND} bytes: {over}"

@@ -11,7 +11,7 @@ from g2lab.modeldata import h6
 
 
 def reference_transform_form(comps, k, n, frame):
-    """The per-minor double loop that the batched transform_form replaced."""
+    """The per-minor double loop of the definition, sum_J comps_J det frame[J, I]."""
     combos, _ = combinations_index(n, k)
     out = np.zeros(len(combos))
     for oi, I in enumerate(combos):
@@ -42,17 +42,27 @@ def reference_exterior_d(omega, p, k, cfg):
     return out
 
 
-@pytest.mark.parametrize("k", range(1, 7))
+# The contraction (2k <= n) and the complement route (2k > n) of
+# transform_form sum in another order than the per-minor loop.  On frames of
+# condition number at most 4 (an orthogonal factor times a diagonal in
+# [0.5, 2]) the worst relative difference measured over these draws was
+# 1.4e-15 (k = 4), NumPy 2.4.6; the bound is about 7 times that.
+TRANSFORM_RTOL = 1e-14
+
+
+@pytest.mark.parametrize("k", range(0, 8))
 def test_transform_form_matches_reference_loop(k):
     rng = np.random.default_rng(100 + k)
     n = 7
     ncombos = len(combinations_index(n, k)[0])
     for _ in range(20):
-        frame = rng.normal(size=(n, n))
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        frame = q * rng.uniform(0.5, 2.0, size=n)
         comps = rng.normal(size=ncombos)
         comps[rng.random(ncombos) < 0.4] = 0.0
-        assert np.array_equal(transform_form(comps, k, n, frame),
-                              reference_transform_form(comps, k, n, frame))
+        ref = reference_transform_form(comps, k, n, frame)
+        err = np.max(np.abs(transform_form(comps, k, n, frame) - ref))
+        assert err <= TRANSFORM_RTOL * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("k", range(0, 6))

@@ -200,7 +200,7 @@ def test_warped_control_leaves_algebra():
 
 def test_nonbasic_pole_detected():
     def v(x):
-        return taub_nut_v6(x) + 0.2 * float(x[0])
+        return taub_nut_v6(x) + 0.2 * x[..., 0]
     mono = MonopoleData(v=v, a=monopole_potential6())
     cfg = StencilConfig(h=1e-3)
     pts = sample_points(base_domain6(), 6, cfg, seed=13)
