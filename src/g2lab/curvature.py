@@ -6,6 +6,14 @@ R^a_{b cd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb} + Gamma^a_{ce} Gamma^e_{db}
 - Gamma^a_{de} Gamma^e_{cb},  Ric_{bd} = R^a_{b ad}.
 Every result carries the point axes of the query first, as `fields.fd_gradient`
 does: R[..., a, b, c, d].
+
+A metric handed to `metric_jet`, and so to `riemann` and what is built on
+it, takes a block: called on an (m, dim) array of points it returns
+(m, n, n), each row with the bits of the metric at its point (every metric
+under `src/` does).  The jet stacks the stencil points of a query, a point
+(dim,) or a block (k, dim), into such arrays, so it makes a few large metric
+calls in place of one per stencil offset.  `christoffel` reads the star of
+`fields.star_jet`, one call per offset.
 """
 
 from __future__ import annotations
@@ -17,41 +25,63 @@ import numpy as np
 from .fields import Point, StencilConfig, star_jet
 
 
+def _at_offsets(g: Callable, p: Point, offsets: np.ndarray) -> np.ndarray:
+    """(..., s, n, n): the metric at p + offsets[s], from one call on the
+    stacked points."""
+    n = p.shape[-1]
+    out = np.asarray(g((p[..., None, :] + offsets).reshape(-1, n)), dtype=float)
+    return out.reshape(p.shape[:-1] + (len(offsets),) + out.shape[-2:])
+
+
 def metric_jet(g: Callable, p: Point, cfg: StencilConfig):
     """(g, dg, ddg) with dg[..., a, :, :] = d_a g and ddg[..., a, b, :, :] =
     d_a d_b g, from the standard second-order 3- and 4-point stencils: the
-    first-order star of `fields.star_jet` and the cross stencils."""
-    h = cfg.h
-    n = p.shape[-1]
-    g0, dg, diag = star_jet(g, p, cfg)
-    ddg = np.zeros(dg.shape[:-3] + (n,) + dg.shape[-3:])
+    star p, p +- h e_a of `fields.star_jet` and the cross points
+    p +- h e_a +- h e_b.  The metric is called n times: once on the star and
+    once per row a on the cross points of the pairs a < b.  Each difference
+    is taken term for term as with one call per offset, so the jet keeps
+    those bits."""
+    h, n = cfg.h, p.shape[-1]
+    eye = h * np.eye(n)
+    star = _at_offsets(g, p, np.concatenate([np.zeros((1, n)), eye, -eye]))
+    g0, fp, fm = star[..., 0, :, :], star[..., 1:n + 1, :, :], star[..., n + 1:, :, :]
+    dg = (fp - fm) / (2 * h)
+    ddg = np.empty(dg.shape[:-3] + (n,) + dg.shape[-3:])
     idx = np.arange(n)
-    ddg[..., idx, idx, :, :] = diag
-    for a in range(n):
-        for b in range(a + 1, n):
-            pa, pb, pc, pd = p.copy(), p.copy(), p.copy(), p.copy()
-            pa.T[a] += h; pa.T[b] += h     # .T leads with the coordinate axis
-            pb.T[a] += h; pb.T[b] -= h     # at a point and at a block alike
-            pc.T[a] -= h; pc.T[b] += h
-            pd.T[a] -= h; pd.T[b] -= h
-            cross = (np.asarray(g(pa), float) - np.asarray(g(pb), float)
-                     - np.asarray(g(pc), float) + np.asarray(g(pd), float)) / (4 * h**2)
-            ddg[..., a, b, :, :] = cross
-            ddg[..., b, a, :, :] = cross
+    ddg[..., idx, idx, :, :] = (fp - 2 * g0[..., None, :, :] + fm) / h**2
+    for a in range(n - 1):
+        b = np.arange(a + 1, n)
+        # the corners ++, +-, -+, -- of each pair (a, b), in that order
+        corners = np.concatenate([sa * eye[a] + sb * eye[b]
+                                  for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1))])
+        pa, pb, pc, pd = np.split(_at_offsets(g, p, corners), 4, axis=-3)
+        cross = (pa - pb - pc + pd) / (4 * h**2)
+        ddg[..., a, b, :, :] = cross
+        ddg[..., b, a, :, :] = cross
     return g0, dg, ddg
 
 
 def christoffel(g: Callable, p: Point, cfg: StencilConfig) -> np.ndarray:
     """Gamma[..., c, a, b] from the first-order star alone."""
     g0, dg, _ = star_jet(g, p, cfg)
-    return _christoffel_from_jet(g0, dg)
+    return 0.5 * _raise(_inverse(g0), _symmetrized(dg))
 
 
-def _christoffel_from_jet(g0, dg):
-    ginv = _inverse(g0)
-    return 0.5 * (np.einsum('...cd,...abd->...cab', ginv, dg)
-                  + np.einsum('...cd,...bad->...cab', ginv, dg)
-                  - np.einsum('...cd,...dab->...cab', ginv, dg))
+def _symmetrized(dg):
+    """d_a g_bd + d_b g_ad - d_d g_ab at [..., a, b, d], from dg[..., a, b, d]
+    (or a derivative of it along leading axes)."""
+    out = dg + dg.swapaxes(-3, -2)
+    out -= np.moveaxis(dg, -3, -1)
+    return out
+
+
+def _raise(ginv, s):
+    """sum_d ginv[..., c, d] s[..., a, b, d] at [..., c, a, b], as one matmul
+    over the flattened (a, b); leading axes broadcast."""
+    n = s.shape[-1]
+    flat = s.reshape(s.shape[:-3] + (n * n, n)).mT
+    out = ginv @ flat
+    return out.reshape(out.shape[:-1] + (n, n))
 
 
 def _inverse(g0):
@@ -61,30 +91,32 @@ def _inverse(g0):
 
 
 def riemann(g: Callable, p: Point, cfg: StencilConfig) -> np.ndarray:
-    """R^a_{b cd} at p.  The sums of (..., n, n, n, n) terms accumulate in
-    place, in the order of the formula, and each operand is dropped once
-    read, so a block holds about three such arrays at a time."""
+    """R^a_{b cd} at p.  Each contraction is one matmul: the symmetrized
+    derivatives of g are raised with g^-1 (and with d g^-1 = -g^-1 dg g^-1),
+    and Gamma Gamma is one (..., n, n, n) @ (..., 1, n, n^2) product.  With
+    Q[a, c, d, b] = d_c Gamma^a_db + Gamma^a_ce Gamma^e_db, R[a, b, c, d] =
+    Q[a, c, d, b] - Q[a, d, c, b].  Each (..., n, n, n, n) operand is dropped
+    once read."""
     g0, dg, ddg = metric_jet(g, p, cfg)
+    n = g0.shape[-1]
     ginv = _inverse(g0)
-    gam = _christoffel_from_jet(g0, dg)
-    dginv = -np.einsum('...ab,...ebc,...cd->...ead', ginv, dg, ginv)
-    # d_e Gamma^c_ab, its second-derivative part first
-    second = np.einsum('...cd,...eabd->...ecab', ginv, ddg)
-    second += np.einsum('...cd,...ebad->...ecab', ginv, ddg)
-    second -= np.einsum('...cd,...edab->...ecab', ginv, ddg)
-    second *= 0.5
+    s = _symmetrized(dg)
+    gam = 0.5 * _raise(ginv, s)
+    dginv = -(ginv[..., None, :, :] @ dg @ ginv[..., None, :, :])
+    del dg
+    # dgam[..., e, c, a, b] = d_e Gamma^c_ab
+    sym = _symmetrized(ddg)
     del ddg
-    dgam = np.einsum('...ecd,...abd->...ecab', dginv, dg)
-    dgam += np.einsum('...ecd,...bad->...ecab', dginv, dg)
-    dgam -= np.einsum('...ecd,...dab->...ecab', dginv, dg)
+    dgam = _raise(ginv[..., None, :, :], sym)
+    del sym
+    dgam += _raise(dginv, s[..., None, :, :, :])
     dgam *= 0.5
-    dgam += second
-    del second
-    r = np.einsum('...cadb->...abcd', dgam) - np.einsum('...dacb->...abcd', dgam)
+    # q[..., a, c, d, b] = Gamma^a_ce Gamma^e_db + d_c Gamma^a_db
+    q = (gam @ gam.reshape(gam.shape[:-3] + (1, n, n * n))).reshape(dgam.shape)
+    q += dgam.swapaxes(-4, -3)
     del dgam
-    r += np.einsum('...ace,...edb->...abcd', gam, gam)
-    r -= np.einsum('...ade,...ecb->...abcd', gam, gam)
-    return r
+    q = np.einsum('...acdb->...abcd', q)
+    return q - q.swapaxes(-2, -1)
 
 
 def ricci(g: Callable, p: Point, cfg: StencilConfig) -> np.ndarray:

@@ -44,18 +44,27 @@ class Domain:
 
     lo: tuple
     hi: tuple
-    exclusions: tuple = ()   # callables p -> distance to the excluded set
+    # callables p -> distance to the excluded set, over the last axis: shape
+    # () at a point (dim,) and (k,) on a block (k, dim)
+    exclusions: tuple = ()
 
     @property
     def dim(self) -> int:
         return len(self.lo)
 
-    def contains(self, p: Point, pad: float) -> bool:
+    def contains(self, p: Point, pad: float) -> np.ndarray:
+        """Whether p keeps `pad` from the boundary and from every excluded
+        set: a bool at a point, one per row on a block."""
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
-        if np.any(p < lo + pad) or np.any(p > hi - pad):
-            return False
-        return all(excl(p) > pad for excl in self.exclusions)
+        inside = ~np.any((p < lo + pad) | (p > hi - pad), axis=-1)
+        for excl in self.exclusions:
+            dist = np.asarray(excl(p))
+            if dist.shape != p.shape[:-1]:
+                raise ValueError(f"exclusion gave shape {dist.shape} on points of "
+                                 f"shape {p.shape}; it must take the last axis")
+            inside &= dist > pad
+        return inside
 
     def lift_t(self) -> "Domain":
         """This domain times the t-interval [-1, 1]; the exclusions ignore t."""
@@ -65,7 +74,7 @@ class Domain:
 
 
 def _lift_exclusion(excl):
-    return lambda p: excl(p[1:])
+    return lambda p: excl(p[..., 1:])
 
 
 def fd_partial(f: Callable, p: Point, direction: int, cfg: StencilConfig):
@@ -275,13 +284,16 @@ def hodge_restricted(a: np.ndarray, gb: np.ndarray) -> np.ndarray:
     return -hat(np.linalg.solve(gb, a[..., None])[..., 0]) * np.sqrt(det)[..., None, None]
 
 
-def halton_sequence(index: int, base: int) -> float:
-    f, r = 1.0, 0.0
-    i = index
-    while i > 0:
+def halton_sequence(index, base: int):
+    """The radical inverse of each index in `base` (Halton 1960), by the
+    same float operations in the same order at an int and on an index array:
+    a digit of 0 adds 0.0, so an index with fewer digits keeps its bits."""
+    f, r = 1.0, np.zeros(np.shape(index))
+    i = np.asarray(index)
+    while np.any(i > 0):
         f /= base
         r += f * (i % base)
-        i //= base
+        i = i // base
     return r
 
 
@@ -301,18 +313,20 @@ def sample_points(domain: Domain, n: int, cfg: StencilConfig,
     if np.any(lo + pad > hi - pad):
         raise RuntimeError("sampler failed: domain too constrained")
     pts = []
-    index = 1 + (seed % 997) * 101
-    attempts = 0
+    start = 1 + (seed % 997) * 101
+    drawn = 0
     while len(pts) < n:
-        u = np.array([halton_sequence(index, _PRIMES[d % len(_PRIMES)])
-                      for d in range(dim)])
-        index += 1
-        attempts += 1
-        if attempts > 1000 * n:
+        # the next run of candidates, in order, within 1000 n attempts
+        run = min(2 * (n - len(pts)) + 16, 1000 * n - drawn)
+        if run <= 0:
             raise RuntimeError("sampler failed: domain too constrained")
-        p = lo + u * (hi - lo)
-        if domain.contains(p, pad=pad):
-            pts.append(p)
+        index = start + drawn + np.arange(run)
+        u = np.empty((run, dim))
+        for d in range(dim):
+            u[:, d] = halton_sequence(index, _PRIMES[d % len(_PRIMES)])
+        drawn += run
+        cand = lo + u * (hi - lo)
+        pts.extend(cand[domain.contains(cand, pad=pad)][:n - len(pts)])
     return pts
 
 

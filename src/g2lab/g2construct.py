@@ -259,9 +259,9 @@ def estimate_order(h_list: Sequence[float], residuals: Sequence[float]):
 
 
 # Points per block of `holonomy_residual`.  A block of 7-dimensional
-# `riemann` holds about three (k, 7, 7, 7, 7) arrays: on 200 points at three
-# steps the tracemalloc peak was 608 KiB at 8-point blocks, 1,120 KiB at 16,
-# 2,157 KiB at 32 and 4,237 KiB at 64 (NumPy 2.4.6), against at most 1.1 MiB
+# `riemann` holds a few (k, 7, 7, 7, 7) arrays: on 200 points at three
+# steps the tracemalloc peak was 606 KiB at 8-point blocks, 1,103 KiB at 16,
+# 2,124 KiB at 32 and 4,172 KiB at 64 (NumPy 2.4.6), against at most 1.1 MiB
 # for every other blocked verifier at `fields.BLOCK`.
 CURVATURE_BLOCK = 16
 

@@ -33,7 +33,7 @@ def base_domain6() -> Domain:
     string = margined(dirac_string_exclusion, STRING_MARGIN)
     return Domain(lo=(-1.0,) * 3 + (-1.2,) * 3,
                   hi=(1.0,) * 3 + (1.2,) * 3,
-                  exclusions=(lambda x: center(x[3:]), lambda x: string(x[3:])))
+                  exclusions=(lambda x: center(x[..., 3:]), lambda x: string(x[..., 3:])))
 
 
 def monopole_potential6() -> Callable[[np.ndarray], np.ndarray]:

@@ -13,15 +13,15 @@ from .fields import (Domain, StencilConfig, d_one_form, hodge_restricted,
                      star_jet, sup)
 
 
-def dirac_string_exclusion(p3: np.ndarray) -> float:
+def dirac_string_exclusion(p3: np.ndarray) -> np.ndarray:
     """Regularity gauge for the string along {x = y = 0, z <= 0}: the factor
     r + z that controls every derivative of the potential (bounded above by
-    the Euclidean distance to the string where z <= 0)."""
-    return float(np.linalg.norm(p3) + p3[2])
+    the Euclidean distance to the string where z <= 0), over the last axis."""
+    return radius(p3) + p3[..., 2]
 
 
-def monopole_center_exclusion(p3: np.ndarray) -> float:
-    return float(np.linalg.norm(p3))
+def monopole_center_exclusion(p3: np.ndarray) -> np.ndarray:
+    return radius(p3)
 
 
 def radius(p3: np.ndarray):

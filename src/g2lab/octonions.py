@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -19,15 +20,18 @@ from typing import Sequence
 import numpy as np
 
 from .embeddings import g2_basis, intertwiner_solve
-from .rational import (ExactMatrix, Q, _as_q, _fit, bracket, combination, common_ratio,
-                       exact_json, flat_rows, trace_form, unflatten_rows, unit)
+from .rational import (Bilinear, ExactMatrix, Q, _as_q, bracket, combination,
+                       common_ratio, exact_json, flat_rows, numerators, trace_form,
+                       unflatten_rows, unit)
 from .subspaces import Coordinates, Subspace, gram_matrix, inverse, kernel_basis
 from .threeform import (CrossProduct7, _det3, invariant_threeform,
                         phi_cross_duality, so7_basis)
 
 
 def dot(x: Sequence, y: Sequence) -> Fraction:
-    return sum((_as_q(a) * _as_q(b) for a, b in zip(x, y)), Q(0))
+    """sum x_i y_i, on the integer numerators over one denominator each."""
+    (a, da), (b, db) = numerators(x), numerators(y)
+    return Fraction(sum(map(operator.mul, a, b)), da * db)
 
 
 @dataclass(frozen=True)
@@ -38,16 +42,12 @@ class TorsionCrossResult:
     proportionality: Fraction      # product = proportionality * phi-cross
     complement_dim: int
 
-    def cross(self, x: Sequence, y: Sequence) -> tuple:
-        xq = [_as_q(v) for v in x]
-        yq = [_as_q(v) for v in y]
-        out = [Q(0)] * 7
-        for (i, j), v in self.product.items():
-            c = xq[i] * yq[j] - xq[j] * yq[i]
-            if c:
-                for k in range(7):
-                    out[k] += c * v[k]
-        return tuple(out)
+    @functools.cached_property
+    def cross(self) -> Bilinear:
+        """The map (x, y) -> sum over i < j of (x_i y_j - x_j y_i) e_i e_j."""
+        return Bilinear([term for (i, j), v in self.product.items()
+                         for k, c in enumerate(v) if c
+                         for term in ((i, j, k, c), (j, i, k, -c))], 7)
 
 
 def torsion_cross() -> TorsionCrossResult:
@@ -125,14 +125,16 @@ class OctonionTable:
     index: np.ndarray   # (8, 8) slot of the product e_i e_j
     sign: np.ndarray    # (8, 8) its sign, +1 or -1
 
+    @functools.cached_property
+    def _map(self) -> Bilinear:
+        # e_i e_j = sign[i, j] e_index[i, j]
+        return Bilinear([(i, j, int(self.index[i, j]), int(self.sign[i, j]))
+                         for i in range(8) for j in range(8)], 8)
+
     def multiply(self, p: Sequence, q: Sequence) -> tuple:
-        """pq: one integer outer product of the numerators, signed and
-        scattered by index, over the product of the denominators."""
-        p, q = ExactMatrix.from_rows([p]), ExactMatrix.from_rows([q])
-        a, b = _fit(8 * p.bound * q.bound, p.num[0], q.num[0])
-        out = np.zeros(8, dtype=a.dtype)
-        np.add.at(out, self.index, self.sign * np.multiply.outer(a, b))
-        return tuple(Fraction(x, p.den * q.den) for x in out.tolist())
+        """pq: the products of the numerators, signed and scattered by
+        index, over the product of the denominators."""
+        return self._map(p, q)
 
     def conjugate(self, p: Sequence) -> tuple:
         pq = [_as_q(v) for v in p]

@@ -50,6 +50,14 @@ def _fit(bound: int, *arrays) -> tuple:
     return tuple(a.astype(object) for a in arrays)
 
 
+def numerators(xs: Iterable) -> tuple[list, int]:
+    """The exact scalars `xs` as Python-int numerators over their least
+    common denominator."""
+    fracs = [_as_q(x) for x in xs]
+    den = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
 def _magnitude(num: np.ndarray) -> int:
     """max |entry| of an integer array, 0 when it is empty."""
     return int(max(num.max(), -num.min())) if num.size else 0
@@ -83,13 +91,9 @@ class ExactMatrix:
         if isinstance(rows, ExactMatrix):
             return rows
         width = len(rows[0])
-        fracs = []
-        for row in rows:
-            if len(row) != width:
-                raise ValueError("ragged rows")
-            fracs.extend(_as_q(x) for x in row)
-        den = lcm(*(f.denominator for f in fracs))
-        nums = [f.numerator * (den // f.denominator) for f in fracs]
+        if any(len(row) != width for row in rows):
+            raise ValueError("ragged rows")
+        nums, den = numerators(itertools.chain.from_iterable(rows))
         dtype = object if max(map(abs, nums), default=0) >= LIMIT else np.int64
         return ExactMatrix(np.array(nums, dtype=dtype).reshape(len(rows), width), den)
 
@@ -213,6 +217,34 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols})"
+
+
+class Bilinear:
+    """An exact bilinear map B(x, y)_k = sum of c x_i y_j over its nonzero
+    terms (i, j, k, c), held as index arrays and one row of coefficients.  A
+    call runs on the integer numerators of x and y: the terms are gathered by
+    index, multiplied and scattered to their slots, as int64 when the bound on
+    every sum is below 2^62 and as Python ints past it."""
+
+    __slots__ = ("i", "j", "k", "coef", "size")
+
+    def __init__(self, terms: Iterable[tuple], size: int):
+        terms = list(terms)
+        i, j, k, coef = zip(*terms) if terms else ((),) * 4
+        self.i, self.j, self.k = (np.array(v, dtype=np.intp) for v in (i, j, k))
+        self.coef = ExactMatrix.from_rows([coef])
+        self.size = size
+
+    def __call__(self, x: Sequence, y: Sequence) -> tuple:
+        (a, da), (b, db) = numerators(x), numerators(y)
+        bound = (len(self.k) * max(self.coef.bound, 1)
+                 * max([1, *map(abs, a)]) * max([1, *map(abs, b)]))
+        dtype = object if bound >= LIMIT else np.int64
+        a, b = np.array(a, dtype=dtype), np.array(b, dtype=dtype)
+        out = np.zeros(self.size, dtype=dtype)
+        np.add.at(out, self.k, self.coef.num[0].astype(dtype) * a[self.i] * b[self.j])
+        den = da * db * self.coef.den
+        return tuple(Fraction(v, den) for v in out.tolist())
 
 
 def flat_rows(mats: Sequence[ExactMatrix]) -> ExactMatrix:

@@ -18,7 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .embeddings import g2_basis
-from .rational import ExactMatrix, Q, _as_q, _fit, exact_json, flat_rows, skew_basis
+from .rational import (Bilinear, ExactMatrix, Q, _as_q, _fit, exact_json, flat_rows,
+                       skew_basis)
 from .subspaces import Subspace, kernel_basis
 
 TRIPLES = tuple(itertools.combinations(range(7), 3))
@@ -206,16 +207,14 @@ class CrossProduct7:
 
     phi: ThreeForm
 
-    def cross(self, x: Sequence, y: Sequence) -> tuple:
-        xq = [_as_q(v) for v in x]
-        yq = [_as_q(v) for v in y]
-        out = [Q(0)] * 7
-        for (i, j, k), c in self.phi.nonzero_items():
-            # all six orderings of the triple contribute
-            out[k] += c * (xq[i] * yq[j] - xq[j] * yq[i])
-            out[j] += c * (xq[k] * yq[i] - xq[i] * yq[k])
-            out[i] += c * (xq[j] * yq[k] - xq[k] * yq[j])
-        return tuple(out)
+    @functools.cached_property
+    def cross(self) -> Bilinear:
+        """The map (x, y) -> x X y.  All six orderings of each triple
+        contribute, with the sign of the permutation."""
+        return Bilinear([(a, b, c, s * v) for (i, j, k), v in self.phi.nonzero_items()
+                         for (a, b, c), s in (((i, j, k), 1), ((j, k, i), 1), ((k, i, j), 1),
+                                              ((j, i, k), -1), ((i, k, j), -1), ((k, j, i), -1))],
+                        7)
 
     def to_json_obj(self) -> dict:
         obj = self.phi.to_json_obj()

@@ -1,23 +1,31 @@
 import numpy as np
+import pytest
 
-from g2lab.curvature import (christoffel, curvature_operator, ricci, riemann,
-                             riemann_lowered, scalar_curvature)
-from g2lab.fields import StencilConfig
+from g2lab import gallery
+from g2lab.curvature import (christoffel, curvature_operator, metric_jet, ricci,
+                             riemann, riemann_lowered, scalar_curvature)
+from g2lab.fields import StencilConfig, sample_points, star_jet
+from g2lab.gibbons import gh_build
 
+
+# The metrics take a point (dim,) or a block (k, dim), as `curvature` asks.
 
 def flat(p):
-    return np.eye(len(p))
+    return np.broadcast_to(np.eye(p.shape[-1]), p.shape + (p.shape[-1],))
 
 
 def stereographic_sphere(p):
     # round unit 2-sphere in stereographic coordinates
-    f = 2.0 / (1.0 + p @ p)
-    return f * f * np.eye(2)
+    f = 2.0 / (1.0 + np.vecdot(p, p))
+    return (f * f)[..., None, None] * np.eye(2)
 
 
 def polar_flat(p):
     # flat R^2 in polar coordinates (r, theta): nontrivial Gamma, zero curvature
-    return np.diag([1.0, p[0] ** 2])
+    g = np.zeros(p.shape + (2,))
+    g[..., 0, 0] = 1.0
+    g[..., 1, 1] = p[..., 0] ** 2
+    return g
 
 
 def test_flat_metric_everything_vanishes():
@@ -48,11 +56,11 @@ def test_ricci_symmetry_and_operator_skewness():
     rng = np.random.default_rng(3)
 
     def warped(p):
-        g = np.eye(3)
-        g[0, 0] = 1.0 + 0.3 * np.sin(p[1])
-        g[1, 1] = 1.0 + 0.2 * p[2] ** 2
-        g[2, 2] = 1.0 + 0.1 * np.cos(p[0])
-        g[0, 1] = g[1, 0] = 0.05 * p[2]
+        g = np.zeros(p.shape + (3,))
+        g[..., 0, 0] = 1.0 + 0.3 * np.sin(p[..., 1])
+        g[..., 1, 1] = 1.0 + 0.2 * p[..., 2] ** 2
+        g[..., 2, 2] = 1.0 + 0.1 * np.cos(p[..., 0])
+        g[..., 0, 1] = g[..., 1, 0] = 0.05 * p[..., 2]
         return g
 
     cfg = StencilConfig(h=1e-3)
@@ -68,10 +76,10 @@ def test_ricci_symmetry_and_operator_skewness():
 
 def test_algebraic_bianchi():
     def warped(p):
-        g = np.eye(3)
-        g[0, 0] = 1.0 + 0.2 * p[1] ** 2
-        g[1, 1] = 1.0 + 0.2 * p[2] ** 2
-        g[2, 2] = 1.0 + 0.2 * p[0] ** 2
+        g = np.zeros(p.shape + (3,))
+        g[..., 0, 0] = 1.0 + 0.2 * p[..., 1] ** 2
+        g[..., 1, 1] = 1.0 + 0.2 * p[..., 2] ** 2
+        g[..., 2, 2] = 1.0 + 0.2 * p[..., 0] ** 2
         return g
 
     cfg = StencilConfig(h=1e-2)
@@ -79,3 +87,82 @@ def test_algebraic_bianchi():
     r = riemann_lowered(warped, p, cfg)
     cyc = r + np.einsum('acdb->abcd', r) + np.einsum('adbc->abcd', r)
     assert np.max(np.abs(cyc)) < 1e-6
+
+
+# ------------------------------------------------ the per-offset einsum path
+
+def reference_metric_jet(g, p, cfg):
+    """One metric call per stencil offset: the star of `star_jet`, then the
+    four corners of each pair a < b."""
+    h, n = cfg.h, p.shape[-1]
+    g0, dg, diag = star_jet(g, p, cfg)
+    ddg = np.zeros(dg.shape[:-3] + (n,) + dg.shape[-3:])
+    idx = np.arange(n)
+    ddg[..., idx, idx, :, :] = diag
+    for a in range(n):
+        for b in range(a + 1, n):
+            pa, pb, pc, pd = p.copy(), p.copy(), p.copy(), p.copy()
+            pa.T[a] += h; pa.T[b] += h
+            pb.T[a] += h; pb.T[b] -= h
+            pc.T[a] -= h; pc.T[b] += h
+            pd.T[a] -= h; pd.T[b] -= h
+            cross = (np.asarray(g(pa), float) - np.asarray(g(pb), float)
+                     - np.asarray(g(pc), float) + np.asarray(g(pd), float)) / (4 * h**2)
+            ddg[..., a, b, :, :] = cross
+            ddg[..., b, a, :, :] = cross
+    return g0, dg, ddg
+
+
+def reference_riemann(g, p, cfg):
+    """The formula term by term, one einsum per contraction."""
+    g0, dg, ddg = reference_metric_jet(g, p, cfg)
+    ginv = np.linalg.inv(g0)
+    gam = 0.5 * (np.einsum('...cd,...abd->...cab', ginv, dg)
+                 + np.einsum('...cd,...bad->...cab', ginv, dg)
+                 - np.einsum('...cd,...dab->...cab', ginv, dg))
+    dginv = -np.einsum('...ab,...ebc,...cd->...ead', ginv, dg, ginv)
+    dgam = 0.5 * (np.einsum('...cd,...eabd->...ecab', ginv, ddg)
+                  + np.einsum('...cd,...ebad->...ecab', ginv, ddg)
+                  - np.einsum('...cd,...edab->...ecab', ginv, ddg)
+                  + np.einsum('...ecd,...abd->...ecab', dginv, dg)
+                  + np.einsum('...ecd,...bad->...ecab', dginv, dg)
+                  - np.einsum('...ecd,...dab->...ecab', dginv, dg))
+    return (np.einsum('...cadb->...abcd', dgam) - np.einsum('...dacb->...abcd', dgam)
+            + np.einsum('...ace,...edb->...abcd', gam, gam)
+            - np.einsum('...ade,...ecb->...abcd', gam, gam))
+
+
+def _curvature_blocks():
+    bundle = gallery.thm1_taub_nut_bundle()
+    gh = gallery.gh_taub_nut_example()
+    cfg = StencilConfig(h=1e-2)
+    return {"taub-nut-7": (bundle.metric,
+                           np.array(sample_points(bundle.domain, 16, cfg, seed=3))),
+            "gh-4": (gh_build(gh),
+                     np.array(sample_points(gh.domain.lift_t(), 64, cfg, seed=3)))}
+
+
+CURVATURE_BLOCKS = _curvature_blocks()
+
+
+@pytest.mark.parametrize("name", sorted(CURVATURE_BLOCKS))
+def test_riemann_equals_the_einsum_formula(name):
+    g, block = CURVATURE_BLOCKS[name]
+    cfg = StencilConfig(h=1e-2)
+    for got, ref in zip(metric_jet(g, block, cfg), reference_metric_jet(g, block, cfg)):
+        assert np.array_equal(got, ref)
+    ref = reference_riemann(g, block, cfg)
+    assert np.max(np.abs(riemann(g, block, cfg) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_riemann_calls_the_metric_once_per_stencil_row():
+    g, block = CURVATURE_BLOCKS["taub-nut-7"]
+    calls = []
+
+    def counted(p):
+        calls.append(p.shape)
+        return g(p)
+
+    riemann(counted, block, StencilConfig(h=1e-2))
+    assert len(calls) <= 16            # one call per stencil offset made 99
+    assert sum(rows for rows, _ in calls) == 99 * len(block)

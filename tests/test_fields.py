@@ -5,8 +5,10 @@ from g2lab.fields import (BLOCK, Domain, StencilConfig, adapted_frame, blocks,
                           combinations_index, d_one_form, exterior_d,
                           fd_gradient, fd_partial, frame_derivatives, hat,
                           hodge_restricted, sample_points, sup, transform_form)
-from g2lab import fields
+from g2lab import fields, gallery
 from g2lab.gallery import killing_taub_nut_data
+from g2lab.gibbons import spatial_domain
+from g2lab.hypersurfaces import unit_sphere
 from g2lab.modeldata import h6
 
 
@@ -270,7 +272,7 @@ def test_transform_form_change_of_frame():
 
 def test_sampler_deterministic_and_respects_exclusions():
     dom = Domain(lo=(-1.0, -1.0, -1.0), hi=(1.0, 1.0, 1.0),
-                 exclusions=(lambda p: float(np.linalg.norm(p)),))
+                 exclusions=(lambda p: np.linalg.norm(p, axis=-1),))
     cfg = StencilConfig(h=1e-2)
     pts1 = sample_points(dom, 25, cfg, seed=42)
     pts2 = sample_points(dom, 25, cfg, seed=42)
@@ -280,6 +282,79 @@ def test_sampler_deterministic_and_respects_exclusions():
     for p in pts1:
         assert np.linalg.norm(p) > 10 * cfg.h
         assert np.all(np.abs(p) < 1.0)
+
+
+def test_point_only_exclusion_is_refused_on_a_block():
+    # one distance for the whole block would mask every row alike
+    dom = Domain(lo=(-1.0, -1.0, -1.0), hi=(1.0, 1.0, 1.0),
+                 exclusions=(lambda p: float(np.linalg.norm(p)),))
+    block = np.array([[0.5, 0.0, 0.0], [0.0, 0.9, 0.1]])
+    with pytest.raises(ValueError, match="exclusion gave shape"):
+        dom.contains(block, pad=0.1)
+    with pytest.raises(ValueError, match="exclusion gave shape"):
+        sample_points(dom, 5, StencilConfig(h=1e-2), seed=42)
+
+
+def reference_halton(index, base):
+    f, r = 1.0, 0.0
+    i = index
+    while i > 0:
+        f /= base
+        r += f * (i % base)
+        i //= base
+    return r
+
+
+def reference_sample_points(domain, n, cfg, seed):
+    """The per-point sampler: one candidate and one `contains` at a time."""
+    pad = 10.0 * cfg.h
+    lo, hi = np.asarray(domain.lo, float), np.asarray(domain.hi, float)
+    if np.any(lo + pad > hi - pad):
+        raise RuntimeError("sampler failed: domain too constrained")
+    pts, index, attempts = [], 1 + (seed % 997) * 101, 0
+    while len(pts) < n:
+        u = np.array([reference_halton(index, fields._PRIMES[d % len(fields._PRIMES)])
+                      for d in range(domain.dim)])
+        index += 1
+        attempts += 1
+        if attempts > 1000 * n:
+            raise RuntimeError("sampler failed: domain too constrained")
+        p = lo + u * (hi - lo)
+        if domain.contains(p, pad=pad):
+            pts.append(p)
+    return pts
+
+
+def _outcome(sampler, *args):
+    try:
+        return np.array(sampler(*args))
+    except RuntimeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name,domain", [
+    ("base6", gallery.base_domain6()),
+    ("gh4", spatial_domain().lift_t()),
+    ("sphere-chart", unit_sphere().domain),
+    ("taub-nut-bundle", gallery.thm1_taub_nut_bundle().domain)])
+def test_sampler_equals_the_per_point_loop(name, domain):
+    for h in (1e-3, 1e-2):
+        for seed in (0, 42, 996, 1039):
+            cfg = StencilConfig(h=h)
+            assert np.array_equal(np.array(sample_points(domain, 40, cfg, seed)),
+                                  reference_sample_points(domain, 40, cfg, seed)), (h, seed)
+
+
+def test_sampler_keeps_the_1000_n_attempt_cap():
+    # a disk of radius 0.01 after the pad: about one candidate in 3,000 lands
+    dom = Domain(lo=(0.0, 0.0), hi=(1.0, 1.0),
+                 exclusions=(lambda p: 0.02 - np.linalg.norm(p - 0.5, axis=-1),))
+    cfg = StencilConfig(h=1e-3)
+    outcomes = [(_outcome(sample_points, dom, n, cfg, 5),
+                 _outcome(reference_sample_points, dom, n, cfg, 5)) for n in (1, 2, 3)]
+    assert {type(got) for got, _ in outcomes} == {np.ndarray, str}
+    for got, ref in outcomes:
+        assert type(got) is type(ref) and np.array_equal(got, ref)
 
 
 def test_sampler_rejects_an_empty_padded_box_before_drawing(monkeypatch):

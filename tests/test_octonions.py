@@ -174,6 +174,47 @@ def test_signed_sparse_product_matches_the_dense_sum():
     assert tab.multiply(p, q) == dense_product(table, p, q)
 
 
+def reference_dot(x, y):
+    return sum((Fraction(a) * Fraction(b) for a, b in zip(x, y)), Fraction(0))
+
+
+def reference_phi_cross(phi, x, y):
+    """The Fraction loop over the nonzero triples of phi, all six orderings."""
+    out = [Fraction(0)] * 7
+    for (i, j, k), c in phi.nonzero_items():
+        out[k] += c * (x[i] * y[j] - x[j] * y[i])
+        out[j] += c * (x[k] * y[i] - x[i] * y[k])
+        out[i] += c * (x[j] * y[k] - x[k] * y[j])
+    return tuple(out)
+
+
+def reference_product_cross(product, x, y):
+    """The Fraction loop over the pairs i < j of a pulled-back product."""
+    out = [Fraction(0)] * 7
+    for (i, j), v in product.items():
+        c = x[i] * y[j] - x[j] * y[i]
+        for k in range(7):
+            out[k] += c * v[k]
+    return tuple(out)
+
+
+def test_integer_cross_products_and_dot_match_the_fraction_loops():
+    cross = standard_cross()
+    pulled = torsion_cross()
+    rng = np.random.default_rng(23)
+
+    def vec(shift=0):
+        return tuple(Fraction(int(n) + shift, int(d)) for n, d in
+                     zip(rng.integers(-9, 10, size=7), rng.integers(1, 7, size=7)))
+
+    # numerators near 2^40 over mixed denominators take the Python-int path
+    pairs = [(vec(), vec()) for _ in range(10)] + [(vec(1 << 40), vec(-(1 << 40)))]
+    for x, y in pairs:
+        assert cross.cross(x, y) == reference_phi_cross(cross.phi, x, y)
+        assert pulled.cross(x, y) == reference_product_cross(pulled.product, x, y)
+        assert dot(x, y) == reference_dot(x, y)
+
+
 # ------------------------------------------------------------ memory bounds
 
 # Warm tracemalloc peaks of the three largest exact systems, which are built
