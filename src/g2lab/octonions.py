@@ -133,7 +133,8 @@ class OctonionTable:
 
     def multiply(self, p: Sequence, q: Sequence) -> tuple:
         """pq: the products of the numerators, signed and scattered by
-        index, over the product of the denominators."""
+        index, over the product of the denominators.  A method, not the
+        cached map itself, so that per-layer tracing counts its calls."""
         return self._map(p, q)
 
     def conjugate(self, p: Sequence) -> tuple:
