@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .rational import (ExactMatrix, Q, _as_q, bracket, common_ratio, flat_rows,
-                       trace_form, unflatten_rows)
+from .rational import (ExactMatrix, Q, _as_q, bracket, common_ratio, trace_form,
+                       unit)
 from .subspaces import Coordinates, Subspace, kernel_basis, rref
 
 PLUS = (0, 1, 2)
@@ -74,10 +74,6 @@ class MVector:
     def as_vector6(self) -> tuple:
         return self.a + self.b
 
-    @staticmethod
-    def from_vector6(v: Sequence) -> "MVector":
-        return MVector.make(tuple(v[:3]), tuple(v[3:]))
-
 
 def sl3_embed(p: Sl3Param) -> ExactMatrix:
     """The 6x6 block matrix [[hat(x), -y], [y, hat(x)]] realizing sl(3) in so(6)."""
@@ -91,15 +87,14 @@ def sl3_embed(p: Sl3Param) -> ExactMatrix:
 
 
 def so6_to_so7(m: ExactMatrix) -> ExactMatrix:
-    """Embed so(6) into so(7) with the 4th row and column zero."""
+    """Embed so(6) into so(7) with the 4th row and column zero (each
+    member of a stack)."""
     if m.rows != 6 or m.cols != 6:
         raise ValueError("expected a 6x6 matrix")
-    idx = list(PLUS) + list(MINUS)
-    ent = [[Q(0)] * 7 for _ in range(7)]
-    for i6, i7 in enumerate(idx):
-        for j6, j7 in enumerate(idx):
-            ent[i7][j7] = m[i6, j6]
-    return ExactMatrix.from_rows(ent)
+    idx = np.array(PLUS + MINUS)
+    num = np.zeros((*m.shape[:-2], 7, 7), dtype=m.num.dtype)
+    num[..., idx[:, None], idx] = m.num
+    return ExactMatrix(num, m.den)
 
 
 def so7_to_so6(m: ExactMatrix) -> ExactMatrix:
@@ -125,16 +120,26 @@ def m_embed(v: MVector) -> ExactMatrix:
     return ExactMatrix.from_rows(ent)
 
 
-def h_map(v: MVector) -> ExactMatrix:
-    """The equivariant map into so(6):  h(a, b) = 1/2 [[hat(b), hat(a)], [hat(a), -hat(b)]]."""
-    ha, hb = hat3(v.a), hat3(v.b)
-    half = Q(1, 2)
-    rows = []
-    for i in range(3):
-        rows.append([half * t for t in hb.row(i)] + [half * t for t in ha.row(i)])
-    for i in range(3):
-        rows.append([half * t for t in ha.row(i)] + [-half * t for t in hb.row(i)])
-    return ExactMatrix.from_rows(rows)
+@functools.lru_cache(maxsize=1)
+def _h_table() -> ExactMatrix:
+    """h(e_t) flattened row-major, one row per coordinate t of (a, b): the
+    a coordinates fill the off-diagonal blocks with hat(e_t), the b
+    coordinates the diagonal blocks with hat(e_t) and -hat(e_t), over 2."""
+    hat = np.stack([hat3(unit(3, k)).num for k in range(3)])
+    h = np.zeros((6, 6, 6), dtype=np.int64)
+    h[:3, :3, 3:] = h[:3, 3:, :3] = hat
+    h[3:, :3, :3], h[3:, 3:, 3:] = hat, -hat
+    return ExactMatrix(h.reshape(6, 36), 2)
+
+
+def h_map(v) -> ExactMatrix:
+    """The equivariant map into so(6):  h(a, b) = 1/2 [[hat(b), hat(a)], [hat(a), -hat(b)]].
+
+    v is one MVector (a 6x6 matrix comes back) or a stack of rows
+    (..., 1, 6) of (a, b) (a stack of 6x6 matrices comes back)."""
+    x = ExactMatrix.from_rows([v.as_vector6()]) if isinstance(v, MVector) else v
+    out = x @ _h_table()
+    return out.reshape(*out.shape[:-2], 6, 6)
 
 
 def lift_gtilde(a6: ExactMatrix, x: MVector) -> ExactMatrix:
@@ -171,19 +176,20 @@ def m_vector_basis() -> list[MVector]:
 
 H_SLOTS = slice(0, 8)     # the sl(3) images among the 14 basis elements
 M_SLOTS = slice(8, 14)    # the complement images
+PAIRS = np.triu_indices(14, 1)   # the 91 pairs i < j, in lexicographic order
 
 
 @dataclass(frozen=True)
 class G2Basis:
     """14 certified skew 7x7 matrices: 8 sl(3) images then 6 complement images.
 
-    `coordinates` maps a flattened matrix of their span to its exact
-    coefficients in this basis; construction fails loudly if independence,
-    skewness or bracket closure does not certify.
+    `coordinates` maps a matrix of their span, or each member of a stack, to
+    its exact coefficients in this basis; construction fails loudly if
+    independence, skewness or bracket closure does not certify.
     """
 
-    elements: tuple
-    structure_constants: dict     # (i, j) i<j -> coefficient tuple, exact
+    elements: ExactMatrix         # the stack (14, 7, 7)
+    structure_constants: ExactMatrix   # row k: [e_i, e_j] in the basis, (i, j) the k-th of PAIRS
     coordinates: Coordinates
 
     @property
@@ -192,75 +198,61 @@ class G2Basis:
         return self.coordinates.span
 
     @property
-    def h_elements(self):
-        return list(self.elements[H_SLOTS])
+    def h_elements(self) -> ExactMatrix:
+        return self.elements[H_SLOTS]
 
     @property
-    def m_elements(self):
-        return list(self.elements[M_SLOTS])
-
-    def expand(self, m: ExactMatrix) -> tuple | None:
-        """Exact coefficients of m in the basis, or None if m is outside the span."""
-        return self.coordinates(m)
+    def m_elements(self) -> ExactMatrix:
+        return self.elements[M_SLOTS]
 
 
 @functools.lru_cache(maxsize=1)
 def g2_basis() -> G2Basis:
     """Build and certify the 14-dimensional algebra spanned by the sl(3) and
     complement images inside so(7)."""
-    els = [so6_to_so7(sl3_embed(p)) for p in sl3_param_basis()]
-    els += [m_embed(v) for v in m_vector_basis()]
-    for m in els:
-        if not m.is_skew():
-            raise AssertionError("basis element is not skew")
-    coords = Coordinates.of(flat_rows(els))   # raises unless independent
-    probe = G2Basis(tuple(els), {}, coords)
-    sc = {}
-    for i in range(14):
-        for j in range(i + 1, 14):
-            c = probe.expand(bracket(els[i], els[j]))
-            if c is None:
-                raise AssertionError(f"bracket of basis elements {i},{j} escapes the span")
-            sc[(i, j)] = c
-    return G2Basis(tuple(els), sc, coords)
+    els = ExactMatrix.stack([*so6_to_so7(canonical_rep6()),
+                             *(m_embed(v) for v in m_vector_basis())])
+    if not els.is_skew():
+        raise AssertionError("basis element is not skew")
+    coords = Coordinates.of(els.reshape(14, 49))   # raises unless independent
+    i, j = PAIRS
+    brackets = bracket(els[i], els[j])
+    sc = coords(brackets)
+    if sc is None:
+        k = int(np.argmin(coords.span.contains(brackets)))
+        raise AssertionError(f"bracket of basis elements {i[k]},{j[k]} escapes the span")
+    return G2Basis(els, sc.reshape(len(i), 14), coords)
 
 
 def reductivity_certificate() -> bool:
     """[h, m] lies in m, exactly, for every pair of basis elements."""
     basis = g2_basis()
-    msub = Subspace.span_matrices(basis.m_elements)
-    return all(msub.contains(bracket(a, x))
-               for a in basis.h_elements for x in basis.m_elements)
+    m = basis.m_elements
+    msub = Subspace.span_matrices(m)
+    return bool(np.all(msub.contains(bracket(basis.h_elements[:, None], m))))
 
 
 def non_symmetry_witness():
-    """A pair of complement elements whose bracket has a nonzero sl(3) part."""
-    basis = g2_basis()
-    msub = Subspace.span_matrices(basis.m_elements)
-    for i, x in enumerate(basis.m_elements):
-        for j, y in enumerate(basis.m_elements):
-            if i < j and not msub.contains(bracket(x, y)):
-                return (i, j)
-    return None
+    """The first pair i < j of complement elements whose bracket has a
+    nonzero sl(3) part, or None."""
+    m = g2_basis().m_elements
+    i, j = np.triu_indices(len(m), 1)
+    outside = np.flatnonzero(~Subspace.span_matrices(m).contains(bracket(m[i], m[j])))
+    return (int(i[outside[0]]), int(j[outside[0]])) if outside.size else None
 
 
 def orthogonality_certificate() -> bool:
     """trace_form(h-block, m-block) = 0 on all basis pairs."""
     basis = g2_basis()
-    return all(trace_form(a, x) == 0
-               for a in basis.h_elements for x in basis.m_elements)
+    return trace_form(basis.h_elements[:, None], basis.m_elements).is_zero()
 
 
 def h_equivariance_certificate() -> bool:
     """[A, h(x)] = h(Ax) for all sl(3) basis A (6x6) and complement basis x."""
-    for p in sl3_param_basis():
-        a6 = sl3_embed(p)
-        for v in m_vector_basis():
-            lhs = bracket(a6, h_map(v))
-            rhs = h_map(MVector.from_vector6(a6.apply(v.as_vector6())))
-            if lhs != rhs:
-                return False
-    return True
+    a = canonical_rep6()[:, None]
+    x = ExactMatrix.stack([ExactMatrix.from_rows([v.as_vector6()]) for v in m_vector_basis()])
+    ax = (a @ x.transpose()).transpose()      # each A x, as a row
+    return bracket(a, h_map(x)) == h_map(ax)
 
 
 def h_scale_certificate() -> Fraction:
@@ -331,11 +323,12 @@ def intertwiner_solve(rep1: Sequence[ExactMatrix], rep2: Sequence[ExactMatrix]) 
             raise ValueError("inconsistent representation dimensions")
     # Over the unknowns T_kl, row-major, the rows (i, j) of T r1 - r2 T are
     # kron(I_m, r1^T) - kron(r2, I_n).
-    system = ExactMatrix.stack(
+    system = ExactMatrix.concatenate(
         [ExactMatrix(np.kron(np.eye(m, dtype=np.int64), r1.num.T), r1.den)
          - ExactMatrix(np.kron(r2.num, np.eye(n, dtype=np.int64)), r2.den)
          for r1, r2 in zip(rep1, rep2)])
-    mats = unflatten_rows(kernel_basis(system), m, n)
+    kernel = kernel_basis(system)
+    mats = list(kernel.reshape(len(kernel), m, n)) if len(kernel) else []
     witness = None
     if m == n:
         for t in mats:
@@ -357,24 +350,21 @@ def intertwiner_solve(rep1: Sequence[ExactMatrix], rep2: Sequence[ExactMatrix]) 
     return IntertwinerResult(tuple(mats), witness)
 
 
-def adjoint_rep_on_m() -> list[ExactMatrix]:
-    """Matrices of ad(A)|_m in the complement basis, for the 8 sl(3) basis elements."""
+def adjoint_rep_on_m() -> ExactMatrix:
+    """The stack of matrices of ad(A)|_m in the complement basis, for the 8
+    sl(3) basis elements A."""
     basis = g2_basis()
-    out = []
-    for a in basis.h_elements:
-        cols = []
-        for x in basis.m_elements:
-            c = basis.expand(bracket(a, x))
-            if c is None or any(c[H_SLOTS]):
-                raise AssertionError("adjoint action leaves the complement block")
-            cols.append(c[M_SLOTS])
-        out.append(ExactMatrix.from_rows([[cols[j][i] for j in range(6)] for i in range(6)]))
-    return out
+    c = basis.coordinates(bracket(basis.h_elements[:, None], basis.m_elements))
+    if c is None or not c[..., H_SLOTS].is_zero():
+        raise AssertionError("adjoint action leaves the complement block")
+    # row j of each member holds the coordinates of [A, x_j]: its column j
+    return c[..., 0, M_SLOTS].transpose()
 
 
-def canonical_rep6() -> list[ExactMatrix]:
-    """The defining 6-dimensional action of the sl(3) basis."""
-    return [sl3_embed(p) for p in sl3_param_basis()]
+@functools.lru_cache(maxsize=1)
+def canonical_rep6() -> ExactMatrix:
+    """The defining 6-dimensional action of the sl(3) basis, as a stack."""
+    return ExactMatrix.stack([sl3_embed(p) for p in sl3_param_basis()])
 
 
 def sl3_canonical_rep3() -> list[ExactMatrix]:

@@ -12,26 +12,27 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 import numpy as np
 
 from .embeddings import g2_basis, intertwiner_solve
 from .rational import (Bilinear, ExactMatrix, Q, _as_q, bracket, combination,
-                       common_ratio, exact_json, flat_rows, numerators, trace_form,
-                       unflatten_rows, unit)
+                       common_ratio, exact_json, trace_form, unit_rows)
 from .subspaces import Coordinates, Subspace, gram_matrix, inverse, kernel_basis
 from .threeform import (CrossProduct7, _det3, invariant_threeform,
                         phi_cross_duality, so7_basis)
 
 
-def dot(x: Sequence, y: Sequence) -> Fraction:
-    """sum x_i y_i, on the integer numerators over one denominator each."""
-    (a, da), (b, db) = numerators(x), numerators(y)
-    return Fraction(sum(map(operator.mul, a, b)), da * db)
+def dot(x, y):
+    """sum x_i y_i: a Fraction for two sequences; for two stacks of rows
+    (..., 1, n), the stack of 1 x 1 products x y^T."""
+    if not isinstance(x, ExactMatrix):
+        return dot(ExactMatrix.from_rows([x]), ExactMatrix.from_rows([y]))[0, 0]
+    return x @ y.transpose()
 
 
 @dataclass(frozen=True)
@@ -54,63 +55,50 @@ def torsion_cross() -> TorsionCrossResult:
     """Pull the complement-projected so(7) bracket back to Q^7 and certify it
     is a nonzero rational multiple of the 3-form cross product."""
     basis = g2_basis()
+    els = basis.elements
 
     # trace-form complement of the algebra inside so(7):
     # kernel of C = sum_k c_k E_k  |->  (tr(C A_i))_i over the algebra basis
     so7 = so7_basis()
-    cond = ExactMatrix.from_rows(
-        [[trace_form(e, a) for e in so7] for a in basis.elements])
-    comp_rows = kernel_basis(cond) @ flat_rows(so7)
-    comp = unflatten_rows(comp_rows, 7, 7)
-    if len(comp) != 7:
-        raise ValueError(f"complement has dimension {len(comp)}, expected 7")
+    cond = trace_form(els[:, None], so7).reshape(len(els), len(so7))
+    comp_rows = kernel_basis(cond) @ so7.reshape(len(so7), 49)
+    if len(comp_rows) != 7:
+        raise ValueError(f"complement has dimension {len(comp_rows)}, expected 7")
+    comp = comp_rows.reshape(7, 7, 7)
 
-    # adjoint action of the algebra on the complement, in complement coordinates
-    comp_coords = Coordinates.of(comp_rows)
-    adjoint = []
-    for a in basis.elements:
-        cols = [comp_coords(bracket(a, c)) for c in comp]
-        if None in cols:
-            raise ValueError("matrix is not in the complement")
-        adjoint.append(ExactMatrix.from_rows(cols).transpose())
+    # adjoint action of the algebra on the complement, in complement
+    # coordinates: row c of each member holds those of [A, comp_c]
+    adjoint = Coordinates.of(comp_rows)(bracket(els[:, None], comp))
+    if adjoint is None:
+        raise ValueError("matrix is not in the complement")
 
     # equivariant identification of Q^7 with the complement
-    res = intertwiner_solve(list(basis.elements), adjoint)
+    res = intertwiner_solve(els, adjoint[..., 0, :].transpose())
     if not res.equivalent:
         raise ValueError("no invertible intertwiner between the canonical "
                          "7-dimensional action and the complement action")
     t = res.invertible
-
-    def to_complement(x: Sequence) -> ExactMatrix:
-        return combination(t.apply(x), comp)
-
     t_inv = inverse(t)
+    # the complement images of the unit vectors: row i of t^T is t e_i
+    images = combination(t.transpose(), comp)
 
     # project the bracket of complement elements back to the complement; the
     # complement and the algebra span so(7), so every bracket has coordinates
-    all_coords = Coordinates.of(ExactMatrix.stack([comp_rows, flat_rows(basis.elements)]))
-
-    def project_pullback(m: ExactMatrix) -> tuple:
-        return t_inv.apply(all_coords(m)[:7])
-
-    cross_phi = standard_cross()
-    product = {}
-    pulled, ref = [], []
-    for i in range(7):
-        ei = unit(7, i)
-        for j in range(i + 1, 7):
-            ej = unit(7, j)
-            product[(i, j)] = project_pullback(bracket(to_complement(ei),
-                                                       to_complement(ej)))
-            pulled.extend(product[(i, j)])
-            ref.extend(cross_phi.cross(ei, ej))
-    ratio = common_ratio(pulled, ref)
+    all_coords = Coordinates.of(ExactMatrix.concatenate([comp_rows, els.reshape(len(els), 49)]))
+    i, j = np.triu_indices(7, 1)
+    coords = all_coords(bracket(images[i], images[j]))
+    if coords is None:
+        raise ValueError("a bracket of complement elements has no coordinates in so(7)")
+    pulled = (t_inv @ coords[..., :7].transpose()).transpose()
+    e = unit_rows(7)
+    ratio = common_ratio(pulled.flatten(), standard_cross().cross(e[i], e[j]).flatten())
     if ratio is None:
         raise ValueError("pulled-back product is not proportional "
                          "to the 3-form cross product")
     if ratio == 0:
         raise ValueError("pulled-back product vanishes")
-    return TorsionCrossResult(product, ratio, len(comp))
+    product = {(int(a), int(b)): pulled[k, 0] for k, (a, b) in enumerate(zip(i, j))}
+    return TorsionCrossResult(product, ratio, len(comp_rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,17 +119,19 @@ class OctonionTable:
         return Bilinear([(i, j, int(self.index[i, j]), int(self.sign[i, j]))
                          for i in range(8) for j in range(8)], 8)
 
-    def multiply(self, p: Sequence, q: Sequence) -> tuple:
-        """pq: the products of the numerators, signed and scattered by
-        index, over the product of the denominators.  A method, not the
-        cached map itself, so that per-layer tracing counts its calls."""
+    def multiply(self, p, q):
+        """pq: a tuple for two sequences, a stack of rows for two stacks of
+        rows (..., 8).  A method, not the cached map itself, so that
+        per-layer tracing counts its calls."""
         return self._map(p, q)
 
     def conjugate(self, p: Sequence) -> tuple:
         pq = [_as_q(v) for v in p]
         return (pq[0],) + tuple(-v for v in pq[1:])
 
-    def norm_sq(self, p: Sequence) -> Fraction:
+    def norm_sq(self, p):
+        """|p|^2: a Fraction for a sequence, a stack of 1 x 1 matrices for a
+        stack of rows (..., 1, 8)."""
         return dot(p, p)
 
     def to_json_obj(self) -> dict:
@@ -154,96 +144,87 @@ class OctonionTable:
 def octonion_from_cross(cross: CrossProduct7) -> OctonionTable:
     """Build the 8-dimensional algebra and certify that every basis product
     is a signed basis element, and the unit and the basis squares."""
-    index = np.zeros((8, 8), dtype=np.int64)
-    sign = np.zeros((8, 8), dtype=np.int64)
-    for i in range(8):
-        for j in range(8):
-            prod = _basis_product(cross, i, j)
-            slots = [k for k, c in enumerate(prod) if c != 0]
-            if len(slots) != 1 or abs(prod[slots[0]]) != 1:
-                raise ValueError(f"e_{i} e_{j} is not a signed basis element")
-            index[i, j], sign[i, j] = slots[0], int(prod[slots[0]])
+    products = _basis_products(cross)
+    nonzero = products.num != 0
+    signed_unit = (nonzero.sum(axis=-1) == 1) & (abs(products.num).max(axis=-1) == products.den)
+    if not signed_unit.all():
+        i, j = np.argwhere(~signed_unit)[0]
+        raise ValueError(f"e_{i} e_{j} is not a signed basis element")
+    index = nonzero.argmax(axis=-1)
+    sign = (products.num.sum(axis=-1) // products.den).astype(np.int64)
     index.flags.writeable = sign.flags.writeable = False
     t = OctonionTable(index, sign)
-    for j in range(8):
-        ej = unit(8, j)
-        if t.multiply(unit(8, 0), ej) != ej or t.multiply(ej, unit(8, 0)) != ej:
-            raise ValueError("unit certification failed")
-    for i in range(1, 8):
-        ei = unit(8, i)
-        sq = t.multiply(ei, ei)
-        if sq != tuple([Q(-1)] + [Q(0)] * 7):
-            raise ValueError(f"imaginary unit {i} does not square to -1")
+    e = unit_rows(8)
+    if t.multiply(e[0], e) != e or t.multiply(e, e[0]) != e:
+        raise ValueError("unit certification failed")
+    squares = t.multiply(e[1:], e[1:]).equal(-e[0])
+    if not squares.all():
+        raise ValueError(f"imaginary unit {1 + int(np.argmin(squares))} does not square to -1")
     return t
 
 
-def _basis_product(cross: CrossProduct7, i: int, j: int) -> tuple:
-    if i == 0:
-        return unit(8, j)
-    if j == 0:
-        return unit(8, i)
-    x, y = unit(7, i - 1), unit(7, j - 1)
-    real = -dot(x, y)
-    imag = cross.cross(x, y)
-    return (real,) + tuple(imag)
+def _basis_products(cross: CrossProduct7) -> ExactMatrix:
+    """The stack (8, 8, 8) of the products e_i e_j, row [i, j]: slot 0 is the
+    unit, and (0, x)(0, y) = (-<x, y>, x X y) on the imaginary units."""
+    e = unit_rows(7)
+    x, y = e[:, None], e
+    imag = ExactMatrix.concatenate([(-dot(x, y)).transpose(),
+                                    cross.cross(x, y).transpose()]).transpose()
+    num = np.zeros((8, 8, 8), dtype=imag.num.dtype)
+    num[0] = num[:, 0] = imag.den * np.eye(8, dtype=np.int64)
+    num[1:, 1:] = imag.num[:, :, 0]
+    return ExactMatrix(num, imag.den)
 
 
-def associator(table: OctonionTable, p: Sequence, q: Sequence, r: Sequence) -> tuple:
-    pq_r = table.multiply(table.multiply(p, q), r)
-    p_qr = table.multiply(p, table.multiply(q, r))
-    return tuple(a - b for a, b in zip(pq_r, p_qr))
+def associator(table: OctonionTable, p, q, r):
+    """[p, q, r] = (pq)r - p(qr): a tuple for three sequences, a stack of
+    rows for stacks of rows (..., 8)."""
+    if not isinstance(p, ExactMatrix):
+        return associator(table, *(ExactMatrix.from_rows([v]) for v in (p, q, r))).row(0)
+    return table.multiply(table.multiply(p, q), r) - table.multiply(p, table.multiply(q, r))
 
 
 def norm_multiplicativity_certificate(table: OctonionTable, n: int = 100,
                                       seed: int = 42) -> bool:
     """|pq|^2 = |p|^2 |q|^2 exactly on n seeded random rational pairs."""
-    rng = np.random.default_rng(seed)
-    for _ in range(n):
-        p = _random_octonion(rng)
-        q = _random_octonion(rng)
-        if table.norm_sq(table.multiply(p, q)) != table.norm_sq(p) * table.norm_sq(q):
-            return False
-    return True
+    p, q = _random_octonion_pairs(np.random.default_rng(seed), n)
+    return table.norm_sq(table.multiply(p, q)) == table.norm_sq(p) @ table.norm_sq(q)
 
 
 def alternativity_certificate(table: OctonionTable, n: int = 50, seed: int = 42) -> bool:
     """[p,p,q] = 0 = [q,p,p] exactly on random pairs, and the associator is
     alternating on all basis triples."""
-    rng = np.random.default_rng(seed)
-    zero = tuple([Q(0)] * 8)
-    for _ in range(n):
-        p = _random_octonion(rng)
-        q = _random_octonion(rng)
-        if associator(table, p, p, q) != zero or associator(table, q, p, p) != zero:
-            return False
-    basis = [unit(8, i) for i in range(8)]
-    for i, j, k in itertools.combinations(range(8), 3):
-        a = associator(table, basis[i], basis[j], basis[k])
-        b = associator(table, basis[j], basis[i], basis[k])
-        if a != tuple(-t for t in b):
-            return False
-    return True
+    p, q = _random_octonion_pairs(np.random.default_rng(seed), n)
+    if not (associator(table, p, p, q).is_zero() and associator(table, q, p, p).is_zero()):
+        return False
+    e = unit_rows(8)
+    i, j, k = np.array(list(itertools.combinations(range(8), 3))).T
+    return associator(table, e[i], e[j], e[k]) == -associator(table, e[j], e[i], e[k])
 
 
-def _random_octonion(rng) -> tuple:
-    nums = rng.integers(-9, 10, size=8)
-    dens = rng.integers(1, 7, size=8)
-    return tuple(Fraction(int(n), int(d)) for n, d in zip(nums, dens))
+def _random_octonion_pairs(rng, n: int) -> tuple[ExactMatrix, ExactMatrix]:
+    """n seeded random rational pairs (p, q) as two stacks of rows (n, 1, 8).
+    The rng calls are those of drawing the octonions one at a time: p then
+    q, each as eight numerators in [-9, 9], then eight denominators in
+    [1, 6]."""
+    draws = np.array([[rng.integers(-9, 10, size=8), rng.integers(1, 7, size=8)]
+                      for _ in range(2 * n)], dtype=np.int64).reshape(n, 2, 2, 1, 8)
+    nums, dens = draws[:, :, 0], draws[:, :, 1]
+    den = lcm(*dens.ravel().tolist())
+    pairs = ExactMatrix(nums * (den // dens), den)
+    return pairs[:, 0], pairs[:, 1]
 
 
 def associative_test(p1: Sequence, p2: Sequence, p3: Sequence) -> bool:
     """True iff the span of the three independent vectors is closed under the
     cross product (basis independent, exact)."""
-    cross = standard_cross()
-    plane = Subspace.span([list(p1), list(p2), list(p3)], 7)
+    vecs = ExactMatrix.from_rows([list(p1), list(p2), list(p3)])
+    plane = Subspace.span(vecs, 7)
     if plane.dim != 3:
         raise ValueError("vectors do not span a 3-plane")
-    vecs = [p1, p2, p3]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if not plane.contains(list(cross.cross(vecs[i], vecs[j]))):
-                return False
-    return True
+    rows = vecs.reshape(3, 1, 7)
+    i, j = np.triu_indices(3, 1)
+    return bool(np.all(plane.contains(standard_cross().cross(rows[i], rows[j]))))
 
 
 def calibration_gap(p1: Sequence, p2: Sequence,

@@ -1,19 +1,31 @@
-"""Dense exact-rational matrices: the carrier for all algebraic certification.
+"""Dense exact-rational matrices and stacks of them: the carrier for all
+algebraic certification.
 
 An `ExactMatrix` is an integer numpy array of numerators over one positive
 common denominator, kept in lowest terms (no factor divides the denominator
 and every numerator), so equality of matrices is literal equality of the pair;
-FLINT's `fmpq_mat` is the same design.  Arithmetic is numpy integer
-arithmetic.  Before each product or sum the bound on the entries of the result
-(for a product, max|A| * max|B| * k) is checked against 2^62; when it is not
-below, the same expression runs on Python integers (`dtype=object`).  The
-result is exact either way, and the check is the certificate.  Numerators are
-held as int64 exactly when all of them lie below 2^62.
+FLINT's `fmpq_mat` is the same design.  The array has shape (..., rows, cols):
+leading axes make a stack of matrices over the one denominator, and `@`, `+`,
+`-`, `scale`, `transpose`, `equal`, `bracket`, `trace_form` and `Bilinear`
+broadcast over them as numpy does, so a certificate checks all its cases in
+one call.  A single matrix is a stack with no leading axes.  A stack with a
+zero-length axis is refused (`ValueError`), so no stacked check passes on no
+cases.  A vector is a 1 x n matrix and a stack of vectors has shape
+(..., 1, n).
+
+Arithmetic is numpy integer arithmetic.  Before each product or sum the bound
+on the entries of the result (for a product, max|A| * max|B| * k, over the
+whole stack) is checked against 2^62; when it is not below, the same
+expression runs on Python integers (`dtype=object`).  The result is exact
+either way, and the check is the certificate.  Numerators are held as int64
+exactly when all of them lie below 2^62.
 
 `fractions.Fraction` appears only at the boundary.  `_as_q` reads scalars in
 (an int or a Fraction; a float is a TypeError, so no floating point ever
-enters), and `__getitem__`, `row`, `flatten`, iteration over rows and
-`exact_json` hand them out.
+enters), and `__getitem__`, `row`, `flatten`, iteration and `exact_json` hand
+them out.  The functions that take vectors (`Bilinear`, and `dot` and
+`associator` in `octonions`) take either one sequence of exact scalars, and
+return a tuple, or a stack of rows, and return a stack.
 """
 
 from __future__ import annotations
@@ -50,29 +62,38 @@ def _fit(bound: int, *arrays) -> tuple:
     return tuple(a.astype(object) for a in arrays)
 
 
-def numerators(xs: Iterable) -> tuple[list, int]:
-    """The exact scalars `xs` as Python-int numerators over their least
-    common denominator."""
-    fracs = [_as_q(x) for x in xs]
-    den = lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (den // f.denominator) for f in fracs], den
-
-
 def _magnitude(num: np.ndarray) -> int:
     """max |entry| of an integer array, 0 when it is empty."""
     return int(max(num.max(), -num.min())) if num.size else 0
 
 
-class ExactMatrix:
-    """Immutable rows x cols rational matrix: integer numerators `num` over
-    one positive denominator `den`, in lowest terms, with `bound` = max |num|.
+def _over_common_den(mats: Sequence["ExactMatrix"]) -> tuple[list, int]:
+    """The numerator arrays of `mats` over their least common denominator."""
+    den = lcm(*(m.den for m in mats))
+    parts = []
+    for m in mats:
+        f = den // m.den
+        a, = _fit(max(m.bound * f, f), m.num)
+        parts.append(a if f == 1 else a * f)
+    return parts, den
 
-    A matrix is also the sequence of its rows: `len` counts them and
-    iteration yields each as a tuple of Fractions."""
+
+class ExactMatrix:
+    """Immutable rational matrix, or stack of matrices, of shape
+    (..., rows, cols): integer numerators `num` over one positive
+    denominator `den`, in lowest terms, with `bound` = max |num|.
+
+    Indexing is numpy's: it gives a matrix while two or more axes are left,
+    a row as a tuple of Fractions, or an entry as a Fraction.  `len` and
+    iteration run over the first axis, so a matrix iterates over its rows
+    and a stack over its matrices."""
 
     __slots__ = ("num", "den", "bound")
 
     def __init__(self, num: np.ndarray, den: int):
+        if 0 in num.shape[:-2]:
+            raise ValueError(f"empty stack of shape {num.shape}: a stacked "
+                             "check would hold on no cases")
         g = gcd(den, int(np.gcd.reduce(num, axis=None)))
         if g > 1:
             num = num // g
@@ -93,7 +114,9 @@ class ExactMatrix:
         width = len(rows[0])
         if any(len(row) != width for row in rows):
             raise ValueError("ragged rows")
-        nums, den = numerators(itertools.chain.from_iterable(rows))
+        fracs = [_as_q(x) for x in itertools.chain.from_iterable(rows)]
+        den = lcm(*(f.denominator for f in fracs))
+        nums = [f.numerator * (den // f.denominator) for f in fracs]
         dtype = object if max(map(abs, nums), default=0) >= LIMIT else np.int64
         return ExactMatrix(np.array(nums, dtype=dtype).reshape(len(rows), width), den)
 
@@ -107,45 +130,58 @@ class ExactMatrix:
         return ExactMatrix(np.eye(n, dtype=np.int64), 1)
 
     @staticmethod
-    def stack(mats: Sequence["ExactMatrix"]) -> "ExactMatrix":
+    def stack(mats) -> "ExactMatrix":
+        """The matrices of a sequence as one stack along a new first axis,
+        over their common denominator (a stack is returned as it is)."""
+        if isinstance(mats, ExactMatrix):
+            return mats
+        parts, den = _over_common_den(mats)
+        return ExactMatrix(np.stack(parts), den)
+
+    @staticmethod
+    def concatenate(mats: Sequence["ExactMatrix"]) -> "ExactMatrix":
         """The rows of `mats`, each matrix under the last, over their common
         denominator."""
-        den = lcm(*(m.den for m in mats))
-        parts = []
-        for m in mats:
-            f = den // m.den
-            a, = _fit(max(m.bound * f, f), m.num)
-            parts.append(a if f == 1 else a * f)
-        return ExactMatrix(np.concatenate(parts), den)
+        parts, den = _over_common_den(mats)
+        return ExactMatrix(np.concatenate(parts, axis=-2), den)
+
+    @property
+    def shape(self) -> tuple:
+        return self.num.shape
 
     @property
     def rows(self) -> int:
-        return self.num.shape[0]
+        return self.num.shape[-2]
 
     @property
     def cols(self) -> int:
-        return self.num.shape[1]
+        return self.num.shape[-1]
 
-    def __getitem__(self, ij) -> Fraction:
-        i, j = ij
-        return Fraction(int(self.num[i, j]), self.den)
+    def __getitem__(self, key):
+        sub = self.num[key]
+        if np.ndim(sub) >= 2:
+            return ExactMatrix(sub, self.den)
+        if np.ndim(sub) == 1:
+            return tuple(Fraction(x, self.den) for x in sub.tolist())
+        return Fraction(int(sub), self.den)
 
     def row(self, i: int) -> tuple:
         return tuple(Fraction(x, self.den) for x in self.num[i].tolist())
 
     def __len__(self) -> int:
-        return self.rows
+        return self.num.shape[0]
 
     def __iter__(self):
-        return (self.row(i) for i in range(self.rows))
+        return (self[i] for i in range(len(self)))
 
-    def reshape(self, rows: int, cols: int) -> "ExactMatrix":
-        """The entries read row-major into a rows x cols matrix."""
-        return ExactMatrix(self.num.reshape(rows, cols), self.den)
+    def reshape(self, *shape: int) -> "ExactMatrix":
+        """The entries read row-major into `shape`."""
+        return ExactMatrix(self.num.reshape(shape), self.den)
 
     def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
         """self + sign * other over the least common denominator."""
-        self._check_same_shape(other)
+        if self.shape[-2:] != other.shape[-2:]:
+            raise ValueError("shape mismatch")
         den = lcm(self.den, other.den)
         fa, fb = den // self.den, den // other.den
         a, b = _fit(max(self.bound * fa + other.bound * fb, fa, fb), self.num, other.num)
@@ -178,7 +214,8 @@ class ExactMatrix:
         return (self @ ExactMatrix.from_rows([v]).transpose()).flatten()
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.num.T, self.den)
+        """Each matrix of the stack transposed."""
+        return ExactMatrix(np.swapaxes(self.num, -1, -2), self.den)
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
@@ -186,26 +223,31 @@ class ExactMatrix:
         return Fraction(sum(np.diagonal(self.num).tolist()), self.den)
 
     def flatten(self) -> tuple:
-        return self.reshape(1, -1).row(0)
+        return tuple(Fraction(x, self.den) for x in self.num.ravel().tolist())
+
+    def max_abs(self) -> Fraction:
+        """max |entry| over the whole stack."""
+        return Fraction(self.bound, self.den)
 
     def is_zero(self) -> bool:
         return self.bound == 0
 
     def is_skew(self) -> bool:
-        return self.rows == self.cols and np.array_equal(self.num, -self.num.T)
+        return self.rows == self.cols and np.array_equal(self.num, -self.transpose().num)
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and np.array_equal(self.num, self.num.T)
+        return self.rows == self.cols and np.array_equal(self.num, self.transpose().num)
+
+    def equal(self, other: "ExactMatrix") -> np.ndarray:
+        """Member-wise equality of two stacks, broadcast: a bool array of
+        their stack shape (a bool for two matrices)."""
+        return ~((self - other).num != 0).any(axis=(-2, -1))
 
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "ExactMatrix":
-        return ExactMatrix(self.num[np.ix_(list(row_idx), list(col_idx))], self.den)
+        return ExactMatrix(self.num[..., list(row_idx), :][..., list(col_idx)], self.den)
 
     def to_floats(self):
         return [[float(self[i, j]) for j in range(self.cols)] for i in range(self.rows)]
-
-    def _check_same_shape(self, other: "ExactMatrix"):
-        if self.num.shape != other.num.shape:
-            raise ValueError("shape mismatch")
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ExactMatrix) and self.den == other.den
@@ -216,45 +258,33 @@ class ExactMatrix:
         return hash((self.num.shape, self.den, tuple(self.num.ravel().tolist())))
 
     def __repr__(self):
-        return f"ExactMatrix({self.rows}x{self.cols})"
+        return f"ExactMatrix({'x'.join(map(str, self.num.shape))})"
 
 
 class Bilinear:
-    """An exact bilinear map B(x, y)_k = sum of c x_i y_j over its nonzero
-    terms (i, j, k, c), held as index arrays and one row of coefficients.  A
-    call runs on the integer numerators of x and y: the terms are gathered by
-    index, multiplied and scattered to their slots, as int64 when the bound on
-    every sum is below 2^62 and as Python ints past it."""
+    """An exact bilinear map on Q^n, B(x, y)_k = sum_ij x_i y_j T[i n + j, k],
+    held as one n^2 x n matrix T built from its nonzero terms (i, j, k, c).
+    A call multiplies the outer products of its operand rows by T, so it
+    broadcasts over stacks of rows (..., n) and checks its bounds as `@`
+    does: int64 below 2^62, Python ints past it."""
 
-    __slots__ = ("i", "j", "k", "coef", "size")
+    __slots__ = ("table",)
 
     def __init__(self, terms: Iterable[tuple], size: int):
-        terms = list(terms)
-        i, j, k, coef = zip(*terms) if terms else ((),) * 4
-        self.i, self.j, self.k = (np.array(v, dtype=np.intp) for v in (i, j, k))
-        self.coef = ExactMatrix.from_rows([coef])
-        self.size = size
+        rows = [[Q(0)] * size for _ in range(size * size)]
+        for i, j, k, c in terms:
+            rows[i * size + j][k] += c
+        self.table = ExactMatrix.from_rows(rows)
 
-    def __call__(self, x: Sequence, y: Sequence) -> tuple:
-        (a, da), (b, db) = numerators(x), numerators(y)
-        bound = (len(self.k) * max(self.coef.bound, 1)
-                 * max([1, *map(abs, a)]) * max([1, *map(abs, b)]))
-        dtype = object if bound >= LIMIT else np.int64
-        a, b = np.array(a, dtype=dtype), np.array(b, dtype=dtype)
-        out = np.zeros(self.size, dtype=dtype)
-        np.add.at(out, self.k, self.coef.num[0].astype(dtype) * a[self.i] * b[self.j])
-        den = da * db * self.coef.den
-        return tuple(Fraction(v, den) for v in out.tolist())
-
-
-def flat_rows(mats: Sequence[ExactMatrix]) -> ExactMatrix:
-    """The matrices flattened row-major (the fixed convention), one per row."""
-    return ExactMatrix.stack([m.reshape(1, -1) for m in mats])
-
-
-def unflatten_rows(m: ExactMatrix, rows: int, cols: int) -> list[ExactMatrix]:
-    """Each row of `m` read row-major into a rows x cols matrix."""
-    return [ExactMatrix(r.reshape(rows, cols), m.den) for r in m.num]
+    def __call__(self, x, y):
+        """B(x, y): a tuple for two sequences, a stack of rows for two
+        stacks of rows."""
+        if not isinstance(x, ExactMatrix):
+            return self(ExactMatrix.from_rows([x]), ExactMatrix.from_rows([y])).row(0)
+        a, b = _fit(x.bound * y.bound, x.num, y.num)
+        outer = a[..., :, None] * b[..., None, :]
+        outer = ExactMatrix(outer.reshape(*outer.shape[:-2], -1), x.den * y.den)
+        return outer @ self.table
 
 
 def unit(n: int, i: int) -> tuple:
@@ -262,41 +292,51 @@ def unit(n: int, i: int) -> tuple:
     return tuple(Q(1) if s == i else Q(0) for s in range(n))
 
 
-def skew_basis(n: int, slots: Sequence[int]) -> list[ExactMatrix]:
-    """Elementary skew n x n matrices E_ij - E_ji for i < j in `slots`, in
-    lexicographic order of (i, j)."""
-    out = []
-    for i, j in itertools.combinations(slots, 2):
-        num = np.zeros((n, n), dtype=np.int64)
-        num[i, j], num[j, i] = 1, -1
-        out.append(ExactMatrix(num, 1))
-    return out
+def unit_rows(n: int) -> ExactMatrix:
+    """The n standard unit vectors of Q^n as a stack of rows (n, 1, n)."""
+    return ExactMatrix.identity(n).reshape(n, 1, n)
+
+
+def skew_basis(n: int, slots: Sequence[int]) -> ExactMatrix:
+    """The stack of elementary skew n x n matrices E_ij - E_ji for i < j in
+    `slots`, in lexicographic order of (i, j)."""
+    i, j = np.array(list(itertools.combinations(slots, 2))).T
+    num = np.zeros((len(i), n, n), dtype=np.int64)
+    k = np.arange(len(i))
+    num[k, i, j], num[k, j, i] = 1, -1
+    return ExactMatrix(num, 1)
 
 
 def bracket(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Commutator [a, b] = ab - ba of square matrices of equal size."""
+    """Commutator [a, b] = ab - ba of square matrices of equal size, member
+    by member over broadcast stacks."""
     if a.rows != a.cols or b.rows != b.cols or a.rows != b.rows:
         raise ValueError("bracket requires square matrices of equal size")
     return a @ b - b @ a
 
 
-def trace_form(a: ExactMatrix, b: ExactMatrix) -> Fraction:
+def trace_form(a: ExactMatrix, b: ExactMatrix):
     """tr(ab): the invariant symmetric pairing used for all orthogonality claims.
 
     Proportional to the Killing form on each simple piece; negative definite on
-    real skew matrices.
+    real skew matrices.  A Fraction for two matrices; for stacks, member by
+    member over their broadcast shape, a stack of 1 x 1 matrices.
     """
     if a.rows != a.cols or b.rows != b.cols or a.rows != b.rows:
         raise ValueError("trace_form requires square matrices of equal size")
     x, y = _fit(a.bound * b.bound * a.rows * a.rows, a.num, b.num)
-    return Fraction(int((x * y.T).sum()), a.den * b.den)
+    t = (x * np.swapaxes(y, -1, -2)).sum(axis=(-2, -1))
+    if np.ndim(t) == 0:
+        return Fraction(int(t), a.den * b.den)
+    return ExactMatrix(t[..., None, None], a.den * b.den)
 
 
-def combination(coeffs: Sequence, mats: Sequence[ExactMatrix]) -> ExactMatrix:
-    """sum_i coeffs[i] * mats[i]: one row of coefficients times the matrices
-    flattened into rows."""
-    total = ExactMatrix.from_rows([coeffs]) @ flat_rows(mats)
-    return total.reshape(mats[0].rows, mats[0].cols)
+def combination(coeffs: ExactMatrix, mats) -> ExactMatrix:
+    """sum_i c_i mats[i] for each row c of `coeffs` (..., n): the rows times
+    the n matrices flattened row-major, read back as a stack of matrices."""
+    mats = ExactMatrix.stack(mats)
+    total = coeffs @ mats.reshape(len(mats), -1)
+    return total.reshape(*total.shape[:-1], mats.rows, mats.cols)
 
 
 def common_ratio(xs: Sequence, ys: Sequence) -> Fraction | None:

@@ -11,48 +11,39 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .embeddings import g2_basis
 from .octonions import standard_octonions
-from .rational import ExactMatrix, Q, bracket, skew_basis, unflatten_rows, unit
+from .rational import ExactMatrix, Q, bracket, skew_basis, unit_rows
 from .subspaces import Subspace
 
 
 @functools.lru_cache(maxsize=1)
-def gamma_matrices() -> tuple[ExactMatrix, ...]:
-    """Left multiplication by the 7 imaginary units, as 8x8 exact matrices."""
-    table = standard_octonions()
-    out = []
-    for i in range(1, 8):
-        cols = [table.multiply(unit(8, i), unit(8, j)) for j in range(8)]
-        out.append(ExactMatrix.from_rows(
-            [[cols[j][k] for j in range(8)] for k in range(8)]))
-    return tuple(out)
+def gamma_matrices() -> ExactMatrix:
+    """Left multiplication by the 7 imaginary units, as a stack of 8x8 exact
+    matrices: column j of gamma_i is e_i e_j."""
+    e = unit_rows(8)
+    products = standard_octonions().multiply(e[1:, None], e)   # [i, j, 0, k]
+    return products.reshape(7, 8, 8).transpose()
 
 
 def clifford_certificate() -> bool:
     """gamma_i gamma_j + gamma_j gamma_i = -2 delta_ij, exactly."""
     gammas = gamma_matrices()
-    ident = ExactMatrix.identity(8)
-    for i in range(7):
-        for j in range(7):
-            anti = gammas[i] @ gammas[j] + gammas[j] @ gammas[i]
-            expected = ident.scale(-2) if i == j else ExactMatrix.zeros(8)
-            if anti != expected:
-                return False
-    return True
+    g_i, g_j = gammas[:, None], gammas
+    expected = np.eye(7, dtype=np.int64)[:, :, None, None] * np.eye(8, dtype=np.int64)
+    return g_i @ g_j + g_j @ g_i == ExactMatrix(-2 * expected, 1)
 
 
-def spin7_basis() -> list[ExactMatrix]:
-    """21 generators (1/2)[gamma_i, gamma_j] = gamma_i gamma_j, i < j."""
+def spin7_basis() -> ExactMatrix:
+    """The stack of 21 generators (1/2)[gamma_i, gamma_j] = gamma_i gamma_j, i < j."""
     gammas = gamma_matrices()
-    out = []
-    for i in range(7):
-        for j in range(i + 1, 7):
-            out.append(bracket(gammas[i], gammas[j]).scale(Q(1, 2)))
-    return out
+    i, j = np.triu_indices(7, 1)
+    return bracket(gammas[i], gammas[j]).scale(Q(1, 2))
 
 
-def so7_canonical_basis() -> list[ExactMatrix]:
+def so7_canonical_basis() -> ExactMatrix:
     """so(7) fixing the unit axis: E_ij - E_ji on slots 1..7 of so(8)."""
     return skew_basis(8, range(1, 8))
 
@@ -75,12 +66,13 @@ def so8_intersection_report() -> So8IntersectionReport:
     inter = spin.intersect(canon)
 
     # restrict intersection elements (which kill slot 0) to the imaginary block
-    restricted = []
-    for m in unflatten_rows(inter.basis, 8, 8):
-        if any(m[0, j] != 0 or m[j, 0] != 0 for j in range(8)):
+    if inter.dim == 0:
+        inter7 = Subspace.span([], 49)
+    else:
+        mats = inter.basis.reshape(inter.dim, 8, 8)
+        if mats.num[:, 0].any() or mats.num[:, :, 0].any():
             raise ValueError("intersection element does not fix the unit axis")
-        restricted.append(m.submatrix(range(1, 8), range(1, 8)))
-    inter7 = Subspace.span_matrices(restricted) if restricted else Subspace.span([], 49)
+        inter7 = Subspace.span_matrices(mats.submatrix(range(1, 8), range(1, 8)))
     return So8IntersectionReport(
         sum_dim=total.dim,
         intersection_dim=inter.dim,

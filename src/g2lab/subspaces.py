@@ -8,7 +8,14 @@ each step the bound on the new entries is checked against 2^62, as in
 echelon form comes out once, at the end, as an `ExactMatrix` over the least
 common multiple of the pivots.  Every subspace is held in its reduced
 row-echelon basis, which makes equality of subspaces literal equality of
-bases; Fractions appear only where a caller reads rows or coordinates.
+bases.
+
+Membership and coordinates take stacks: each member of a matrix or stack
+(..., rows, cols) is read row-major as one vector, so `Subspace.contains`
+answers a whole stack with one product and one comparison, and
+`Coordinates` gives the coefficients of every member as a stack of rows
+(..., 1, dim).  Fractions appear only where a caller reads rows or
+coordinates.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rational import ExactMatrix, Q, _fit, _magnitude, flat_rows
+from .rational import ExactMatrix, Q, _fit, _magnitude
 
 
 def _divide_content(rows: np.ndarray) -> np.ndarray:
@@ -78,7 +85,7 @@ def kernel_basis(a: ExactMatrix) -> ExactMatrix:
 
 def _side_by_side(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """[a | b] for matrices with the same number of rows."""
-    return ExactMatrix.stack([a.transpose(), b.transpose()]).transpose()
+    return ExactMatrix.concatenate([a.transpose(), b.transpose()]).transpose()
 
 
 def inverse(m: ExactMatrix) -> ExactMatrix:
@@ -144,11 +151,11 @@ class Subspace:
         return Subspace(basis, tuple(pivots))
 
     @staticmethod
-    def span_matrices(mats: Sequence[ExactMatrix]) -> "Subspace":
-        """Span of matrices flattened row-major (the fixed convention)."""
-        if not mats:
-            raise ValueError("need at least one matrix")
-        return Subspace.span(flat_rows(mats))
+    def span_matrices(mats) -> "Subspace":
+        """Span of a stack, or a nonempty sequence, of matrices flattened
+        row-major (the fixed convention)."""
+        mats = ExactMatrix.stack(mats)
+        return Subspace.span(mats.reshape(len(mats), -1))
 
     @property
     def ambient_dim(self) -> int:
@@ -158,35 +165,41 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
-    def _coefficients(self, v) -> ExactMatrix | None:
-        """The coefficients of v as one row, or None if v is outside.  v is a
-        sequence of exact scalars or a matrix read row-major.  The basis rows
-        have unit pivots and zeros at each other's pivots, so the
-        coefficients are v at the pivot columns; reconstruction checks them."""
-        v = v.reshape(1, -1) if isinstance(v, ExactMatrix) else ExactMatrix.from_rows([v])
+    def _coefficients(self, v) -> tuple[ExactMatrix, np.ndarray]:
+        """The coefficients of each vector of v as rows (..., 1, dim), and
+        whether each vector lies in the subspace.  v is a sequence of exact
+        scalars (one vector) or a stack whose members are each read
+        row-major as one vector.  The basis rows have unit pivots and zeros
+        at each other's pivots, so the coefficients are v at the pivot
+        columns; reconstruction checks them."""
+        v = ExactMatrix.from_rows([v]) if not isinstance(v, ExactMatrix) else v
+        v = v.reshape(*v.shape[:-2], 1, -1)
         if v.cols != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        c = v.submatrix([0], self.pivots)
-        return c if c @ self.basis == v else None
+        c = v[..., list(self.pivots)]
+        return c, (c @ self.basis).equal(v)
 
     def coordinates(self, v) -> tuple | None:
-        """Coefficients of v in this basis, or None if v is outside."""
-        c = self._coefficients(v)
-        return None if c is None else c.row(0)
+        """Coefficients of one vector v in this basis, or None if v is outside."""
+        c, inside = self._coefficients(v)
+        return c.row(0) if inside else None
 
-    def contains(self, v) -> bool:
-        return self._coefficients(v) is not None
+    def contains(self, v):
+        """Whether v lies in the subspace: a bool for one vector, a bool
+        array of the stack's shape for a stack."""
+        inside = self._coefficients(v)[1]
+        return inside if np.ndim(inside) else bool(inside)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace.span(ExactMatrix.stack([self.basis, other.basis]))
+        return Subspace.span(ExactMatrix.concatenate([self.basis, other.basis]))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
         if self.dim == 0 or other.dim == 0:
             return Subspace.span([], self.ambient_dim)
         # x^T B1 = y^T B2  <=>  [B1^T | -B2^T] (x; y) = 0
-        ker = kernel_basis(ExactMatrix.stack([self.basis, -other.basis]).transpose())
+        ker = kernel_basis(ExactMatrix.concatenate([self.basis, -other.basis]).transpose())
         x = ker.submatrix(range(ker.rows), range(self.dim))
         return Subspace.span(x @ self.basis)
 
@@ -229,10 +242,11 @@ class Coordinates:
             raise ValueError("vectors are linearly dependent")
         return Coordinates(span, inverse(rows.submatrix(range(rows.rows), span.pivots)))
 
-    def __call__(self, v) -> tuple | None:
-        """Coefficients of v in the basis, or None if v is outside its span."""
-        c = self.span._coefficients(v)
-        return None if c is None else (c @ self.pivot_inverse).row(0)
+    def __call__(self, v) -> ExactMatrix | None:
+        """Coefficients in the basis of each vector of v, as rows
+        (..., 1, dim), or None if any of them is outside the span."""
+        c, inside = self.span._coefficients(v)
+        return c @ self.pivot_inverse if np.all(inside) else None
 
 
 def gram_matrix(vectors: Sequence[Sequence], pairing) -> ExactMatrix:

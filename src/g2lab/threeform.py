@@ -18,8 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .embeddings import g2_basis
-from .rational import (Bilinear, ExactMatrix, Q, _as_q, _fit, exact_json, flat_rows,
-                       skew_basis)
+from .rational import Bilinear, ExactMatrix, Q, _as_q, _fit, exact_json, skew_basis
 from .subspaces import Subspace, kernel_basis
 
 TRIPLES = tuple(itertools.combinations(range(7), 3))
@@ -157,7 +156,7 @@ def action_on_threeforms(a: ExactMatrix) -> ExactMatrix:
 def invariant_threeform() -> ThreeForm:
     """The unique (up to scale) 3-form annihilated by the whole algebra,
     normalized to squared norm 7 with the fixed sign convention."""
-    ker = kernel_basis(ExactMatrix.stack(
+    ker = kernel_basis(ExactMatrix.concatenate(
         [action_on_threeforms(el) for el in g2_basis().elements]))
     if len(ker) != 1:
         raise ValueError(f"invariance kernel has dimension {len(ker)}, not 1: "
@@ -165,8 +164,8 @@ def invariant_threeform() -> ThreeForm:
     return ThreeForm(ker.row(0)).normalize()
 
 
-def so7_basis() -> list[ExactMatrix]:
-    """Elementary skew basis E_ij - E_ji, i < j, of so(7) (21 elements)."""
+def so7_basis() -> ExactMatrix:
+    """Elementary skew basis E_ij - E_ji, i < j, of so(7): a stack of 21."""
     return skew_basis(7, range(7))
 
 
@@ -175,9 +174,9 @@ def stabilizer_in_so7(phi: ThreeForm) -> Subspace:
     basis = so7_basis()
     phi_col = ExactMatrix.from_rows([phi.components]).transpose()
     # row c = action of basis[c] applied to phi; the kernel is of the transpose
-    images = ExactMatrix.stack([(action_on_threeforms(b) @ phi_col).transpose()
-                                for b in basis])
-    return Subspace.span(kernel_basis(images.transpose()) @ flat_rows(basis), 49)
+    images = ExactMatrix.concatenate([(action_on_threeforms(b) @ phi_col).transpose()
+                                      for b in basis])
+    return Subspace.span(kernel_basis(images.transpose()) @ basis.reshape(len(basis), 49), 49)
 
 
 def star_phi(phi: ThreeForm) -> FourForm:

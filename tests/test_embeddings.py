@@ -62,7 +62,7 @@ def test_g2_basis_certifies():
     assert b.span.dim == 14
     assert len(b.structure_constants) == 91
     # closure was certified during construction; spot check an expansion
-    c = b.expand(bracket(b.elements[0], b.elements[9]))
+    c = b.coordinates(bracket(b.elements[0], b.elements[9]))
     assert c is not None
 
 

@@ -227,3 +227,48 @@ def test_flat_bundle_holonomy_zero_over_zero_convention():
     hol = holonomy_residual(b, pts, StencilConfig(h=1e-2))
     assert hol["off_g2_fraction"] == 0.0
     assert hol["curvature_norm"] <= 1e-10
+
+
+# The twist terms of the weak monopole equations on data where each term is
+# known in closed form: flat base, v = 4, a constant twist alpha.
+TWIST = np.array([0.3, -0.5, 0.2])
+
+
+def constant_v(x):
+    return np.full(np.shape(x)[:-1], 4.0)
+
+
+def constant_twist(x):
+    return np.broadcast_to(TWIST, np.shape(x)[:-1] + (3,))
+
+
+def test_weak_monopole_twist_terms_with_a_vanishing_potential():
+    """A = 0: (dA)++ = 0 = u^-1 *alpha - 2 *alpha leaves 2 max|alpha|, and
+    (dA)-- = 0 against *(dv - v alpha) = -4 *alpha leaves 4 max|alpha|."""
+    mono = MonopoleData(v=constant_v, a=lambda x: np.zeros(np.shape(x)[:-1] + (6,)),
+                        alpha=constant_twist)
+    cfg = StencilConfig(h=1e-3)
+    pts = sample_points(base_domain6(), 10, cfg, seed=8)
+    res = weak_monopole_residual(mono, flat_product_metric, pts, cfg)
+    big = np.max(np.abs(TWIST))
+    assert abs(res["plus_plus"] - 2 * big) <= 1e-12
+    assert abs(res["minus_minus"] - 4 * big) <= 1e-12
+    assert res["mixed"] == 0.0
+    assert res["basic_v"] == 0.0 and res["basic_a"] == 0.0
+
+
+def test_weak_monopole_minus_block_closes_with_curl_a_equal_to_v_alpha():
+    """A = 2 alpha x y on the minus block y has curl A = 4 alpha = v alpha,
+    so (dA)-- + *(dv - v alpha) vanishes; the plus block keeps 2 max|alpha|."""
+    def potential(x):
+        a = np.zeros(np.shape(x)[:-1] + (6,))
+        a[..., 3:] = 2 * np.cross(TWIST, x[..., 3:])
+        return a
+
+    mono = MonopoleData(v=constant_v, a=potential, alpha=constant_twist)
+    cfg = StencilConfig(h=1e-3)
+    pts = sample_points(base_domain6(), 10, cfg, seed=8)
+    res = weak_monopole_residual(mono, flat_product_metric, pts, cfg)
+    assert res["minus_minus"] <= 1e-9
+    assert res["mixed"] <= 1e-9
+    assert abs(res["plus_plus"] - 2 * np.max(np.abs(TWIST))) <= 1e-12

@@ -5,7 +5,7 @@ import pytest
 from fractions import Fraction
 
 from g2lab.embeddings import adjoint_rep_on_m, canonical_rep6, intertwiner_solve
-from g2lab.octonions import (_basis_product, alternativity_certificate,
+from g2lab.octonions import (_basis_products, alternativity_certificate,
                              associative_test, associator, calibration_gap, dot,
                              norm_multiplicativity_certificate, standard_cross,
                              standard_octonions, torsion_cross)
@@ -156,7 +156,8 @@ def dense_product(table, p, q):
 def test_signed_sparse_product_matches_the_dense_sum():
     tab = standard_octonions()
     cross = standard_cross()
-    table = [[_basis_product(cross, i, j) for j in range(8)] for i in range(8)]
+    products = _basis_products(cross)
+    table = [[products[i, j] for j in range(8)] for i in range(8)]
     rng = np.random.default_rng(17)
     for _ in range(20):
         p, q = (tuple(Fraction(int(n), int(d)) for n, d in

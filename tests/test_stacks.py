@@ -1,0 +1,154 @@
+"""The exact layer on stacks: stacked operations against the per-matrix loop,
+and negative controls that keep every stacked certificate from passing on
+no cases or on a broken input."""
+
+import dataclasses
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from g2lab import embeddings as emb
+from g2lab import spin8
+from g2lab.octonions import (OctonionTable, alternativity_certificate,
+                             norm_multiplicativity_certificate, standard_octonions)
+from g2lab.rational import LIMIT, Bilinear, ExactMatrix, Q, bracket, trace_form
+from g2lab.reports import SuiteContext
+from g2lab.suites import check_algebra_closure
+
+RATIONALS = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+BIG = 1 << 40   # shifts the first members' numerators: their products pass 2^62
+
+
+@st.composite
+def stack(draw, members, rows, cols, big=False):
+    """A list of `members` matrices (lists of rows of Fractions); with `big`
+    the first one is shifted by 2^40."""
+    mats = [[[draw(RATIONALS) for _ in range(cols)] for _ in range(rows)]
+            for _ in range(members)]
+    if big:
+        mats[0] = [[x + BIG for x in r] for r in mats[0]]
+    return mats
+
+
+def as_stack(mats):
+    return ExactMatrix.stack([ExactMatrix.from_rows(m) for m in mats])
+
+
+def entries(m):
+    return [list(row) for row in m]
+
+
+def fraction_matmul(a, b):
+    """The Fraction triple loop, the reference independent of the kernel."""
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
+       st.integers(1, 4), st.booleans())
+def test_stacked_operations_equal_the_per_matrix_loop(data, s, t, n, k, big):
+    """A (s, 1, n, k) @ B (t, k, n) broadcasts to (s, t, n, n); each member,
+    and each bracket and trace form, equals the operation on the two
+    matrices alone and the Fraction loop.  With `big` the first members pass 2^62 together, so the
+    whole stack runs on Python ints while the other members alone fit int64."""
+    a, b = data.draw(stack(s, n, k, big)), data.draw(stack(t, k, n, big))
+    sq1, sq2 = data.draw(stack(s, n, n, big)), data.draw(stack(t, n, n, big))
+    A, B = as_stack(a), as_stack(b)
+    S1, S2 = as_stack(sq1), as_stack(sq2)
+    A4, S4 = A.reshape(s, 1, n, k), S1.reshape(s, 1, n, n)
+
+    product, brackets, traces = A4 @ B, bracket(S4, S2), trace_form(S4, S2)
+    if big:
+        assert A.bound * B.bound * k >= LIMIT and S1.bound * S2.bound * n >= LIMIT
+        assert product.num.dtype == object
+    assert product.shape == (s, t, n, n) and traces.shape == (s, t, 1, 1)
+    for i in range(s):
+        for j in range(t):
+            x, y = ExactMatrix.from_rows(a[i]), ExactMatrix.from_rows(b[j])
+            p, q = ExactMatrix.from_rows(sq1[i]), ExactMatrix.from_rows(sq2[j])
+            assert entries(product[i, j]) == entries(x @ y) == fraction_matmul(a[i], b[j])
+            assert entries(brackets[i, j]) == entries(bracket(p, q))
+            pq = fraction_matmul(sq1[i], sq2[j])
+            assert traces[i, j, 0, 0] == trace_form(p, q) == sum(pq[r][r] for r in range(n))
+            assert bool(product[i, j].equal(x @ y))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.integers(2, 4), st.integers(1, 4), st.booleans())
+def test_stacked_bilinear_equals_the_per_row_loop(data, n, rows, big):
+    """A Bilinear on stacks of rows (rows, 1, n) equals its call on each pair
+    of rows as sequences, and the Fraction sum over its terms."""
+    terms = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                         st.integers(0, n - 1), RATIONALS),
+                               min_size=1, max_size=12))
+    bil = Bilinear(terms, n)
+    xs = data.draw(stack(rows, 1, n, big))
+    ys = data.draw(stack(rows, 1, n, big))
+    x_rows, y_rows = as_stack(xs), as_stack(ys)
+    out = bil(x_rows, y_rows)
+    if big:     # the outer products, so the stack, run on Python ints
+        assert x_rows.bound * y_rows.bound >= LIMIT
+    for r in range(rows):
+        x, y = xs[r][0], ys[r][0]
+        ref = [Fraction(0)] * n
+        for i, j, k, c in terms:
+            ref[k] += c * x[i] * y[j]
+        assert out[r, 0] == bil(x, y) == tuple(ref)
+
+
+# ------------------------------------------------------- negative controls
+
+def with_flipped_sign(table: OctonionTable, i: int, j: int) -> OctonionTable:
+    sign = table.sign.copy()
+    sign[i, j] *= -1
+    return OctonionTable(table.index, sign)
+
+
+@pytest.mark.parametrize("i", range(8))
+def test_a_flipped_table_sign_fails_a_certificate(i):
+    table = standard_octonions()
+    for j in range(8):
+        bad = with_flipped_sign(table, i, j)
+        assert not (norm_multiplicativity_certificate(bad, 100, 42)
+                    and alternativity_certificate(bad, 50, 42)), (i, j)
+
+
+def test_a_nudged_structure_constant_breaks_closure(monkeypatch):
+    basis = emb.g2_basis()
+    assert check_algebra_closure(SuiteContext()).residuals["closure"] == 0.0
+    rows = [list(r) for r in basis.structure_constants]
+    rows[40][9] += Q(1, 7)
+    nudged = dataclasses.replace(basis, structure_constants=ExactMatrix.from_rows(rows))
+    monkeypatch.setattr(emb, "g2_basis", lambda: nudged)
+    # the defect is (1/7) e_9, whose largest entry is 2
+    assert check_algebra_closure(SuiteContext()).residuals["closure"] == 2 / 7
+
+
+def test_a_flipped_gamma_entry_fails_clifford(monkeypatch):
+    gammas = spin8.gamma_matrices()
+    assert spin8.clifford_certificate()
+    for i, k, j in np.argwhere(gammas.num != 0):
+        num = gammas.num.copy()
+        num[i, k, j] *= -1
+        monkeypatch.setattr(spin8, "gamma_matrices",
+                            lambda num=num: ExactMatrix(num, gammas.den))
+        assert not spin8.clifford_certificate(), (i, k, j)
+
+
+def test_an_empty_stack_is_refused():
+    with pytest.raises(ValueError):
+        ExactMatrix(np.zeros((0, 2, 2), dtype=np.int64), 1)
+    with pytest.raises(ValueError):
+        ExactMatrix.identity(3).reshape(3, 1, 3)[3:]
+    with pytest.raises(ValueError):
+        ExactMatrix.stack([])
+    table = standard_octonions()
+    with pytest.raises(ValueError):
+        norm_multiplicativity_certificate(table, 0, 42)
+    with pytest.raises(ValueError):
+        alternativity_certificate(table, 0, 42)
+    # a matrix with no rows is no stack: spans and kernels may be empty
+    assert ExactMatrix.zeros(0, 4).rows == 0
