@@ -8,12 +8,9 @@ Every result carries the point axes of the query first, as `fields.fd_gradient`
 does: R[..., a, b, c, d].
 
 A metric handed to `metric_jet`, and so to `riemann` and what is built on
-it, takes a block: called on an (m, dim) array of points it returns
-(m, n, n), each row with the bits of the metric at its point (every metric
-under `src/` does).  The jet stacks the stencil points of a query, a point
-(dim,) or a block (k, dim), into such arrays, so it makes a few large metric
-calls in place of one per stencil offset.  `christoffel` reads the star of
-`fields.star_jet`, one call per offset.
+it, is a field in the sense of `fields`: on an (m, dim) array of rows it
+returns (m, n, n).  The jet reads it through the stencil engine
+`fields._at_offsets`, in n calls in place of one per stencil offset.
 """
 
 from __future__ import annotations
@@ -22,33 +19,22 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import Point, StencilConfig, star_jet
-
-
-def _at_offsets(g: Callable, p: Point, offsets: np.ndarray) -> np.ndarray:
-    """(..., s, n, n): the metric at p + offsets[s], from one call on the
-    stacked points."""
-    n = p.shape[-1]
-    out = np.asarray(g((p[..., None, :] + offsets).reshape(-1, n)), dtype=float)
-    return out.reshape(p.shape[:-1] + (len(offsets),) + out.shape[-2:])
+from .fields import Point, StencilConfig, _at_offsets, star_jet
 
 
 def metric_jet(g: Callable, p: Point, cfg: StencilConfig):
     """(g, dg, ddg) with dg[..., a, :, :] = d_a g and ddg[..., a, b, :, :] =
     d_a d_b g, from the standard second-order 3- and 4-point stencils: the
     star p, p +- h e_a of `fields.star_jet` and the cross points
-    p +- h e_a +- h e_b.  The metric is called n times: once on the star and
-    once per row a on the cross points of the pairs a < b.  Each difference
-    is taken term for term as with one call per offset, so the jet keeps
-    those bits."""
+    p +- h e_a +- h e_b.  The metric is called n times, to bound the stack:
+    on the star and on the cross points of each row a < n - 1.  Each
+    difference is taken term for term, so the jet keeps the bits of one call
+    per offset."""
     h, n = cfg.h, p.shape[-1]
-    eye = h * np.eye(n)
-    star = _at_offsets(g, p, np.concatenate([np.zeros((1, n)), eye, -eye]))
-    g0, fp, fm = star[..., 0, :, :], star[..., 1:n + 1, :, :], star[..., n + 1:, :, :]
-    dg = (fp - fm) / (2 * h)
+    g0, dg, diagonal = star_jet(g, p, cfg)
     ddg = np.empty(dg.shape[:-3] + (n,) + dg.shape[-3:])
-    idx = np.arange(n)
-    ddg[..., idx, idx, :, :] = (fp - 2 * g0[..., None, :, :] + fm) / h**2
+    ddg[..., np.arange(n), np.arange(n), :, :] = diagonal
+    eye = h * np.eye(n)
     for a in range(n - 1):
         b = np.arange(a + 1, n)
         # the corners ++, +-, -+, -- of each pair (a, b), in that order
@@ -61,9 +47,9 @@ def metric_jet(g: Callable, p: Point, cfg: StencilConfig):
     return g0, dg, ddg
 
 
-def christoffel(g: Callable, p: Point, cfg: StencilConfig) -> np.ndarray:
-    """Gamma[..., c, a, b] from the first-order star alone."""
-    g0, dg, _ = star_jet(g, p, cfg)
+def christoffel(g0: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Gamma[..., c, a, b] from the metric g0 and dg[..., a, b, d] = d_a g_bd,
+    as the first-order star of `fields.star_jet` gives them."""
     return 0.5 * _raise(_inverse(g0), _symmetrized(dg))
 
 

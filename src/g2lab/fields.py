@@ -1,17 +1,20 @@
 """Finite-difference calculus on coordinate boxes, at a point or a block of
 points.
 
-Fields are plain callables evaluated at a point or a block of points; nothing
-is ever stored on a grid.  A point is an array of shape (dim,) and a block one
-of shape (k, dim): the stencils shift the last axis, and the frame and form
-helpers below (`transform_form` among them) broadcast over leading axes, so
-one implementation serves both and a block's rows carry the bits of the point
-results.  A 1-form value is a vector and a 2-form value a skew matrix
-(`d_one_form`, the block star `hodge_restricted`); `exterior_d` and
-`transform_form` take a k-form value as a numpy vector over the sorted k-index
-combinations in lexicographic order, which is how the 3- and 4-forms of a
-bundle are held.  Domains are boxes with explicit excluded sets, and samplers
-reject points too close to an exclusion or the boundary.
+Fields are plain callables; nothing is ever stored on a grid.  A query is a
+point (dim,) or a block (k, dim).  A field handed to a stencil takes an
+(m, dim) array of rows and returns one value per row, of any shape:
+`_at_offsets`, the one place a field is evaluated on a stencil, calls it once
+on the stacked rows, and `fd_gradient`, `star_jet`, `exterior_d` and
+`d_one_form` are difference formulas on its output.  The frame and form
+helpers (`transform_form` among them) broadcast over leading axes, so a
+block's rows carry the bits of the point results.  A 1-form value is a vector
+and a 2-form value a skew matrix (`d_one_form`, the block star
+`hodge_restricted`); `exterior_d` and `transform_form` take a k-form value as
+a numpy vector over the sorted k-index combinations in lexicographic order,
+which is how the 3- and 4-forms of a bundle are held.  Domains are boxes with
+explicit excluded sets, and samplers reject points too close to an exclusion
+or the boundary.
 """
 
 from __future__ import annotations
@@ -77,47 +80,51 @@ def _lift_exclusion(excl):
     return lambda p: excl(p[..., 1:])
 
 
-def fd_partial(f: Callable, p: Point, direction: int, cfg: StencilConfig):
-    """Central-difference partial derivative in one coordinate direction.
+def _at_offsets(f: Callable, p: Point, offsets: np.ndarray) -> np.ndarray:
+    """f at p + offsets[s], at [..., s, ...] behind the point axes of p, from
+    one call of f on the stacked rows.  `offsets` is (s, dim), or carries
+    the point axes of p in front when the stencil moves with the point."""
+    rows = (p[..., None, :] + offsets).reshape(-1, p.shape[-1])
+    out = np.asarray(f(rows), dtype=float)
+    if out.shape[:1] != rows.shape[:1]:
+        raise ValueError(f"field gave shape {out.shape} on rows of shape "
+                         f"{rows.shape}; it must return one value per row")
+    return out.reshape(p.shape[:-1] + offsets.shape[-2:-1] + out.shape[1:])
 
-    Works for scalar- or array-valued fields; exact on quadratics.  At a
-    block `p` of shape (k, dim) the field is called once on each shifted
-    block and the result has a leading point axis.
-    """
-    h = cfg.h
-    pp, pm = p.copy(), p.copy()
-    pp.T[direction] += h     # .T leads with the coordinate axis at a point
-    pm.T[direction] -= h     # and at a block alike
-    return (np.asarray(f(pp), dtype=float) - np.asarray(f(pm), dtype=float)) / (2 * h)
+
+def _shifts(n: int, h: float, star: bool = False) -> np.ndarray:
+    """The offsets +h e_a, then -h e_a; with `star`, 0 before them."""
+    eye = h * np.eye(n)
+    return np.concatenate([np.zeros((1, n))] * star + [eye, -eye])
+
+
+def _central(values: np.ndarray, p: Point, h: float) -> np.ndarray:
+    """(f(p + s_a) - f(p - s_a)) / 2h at [..., a, ...] from the values of f
+    (or of a function of it) at p + s_a, then at p - s_a, as on `_shifts`."""
+    fp, fm = np.split(values, 2, axis=p.ndim - 1)
+    return (fp - fm) / (2 * h)
+
+
+def _star_differences(values: np.ndarray, p: Point, h: float) -> tuple:
+    """(f, df, dd) from the values of f (or of a function of it) on the star
+    `_shifts(n, h, star=True)`: df[..., a, :] = d_a f by central and
+    dd[..., a, :] = d_a d_a f by 3-point second differences."""
+    f0, shifted = np.split(values, [1], axis=p.ndim - 1)
+    fp, fm = np.split(shifted, 2, axis=p.ndim - 1)
+    return f0.squeeze(p.ndim - 1), (fp - fm) / (2 * h), (fp - 2 * f0 + fm) / h**2
 
 
 def fd_gradient(f: Callable, p: Point, cfg: StencilConfig) -> np.ndarray:
-    """The partials d_d f stacked after the point axes: shape (dim, ...) at a
-    point and (k, dim, ...) at a block."""
-    partials = np.array([fd_partial(f, p, d, cfg) for d in range(p.shape[-1])])
-    return partials.swapaxes(0, p.ndim - 1)
+    """The central-difference partials d_d f stacked after the point axes:
+    shape (dim, ...) at a point and (k, dim, ...) at a block; exact on
+    quadratics."""
+    return _central(_at_offsets(f, p, _shifts(p.shape[-1], cfg.h)), p, cfg.h)
 
 
 def star_jet(f: Callable, p: Point, cfg: StencilConfig) -> tuple:
-    """(f, df, dd) from the first-order star p, p +- h e_a: df[..., a, :] =
-    d_a f by the central differences of `fd_partial` and dd[..., a, :] =
-    d_a d_a f by the 3-point second difference, each stacked after the point
-    axes as in `fd_gradient`.  2 dim + 1 field evaluations."""
-    h = cfg.h
-    f0 = np.asarray(f(p), dtype=float)
-    lead = p.shape[:-1]
-    df = np.empty(lead + p.shape[-1:] + f0.shape[len(lead):])
-    dd = np.empty(df.shape)
-    for a in range(p.shape[-1]):
-        pp, pm = p.copy(), p.copy()
-        pp.T[a] += h
-        pm.T[a] -= h
-        fp = np.asarray(f(pp), dtype=float)
-        fm = np.asarray(f(pm), dtype=float)
-        at = (slice(None),) * len(lead) + (a,)
-        df[at] = (fp - fm) / (2 * h)
-        dd[at] = (fp - 2 * f0 + fm) / h**2
-    return f0, df, dd
+    """`_star_differences` of f on the star p, p +- h e_a."""
+    return _star_differences(_at_offsets(f, p, _shifts(p.shape[-1], cfg.h, star=True)),
+                             p, cfg.h)
 
 
 @functools.lru_cache(maxsize=None)
@@ -139,16 +146,17 @@ def _d_table(n: int, k: int) -> tuple:
 
 def exterior_d(omega: Callable, p: Point, k: int, cfg: StencilConfig) -> np.ndarray:
     """Coordinate exterior derivative of a k-form field at a point or a block
-    of points.
+    of points: `_d_of_partials` of its `fd_gradient`."""
+    return _d_of_partials(fd_gradient(omega, p, cfg), k)
 
-    (d omega)_J = sum_m (-1)^m d_{J_m} omega_{J minus J_m} on sorted (k+1)-tuples.
-    A scalar field (k = 0) may return a plain float.
-    """
-    partials = fd_gradient(omega, p, cfg)
+
+def _d_of_partials(partials: np.ndarray, k: int) -> np.ndarray:
+    """(d omega)_J = sum_m (-1)^m d_{J_m} omega_{J minus J_m} on sorted
+    (k+1)-tuples, from partials[..., d, I] = d_d omega_I."""
     if k == 0:
         return partials
-    n = p.shape[-1]
-    out = np.zeros(p.shape[:-1] + (len(combinations_index(n, k + 1)[0]),))
+    n = partials.shape[-2]
+    out = np.zeros(partials.shape[:-2] + (len(combinations_index(n, k + 1)[0]),))
     for m, (lead, rest) in enumerate(_d_table(n, k)):
         out += (-1.0) ** m * partials[..., lead, rest]
     return out
@@ -247,14 +255,13 @@ def adapted_frame(g: np.ndarray) -> np.ndarray:
     return f
 
 
-def frame_derivatives(frame_field: Callable, p: Point, frame: np.ndarray,
-                      gam: np.ndarray, cfg: StencilConfig) -> tuple:
+def frame_derivatives(frame: np.ndarray, dframe: np.ndarray, gam: np.ndarray) -> tuple:
     """Derivatives of a frame field (columns f_b) along its own vectors, in
     coordinates: (d, nabla) with d[..., a, :, b] = d_{f_a} f_b and
-    nabla[..., a, b, :] = nabla_{f_a} f_b = d_{f_a} f_b + gam[k, c, d] f_a^c f_b^d.
-    `frame` is the field's value at p, `gam` the connection there."""
-    # fd_gradient(...)[..., d, k, b] = d_d frame[k, b]
-    d = np.einsum('...da,...dkb->...akb', frame, fd_gradient(frame_field, p, cfg))
+    nabla[..., a, b, :] = nabla_{f_a} f_b = d_{f_a} f_b + gam[k, c, d] f_a^c f_b^d,
+    from the frame, its partials dframe[..., d, k, b] = d_d frame[k, b] (as
+    `fd_gradient` gives them) and the connection gam, at a query."""
+    d = np.einsum('...da,...dkb->...akb', frame, dframe)
     nabla = np.einsum('...kcd,...ca,...db->...abk', gam, frame, frame)
     nabla += d.mT
     return d, nabla
@@ -337,6 +344,12 @@ def sample_points(domain: Domain, n: int, cfg: StencilConfig,
 # the `dense` benchmark's peak RSS rose from 40.6 MB to 42.7 MB (+5.4%,
 # against a 5% bound); the blocked quotient checks take about 0.5 s of it.
 BLOCK = 64
+# Points per block of the verifiers that stack the most per point: the nested
+# stencil of `hypersurface_checks`, the frame derivatives of
+# `killing_conditions_check` and the 14 coframes of `torsionfree_residual`.
+# Their tracemalloc peaks read 2,043, 647 and 1,377 KiB at 64-point blocks
+# (bounds 1,536, 512 and 1,536 KiB) and 1,027, 331 and 882 KiB at 32.
+STACK_BLOCK = 32
 
 
 def blocks(samples: Sequence[Point], size: int = BLOCK):

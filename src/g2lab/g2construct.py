@@ -16,10 +16,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .curvature import christoffel, riemann
-from .fields import (MINUS6, MM, PLUS6, PM, PP, Domain, StencilConfig,
-                     adapted_frame, blocks, combinations_index, d_one_form,
-                     exterior_d, fd_gradient, fd_partial, frame_derivatives,
-                     hodge_restricted, sample_points, sup, transform_form)
+from .fields import (MINUS6, MM, PLUS6, PM, PP, STACK_BLOCK, Domain, StencilConfig,
+                     _at_offsets, _central, _d_of_partials, _shifts, _star_differences,
+                     adapted_frame, blocks, combinations_index, frame_derivatives,
+                     hodge_restricted, sample_points, star_jet, sup, transform_form)
 from .modeldata import (complex_structure_norm, h6, off_g2_fraction,
                         phi_constants, so6_part_projectors, star_phi_constants)
 from .threeform import invariant_threeform
@@ -84,23 +84,23 @@ def _chol_coframe(gblock: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky(gblock).mT
 
 
-def _basicness(mono: MonopoleData, x: np.ndarray, dv: np.ndarray,
-               cfg: StencilConfig) -> dict:
-    """v and A constant along the plus block, and A annihilating it, at x
-    (dv is the gradient of v there)."""
-    a_plus = [fd_partial(mono.a, x, d, cfg) for d in PLUS6]
-    a_plus.append(np.asarray(mono.a(x), float)[..., PLUS6])
-    return {"basic_v": np.abs(dv[..., PLUS6]),
-            "basic_a": np.abs(np.concatenate(a_plus, axis=-1))}
+def _monopole_jets(mono: MonopoleData, x: np.ndarray, cfg: StencilConfig) -> tuple:
+    """(dA, v, dv, basicness) at x, from the stars of A and v: basicness is
+    v and A constant along the plus block, and A annihilating it."""
+    a0, grad_a, _ = star_jet(mono.a, x, cfg)
+    v, dv, _ = star_jet(mono.v, x, cfg)
+    basic = {"basic_v": np.abs(dv[..., PLUS6]),
+             "basic_a": np.maximum(np.max(np.abs(grad_a[..., PLUS6, :]), axis=(-2, -1)),
+                                   np.max(np.abs(a0[..., PLUS6]), axis=-1))}
+    return grad_a - grad_a.mT, v, dv, basic
 
 
 def monopole_residual(mono: MonopoleData, k6, samples, cfg: StencilConfig) -> dict:
     """Residual of dA = -*_H dv plus basicness of v and A."""
     def at(x):
-        da = d_one_form(mono.a, x, cfg)
-        dv = fd_gradient(mono.v, x, cfg)
+        da, _, dv, basic = _monopole_jets(mono, x, cfg)
         da[MM] += hodge_restricted(dv[..., MINUS6], np.asarray(k6(x), float)[MM])
-        return {"monopole": np.abs(da), **_basicness(mono, x, dv, cfg)}
+        return {"monopole": np.abs(da), **basic}
     return sup(blocks(samples), at)
 
 
@@ -112,17 +112,15 @@ def weak_monopole_residual(mono: MonopoleData, k6, samples,
     the rescaled pairing."""
     def at(x):
         g = np.asarray(k6(x), float)
-        v = np.asarray(mono.v(x), float)[..., None]
         alpha = mono.alpha_or_zero(x)
-        da = d_one_form(mono.a, x, cfg)
-        dv = fd_gradient(mono.v, x, cfg)
+        da, v, dv, basic = _monopole_jets(mono, x, cfg)
+        v = v[..., None]
         # alpha is carried to the plus block by the positional identification;
         # u^-1 = v^(1/2)
         rhs_pp = np.sqrt(v)[..., None] * hodge_restricted(alpha, g[PP])
         rhs_mm = hodge_restricted(dv[..., MINUS6] - v * alpha, g[MM])
         return {"plus_plus": np.abs(da[PP] - rhs_pp), "mixed": np.abs(da[PM]),
-                "minus_minus": np.abs(da[MM] + rhs_mm),
-                **_basicness(mono, x, dv, cfg)}
+                "minus_minus": np.abs(da[MM] + rhs_mm), **basic}
     return sup(blocks(samples), at)
 
 
@@ -199,12 +197,11 @@ def weak_sl3_consistency(k6, alpha, samples, cfg: StencilConfig) -> dict:
     with the sharp taken in the base metric.
     """
     def at(x):
-        g = np.asarray(k6(x), float)
-        fr = adapted_frame(g)
-        gam = christoffel(k6, x, cfg)
+        metrics = _at_offsets(k6, x, _shifts(6, cfg.h, star=True))
+        g, dg, _ = _star_differences(metrics, x, cfg.h)
+        fr, dframe, _ = _star_differences(adapted_frame(metrics), x, cfg.h)
         # connection form in the frame: omega(f_c)[k, b] = <f^k, nabla_{f_c} f_b>
-        _, nabla = frame_derivatives(lambda q: adapted_frame(np.asarray(k6(q), float)),
-                                     x, fr, gam, cfg)
+        _, nabla = frame_derivatives(fr, dframe, christoffel(g, dg))
         e = np.linalg.inv(fr)
         alpha_v = np.zeros(3) if alpha is None else np.asarray(alpha(x), float)
         sharp = np.linalg.solve(g[MM], alpha_v)
@@ -234,16 +231,27 @@ def _h_component(omega: np.ndarray) -> np.ndarray:
     return (q.T @ (q @ v)).reshape(6, 6)
 
 
+# Frames per `transform_form` call of `torsionfree_residual`, where it is fastest
+# per frame: 33 ms for the 100-point torsion study, 40 ms at one call per block.
+FORM_CHUNK = 64
+
+
 def torsionfree_residual(bundle: G2MetricBundle, samples, cfg: StencilConfig) -> dict:
-    """sup |d phi| and sup |d *phi| in orthonormal-frame components."""
+    """sup |d phi| and sup |d *phi| in orthonormal-frame components, both
+    from one coframe call per block on the 14 shifted points."""
     def at(p):
         fr = bundle.frame(p)
-        dphi = exterior_d(bundle.phi_field, p, 3, cfg)
-        dphi_f = transform_form(dphi, 4, 7, fr)
-        dstar = exterior_d(bundle.star_phi_field, p, 4, cfg)
-        dstar_f = transform_form(dstar, 5, 7, fr)
-        return {"sup_dphi": np.abs(dphi_f), "sup_dstarphi": np.abs(dstar_f)}
-    return sup(blocks(samples), at)
+        frames = _at_offsets(bundle.coframe, p, _shifts(7, cfg.h))
+        flat = frames.reshape(-1, 7, 7)
+        out = {}
+        for name, constants, k in (("sup_dphi", phi_constants(), 3),
+                                   ("sup_dstarphi", star_phi_constants(), 4)):
+            forms = np.concatenate([transform_form(constants, k, 7, flat[i:i + FORM_CHUNK])
+                                    for i in range(0, len(flat), FORM_CHUNK)])
+            partials = _central(forms.reshape(frames.shape[:-2] + (-1,)), p, cfg.h)
+            out[name] = np.abs(transform_form(_d_of_partials(partials, k), k + 1, 7, fr))
+        return out
+    return sup(blocks(samples, STACK_BLOCK), at)
 
 
 def estimate_order(h_list: Sequence[float], residuals: Sequence[float]):

@@ -9,8 +9,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import (Domain, StencilConfig, d_one_form, hodge_restricted,
-                     star_jet, sup)
+from .fields import (Domain, StencilConfig, blocks, d_one_form,
+                     hodge_restricted, star_jet, sup)
 
 
 def dirac_string_exclusion(p3: np.ndarray) -> np.ndarray:
@@ -74,15 +74,15 @@ class GHData:
     domain: Domain
 
     def consistency_residuals(self, samples, cfg: StencilConfig) -> dict:
-        """Harmonicity of V and the dA = *dV equation, at sample points.  The
-        gradient and Laplacian of V come from its first-order star p, p +- h
-        e_a (`fields.star_jet`).  Point by point: V need not take blocks."""
+        """Harmonicity of V and the dA = *dV equation, on blocks of sample
+        points.  The gradient and Laplacian of V come from its first-order
+        star p, p +- h e_a (`fields.star_jet`), one call of V per block."""
         def at(p):
             _, dv, lap = star_jet(self.v, p, cfg)
             star_dv = hodge_restricted(dv, np.eye(3))
-            return {"harmonicity": abs(np.sum(lap)),
+            return {"harmonicity": np.abs(np.sum(lap, axis=-1)),
                     "potential": np.abs(d_one_form(self.a, p, cfg) - star_dv)}
-        return sup(samples, at)
+        return sup(blocks(samples), at)
 
 
 def gh_build(data: GHData):

@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .curvature import christoffel
-from .fields import Domain, StencilConfig, blocks, fd_gradient, sup
+from .fields import (STACK_BLOCK, Domain, StencilConfig, _at_offsets, _shifts,
+                     _star_differences, blocks, fd_gradient, sup)
 from .modeldata import cross7
 
 
@@ -91,50 +92,41 @@ def _j_matrix(t: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 def hypersurface_checks(imm: Immersion, samples, cfg: StencilConfig) -> dict:
-    """Residual report at the samples; all derivatives by stencils."""
-    tangent = functools.partial(_tangent, imm, cfg)
-
-    def j_matrix(y: np.ndarray) -> np.ndarray:
-        t = tangent(y)
-        return _j_matrix(t, _normal(t))
-
-    def induced_metric(y: np.ndarray) -> np.ndarray:
-        t = tangent(y)
-        return t.mT @ t
-
+    """Residual report at the samples; all derivatives by stencils.  The
+    tangent frame is evaluated once per block, on the first-order star, and
+    the induced metric, J and the second fundamental form are read from it."""
     def at(y):
-        t = tangent(y)
-        g = t.mT @ t
+        ts = _at_offsets(functools.partial(_tangent, imm, cfg), y,
+                         _shifts(y.shape[-1], cfg.h, star=True))
+        _, ddf, _ = _star_differences(ts, y, cfg.h)
+        g, dg, _ = _star_differences(ts.mT @ ts, y, cfg.h)
         if np.any(np.linalg.det(g) < 1e-10):
             raise ValueError("degenerate induced metric")
-        n = _normal(t)
-        jmat = _j_matrix(t, n)
-        gam = christoffel(induced_metric, y, cfg)
-        dj = fd_gradient(j_matrix, y, cfg)
+        normals = _normal(ts)
+        n = normals[..., 0, :]
+        jmat, dj, _ = _star_differences(_j_matrix(ts, normals), y, cfg.h)
+        gam = christoffel(g, dg)
         # (nabla_c J)^a_b
         ndj = dj + np.einsum('...acd,...db->...cab', gam, jmat) \
             - np.einsum('...dcb,...ad->...cab', gam, jmat)
 
-        l = np.linalg.cholesky(g)
-        e6 = l.mT                     # coframe rows
-        f6 = np.linalg.inv(e6)        # frame columns
+        e6 = np.linalg.cholesky(g).mT     # coframe rows
+        f6 = np.linalg.inv(e6)            # frame columns
         ndj_f = np.einsum('...cg,...ae,...ceb,...bf->...gaf', f6, e6, ndj, f6,
                           optimize=True)
         # nearly-Kahler defect: symmetrization over the direction and argument slots
         sym = ndj_f + np.swapaxes(ndj_f, -3, -1)
 
         # second fundamental form and shape operator
-        ddf = fd_gradient(tangent, y, cfg)
         ii = np.einsum('...k,...ckb->...cb', n, ddf)
-        shape = np.linalg.solve(g, ii)
-        shape_f = e6 @ shape @ f6
+        shape_f = e6 @ np.linalg.solve(g, ii) @ f6
         trace = np.trace(shape_f, axis1=-2, axis2=-1)[..., None, None]
         traceless = shape_f - trace / 6.0 * np.eye(6)
         return {"nearly_kahler": np.abs(sym) / 2.0,
                 "kahler": np.abs(ndj_f),
                 "umbilic": np.linalg.norm(traceless, axis=(-2, -1)),
                 "geodesic": np.linalg.norm(shape_f, axis=(-2, -1))}
-    return sup(blocks(samples), at)
+    return sup(blocks(samples, STACK_BLOCK), at)
 
 
 def j_squared_residual(imm: Immersion, samples, cfg: StencilConfig) -> float:

@@ -26,9 +26,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fields import (MM, PM, PP, Domain, StencilConfig, adapted_frame, blocks,
-                     d_one_form, fd_gradient, frame_derivatives, hat,
-                     hodge_restricted, sup)
+from .fields import (MM, PM, PP, STACK_BLOCK, Domain, StencilConfig,
+                     _at_offsets, _central, adapted_frame, blocks, d_one_form,
+                     fd_gradient, frame_derivatives, hat, hodge_restricted,
+                     star_jet, sup)
 from .modeldata import h6
 
 
@@ -112,8 +113,8 @@ def killing_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> 
         e = np.linalg.inv(fr)
         gamma_f = gamma_expanded(info)
         # d_{f_a} f_b and nabla_{f_a} f_b, in coordinates
-        d_along, nabla = frame_derivatives(
-            frame_field, x, fr, np.asarray(data.connection(x), dtype=float), cfg)
+        d_along, nabla = frame_derivatives(fr, fd_gradient(frame_field, x, cfg),
+                                           np.asarray(data.connection(x), dtype=float))
 
         da_mat = d_one_form(data.a_form, x, cfg)
         u = info["u"]
@@ -139,7 +140,7 @@ def killing_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> 
             omega = omega + h6(gamma_f[..., :, a])
             out["corrected_metricity"].append(np.abs(omega + omega.mT))
         return out
-    res = sup(blocks(samples), at)
+    res = sup(blocks(samples, STACK_BLOCK), at)
     # The corrected connection's torsion is
     # T^{nabla + h o gamma}(X, Y) = T^nabla(X, Y) + h(gamma X) Y - h(gamma Y) X,
     # on frame pairs exactly t_frame + hterm above: condition (c)'s torsion
@@ -217,12 +218,6 @@ class RhoConnectionSetup:
     domain: Domain
 
 
-def _directional(f: Callable, x: np.ndarray, v: np.ndarray, h: float):
-    """(f(x + h v) - f(x - h v)) / 2h: a stencil along v, not assembled from
-    coordinate partials, hence numerically independent of them."""
-    return (np.asarray(f(x + h * v), float) - np.asarray(f(x - h * v), float)) / (2 * h)
-
-
 def rho_torsion_check(setup: RhoConnectionSetup, sections: Sequence, samples,
                       cfg: StencilConfig) -> dict:
     """Two independent computations of the anchored-connection torsion.
@@ -236,21 +231,25 @@ def rho_torsion_check(setup: RhoConnectionSetup, sections: Sequence, samples,
     def at(x):
         gtm = np.asarray(setup.gamma_tm(x), float)
         g1 = np.asarray(setup.gamma_one(x), float)
-        u = np.asarray(setup.u(x), float)
-        du = fd_gradient(setup.u, x, cfg)
-        values = [np.asarray(s(x), float) for s in sections]
-        jacobians = [fd_gradient(s, x, cfg) for s in sections]
+        u, du, _ = star_jet(setup.u, x, cfg)
+        values, jacobians = zip(*(star_jet(s, x, cfg)[:2] for s in sections))
+        # (f(x + h v) - f(x - h v)) / 2h of u and the sections along each section
+        # value v: not assembled from coordinate partials, so independent of them
+        along = cfg.h * np.stack(values, axis=-2)
+        offsets = np.concatenate([along, -along], axis=-2)     # they move with x
+        u_along, *sections_along = (_central(_at_offsets(f, x, offsets), x, cfg.h)
+                                    for f in (setup.u, *sections))
 
         out = {"tangent_pairs": [], "axis_pairs": []}
-        for si, (xs, xv) in enumerate(zip(sections, values)):
+        for si, xv in enumerate(values):
             gx = np.matvec(gtm, xv)
             for sj in range(si + 1, len(sections)):
-                ys, yv = sections[sj], values[sj]
+                yv = values[sj]
                 gy = np.matvec(gtm, yv)
 
                 # direct: directional covariant derivatives, coordinate bracket
-                nab_xy = _directional(ys, x, xv, cfg.h)
-                nab_yx = _directional(xs, x, yv, cfg.h)
+                nab_xy = sections_along[sj][..., si, :]
+                nab_yx = sections_along[si][..., sj, :]
                 lie = np.vecmat(xv, jacobians[sj]) - np.vecmat(yv, jacobians[si])
                 direct_tm = ((nab_xy + np.matvec(h6(gx), yv))
                              - (nab_yx + np.matvec(h6(gy), xv)) - lie)
@@ -263,7 +262,7 @@ def rho_torsion_check(setup: RhoConnectionSetup, sections: Sequence, samples,
             # (X, axis) pair: the axis direction has zero anchor, so the
             # tangent parts agree pointwise; the scalar part differs only in
             # the X(u) stencil (directional vs assembled from the gradient)
-            xu_dir = _directional(setup.u, x, xv, cfg.h)
+            xu_dir = u_along[..., si]
             xu_coord = np.vecdot(xv, du)
             direct_ax = xu_dir / u + np.vecdot(g1, xv)
             closed_ax = xu_coord / u + np.vecdot(g1, xv)

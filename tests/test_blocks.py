@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from g2lab import gallery
-from g2lab.curvature import ricci, riemann
+from g2lab.curvature import christoffel, ricci, riemann
 from g2lab.fields import StencilConfig, blocks, sample_points, sup
 from g2lab.g2construct import holonomy_residual, torsionfree_residual
 from g2lab.gibbons import gh_build
-from g2lab.hypersurfaces import (affine_plane, ellipsoid, hypersurface_checks,
-                                 unit_sphere)
+from g2lab.hypersurfaces import (_j_matrix, _normal, affine_plane, ellipsoid,
+                                 hypersurface_checks, unit_sphere)
 
 CURVATURE_CFG = StencilConfig(h=1e-2)
 
@@ -58,13 +58,80 @@ def test_field_on_a_block_equals_row_by_row(name):
     assert np.array_equal(np.asarray(field(block), float), rows)
 
 
+# ------------------------------------------------- the nested stencil
+
+def per_offset_gradient(f, p, cfg):
+    """fd_gradient by the loop of the deleted fd_partial: one field call on
+    each shifted point or block."""
+    h = cfg.h
+    partials = []
+    for d in range(p.shape[-1]):
+        pp, pm = p.copy(), p.copy()
+        pp.T[d] += h
+        pm.T[d] -= h
+        partials.append((np.asarray(f(pp), float) - np.asarray(f(pm), float)) / (2 * h))
+    return np.array(partials).swapaxes(0, p.ndim - 1)
+
+
+def reference_hypersurface_checks(imm, samples, cfg):
+    """hypersurface_checks before the stencil engine: every stencil is one
+    field call per offset, and each derivative re-evaluates the tangent
+    frame (itself a stencil of the chart) on its own shifted points."""
+    def tangent(y):
+        return per_offset_gradient(imm.chart, y, cfg).mT
+
+    def induced_metric(y):
+        t = tangent(y)
+        return t.mT @ t
+
+    def j_matrix(y):
+        t = tangent(y)
+        return _j_matrix(t, _normal(t))
+
+    def at(y):
+        t = tangent(y)
+        g = t.mT @ t
+        n = _normal(t)
+        jmat = _j_matrix(t, n)
+        gam = christoffel(induced_metric(y), per_offset_gradient(induced_metric, y, cfg))
+        dj = per_offset_gradient(j_matrix, y, cfg)
+        ndj = dj + np.einsum('...acd,...db->...cab', gam, jmat) \
+            - np.einsum('...dcb,...ad->...cab', gam, jmat)
+        e6 = np.linalg.cholesky(g).mT
+        f6 = np.linalg.inv(e6)
+        ndj_f = np.einsum('...cg,...ae,...ceb,...bf->...gaf', f6, e6, ndj, f6,
+                          optimize=True)
+        sym = ndj_f + np.swapaxes(ndj_f, -3, -1)
+        ii = np.einsum('...k,...ckb->...cb', n, per_offset_gradient(tangent, y, cfg))
+        shape_f = e6 @ np.linalg.solve(g, ii) @ f6
+        trace = np.trace(shape_f, axis1=-2, axis2=-1)[..., None, None]
+        traceless = shape_f - trace / 6.0 * np.eye(6)
+        return {"nearly_kahler": np.abs(sym) / 2.0,
+                "kahler": np.abs(ndj_f),
+                "umbilic": np.linalg.norm(traceless, axis=(-2, -1)),
+                "geodesic": np.linalg.norm(shape_f, axis=(-2, -1))}
+    return sup(blocks(samples), at)
+
+
+@pytest.mark.parametrize("imm", [unit_sphere(), ellipsoid()], ids=["sphere", "ellipsoid"])
+def test_nested_stencil_equals_the_per_offset_loop(imm):
+    """The tangent frame evaluated once on the star of each block, the chart
+    under it on the engine's nested rows, carries the bits of the per-offset
+    route, over more than one block."""
+    cfg = StencilConfig(h=1e-3)
+    pts = sample_points(imm.domain, 40, cfg, seed=7)
+    assert hypersurface_checks(imm, pts, cfg) == reference_hypersurface_checks(imm, pts, cfg)
+
+
 # --------------------------------------------------------------- memory guard
 
 # Measured with NumPy 2.4.6 on 160 points, two or more blocks each:
-# holonomy_residual (16-point blocks, g2construct.CURVATURE_BLOCK) 1,102 KiB,
-# hypersurface_checks 1,083 KiB, torsionfree_residual 609 KiB and GH riemann
-# and ricci 653 KiB (64-point blocks), so the top is 72% of this bound.  A
-# 64-point block of 7-dimensional riemann reads 4,172 KiB.  tracemalloc counts
+# holonomy_residual (16-point blocks, g2construct.CURVATURE_BLOCK) 1,145 KiB,
+# hypersurface_checks 1,026 KiB and torsionfree_residual 883 KiB (32-point
+# blocks, fields.STACK_BLOCK), GH riemann and ricci 684 KiB (64-point
+# blocks), so the top is 75% of this bound.  A 64-point block of
+# 7-dimensional riemann reads 4,172 KiB, and of hypersurface_checks, whose
+# stencil nests, 2,043 KiB.  tracemalloc counts
 # NumPy's temporaries, so another NumPy version or a reshuffle of these
 # verifiers can move the margin: re-measure before changing the bound.
 PEAK_BOUND = 1536 * 1024

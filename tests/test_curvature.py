@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from g2lab import gallery
+from g2lab import curvature, fields, gallery
 from g2lab.curvature import (christoffel, curvature_operator, metric_jet, ricci,
                              riemann, riemann_lowered, scalar_curvature)
 from g2lab.fields import StencilConfig, sample_points, star_jet
@@ -31,7 +31,7 @@ def polar_flat(p):
 def test_flat_metric_everything_vanishes():
     cfg = StencilConfig(h=1e-2)
     p = np.array([0.3, -0.2, 0.5])
-    assert np.max(np.abs(christoffel(flat, p, cfg))) < 1e-12
+    assert np.max(np.abs(christoffel(*star_jet(flat, p, cfg)[:2]))) < 1e-12
     assert np.max(np.abs(riemann(flat, p, cfg))) < 1e-12
     assert np.max(np.abs(ricci(flat, p, cfg))) < 1e-12
 
@@ -46,7 +46,7 @@ def test_sphere_scalar_curvature():
 def test_polar_flat_has_christoffels_but_no_curvature():
     cfg = StencilConfig(h=1e-3)
     p = np.array([1.3, 0.7])
-    gam = christoffel(polar_flat, p, cfg)
+    gam = christoffel(*star_jet(polar_flat, p, cfg)[:2])
     assert abs(gam[0, 1, 1] + p[0]) < 1e-6          # Gamma^r_{tt} = -r
     assert abs(gam[1, 0, 1] - 1.0 / p[0]) < 1e-6    # Gamma^t_{rt} = 1/r
     assert np.max(np.abs(riemann(polar_flat, p, cfg))) < 1e-6
@@ -155,14 +155,20 @@ def test_riemann_equals_the_einsum_formula(name):
     assert np.max(np.abs(riemann(g, block, cfg) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_riemann_calls_the_metric_once_per_stencil_row():
+def test_riemann_calls_the_metric_once_per_stencil_row(monkeypatch):
+    """Every stencil point of the jet goes through the shared engine, in n
+    calls of 7 dimensions: the star, then the cross points of each row
+    a < n - 1.  The metric is called by the engine alone."""
     g, block = CURVATURE_BLOCKS["taub-nut-7"]
-    calls = []
+    engine_calls, metric_rows = [], []
 
-    def counted(p):
-        calls.append(p.shape)
-        return g(p)
+    def counted_engine(f, p, offsets, engine=fields._at_offsets):
+        engine_calls.append(len(offsets))
+        return engine(f, p, offsets)
 
-    riemann(counted, block, StencilConfig(h=1e-2))
-    assert len(calls) <= 16            # one call per stencil offset made 99
-    assert sum(rows for rows, _ in calls) == 99 * len(block)
+    monkeypatch.setattr(fields, "_at_offsets", counted_engine)
+    monkeypatch.setattr(curvature, "_at_offsets", counted_engine)
+    riemann(lambda p: metric_rows.append(len(p)) or g(p), block, StencilConfig(h=1e-2))
+    assert len(engine_calls) == len(metric_rows) == 7
+    assert sum(engine_calls) == 99           # one call per stencil offset made 99
+    assert sum(metric_rows) == 99 * len(block)

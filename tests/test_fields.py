@@ -3,8 +3,9 @@ import pytest
 
 from g2lab.fields import (BLOCK, Domain, StencilConfig, adapted_frame, blocks,
                           combinations_index, d_one_form, exterior_d,
-                          fd_gradient, fd_partial, frame_derivatives, hat,
-                          hodge_restricted, sample_points, sup, transform_form)
+                          fd_gradient, frame_derivatives, hat,
+                          hodge_restricted, sample_points, star_jet, sup,
+                          transform_form)
 from g2lab import fields, gallery
 from g2lab.gallery import killing_taub_nut_data
 from g2lab.gibbons import spatial_domain
@@ -27,12 +28,42 @@ def reference_transform_form(comps, k, n, frame):
     return out
 
 
+def reference_fd_partial(f, p, direction, cfg):
+    """The per-offset central difference that the stencil engine replaced:
+    the field is called once on each shifted point or block."""
+    h = cfg.h
+    pp, pm = p.copy(), p.copy()
+    pp.T[direction] += h     # .T leads with the coordinate axis at a point
+    pm.T[direction] -= h     # and at a block alike
+    return (np.asarray(f(pp), dtype=float) - np.asarray(f(pm), dtype=float)) / (2 * h)
+
+
+def reference_fd_gradient(f, p, cfg):
+    """fd_gradient by one reference_fd_partial per direction."""
+    partials = np.array([reference_fd_partial(f, p, d, cfg) for d in range(p.shape[-1])])
+    return partials.swapaxes(0, p.ndim - 1)
+
+
+def reference_star_jet(f, p, cfg):
+    """star_jet by one field call per offset of the star."""
+    h = cfg.h
+    f0 = np.asarray(f(p), dtype=float)
+    dd = []
+    for a in range(p.shape[-1]):
+        pp, pm = p.copy(), p.copy()
+        pp.T[a] += h
+        pm.T[a] -= h
+        dd.append((np.asarray(f(pp), dtype=float) - 2 * f0 + np.asarray(f(pm), dtype=float))
+                  / h**2)
+    return f0, reference_fd_gradient(f, p, cfg), np.array(dd).swapaxes(0, p.ndim - 1)
+
+
 def reference_exterior_d(omega, p, k, cfg):
     """The per-J loop that the table-driven exterior_d replaced."""
     n = len(p)
     _, kindex = combinations_index(n, k)
     combos_k1, _ = combinations_index(n, k + 1)
-    partials = np.array([fd_partial(omega, p, d, cfg) for d in range(n)])
+    partials = np.array([reference_fd_partial(omega, p, d, cfg) for d in range(n)])
     if k == 0:
         return partials
     out = np.zeros(len(combos_k1))
@@ -73,8 +104,8 @@ def test_exterior_d_matches_reference_loop(k):
     n = 7
     ncombos = len(combinations_index(n, k)[0])
     coef = rng.normal(size=(ncombos, n))
-    omega = (lambda q: float(np.sin(coef[0] @ q))) if k == 0 else \
-        (lambda q: np.sin(coef @ q) * (1.0 + q @ q))
+    omega = (lambda q: np.sin(np.vecdot(q, coef[0]))) if k == 0 else \
+        (lambda q: np.sin(np.matvec(coef, q)) * (1.0 + np.vecdot(q, q))[..., None])
     cfg = StencilConfig(h=1e-3)
     for _ in range(5):
         p = rng.uniform(-1.0, 1.0, size=n)
@@ -89,39 +120,40 @@ def test_stencil_step_must_be_finite_and_positive(h):
 
 
 def test_fd_exact_on_quadratic():
-    f = lambda p: p[0] ** 2
+    f = lambda p: p[..., 0] ** 2
     cfg = StencilConfig(h=0.25)
     p = np.array([3.0, 1.0])
-    assert abs(fd_partial(f, p, 0, cfg) - 6.0) < 1e-12
+    assert abs(fd_gradient(f, p, cfg)[0] - 6.0) < 1e-12
 
 
 def test_fd_constant_is_zero():
     cfg = StencilConfig()
-    assert abs(fd_partial(lambda p: 5.0, np.array([0.1, 0.2]), 1, cfg)) < 1e-12
+    constant = lambda p: np.full(p.shape[:-1], 5.0)
+    assert abs(fd_gradient(constant, np.array([0.1, 0.2]), cfg)[1]) < 1e-12
 
 
 def test_fd_sin_accuracy():
-    f = lambda p: np.sin(p[1])
+    f = lambda p: np.sin(p[..., 1])
     cfg = StencilConfig(h=1e-3)
     p = np.array([0.0, 0.5])
-    assert abs(fd_partial(f, p, 1, cfg) - np.cos(0.5)) < 1e-6
+    assert abs(fd_gradient(f, p, cfg)[1] - np.cos(0.5)) < 1e-6
 
 
 def test_fd_linearity():
     rng = np.random.default_rng(0)
     c = rng.normal(size=4)
-    f1 = lambda p: np.sin(p @ c[:2]) if False else np.sin(c[0] * p[0] + c[1] * p[1])
-    f2 = lambda p: np.exp(c[2] * p[0]) * p[1] ** 3
+    f1 = lambda p: np.sin(c[0] * p[..., 0] + c[1] * p[..., 1])
+    f2 = lambda p: np.exp(c[2] * p[..., 0]) * p[..., 1] ** 3
     combo = lambda p: 2.5 * f1(p) - 1.25 * f2(p)
     cfg = StencilConfig(h=1e-3)
     p = np.array([0.2, -0.4])
-    lhs = fd_partial(combo, p, 0, cfg)
-    rhs = 2.5 * fd_partial(f1, p, 0, cfg) - 1.25 * fd_partial(f2, p, 0, cfg)
+    lhs = fd_gradient(combo, p, cfg)[0]
+    rhs = 2.5 * fd_gradient(f1, p, cfg)[0] - 1.25 * fd_gradient(f2, p, cfg)[0]
     assert abs(lhs - rhs) < 1e-12
 
 
 def test_exterior_d_scalar_is_gradient():
-    f = lambda p: p[0] * p[1]
+    f = lambda p: p[..., 0] * p[..., 1]
     cfg = StencilConfig(h=1e-3)
     p = np.array([2.0, 3.0, 1.0])
     df = exterior_d(f, p, 0, cfg)
@@ -134,8 +166,8 @@ def test_exterior_d_linear_one_form_exact():
     combos1, idx1 = combinations_index(n, 1)
 
     def omega(p):
-        out = np.zeros(len(combos1))
-        out[idx1[(1,)]] = p[0]
+        out = np.zeros(p.shape[:-1] + (len(combos1),))
+        out[..., idx1[(1,)]] = p[..., 0]
         return out
 
     cfg = StencilConfig(h=1e-2)
@@ -154,7 +186,7 @@ def test_d_squared_vanishes():
     quad = rng.normal(size=(len(combos1), n, n))
 
     def omega(p):
-        return np.array([c0 @ p + p @ c1 @ p for c0, c1 in zip(lin, quad)])
+        return np.einsum('ij,...j->...i', lin, p) + np.einsum('...j,ijk,...k->...i', p, quad, p)
 
     cfg = StencilConfig(h=1e-2)
     p = np.array([0.1, 0.2, -0.3, 0.4])
@@ -205,7 +237,7 @@ def test_d_one_form_and_block_star_match_the_combination_vector_route():
     rng = np.random.default_rng(300)
     n = 6
     coef = rng.normal(size=(n, n))
-    a = lambda q: np.sin(coef @ q) * (1.0 + q @ q)
+    a = lambda q: np.sin(np.matvec(coef, q)) * (1.0 + np.vecdot(q, q))[..., None]
     cfg = StencilConfig(h=1e-3)
     for block in ((0, 1, 2), (3, 4, 5), (1, 3, 4)):
         for _ in range(5):
@@ -403,7 +435,7 @@ def test_d_squared_structurally_zero_at_shared_step():
     coef = rng.normal(size=(len(combos1), n, n))
 
     def omega(p):
-        return np.array([float(p ** 3 @ c @ p) for c in coef])
+        return np.einsum('...i,cij,...j->...c', p ** 3, coef, p)
 
     p = np.array([0.4, -0.3, 0.2])
     h = 1e-2
@@ -423,7 +455,7 @@ def test_d_squared_decreases_at_stencil_order():
     coef = rng.normal(size=(len(combos1), n, n))
 
     def omega(p):
-        return np.array([float(p ** 3 @ c @ p) for c in coef])
+        return np.einsum('...i,cij,...j->...c', p ** 3, coef, p)
 
     p = np.array([0.4, -0.3, 0.2])
     res = {}
@@ -512,7 +544,8 @@ def test_frame_derivatives_on_a_block_equal_their_points():
         return adapted_frame(data.metric(q))
 
     def both(x):
-        return frame_derivatives(frame_field, x, frame_field(x), data.connection(x), cfg)
+        return frame_derivatives(frame_field(x), fd_gradient(frame_field, x, cfg),
+                                 data.connection(x))
 
     d_block, nabla_block = both(block)
     rows = [both(p) for p in block]
@@ -529,3 +562,80 @@ def test_block_checks_hold_at_every_point_of_a_block():
     gb[3] = -gb[3]                           # one point with det <= 0
     with pytest.raises(ValueError, match="degenerate"):
         hodge_restricted(np.ones((4, 3)), gb)
+
+
+# ------------------------------------------------------- the stencil engine
+
+def _stencil_fields() -> dict:
+    """{name: (domain, field)}: fields of every value shape the layers hand
+    to a stencil, each taking rows."""
+    bundle = gallery.thm1_taub_nut_bundle()
+    gh = gallery.gh_taub_nut_example()
+    killing = killing_taub_nut_data()
+    return {"coframe-7": (bundle.domain, bundle.coframe),
+            "phi-7": (bundle.domain, bundle.phi_field),
+            "gh-v-3": (gh.domain, gh.v),
+            "gh-a-3": (gh.domain, gh.a),
+            "killing-metric-6": (killing.domain, killing.metric),
+            "killing-u-6": (killing.domain, killing.u),
+            "sphere-chart-6": (unit_sphere().domain, unit_sphere().chart)}
+
+
+STENCIL_FIELDS = _stencil_fields()
+
+
+@pytest.mark.parametrize("name", sorted(STENCIL_FIELDS))
+def test_engine_equals_the_per_offset_loop_at_a_point_and_a_block(name):
+    """One field call on the stacked rows carries the bits of one call per
+    offset, for a point (dim,) and a block (k, dim)."""
+    domain, f = STENCIL_FIELDS[name]
+    cfg = StencilConfig(h=1e-3)
+    block = np.array(sample_points(domain, 12, cfg, seed=5))
+    for query in (block[0], block):
+        assert np.array_equal(fd_gradient(f, query, cfg), reference_fd_gradient(f, query, cfg))
+        for got, ref in zip(star_jet(f, query, cfg), reference_star_jet(f, query, cfg)):
+            assert np.array_equal(got, ref)
+        if np.shape(f(query)) == query.shape:                # a 1-form
+            grad = reference_fd_gradient(f, query, cfg)
+            assert np.array_equal(d_one_form(f, query, cfg), grad - grad.mT)
+
+
+def test_engine_on_offsets_that_move_with_the_point():
+    """Per-point offsets (the directional stencils): row by row, the field
+    at each point plus its own offsets."""
+    domain, f = STENCIL_FIELDS["killing-metric-6"]
+    block = np.array(sample_points(domain, 8, StencilConfig(h=1e-3), seed=5))
+    offsets = 1e-3 * np.random.default_rng(1).normal(size=(8, 3, 6))
+    rows = np.array([[f(x + o) for o in per_point] for x, per_point in zip(block, offsets)])
+    assert np.array_equal(fields._at_offsets(f, block, offsets), rows)
+
+
+def _counted(f, calls):
+    def counted(p):
+        calls.append(p.shape)
+        return f(p)
+    return counted
+
+
+@pytest.mark.parametrize("k", [None, 5])
+def test_each_stencil_calls_its_field_once_per_query(k):
+    """fd_gradient, star_jet, exterior_d and d_one_form make one field call
+    on the rows of their stencil: 2 dim rows per point, 2 dim + 1 for the
+    star."""
+    rng = np.random.default_rng(2)
+    p = rng.uniform(-1.0, 1.0, size=(6,) if k is None else (k, 6))
+    points = 1 if k is None else k
+    one_form = lambda q: np.sin(q) * np.cos(np.roll(q, 1, axis=-1))
+    cfg = StencilConfig(h=1e-3)
+    for stencil, rows in ((lambda f: fd_gradient(f, p, cfg), 12),
+                          (lambda f: star_jet(f, p, cfg), 13),
+                          (lambda f: exterior_d(f, p, 1, cfg), 12),
+                          (lambda f: d_one_form(f, p, cfg), 12)):
+        calls = []
+        stencil(_counted(one_form, calls))
+        assert calls == [(rows * points, 6)]
+
+
+def test_engine_refuses_a_field_without_one_value_per_row():
+    with pytest.raises(ValueError, match="one value per row"):
+        fd_gradient(lambda p: 5.0, np.array([0.1, 0.2]), StencilConfig())

@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from g2lab.curvature import christoffel
-from g2lab.fields import (Domain, StencilConfig, adapted_frame, fd_gradient,
-                          frame_derivatives, sample_points)
-from g2lab.g2construct import (MonopoleData, _h_component, estimate_order,
-                               flat_product_metric, g2_build_thm1,
+from g2lab.fields import (STACK_BLOCK, Domain, StencilConfig, adapted_frame,
+                          fd_gradient, frame_derivatives, sample_points, star_jet)
+from g2lab.g2construct import (MonopoleData, _h_component,
+                               estimate_order, flat_product_metric, g2_build_thm1,
                                holonomy_residual, model_phi_check,
                                monopole_residual, torsionfree_residual,
                                weak_monopole_residual, weak_sl3_consistency)
@@ -113,17 +115,19 @@ def test_flat_base_has_no_twist():
 
 
 def _block(a, b, c):
-    return np.array([[1.0 + 0.3 * a * a, 0.4 * b, 0.2 * a * c],
-                     [0.4 * b, 1.0 + 0.2 * c, 0.3 * a * b],
-                     [0.2 * a * c, 0.3 * a * b, 1.2 + 0.1 * b * c]])
+    return np.moveaxis(np.array([[1.0 + 0.3 * a * a, 0.4 * b, 0.2 * a * c],
+                                 [0.4 * b, 1.0 + 0.2 * c, 0.3 * a * b],
+                                 [0.2 * a * c, 0.3 * a * b, 1.2 + 0.1 * b * c]]),
+                       (0, 1), (-2, -1))
 
 
 def curved_base(x):
     """A non-flat 6-metric, block diagonal for the split, with non-diagonal
     blocks, so the adapted frame and its derivatives are not symmetric."""
-    g = np.zeros((6, 6))
-    g[:3, :3] = _block(x[0] + 0.5 * x[3], x[1] - x[4], x[2])
-    g[3:, 3:] = _block(x[3] - x[1], x[4] + 0.3 * x[0], x[5] * x[2])
+    c = x.T      # .T leads with the coordinate axis at a point and on rows alike
+    g = np.zeros(x.shape[:-1] + (6, 6))
+    g[..., :3, :3] = _block(c[0] + 0.5 * c[3], c[1] - c[4], c[2])
+    g[..., 3:, 3:] = _block(c[3] - c[1], c[4] + 0.3 * c[0], c[5] * c[2])
     return g
 
 
@@ -148,8 +152,8 @@ def test_frame_derivatives_give_a_metric_connection_form():
     cfg = StencilConfig(h=1e-3)
     x = np.array([0.1, -0.2, 0.3, 0.15, -0.1, 0.25])
     fr = adapted_frame(curved_base(x))
-    _, nabla = frame_derivatives(lambda q: adapted_frame(curved_base(q)), x, fr,
-                                 christoffel(curved_base, x, cfg), cfg)
+    dframe = fd_gradient(lambda q: adapted_frame(curved_base(q)), x, cfg)
+    _, nabla = frame_derivatives(fr, dframe, christoffel(*star_jet(curved_base, x, cfg)[:2]))
     for c in range(6):
         omega = np.linalg.inv(fr) @ nabla[c].T
         assert np.max(np.abs(omega + omega.T)) <= 1e-6
@@ -272,3 +276,16 @@ def test_weak_monopole_minus_block_closes_with_curl_a_equal_to_v_alpha():
     assert res["minus_minus"] <= 1e-9
     assert res["mixed"] <= 1e-9
     assert abs(res["plus_plus"] - 2 * np.max(np.abs(TWIST))) <= 1e-12
+
+
+def test_torsion_reads_the_coframe_once_per_block_for_its_stencil():
+    """One coframe call on the 14 shifted points of every block point, plus
+    one at the block for the frame; phi and *phi are both built from it."""
+    bundle = thm1_taub_nut_bundle()
+    cfg = StencilConfig(h=1e-2)
+    pts = sample_points(bundle.domain, STACK_BLOCK + 3, cfg, seed=4)
+    rows = []
+    counted = dataclasses.replace(
+        bundle, coframe=lambda p: rows.append(len(p)) or bundle.coframe(p))
+    assert torsionfree_residual(counted, pts, cfg) == torsionfree_residual(bundle, pts, cfg)
+    assert rows == [STACK_BLOCK, 14 * STACK_BLOCK, 3, 14 * 3]

@@ -28,16 +28,18 @@ def test_potential_satisfies_star_equation():
 
 
 def test_consistency_reads_v_on_the_seven_point_star():
-    """V's gradient and Laplacian take V at p and p +- h e_a only: 7
-    evaluations per sample, not the 19 of a full second-order jet."""
+    """V's gradient and Laplacian take V at p and p +- h e_a only: 7 rows
+    per sample, not the 19 of a full second-order jet, in one call per
+    block."""
     data = gh_taub_nut_example()
-    calls = []
-    counted = GHData(v=lambda x: calls.append(1) or data.v(x), a=data.a,
+    rows = []
+    counted = GHData(v=lambda x: rows.append(len(x)) or data.v(x), a=data.a,
                      domain=data.domain)
     cfg = StencilConfig(h=1e-3)
     pts = sample_points(data.domain, 5, cfg, seed=3)
     assert counted.consistency_residuals(pts, cfg) == data.consistency_residuals(pts, cfg)
-    assert len(calls) == 7 * len(pts)
+    assert sum(rows) == 7 * len(pts)
+    assert len(rows) == 1
 
 
 def test_trivial_build_is_flat_exactly():
@@ -96,9 +98,9 @@ def test_nonharmonic_control_fails_ricci():
 def test_nan_potential_fails_consistency():
     """A V that cannot be evaluated on part of the samples must not read as
     harmonic: the sup keeps the NaN and the check fails."""
-    nan_region = lambda x: x[0] > 0.2
-    data = GHData(v=lambda x: float("nan") if nan_region(x) else 1.0,
-                  a=lambda x: np.zeros(3),
+    nan_region = lambda x: x[..., 0] > 0.2
+    data = GHData(v=lambda x: np.where(nan_region(x), np.nan, 1.0),
+                  a=lambda x: np.zeros(x.shape),
                   domain=Domain(lo=(-1.0,) * 3, hi=(1.0,) * 3))
     cfg = StencilConfig(h=1e-3)
     pts = sample_points(data.domain, 20, cfg, seed=42)

@@ -7,9 +7,10 @@ from g2lab.fields import (StencilConfig, adapted_frame, d_one_form,
                           fd_gradient, frame_derivatives, hat,
                           hodge_restricted, sample_points, sup)
 from g2lab.g2construct import estimate_order
-from g2lab.gallery import (killing_flat_data, killing_perturbed_data,
-                           killing_taub_nut_data, polynomial_sections,
-                           rho_flat_setup, rho_polynomial_setup)
+from g2lab.gallery import (constant_field, killing_flat_data,
+                           killing_perturbed_data, killing_taub_nut_data,
+                           polynomial_sections, rho_flat_setup,
+                           rho_polynomial_setup)
 from g2lab.killing import (da_conditions_check, gamma_pair_residual,
                            killing_conditions_check, rho_torsion_check,
                            route_agreement)
@@ -81,8 +82,7 @@ def test_perturbed_potential_detected():
 
 def test_rho_torsion_flat_exact_on_constant_sections():
     setup = rho_flat_setup()
-    consts = [lambda x, v=v: np.asarray(v, float)
-              for v in (np.eye(6)[0], np.eye(6)[3], np.ones(6) / 2)]
+    consts = [constant_field(v) for v in (np.eye(6)[0], np.eye(6)[3], np.ones(6) / 2)]
     pts = sample_points(setup.domain, 6, CFG, seed=13)
     res = rho_torsion_check(setup, consts, pts, CFG)
     assert res["tangent_pairs"] <= 1e-12
@@ -112,15 +112,15 @@ def test_minus_block_equation_reproduces_determinant_form():
 
     for expo in ((1, 0, 0), (2, 1, 0)):
         def u(x, expo=expo):
-            return 2.0 + float(np.prod([x[3 + i] ** e for i, e in enumerate(expo)]))
+            return 2.0 + np.prod([x[..., 3 + i] ** e for i, e in enumerate(expo)], axis=0)
 
         def du_minus(x, expo=expo):
-            out = np.zeros(3)
+            out = np.zeros(x.shape[:-1] + (3,))
             for i, e in enumerate(expo):
                 if e:
-                    parts = [x[3 + j] ** ee for j, ee in enumerate(expo)]
-                    parts[i] = e * x[3 + i] ** (e - 1)
-                    out[i] = float(np.prod(parts))
+                    parts = [x[..., 3 + j] ** ee for j, ee in enumerate(expo)]
+                    parts[i] = e * x[..., 3 + i] ** (e - 1)
+                    out[..., i] = np.prod(parts, axis=0)
             return out
 
         # the potential plays no role: only the right-hand-side formula is
@@ -209,7 +209,7 @@ def reference_killing_conditions(data, pts, cfg):
         e = np.linalg.inv(fr)
         gam = np.asarray(data.connection(x), dtype=float)
         gamma_f = reference_gamma_expanded(info)
-        d_along, nabla = frame_derivatives(frame_field, x, fr, gam, cfg)
+        d_along, nabla = frame_derivatives(fr, fd_gradient(frame_field, x, cfg), gam)
         da_mat = d_one_form(data.a_form, x, cfg)
         u = info["u"]
         out = {"torsion_vs_twist": [], "potential_equation": [],
@@ -241,7 +241,7 @@ def reference_minus_block_routes(data, info, x, cfg):
     gm = info["grad_frame"][3:]
     alpha = 2.0 * info["b"] - gm / u
     rhs_mm_plain = -1.0 / u * hat(alpha + 2.0 / u * gm)
-    du2 = fd_gradient(lambda q: float(data.u(q)) ** -2, x, cfg)
+    du2 = fd_gradient(lambda q: np.asarray(data.u(q), float) ** -2, x, cfg)
     du2_frame = (fr.T @ du2)[3:]
     rhs_mm_resc = -hodge_restricted(du2_frame - alpha / u ** 2, u ** 2 * np.eye(3))
     return alpha, rhs_mm_plain, rhs_mm_resc
@@ -380,11 +380,12 @@ def test_quotient_field_on_a_block_equals_row_by_row(name):
 
 # --------------------------------------------------------------- memory guard
 
-# The verifiers run block by block (fields.BLOCK points), so a block's
-# temporaries bound the peak.  Measured with NumPy 2.4.6 on 800 points: 63-441
-# KiB at 64-point blocks, the top being killing_conditions_check (its
-# (k, 6, 6, 6) frame derivatives and connection), 86% of this bound; that
-# check reads 857 KiB at 128-point blocks and more unblocked.  tracemalloc
+# The verifiers run block by block, so a block's temporaries bound the peak.
+# Measured with NumPy 2.4.6 on 800 points: 64-392 KiB, the top being
+# rho_torsion_check (64-point blocks, fields.BLOCK; its stars and directional
+# stencils stack 78 rows per point), 77% of this bound.  Its frame field
+# stacked on 12 rows per point, killing_conditions_check reads 330 KiB at
+# 32-point blocks (fields.STACK_BLOCK) and 647 KiB at 64.  tracemalloc
 # counts NumPy's temporaries, so another NumPy version or a reshuffle of that
 # check can move the margin: re-measure before changing the bound.
 PEAK_BOUND = 512 * 1024
