@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .rational import (ExactMatrix, Q, _as_q, bracket, common_ratio, trace_form,
-                       unit)
+from .rational import (ExactMatrix, _as_q, _over_common_den, bracket,
+                       common_ratio, trace_form, unit, unit_rows)
 from .subspaces import Coordinates, Subspace, kernel_basis, rref
 
 PLUS = (0, 1, 2)
@@ -103,21 +103,14 @@ def so7_to_so6(m: ExactMatrix) -> ExactMatrix:
     return m.submatrix(idx, idx)
 
 
-def m_embed(v: MVector) -> ExactMatrix:
-    """The skew 7x7 image {a}^1 + {b}^2 of (a, b); the axis column holds 2a, 2b."""
-    ha, hb = hat3(v.a), hat3(v.b)
-    ent = [[Q(0)] * 7 for _ in range(7)]
-    for i in range(3):
-        for j in range(3):
-            ent[i][j] = hb[i, j]
-            ent[i][4 + j] = ha[i, j]
-            ent[4 + i][j] = ha[i, j]
-            ent[4 + i][4 + j] = -hb[i, j]
-        ent[i][3] = 2 * v.a[i]
-        ent[3][i] = -2 * v.a[i]
-        ent[4 + i][3] = 2 * v.b[i]
-        ent[3][4 + i] = -2 * v.b[i]
-    return ExactMatrix.from_rows(ent)
+@functools.lru_cache(maxsize=1)
+def _m_table() -> ExactMatrix:
+    """m_embed(e_t) flattened row-major, one row per coordinate t of (a, b):
+    2 h(e_t) on the two 3-blocks, and 2 e_t in the axis column."""
+    m = so6_to_so7(_h_table().reshape(6, 6, 6)).scale(2).num.copy()
+    t, idx = np.arange(6), np.array(PLUS + MINUS)
+    m[t, idx, AXIS], m[t, AXIS, idx] = 2, -2
+    return ExactMatrix(m.reshape(6, 49), 1)
 
 
 @functools.lru_cache(maxsize=1)
@@ -132,28 +125,46 @@ def _h_table() -> ExactMatrix:
     return ExactMatrix(h.reshape(6, 36), 2)
 
 
+def _as_rows(v) -> ExactMatrix:
+    """One MVector as a 1 x 6 row of (a, b); a stack of rows as it is."""
+    return ExactMatrix.from_rows([v.as_vector6()]) if isinstance(v, MVector) else v
+
+
+def _linear_image(v, table: ExactMatrix, n: int) -> ExactMatrix:
+    """The n x n matrix (a stack of them for a stack of rows) of the linear
+    map whose values on the six coordinates of (a, b) are `table`'s rows."""
+    out = _as_rows(v) @ table
+    return out.reshape(*out.shape[:-2], n, n)
+
+
+def m_embed(v) -> ExactMatrix:
+    """The skew 7x7 image {a}^1 + {b}^2 of (a, b); the axis column holds 2a, 2b.
+
+    v is one MVector or a stack of rows (..., 1, 6) of (a, b), as for h_map."""
+    return _linear_image(v, _m_table(), 7)
+
+
 def h_map(v) -> ExactMatrix:
     """The equivariant map into so(6):  h(a, b) = 1/2 [[hat(b), hat(a)], [hat(a), -hat(b)]].
 
     v is one MVector (a 6x6 matrix comes back) or a stack of rows
     (..., 1, 6) of (a, b) (a stack of 6x6 matrices comes back)."""
-    x = ExactMatrix.from_rows([v.as_vector6()]) if isinstance(v, MVector) else v
-    out = x @ _h_table()
-    return out.reshape(*out.shape[:-2], 6, 6)
+    return _linear_image(v, _h_table(), 6)
 
 
-def lift_gtilde(a6: ExactMatrix, x: MVector) -> ExactMatrix:
+def lift_gtilde(a6: ExactMatrix, x) -> ExactMatrix:
     """Lift (A, x) to so(7) with the distinguished slot last:
-    [[A + h(x), x], [-x^T, 0]]."""
+    [[A + h(x), x], [-x^T, 0]].  x is one MVector or a stack of rows
+    (..., 1, 6), and a stack of lifts comes back for a stack."""
     if a6.rows != 6 or a6.cols != 6:
         raise ValueError("expected a 6x6 algebra part")
-    top = a6 + h_map(x)
-    xv = x.as_vector6()
-    rows = []
-    for i in range(6):
-        rows.append(list(top.row(i)) + [xv[i]])
-    rows.append([-t for t in xv] + [Q(0)])
-    return ExactMatrix.from_rows(rows)
+    xr = _as_rows(x)
+    (top, col), den = _over_common_den([a6 + h_map(xr), xr])
+    num = np.zeros((*top.shape[:-2], 7, 7), dtype=np.result_type(top, col))
+    num[..., :6, :6] = top
+    num[..., :6, 6] = col[..., 0, :]
+    num[..., 6, :6] = -col[..., 0, :]
+    return ExactMatrix(num, den)
 
 
 def sl3_param_basis() -> list[Sl3Param]:
@@ -210,8 +221,7 @@ class G2Basis:
 def g2_basis() -> G2Basis:
     """Build and certify the 14-dimensional algebra spanned by the sl(3) and
     complement images inside so(7)."""
-    els = ExactMatrix.stack([*so6_to_so7(canonical_rep6()),
-                             *(m_embed(v) for v in m_vector_basis())])
+    els = ExactMatrix.stack([*so6_to_so7(canonical_rep6()), *m_embed(unit_rows(6))])
     if not els.is_skew():
         raise AssertionError("basis element is not skew")
     coords = Coordinates.of(els.reshape(14, 49))   # raises unless independent
@@ -250,45 +260,35 @@ def orthogonality_certificate() -> bool:
 def h_equivariance_certificate() -> bool:
     """[A, h(x)] = h(Ax) for all sl(3) basis A (6x6) and complement basis x."""
     a = canonical_rep6()[:, None]
-    x = ExactMatrix.stack([ExactMatrix.from_rows([v.as_vector6()]) for v in m_vector_basis()])
+    x = unit_rows(6)
     ax = (a @ x.transpose()).transpose()      # each A x, as a row
     return bracket(a, h_map(x)) == h_map(ax)
 
 
+def _one_scale(lhs: ExactMatrix, rhs: ExactMatrix, what: str) -> Fraction:
+    """The single s with lhs = s * rhs for every member of the two stacks."""
+    scales = {common_ratio(a.flatten(), b.flatten()) for a, b in zip(lhs, rhs)}
+    if None in scales:
+        raise AssertionError(f"{what} is not proportional")
+    if len(scales) != 1:
+        raise AssertionError(f"{what}: the scale differs between basis vectors")
+    return scales.pop()
+
+
 def h_scale_certificate() -> Fraction:
     """The single scale s with so(6)-part of m_embed(v) = s * h_map(v), all basis v."""
-    scales = []
-    for v in m_vector_basis():
-        s = common_ratio(so7_to_so6(m_embed(v)).flatten(), h_map(v).flatten())
-        if s is None:
-            raise AssertionError("so(6)-part is not proportional to h_map")
-        scales.append(s)
-    if len(set(scales)) != 1:
-        raise AssertionError("scale differs between basis vectors")
-    return scales[0]
+    v = unit_rows(6)
+    return _one_scale(so7_to_so6(m_embed(v)), h_map(v), "so(6)-part of m_embed to h_map")
 
 
 AXIS_TO_LAST = (0, 1, 2, 4, 5, 6, 3)  # permutation moving the axis slot to slot 7
 
 
-def permute_matrix(m: ExactMatrix, perm: Sequence[int]) -> ExactMatrix:
-    return ExactMatrix.from_rows([[m[perm[i], perm[j]] for j in range(len(perm))]
-                                  for i in range(len(perm))])
-
-
 def lift_scale_certificate() -> Fraction:
     """m_embed agrees with the lift after moving the axis slot last, up to one scale."""
-    scales = []
-    for v in m_vector_basis():
-        lhs = permute_matrix(m_embed(v), AXIS_TO_LAST)
-        rhs = lift_gtilde(ExactMatrix.zeros(6), v)
-        s = common_ratio(lhs.flatten(), rhs.flatten())
-        if s is None:
-            raise AssertionError("permuted m_embed not proportional to the lift")
-        scales.append(s)
-    if len(set(scales)) != 1:
-        raise AssertionError("lift scale differs between basis vectors")
-    return scales[0]
+    v = unit_rows(6)
+    return _one_scale(m_embed(v).submatrix(AXIS_TO_LAST, AXIS_TO_LAST),
+                      lift_gtilde(ExactMatrix.zeros(6), v), "permuted m_embed to the lift")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ data, and the twisted-pair equations with vanishing twist.
 
 from __future__ import annotations
 
+import math
+import random
 from typing import Callable
 
 import numpy as np
@@ -296,14 +298,20 @@ def _powers(x: np.ndarray) -> np.ndarray:
     return np.stack([x, x ** 2, x ** 3], axis=-2)
 
 
+def _uniform(rng: random.Random, bound: float, shape: tuple) -> np.ndarray:
+    """An array of `shape` filled row-major with draws uniform on
+    [-bound, bound]."""
+    return np.array([rng.uniform(-bound, bound)
+                     for _ in range(math.prod(shape))]).reshape(shape)
+
+
 def rho_polynomial_setup(seed: int = 42) -> RhoConnectionSetup:
     """Cubic-coefficient fields on the flat 6-box: smooth, with nonvanishing
     third derivatives so stencil errors scale honestly."""
-    rng = np.random.default_rng(seed)
-    c_g = rng.uniform(-0.4, 0.4, size=(6, 6, 3, 6))
-    c_u = rng.uniform(-0.2, 0.2, size=(3, 6))
-    rng.uniform(-0.4, 0.4, size=(6, 3, 6))   # the potential's, unread: keeps c_1's draw
-    c_1 = rng.uniform(-0.4, 0.4, size=(6, 3, 6))
+    rng = random.Random(seed)
+    c_g = _uniform(rng, 0.4, (6, 6, 3, 6))
+    c_u = _uniform(rng, 0.2, (3, 6))
+    c_1 = _uniform(rng, 0.4, (6, 3, 6))
 
     def gamma_tm(x):
         return np.einsum('ijdm,...dm->...ij', c_g, _powers(x))
@@ -321,8 +329,7 @@ def rho_polynomial_setup(seed: int = 42) -> RhoConnectionSetup:
 
 def polynomial_sections(seed: int = 43) -> list:
     """Three cubic-coefficient vector fields on the flat 6-box."""
-    rng = np.random.default_rng(seed)
-    coefs = rng.uniform(-0.5, 0.5, size=(3, 6, 3, 6))
+    coefs = _uniform(random.Random(seed), 0.5, (3, 6, 3, 6))
 
     def make(c):
         def section(x):

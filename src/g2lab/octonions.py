@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -187,14 +188,14 @@ def associator(table: OctonionTable, p, q, r):
 def norm_multiplicativity_certificate(table: OctonionTable, n: int = 100,
                                       seed: int = 42) -> bool:
     """|pq|^2 = |p|^2 |q|^2 exactly on n seeded random rational pairs."""
-    p, q = _random_octonion_pairs(np.random.default_rng(seed), n)
+    p, q = _random_octonion_pairs(n, seed)
     return table.norm_sq(table.multiply(p, q)) == table.norm_sq(p) @ table.norm_sq(q)
 
 
 def alternativity_certificate(table: OctonionTable, n: int = 50, seed: int = 42) -> bool:
     """[p,p,q] = 0 = [q,p,p] exactly on random pairs, and the associator is
     alternating on all basis triples."""
-    p, q = _random_octonion_pairs(np.random.default_rng(seed), n)
+    p, q = _random_octonion_pairs(n, seed)
     if not (associator(table, p, p, q).is_zero() and associator(table, q, p, p).is_zero()):
         return False
     e = unit_rows(8)
@@ -202,13 +203,14 @@ def alternativity_certificate(table: OctonionTable, n: int = 50, seed: int = 42)
     return associator(table, e[i], e[j], e[k]) == -associator(table, e[j], e[i], e[k])
 
 
-def _random_octonion_pairs(rng, n: int) -> tuple[ExactMatrix, ExactMatrix]:
-    """n seeded random rational pairs (p, q) as two stacks of rows (n, 1, 8).
-    The rng calls are those of drawing the octonions one at a time: p then
-    q, each as eight numerators in [-9, 9], then eight denominators in
-    [1, 6]."""
-    draws = np.array([[rng.integers(-9, 10, size=8), rng.integers(1, 7, size=8)]
-                      for _ in range(2 * n)], dtype=np.int64).reshape(n, 2, 2, 1, 8)
+def _random_octonion_pairs(n: int, seed: int) -> tuple[ExactMatrix, ExactMatrix]:
+    """n seeded random rational pairs (p, q) as two stacks of rows (n, 1, 8),
+    drawn from `random.Random(seed)` pair by pair: p then q, each as eight
+    numerators in [-9, 9], then eight denominators in [1, 6]."""
+    rng = random.Random(seed)
+    draws = np.array([[rng.randint(lo, hi) for _ in range(8)]
+                      for _ in range(2 * n) for lo, hi in ((-9, 9), (1, 6))],
+                     dtype=np.int64).reshape(n, 2, 2, 1, 8)
     nums, dens = draws[:, :, 0], draws[:, :, 1]
     den = lcm(*dens.ravel().tolist())
     pairs = ExactMatrix(nums * (den // dens), den)

@@ -142,22 +142,23 @@ def _threeform_action_terms() -> tuple:
 
 
 def action_on_threeforms(a: ExactMatrix) -> ExactMatrix:
-    """35x35 matrix of the so(7) action (A.phi)(x,y,z) = -phi(Ax,y,z) - ... ."""
+    """35x35 matrix of the so(7) action (A.phi)(x,y,z) = -phi(Ax,y,z) - ... ;
+    a stack (..., 35, 35) for a stack of matrices (..., 7, 7)."""
     if a.rows != 7 or a.cols != 7:
         raise ValueError("expected a 7x7 matrix")
     row, col, sign, m, i = _threeform_action_terms()
     num, = _fit(3 * a.bound, a.num)     # at most three terms meet in an entry
-    out = np.zeros((35, 35), dtype=num.dtype)
-    np.add.at(out, (row, col), sign * num[m, i])
-    return ExactMatrix(out, a.den)
+    flat = num.reshape(-1, 7, 7)
+    out = np.zeros((len(flat), 35, 35), dtype=num.dtype)
+    np.add.at(out, (slice(None), row, col), sign * flat[:, m, i])
+    return ExactMatrix(out.reshape(*num.shape[:-2], 35, 35), a.den)
 
 
 @functools.lru_cache(maxsize=1)
 def invariant_threeform() -> ThreeForm:
     """The unique (up to scale) 3-form annihilated by the whole algebra,
     normalized to squared norm 7 with the fixed sign convention."""
-    ker = kernel_basis(ExactMatrix.concatenate(
-        [action_on_threeforms(el) for el in g2_basis().elements]))
+    ker = kernel_basis(action_on_threeforms(g2_basis().elements).reshape(-1, 35))
     if len(ker) != 1:
         raise ValueError(f"invariance kernel has dimension {len(ker)}, not 1: "
                          "the basis does not span a copy of the 14-dim algebra")
@@ -174,8 +175,7 @@ def stabilizer_in_so7(phi: ThreeForm) -> Subspace:
     basis = so7_basis()
     phi_col = ExactMatrix.from_rows([phi.components]).transpose()
     # row c = action of basis[c] applied to phi; the kernel is of the transpose
-    images = ExactMatrix.concatenate([(action_on_threeforms(b) @ phi_col).transpose()
-                                      for b in basis])
+    images = (action_on_threeforms(basis) @ phi_col).reshape(len(basis), 35)
     return Subspace.span(kernel_basis(images.transpose()) @ basis.reshape(len(basis), 49), 49)
 
 

@@ -13,9 +13,11 @@ from g2lab import embeddings as emb
 from g2lab import spin8
 from g2lab.octonions import (OctonionTable, alternativity_certificate,
                              norm_multiplicativity_certificate, standard_octonions)
-from g2lab.rational import LIMIT, Bilinear, ExactMatrix, Q, bracket, trace_form
+from g2lab.rational import (LIMIT, Bilinear, ExactMatrix, Q, bracket, trace_form,
+                            unit_rows)
 from g2lab.reports import SuiteContext
 from g2lab.suites import check_algebra_closure
+from g2lab.threeform import _threeform_action_terms, action_on_threeforms
 
 RATIONALS = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 BIG = 1 << 40   # shifts the first members' numerators: their products pass 2^62
@@ -99,6 +101,84 @@ def test_stacked_bilinear_equals_the_per_row_loop(data, n, rows, big):
         assert out[r, 0] == bil(x, y) == tuple(ref)
 
 
+def reference_m_embed(v):
+    """The entry-by-entry build of m_embed from Fraction rows, kept as the
+    reference for the table route."""
+    ha, hb = emb.hat3(v.a), emb.hat3(v.b)
+    ent = [[Q(0)] * 7 for _ in range(7)]
+    for i in range(3):
+        for j in range(3):
+            ent[i][j] = hb[i, j]
+            ent[i][4 + j] = ha[i, j]
+            ent[4 + i][j] = ha[i, j]
+            ent[4 + i][4 + j] = -hb[i, j]
+        ent[i][3] = 2 * v.a[i]
+        ent[3][i] = -2 * v.a[i]
+        ent[4 + i][3] = 2 * v.b[i]
+        ent[3][4 + i] = -2 * v.b[i]
+    return ExactMatrix.from_rows(ent)
+
+
+def reference_lift_gtilde(a6, x):
+    """The row-by-row build of lift_gtilde, kept as the reference."""
+    top = a6 + emb.h_map(x)
+    xv = x.as_vector6()
+    rows = [list(top.row(i)) + [xv[i]] for i in range(6)]
+    rows.append([-t for t in xv] + [Q(0)])
+    return ExactMatrix.from_rows(rows)
+
+
+def reference_permute_matrix(m, perm):
+    """The old permute_matrix, entry by entry, kept as the reference."""
+    return ExactMatrix.from_rows([[m[perm[i], perm[j]] for j in range(len(perm))]
+                                  for i in range(len(perm))])
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data(), st.integers(1, 4))
+def test_complement_maps_equal_the_entry_loops(data, k):
+    """m_embed, lift_gtilde and the axis permutation equal their old entry loops
+    on one MVector, and on a stack of rows (k, 1, 6) member by member."""
+    vecs = data.draw(stack(k, 1, 6))
+    a6 = ExactMatrix.from_rows(data.draw(stack(1, 6, 6))[0])
+    mvs = [emb.MVector.make(a=v[0][:3], b=v[0][3:]) for v in vecs]
+    rows = as_stack(vecs)
+    embedded, lifts = emb.m_embed(rows), emb.lift_gtilde(a6, rows)
+    permuted = embedded.submatrix(emb.AXIS_TO_LAST, emb.AXIS_TO_LAST)
+    assert embedded.shape == permuted.shape == lifts.shape == (k, 7, 7)
+    for i, v in enumerate(mvs):
+        ref = reference_m_embed(v)
+        assert embedded[i] == emb.m_embed(v) == ref
+        assert lifts[i] == emb.lift_gtilde(a6, v) == reference_lift_gtilde(a6, v)
+        assert permuted[i] == reference_permute_matrix(ref, emb.AXIS_TO_LAST)
+
+
+def reference_threeform_action(a):
+    """The 35 x 35 action of one 7 x 7 matrix on Python ints, kept as the
+    reference for the stacked call."""
+    row, col, sign, m, i = _threeform_action_terms()
+    out = np.zeros((35, 35), dtype=object)
+    np.add.at(out, (row, col), sign * a.num.astype(object)[m, i])
+    return ExactMatrix(out, a.den)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data(), st.integers(1, 3), st.booleans())
+def test_stacked_threeform_action_equals_the_per_matrix_loop(data, k, big):
+    """action_on_threeforms on a stack (k, 7, 7) equals the reference on each
+    member; with `big` one entry of the first member is 2^61, so three
+    terms meeting in an entry pass 2^62 and the stack runs on Python ints."""
+    mats = data.draw(stack(k, 7, 7))
+    if big:
+        mats[0][0][1] = Fraction(1 << 61)
+    a = as_stack(mats)
+    out = action_on_threeforms(a)
+    assert out.shape == (k, 35, 35)
+    assert (out.num.dtype == object) == big
+    for i in range(k):
+        assert out[i] == reference_threeform_action(a[i])
+
+
 # ------------------------------------------------------- negative controls
 
 def with_flipped_sign(table: OctonionTable, i: int, j: int) -> OctonionTable:
@@ -136,6 +216,19 @@ def test_a_flipped_gamma_entry_fails_clifford(monkeypatch):
         monkeypatch.setattr(spin8, "gamma_matrices",
                             lambda num=num: ExactMatrix(num, gammas.den))
         assert not spin8.clifford_certificate(), (i, k, j)
+
+
+def test_a_broken_member_fails_the_scale_certificate():
+    rhs = emb.h_map(unit_rows(6))
+    assert emb._one_scale(rhs.scale(2), rhs, "h") == 2
+    num = rhs.scale(2).num.copy()
+    num[3] *= 3     # member 3 is 6 h: proportional, at another scale
+    with pytest.raises(AssertionError, match="scale differs"):
+        emb._one_scale(ExactMatrix(num, rhs.den), rhs, "h")
+    num = num.copy()
+    num[3, 0, 0] += 1   # member 3 is no longer proportional
+    with pytest.raises(AssertionError, match="not proportional"):
+        emb._one_scale(ExactMatrix(num, rhs.den), rhs, "h")
 
 
 def test_an_empty_stack_is_refused():
