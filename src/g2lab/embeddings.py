@@ -103,11 +103,22 @@ def so7_to_so6(m: ExactMatrix) -> ExactMatrix:
     return m.submatrix(idx, idx)
 
 
+def _hat_stack() -> np.ndarray:
+    """The integer numerators of hat3(e_0), hat3(e_1), hat3(e_2), as (3, 3, 3)."""
+    return np.stack([hat3(unit(3, k)).num for k in range(3)])
+
+
 @functools.lru_cache(maxsize=1)
 def _m_table() -> ExactMatrix:
     """m_embed(e_t) flattened row-major, one row per coordinate t of (a, b):
-    2 h(e_t) on the two 3-blocks, and 2 e_t in the axis column."""
-    m = so6_to_so7(_h_table().reshape(6, 6, 6)).scale(2).num.copy()
+    the a coordinates fill the blocks PLUS x MINUS and MINUS x PLUS with
+    hat(e_t), the b coordinates PLUS x PLUS with hat(e_t) and MINUS x MINUS
+    with -hat(e_t); the axis column holds 2 e_t.  Laid out on its own, not
+    from _h_table, so that h_scale_certificate compares two constructions."""
+    hat = _hat_stack()
+    m = np.zeros((6, 7, 7), dtype=np.int64)
+    m[:3, 0:3, 4:7] = m[:3, 4:7, 0:3] = hat
+    m[3:, 0:3, 0:3], m[3:, 4:7, 4:7] = hat, -hat
     t, idx = np.arange(6), np.array(PLUS + MINUS)
     m[t, idx, AXIS], m[t, AXIS, idx] = 2, -2
     return ExactMatrix(m.reshape(6, 49), 1)
@@ -118,7 +129,7 @@ def _h_table() -> ExactMatrix:
     """h(e_t) flattened row-major, one row per coordinate t of (a, b): the
     a coordinates fill the off-diagonal blocks with hat(e_t), the b
     coordinates the diagonal blocks with hat(e_t) and -hat(e_t), over 2."""
-    hat = np.stack([hat3(unit(3, k)).num for k in range(3)])
+    hat = _hat_stack()
     h = np.zeros((6, 6, 6), dtype=np.int64)
     h[:3, :3, 3:] = h[:3, 3:, :3] = hat
     h[3:, :3, :3], h[3:, 3:, 3:] = hat, -hat

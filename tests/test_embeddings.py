@@ -96,6 +96,18 @@ def test_lift_scale_certificate():
     assert emb.lift_scale_certificate() == 2
 
 
+def test_scale_certificates_catch_a_layout_error_in_h(monkeypatch):
+    """m_embed and h_map are laid out independently, so an h table with the
+    a and b roles swapped fails both certificates."""
+    good = emb._h_table().num.reshape(6, 6, 6)
+    swapped = ExactMatrix(np.concatenate([good[3:], good[:3]]).reshape(6, 36), 2)
+    monkeypatch.setattr(emb, "_h_table", lambda: swapped)
+    with pytest.raises(AssertionError, match="not proportional"):
+        emb.h_scale_certificate()
+    with pytest.raises(AssertionError, match="not proportional"):
+        emb.lift_scale_certificate()
+
+
 def test_lift_image_spans_complement():
     b = emb.g2_basis()
     perm_m = [m.submatrix(emb.AXIS_TO_LAST, emb.AXIS_TO_LAST) for m in b.m_elements]
