@@ -118,7 +118,7 @@ def curvature_operator(g: Callable, p: Point, x: np.ndarray, y: np.ndarray,
                        cfg: StencilConfig) -> np.ndarray:
     """The endomorphism R(x, y): v -> R^a_{b cd} x^c y^d v^b; skew w.r.t. g."""
     r = riemann(g, p, cfg)
-    return np.einsum('...abcd,...c,...d->...ab', r, x, y)
+    return np.einsum('...abc,...c->...ab', np.einsum('...abcd,...d->...abc', r, y), x)
 
 
 def riemann_lowered(g: Callable, p: Point, cfg: StencilConfig) -> np.ndarray:

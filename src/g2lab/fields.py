@@ -262,7 +262,9 @@ def frame_derivatives(frame: np.ndarray, dframe: np.ndarray, gam: np.ndarray) ->
     from the frame, its partials dframe[..., d, k, b] = d_d frame[k, b] (as
     `fd_gradient` gives them) and the connection gam, at a query."""
     d = np.einsum('...da,...dkb->...akb', frame, dframe)
-    nabla = np.einsum('...kcd,...ca,...db->...abk', gam, frame, frame)
+    # pairwise, d first: a three-operand einsum without `optimize` takes no path
+    nabla = np.einsum('...kcd,...db->...kcb', gam, frame)
+    nabla = np.einsum('...kcb,...ca->...abk', nabla, frame)
     nabla += d.mT
     return d, nabla
 

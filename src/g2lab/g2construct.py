@@ -205,30 +205,27 @@ def weak_sl3_consistency(k6, alpha, samples, cfg: StencilConfig) -> dict:
         e = np.linalg.inv(fr)
         alpha_v = np.zeros(3) if alpha is None else np.asarray(alpha(x), float)
         sharp = np.linalg.solve(g[MM], alpha_v)
-        out = {"complex_structure_part": [], "twist_mismatch": []}
-        for c in range(6):
-            omega = e @ nabla[c].T
-            omega = 0.5 * (omega - omega.T)
-            out["complex_structure_part"].append(complex_structure_norm(omega))
-            target = h6(_s_alpha(fr[:, c], e, sharp))
-            out["twist_mismatch"].append(np.abs(_h_component(omega) - target))
-        return out
+        omega = e @ nabla.mT      # the six omega(f_c) at once
+        omega = 0.5 * (omega - omega.mT)
+        target = h6(_s_alpha(fr.T, e, sharp))
+        return {"complex_structure_part": complex_structure_norm(omega),
+                "twist_mismatch": np.abs(_h_component(omega) - target)}
     return sup(samples, at)
 
 
 def _s_alpha(xvec, e, sharp) -> np.ndarray:
-    """S(X) = (a X_-, a X_+) in frame components, a = 1/4 hat(sharp) x."""
-    xf = e @ xvec
-    xp, xm = xf[:3], xf[3:]
+    """S(X) = (a X_-, a X_+) in frame components for each row X of `xvec`, a = 1/4 hat(sharp) x."""
+    xf = np.matvec(e, xvec)
+    xp, xm = xf[..., :3], xf[..., 3:]
     a_of = lambda w: 0.25 * np.cross(sharp, w)
-    return np.concatenate([a_of(xm), a_of(xp)])
+    return np.concatenate([a_of(xm), a_of(xp)], axis=-1)
 
 
 def _h_component(omega: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of a skew 6x6 onto the h-image, as a matrix."""
+    """Orthogonal projection of skew 6x6 matrices onto the h-image, as matrices."""
     q = so6_part_projectors()["h"]
-    v = omega.reshape(-1)
-    return (q.T @ (q @ v)).reshape(6, 6)
+    v = omega.reshape(omega.shape[:-2] + (36,))
+    return np.matvec(q.T, np.matvec(q, v)).reshape(omega.shape)
 
 
 # Frames per `transform_form` call of `torsionfree_residual`, where it is fastest

@@ -82,7 +82,9 @@ GH_REFERENCE_POINTS = [np.array([0.1, 0.55, 0.35, 0.4]),
 # The fields below take a point or a block of points.  A power of a value
 # that is a numpy scalar at a point (r, v) is np.power, not **: on a scalar **
 # takes the C library's pow, whose last bit can differ from the array loop's,
-# and the rows of a block must carry the bits of its points.
+# and the rows of a block must carry the bits of its points.  A cube of a value
+# that can be negative is a product (`_powers`): numpy's pow leaves its SIMD
+# loop on a negative base: 69 ns per element on [-0.8, 0.8], 2 ns as a product.
 
 def constant_field(value) -> Callable[[np.ndarray], np.ndarray]:
     """The field x -> value, at a point or at every point of a block."""
@@ -295,7 +297,8 @@ def rho_flat_setup() -> RhoConnectionSetup:
 def _powers(x: np.ndarray) -> np.ndarray:
     """The stacked powers (x, x^2, x^3), of shape (..., 3, dim): a cubic
     polynomial without constant term is one contraction with them."""
-    return np.stack([x, x ** 2, x ** 3], axis=-2)
+    x2 = x * x
+    return np.stack([x, x2, x2 * x], axis=-2)
 
 
 def _uniform(rng: random.Random, bound: float, shape: tuple) -> np.ndarray:

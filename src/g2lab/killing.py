@@ -118,6 +118,7 @@ def killing_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> 
 
         da_mat = d_one_form(data.a_form, x, cfg)
         u = info["u"]
+        h_cols = h6(gamma_f.mT)       # h_cols[..., a, :, :] = h(gamma f_a)
 
         out = {"torsion_vs_twist": [], "potential_equation": [],
                "corrected_metricity": []}
@@ -127,7 +128,7 @@ def killing_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> 
         for a, b in itertools.combinations(range(6), 2):
             lie_ab = d_along[..., a, :, b] - d_along[..., b, :, a]     # [f_a, f_b]
             t_frame = np.matvec(e, nabla[..., a, b, :] - nabla[..., b, a, :] - lie_ab)
-            hterm = h6(gamma_f[..., :, a])[..., :, b] - h6(gamma_f[..., :, b])[..., :, a]
+            hterm = h_cols[..., a, :, b] - h_cols[..., b, :, a]
             out["torsion_vs_twist"].append(np.abs(t_frame + hterm))
         del d_along   # the brackets are taken: free the block's frame derivatives
         for a, b in itertools.permutations(range(6), 2):
@@ -137,7 +138,7 @@ def killing_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> 
         for a in range(6):
             # metricity of (nabla + h o gamma): its frame connection form is skew
             omega = np.matvec(e[..., None, :, :], nabla[..., a, :, :]).mT
-            omega = omega + h6(gamma_f[..., :, a])
+            omega = omega + h_cols[..., a, :, :]
             out["corrected_metricity"].append(np.abs(omega + omega.mT))
         return out
     res = sup(blocks(samples, STACK_BLOCK), at)

@@ -10,7 +10,8 @@ import functools
 
 import numpy as np
 
-from .embeddings import g2_basis, h_map, m_vector_basis
+from .embeddings import g2_basis, h_map
+from .rational import unit_rows
 from .threeform import invariant_threeform, star_phi
 
 
@@ -39,16 +40,14 @@ def cross_tensor() -> np.ndarray:
 
 def cross7(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x X y over the last axes of `x` and `y`; leading axes broadcast."""
-    return np.einsum('...i,...j,ijk->...k', x, y, cross_tensor())
+    return np.einsum('...j,...jk->...k', y, np.einsum('...i,ijk->...jk', x, cross_tensor()))
 
 
 @functools.lru_cache(maxsize=1)
 def h_tensors() -> np.ndarray:
     """H[i] = float matrix of h(e_i) acting on R^6, for the 6 basis directions."""
-    out = np.zeros((6, 6, 6))
-    for i, v in enumerate(m_vector_basis()):
-        out[i] = np.array(h_map(v).to_floats())
-    return out
+    h = h_map(unit_rows(6))
+    return h.num / h.den
 
 
 def h6(w: np.ndarray) -> np.ndarray:
@@ -60,9 +59,9 @@ def h6(w: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def g2_orthonormal_span() -> np.ndarray:
     """Orthonormal (Frobenius) basis of the algebra span, rows of shape (14, 49)."""
-    flat = np.array([[float(v) for v in el.flatten()] for el in g2_basis().elements])
-    q, _ = np.linalg.qr(flat.T)
-    return q.T[:14]
+    el = g2_basis().elements
+    q, _ = np.linalg.qr((el.num / el.den).reshape(14, 49).T)
+    return q.T
 
 
 def off_g2_fraction(m: np.ndarray) -> np.ndarray:
@@ -85,13 +84,11 @@ def so6_part_projectors() -> dict:
     j = np.zeros((6, 6))
     j[:3, 3:] = -np.eye(3)
     j[3:, :3] = np.eye(3)
-    hpart = np.array([[float(v) for v in h_map(mv).flatten()]
-                      for mv in m_vector_basis()])
-    q, _ = np.linalg.qr(hpart.T)
-    return {"J": j.reshape(1, 36) / np.linalg.norm(j), "h": q.T[:hpart.shape[0]]}
+    q, _ = np.linalg.qr(h_tensors().reshape(6, 36).T)
+    return {"J": j.reshape(1, 36) / np.linalg.norm(j), "h": q.T}
 
 
-def complex_structure_norm(m: np.ndarray) -> float:
+def complex_structure_norm(m: np.ndarray) -> np.ndarray:
     """Norm of the orthogonal component of a skew 6x6 matrix along the
-    complex structure J."""
-    return float(np.linalg.norm(so6_part_projectors()["J"] @ m.reshape(-1)))
+    complex structure J, over any leading axes of `m`."""
+    return np.abs(np.vecdot(m.reshape(m.shape[:-2] + (36,)), so6_part_projectors()["J"][0]))

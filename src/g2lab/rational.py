@@ -246,9 +246,6 @@ class ExactMatrix:
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "ExactMatrix":
         return ExactMatrix(self.num[..., list(row_idx), :][..., list(col_idx)], self.den)
 
-    def to_floats(self):
-        return [[float(self[i, j]) for j in range(self.cols)] for i in range(self.rows)]
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, ExactMatrix) and self.den == other.den
                 and self.num.shape == other.num.shape

@@ -1,6 +1,6 @@
-"""The G2, curvature, Gibbons-Hawking and hypersurface layers on blocks of
-points: a block's rows carry the bits of its points, and a blocked verifier's
-memory is bounded by its block."""
+"""The G2, curvature, Gibbons-Hawking, hypersurface and oracle layers on
+blocks of points: a block's rows carry the bits of its points, and a blocked
+verifier's memory is bounded by its block."""
 
 import tracemalloc
 
@@ -42,6 +42,11 @@ def _block_fields() -> dict:
     for tag, imm in (("plane", affine_plane()), ("sphere", unit_sphere()),
                      ("ellipsoid", ellipsoid())):
         out[f"{tag}.chart"] = (imm.domain, imm.chart)
+    rho = gallery.rho_polynomial_setup(42)
+    for name in ("u", "gamma_tm", "gamma_one"):
+        out[f"oracle-rho.{name}"] = (rho.domain, getattr(rho, name))
+    for i, section in enumerate(gallery.polynomial_sections(43)):
+        out[f"oracle-sections.{i}"] = (rho.domain, section)
     return out
 
 
@@ -56,6 +61,14 @@ def test_field_on_a_block_equals_row_by_row(name):
     block = np.array(sample_points(domain, 24, StencilConfig(h=1e-2), seed=37))
     rows = np.array([np.asarray(field(p), float) for p in block])
     assert np.array_equal(np.asarray(field(block), float), rows)
+
+
+def test_powers_are_products_on_negative_entries():
+    x = np.array(sample_points(gallery.rho_polynomial_setup(42).domain, 24,
+                               StencilConfig(h=1e-2), seed=37))
+    assert (x < 0).any()
+    assert np.array_equal(gallery._powers(x),
+                          np.stack([x, x * x, x * x * x], axis=-2))
 
 
 # ------------------------------------------------- the nested stencil

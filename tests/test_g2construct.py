@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from g2lab.curvature import christoffel
-from g2lab.fields import (STACK_BLOCK, Domain, StencilConfig, adapted_frame,
-                          fd_gradient, frame_derivatives, sample_points, star_jet)
+from g2lab.fields import (MM, STACK_BLOCK, Domain, StencilConfig, adapted_frame,
+                          fd_gradient, frame_derivatives, sample_points, star_jet, sup)
 from g2lab.g2construct import (MonopoleData, _h_component,
                                estimate_order, flat_product_metric, g2_build_thm1,
                                holonomy_residual, model_phi_check,
                                monopole_residual, torsionfree_residual,
                                weak_monopole_residual, weak_sl3_consistency)
-from g2lab.modeldata import complex_structure_norm
+from g2lab.modeldata import complex_structure_norm, h6, so6_part_projectors
 from g2lab.gallery import (base_domain6, monopole_potential6, taub_nut_v6,
                            thm1_broken_monopole_bundle, thm1_flat_bundle,
                            thm1_taub_nut_bundle, thm2_mismatched_alpha_bundle,
@@ -173,6 +173,41 @@ def test_weak_sl3_consistency_on_a_curved_base_matches_koszul_reference():
     assert ref_twist >= 0.1 and ref_j >= 0.1       # the base is far from flat
     assert abs(got["twist_mismatch"] - ref_twist) <= 1e-6
     assert abs(got["complex_structure_part"] - ref_j) <= 1e-6
+
+
+def reference_weak_sl3_consistency(k6, alpha, samples, cfg):
+    """weak_sl3_consistency by its loop over the six frame vectors of a
+    point, with the per-matrix projections it used."""
+    q_j, q_h = so6_part_projectors()["J"], so6_part_projectors()["h"]
+
+    def at(x):
+        g, dg, _ = star_jet(k6, x, cfg)
+        fr = adapted_frame(g)
+        _, nabla = frame_derivatives(fr, fd_gradient(lambda q: adapted_frame(k6(q)), x, cfg),
+                                     christoffel(g, dg))
+        e = np.linalg.inv(fr)
+        sharp = np.linalg.solve(g[MM], np.asarray(alpha(x), float))
+        out = {"complex_structure_part": [], "twist_mismatch": []}
+        for c in range(6):
+            omega = e @ nabla[c].T
+            omega = 0.5 * (omega - omega.T)
+            out["complex_structure_part"].append(float(np.linalg.norm(q_j @ omega.reshape(-1))))
+            xf = e @ fr[:, c]
+            s_alpha = 0.25 * np.concatenate([np.cross(sharp, xf[3:]), np.cross(sharp, xf[:3])])
+            h_part = (q_h.T @ (q_h @ omega.reshape(-1))).reshape(6, 6)
+            out["twist_mismatch"].append(np.abs(h_part - h6(s_alpha)))
+        return out
+    return sup(samples, at)
+
+
+def test_weak_sl3_consistency_equals_the_loop_over_frame_vectors():
+    cfg = StencilConfig(h=1e-3)
+    pts = sample_points(Domain(lo=(-0.5,) * 6, hi=(0.5,) * 6), 4, cfg, seed=3)
+    alpha = lambda x: np.array([0.3, -0.2 * x[0], 0.1 + x[4]])
+    got = weak_sl3_consistency(curved_base, alpha, pts, cfg)
+    ref = reference_weak_sl3_consistency(curved_base, alpha, pts, cfg)
+    assert ref["twist_mismatch"] >= 0.1          # alpha and the base both twist
+    assert got == ref
 
 
 def test_mismatched_twist_flagged_everywhere():

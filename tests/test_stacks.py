@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2lab import embeddings as emb
-from g2lab import spin8
+from g2lab import modeldata, spin8
 from g2lab.octonions import (OctonionTable, alternativity_certificate,
                              norm_multiplicativity_certificate, standard_octonions)
 from g2lab.rational import (LIMIT, Bilinear, ExactMatrix, Q, bracket, trace_form,
@@ -188,6 +188,19 @@ def test_stacked_threeform_action_equals_the_per_matrix_loop(data, k, big):
     assert out.shape == (k, 35, 35)
     for i in range(k):
         assert out[i] == reference_threeform_action(a[i])
+
+
+def test_float_views_equal_the_entry_loops():
+    """modeldata's float views divide the integer numerators by the one
+    denominator; they equal float() of each Fraction entry, as the entry
+    loops built them."""
+    h = np.array([[[float(v) for v in row] for row in emb.h_map(mv)]
+                  for mv in emb.m_vector_basis()])
+    g2 = np.array([[float(v) for v in el.flatten()] for el in emb.g2_basis().elements])
+    assert np.array_equal(modeldata.h_tensors(), h)
+    assert np.array_equal(modeldata.so6_part_projectors()["h"],
+                          np.linalg.qr(h.reshape(6, 36).T)[0].T)
+    assert np.array_equal(modeldata.g2_orthonormal_span(), np.linalg.qr(g2.T)[0].T[:14])
 
 
 # ------------------------------------------------------- negative controls
