@@ -1,5 +1,5 @@
-"""Christoffel symbols, Riemann, Ricci and curvature operators of a metric
-field, from finite-difference jets at a query point or a block of points.
+"""Christoffel symbols, Riemann and Ricci tensors of a metric field, from
+finite-difference jets at a query point or a block of points.
 
 Conventions: Gamma^c_{ab} = 1/2 g^{cd} (d_a g_bd + d_b g_ad - d_d g_ab),
 R^a_{b cd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb} + Gamma^a_{ce} Gamma^e_{db}
@@ -107,18 +107,6 @@ def riemann(g: Callable, p: Point, cfg: StencilConfig) -> np.ndarray:
 
 def ricci(g: Callable, p: Point, cfg: StencilConfig) -> np.ndarray:
     return np.einsum('...abad->...bd', riemann(g, p, cfg))
-
-
-def scalar_curvature(g: Callable, p: Point, cfg: StencilConfig):
-    g0 = np.asarray(g(p), dtype=float)
-    return np.einsum('...bd,...bd->...', _inverse(g0), ricci(g, p, cfg))
-
-
-def curvature_operator(g: Callable, p: Point, x: np.ndarray, y: np.ndarray,
-                       cfg: StencilConfig) -> np.ndarray:
-    """The endomorphism R(x, y): v -> R^a_{b cd} x^c y^d v^b; skew w.r.t. g."""
-    r = riemann(g, p, cfg)
-    return np.einsum('...abc,...c->...ab', np.einsum('...abcd,...d->...abc', r, y), x)
 
 
 def riemann_lowered(g: Callable, p: Point, cfg: StencilConfig) -> np.ndarray:

@@ -35,10 +35,6 @@ def hat3(x: Sequence) -> ExactMatrix:
     ])
 
 
-def cross3(x: Sequence, y: Sequence) -> tuple:
-    return hat3(x).apply(y)
-
-
 @dataclass(frozen=True)
 class Sl3Param:
     """Parameters (x, y) of an sl(3) element: x a 3-vector, y symmetric trace-free."""
@@ -58,21 +54,6 @@ class Sl3Param:
     def make(x=(0, 0, 0), y=None) -> "Sl3Param":
         y = ExactMatrix.zeros(3) if y is None else y
         return Sl3Param(tuple(_as_q(v) for v in x), y)
-
-
-@dataclass(frozen=True)
-class MVector:
-    """A point (a, b) of the 6-dimensional complement of sl(3), a, b in Q^3."""
-
-    a: tuple
-    b: tuple
-
-    @staticmethod
-    def make(a=(0, 0, 0), b=(0, 0, 0)) -> "MVector":
-        return MVector(tuple(_as_q(t) for t in a), tuple(_as_q(t) for t in b))
-
-    def as_vector6(self) -> tuple:
-        return self.a + self.b
 
 
 def sl3_embed(p: Sl3Param) -> ExactMatrix:
@@ -136,41 +117,35 @@ def _h_table() -> ExactMatrix:
     return ExactMatrix(h.reshape(6, 36), 2)
 
 
-def _as_rows(v) -> ExactMatrix:
-    """One MVector as a 1 x 6 row of (a, b); a stack of rows as it is."""
-    return ExactMatrix.from_rows([v.as_vector6()]) if isinstance(v, MVector) else v
-
-
 def _linear_image(v, table: ExactMatrix, n: int) -> ExactMatrix:
     """The n x n matrix (a stack of them for a stack of rows) of the linear
     map whose values on the six coordinates of (a, b) are `table`'s rows."""
-    out = _as_rows(v) @ table
+    out = v @ table
     return out.reshape(*out.shape[:-2], n, n)
 
 
 def m_embed(v) -> ExactMatrix:
     """The skew 7x7 image {a}^1 + {b}^2 of (a, b); the axis column holds 2a, 2b.
 
-    v is one MVector or a stack of rows (..., 1, 6) of (a, b), as for h_map."""
+    v is a row (1, 6) of (a, b) or a stack of them (..., 1, 6), as for h_map."""
     return _linear_image(v, _m_table(), 7)
 
 
 def h_map(v) -> ExactMatrix:
     """The equivariant map into so(6):  h(a, b) = 1/2 [[hat(b), hat(a)], [hat(a), -hat(b)]].
 
-    v is one MVector (a 6x6 matrix comes back) or a stack of rows
-    (..., 1, 6) of (a, b) (a stack of 6x6 matrices comes back)."""
+    v is a row (1, 6) of (a, b) (a 6x6 matrix comes back) or a stack of
+    rows (..., 1, 6) (a stack of 6x6 matrices comes back)."""
     return _linear_image(v, _h_table(), 6)
 
 
 def lift_gtilde(a6: ExactMatrix, x) -> ExactMatrix:
     """Lift (A, x) to so(7) with the distinguished slot last:
-    [[A + h(x), x], [-x^T, 0]].  x is one MVector or a stack of rows
-    (..., 1, 6), and a stack of lifts comes back for a stack."""
+    [[A + h(x), x], [-x^T, 0]].  x is a row (1, 6) of (a, b) or a stack of
+    rows (..., 1, 6), and a stack of lifts comes back for a stack."""
     if a6.rows != 6 or a6.cols != 6:
         raise ValueError("expected a 6x6 algebra part")
-    xr = _as_rows(x)
-    (top, col), den = _over_common_den([a6 + h_map(xr), xr])
+    (top, col), den = _over_common_den([a6 + h_map(x), x])
     num = np.zeros((*top.shape[:-2], 7, 7), dtype=np.result_type(top, col))
     num[..., :6, :6] = top
     num[..., :6, 6] = col[..., 0, :]
@@ -189,11 +164,6 @@ def sl3_param_basis() -> list[Sl3Param]:
         ExactMatrix.from_rows([[0, 0, 0], [0, 0, 1], [0, 1, 0]]),
     ]
     return [Sl3Param.make(x=v) for v in e] + [Sl3Param.make(y=y) for y in ys]
-
-
-def m_vector_basis() -> list[MVector]:
-    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    return [MVector.make(a=v) for v in e] + [MVector.make(b=v) for v in e]
 
 
 H_SLOTS = slice(0, 8)     # the sl(3) images among the 14 basis elements

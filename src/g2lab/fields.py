@@ -5,16 +5,15 @@ Fields are plain callables; nothing is ever stored on a grid.  A query is a
 point (dim,) or a block (k, dim).  A field handed to a stencil takes an
 (m, dim) array of rows and returns one value per row, of any shape:
 `_at_offsets`, the one place a field is evaluated on a stencil, calls it once
-on the stacked rows, and `fd_gradient`, `star_jet`, `exterior_d` and
-`d_one_form` are difference formulas on its output.  The frame and form
-helpers (`transform_form` among them) broadcast over leading axes, so a
-block's rows carry the bits of the point results.  A 1-form value is a vector
-and a 2-form value a skew matrix (`d_one_form`, the block star
-`hodge_restricted`); `exterior_d` and `transform_form` take a k-form value as
-a numpy vector over the sorted k-index combinations in lexicographic order,
-which is how the 3- and 4-forms of a bundle are held.  Domains are boxes with
-explicit excluded sets, and samplers reject points too close to an exclusion
-or the boundary.
+on the stacked rows, and `fd_gradient`, `star_jet` and `d_one_form` are
+difference formulas on its output.  The frame and form helpers
+(`transform_form` among them) broadcast over leading axes, so a block's rows
+carry the bits of the point results.  A 1-form value is a vector and a 2-form
+value a skew matrix (`d_one_form`, the block star `hodge_restricted`);
+`_d_of_partials` and `transform_form` take a k-form value as a numpy vector
+over the sorted k-index combinations in lexicographic order, which is how the
+3- and 4-forms of a bundle are held.  Domains are boxes with explicit excluded
+sets, and samplers reject points too close to an exclusion or the boundary.
 """
 
 from __future__ import annotations
@@ -144,17 +143,9 @@ def _d_table(n: int, k: int) -> tuple:
                  for m in range(k + 1))
 
 
-def exterior_d(omega: Callable, p: Point, k: int, cfg: StencilConfig) -> np.ndarray:
-    """Coordinate exterior derivative of a k-form field at a point or a block
-    of points: `_d_of_partials` of its `fd_gradient`."""
-    return _d_of_partials(fd_gradient(omega, p, cfg), k)
-
-
 def _d_of_partials(partials: np.ndarray, k: int) -> np.ndarray:
     """(d omega)_J = sum_m (-1)^m d_{J_m} omega_{J minus J_m} on sorted
     (k+1)-tuples, from partials[..., d, I] = d_d omega_I."""
-    if k == 0:
-        return partials
     n = partials.shape[-2]
     out = np.zeros(partials.shape[:-2] + (len(combinations_index(n, k + 1)[0]),))
     for m, (lead, rest) in enumerate(_d_table(n, k)):

@@ -44,15 +44,6 @@ class MonopoleData:
 
 
 @dataclass(frozen=True)
-class CoframeSigns:
-    """Constant sign flips used by the orientation audit."""
-
-    plus_leg: float = 1.0
-    axis_leg: float = 1.0
-    minus_leg: float = 1.0
-
-
-@dataclass(frozen=True)
 class G2MetricBundle:
     """A 7-metric with its coframe; both, and the fields below, take a point
     (7,) or a block of points (k, 7)."""
@@ -68,9 +59,6 @@ class G2MetricBundle:
 
     def phi_field(self, p: np.ndarray) -> np.ndarray:
         return transform_form(phi_constants(), 3, 7, self.coframe(p))
-
-    def star_phi_field(self, p: np.ndarray) -> np.ndarray:
-        return transform_form(star_phi_constants(), 4, 7, self.coframe(p))
 
     def orthonormality_residual(self, samples) -> float:
         def at(p):
@@ -124,8 +112,7 @@ def weak_monopole_residual(mono: MonopoleData, k6, samples,
     return sup(blocks(samples), at)
 
 
-def g2_build_thm1(k6: Callable[[np.ndarray], np.ndarray], mono: MonopoleData,
-                  domain6: Domain, signs: CoframeSigns = CoframeSigns(),
+def g2_build_thm1(k6: Callable[[np.ndarray], np.ndarray], mono: MonopoleData, domain6: Domain,
                   hypothesis: Callable[..., dict] = monopole_residual) -> G2MetricBundle:
     """Warped product bundle k_+ + v k_- + v^-1 (dt + A)^2 over a 6-base.
 
@@ -169,9 +156,6 @@ def g2_build_thm1(k6: Callable[[np.ndarray], np.ndarray], mono: MonopoleData,
         e[..., 3, :1] = np.power(v, -0.5)
         e[..., 3, 1:] += np.power(v, -0.5) * a
         e[..., 4:, 4:] = np.sqrt(v)[..., None] * _chol_coframe(k[MM])
-        e[..., 0, :] *= signs.plus_leg
-        e[..., 3, :] *= signs.axis_leg
-        e[..., 4, :] *= signs.minus_leg
         return e
 
     cfg = StencilConfig(h=1e-3)

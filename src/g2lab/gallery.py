@@ -17,9 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .fields import MM, Domain, hat
-from .g2construct import (CoframeSigns, G2MetricBundle, MonopoleData,
-                          flat_product_metric, g2_build_thm1,
-                          weak_monopole_residual)
+from .g2construct import (G2MetricBundle, MonopoleData, flat_product_metric,
+                          g2_build_thm1, weak_monopole_residual)
 from .gibbons import (CENTER_MARGIN, STRING_MARGIN, GHData, dirac_potential,
                       dirac_string_exclusion, margined,
                       monopole_center_exclusion, radius, spatial_domain,
@@ -92,16 +91,15 @@ def constant_field(value) -> Callable[[np.ndarray], np.ndarray]:
     return lambda x: np.broadcast_to(value, np.shape(x)[:-1] + value.shape)
 
 
-def thm1_flat_bundle(**kwargs) -> G2MetricBundle:
+def thm1_flat_bundle() -> G2MetricBundle:
     mono = MonopoleData(v=constant_field(1.0), a=constant_field(np.zeros(6)))
     dom = Domain(lo=(-1.0,) * 6, hi=(1.0,) * 6)
-    return g2_build_thm1(flat_product_metric, mono, dom, **kwargs)
+    return g2_build_thm1(flat_product_metric, mono, dom)
 
 
-def thm1_taub_nut_bundle(signs: CoframeSigns = CoframeSigns()) -> G2MetricBundle:
+def thm1_taub_nut_bundle() -> G2MetricBundle:
     mono = MonopoleData(v=taub_nut_v6, a=monopole_potential6())
-    return g2_build_thm1(flat_product_metric, mono, base_domain6(),
-                         signs=signs)
+    return g2_build_thm1(flat_product_metric, mono, base_domain6())
 
 
 def thm1_broken_monopole_bundle(eps: float = 0.1) -> G2MetricBundle:
@@ -175,15 +173,6 @@ def _pole(x3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v = 1.0 + 0.5 / r
     dv = -0.5 * x3 / np.power(r, 3)[..., None]
     return v, dv
-
-
-def killing_flat_data() -> KillingData:
-    dom = Domain(lo=(-1.0,) * 6, hi=(1.0,) * 6)
-    return KillingData(metric=constant_field(np.eye(6)), u=constant_field(1.0),
-                       a_form=constant_field(np.zeros(6)),
-                       b_plus=constant_field(np.zeros(3)),
-                       b_hom=constant_field(np.zeros((3, 3))),
-                       domain=dom, connection=constant_field(np.zeros((6, 6, 6))))
 
 
 def killing_taub_nut_data() -> KillingData:
@@ -273,8 +262,6 @@ GALLERY = {
                               "verdict": "control: twist inconsistent, torsion bounded below"},
     "warped-control": {"builder": "warped_control_bundle",
                        "verdict": "control: curvature leaves the algebra"},
-    "killing-flat": {"builder": "killing_flat_data",
-                     "verdict": "all structure residuals vanish"},
     "killing-taub-nut": {"builder": "killing_taub_nut_data",
                          "verdict": "structure conditions hold at second order"},
     "killing-perturbed": {"builder": "killing_perturbed_data",
@@ -285,13 +272,6 @@ GALLERY = {
     "ellipsoid": {"builder": "ellipsoid",
                   "verdict": "control: neither umbilical nor nearly parallel"},
 }
-
-
-def rho_flat_setup() -> RhoConnectionSetup:
-    dom = Domain(lo=(-1.0,) * 6, hi=(1.0,) * 6)
-    return RhoConnectionSetup(u=constant_field(1.0),
-                              gamma_tm=constant_field(np.zeros((6, 6))),
-                              gamma_one=constant_field(np.zeros(6)), domain=dom)
 
 
 def _powers(x: np.ndarray) -> np.ndarray:

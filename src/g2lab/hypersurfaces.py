@@ -127,12 +127,3 @@ def hypersurface_checks(imm: Immersion, samples, cfg: StencilConfig) -> dict:
                 "umbilic": np.linalg.norm(traceless, axis=(-2, -1)),
                 "geodesic": np.linalg.norm(shape_f, axis=(-2, -1))}
     return sup(blocks(samples, STACK_BLOCK), at)
-
-
-def j_squared_residual(imm: Immersion, samples, cfg: StencilConfig) -> float:
-    """Sanity: J^2 = -identity on the tangent space, up to stencil noise."""
-    def at(y):
-        t = _tangent(imm, cfg, y)
-        jmat = _j_matrix(t, _normal(t))
-        return {"j_squared": np.abs(jmat @ jmat + np.eye(6))}
-    return sup(blocks(samples), at)["j_squared"]

@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .embeddings import g2_basis, intertwiner_solve
-from .rational import (Bilinear, ExactMatrix, Q, _as_q, bracket, combination,
-                       common_ratio, exact_json, trace_form, unit_rows)
+from .rational import (Bilinear, ExactMatrix, bracket, combination, common_ratio,
+                       trace_form, unit_rows)
 from .subspaces import Coordinates, Subspace, gram_matrix, inverse, kernel_basis
 from .threeform import (CrossProduct7, _det3, invariant_threeform,
                         phi_cross_duality, so7_basis)
@@ -38,18 +38,11 @@ def dot(x, y):
 
 @dataclass(frozen=True)
 class TorsionCrossResult:
-    """Pulled-back complement product and its exact ratio to the 3-form cross."""
+    """The exact ratio of the pulled-back complement product to the 3-form
+    cross, and the dimension of the complement it was pulled back from."""
 
-    product: dict                  # (i, j), i<j -> 7-tuple (the product e_i * e_j)
     proportionality: Fraction      # product = proportionality * phi-cross
     complement_dim: int
-
-    @functools.cached_property
-    def cross(self) -> Bilinear:
-        """The map (x, y) -> sum over i < j of (x_i y_j - x_j y_i) e_i e_j."""
-        return Bilinear([term for (i, j), v in self.product.items()
-                         for k, c in enumerate(v) if c
-                         for term in ((i, j, k, c), (j, i, k, -c))], 7)
 
 
 def torsion_cross() -> TorsionCrossResult:
@@ -98,8 +91,7 @@ def torsion_cross() -> TorsionCrossResult:
                          "to the 3-form cross product")
     if ratio == 0:
         raise ValueError("pulled-back product vanishes")
-    product = {(int(a), int(b)): pulled[k, 0] for k, (a, b) in enumerate(zip(i, j))}
-    return TorsionCrossResult(product, ratio, len(comp_rows))
+    return TorsionCrossResult(ratio, len(comp_rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,20 +118,10 @@ class OctonionTable:
         per-layer tracing counts its calls."""
         return self._map(p, q)
 
-    def conjugate(self, p: Sequence) -> tuple:
-        pq = [_as_q(v) for v in p]
-        return (pq[0],) + tuple(-v for v in pq[1:])
-
     def norm_sq(self, p):
         """|p|^2: a Fraction for a sequence, a stack of 1 x 1 matrices for a
         stack of rows (..., 1, 8)."""
         return dot(p, p)
-
-    def to_json_obj(self) -> dict:
-        return {"kind": "octonion_table",
-                "products": [[[exact_json(Q(int(self.sign[i, j]) if k == self.index[i, j]
-                                            else 0)) for k in range(8)]
-                              for j in range(8)] for i in range(8)]}
 
 
 def octonion_from_cross(cross: CrossProduct7) -> OctonionTable:
@@ -178,10 +160,7 @@ def _basis_products(cross: CrossProduct7) -> ExactMatrix:
 
 
 def associator(table: OctonionTable, p, q, r):
-    """[p, q, r] = (pq)r - p(qr): a tuple for three sequences, a stack of
-    rows for stacks of rows (..., 8)."""
-    if not isinstance(p, ExactMatrix):
-        return associator(table, *(ExactMatrix.from_rows([v]) for v in (p, q, r))).row(0)
+    """[p, q, r] = (pq)r - p(qr) for stacks of rows (..., 8)."""
     return table.multiply(table.multiply(p, q), r) - table.multiply(p, table.multiply(q, r))
 
 

@@ -23,9 +23,9 @@ exactly when all of them lie below 2^62.
 `fractions.Fraction` appears only at the boundary.  `_as_q` reads scalars in
 (an int or a Fraction; a float is a TypeError, so no floating point ever
 enters), and `__getitem__`, `row`, `flatten`, iteration and `exact_json` hand
-them out.  The functions that take vectors (`Bilinear`, and `dot` and
-`associator` in `octonions`) take either one sequence of exact scalars, and
-return a tuple, or a stack of rows, and return a stack.
+them out.  The functions that take vectors (`Bilinear`, and `dot` in
+`octonions`) take either one sequence of exact scalars, and return a tuple,
+or a stack of rows, and return a stack.
 """
 
 from __future__ import annotations
@@ -206,12 +206,6 @@ class ExactMatrix:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         a, b = _fit(self.bound * other.bound * self.cols, self.num, other.num)
         return ExactMatrix(a @ b, self.den * other.den)
-
-    def apply(self, v: Sequence) -> tuple:
-        """Matrix-vector product, v given as a plain sequence of rationals."""
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        return (self @ ExactMatrix.from_rows([v]).transpose()).flatten()
 
     def transpose(self) -> "ExactMatrix":
         """Each matrix of the stack transposed."""

@@ -1,4 +1,4 @@
-"""Exact subspace arithmetic: canonical echelon forms, spans, kernels, solving.
+"""Exact subspace arithmetic: canonical echelon forms, spans, kernels, inverses.
 
 Elimination runs on the integer numerator rows of an `ExactMatrix` and is
 fraction-free (Bareiss-style): each step combines integer rows and divides
@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rational import ExactMatrix, Q, _fit, _magnitude
+from .rational import ExactMatrix, _fit, _magnitude
 
 
 def _divide_content(rows: np.ndarray) -> np.ndarray:
@@ -100,36 +100,6 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
 
 
 @dataclass(frozen=True)
-class LinearSolution:
-    """General solution of a x = b: a particular solution plus the kernel."""
-
-    particular: tuple | None          # None when the system is inconsistent
-    kernel: ExactMatrix               # rows: a basis of the kernel
-
-    @property
-    def consistent(self) -> bool:
-        return self.particular is not None
-
-    @property
-    def unique(self) -> bool:
-        return self.consistent and not self.kernel
-
-
-def solve_linear(a: ExactMatrix, b: Sequence) -> LinearSolution:
-    """Exact general solution of the linear system a x = b."""
-    if len(b) != a.rows:
-        raise ValueError("right-hand side length mismatch")
-    red, pivots = rref(_side_by_side(a, ExactMatrix.from_rows([b]).transpose()))
-    n = a.cols
-    if n in pivots:
-        return LinearSolution(None, kernel_basis(a))
-    x = [Q(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = red[i, n]
-    return LinearSolution(tuple(x), kernel_basis(a))
-
-
-@dataclass(frozen=True)
 class Subspace:
     """A linear subspace of Q^n held in canonical reduced-echelon basis."""
 
@@ -179,11 +149,6 @@ class Subspace:
         c = v[..., list(self.pivots)]
         return c, (c @ self.basis).equal(v)
 
-    def coordinates(self, v) -> tuple | None:
-        """Coefficients of one vector v in this basis, or None if v is outside."""
-        c, inside = self._coefficients(v)
-        return c.row(0) if inside else None
-
     def contains(self, v):
         """Whether v lies in the subspace: a bool for one vector, a bool
         array of the stack's shape for a stack."""
@@ -202,19 +167,6 @@ class Subspace:
         ker = kernel_basis(ExactMatrix.concatenate([self.basis, -other.basis]).transpose())
         x = ker.submatrix(range(ker.rows), range(self.dim))
         return Subspace.span(x @ self.basis)
-
-    def ortho_complement(self, form: ExactMatrix | None = None) -> "Subspace":
-        """Complement w.r.t. a nondegenerate symmetric bilinear form (default: dot)."""
-        n = self.ambient_dim
-        if form is None:
-            form = ExactMatrix.identity(n)
-        if form.rows != n or form.cols != n:
-            raise ValueError("form has wrong ambient dimension")
-        if kernel_basis(form):
-            raise ValueError("degenerate form")
-        if self.dim == 0:
-            return Subspace.span(ExactMatrix.identity(n))
-        return Subspace.span(kernel_basis(self.basis @ form.transpose()))
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:

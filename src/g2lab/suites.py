@@ -494,7 +494,7 @@ def check_oracle_blocks(ctx: SuiteContext) -> CheckReport:
 # ---------------------------------------------------------- negative controls
 
 def check_neg_perturbed_potential(ctx: SuiteContext) -> CheckReport:
-    data = gallery.killing_perturbed_data(0.1)
+    data = gallery.killing_perturbed_data(0.2)
     cfg = _base_cfg(ctx, 1e-3)
     pts = _points(ctx, data.domain, 40, cfg)
     cond = killing_conditions_check(data, pts, cfg)

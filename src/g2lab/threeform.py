@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .embeddings import g2_basis
-from .rational import Bilinear, ExactMatrix, Q, _as_q, _fit, exact_json, skew_basis
+from .rational import Bilinear, ExactMatrix, Q, _fit, skew_basis
 from .subspaces import Subspace, kernel_basis
 
 TRIPLES = tuple(itertools.combinations(range(7), 3))
@@ -56,7 +56,7 @@ def _rational_sqrt(x: Fraction) -> Fraction | None:
 @dataclass(frozen=True)
 class _AlternatingForm:
     """Alternating form on Q^7 with components on the sorted index tuples
-    `INDICES` of its degree; `KIND` names it in JSON."""
+    `INDICES` of its degree."""
 
     components: tuple  # 35 Fractions, INDICES order
 
@@ -66,17 +66,11 @@ class _AlternatingForm:
     def nonzero_items(self):
         return [(t, c) for t, c in zip(self.INDICES, self.components) if c != 0]
 
-    def to_json_obj(self) -> dict:
-        return {"kind": self.KIND, "dimension": 7,
-                "components": [{"indices": list(t), **exact_json(c)}
-                               for t, c in self.nonzero_items()]}
-
 
 class ThreeForm(_AlternatingForm):
     """Totally antisymmetric 3-tensor on Q^7, components on sorted triples."""
 
     INDICES = TRIPLES
-    KIND = "three_form"
 
     def value(self, i: int, j: int, k: int) -> Fraction:
         t, s = sort_with_sign((i, j, k))
@@ -104,20 +98,11 @@ class ThreeForm(_AlternatingForm):
             s = -s
         return ThreeForm(tuple(s * c for c in self.components))
 
-    def scale(self, s) -> "ThreeForm":
-        s = _as_q(s)
-        return ThreeForm(tuple(s * c for c in self.components))
-
 
 class FourForm(_AlternatingForm):
     """Totally antisymmetric 4-tensor on Q^7, components on sorted quads."""
 
     INDICES = QUADS
-    KIND = "four_form"
-
-    def value(self, i, j, k, l) -> Fraction:
-        q, s = sort_with_sign((i, j, k, l))
-        return Q(0) if s == 0 else s * self.components[QUAD_INDEX[q]]
 
 
 def _det3(x, y, z, i, j, k) -> Fraction:
@@ -214,11 +199,6 @@ class CrossProduct7:
                          for (a, b, c), s in (((i, j, k), 1), ((j, k, i), 1), ((k, i, j), 1),
                                               ((j, i, k), -1), ((i, k, j), -1), ((k, j, i), -1))],
                         7)
-
-    def to_json_obj(self) -> dict:
-        obj = self.phi.to_json_obj()
-        obj["kind"] = "cross_product"
-        return obj
 
 
 def phi_cross_duality(phi: ThreeForm) -> CrossProduct7:

@@ -9,11 +9,12 @@ import pytest
 
 from g2lab import gallery
 from g2lab.curvature import christoffel, ricci, riemann
-from g2lab.fields import StencilConfig, blocks, sample_points, sup
+from g2lab.fields import StencilConfig, blocks, sample_points, sup, transform_form
 from g2lab.g2construct import holonomy_residual, torsionfree_residual
 from g2lab.gibbons import gh_build
 from g2lab.hypersurfaces import (_j_matrix, _normal, affine_plane, ellipsoid,
                                  hypersurface_checks, unit_sphere)
+from g2lab.modeldata import star_phi_constants
 
 CURVATURE_CFG = StencilConfig(h=1e-2)
 
@@ -28,8 +29,11 @@ def _block_fields() -> dict:
                "thm2-mismatched-alpha": gallery.thm2_mismatched_alpha_bundle()[0],
                "warped-control": gallery.warped_control_bundle()}
     for tag, b in bundles.items():
-        for name in ("metric", "coframe", "frame", "phi_field", "star_phi_field"):
+        for name in ("metric", "coframe", "frame", "phi_field"):
             out[f"{tag}.{name}"] = (b.domain, getattr(b, name))
+        # *phi in the coframe, as the torsion check assembles it
+        out[f"{tag}.star_phi_field"] = (
+            b.domain, lambda p, e=b.coframe: transform_form(star_phi_constants(), 4, 7, e(p)))
         out[f"{tag}.riemann"] = (b.domain,
                                  lambda p, g=b.metric: riemann(g, p, CURVATURE_CFG))
     for tag, data in (("gh-flat-quotient", gallery.gh_flat_example()),

@@ -2,29 +2,36 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from g2lab.rational import ExactMatrix, Q, bracket, trace_form
+from g2lab.rational import ExactMatrix, Q, bracket, trace_form, unit_rows
 from g2lab.subspaces import Subspace
 from g2lab import embeddings as emb
+
+ZERO_ROW = ExactMatrix.zeros(1, 6)   # (a, b) = (0, 0)
 
 
 def rand_vec3(rng):
     return tuple(Fraction(int(v)) for v in rng.integers(-4, 5, size=3))
 
 
+def cross3(x, y):
+    """x x y, as hat3(x) applied to y."""
+    return (emb.hat3(x) @ ExactMatrix.from_rows([y]).transpose()).flatten()
+
+
 def test_hat3_convention():
     e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    assert emb.hat3(e1).apply(e2) == (Q(0), Q(0), Q(1))  # e1 x e2 = e3
+    assert cross3(e1, e2) == (Q(0), Q(0), Q(1))  # e1 x e2 = e3
     rng = np.random.default_rng(2)
     for _ in range(5):
         x = rand_vec3(rng)
-        assert all(v == 0 for v in emb.hat3(x).apply(x))
+        assert all(v == 0 for v in cross3(x, x))
 
 
 def test_hat3_is_lie_isomorphism():
     rng = np.random.default_rng(4)
     for _ in range(6):
         x, y = rand_vec3(rng), rand_vec3(rng)
-        assert bracket(emb.hat3(x), emb.hat3(y)) == emb.hat3(emb.cross3(x, y))
+        assert bracket(emb.hat3(x), emb.hat3(y)) == emb.hat3(cross3(x, y))
 
 
 def test_sl3_embed_shapes():
@@ -47,13 +54,13 @@ def test_sl3_param_validation():
 
 
 def test_m_embed_displayed_matrix():
-    m = emb.m_embed(emb.MVector.make(a=(1, 0, 0)))
+    m = emb.m_embed(unit_rows(6)[0])
     assert m[0, 3] == 2 and m[3, 0] == -2
     h = emb.hat3((1, 0, 0))
     assert m.submatrix([0, 1, 2], [4, 5, 6]) == h
     assert m.submatrix([4, 5, 6], [0, 1, 2]) == h
     assert m.submatrix([0, 1, 2], [0, 1, 2]).is_zero()
-    assert emb.m_embed(emb.MVector.make()).is_zero()
+    assert emb.m_embed(ZERO_ROW).is_zero()
 
 
 def test_g2_basis_certifies():
@@ -84,10 +91,10 @@ def test_h_scale_is_two():
 
 
 def test_lift_trivial_cases():
-    z = emb.lift_gtilde(ExactMatrix.zeros(6), emb.MVector.make())
+    z = emb.lift_gtilde(ExactMatrix.zeros(6), ZERO_ROW)
     assert z.is_zero()
     a6 = emb.sl3_embed(emb.Sl3Param.make(x=(0, 1, 0)))
-    lifted = emb.lift_gtilde(a6, emb.MVector.make())
+    lifted = emb.lift_gtilde(a6, ZERO_ROW)
     assert lifted.submatrix(range(6), range(6)) == a6
     assert all(lifted[i, 6] == 0 and lifted[6, i] == 0 for i in range(7))
 
@@ -111,7 +118,7 @@ def test_scale_certificates_catch_a_layout_error_in_h(monkeypatch):
 def test_lift_image_spans_complement():
     b = emb.g2_basis()
     perm_m = [m.submatrix(emb.AXIS_TO_LAST, emb.AXIS_TO_LAST) for m in b.m_elements]
-    lifts = [emb.lift_gtilde(ExactMatrix.zeros(6), v) for v in emb.m_vector_basis()]
+    lifts = list(emb.lift_gtilde(ExactMatrix.zeros(6), unit_rows(6)))
     assert Subspace.span_matrices(perm_m) == Subspace.span_matrices(lifts)
     # and together with the (permuted) sl(3) block they span the permuted algebra
     perm_h = [m.submatrix(emb.AXIS_TO_LAST, emb.AXIS_TO_LAST) for m in b.h_elements]
@@ -137,6 +144,22 @@ def test_adjoint_rep_equivalent_to_canonical():
         assert t @ a == c @ t
 
 
+def test_intertwiner_witness_from_a_pairwise_combination():
+    """diag(A, A) over the split sl(3) form commutes with exactly M_2 (x) I_3.
+    Each of its four canonical kernel elements is singular, so the invertible
+    witness comes from the search over pairwise combinations."""
+    rep = [ExactMatrix(np.kron(np.eye(2, dtype=np.int64), a.num), a.den)
+           for a in emb.sl3_canonical_rep3()]
+    res = emb.intertwiner_solve(rep, rep)
+    assert len(res.kernel) == 4
+    assert all(Subspace.span(t).dim < 6 for t in res.kernel)
+    assert res.equivalent
+    t = res.invertible
+    assert Subspace.span(t).dim == 6
+    for a in rep:
+        assert t @ a == a @ t
+
+
 def test_canonical3_vs_dual_inequivalent():
     rep = emb.sl3_canonical_rep3()
     res = emb.intertwiner_solve(rep, emb.dual_rep(rep))
@@ -153,9 +176,9 @@ def test_trace_orthogonality_examples():
 
 
 def test_h_map_zero():
-    assert emb.h_map(emb.MVector.make()).is_zero()
+    assert emb.h_map(ZERO_ROW).is_zero()
 
 
 def test_lift_shape_mismatch_rejected():
     with pytest.raises(ValueError):
-        emb.lift_gtilde(ExactMatrix.zeros(5), emb.MVector.make())
+        emb.lift_gtilde(ExactMatrix.zeros(5), ZERO_ROW)

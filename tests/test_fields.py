@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from g2lab.fields import (BLOCK, Domain, StencilConfig, adapted_frame, blocks,
-                          combinations_index, d_one_form, exterior_d,
+from g2lab.fields import (BLOCK, Domain, StencilConfig, _d_of_partials,
+                          adapted_frame, blocks, combinations_index, d_one_form,
                           fd_gradient, frame_derivatives, hat,
                           hodge_restricted, sample_points, star_jet, sup,
                           transform_form)
@@ -61,14 +61,20 @@ def reference_star_jet(f, p, cfg):
     return f0, reference_fd_gradient(f, p, cfg), np.array(dd).swapaxes(0, p.ndim - 1)
 
 
+def exterior_d(omega, p, k, cfg):
+    """The coordinate exterior derivative of a k-form field, as the torsion
+    check takes it: `_d_of_partials` of the field's `fd_gradient`.  A 0-form
+    is held, like every k-form, as a vector over the C(n, 0) = 1 sorted
+    combinations."""
+    return _d_of_partials(fd_gradient(omega, p, cfg), k)
+
+
 def reference_exterior_d(omega, p, k, cfg):
-    """The per-J loop that the table-driven exterior_d replaced."""
+    """The per-J loop that the table-driven exterior derivative replaced."""
     n = len(p)
     _, kindex = combinations_index(n, k)
     combos_k1, _ = combinations_index(n, k + 1)
     partials = np.array([reference_fd_partial(omega, p, d, cfg) for d in range(n)])
-    if k == 0:
-        return partials
     out = np.zeros(len(combos_k1))
     for ci, J in enumerate(combos_k1):
         s = 0.0
@@ -147,8 +153,7 @@ def test_exterior_d_matches_reference_loop(k):
     n = 7
     ncombos = len(combinations_index(n, k)[0])
     coef = rng.normal(size=(ncombos, n))
-    omega = (lambda q: np.sin(np.vecdot(q, coef[0]))) if k == 0 else \
-        (lambda q: np.sin(np.matvec(coef, q)) * (1.0 + np.vecdot(q, q))[..., None])
+    omega = (lambda q: np.sin(np.matvec(coef, q)) * (1.0 + np.vecdot(q, q))[..., None])
     cfg = StencilConfig(h=1e-3)
     for _ in range(5):
         p = rng.uniform(-1.0, 1.0, size=n)
@@ -196,7 +201,7 @@ def test_fd_linearity():
 
 
 def test_exterior_d_scalar_is_gradient():
-    f = lambda p: p[..., 0] * p[..., 1]
+    f = lambda p: (p[..., 0] * p[..., 1])[..., None]
     cfg = StencilConfig(h=1e-3)
     p = np.array([2.0, 3.0, 1.0])
     df = exterior_d(f, p, 0, cfg)
@@ -662,7 +667,7 @@ def _counted(f, calls):
 
 @pytest.mark.parametrize("k", [None, 5])
 def test_each_stencil_calls_its_field_once_per_query(k):
-    """fd_gradient, star_jet, exterior_d and d_one_form make one field call
+    """fd_gradient, star_jet and d_one_form make one field call
     on the rows of their stencil: 2 dim rows per point, 2 dim + 1 for the
     star."""
     rng = np.random.default_rng(2)
@@ -672,7 +677,6 @@ def test_each_stencil_calls_its_field_once_per_query(k):
     cfg = StencilConfig(h=1e-3)
     for stencil, rows in ((lambda f: fd_gradient(f, p, cfg), 12),
                           (lambda f: star_jet(f, p, cfg), 13),
-                          (lambda f: exterior_d(f, p, 1, cfg), 12),
                           (lambda f: d_one_form(f, p, cfg), 12)):
         calls = []
         stencil(_counted(one_form, calls))

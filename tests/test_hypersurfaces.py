@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from g2lab.fields import Domain, StencilConfig, sample_points
-from g2lab.hypersurfaces import (Immersion, affine_plane, ellipsoid,
-                                 hypersurface_checks, j_squared_residual,
+from g2lab.hypersurfaces import (Immersion, _j_matrix, _normal, _tangent,
+                                 affine_plane, ellipsoid, hypersurface_checks,
                                  unit_sphere)
 
 CFG = StencilConfig(h=1e-3)
@@ -41,7 +41,9 @@ def test_ellipsoid_fails_both():
 
 def test_j_squared_is_minus_identity():
     for imm in (affine_plane(), unit_sphere(), ellipsoid()):
-        assert j_squared_residual(imm, pts_of(imm, n=3), CFG) <= 1e-8
+        t = _tangent(imm, CFG, np.array(pts_of(imm, n=3)))
+        jmat = _j_matrix(t, _normal(t))
+        assert np.max(np.abs(jmat @ jmat + np.eye(6))) <= 1e-8
 
 
 def test_degenerate_immersion_rejected():

@@ -3,20 +3,37 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from g2lab.fields import (StencilConfig, adapted_frame, d_one_form,
+from g2lab.fields import (Domain, StencilConfig, adapted_frame, d_one_form,
                           fd_gradient, frame_derivatives, hat,
                           hodge_restricted, sample_points, sup)
 from g2lab.g2construct import estimate_order
-from g2lab.gallery import (constant_field, killing_flat_data,
-                           killing_perturbed_data, killing_taub_nut_data,
-                           polynomial_sections, rho_flat_setup,
+from g2lab.gallery import (constant_field, killing_perturbed_data,
+                           killing_taub_nut_data, polynomial_sections,
                            rho_polynomial_setup)
-from g2lab.killing import (da_conditions_check, gamma_pair_residual,
-                           killing_conditions_check, rho_torsion_check,
-                           route_agreement)
+from g2lab.killing import (KillingData, RhoConnectionSetup, da_conditions_check,
+                           gamma_pair_residual, killing_conditions_check,
+                           rho_torsion_check, route_agreement)
 from g2lab.modeldata import h6
 
 CFG = StencilConfig(h=1e-3)
+
+
+def killing_flat_data() -> KillingData:
+    """Flat quotient data on the 6-box: every structure residual vanishes."""
+    dom = Domain(lo=(-1.0,) * 6, hi=(1.0,) * 6)
+    return KillingData(metric=constant_field(np.eye(6)), u=constant_field(1.0),
+                       a_form=constant_field(np.zeros(6)),
+                       b_plus=constant_field(np.zeros(3)),
+                       b_hom=constant_field(np.zeros((3, 3))),
+                       domain=dom, connection=constant_field(np.zeros((6, 6, 6))))
+
+
+def rho_flat_setup() -> RhoConnectionSetup:
+    """Constant rho-connection data on the flat 6-box."""
+    dom = Domain(lo=(-1.0,) * 6, hi=(1.0,) * 6)
+    return RhoConnectionSetup(u=constant_field(1.0),
+                              gamma_tm=constant_field(np.zeros((6, 6))),
+                              gamma_one=constant_field(np.zeros(6)), domain=dom)
 
 
 def pts_of(data, n=10, seed=11, h=2e-3):

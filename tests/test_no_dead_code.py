@@ -1,39 +1,111 @@
-"""Every function, method and class defined in the package has a caller.
+"""Every function and class defined in the package has a caller in the
+program, and the package keeps one implementation of each primitive.
 
-A name counts as used when it occurs as a whole word somewhere in the package
-or the tests other than at its own definitions.  The package's `__init__`
-only re-exports names, so an export alone is no caller.  Dunder names are
+A function counts as called when a whole run, `g2lab --suite all --samples
+1`, calls it: the run executes under a profile hook, and every `def` of the
+package, nested ones included, must have received a call.  A class counts as
+used when its name appears in the package's code outside its own body; a
+string, a docstring or a re-export in `__init__` is no use.  Dunder names are
 exempt: the language calls them.
 """
 
 import ast
-import re
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "g2lab"
 
+# Runs the program under a profile hook set before g2lab is imported, and
+# prints (file, first line, name) of every package code object that
+# received a call.
+PROFILED_RUN = """
+import json, sys
+package, called = sys.argv[1], set()
 
-def _definitions() -> dict:
-    counts = {}
+def hook(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_filename.startswith(package):
+        called.add((code.co_filename, code.co_firstlineno, code.co_name))
+
+sys.setprofile(hook)
+from g2lab.cli import main
+code = main(["--suite", "all", "--samples", "1", "--json-only"])
+sys.setprofile(None)
+print(json.dumps([code, sorted(called)]), file=sys.stderr)
+"""
+
+
+def _called_in_a_run() -> set:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", PROFILED_RUN, str(PACKAGE) + os.sep],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    code, called = json.loads(run.stderr.strip().splitlines()[-1])
+    assert code == 0, "the profiled run did not pass"
+    return {tuple(key) for key in called}
+
+
+def _functions(code):
+    """The function code objects nested in `code`, at any depth: those with
+    optimized locals, less comprehensions and lambdas."""
+    for const in code.co_consts:
+        if hasattr(const, "co_code"):
+            if const.co_flags & 0x1 and not const.co_name.startswith("<"):
+                yield const
+            yield from _functions(const)
+
+
+def uncalled(called: set) -> list:
+    """(file, line, name) of each non-dunder `def` of the package whose code
+    object is not in `called`."""
+    out = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                name = node.name
-                if not (name.startswith("__") and name.endswith("__")):
-                    counts[name] = counts.get(name, 0) + 1
-    return counts
+        for code in _functions(compile(path.read_text(), str(path), "exec")):
+            key = (code.co_filename, code.co_firstlineno, code.co_name)
+            dunder = code.co_name.startswith("__") and code.co_name.endswith("__")
+            if not dunder and key not in called:
+                out.append((path.name, code.co_firstlineno, code.co_name))
+    return out
+
+
+def unnamed_classes() -> list:
+    """Classes of the package whose name no code of the package outside
+    `__init__` and their own body refers to."""
+    # every tree stays alive, so the ids of their nodes stay distinct
+    trees = [(path.name, ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))]
+    refs, classes = {}, []
+    for name, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                classes.append((name, node))
+            word = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if word is not None and name != "__init__.py":
+                refs.setdefault(word, set()).add(id(node))
+    return [(path, cls.name) for path, cls in classes
+            if not refs.get(cls.name, set()) - set(map(id, ast.walk(cls)))]
 
 
 def test_every_definition_is_referenced():
-    texts = [p.read_text() for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    texts += [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))]
-    unused = []
-    for name, n_defs in sorted(_definitions().items()):
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        if sum(len(word.findall(t)) for t in texts) <= n_defs:
-            unused.append(name)
-    assert not unused, f"defined but never referenced: {unused}"
+    missing = uncalled(_called_in_a_run())
+    assert not missing, f"defined but never called by a whole run: {missing}"
+    unnamed = unnamed_classes()
+    assert not unnamed, f"classes no package code refers to: {unnamed}"
+
+
+def test_the_call_check_sees_an_uncalled_function():
+    """A run that calls nothing leaves every non-dunder `def` uncalled:
+    functions, methods (`SuiteContext.once`) and nested functions (the `at`
+    of each verifier), but not `__init__`."""
+    names = {name for _, _, name in uncalled(set())}
+    assert {"main", "once", "sup", "at"} <= names
+    assert "__init__" not in names
 
 
 def _body_key(node) -> str:
@@ -121,10 +193,10 @@ def _settings() -> list:
 
 def _passed() -> tuple:
     """Keyword arguments and the number of positional arguments of every call
-    in the package and the tests, keyed by the called name.  A starred
-    argument counts as filling every slot."""
+    in the package, keyed by the called name.  A starred argument counts as
+    filling every slot."""
     keywords, widths = {}, {}
-    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
                 continue
@@ -139,18 +211,24 @@ def _passed() -> tuple:
     return keywords, widths
 
 
+# Settings that only a caller outside the package sets: the tests drive the
+# command line through `cli.main(argv)`, the installed script calls it bare.
+SET_OUTSIDE = {("main", "argv")}
+
+
 def test_every_default_is_set():
     """One value per setting: a parameter or dataclass field with a default
-    is passed, by keyword or by position, by some call in the package or the
-    tests (`dataclasses.replace` sets fields by keyword); a value no call
-    sets is a constant."""
+    is passed, by keyword or by position, by some call in the package
+    (`dataclasses.replace` sets fields by keyword); a value that only tests
+    set is a knob the program never turns, and a value no call sets is a
+    constant."""
     keywords, widths = _passed()
     replaced = keywords.get("replace", set())
     unset = []
     for owner, name, slot in _settings():
         by_keyword = name in keywords.get(owner, ()) or name in replaced
         by_position = slot is not None and widths.get(owner, 0) > slot
-        if not (by_keyword or by_position):
+        if not (by_keyword or by_position or (owner, name) in SET_OUTSIDE):
             unset.append((owner, name))
     assert not unset, f"defaults that no call sets: {sorted(unset)}"
 

@@ -4,12 +4,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from g2lab.embeddings import MVector, Sl3Param, hat3
-from g2lab.octonions import (TorsionCrossResult, dot, standard_cross,
-                             standard_octonions)
-from g2lab.rational import ExactMatrix, Q, bracket, trace_form
+from g2lab.embeddings import Sl3Param, hat3
+from g2lab.octonions import dot, standard_cross, standard_octonions
+from g2lab.rational import ExactMatrix, bracket, trace_form
 from g2lab.subspaces import Subspace, rref
-from g2lab.threeform import ThreeForm
 
 
 def rand_skew(rng, n):
@@ -76,26 +74,15 @@ def test_matrix_ops_exact():
     assert a.transpose().transpose() == a
 
 
-def test_apply():
-    a = ExactMatrix.from_rows([[1, 2], [3, 4]])
-    assert a.apply([1, 1]) == (Q(3), Q(7))
-
-
 # Each entry point of the exact layer, called with one scalar s in its input.
 EXACT_ENTRY_POINTS = {
     "ExactMatrix.from_rows": lambda s: ExactMatrix.from_rows([[s]]),
     "hat3": lambda s: hat3((s, 0, 0)),
     "Sl3Param.make": lambda s: Sl3Param.make(x=(s, 0, 0)),
-    "MVector.make": lambda s: MVector.make(b=(0, 0, s)),
     "OctonionTable.multiply":
         lambda s: standard_octonions().multiply([s] + [0] * 7, [1] + [0] * 7),
-    "OctonionTable.conjugate": lambda s: standard_octonions().conjugate([s] * 8),
     "dot": lambda s: dot((1, s), (s, 1)),
     "CrossProduct7.cross": lambda s: standard_cross().cross([s] * 7, [1] * 7),
-    "TorsionCrossResult.cross":
-        lambda s: TorsionCrossResult({(0, 1): (Q(1),) * 7}, Q(1), 7).cross(
-            [s] * 7, [1] * 7),
-    "ThreeForm.scale": lambda s: ThreeForm((Q(1),) * 35).scale(s),
     "rref": lambda s: rref([[s, 1]]),
     "Subspace.span": lambda s: Subspace.span([[s, 1]]),
     "Subspace.contains": lambda s: Subspace.span([[1, 0]]).contains([s, 0]),
@@ -160,7 +147,6 @@ def test_kernel_matches_the_fraction_reference(data, n, k, m):
     b = data.draw(rational_rows(k, m))
     sq1, sq2 = data.draw(rational_rows(n, n)), data.draw(rational_rows(n, n))
     s = data.draw(RATIONALS)
-    v = data.draw(rational_rows(1, k))[0]
     A, B, C = (ExactMatrix.from_rows(x) for x in (a, b, c))
     S1, S2 = ExactMatrix.from_rows(sq1), ExactMatrix.from_rows(sq2)
 
@@ -168,7 +154,6 @@ def test_kernel_matches_the_fraction_reference(data, n, k, m):
     assert entries(A + C) == [[x + y for x, y in zip(r, q)] for r, q in zip(a, c)]
     assert entries(A - C) == [[x - y for x, y in zip(r, q)] for r, q in zip(a, c)]
     assert entries(A.scale(s)) == [[s * x for x in r] for r in a]
-    assert list(A.apply(v)) == [r[0] for r in ref_matmul(a, [[x] for x in v])]
     lhs, rhs = ref_matmul(sq1, sq2), ref_matmul(sq2, sq1)
     assert entries(bracket(S1, S2)) == [[x - y for x, y in zip(r, q)]
                                         for r, q in zip(lhs, rhs)]

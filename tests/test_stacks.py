@@ -111,9 +111,10 @@ def test_stacked_bilinear_equals_the_per_row_loop(data, n, rows, big):
 
 
 def reference_m_embed(v):
-    """The entry-by-entry build of m_embed from Fraction rows, kept as the
-    reference for the table route."""
-    ha, hb = emb.hat3(v.a), emb.hat3(v.b)
+    """The entry-by-entry build of m_embed from the six Fractions (a, b),
+    kept as the reference for the table route."""
+    a, b = v[:3], v[3:]
+    ha, hb = emb.hat3(a), emb.hat3(b)
     ent = [[Q(0)] * 7 for _ in range(7)]
     for i in range(3):
         for j in range(3):
@@ -121,17 +122,17 @@ def reference_m_embed(v):
             ent[i][4 + j] = ha[i, j]
             ent[4 + i][j] = ha[i, j]
             ent[4 + i][4 + j] = -hb[i, j]
-        ent[i][3] = 2 * v.a[i]
-        ent[3][i] = -2 * v.a[i]
-        ent[4 + i][3] = 2 * v.b[i]
-        ent[3][4 + i] = -2 * v.b[i]
+        ent[i][3] = 2 * a[i]
+        ent[3][i] = -2 * a[i]
+        ent[4 + i][3] = 2 * b[i]
+        ent[3][4 + i] = -2 * b[i]
     return ExactMatrix.from_rows(ent)
 
 
-def reference_lift_gtilde(a6, x):
-    """The row-by-row build of lift_gtilde, kept as the reference."""
-    top = a6 + emb.h_map(x)
-    xv = x.as_vector6()
+def reference_lift_gtilde(a6, xv):
+    """The row-by-row build of lift_gtilde from the six Fractions (a, b),
+    kept as the reference."""
+    top = a6 + emb.h_map(ExactMatrix.from_rows([xv]))
     rows = [list(top.row(i)) + [xv[i]] for i in range(6)]
     rows.append([-t for t in xv] + [Q(0)])
     return ExactMatrix.from_rows(rows)
@@ -147,18 +148,17 @@ def reference_permute_matrix(m, perm):
 @given(st.data(), st.integers(1, 4))
 def test_complement_maps_equal_the_entry_loops(data, k):
     """m_embed, lift_gtilde and the axis permutation equal their old entry loops
-    on one MVector, and on a stack of rows (k, 1, 6) member by member."""
+    on one row (1, 6), and on a stack of rows (k, 1, 6) member by member."""
     vecs = data.draw(stack(k, 1, 6))
     a6 = integer_stack(data, (6, 6))
-    mvs = [emb.MVector.make(a=v[0][:3], b=v[0][3:]) for v in vecs]
     rows = as_stack(vecs)
     embedded, lifts = emb.m_embed(rows), emb.lift_gtilde(a6, rows)
     permuted = embedded.submatrix(emb.AXIS_TO_LAST, emb.AXIS_TO_LAST)
     assert embedded.shape == permuted.shape == lifts.shape == (k, 7, 7)
-    for i, v in enumerate(mvs):
-        ref = reference_m_embed(v)
-        assert embedded[i] == emb.m_embed(v) == ref
-        assert lifts[i] == emb.lift_gtilde(a6, v) == reference_lift_gtilde(a6, v)
+    for i, v in enumerate(vecs):
+        ref = reference_m_embed(v[0])
+        assert embedded[i] == emb.m_embed(rows[i]) == ref
+        assert lifts[i] == emb.lift_gtilde(a6, rows[i]) == reference_lift_gtilde(a6, v[0])
         assert permuted[i] == reference_permute_matrix(ref, emb.AXIS_TO_LAST)
 
 
@@ -194,8 +194,8 @@ def test_float_views_equal_the_entry_loops():
     """modeldata's float views divide the integer numerators by the one
     denominator; they equal float() of each Fraction entry, as the entry
     loops built them."""
-    h = np.array([[[float(v) for v in row] for row in emb.h_map(mv)]
-                  for mv in emb.m_vector_basis()])
+    h = np.array([[[float(v) for v in row] for row in emb.h_map(e)]
+                  for e in unit_rows(6)])
     g2 = np.array([[float(v) for v in el.flatten()] for el in emb.g2_basis().elements])
     assert np.array_equal(modeldata.h_tensors(), h)
     assert np.array_equal(modeldata.so6_part_projectors()["h"],
