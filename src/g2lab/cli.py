@@ -6,6 +6,10 @@ with each check's time on stderr (suppressed by --json-only).  A check that
 raises is reported with status "error" and the run goes on.  Exit code 0 when
 every check passes, 1 when any fails or errs, 2 on usage errors.  Two runs
 with the same seed and configuration produce byte-identical stdout.
+
+The process runs OpenBLAS on one thread (OPENBLAS_NUM_THREADS=1), unless that
+variable is already set in the environment.  Importing g2lab as a library
+sets nothing.
 """
 
 from __future__ import annotations
@@ -17,6 +21,16 @@ import os
 import sys
 import time
 import traceback
+
+# One BLAS thread.  Every BLAS and LAPACK call of a run is on a 7x7 matrix or
+# smaller, or a stack of them, which OpenBLAS runs on the calling thread; the
+# worker thread that `import numpy` starts only busy-waits, and its spin is
+# billed to this process.  With one thread a `--suite algebra` and a `--suite
+# octonion` process together take 0.078 s of CPU in place of 0.116 s, equal to
+# their wall time (medians of 10 g2bench pairs, 2-vCPU VM, numpy 2.4.6,
+# OpenBLAS 0.3.31).  OpenBLAS reads the variable when numpy loads, so this
+# precedes every import that reaches numpy; a value already set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -102,7 +102,7 @@ def thm1_taub_nut_bundle() -> G2MetricBundle:
     return g2_build_thm1(flat_product_metric, mono, base_domain6())
 
 
-def thm1_broken_monopole_bundle(eps: float = 0.1) -> G2MetricBundle:
+def thm1_broken_monopole_bundle(eps: float) -> G2MetricBundle:
     """v perturbed off the monopole equation by a factor (1 + eps x4)."""
     def v(x: np.ndarray) -> np.ndarray:
         return taub_nut_v6(x) * (1.0 + eps * x[..., 3])
@@ -120,7 +120,7 @@ def thm2_taub_nut_bundle() -> G2MetricBundle:
                          hypothesis=weak_monopole_residual)
 
 
-def thm2_mismatched_alpha_bundle(eps: float = 0.1):
+def thm2_mismatched_alpha_bundle(eps: float):
     """A potential carrying a plus-block piece consistent only with a nonzero
     twist, over a flat product base whose true twist vanishes.
 
@@ -227,7 +227,7 @@ def killing_taub_nut_data() -> KillingData:
                        domain=base_domain6(), connection=connection)
 
 
-def killing_perturbed_data(eps: float = 0.1) -> KillingData:
+def killing_perturbed_data(eps: float) -> KillingData:
     """The positive quotient data with the potential polluted by eps x5 dx6."""
     good = killing_taub_nut_data()
 

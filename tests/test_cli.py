@@ -1,6 +1,9 @@
 import ast
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,8 @@ from g2lab import cli, suites
 from g2lab.cli import main
 from g2lab.reports import SuiteContext, control_report
 from g2lab.suites import SUITE_NAMES, suite_checks
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, args):
@@ -248,3 +253,42 @@ def test_aliases_share_their_source_line(capsys):
     for alias, src in aliases.items():
         assert lines[alias] == lines[src].replace(f'"check_id":"{src}"',
                                                   f'"check_id":"{alias}"', 1)
+
+
+def isolated(script: str, openblas_threads=None) -> list:
+    """Run `script` in a fresh `python -I` with `src/` first on its path and
+    OPENBLAS_NUM_THREADS set to `openblas_threads` (removed when None);
+    return the words it printed to stderr."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    prelude = f"import sys\nsys.path.insert(0, {str(SRC)!r})\n"
+    run = subprocess.run([sys.executable, "-I", "-c", prelude + script],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stderr.split()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_the_cli_process_runs_one_thread():
+    """OpenBLAS starts no worker thread in a g2lab process, before or after
+    a run that calls BLAS and LAPACK."""
+    script = ("import os\n"
+              "import g2lab.cli\n"
+              "threads = len(os.listdir('/proc/self/task'))\n"
+              "code = g2lab.cli.main(['--suite', 'gh', '--samples', '5', '--json-only'])\n"
+              "print(code, threads, len(os.listdir('/proc/self/task')), file=sys.stderr)\n")
+    assert isolated(script) == ["0", "1", "1"]
+
+
+def test_a_preset_blas_thread_count_is_kept():
+    script = ("import os\n"
+              "import g2lab.cli\n"
+              "print(os.environ['OPENBLAS_NUM_THREADS'], file=sys.stderr)\n")
+    assert isolated(script, openblas_threads="2") == ["2"]
+
+
+def test_importing_the_package_does_not_load_numpy():
+    script = ("import g2lab\n"
+              "print('numpy' in sys.modules, file=sys.stderr)\n")
+    assert isolated(script) == ["False"]
