@@ -10,9 +10,9 @@ difference formulas on its output.  The frame and form helpers
 (`transform_form` among them) broadcast over leading axes, so a block's rows
 carry the bits of the point results.  A 1-form value is a vector and a 2-form
 value a skew matrix (`d_one_form`, the block star `hodge_restricted`);
-`_d_of_partials` and `transform_form` take a k-form value as a numpy vector
-over the sorted k-index combinations in lexicographic order, which is how the
-3- and 4-forms of a bundle are held.  Domains are boxes with explicit excluded
+`transform_form` takes a k-form value, 2k <= n, as a numpy vector over the
+sorted k-index combinations in lexicographic order, which is how the forms of
+degree 3 and more of a bundle are held.  Domains are boxes with explicit excluded
 sets, and samplers reject points too close to an exclusion or the boundary.
 """
 
@@ -33,7 +33,7 @@ class StencilConfig:
     """Step size of the derivative stencils: 3-point central differences,
     second order."""
 
-    h: float = 1e-3
+    h: float
 
     def __post_init__(self):
         if not (np.isfinite(self.h) and self.h > 0):
@@ -132,27 +132,6 @@ def combinations_index(n: int, k: int):
     return combos, {c: i for i, c in enumerate(combos)}
 
 
-@functools.lru_cache(maxsize=None)
-def _d_table(n: int, k: int) -> tuple:
-    """For each m, the pair (J_m, index of J minus J_m) over the sorted
-    (k+1)-tuples J, as integer arrays."""
-    _, kindex = combinations_index(n, k)
-    combos_k1, _ = combinations_index(n, k + 1)
-    return tuple((np.array([J[m] for J in combos_k1], dtype=int),
-                  np.array([kindex[J[:m] + J[m + 1:]] for J in combos_k1], dtype=int))
-                 for m in range(k + 1))
-
-
-def _d_of_partials(partials: np.ndarray, k: int) -> np.ndarray:
-    """(d omega)_J = sum_m (-1)^m d_{J_m} omega_{J minus J_m} on sorted
-    (k+1)-tuples, from partials[..., d, I] = d_d omega_I."""
-    n = partials.shape[-2]
-    out = np.zeros(partials.shape[:-2] + (len(combinations_index(n, k + 1)[0]),))
-    for m, (lead, rest) in enumerate(_d_table(n, k)):
-        out += (-1.0) ** m * partials[..., lead, rest]
-    return out
-
-
 def d_one_form(a: Callable, p: Point, cfg: StencilConfig) -> np.ndarray:
     """Exterior derivative of a 1-form field as a skew matrix:
     (dA)[i, j] = d_i A_j - d_j A_i."""
@@ -178,40 +157,19 @@ def _antisymmetrizer(n: int, k: int) -> tuple:
     return expand, np.array([np.ravel_multi_index(c, shape) for c in combos], dtype=int)
 
 
-@functools.lru_cache(maxsize=None)
-def _complements(n: int, k: int) -> tuple:
-    """(C, eps) over the sorted k-combinations J: C[J] is the index of the
-    complement of J among the sorted (n-k)-combinations, and eps[J] =
-    (-1)^(sum of J)."""
-    combos, _ = combinations_index(n, k)
-    _, cindex = combinations_index(n, n - k)
-    comp = [cindex[tuple(i for i in range(n) if i not in J)] for J in combos]
-    return (np.array(comp, dtype=int),
-            np.array([(-1.0) ** sum(J) for J in combos]))
-
-
 def transform_form(comps: np.ndarray, k: int, n: int, frame: np.ndarray) -> np.ndarray:
     """Components of a k-form on the frame (columns of `frame`) from coordinate
     components: out_I = omega(f_{I1}, ..., f_{Ik}) = sum_J comps_J det frame[J, I].
 
-    This is the k-th exterior power of the frame applied to the components.
-    `frame` is (..., n, n) and `comps` (..., C(n, k)) or constant; leading
-    axes broadcast.  For 2k <= n it is one contraction of the dense
+    This is the k-th exterior power of the frame applied to the components,
+    for 2k <= n.  `frame` is (..., n, n) and `comps` (..., C(n, k)) or
+    constant; leading axes broadcast.  It is one contraction of the dense
     antisymmetric tensor of `comps` with k copies of the frame, taken one
-    copy at a time by matmul and read at the sorted combinations.  For 2k > n it takes the (n - k)-form route of
-    Jacobi's complementary-minor identity (Horn & Johnson, Matrix Analysis,
-    0.8.4): with G = frame^-1,
-        det frame[J, I] = eps(J) eps(I) det frame det G[I^c, J^c],
-    so out = det frame eps(I) (transform of eps(J) comps_J on G^T)[I^c];
-    the frame must then be invertible.
+    copy at a time by matmul and read at the sorted combinations.
     """
-    comps = np.asarray(comps, dtype=float)
     if 2 * k > n:
-        comp, eps = _complements(n, k)
-        dual = np.empty(comps.shape)
-        dual[..., comp] = eps * comps
-        inner = transform_form(dual, n - k, n, np.linalg.inv(frame).mT)
-        return np.linalg.det(frame)[..., None] * eps * inner[..., comp]
+        raise ValueError(f"a {k}-form on {n} dimensions: transform_form takes 2k <= n")
+    comps = np.asarray(comps, dtype=float)
     expand, sorted_at = _antisymmetrizer(n, k)
     # dense[..., 1, a, b, c] (k = 3): the unit axis makes the last two axes a
     # matrix for every k, and each matmul takes the frame into the leading
@@ -300,8 +258,7 @@ def halton_sequence(index, base: int):
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
-def sample_points(domain: Domain, n: int, cfg: StencilConfig,
-                  seed: int = 42) -> list[Point]:
+def sample_points(domain: Domain, n: int, cfg: StencilConfig, seed: int) -> list[Point]:
     """Deterministic quasi-random interior points, rejecting anything within
     `10 h` of the boundary or an excluded set.  A stencil, nested ones
     included, moves a coordinate by at most 2 h, so this pad keeps every
@@ -339,9 +296,9 @@ def sample_points(domain: Domain, n: int, cfg: StencilConfig,
 BLOCK = 64
 # Points per block of the verifiers that stack the most per point: the nested
 # stencil of `hypersurface_checks`, the frame derivatives of
-# `killing_conditions_check` and the 14 coframes of `torsionfree_residual`.
-# Their tracemalloc peaks read 2,043, 647 and 1,377 KiB at 64-point blocks
-# (bounds 1,536, 512 and 1,536 KiB) and 1,027, 331 and 882 KiB at 32.
+# `killing_conditions_check` and the 15 coframes of `torsionfree_residual`.
+# Their tracemalloc peaks read 2,043, 647 and 1,085 KiB at 64-point blocks
+# (bounds 1,536, 512 and 1,536 KiB) and 1,027, 331 and 584 KiB at 32.
 STACK_BLOCK = 32
 
 

@@ -2,22 +2,25 @@
 
 A bundle is a 7-metric on coordinates (t, x1..x6) together with an adapted
 orthonormal coframe ordered into the model slots (plus-block | axis | minus-
-block), and the 3- and 4-form fields assembled from the exactly certified
-model constants in that coframe.  Torsion-freeness and curvature containment
-are checked by finite differences at sample points, with convergence orders
-reported under step halving.
+block), and the 3-form field assembled from the exactly certified model
+constants in that coframe.  Torsion-freeness is read off the coframe's
+structure functions (Cartan's first structure equation) and curvature
+containment off the metric's Riemann tensor, both by finite differences at
+sample points, with convergence orders reported under step halving.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .curvature import christoffel, riemann
 from .fields import (MINUS6, MM, PLUS6, PM, PP, STACK_BLOCK, Domain, StencilConfig,
-                     _at_offsets, _central, _d_of_partials, _shifts, _star_differences,
+                     _at_offsets, _shifts, _star_differences,
                      adapted_frame, blocks, combinations_index, frame_derivatives,
                      hodge_restricted, sample_points, star_jet, sup, transform_form)
 from .modeldata import (complex_structure_norm, h6, off_g2_fraction,
@@ -52,10 +55,6 @@ class G2MetricBundle:
     coframe: Callable[[np.ndarray], np.ndarray]    # rows = 7 coframe covectors
     domain: Domain
     provenance: dict = field(default_factory=dict)
-
-    def frame(self, p: np.ndarray) -> np.ndarray:
-        """Columns = orthonormal frame vectors dual to the coframe."""
-        return np.linalg.inv(self.coframe(p))
 
     def phi_field(self, p: np.ndarray) -> np.ndarray:
         return transform_form(phi_constants(), 3, 7, self.coframe(p))
@@ -212,26 +211,59 @@ def _h_component(omega: np.ndarray) -> np.ndarray:
     return np.matvec(q.T, np.matvec(q, v)).reshape(omega.shape)
 
 
-# Frames per `transform_form` call of `torsionfree_residual`, where it is fastest
-# per frame: 33 ms for the 100-point torsion study, 40 ms at one call per block.
-FORM_CHUNK = 64
+@functools.lru_cache(maxsize=None)
+def _structure_table(constants: Callable[[], np.ndarray], k: int) -> np.ndarray:
+    """The (7 * 21, C(7, k + 1)) map that takes the structure functions
+    C[a, b < c] of a coframe to the frame components of d(sum_I w_I e^I),
+    w = constants() over the sorted k-tuples I.  With de^a = sum_{b<c}
+    C[a, b, c] e^b ^ e^c,
+        d e^I = sum_m (-1)^m e^{I<m} ^ de^{I_m} ^ e^{I>m},
+    and each term is read at its sorted (k+1)-tuple with the sign of the sort."""
+    combos, _ = combinations_index(7, k)
+    pairs, _ = combinations_index(7, 2)
+    _, out_index = combinations_index(7, k + 1)
+    table = np.zeros((7, len(pairs), len(out_index)))
+    for w, word in zip(constants(), combos):
+        if w == 0:
+            continue
+        for m, a in enumerate(word):
+            for bc, pair in enumerate(pairs):
+                term = word[:m] + pair + word[m + 1:]
+                if len(set(term)) < k + 1:
+                    continue
+                inversions = sum(term[i] > term[j] for i, j in combinations(range(k + 1), 2))
+                table[a, bc, out_index[tuple(sorted(term))]] += (-1) ** (m + inversions) * w
+    return table.reshape(-1, len(out_index))
+
+
+_PAIRS = np.triu_indices(7, 1)   # (b, c) of the 21 pairs b < c, in sorted order
+
+
+def torsion_forms(coframe: Callable[[np.ndarray], np.ndarray], p: np.ndarray,
+                  cfg: StencilConfig) -> tuple:
+    """(d phi, d *phi) in the frame components of a coframe field (rows e^a)
+    at a point or a block, from one coframe call on the star p, p +- h e_i.
+
+    Cartan's first structure equation: de^a = sum_{b<c} C[a, b, c] e^b ^ e^c
+    with C[a] = F^T (de^a) F, F = E^-1 and (de^a)[i, j] = d_i E_aj - d_j E_ai
+    by central differences; d phi and d *phi are then constant linear images
+    of the C[a, b < c] (`_structure_table`)."""
+    e, de, _ = star_jet(coframe, p, cfg)
+    de = np.moveaxis(de, -3, -2)              # de[..., a, i, j] = d_i E_aj
+    fr = np.linalg.inv(e)[..., None, :, :]
+    c = (fr.mT @ (de - de.mT) @ fr)[..., _PAIRS[0], _PAIRS[1]].reshape(p.shape[:-1] + (-1,))
+    # vecmat, not c @ table: a (k, 147) matmul takes another BLAS path than a
+    # point's (147,) and moves the last bits of a block's rows
+    return (np.vecmat(c, _structure_table(phi_constants, 3)),
+            np.vecmat(c, _structure_table(star_phi_constants, 4)))
 
 
 def torsionfree_residual(bundle: G2MetricBundle, samples, cfg: StencilConfig) -> dict:
-    """sup |d phi| and sup |d *phi| in orthonormal-frame components, both
-    from one coframe call per block on the 14 shifted points."""
+    """sup |d phi| and sup |d *phi| in orthonormal-frame components, from the
+    coframe's structure functions (`torsion_forms`) on each block."""
     def at(p):
-        fr = bundle.frame(p)
-        frames = _at_offsets(bundle.coframe, p, _shifts(7, cfg.h))
-        flat = frames.reshape(-1, 7, 7)
-        out = {}
-        for name, constants, k in (("sup_dphi", phi_constants(), 3),
-                                   ("sup_dstarphi", star_phi_constants(), 4)):
-            forms = np.concatenate([transform_form(constants, k, 7, flat[i:i + FORM_CHUNK])
-                                    for i in range(0, len(flat), FORM_CHUNK)])
-            partials = _central(forms.reshape(frames.shape[:-2] + (-1,)), p, cfg.h)
-            out[name] = np.abs(transform_form(_d_of_partials(partials, k), k + 1, 7, fr))
-        return out
+        dphi, dstarphi = torsion_forms(bundle.coframe, p, cfg)
+        return {"sup_dphi": np.abs(dphi), "sup_dstarphi": np.abs(dstarphi)}
     return sup(blocks(samples, STACK_BLOCK), at)
 
 

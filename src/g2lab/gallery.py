@@ -40,11 +40,9 @@ def base_domain6() -> Domain:
 def monopole_potential6() -> Callable[[np.ndarray], np.ndarray]:
     """The pair potential on the 6-base: minus-block components with
     dA = -*_minus dv for the pole functions below."""
-    dirac = dirac_potential(0.5)
-
     def a(x: np.ndarray) -> np.ndarray:
         out = np.zeros(np.shape(x))
-        out[..., 3:] = -dirac(x[..., 3:])
+        out[..., 3:] = -dirac_potential(x[..., 3:])
         return out
 
     return a
@@ -58,17 +56,17 @@ def taub_nut_v6(x: np.ndarray) -> np.ndarray:
 
 def gh_flat_example() -> GHData:
     """V = 1/(2r): the build is locally flat."""
-    return GHData(v=v_flat_quotient, a=dirac_potential(0.5), domain=spatial_domain())
+    return GHData(v=v_flat_quotient, a=dirac_potential, domain=spatial_domain())
 
 
 def gh_taub_nut_example() -> GHData:
     """V = 1 + 1/(2r): Ricci-flat with curvature bounded away from zero."""
-    return GHData(v=v_taub_nut, a=dirac_potential(0.5), domain=spatial_domain())
+    return GHData(v=v_taub_nut, a=dirac_potential, domain=spatial_domain())
 
 
 def gh_nonharmonic_example() -> GHData:
     """V = 1 + r^2: not harmonic, so the build is not Ricci-flat."""
-    return GHData(v=v_nonharmonic, a=dirac_potential(0.5), domain=spatial_domain())
+    return GHData(v=v_nonharmonic, a=dirac_potential, domain=spatial_domain())
 
 
 GH_REFERENCE_POINTS = [np.array([0.1, 0.55, 0.35, 0.4]),
@@ -288,7 +286,7 @@ def _uniform(rng: random.Random, bound: float, shape: tuple) -> np.ndarray:
                      for _ in range(math.prod(shape))]).reshape(shape)
 
 
-def rho_polynomial_setup(seed: int = 42) -> RhoConnectionSetup:
+def rho_polynomial_setup(seed: int) -> RhoConnectionSetup:
     """Cubic-coefficient fields on the flat 6-box: smooth, with nonvanishing
     third derivatives so stencil errors scale honestly."""
     rng = random.Random(seed)
@@ -310,7 +308,7 @@ def rho_polynomial_setup(seed: int = 42) -> RhoConnectionSetup:
                               domain=dom)
 
 
-def polynomial_sections(seed: int = 43) -> list:
+def polynomial_sections(seed: int) -> list:
     """Three cubic-coefficient vector fields on the flat 6-box."""
     coefs = _uniform(random.Random(seed), 0.5, (3, 6, 3, 6))
 

@@ -31,19 +31,21 @@ def radius(p3: np.ndarray):
     return np.sqrt(np.vecdot(p3, p3))
 
 
-def dirac_potential(charge: float = 0.5) -> Callable[[np.ndarray], np.ndarray]:
-    """The potential with dA = *dV for V = charge / r, smooth away from the
-    string along the negative z-axis: A = charge (y dx - x dy) / (r (r + z)),
-    at a point or a block of points."""
-    def a(p3: np.ndarray) -> np.ndarray:
-        x, y, z = p3.T            # .T leads with the coordinate axis at a point
-        r = radius(p3)            # and at a block alike
-        den = r * (r + z)
-        out = np.zeros(p3.shape)
-        out.T[0] = charge * y / den
-        out.T[1] = -charge * x / den
-        return out
-    return a
+DIRAC_CHARGE = 0.5   # the charge of the potential, matching the 1/(2r) of the V below
+
+
+def dirac_potential(p3: np.ndarray) -> np.ndarray:
+    """The potential with dA = *dV for V = DIRAC_CHARGE / r, smooth away from
+    the string along the negative z-axis:
+    A = DIRAC_CHARGE (y dx - x dy) / (r (r + z)), at a point or a block of
+    points."""
+    x, y, z = p3.T            # .T leads with the coordinate axis at a point
+    r = radius(p3)            # and at a block alike
+    den = r * (r + z)
+    out = np.zeros(p3.shape)
+    out.T[0] = DIRAC_CHARGE * y / den
+    out.T[1] = -DIRAC_CHARGE * x / den
+    return out
 
 
 CENTER_MARGIN = 0.3

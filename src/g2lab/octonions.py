@@ -164,17 +164,20 @@ def associator(table: OctonionTable, p, q, r):
     return table.multiply(table.multiply(p, q), r) - table.multiply(p, table.multiply(q, r))
 
 
-def norm_multiplicativity_certificate(table: OctonionTable, n: int = 100,
-                                      seed: int = 42) -> bool:
-    """|pq|^2 = |p|^2 |q|^2 exactly on n seeded random rational pairs."""
-    p, q = _random_octonion_pairs(n, seed)
+NORM_PAIRS = 100          # random pairs of the norm certificate
+ALTERNATIVITY_PAIRS = 50  # and of the alternativity certificate
+
+
+def norm_multiplicativity_certificate(table: OctonionTable, seed: int) -> bool:
+    """|pq|^2 = |p|^2 |q|^2 exactly on NORM_PAIRS seeded random rational pairs."""
+    p, q = _random_octonion_pairs(NORM_PAIRS, seed)
     return table.norm_sq(table.multiply(p, q)) == table.norm_sq(p) @ table.norm_sq(q)
 
 
-def alternativity_certificate(table: OctonionTable, n: int = 50, seed: int = 42) -> bool:
-    """[p,p,q] = 0 = [q,p,p] exactly on random pairs, and the associator is
-    alternating on all basis triples."""
-    p, q = _random_octonion_pairs(n, seed)
+def alternativity_certificate(table: OctonionTable, seed: int) -> bool:
+    """[p,p,q] = 0 = [q,p,p] exactly on ALTERNATIVITY_PAIRS random pairs, and
+    the associator is alternating on all basis triples."""
+    p, q = _random_octonion_pairs(ALTERNATIVITY_PAIRS, seed)
     if not (associator(table, p, p, q).is_zero() and associator(table, q, p, p).is_zero()):
         return False
     e = unit_rows(8)

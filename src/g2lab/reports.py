@@ -25,7 +25,7 @@ class CheckReport:
     status: str                      # "pass" | "fail" | "warn" | "error"
     residuals: dict
     tolerance: float
-    params: dict = field(default_factory=dict)
+    params: dict
     order_estimate: object = None    # float | "exact" | None
 
     def json_line(self, check_id: str, seed: int) -> str:
@@ -99,10 +99,10 @@ def control_report(measured: dict, required: float, params: dict | None = None,
 class SuiteContext:
     """Knobs shared by every check in a run, and the results they share."""
 
-    seed: int = 42
-    samples: int = 200
-    h: float | None = None
-    dump_dir: str | None = None
+    seed: int
+    samples: int
+    h: float | None
+    dump_dir: str | None
     sample_rows: dict = field(default_factory=dict, init=False)
     memo: dict = field(default_factory=dict, init=False, repr=False)
 

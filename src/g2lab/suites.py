@@ -29,7 +29,7 @@ from .hypersurfaces import (affine_plane, ellipsoid, hypersurface_checks,
                             unit_sphere)
 from .killing import (da_conditions_check, gamma_pair_residual,
                       killing_conditions_check, rho_torsion_check, route_agreement)
-from .octonions import (alternativity_certificate, associative_test,
+from .octonions import (NORM_PAIRS, alternativity_certificate, associative_test,
                         calibration_gap, dot, norm_multiplicativity_certificate,
                         standard_cross, standard_octonions, torsion_cross)
 from .rational import ExactMatrix, bracket, combination, exact_json, unit
@@ -192,10 +192,10 @@ def check_octonion_torsion(ctx: SuiteContext) -> CheckReport:
 def check_octonion_table(ctx: SuiteContext) -> CheckReport:
     table = standard_octonions()
     res = {"norm_multiplicativity":
-           0.0 if norm_multiplicativity_certificate(table, 100, ctx.seed) else 1.0,
+           0.0 if norm_multiplicativity_certificate(table, ctx.seed) else 1.0,
            "alternativity":
-           0.0 if alternativity_certificate(table, 50, ctx.seed) else 1.0}
-    return simple_report(res, 0.0, params={"random_pairs": 100})
+           0.0 if alternativity_certificate(table, ctx.seed) else 1.0}
+    return simple_report(res, 0.0, params={"random_pairs": NORM_PAIRS})
 
 
 def check_octonion_cross_identities(ctx: SuiteContext) -> CheckReport:

@@ -9,12 +9,11 @@ import pytest
 
 from g2lab import gallery
 from g2lab.curvature import christoffel, ricci, riemann
-from g2lab.fields import StencilConfig, blocks, sample_points, sup, transform_form
-from g2lab.g2construct import holonomy_residual, torsionfree_residual
+from g2lab.fields import StencilConfig, blocks, sample_points, sup
+from g2lab.g2construct import holonomy_residual, torsion_forms, torsionfree_residual
 from g2lab.gibbons import gh_build
 from g2lab.hypersurfaces import (_j_matrix, _normal, affine_plane, ellipsoid,
                                  hypersurface_checks, unit_sphere)
-from g2lab.modeldata import star_phi_constants
 
 CURVATURE_CFG = StencilConfig(h=1e-2)
 
@@ -29,11 +28,13 @@ def _block_fields() -> dict:
                "thm2-mismatched-alpha": gallery.thm2_mismatched_alpha_bundle(0.1)[0],
                "warped-control": gallery.warped_control_bundle()}
     for tag, b in bundles.items():
-        for name in ("metric", "coframe", "frame", "phi_field"):
+        for name in ("metric", "coframe", "phi_field"):
             out[f"{tag}.{name}"] = (b.domain, getattr(b, name))
-        # *phi in the coframe, as the torsion check assembles it
-        out[f"{tag}.star_phi_field"] = (
-            b.domain, lambda p, e=b.coframe: transform_form(star_phi_constants(), 4, 7, e(p)))
+        # the frame E^-1 and (d phi, d *phi), as the torsion check takes them
+        out[f"{tag}.frame"] = (b.domain, lambda p, e=b.coframe: np.linalg.inv(e(p)))
+        out[f"{tag}.torsion_forms"] = (
+            b.domain, lambda p, e=b.coframe: np.concatenate(torsion_forms(e, p, CURVATURE_CFG),
+                                                            axis=-1))
         out[f"{tag}.riemann"] = (b.domain,
                                  lambda p, g=b.metric: riemann(g, p, CURVATURE_CFG))
     for tag, data in (("gh-flat-quotient", gallery.gh_flat_example()),
@@ -144,7 +145,7 @@ def test_nested_stencil_equals_the_per_offset_loop(imm):
 
 # Measured with NumPy 2.4.6 on 160 points, two or more blocks each:
 # holonomy_residual (16-point blocks, g2construct.CURVATURE_BLOCK) 1,145 KiB,
-# hypersurface_checks 1,026 KiB and torsionfree_residual 883 KiB (32-point
+# hypersurface_checks 1,026 KiB and torsionfree_residual 584 KiB (32-point
 # blocks, fields.STACK_BLOCK), GH riemann and ricci 684 KiB (64-point
 # blocks), so the top is 75% of this bound.  A 64-point block of
 # 7-dimensional riemann reads 4,172 KiB, and of hypersurface_checks, whose

@@ -203,7 +203,7 @@ def test_every_fixed_step_check_declares_its_largest_step():
                        for c in ast.walk(node))}
     assert callers == {fn.__name__ for fn in suites.MAX_STEP}
     for fn, step in suites.MAX_STEP.items():
-        fn(SuiteContext(samples=20, h=step))
+        fn(SuiteContext(seed=42, samples=20, h=step, dump_dir=None))
 
 
 @pytest.mark.parametrize("samples", ["1", "25"])

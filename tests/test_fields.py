@@ -4,8 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from g2lab.fields import (BLOCK, Domain, StencilConfig, _d_of_partials,
-                          adapted_frame, blocks, combinations_index, d_one_form,
+from g2lab.fields import (BLOCK, Domain, StencilConfig, adapted_frame, blocks, combinations_index, d_one_form,
                           fd_gradient, frame_derivatives, hat,
                           hodge_restricted, sample_points, star_jet, sup,
                           transform_form)
@@ -17,17 +16,17 @@ from g2lab.modeldata import cross7, cross_tensor, h6
 
 
 def reference_transform_form(comps, k, n, frame):
-    """The per-minor double loop of the definition, sum_J comps_J det frame[J, I]."""
+    """The per-minor double loop of the definition, sum_J comps_J det frame[J, I],
+    over any leading axes of `comps` and `frame`."""
     combos, _ = combinations_index(n, k)
-    out = np.zeros(len(combos))
+    comps = np.asarray(comps, dtype=float)
+    out = np.zeros(np.broadcast_shapes(comps.shape[:-1], frame.shape[:-2]) + (len(combos),))
+    terms = [(comps[..., ci], list(J)) for ci, J in enumerate(combos)
+             if np.any(comps[..., ci] != 0.0)]
     for oi, I in enumerate(combos):
-        sub = frame[:, I]
-        val = 0.0
-        for ci, J in enumerate(combos):
-            c = comps[ci]
-            if c != 0.0:
-                val += c * np.linalg.det(sub[J, :])
-        out[oi] = val
+        sub = frame[..., list(I)]
+        for c, J in terms:
+            out[..., oi] += c * np.linalg.det(sub[..., J, :])
     return out
 
 
@@ -62,37 +61,47 @@ def reference_star_jet(f, p, cfg):
 
 
 def exterior_d(omega, p, k, cfg):
-    """The coordinate exterior derivative of a k-form field, as the torsion
-    check takes it: `_d_of_partials` of the field's `fd_gradient`.  A 0-form
-    is held, like every k-form, as a vector over the C(n, 0) = 1 sorted
-    combinations."""
-    return _d_of_partials(fd_gradient(omega, p, cfg), k)
-
-
-def reference_exterior_d(omega, p, k, cfg):
-    """The per-J loop that the table-driven exterior derivative replaced."""
-    n = len(p)
+    """The coordinate exterior derivative of a k-form field from its
+    `fd_gradient`, by one gather per position m of a sign table:
+    (d omega)_J = sum_m (-1)^m d_{J_m} omega_{J minus J_m} on sorted
+    (k+1)-tuples.  A 0-form is held, like every k-form, as a vector over the
+    C(n, 0) = 1 sorted combinations."""
+    partials = fd_gradient(omega, p, cfg)
+    n = p.shape[-1]
     _, kindex = combinations_index(n, k)
     combos_k1, _ = combinations_index(n, k + 1)
-    partials = np.array([reference_fd_partial(omega, p, d, cfg) for d in range(n)])
-    out = np.zeros(len(combos_k1))
-    for ci, J in enumerate(combos_k1):
-        s = 0.0
-        for m in range(k + 1):
-            s += (-1.0) ** m * partials[J[m], kindex[J[:m] + J[m + 1:]]]
-        out[ci] = s
+    out = np.zeros(partials.shape[:-2] + (len(combos_k1),))
+    for m in range(k + 1):
+        lead = [J[m] for J in combos_k1]
+        rest = [kindex[J[:m] + J[m + 1:]] for J in combos_k1]
+        out += (-1.0) ** m * partials[..., lead, rest]
     return out
 
 
-# The contraction (2k <= n) and the complement route (2k > n) of
-# transform_form sum in another order than the per-minor loop.  On frames of
-# condition number at most 4 (an orthogonal factor times a diagonal in
-# [0.5, 2]) the worst relative difference measured over these draws was
-# 1.4e-15 (k = 4), NumPy 2.4.6; the bound is about 7 times that.
+def reference_exterior_d(omega, p, k, cfg):
+    """The per-J loop of the definition, at a point or on a block."""
+    n = p.shape[-1]
+    _, kindex = combinations_index(n, k)
+    combos_k1, _ = combinations_index(n, k + 1)
+    partials = np.array([reference_fd_partial(omega, p, d, cfg) for d in range(n)])
+    out = np.zeros(p.shape[:-1] + (len(combos_k1),))
+    for ci, J in enumerate(combos_k1):
+        s = 0.0
+        for m in range(k + 1):
+            s += (-1.0) ** m * partials[J[m], ..., kindex[J[:m] + J[m + 1:]]]
+        out[..., ci] = s
+    return out
+
+
+# The contraction of transform_form sums in another order than the
+# per-minor loop.  On frames of condition number at most 4 (an orthogonal
+# factor times a diagonal in [0.5, 2]) the worst relative difference
+# measured over these draws was 7.8e-16 (k = 3), NumPy 2.4.6; the bound is
+# about 13 times that.
 TRANSFORM_RTOL = 1e-14
 
 
-@pytest.mark.parametrize("k", range(0, 8))
+@pytest.mark.parametrize("k", range(0, 4))
 def test_transform_form_matches_reference_loop(k):
     rng = np.random.default_rng(100 + k)
     n = 7
@@ -105,6 +114,16 @@ def test_transform_form_matches_reference_loop(k):
         ref = reference_transform_form(comps, k, n, frame)
         err = np.max(np.abs(transform_form(comps, k, n, frame) - ref))
         assert err <= TRANSFORM_RTOL * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("k", range(4, 8))
+def test_transform_form_refuses_more_than_half_the_dimension(k):
+    """Forms of degree 2k > n have no route: the torsion check reads its 4-
+    and 5-forms off the coframe's structure functions
+    (`g2construct.torsion_forms`), not through `transform_form`."""
+    comps = np.ones(len(combinations_index(7, k)[0]))
+    with pytest.raises(ValueError, match="2k <= n"):
+        transform_form(comps, k, 7, np.eye(7))
 
 
 # frame_derivatives and cross7 contract pairwise where a three-operand einsum
@@ -175,7 +194,7 @@ def test_fd_exact_on_quadratic():
 
 
 def test_fd_constant_is_zero():
-    cfg = StencilConfig()
+    cfg = StencilConfig(h=1e-3)
     constant = lambda p: np.full(p.shape[:-1], 5.0)
     assert abs(fd_gradient(constant, np.array([0.1, 0.2]), cfg)[1]) < 1e-12
 
@@ -340,11 +359,13 @@ def test_hodge_isometric():
 
 
 def test_transform_form_change_of_frame():
-    n = 3
+    # on 4 dimensions, where a 2-form has 2k <= n
+    n = 4
     combos2, idx2 = combinations_index(n, 2)
     comps = np.zeros(len(combos2))
     comps[idx2[(0, 1)]] = 1.0   # dx1 ^ dx2
-    frame = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]]).T
+    frame = np.array([[2.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                      [0.0, 0.0, 0.0, 1.0]]).T
     out = transform_form(comps, 2, n, frame.T)
     # omega(f1, f2) where f1 = 2 e1, f2 = e2: det [[2,0],[0,1]] = 2
     assert abs(out[idx2[(0, 1)]] - 2.0) < 1e-14
@@ -685,4 +706,4 @@ def test_each_stencil_calls_its_field_once_per_query(k):
 
 def test_engine_refuses_a_field_without_one_value_per_row():
     with pytest.raises(ValueError, match="one value per row"):
-        fd_gradient(lambda p: 5.0, np.array([0.1, 0.2]), StencilConfig())
+        fd_gradient(lambda p: 5.0, np.array([0.1, 0.2]), StencilConfig(h=1e-3))

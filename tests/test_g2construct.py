@@ -9,9 +9,10 @@ from g2lab.fields import (MM, STACK_BLOCK, Domain, StencilConfig, adapted_frame,
 from g2lab.g2construct import (MonopoleData, _h_component,
                                estimate_order, flat_product_metric, g2_build_thm1,
                                holonomy_residual, model_phi_check,
-                               monopole_residual, torsionfree_residual,
+                               monopole_residual, torsion_forms, torsionfree_residual,
                                weak_monopole_residual, weak_sl3_consistency)
-from g2lab.modeldata import complex_structure_norm, h6, so6_part_projectors
+from g2lab.modeldata import (complex_structure_norm, h6, phi_constants,
+                             so6_part_projectors, star_phi_constants)
 from g2lab.gallery import (base_domain6, monopole_potential6, taub_nut_v6,
                            thm1_broken_monopole_bundle, thm1_flat_bundle,
                            thm1_taub_nut_bundle, thm2_mismatched_alpha_bundle,
@@ -314,8 +315,8 @@ def test_weak_monopole_minus_block_closes_with_curl_a_equal_to_v_alpha():
 
 
 def test_torsion_reads_the_coframe_once_per_block_for_its_stencil():
-    """One coframe call on the 14 shifted points of every block point, plus
-    one at the block for the frame; phi and *phi are both built from it."""
+    """One coframe call on the star p, p +- h e_i of every block point (15
+    rows a point): d phi and d *phi both come from its structure functions."""
     bundle = thm1_taub_nut_bundle()
     cfg = StencilConfig(h=1e-2)
     pts = sample_points(bundle.domain, STACK_BLOCK + 3, cfg, seed=4)
@@ -323,4 +324,57 @@ def test_torsion_reads_the_coframe_once_per_block_for_its_stencil():
     counted = dataclasses.replace(
         bundle, coframe=lambda p: rows.append(len(p)) or bundle.coframe(p))
     assert torsionfree_residual(counted, pts, cfg) == torsionfree_residual(bundle, pts, cfg)
-    assert rows == [STACK_BLOCK, 14 * STACK_BLOCK, 3, 14 * 3]
+    assert rows == [15 * STACK_BLOCK, 15 * 3]
+
+
+def differenced_forms_route(coframe, pts, h):
+    """(d phi, d *phi) in frame components by the route of the definition:
+    phi and *phi in coordinate components on each shifted coframe (the
+    per-minor loop), their exterior derivatives by the per-J loop over
+    central differences, read on the frame E^-1 by the per-minor loop."""
+    from test_fields import reference_exterior_d, reference_transform_form
+    cfg = StencilConfig(h=h)
+    p = np.asarray(pts)
+    fr = np.linalg.inv(coframe(p))
+    out = []
+    for constants, k in ((phi_constants(), 3), (star_phi_constants(), 4)):
+        form = lambda q: reference_transform_form(constants, k, 7, coframe(q))
+        out.append(reference_transform_form(reference_exterior_d(form, p, k, cfg),
+                                            k + 1, 7, fr))
+    return out
+
+
+GENERIC_WAVES = np.random.default_rng(12).normal(size=(7, 49))
+
+
+def generic_coframe(p):
+    """A coframe field with every structure function nonzero, so that every
+    entry of the two tables reaches d phi or d *phi."""
+    return np.eye(7) + 0.2 * np.sin(p @ GENERIC_WAVES).reshape(p.shape[:-1] + (7, 7))
+
+
+def _cross_route_cases():
+    box = Domain(lo=(-0.5,) * 7, hi=(0.5,) * 7)
+    return {name: (b.coframe, bundle_points(b, n=20, seed=11)) for name, b in (
+        ("broken-monopole", thm1_broken_monopole_bundle(0.1)),
+        ("taub-nut", thm1_taub_nut_bundle()))} | {
+        "generic": (generic_coframe, sample_points(box, 20, StencilConfig(h=2e-2), seed=11))}
+
+
+CROSS_ROUTE_CASES = _cross_route_cases()
+
+
+@pytest.mark.parametrize("case", sorted(CROSS_ROUTE_CASES))
+def test_structure_functions_and_differenced_forms_agree_at_second_order(case):
+    """Both routes are central differences of the same d phi and d *phi: one
+    differences the coframe and applies exact algebra, the other differences
+    the forms' coordinate components.  They part by O(h^2), so the gap falls
+    by 4 at each halving of h."""
+    coframe, pts = CROSS_ROUTE_CASES[case]
+    gaps = []
+    for h in (2e-2, 1e-2, 5e-3):
+        new = torsion_forms(coframe, np.asarray(pts), StencilConfig(h=h))
+        old = differenced_forms_route(coframe, pts, h)
+        gaps.append(max(float(np.max(np.abs(a - b))) for a, b in zip(new, old)))
+    ratios = [gaps[0] / gaps[1], gaps[1] / gaps[2]]
+    assert all(3.8 <= r <= 4.2 for r in ratios), (gaps, ratios)

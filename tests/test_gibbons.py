@@ -119,20 +119,18 @@ def test_nonpositive_v_rejected():
 
 
 def test_dirac_potential_regular_on_positive_axis():
-    a = dirac_potential(0.5)
-    val = a(np.array([1e-9, 1e-9, 0.7]))
+    val = dirac_potential(np.array([1e-9, 1e-9, 0.7]))
     assert np.all(np.isfinite(val))
     assert np.max(np.abs(val)) < 1e-6
 
 
 def test_d_squared_of_potential_vanishes():
-    from g2lab.fields import _d_of_partials, fd_gradient
-    a = dirac_potential(0.5)
+    from test_fields import exterior_d
+    a = dirac_potential
     cfg = StencilConfig(h=1e-3)
     pts = sample_points(gh_taub_nut_example().domain, 6, cfg, seed=17)
     for p in pts:
-        da = lambda q: _d_of_partials(fd_gradient(a, q, cfg), 1)
-        dda = _d_of_partials(fd_gradient(da, p, cfg), 2)
+        dda = exterior_d(lambda q: exterior_d(a, q, 1, cfg), p, 2, cfg)
         assert np.max(np.abs(dda)) <= 1e-6
 
 
@@ -146,7 +144,7 @@ def test_taub_nut_riemann_floor_keeps_nan(monkeypatch):
     second = GH_REFERENCE_POINTS[1]
     monkeypatch.setattr(suites, "riemann_lowered", lambda g, p, cfg: (
         np.full((4, 4, 4, 4), np.nan) if p is second else real(g, p, cfg)))
-    rep = suites.check_gh_taub_nut(SuiteContext(samples=10))
+    rep = suites.check_gh_taub_nut(SuiteContext(seed=42, samples=10, h=None, dump_dir=None))
     assert math.isnan(rep.residuals["riemann_floor_shortfall"])
     assert rep.status == "fail"
 
@@ -183,7 +181,7 @@ def pointwise_monopole_potential6():
 
 
 SHARED_FIELDS = {
-    "dirac_potential": (spatial_domain, lambda: dirac_potential(0.5),
+    "dirac_potential": (spatial_domain, lambda: dirac_potential,
                         lambda: pointwise_dirac_potential(0.5)),
     "v_taub_nut": (spatial_domain, lambda: v_taub_nut, lambda: pointwise_v_taub_nut),
     "taub_nut_v6": (base_domain6, lambda: taub_nut_v6, lambda: pointwise_taub_nut_v6),

@@ -107,8 +107,8 @@ def test_rho_torsion_flat_exact_on_constant_sections():
 
 
 def test_rho_torsion_polynomial_small_and_second_order():
-    setup = rho_polynomial_setup()
-    secs = polynomial_sections()
+    setup = rho_polynomial_setup(42)
+    secs = polynomial_sections(43)
     pts = sample_points(setup.domain, 8, StencilConfig(h=4e-3), seed=14)
     h_list = (2e-3, 1e-3, 5e-4)
     vals = []
@@ -355,8 +355,8 @@ def test_quotient_verifiers_match_their_pointwise_references(name):
 
 @pytest.mark.parametrize("flat", [False, True])
 def test_rho_torsion_matches_its_pointwise_reference(flat):
-    setup = rho_flat_setup() if flat else rho_polynomial_setup()
-    secs = polynomial_sections()
+    setup = rho_flat_setup() if flat else rho_polynomial_setup(42)
+    secs = polynomial_sections(43)
     pts = sample_points(setup.domain, 70, StencilConfig(h=2e-3), seed=31)
     # the discrepancy is a stencil truncation, which amplifies the roundoff
     # of reordered sums
@@ -376,11 +376,11 @@ def _block_fields() -> dict:
     for tag, obj, names in (("taub-nut", killing_taub_nut_data(), QUOTIENT_FIELDS),
                             ("perturbed", killing_perturbed_data(0.1), QUOTIENT_FIELDS),
                             ("flat", killing_flat_data(), QUOTIENT_FIELDS),
-                            ("rho", rho_polynomial_setup(), RHO_FIELDS),
+                            ("rho", rho_polynomial_setup(42), RHO_FIELDS),
                             ("rho-flat", rho_flat_setup(), RHO_FIELDS)):
         out.update({f"{tag}.{name}": (obj.domain, getattr(obj, name)) for name in names})
-    domain = rho_polynomial_setup().domain
-    out.update({f"section{i}": (domain, s) for i, s in enumerate(polynomial_sections())})
+    domain = rho_polynomial_setup(42).domain
+    out.update({f"section{i}": (domain, s) for i, s in enumerate(polynomial_sections(43))})
     return out
 
 
@@ -420,8 +420,8 @@ def _peak_bytes(run) -> int:
 
 def _memory_runs():
     data = killing_taub_nut_data()
-    setup = rho_polynomial_setup()
-    secs = polynomial_sections()
+    setup = rho_polynomial_setup(42)
+    secs = polynomial_sections(43)
     pts = sample_points(data.domain, 800, StencilConfig(h=2e-3), seed=7)
     rho_pts = sample_points(setup.domain, 800, StencilConfig(h=2e-3), seed=7)
     return {

@@ -191,11 +191,11 @@ def _settings() -> list:
     return out
 
 
-def _passed() -> tuple:
-    """Keyword arguments and the number of positional arguments of every call
-    in the package, keyed by the called name.  A starred argument counts as
-    filling every slot."""
-    keywords, widths = {}, {}
+def _calls_by_name() -> dict:
+    """{called name: [(keyword names, number of positional arguments)]} over
+    every call in the package.  A starred argument counts as filling every
+    slot."""
+    calls = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
@@ -204,11 +204,16 @@ def _passed() -> tuple:
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
             if name is None:
                 continue
-            keywords.setdefault(name, set()).update(k.arg for k in node.keywords if k.arg)
             width = (float("inf") if any(isinstance(a, ast.Starred) for a in node.args)
                      else len(node.args))
-            widths[name] = max(widths.get(name, 0), width)
-    return keywords, widths
+            keywords = {k.arg for k in node.keywords if k.arg}
+            calls.setdefault(name, []).append((keywords, width))
+    return calls
+
+
+def _sets(call, name: str, slot) -> bool:
+    keywords, width = call
+    return name in keywords or (slot is not None and width > slot)
 
 
 # Settings that only a caller outside the package sets: the tests drive the
@@ -216,21 +221,42 @@ def _passed() -> tuple:
 SET_OUTSIDE = {("main", "argv")}
 
 
+def default_findings(settings, calls) -> tuple:
+    """(unset, overridden): the settings with a default that no call in the
+    package sets, and those that every call sets, so that no call relies on
+    the default.  `dataclasses.replace` sets fields by keyword."""
+    replaced = set().union(*(keywords for keywords, _ in calls.get("replace", [])))
+    unset, overridden = [], []
+    for owner, name, slot in settings:
+        own = calls.get(owner, [])
+        if not (any(_sets(c, name, slot) for c in own) or name in replaced
+                or (owner, name) in SET_OUTSIDE):
+            unset.append((owner, name))
+        if own and all(_sets(c, name, slot) for c in own):
+            overridden.append((owner, name))
+    return sorted(unset), sorted(overridden)
+
+
 def test_every_default_is_set():
     """One value per setting: a parameter or dataclass field with a default
-    is passed, by keyword or by position, by some call in the package
-    (`dataclasses.replace` sets fields by keyword); a value that only tests
-    set is a knob the program never turns, and a value no call sets is a
-    constant."""
-    keywords, widths = _passed()
-    replaced = keywords.get("replace", set())
-    unset = []
-    for owner, name, slot in _settings():
-        by_keyword = name in keywords.get(owner, ()) or name in replaced
-        by_position = slot is not None and widths.get(owner, 0) > slot
-        if not (by_keyword or by_position or (owner, name) in SET_OUTSIDE):
-            unset.append((owner, name))
-    assert not unset, f"defaults that no call sets: {sorted(unset)}"
+    is passed, by keyword or by position, by some call in the package, and
+    left to its default by another.  A value that only tests set is a knob
+    the program never turns, and a value no call sets is a constant; a
+    default that every call overrides is a second copy of a value that lives
+    at each call, and a default that every call passes is the same number in
+    two places."""
+    unset, overridden = default_findings(_settings(), _calls_by_name())
+    assert not unset, f"defaults that no call sets: {unset}"
+    assert not overridden, f"defaults that every call overrides: {overridden}"
+
+
+def test_the_default_check_sees_a_planted_default():
+    """A seed default that every call overrides, as `sample_points` had, and
+    one no call sets."""
+    settings = _settings() + [("sample_points", "seed", 3), ("hat", "scale", 1)]
+    unset, overridden = default_findings(settings, _calls_by_name())
+    assert unset == [("hat", "scale")]
+    assert overridden == [("sample_points", "seed")]
 
 
 def _nodes_with_owner():

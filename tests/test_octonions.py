@@ -56,11 +56,11 @@ def test_octonion_unit_and_squares():
 
 
 def test_norm_multiplicativity_100_pairs():
-    assert norm_multiplicativity_certificate(standard_octonions(), n=100, seed=42)
+    assert norm_multiplicativity_certificate(standard_octonions(), 42)
 
 
 def test_alternativity():
-    assert alternativity_certificate(standard_octonions(), n=30, seed=42)
+    assert alternativity_certificate(standard_octonions(), 42)
 
 
 def test_octonions_not_associative():

@@ -75,7 +75,7 @@ def test_the_reference_finder_sees_each_form():
 @given(st.integers(0, 2 ** 63 - 1))
 def test_drawing_checks_pass_at_any_seed(seed):
     checks = dict(suites.suite_checks("all"))
-    ctx = SuiteContext(seed=seed, samples=1)
+    ctx = SuiteContext(seed=seed, samples=1, h=None, dump_dir=None)
     for check_id in DRAWING:
         rep = checks[check_id](ctx)
         assert rep.status == "pass", (check_id, seed, rep.residuals, rep.params)
@@ -87,7 +87,7 @@ def test_drawing_checks_pass_at_any_seed(seed):
 @given(st.integers(0, 2 ** 63 - 1), st.sampled_from([1, 25]))
 @example(3, 1)
 def test_negative_controls_pass_at_any_seed(seed, samples):
-    ctx = SuiteContext(seed=seed, samples=samples)
+    ctx = SuiteContext(seed=seed, samples=samples, h=None, dump_dir=None)
     for check_id, check in suites.suite_checks("negative-controls"):
         rep = check(ctx)
         assert rep.status == "pass", (check_id, seed, samples, rep.residuals, rep.params)
