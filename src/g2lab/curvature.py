@@ -15,6 +15,7 @@ returns (m, n, n).  The jet reads it through the stencil engine
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -27,24 +28,32 @@ def metric_jet(g: Callable, p: Point, cfg: StencilConfig):
     d_a d_b g, from the standard second-order 3- and 4-point stencils: the
     star p, p +- h e_a of `fields.star_jet` and the cross points
     p +- h e_a +- h e_b.  The metric is called n times, to bound the stack:
-    on the star and on the cross points of each row a < n - 1.  Each
-    difference is taken term for term, so the jet keeps the bits of one call
-    per offset."""
+    on the star and on the cross points of each row a < n - 1, whose offsets
+    are built once per (n, h).  Each difference is taken term for term, so
+    the jet keeps the bits of one call per offset."""
     h, n = cfg.h, p.shape[-1]
     g0, dg, diagonal = star_jet(g, p, cfg)
     ddg = np.empty(dg.shape[:-3] + (n,) + dg.shape[-3:])
     ddg[..., np.arange(n), np.arange(n), :, :] = diagonal
-    eye = h * np.eye(n)
     for a in range(n - 1):
-        b = np.arange(a + 1, n)
-        # the corners ++, +-, -+, -- of each pair (a, b), in that order
-        corners = np.concatenate([sa * eye[a] + sb * eye[b]
-                                  for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1))])
-        pa, pb, pc, pd = np.split(_at_offsets(g, p, corners), 4, axis=-3)
-        cross = (pa - pb - pc + pd) / (4 * h**2)
-        ddg[..., a, b, :, :] = cross
-        ddg[..., b, a, :, :] = cross
+        m = n - 1 - a
+        at = _at_offsets(g, p, _corners(n, h, a))
+        cross = (at[..., :m, :, :] - at[..., m:2 * m, :, :] - at[..., 2 * m:3 * m, :, :]
+                 + at[..., 3 * m:, :, :]) / (4 * h**2)
+        ddg[..., a, a + 1:, :, :] = cross
+        ddg[..., a + 1:, a, :, :] = cross
     return g0, dg, ddg
+
+
+@functools.lru_cache(maxsize=256)
+def _corners(n: int, h: float, a: int) -> np.ndarray:
+    """The read-only offsets of the corners ++, +-, -+, -- of the pairs
+    (a, b > a), in that order."""
+    eye = h * np.eye(n)
+    out = np.concatenate([sa * eye[a] + sb * eye[a + 1:]
+                          for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1))])
+    out.flags.writeable = False
+    return out
 
 
 def christoffel(g0: np.ndarray, dg: np.ndarray) -> np.ndarray:

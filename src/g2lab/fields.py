@@ -91,26 +91,30 @@ def _at_offsets(f: Callable, p: Point, offsets: np.ndarray) -> np.ndarray:
     return out.reshape(p.shape[:-1] + offsets.shape[-2:-1] + out.shape[1:])
 
 
+@functools.lru_cache(maxsize=64)
 def _shifts(n: int, h: float, star: bool = False) -> np.ndarray:
-    """The offsets +h e_a, then -h e_a; with `star`, 0 before them."""
+    """The offsets +h e_a, then -h e_a; with `star`, 0 before them (read-only)."""
     eye = h * np.eye(n)
-    return np.concatenate([np.zeros((1, n))] * star + [eye, -eye])
+    out = np.concatenate([np.zeros((1, n))] * star + [eye, -eye])
+    out.flags.writeable = False
+    return out
 
 
 def _central(values: np.ndarray, p: Point, h: float) -> np.ndarray:
     """(f(p + s_a) - f(p - s_a)) / 2h at [..., a, ...] from the values of f
     (or of a function of it) at p + s_a, then at p - s_a, as on `_shifts`."""
-    fp, fm = np.split(values, 2, axis=p.ndim - 1)
-    return (fp - fm) / (2 * h)
+    lead, n = (slice(None),) * (p.ndim - 1), values.shape[p.ndim - 1] // 2
+    return (values[lead + (slice(n),)] - values[lead + (slice(n, None),)]) / (2 * h)
 
 
 def _star_differences(values: np.ndarray, p: Point, h: float) -> tuple:
     """(f, df, dd) from the values of f (or of a function of it) on the star
     `_shifts(n, h, star=True)`: df[..., a, :] = d_a f by central and
     dd[..., a, :] = d_a d_a f by 3-point second differences."""
-    f0, shifted = np.split(values, [1], axis=p.ndim - 1)
-    fp, fm = np.split(shifted, 2, axis=p.ndim - 1)
-    return f0.squeeze(p.ndim - 1), (fp - fm) / (2 * h), (fp - 2 * f0 + fm) / h**2
+    lead, n = (slice(None),) * (p.ndim - 1), p.shape[-1]
+    f0 = values[lead + (slice(1),)]
+    fp, fm = values[lead + (slice(1, n + 1),)], values[lead + (slice(n + 1, None),)]
+    return values[lead + (0,)], (fp - fm) / (2 * h), (fp - 2 * f0 + fm) / h**2
 
 
 def fd_gradient(f: Callable, p: Point, cfg: StencilConfig) -> np.ndarray:
@@ -242,27 +246,37 @@ def hodge_restricted(a: np.ndarray, gb: np.ndarray) -> np.ndarray:
     return -hat(np.linalg.solve(gb, a[..., None])[..., 0]) * np.sqrt(det)[..., None, None]
 
 
-def halton_sequence(index, base: int):
-    """The radical inverse of each index in `base` (Halton 1960), by the
-    same float operations in the same order at an int and on an index array:
-    a digit of 0 adds 0.0, so an index with fewer digits keeps its bits."""
-    f, r = 1.0, np.zeros(np.shape(index))
+def halton_sequence(index, bases):
+    """The radical inverse of each index in each base (Halton 1960), with
+    `index` and `bases` broadcast against each other, by the float operations
+    of one index in one base in the same order: a digit of 0 adds 0.0, so an
+    index with fewer digits, or one in a larger base, keeps its bits."""
     i = np.asarray(index)
+    f, r = np.ones(np.shape(bases)), np.zeros(np.broadcast_shapes(i.shape, np.shape(bases)))
     while np.any(i > 0):
-        f /= base
-        r += f * (i % base)
-        i = i // base
+        f /= bases
+        r += f * (i % bases)
+        i = i // bases
     return r
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
+@functools.lru_cache(maxsize=16)
+def _halton_table(start: int, dim: int) -> list:
+    """[the Halton points of the indices start, start + 1, ... drawn so far],
+    for the 16 latest (start, dim); `sample_points` extends it."""
+    return [np.empty((0, dim))]
+
+
 def sample_points(domain: Domain, n: int, cfg: StencilConfig, seed: int) -> list[Point]:
     """Deterministic quasi-random interior points, rejecting anything within
     `10 h` of the boundary or an excluded set.  A stencil, nested ones
     included, moves a coordinate by at most 2 h, so this pad keeps every
-    stencil evaluated at a sample inside the domain."""
+    stencil evaluated at a sample inside the domain.  The candidates are the
+    Halton points from index `1 + (seed % 997) * 101` on, in runs; a call
+    computes only the rows that no call with its seed and dimension drew."""
     pad = 10.0 * cfg.h
     dim = domain.dim
     lo = np.asarray(domain.lo, dtype=float)
@@ -271,16 +285,18 @@ def sample_points(domain: Domain, n: int, cfg: StencilConfig, seed: int) -> list
         raise RuntimeError("sampler failed: domain too constrained")
     pts = []
     start = 1 + (seed % 997) * 101
+    table = _halton_table(start, dim)
+    bases = np.array([_PRIMES[d % len(_PRIMES)] for d in range(dim)])
     drawn = 0
     while len(pts) < n:
         # the next run of candidates, in order, within 1000 n attempts
         run = min(2 * (n - len(pts)) + 16, 1000 * n - drawn)
         if run <= 0:
             raise RuntimeError("sampler failed: domain too constrained")
-        index = start + drawn + np.arange(run)
-        u = np.empty((run, dim))
-        for d in range(dim):
-            u[:, d] = halton_sequence(index, _PRIMES[d % len(_PRIMES)])
+        if len(table[0]) < drawn + run:
+            index = start + np.arange(len(table[0]), drawn + run)
+            table[0] = np.concatenate([table[0], halton_sequence(index[:, None], bases)])
+        u = table[0][drawn:drawn + run]
         drawn += run
         cand = lo + u * (hi - lo)
         pts.extend(cand[domain.contains(cand, pad=pad)][:n - len(pts)])

@@ -136,13 +136,14 @@ def g2_build_thm1(k6: Callable[[np.ndarray], np.ndarray], mono: MonopoleData, do
         x = p[..., 1:]
         v = positive_v(x)[..., None]
         k = np.asarray(k6(x), dtype=float)
-        g = np.zeros(p.shape[:-1] + (7, 7))
-        g[..., 1:4, 1:4] = k[PP]
-        g[..., 4:, 4:] = v * k[MM]
-        w = np.zeros(p.shape[:-1] + (7,))
+        w = np.empty(p.shape[:-1] + (7,))
         w[..., 0] = 1.0
         w[..., 1:] = mono.a(x)
-        g += w[..., :, None] * w[..., None, :] / v
+        # w w^T / v, then the k_+ and v k_- blocks, in place
+        g = np.einsum('...i,...j->...ij', w, w)
+        g /= v
+        g[..., 1:4, 1:4] += k[PP]
+        g[..., 4:, 4:] += v * k[MM]
         return g
 
     def coframe(p: np.ndarray) -> np.ndarray:
@@ -281,8 +282,8 @@ def estimate_order(h_list: Sequence[float], residuals: Sequence[float]):
 
 # Points per block of `holonomy_residual`.  A block of 7-dimensional
 # `riemann` holds a few (k, 7, 7, 7, 7) arrays: on 200 points at three
-# steps the tracemalloc peak was 606 KiB at 8-point blocks, 1,103 KiB at 16,
-# 2,124 KiB at 32 and 4,172 KiB at 64 (NumPy 2.4.6), against at most 1.1 MiB
+# steps the tracemalloc peak was 500 KiB at 8-point blocks, 939 KiB at 16,
+# 1,860 KiB at 32 and 3,710 KiB at 64 (NumPy 2.4.6), against at most 1.1 MiB
 # for every other blocked verifier at `fields.BLOCK`.
 CURVATURE_BLOCK = 16
 
@@ -296,8 +297,10 @@ def holonomy_residual(bundle: G2MetricBundle, samples, cfg: StencilConfig) -> di
         e = bundle.coframe(p)
         fr = np.linalg.inv(e)
         ric_f = fr.mT @ ric @ fr
-        # R(f_a, f_b) for the 21 pairs a < b, in the coframe
-        r_f = np.einsum('...ijcd,...ca,...db->...abij', r, fr, fr, optimize=True)
+        # R(f_a, f_b) for the 21 pairs a < b, in the coframe, by the path that
+        # optimize=True finds at every block size, without its search
+        r_f = np.einsum('...ijcd,...ca,...db->...abij', r, fr, fr,
+                        optimize=['einsum_path', (0, 1), (0, 1)])
         del r
         a, b = np.triu_indices(7, 1)
         m = e[..., None, :, :] @ r_f[..., a, b, :, :] @ fr[..., None, :, :]

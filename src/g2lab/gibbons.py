@@ -95,12 +95,13 @@ def gh_build(data: GHData):
         v = np.asarray(data.v(x), dtype=float)
         if np.any(v <= 0):
             raise ValueError(f"V must be positive, got {np.min(v)}")
-        g = np.zeros(p.shape[:-1] + (4, 4))
-        g[..., 1:, 1:] = v[..., None, None] * np.eye(3)
-        w = np.zeros(p.shape[:-1] + (4,))
+        w = np.empty(p.shape[:-1] + (4,))
         w[..., 0] = 1.0
         w[..., 1:] = data.a(x)
-        g += w[..., :, None] * w[..., None, :] / v[..., None, None]
+        # w w^T / V, then V on the spatial diagonal, in place
+        g = np.einsum('...i,...j->...ij', w, w)
+        g /= v[..., None, None]
+        g[..., range(1, 4), range(1, 4)] += v[..., None]
         return g
     return metric
 

@@ -112,8 +112,9 @@ def hypersurface_checks(imm: Immersion, samples, cfg: StencilConfig) -> dict:
 
         e6 = np.linalg.cholesky(g).mT     # coframe rows
         f6 = np.linalg.inv(e6)            # frame columns
+        # by the path that optimize=True finds at every block size
         ndj_f = np.einsum('...cg,...ae,...ceb,...bf->...gaf', f6, e6, ndj, f6,
-                          optimize=True)
+                          optimize=['einsum_path', (0, 2), (0, 2), (0, 1)])
         # nearly-Kahler defect: symmetrization over the direction and argument slots
         sym = ndj_f + np.swapaxes(ndj_f, -3, -1)
 

@@ -461,9 +461,9 @@ def test_sampler_keeps_the_1000_n_attempt_cap():
 def test_sampler_rejects_an_empty_padded_box_before_drawing(monkeypatch):
     draws = []
 
-    def counted(index, base):
+    def counted(index, bases):
         draws.append(index)
-        return 0.5
+        return np.full(np.broadcast_shapes(np.shape(index), np.shape(bases)), 0.5)
 
     monkeypatch.setattr(fields, "halton_sequence", counted)
     dom = Domain(lo=(-1.0, -0.1), hi=(1.0, 0.1))
@@ -471,6 +471,33 @@ def test_sampler_rejects_an_empty_padded_box_before_drawing(monkeypatch):
         sample_points(dom, 5, StencilConfig(h=0.3), seed=42)
     assert draws == []
     assert len(sample_points(dom, 2, StencilConfig(h=1e-3), seed=42)) == 2
+
+
+@pytest.mark.parametrize("dim", [3, 4, 6, 7])
+def test_halton_table_rows_equal_the_per_index_loop(dim):
+    """The table of a (start, dim) is extended across calls, to 26, then
+    1,016, then 3,016 rows; every row equals the scalar radical inverse of
+    its index, in the bases of its coordinates."""
+    box = Domain(lo=(0.0,) * dim, hi=(1.0,) * dim)
+    cfg = StencilConfig(h=1e-3)
+    for seed in (42, 7):
+        start = 1 + (seed % 997) * 101
+        for n in (10, 1000, 3000):
+            sample_points(box, n // 2, cfg, seed)    # one run of 2 (n / 2) + 16 rows
+            rows = fields._halton_table(start, dim)[0]
+            assert len(rows) == n + 16                 # the exact length drawn
+            assert all(rows[j].tolist()
+                       == [reference_halton(start + j, fields._PRIMES[d]) for d in range(dim)]
+                       for j in range(len(rows))), (seed, n)
+
+
+def test_halton_cache_stays_bounded():
+    box = Domain(lo=(0.0,) * 3, hi=(1.0,) * 3)
+    for seed in range(50):
+        sample_points(box, 5, StencilConfig(h=1e-3), seed)
+    info = fields._halton_table.cache_info()
+    assert info.misses == 50
+    assert info.currsize == info.maxsize < 50
 
 
 def test_sup_over_scalar_and_array_entries():

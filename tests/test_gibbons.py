@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from g2lab.curvature import ricci, riemann, riemann_lowered
-from g2lab.fields import Domain, StencilConfig, sample_points
-from g2lab.g2construct import estimate_order
+from g2lab.fields import MM, PP, Domain, StencilConfig, sample_points
+from g2lab.g2construct import estimate_order, flat_product_metric
 from g2lab.gallery import (GH_REFERENCE_POINTS, base_domain6, gh_flat_example,
                            gh_nonharmonic_example, gh_taub_nut_example,
-                           monopole_potential6, taub_nut_v6)
+                           monopole_potential6, taub_nut_v6, thm1_taub_nut_bundle)
 from g2lab.gibbons import (GHData, dirac_potential, gh_build, spatial_domain,
                            v_taub_nut)
 from g2lab.reports import simple_report
@@ -198,3 +198,49 @@ def test_shared_pole_field_keeps_its_pointwise_bits(name):
     rows = np.array([np.asarray(pointwise(p), float) for p in block])
     assert np.array_equal(np.array([np.asarray(field(p), float) for p in block]), rows)
     assert np.array_equal(np.asarray(field(block), float), rows)
+
+
+def reference_gh_metric(data, p):
+    """The Gibbons-Hawking metric as a zeros array plus the broadcast
+    product w w^T / V."""
+    x = p[..., 1:4]
+    v = np.asarray(data.v(x), dtype=float)
+    g = np.zeros(p.shape[:-1] + (4, 4))
+    g[..., 1:, 1:] = v[..., None, None] * np.eye(3)
+    w = np.zeros(p.shape[:-1] + (4,))
+    w[..., 0] = 1.0
+    w[..., 1:] = data.a(x)
+    return g + w[..., :, None] * w[..., None, :] / v[..., None, None]
+
+
+def reference_taub_nut_metric7(p):
+    """k_+ + v k_- + v^-1 (dt + A)^2 of the Taub-NUT bundle, as a zeros array
+    with the blocks set, plus the broadcast product w w^T / v."""
+    x = p[..., 1:]
+    v = taub_nut_v6(x)[..., None, None]
+    k = flat_product_metric(x)
+    g = np.zeros(p.shape[:-1] + (7, 7))
+    g[..., 1:4, 1:4] = k[PP]
+    g[..., 4:, 4:] = v * k[MM]
+    w = np.zeros(p.shape[:-1] + (7,))
+    w[..., 0] = 1.0
+    w[..., 1:] = monopole_potential6()(x)
+    return g + w[..., :, None] * w[..., None, :] / v
+
+
+@pytest.mark.parametrize("name", ["gh-taub-nut", "gh-flat-quotient", "thm1-taub-nut"])
+def test_metric_built_in_place_keeps_the_broadcast_bits(name):
+    """The metric fields, built from w w^T / v in place, equal the zeros-and-
+    broadcast expression byte for byte, signs of zero included, on a 64-point
+    block and at each of its points."""
+    if name == "thm1-taub-nut":
+        bundle = thm1_taub_nut_bundle()
+        metric, reference, domain = bundle.metric, reference_taub_nut_metric7, bundle.domain
+    else:
+        data = gh_taub_nut_example() if name == "gh-taub-nut" else gh_flat_example()
+        metric, domain = gh_build(data), data.domain.lift_t()
+        reference = lambda p: reference_gh_metric(data, p)
+    block = np.array(sample_points(domain, 64, StencilConfig(h=1e-3), seed=5))
+    assert metric(block).tobytes() == reference(block).tobytes()
+    for p in block:
+        assert metric(p).tobytes() == reference(p).tobytes()
