@@ -35,7 +35,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from .reports import CheckReport, SuiteContext
-from .suites import MAX_STEP, SUITE_NAMES, suite_checks
+from .suites import MAX_STEP, MIN_STEP, SUITE_NAMES, suite_checks
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,6 +78,10 @@ def main(argv=None) -> int:
             args.h is not None and not (math.isfinite(args.h) and args.h > 0)):
         print("error: --samples must be positive, --h finite and positive, "
               "--seed non-negative", file=sys.stderr)
+        return 2
+    if args.h is not None and args.h < MIN_STEP:
+        print(f"error: --h {args.h} is smaller than {MIN_STEP}, the smallest step "
+              f"the stencils admit", file=sys.stderr)
         return 2
 
     for check_id, fn in checks:

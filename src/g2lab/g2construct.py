@@ -71,58 +71,46 @@ def _chol_coframe(gblock: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky(gblock).mT
 
 
-def _monopole_jets(mono: MonopoleData, x: np.ndarray, cfg: StencilConfig) -> tuple:
-    """(dA, v, dv, basicness) at x, from the stars of A and v: basicness is
-    v and A constant along the plus block, and A annihilating it."""
-    a0, grad_a, _ = star_jet(mono.a, x, cfg)
-    v, dv, _ = star_jet(mono.v, x, cfg)
-    basic = {"basic_v": np.abs(dv[..., PLUS6]),
-             "basic_a": np.maximum(np.max(np.abs(grad_a[..., PLUS6, :]), axis=(-2, -1)),
-                                   np.max(np.abs(a0[..., PLUS6]), axis=-1))}
-    return grad_a - grad_a.mT, v, dv, basic
-
-
-def monopole_residual(mono: MonopoleData, k6, samples, cfg: StencilConfig) -> dict:
-    """Residual of dA = -*_H dv plus basicness of v and A."""
-    def at(x):
-        da, _, dv, basic = _monopole_jets(mono, x, cfg)
-        da[MM] += hodge_restricted(dv[..., MINUS6], np.asarray(k6(x), float)[MM])
-        return {"monopole": np.abs(da), **basic}
-    return sup(blocks(samples), at)
-
-
 def weak_monopole_residual(mono: MonopoleData, k6, samples,
                            cfg: StencilConfig) -> dict:
     """Blockwise weak monopole residuals:
     (dA)++ - u^-1 *_+ alpha,  (dA)+-,  (dA)-- + *^1_- (dv - v alpha),
-    plus basicness, with u = v^(-1/2) and the base metric playing the role of
-    the rescaled pairing."""
+    plus basicness (v and A constant along the plus block, and A annihilating
+    it), with u = v^(-1/2) and the base metric playing the role of the
+    rescaled pairing.  Without twist the three blocks are those of the
+    monopole equation dA = -*_H dv."""
     def at(x):
         g = np.asarray(k6(x), float)
         alpha = mono.alpha_or_zero(x)
-        da, v, dv, basic = _monopole_jets(mono, x, cfg)
+        a0, grad_a, _ = star_jet(mono.a, x, cfg)
+        v, dv, _ = star_jet(mono.v, x, cfg)
+        da = grad_a - grad_a.mT
         v = v[..., None]
         # alpha is carried to the plus block by the positional identification;
         # u^-1 = v^(1/2)
         rhs_pp = np.sqrt(v)[..., None] * hodge_restricted(alpha, g[PP])
         rhs_mm = hodge_restricted(dv[..., MINUS6] - v * alpha, g[MM])
         return {"plus_plus": np.abs(da[PP] - rhs_pp), "mixed": np.abs(da[PM]),
-                "minus_minus": np.abs(da[MM] + rhs_mm), **basic}
+                "minus_minus": np.abs(da[MM] + rhs_mm),
+                "basic_v": np.abs(dv[..., PLUS6]),
+                "basic_a": np.maximum(np.max(np.abs(grad_a[..., PLUS6, :]), axis=(-2, -1)),
+                                      np.max(np.abs(a0[..., PLUS6]), axis=-1))}
     return sup(blocks(samples), at)
 
 
-def g2_build_thm1(k6: Callable[[np.ndarray], np.ndarray], mono: MonopoleData, domain6: Domain,
-                  hypothesis: Callable[..., dict] = monopole_residual) -> G2MetricBundle:
+def g2_build_thm1(k6: Callable[[np.ndarray], np.ndarray], mono: MonopoleData,
+                  domain6: Domain) -> G2MetricBundle:
     """Warped product bundle k_+ + v k_- + v^-1 (dt + A)^2 over a 6-base.
 
-    Both constructions assemble this metric; they differ only in the
-    hypothesis on (v, A, alpha): the monopole equation dA = -*_H dv
-    (`monopole_residual`) or its weak, twisted form (`weak_monopole_residual`).
-    The hypothesis is sampled at 10 points; a residual other than basicness
-    beyond `HYPOTHESIS_TOLERANCE` is recorded as a warning in the provenance
-    and the build proceeds (negative controls rely on that).  The bundle lives
-    over t in [-1, 1]; its metric and coframe take a point or a block of
-    points, as must `k6` and the fields of `mono`.
+    Both constructions assemble this metric from a pair (v, A) that satisfies
+    the weak monopole equations (`weak_monopole_residual`); the first is the
+    case without twist (`mono.alpha` None), where the three blocks together
+    are the monopole equation dA = -*_H dv.  The hypothesis is sampled at 10
+    points; a residual other than basicness beyond `HYPOTHESIS_TOLERANCE` is
+    recorded as a warning in the provenance and the build proceeds (negative
+    controls rely on that).  The bundle lives over t in [-1, 1]; its metric
+    and coframe take a point or a block of points, as must `k6` and the fields
+    of `mono`.
     """
 
     def positive_v(x: np.ndarray) -> np.ndarray:
@@ -152,16 +140,16 @@ def g2_build_thm1(k6: Callable[[np.ndarray], np.ndarray], mono: MonopoleData, do
         k = np.asarray(k6(x), dtype=float)
         e = np.zeros(p.shape[:-1] + (7, 7))
         e[..., :3, 1:4] = _chol_coframe(k[PP])
-        a = np.asarray(mono.a(x), dtype=float)
-        e[..., 3, :1] = np.power(v, -0.5)
-        e[..., 3, 1:] += np.power(v, -0.5) * a
+        u = np.power(v, -0.5)
+        e[..., 3, :1] = u
+        e[..., 3, 1:] = u * np.asarray(mono.a(x), dtype=float)
         e[..., 4:, 4:] = np.sqrt(v)[..., None] * _chol_coframe(k[MM])
         return e
 
     cfg = StencilConfig(h=1e-3)
     pre = sample_points(domain6, 10, cfg, seed=911)
     positive_v(np.asarray(pre))
-    res = hypothesis(mono, k6, pre, cfg)
+    res = weak_monopole_residual(mono, k6, pre, cfg)
     worst = float(np.max([r for name, r in res.items()
                           if not name.startswith("basic_")]))
     provenance = {"monopole_residuals": res, "warning": None}

@@ -3,9 +3,9 @@ by the check suites and the tests.
 
 The positive 7-dimensional family is built around one coherent data set: the
 harmonic pole v = 1 + 1/(2r) on the minus block with its string potential.
-That single pair simultaneously satisfies the product-monopole hypothesis of
-the first construction, the blockwise potential equations of the quotient
-data, and the twisted-pair equations with vanishing twist.
+That single pair satisfies both the weak monopole equations with vanishing
+twist, which are the monopole hypothesis of the first construction, and the
+blockwise potential equations of the quotient data.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .fields import MM, Domain, hat
 from .g2construct import (G2MetricBundle, MonopoleData, flat_product_metric,
-                          g2_build_thm1, weak_monopole_residual)
+                          g2_build_thm1)
 from .gibbons import (CENTER_MARGIN, STRING_MARGIN, GHData, dirac_potential,
                       dirac_string_exclusion, margined,
                       monopole_center_exclusion, radius, spatial_domain,
@@ -109,15 +109,6 @@ def thm1_broken_monopole_bundle(eps: float) -> G2MetricBundle:
     return g2_build_thm1(flat_product_metric, mono, base_domain6())
 
 
-def thm2_taub_nut_bundle() -> G2MetricBundle:
-    """The same pair under the weak hypothesis with zero twist; the base has
-    B = 0 and a plus-constant pole, the regime where the two constructions
-    coincide."""
-    mono = MonopoleData(v=taub_nut_v6, a=monopole_potential6(), alpha=None)
-    return g2_build_thm1(flat_product_metric, mono, base_domain6(),
-                         hypothesis=weak_monopole_residual)
-
-
 def thm2_mismatched_alpha_bundle(eps: float):
     """A potential carrying a plus-block piece consistent only with a nonzero
     twist, over a flat product base whose true twist vanishes.
@@ -139,9 +130,7 @@ def thm2_mismatched_alpha_bundle(eps: float):
         return out
 
     mono = MonopoleData(v=taub_nut_v6, a=a, alpha=fake_alpha)
-    bundle = g2_build_thm1(flat_product_metric, mono, base_domain6(),
-                           hypothesis=weak_monopole_residual)
-    return bundle, mono
+    return g2_build_thm1(flat_product_metric, mono, base_domain6()), mono
 
 
 def warped_control_bundle() -> G2MetricBundle:
@@ -254,8 +243,6 @@ GALLERY = {
                       "verdict": "torsion-free and Ricci-flat at second order"},
     "thm1-broken-monopole": {"builder": "thm1_broken_monopole_bundle",
                              "verdict": "control: torsion bounded below"},
-    "thm2-taub-nut": {"builder": "thm2_taub_nut_bundle",
-                      "verdict": "agrees with thm1 pointwise (zero twist)"},
     "thm2-mismatched-alpha": {"builder": "thm2_mismatched_alpha_bundle",
                               "verdict": "control: twist inconsistent, torsion bounded below"},
     "warped-control": {"builder": "warped_control_bundle",

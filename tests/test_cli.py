@@ -40,7 +40,7 @@ def test_bad_samples_exits_2(capsys, tmp_path):
     taken = tmp_path / "taken"
     taken.write_text("")
     for args in (["--samples", "0"], ["--seed", "-5"], ["--h", "nan"],
-                 ["--h", "inf"], ["--h", "-inf"],
+                 ["--h", "inf"], ["--h", "-inf"], ["--h", "1e-300"],
                  ["--out", str(tmp_path / "missing" / "x.jsonl")],
                  ["--dump-samples", str(taken)]):
         code, out, err = run_cli(capsys, ["--suite", "gh"] + args)
@@ -247,7 +247,8 @@ def test_aliases_share_their_source_line(capsys):
     for cid, fn in checks:
         source.setdefault(fn, cid)
     aliases = {cid: source[fn] for cid, fn in checks if source[fn] != cid}
-    assert sorted(aliases) == ["negative.ellipsoid", "negative.nonharmonic-pole"]
+    assert sorted(aliases) == ["g2-thm2.torsion-free", "negative.ellipsoid",
+                               "negative.nonharmonic-pole"]
     _, out, _ = run_cli(capsys, ["--suite", "all", "--json-only", "--samples", "20"])
     lines = {json.loads(l)["check_id"]: l for l in out.strip().splitlines()}
     for alias, src in aliases.items():

@@ -3,20 +3,21 @@ import dataclasses
 import numpy as np
 import pytest
 
+from g2lab import g2construct
 from g2lab.curvature import christoffel
 from g2lab.fields import (MM, STACK_BLOCK, Domain, StencilConfig, adapted_frame,
                           fd_gradient, frame_derivatives, sample_points, star_jet, sup)
 from g2lab.g2construct import (MonopoleData, _h_component,
                                estimate_order, flat_product_metric, g2_build_thm1,
                                holonomy_residual, model_phi_check,
-                               monopole_residual, torsion_forms, torsionfree_residual,
+                               torsion_forms, torsionfree_residual,
                                weak_monopole_residual, weak_sl3_consistency)
 from g2lab.modeldata import (complex_structure_norm, h6, phi_constants,
                              so6_part_projectors, star_phi_constants)
 from g2lab.gallery import (base_domain6, monopole_potential6, taub_nut_v6,
                            thm1_broken_monopole_bundle, thm1_flat_bundle,
                            thm1_taub_nut_bundle, thm2_mismatched_alpha_bundle,
-                           thm2_taub_nut_bundle, warped_control_bundle)
+                           warped_control_bundle)
 
 H_LIST = (2e-2, 1e-2, 5e-3)
 
@@ -41,8 +42,8 @@ def test_monopole_hypothesis_holds_for_pole_pair():
     mono = MonopoleData(v=taub_nut_v6, a=monopole_potential6())
     cfg = StencilConfig(h=1e-3)
     pts = sample_points(base_domain6(), 10, cfg, seed=7)
-    res = monopole_residual(mono, flat_product_metric, pts, cfg)
-    assert res["monopole"] <= 1e-4
+    res = weak_monopole_residual(mono, flat_product_metric, pts, cfg)
+    assert max(res["plus_plus"], res["mixed"], res["minus_minus"]) <= 1e-4
     assert res["basic_v"] <= 1e-12
     assert res["basic_a"] <= 1e-12
 
@@ -79,22 +80,52 @@ def test_broken_monopole_detected_and_not_convergent():
     assert -0.2 <= order <= 0.2, (order, vals)
 
 
-def test_nan_hypothesis_residual_is_a_warning():
+def test_nan_hypothesis_residual_is_a_warning(monkeypatch):
     mono = MonopoleData(v=taub_nut_v6, a=monopole_potential6())
-    nan_monopole = lambda mono, k6, pts, cfg: {"monopole": float("nan"),
-                                               "basic_v": 0.0, "basic_a": 0.0}
-    b = g2_build_thm1(flat_product_metric, mono, base_domain6(),
-                      hypothesis=nan_monopole)
+    monkeypatch.setattr(g2construct, "weak_monopole_residual",
+                        lambda mono, k6, pts, cfg: {"plus_plus": float("nan"), "mixed": 0.0,
+                                                    "minus_minus": 0.0, "basic_v": 0.0,
+                                                    "basic_a": 0.0})
+    b = g2_build_thm1(flat_product_metric, mono, base_domain6())
     assert b.provenance["warning"] is not None
 
 
-def test_thm2_with_zero_twist_matches_thm1_pointwise():
-    b1 = thm1_taub_nut_bundle()
-    b2 = thm2_taub_nut_bundle()
-    for p in bundle_points(b1, n=12, seed=9):
-        assert np.max(np.abs(b1.metric(p) - b2.metric(p))) <= 1e-12
-        assert np.max(np.abs(b1.coframe(p) - b2.coframe(p))) <= 1e-12
-        assert np.max(np.abs(b1.phi_field(p) - b2.phi_field(p))) <= 1e-12
+# (*w)[i, j] = eps[i, j, k] w_k on an orthonormal 3-block: *dx4 = dx5 ^ dx6
+LEVI_CIVITA = np.zeros((3, 3, 3))
+for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    LEVI_CIVITA[i, j, k], LEVI_CIVITA[j, i, k] = 1.0, -1.0
+
+
+def product_monopole_residual(v, a, pts, cfg):
+    """sup over the points of |dA + *_H dv|, the monopole equation of the first
+    construction as one 6x6 matrix on the flat base: dA[i, j] = d_i A_j - d_j A_i
+    and the star of dv on the minus block."""
+    worst = 0.0
+    for x in pts:
+        _, grad_a, _ = star_jet(a, x, cfg)
+        _, dv, _ = star_jet(v, x, cfg)
+        res = grad_a - grad_a.T
+        res[3:, 3:] += np.einsum('ijk,k->ij', LEVI_CIVITA, dv[3:])
+        worst = max(worst, float(np.max(np.abs(res))))
+    return worst
+
+
+MONOPOLE_V = {"pole": taub_nut_v6,
+              "broken": lambda x: taub_nut_v6(x) * (1.0 + 0.1 * x[..., 3]),
+              "nonbasic": lambda x: taub_nut_v6(x) + 0.2 * x[..., 0]}
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-2])
+@pytest.mark.parametrize("case", sorted(MONOPOLE_V))
+def test_weak_residual_without_twist_is_the_monopole_equation(case, h):
+    """At alpha = 0 the largest of the three block residuals is the residual
+    of dA = -*_H dv, to the bit."""
+    mono = MonopoleData(v=MONOPOLE_V[case], a=monopole_potential6())
+    cfg = StencilConfig(h=h)
+    pts = sample_points(base_domain6(), 10, cfg, seed=911)
+    res = weak_monopole_residual(mono, flat_product_metric, pts, cfg)
+    assert max(res["plus_plus"], res["mixed"], res["minus_minus"]) == \
+        product_monopole_residual(mono.v, mono.a, pts, cfg)
 
 
 def test_weak_monopole_residuals_zero_twist():
@@ -244,7 +275,7 @@ def test_nonbasic_pole_detected():
     mono = MonopoleData(v=v, a=monopole_potential6())
     cfg = StencilConfig(h=1e-3)
     pts = sample_points(base_domain6(), 6, cfg, seed=13)
-    res = monopole_residual(mono, flat_product_metric, pts, cfg)
+    res = weak_monopole_residual(mono, flat_product_metric, pts, cfg)
     assert res["basic_v"] >= 0.01
 
 

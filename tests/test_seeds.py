@@ -1,9 +1,10 @@
 """Seeded draws.  Every seeded value in g2lab comes from `random.Random(seed)`:
 no run loads numpy.random, no source file names it, and the checks that
-draw, and the negative controls, hold at any seed the command line
-accepts."""
+draw, and the negative controls, hold at any seed, budget and step the
+command line accepts."""
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -81,13 +82,23 @@ def test_drawing_checks_pass_at_any_seed(seed):
         assert rep.status == "pass", (check_id, seed, rep.residuals, rep.params)
 
 
+CONTROLS = suites.suite_checks("negative-controls")
+# the smallest of the largest steps that the controls honouring --h admit
+CONTROL_TOP_STEP = min(suites.MAX_STEP[fn] for _, fn in CONTROLS if fn in suites.MAX_STEP)
+# None (each check's own step) or log-uniform on [MIN_STEP, CONTROL_TOP_STEP]
+STEPS = st.none() | st.floats(math.log10(suites.MIN_STEP), math.log10(CONTROL_TOP_STEP)).map(
+    lambda e: min(10.0 ** e, CONTROL_TOP_STEP))
+
+
 # At --samples 1 --seed 3 the one point lies at r < 0.5 from the pole, where
 # the perturbed potential's violation eps / v, v = 1 + 1/(2r), is small.
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 63 - 1), st.sampled_from([1, 25]))
-@example(3, 1)
-def test_negative_controls_pass_at_any_seed(seed, samples):
-    ctx = SuiteContext(seed=seed, samples=samples, h=None, dump_dir=None)
-    for check_id, check in suites.suite_checks("negative-controls"):
+@given(st.integers(0, 2 ** 63 - 1), st.sampled_from([1, 25, 200]), STEPS)
+@example(3, 1, None)
+@example(42, 200, suites.MIN_STEP)
+@example(42, 200, CONTROL_TOP_STEP)
+def test_negative_controls_pass_at_any_seed(seed, samples, h):
+    ctx = SuiteContext(seed=seed, samples=samples, h=h, dump_dir=None)
+    for check_id, check in CONTROLS:
         rep = check(ctx)
-        assert rep.status == "pass", (check_id, seed, samples, rep.residuals, rep.params)
+        assert rep.status == "pass", (check_id, seed, samples, h, rep.residuals, rep.params)

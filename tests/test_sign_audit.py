@@ -17,8 +17,8 @@ import numpy as np
 from g2lab.fields import StencilConfig, sample_points
 from g2lab.g2construct import (MonopoleData, estimate_order,
                                flat_product_metric, holonomy_residual,
-                               model_phi_check, monopole_residual,
-                               torsionfree_residual, g2_build_thm1)
+                               model_phi_check, torsionfree_residual,
+                               weak_monopole_residual, g2_build_thm1)
 from g2lab.gallery import (base_domain6, monopole_potential6, taub_nut_v6,
                            thm1_flat_bundle, thm1_taub_nut_bundle)
 
@@ -65,10 +65,10 @@ def test_star_sign_in_pairing_hypothesis_is_forced():
     good = MonopoleData(v=taub_nut_v6, a=monopole_potential6())
     flipped = MonopoleData(v=taub_nut_v6,
                            a=lambda x: -monopole_potential6()(x))
-    res_good = monopole_residual(good, flat_product_metric, pts6, cfg)
-    res_flip = monopole_residual(flipped, flat_product_metric, pts6, cfg)
-    assert res_good["monopole"] <= 1e-4
-    assert res_flip["monopole"] >= 0.1
+    res_good = weak_monopole_residual(good, flat_product_metric, pts6, cfg)
+    res_flip = weak_monopole_residual(flipped, flat_product_metric, pts6, cfg)
+    assert res_good["minus_minus"] <= 1e-4
+    assert res_flip["minus_minus"] >= 0.1
 
     # the wrong-sign pair builds a metric that is not torsion-free
     bundle = g2_build_thm1(flat_product_metric, flipped, base_domain6())
