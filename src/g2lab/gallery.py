@@ -95,18 +95,26 @@ def thm1_flat_bundle() -> G2MetricBundle:
     return g2_build_thm1(flat_product_metric, mono, dom)
 
 
+def taub_nut_monopole() -> MonopoleData:
+    """The pole pair (v, A) of the Taub-NUT bundle, without twist."""
+    return MonopoleData(v=taub_nut_v6, a=monopole_potential6())
+
+
 def thm1_taub_nut_bundle() -> G2MetricBundle:
-    mono = MonopoleData(v=taub_nut_v6, a=monopole_potential6())
-    return g2_build_thm1(flat_product_metric, mono, base_domain6())
+    return g2_build_thm1(flat_product_metric, taub_nut_monopole(), base_domain6())
 
 
-def thm1_broken_monopole_bundle(eps: float) -> G2MetricBundle:
-    """v perturbed off the monopole equation by a factor (1 + eps x4)."""
+def thm1_broken_monopole_bundle(eps: float):
+    """v perturbed off the monopole equation by a factor (1 + eps x4).
+
+    Returns (bundle, monopole data), so that a check can sample the broken
+    hypothesis as well as the built torsion.
+    """
     def v(x: np.ndarray) -> np.ndarray:
         return taub_nut_v6(x) * (1.0 + eps * x[..., 3])
 
     mono = MonopoleData(v=v, a=monopole_potential6())
-    return g2_build_thm1(flat_product_metric, mono, base_domain6())
+    return g2_build_thm1(flat_product_metric, mono, base_domain6()), mono
 
 
 def thm2_mismatched_alpha_bundle(eps: float):
@@ -242,7 +250,7 @@ GALLERY = {
     "thm1-taub-nut": {"builder": "thm1_taub_nut_bundle",
                       "verdict": "torsion-free and Ricci-flat at second order"},
     "thm1-broken-monopole": {"builder": "thm1_broken_monopole_bundle",
-                             "verdict": "control: torsion bounded below"},
+                             "verdict": "control: monopole equation and torsion bounded below"},
     "thm2-mismatched-alpha": {"builder": "thm2_mismatched_alpha_bundle",
                               "verdict": "control: twist inconsistent, torsion bounded below"},
     "warped-control": {"builder": "warped_control_bundle",

@@ -24,7 +24,7 @@ def _block_fields() -> dict:
     out = {}
     bundles = {"thm1-flat": gallery.thm1_flat_bundle(),
                "thm1-taub-nut": gallery.thm1_taub_nut_bundle(),
-               "thm1-broken-monopole": gallery.thm1_broken_monopole_bundle(0.1),
+               "thm1-broken-monopole": gallery.thm1_broken_monopole_bundle(0.1)[0],
                "thm2-mismatched-alpha": gallery.thm2_mismatched_alpha_bundle(0.1)[0],
                "warped-control": gallery.warped_control_bundle()}
     for tag, b in bundles.items():

@@ -247,8 +247,8 @@ def test_aliases_share_their_source_line(capsys):
     for cid, fn in checks:
         source.setdefault(fn, cid)
     aliases = {cid: source[fn] for cid, fn in checks if source[fn] != cid}
-    assert sorted(aliases) == ["g2-thm2.torsion-free", "negative.ellipsoid",
-                               "negative.nonharmonic-pole"]
+    assert sorted(aliases) == ["g2-thm2.torsion-free", "g2-thm2.weak-monopole",
+                               "negative.ellipsoid", "negative.nonharmonic-pole"]
     _, out, _ = run_cli(capsys, ["--suite", "all", "--json-only", "--samples", "20"])
     lines = {json.loads(l)["check_id"]: l for l in out.strip().splitlines()}
     for alias, src in aliases.items():

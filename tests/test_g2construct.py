@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from g2lab import g2construct
+from g2lab import suites
 from g2lab.curvature import christoffel
 from g2lab.fields import (MM, STACK_BLOCK, Domain, StencilConfig, adapted_frame,
                           fd_gradient, frame_derivatives, sample_points, star_jet, sup)
@@ -14,16 +14,27 @@ from g2lab.g2construct import (MonopoleData, _h_component,
                                weak_monopole_residual, weak_sl3_consistency)
 from g2lab.modeldata import (complex_structure_norm, h6, phi_constants,
                              so6_part_projectors, star_phi_constants)
-from g2lab.gallery import (base_domain6, monopole_potential6, taub_nut_v6,
+from g2lab.gallery import (base_domain6, constant_field, monopole_potential6,
+                           taub_nut_monopole, taub_nut_v6,
                            thm1_broken_monopole_bundle, thm1_flat_bundle,
                            thm1_taub_nut_bundle, thm2_mismatched_alpha_bundle,
                            warped_control_bundle)
+from g2lab.reports import SuiteContext
 
 H_LIST = (2e-2, 1e-2, 5e-3)
 
 
 def bundle_points(bundle, n=8, seed=5, h=2e-2):
     return sample_points(bundle.domain, n, StencilConfig(h=h), seed=seed)
+
+
+def hypothesis_residual(mono, domain6, seed=5):
+    """The largest of the three block residuals of the weak monopole
+    equations of `mono` on the flat base, at 10 points and h = 1e-3."""
+    cfg = StencilConfig(h=1e-3)
+    res = weak_monopole_residual(mono, flat_product_metric,
+                                 sample_points(domain6, 10, cfg, seed=seed), cfg)
+    return max(res["plus_plus"], res["mixed"], res["minus_minus"])
 
 
 def test_flat_bundle_is_exactly_torsion_free():
@@ -35,7 +46,8 @@ def test_flat_bundle_is_exactly_torsion_free():
     assert res["sup_dstarphi"] <= 1e-10
     assert model_phi_check(b, pts) == 0.0
     assert b.orthonormality_residual(pts) <= 1e-12
-    assert b.provenance["warning"] is None
+    flat = MonopoleData(v=constant_field(1.0), a=constant_field(np.zeros(6)))
+    assert hypothesis_residual(flat, Domain(lo=(-1.0,) * 6, hi=(1.0,) * 6)) <= 1e-4
 
 
 def test_monopole_hypothesis_holds_for_pole_pair():
@@ -55,7 +67,7 @@ def test_taub_nut_bundle_torsion_free_second_order():
     for name in ("sup_dphi", "sup_dstarphi"):
         vals = [r[name] for r in rows]
         assert estimate_order(H_LIST, vals) >= 1.8, (name, vals)
-    assert b.provenance["warning"] is None
+    assert hypothesis_residual(taub_nut_monopole(), base_domain6()) <= 1e-4
 
 
 def test_taub_nut_bundle_einstein_and_in_algebra():
@@ -70,8 +82,8 @@ def test_taub_nut_bundle_einstein_and_in_algebra():
 
 
 def test_broken_monopole_detected_and_not_convergent():
-    b = thm1_broken_monopole_bundle(0.1)
-    assert b.provenance["warning"] is not None
+    b, mono = thm1_broken_monopole_bundle(0.1)
+    assert hypothesis_residual(mono, base_domain6()) > 1e-4
     pts = bundle_points(b, n=6)
     vals = [torsionfree_residual(b, pts, StencilConfig(h=h))["sup_dphi"]
             for h in H_LIST]
@@ -80,14 +92,14 @@ def test_broken_monopole_detected_and_not_convergent():
     assert -0.2 <= order <= 0.2, (order, vals)
 
 
-def test_nan_hypothesis_residual_is_a_warning(monkeypatch):
-    mono = MonopoleData(v=taub_nut_v6, a=monopole_potential6())
-    monkeypatch.setattr(g2construct, "weak_monopole_residual",
+def test_nan_hypothesis_residual_fails_the_hypothesis_check(monkeypatch):
+    monkeypatch.setattr(suites, "weak_monopole_residual",
                         lambda mono, k6, pts, cfg: {"plus_plus": float("nan"), "mixed": 0.0,
                                                     "minus_minus": 0.0, "basic_v": 0.0,
                                                     "basic_a": 0.0})
-    b = g2_build_thm1(flat_product_metric, mono, base_domain6())
-    assert b.provenance["warning"] is not None
+    check = dict(suites.suite_checks("all"))["g2-thm1.monopole-hypothesis"]
+    rep = check(SuiteContext(seed=42, samples=25, h=None, dump_dir=None))
+    assert rep.status == "fail"
 
 
 # (*w)[i, j] = eps[i, j, k] w_k on an orthonormal 3-block: *dx4 = dx5 ^ dx6
@@ -286,10 +298,12 @@ def test_estimate_order_exact_path():
 
 
 def test_builder_rejects_nonpositive_v():
+    """The built metric and coframe raise where v is not positive."""
     mono = MonopoleData(v=lambda x: -1.0, a=lambda x: np.zeros(6))
-    dom = Domain(lo=(-1.0,) * 6, hi=(1.0,) * 6)
-    with pytest.raises(ValueError):
-        g2_build_thm1(flat_product_metric, mono, dom)
+    b = g2_build_thm1(flat_product_metric, mono, Domain(lo=(-1.0,) * 6, hi=(1.0,) * 6))
+    for field in (b.metric, b.coframe):
+        with pytest.raises(ValueError):
+            field(np.zeros(7))
 
 
 def test_flat_bundle_holonomy_zero_over_zero_convention():
@@ -387,7 +401,7 @@ def generic_coframe(p):
 def _cross_route_cases():
     box = Domain(lo=(-0.5,) * 7, hi=(0.5,) * 7)
     return {name: (b.coframe, bundle_points(b, n=20, seed=11)) for name, b in (
-        ("broken-monopole", thm1_broken_monopole_bundle(0.1)),
+        ("broken-monopole", thm1_broken_monopole_bundle(0.1)[0]),
         ("taub-nut", thm1_taub_nut_bundle()))} | {
         "generic": (generic_coframe, sample_points(box, 20, StencilConfig(h=2e-2), seed=11))}
 

@@ -291,6 +291,33 @@ def test_no_hand_written_sup():
     assert not copies, f"hand-written sup accumulators: {sorted(copies)}"
 
 
+def _literal_seed_calls(tree: ast.AST) -> list:
+    """Line numbers of the `sample_points` calls that pass a literal seed,
+    by keyword or in its positional slot."""
+    return [node.lineno for node in ast.walk(tree)
+            if _calls(node, "sample_points")
+            and any(isinstance(a, ast.Constant)
+                    for a in node.args[3:4] + [k.value for k in node.keywords
+                                                if k.arg == "seed"])]
+
+
+def test_every_sampled_point_comes_from_the_run_seed():
+    """One source of points: a literal seed draws points that no --seed
+    reaches, so the check reading them ignores the run's seed."""
+    found = [(path.name, line) for path in sorted(PACKAGE.glob("*.py"))
+             for line in _literal_seed_calls(ast.parse(path.read_text()))]
+    assert not found, f"sample_points with a literal seed: {found}"
+
+
+def test_the_seed_check_sees_a_planted_literal():
+    """A literal seed by keyword, as the builder's precheck had, and one by
+    position; the run's seed is no literal."""
+    src = ("pre = sample_points(dom, 10, cfg, seed=911)\n"
+           "pre = sample_points(dom, 10, cfg, 7)\n"
+           "pts = sample_points(dom, 10, cfg, seed=ctx.seed)\n")
+    assert _literal_seed_calls(ast.parse(src)) == [1, 2]
+
+
 def test_one_order_study():
     """One order study per step ladder: in the package only
     `suites._order_study` estimates an order."""

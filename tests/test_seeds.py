@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from g2lab import suites
@@ -80,6 +81,15 @@ def test_drawing_checks_pass_at_any_seed(seed):
     for check_id in DRAWING:
         rep = checks[check_id](ctx)
         assert rep.status == "pass", (check_id, seed, rep.residuals, rep.params)
+
+
+@pytest.mark.parametrize("seed", [28, 537])
+def test_the_monopole_hypothesis_holds_where_its_step_truncated(seed):
+    """At a step of 1e-3 the h^2 truncation of dA near the string standoff
+    read 1.11e-4 (seed 28) and 1.39e-4 (seed 537), past the 1e-4 tolerance."""
+    check = dict(suites.suite_checks("all"))["g2-thm2.weak-monopole"]
+    rep = check(SuiteContext(seed=seed, samples=200, h=None, dump_dir=None))
+    assert rep.status == "pass", rep.residuals
 
 
 CONTROLS = suites.suite_checks("negative-controls")

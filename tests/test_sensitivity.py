@@ -2,10 +2,12 @@
 planted fault and `pass` without it (mutation testing, DeMillo, Lipton and
 Sayward 1978).
 
-A fault monkeypatches `gallery.g2_build_thm1`, through which every gallery
-bundle of the two constructions is built, with a wrapper that puts the built
-bundle's metric or coframe off, or that builds from a v pushed off the
-monopole equation.  Each check runs alone, on a fresh context at 25 samples.
+A fault monkeypatches one gallery function with a wrapper of it:
+`g2_build_thm1`, through which every gallery bundle of the two constructions
+is built, so that the built bundle's metric or coframe is off;
+`taub_nut_monopole`, so that its v is pushed off the monopole equation; or,
+for a negative control, the builder of its data, so that the planted defect
+is gone.  Each check runs alone, on a fresh context at 25 samples.
 """
 
 import dataclasses
@@ -36,26 +38,32 @@ def bundle_fault(name):
     return fault
 
 
-def off_monopole(build):
-    """A builder handed v (1 + 0.1 x4) in place of v, with A unchanged."""
-    def faulty(k6, mono, domain6):
+def off_monopole(pair):
+    """The pair with v (1 + 0.1 x4) in place of v, and A unchanged."""
+    def faulty():
+        mono = pair()
         v = mono.v
-        return build(k6, dataclasses.replace(mono, v=lambda x: v(x) * (1.0 + 0.1 * x[..., 3])),
-                     domain6)
+        return dataclasses.replace(mono, v=lambda x: v(x) * (1.0 + 0.1 * x[..., 3]))
     return faulty
 
 
-# name -> (check id, fault)
+def unbroken(build):
+    """The broken-monopole data at eps = 0, whatever eps the check asks for."""
+    return lambda eps: build(0.0)
+
+
+# name -> (check id, gallery function the fault wraps, fault)
 FAULTS = {
-    "agrees-metric": ("g2-thm2.agrees-with-thm1", bundle_fault("metric")),
-    "agrees-coframe": ("g2-thm2.agrees-with-thm1", bundle_fault("coframe")),
-    "monopole-hypothesis": ("g2-thm1.monopole-hypothesis", off_monopole),
+    "agrees-metric": ("g2-thm2.agrees-with-thm1", "g2_build_thm1", bundle_fault("metric")),
+    "agrees-coframe": ("g2-thm2.agrees-with-thm1", "g2_build_thm1", bundle_fault("coframe")),
+    "monopole-hypothesis": ("g2-thm1.monopole-hypothesis", "taub_nut_monopole", off_monopole),
+    "broken-monopole": ("negative.broken-monopole", "thm1_broken_monopole_bundle", unbroken),
 }
 
 
 @pytest.mark.parametrize("name", list(FAULTS))
 def test_a_planted_fault_fails_the_check(name, monkeypatch):
-    check_id, fault = FAULTS[name]
+    check_id, target, fault = FAULTS[name]
     check = dict(suites.suite_checks("all"))[check_id]
 
     def run():
@@ -63,6 +71,6 @@ def test_a_planted_fault_fails_the_check(name, monkeypatch):
 
     clean = run()
     assert clean.status == "pass", clean.residuals
-    monkeypatch.setattr(gallery, "g2_build_thm1", fault(gallery.g2_build_thm1))
+    monkeypatch.setattr(gallery, target, fault(getattr(gallery, target)))
     planted = run()
     assert planted.status == "fail", planted.residuals

@@ -72,7 +72,6 @@ def test_star_sign_in_pairing_hypothesis_is_forced():
 
     # the wrong-sign pair builds a metric that is not torsion-free
     bundle = g2_build_thm1(flat_product_metric, flipped, base_domain6())
-    assert bundle.provenance["warning"] is not None
     pts7 = sample_points(bundle.domain, 5, StencilConfig(h=2e-2), seed=6)
     h_list = (2e-2, 1e-2, 5e-3)
     vals = [torsionfree_residual(bundle, pts7, StencilConfig(h=h))["sup_dphi"]
