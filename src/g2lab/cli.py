@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 import time
@@ -35,12 +34,12 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from .reports import CheckReport, SuiteContext
-from .suites import MAX_STEP, MIN_STEP, SUITE_NAMES, suite_checks
+from .suites import SUITE_NAMES, suite_checks
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
-        prog="g2lab",
+        prog="g2lab", allow_abbrev=False,
         description="Run certification and verification suites; JSON lines on "
                     "stdout, summary table on stderr.")
     p.add_argument("--suite", default="all",
@@ -48,8 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42, help="non-negative sampler seed")
     p.add_argument("--samples", type=int, default=200,
                    help="global sample budget; per-check counts scale with it")
-    p.add_argument("--h", type=float, default=None,
-                   help="override the base stencil step where supported")
     p.add_argument("--json-only", action="store_true",
                    help="suppress the human summary table")
     p.add_argument("--list", action="store_true", dest="list_checks",
@@ -74,21 +71,10 @@ def main(argv=None) -> int:
         print(f"error: unknown suite {args.suite!r}; known: "
               f"{', '.join(SUITE_NAMES)}", file=sys.stderr)
         return 2
-    if args.samples <= 0 or args.seed < 0 or (
-            args.h is not None and not (math.isfinite(args.h) and args.h > 0)):
-        print("error: --samples must be positive, --h finite and positive, "
-              "--seed non-negative", file=sys.stderr)
+    if args.samples <= 0 or args.seed < 0:
+        print("error: --samples must be positive, --seed non-negative",
+              file=sys.stderr)
         return 2
-    if args.h is not None and args.h < MIN_STEP:
-        print(f"error: --h {args.h} is smaller than {MIN_STEP}, the smallest step "
-              f"the stencils admit", file=sys.stderr)
-        return 2
-
-    for check_id, fn in checks:
-        if args.h is not None and args.h > MAX_STEP.get(fn, math.inf):
-            print(f"error: --h {args.h} is larger than {MAX_STEP[fn]}, the largest "
-                  f"step the domain of {check_id} admits", file=sys.stderr)
-            return 2
 
     if args.list_checks:
         for check_id, _ in checks:
@@ -104,8 +90,7 @@ def main(argv=None) -> int:
         print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
-    ctx = SuiteContext(seed=args.seed, samples=args.samples, h=args.h,
-                       dump_dir=args.dump_samples)
+    ctx = SuiteContext(seed=args.seed, samples=args.samples, dump_dir=args.dump_samples)
     rows = []   # (check_id, report, ms); an id registered twice shares one run
     try:
         for check_id, fn in checks:

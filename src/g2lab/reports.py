@@ -22,7 +22,7 @@ class CheckReport:
     """A check's verdict.  The check id and the run's seed are the runner's:
     `json_line` stamps them."""
 
-    status: str                      # "pass" | "fail" | "warn" | "error"
+    status: str                      # "pass" | "fail" | "error"
     residuals: dict
     tolerance: float
     params: dict
@@ -101,7 +101,6 @@ class SuiteContext:
 
     seed: int
     samples: int
-    h: float | None
     dump_dir: str | None
     sample_rows: dict = field(default_factory=dict, init=False)
     memo: dict = field(default_factory=dict, init=False, repr=False)

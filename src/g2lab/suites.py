@@ -44,12 +44,6 @@ ORACLE_H_LIST = (2e-3, 1e-3, 5e-4)
 ORACLE_BAND = (1.9, 2.5)
 
 
-def _base_cfg(ctx: SuiteContext, default_h: float) -> StencilConfig:
-    """Fixed-step checks honor the global --h override; order studies keep
-    their declared step ladders."""
-    return StencilConfig(h=ctx.h if ctx.h else default_h)
-
-
 def _points(ctx: SuiteContext, domain: Domain, n: int, cfg: StencilConfig) -> list:
     """The run's draw of `n` (scaled) sample points, padded for `cfg`."""
     return sample_points(domain, ctx.scaled_samples(n), cfg, seed=ctx.seed)
@@ -244,7 +238,7 @@ def check_gh_flat_trivial(ctx: SuiteContext) -> CheckReport:
     data = GHData(v=lambda x: 1.0, a=lambda x: np.zeros(3),
                   domain=Domain(lo=(-1.0,) * 3, hi=(1.0,) * 3))
     g = gh_build(data)
-    cfg = _base_cfg(ctx, 1e-2)
+    cfg = StencilConfig(h=1e-2)
     pts = _points(ctx, data.domain.lift_t(), 20, cfg)
     res = sup(blocks(pts), lambda p: {"riemann": np.abs(riemann(g, p, cfg))})
     return simple_report(res, 1e-12)
@@ -284,7 +278,7 @@ def check_gh_taub_nut(ctx: SuiteContext) -> CheckReport:
 
 def check_gh_consistency(ctx: SuiteContext) -> CheckReport:
     data = gallery.gh_taub_nut_example()
-    cfg = _base_cfg(ctx, 1e-3)
+    cfg = StencilConfig(h=1e-3)
     pts = _points(ctx, data.domain, 100, cfg)
     res = data.consistency_residuals(pts, cfg)
     return simple_report(res, 1e-3)
@@ -303,7 +297,7 @@ def check_gh_nonharmonic(ctx: SuiteContext) -> CheckReport:
 
 def check_thm1_flat(ctx: SuiteContext) -> CheckReport:
     bundle = gallery.thm1_flat_bundle()
-    cfg = _base_cfg(ctx, 1e-3)
+    cfg = StencilConfig(h=1e-3)
     pts = _points(ctx, bundle.domain, 20, cfg)
     tf = torsionfree_residual(bundle, pts, cfg)
     res = {"sup_dphi": tf["sup_dphi"], "sup_dstarphi": tf["sup_dstarphi"],
@@ -374,12 +368,9 @@ def check_thm2_weak_monopole(ctx: SuiteContext) -> CheckReport:
     equations of the Taub-NUT pair, without twist, on the run's points."""
     # the h^2 truncation of dA near the string standoff reads up to 1.4e-4 at
     # h = 1e-3 on some seeds; it falls by about 3.8 per halving of h
-    cfg = _base_cfg(ctx, 2.5e-4)
+    cfg = StencilConfig(h=2.5e-4)
     pts = _points(ctx, gallery.base_domain6(), 50, cfg)
     res = weak_monopole_residual(gallery.taub_nut_monopole(), flat_product_metric, pts, cfg)
-    base = weak_sl3_consistency(flat_product_metric, None, pts[:6], cfg)
-    res["twist_consistency"] = base["twist_mismatch"]
-    res["complex_structure_part"] = base["complex_structure_part"]
     return simple_report(res, 1e-4)
 
 
@@ -387,7 +378,7 @@ def check_thm2_weak_monopole(ctx: SuiteContext) -> CheckReport:
 
 def check_hyp_plane(ctx: SuiteContext) -> CheckReport:
     imm = affine_plane()
-    cfg = _base_cfg(ctx, 1e-3)
+    cfg = StencilConfig(h=1e-3)
     pts = _points(ctx, imm.domain, 15, cfg)
     r = hypersurface_checks(imm, pts, cfg)
     res = {"kahler": r["kahler"], "geodesic": r["geodesic"]}
@@ -399,7 +390,7 @@ SPHERE_KAHLER_FLOOR = 0.8   # measured 0.983 by the h=1e-4 Richardson oracle run
 
 def check_hyp_sphere(ctx: SuiteContext) -> CheckReport:
     imm = unit_sphere()
-    cfg = _base_cfg(ctx, 1e-3)
+    cfg = StencilConfig(h=1e-3)
     pts = _points(ctx, imm.domain, 15, cfg)
     r = hypersurface_checks(imm, pts, cfg)
     res = {"nearly_kahler": r["nearly_kahler"],
@@ -412,7 +403,7 @@ def check_hyp_sphere(ctx: SuiteContext) -> CheckReport:
 
 def check_hyp_ellipsoid(ctx: SuiteContext) -> CheckReport:
     imm = ellipsoid()
-    cfg = _base_cfg(ctx, 1e-3)
+    cfg = StencilConfig(h=1e-3)
     pts = _points(ctx, imm.domain, 10, cfg)
     r = hypersurface_checks(imm, pts, cfg)
     return control_report({"umbilic": r["umbilic"],
@@ -456,7 +447,7 @@ def check_oracle_potential(ctx: SuiteContext) -> CheckReport:
 def check_oracle_blocks(ctx: SuiteContext) -> CheckReport:
     """The positive quotient data satisfies every structure condition."""
     data = gallery.killing_taub_nut_data()
-    cfg = _base_cfg(ctx, 1e-3)
+    cfg = StencilConfig(h=1e-3)
     pts = _points(ctx, data.domain, 100, cfg)
     cond = killing_conditions_check(data, pts, cfg)
     blocks = da_conditions_check(data, pts, cfg)
@@ -469,7 +460,7 @@ def check_oracle_blocks(ctx: SuiteContext) -> CheckReport:
 
 def check_neg_perturbed_potential(ctx: SuiteContext) -> CheckReport:
     data = gallery.killing_perturbed_data(0.2)
-    cfg = _base_cfg(ctx, 1e-3)
+    cfg = StencilConfig(h=1e-3)
     pts = _points(ctx, data.domain, 40, cfg)
     cond = killing_conditions_check(data, pts, cfg)
     return control_report({"potential_equation": cond["potential_equation"]}, 0.05,
@@ -514,7 +505,7 @@ def check_neg_nonbasic(ctx: SuiteContext) -> CheckReport:
     def v(x):
         return gallery.taub_nut_v6(x) + 0.2 * x[..., 0]
     mono = MonopoleData(v=v, a=gallery.monopole_potential6())
-    cfg = _base_cfg(ctx, 1e-3)
+    cfg = StencilConfig(h=1e-3)
     pts = _points(ctx, gallery.base_domain6(), 15, cfg)
     res = weak_monopole_residual(mono, flat_product_metric, pts, cfg)
     return control_report({"basic_v": res["basic_v"]}, 0.01)
@@ -591,31 +582,6 @@ SUITES = {
 }
 
 SUITE_NAMES = tuple(SUITES) + ("all",)
-
-# The largest --h each fixed-step check admits.  Its sample domain must keep
-# points beyond the 10 h pad of `fields.sample_points`, which gives up when
-# fewer than 1 in 1000 candidates survive; each step here is the largest
-# multiple of 0.005 at which at least 2% of the sampler's first 4000
-# candidates survive on the check's domain.
-MAX_STEP = {
-    check_gh_flat_trivial: 0.06,
-    check_gh_consistency: 0.05,
-    check_thm1_flat: 0.04,
-    check_thm2_weak_monopole: 0.04,
-    check_hyp_plane: 0.02,
-    check_hyp_sphere: 0.01,
-    check_hyp_ellipsoid: 0.01,
-    check_oracle_blocks: 0.04,
-    check_neg_perturbed_potential: 0.04,
-    check_neg_nonbasic: 0.04,
-}
-
-# The smallest --h a run admits.  The largest |coordinate| of any sample
-# domain is 1.2, and doubles near 1.2 are at most 1.2 * 2^-52 ~ 2.7e-16
-# apart: at a smaller step p +- h == p, every difference reads 0, and a
-# control that measures a derivative sees no defect.  The floor keeps a
-# margin of over 3000 above that spacing.
-MIN_STEP = 1e-12
 
 
 def suite_checks(name: str):

@@ -9,7 +9,7 @@ from g2lab.reports import SuiteContext
 
 
 def _ctx(samples=100, seed=42):
-    return SuiteContext(seed=seed, samples=samples, h=None, dump_dir=None)
+    return SuiteContext(seed=seed, samples=samples, dump_dir=None)
 
 
 def _run(checks, ctx):

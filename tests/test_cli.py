@@ -1,4 +1,5 @@
-import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from g2lab import cli, suites
+from g2lab import cli
 from g2lab.cli import main
-from g2lab.reports import SuiteContext, control_report
+from g2lab.reports import control_report
 from g2lab.suites import SUITE_NAMES, suite_checks
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -37,16 +38,21 @@ def test_unknown_suite_exits_2(capsys):
 
 
 def test_bad_samples_exits_2(capsys, tmp_path):
+    """Bad values, unknown options and abbreviated options are usage errors:
+    `--h` reads as no abbreviation of `--help`, `--samp` none of `--samples`."""
     taken = tmp_path / "taken"
     taken.write_text("")
     for args in (["--samples", "0"], ["--seed", "-5"], ["--h", "nan"],
-                 ["--h", "inf"], ["--h", "-inf"], ["--h", "1e-300"],
+                 ["--h", "1e-3"], ["--samp", "20"],
                  ["--out", str(tmp_path / "missing" / "x.jsonl")],
                  ["--dump-samples", str(taken)]):
         code, out, err = run_cli(capsys, ["--suite", "gh"] + args)
         assert code == 2, args
         assert out == "", args      # no check ran
-        assert "Traceback" not in err, args
+        assert err and "Traceback" not in err, args
+    for args in (["-h"], ["--help"]):
+        code, out, _ = run_cli(capsys, args)
+        assert code == 0 and out.startswith("usage: g2lab"), args
 
 
 def test_list_checks(capsys):
@@ -142,19 +148,6 @@ def test_gallery_verdicts_surface_in_reports(capsys):
         assert l["params"]["verdict"]
 
 
-def test_h_override_changes_fixed_step_checks(capsys):
-    _, out1, _ = run_cli(capsys, ["--suite", "hypersurface", "--json-only",
-                                  "--samples", "20"])
-    _, out2, _ = run_cli(capsys, ["--suite", "hypersurface", "--json-only",
-                                  "--samples", "20", "--h", "2e-3"])
-    r1 = [json.loads(l) for l in out1.strip().splitlines()]
-    r2 = [json.loads(l) for l in out2.strip().splitlines()]
-    assert all(l["status"] == "pass" for l in r2)
-    sphere1 = next(l for l in r1 if l["check_id"] == "hypersurface.sphere")
-    sphere2 = next(l for l in r2 if l["check_id"] == "hypersurface.sphere")
-    assert sphere1["residuals"] != sphere2["residuals"]
-
-
 def test_suite_manifest_unique_ids():
     for name in SUITE_NAMES:
         ids = [cid for cid, _ in suite_checks(name)]
@@ -180,32 +173,6 @@ def test_raising_check_reports_error_and_run_goes_on(capsys, monkeypatch):
     assert f"{len(lines)} checks, 0 failed, 1 errors" in err
 
 
-def test_step_too_large_for_a_domain_is_a_usage_error(capsys):
-    """A --h whose 10 h sampler pad leaves some check's domain no room is
-    refused before any check runs; a step every domain admits runs."""
-    code, out, err = run_cli(capsys, ["--suite", "all", "--h", "0.3"])
-    assert code == 2 and out == ""
-    assert "the largest step the domain of gh.flat-trivial admits" in err
-    code, out, err = run_cli(capsys, ["--suite", "all", "--h", "0.01",
-                                      "--samples", "20", "--json-only"])
-    lines = [json.loads(l) for l in out.strip().splitlines()]
-    assert code != 2 and len(lines) == len(suite_checks("all"))
-    assert not any(l["status"] == "error" for l in lines)
-
-
-def test_every_fixed_step_check_declares_its_largest_step():
-    """The checks that honor --h (the `_base_cfg` callers) are the keys of
-    MAX_STEP, and each one samples its domain at its declared step."""
-    tree = ast.parse(open(suites.__file__).read())
-    callers = {node.name for node in ast.walk(tree)
-               if isinstance(node, ast.FunctionDef) and node.name != "_base_cfg"
-               and any(isinstance(c, ast.Call) and getattr(c.func, "id", "") == "_base_cfg"
-                       for c in ast.walk(node))}
-    assert callers == {fn.__name__ for fn in suites.MAX_STEP}
-    for fn, step in suites.MAX_STEP.items():
-        fn(SuiteContext(seed=42, samples=20, h=step, dump_dir=None))
-
-
 @pytest.mark.parametrize("samples", ["1", "25"])
 def test_negative_controls_hold_at_small_budgets(capsys, samples):
     code, out, _ = run_cli(capsys, ["--suite", "negative-controls", "--samples",
@@ -215,16 +182,25 @@ def test_negative_controls_hold_at_small_budgets(capsys, samples):
     assert code == 0, [l["check_id"] for l in lines if l["status"] != "pass"]
 
 
-def test_shared_results_match_suites_run_alone(capsys):
+SHARED_ARGS = ["--json-only", "--samples", "20"]
+
+
+@pytest.fixture(scope="module")
+def all_lines():
+    """{check id: JSON line} of one `--suite all` run at `SHARED_ARGS`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["--suite", "all"] + SHARED_ARGS)
+    return {json.loads(l)["check_id"]: l for l in out.getvalue().strip().splitlines()}
+
+
+def test_shared_results_match_suites_run_alone(capsys, all_lines):
     """Work shared across checks in one run (bundles, the Taub-NUT torsion
     study, aliased controls) gives each check the line it gets on its own."""
-    args = ["--json-only", "--samples", "20"]
-    _, out, _ = run_cli(capsys, ["--suite", "all"] + args)
-    in_all = {json.loads(l)["check_id"]: l for l in out.strip().splitlines()}
     for suite in ("g2-thm1", "g2-thm2", "gh", "hypersurface", "negative-controls"):
-        _, out, _ = run_cli(capsys, ["--suite", suite] + args)
+        _, out, _ = run_cli(capsys, ["--suite", suite] + SHARED_ARGS)
         for line in out.strip().splitlines():
-            assert line == in_all.get(json.loads(line)["check_id"])
+            assert line == all_lines.get(json.loads(line)["check_id"])
 
 
 def test_summary_worst_residual_keeps_nan(capsys, monkeypatch):
@@ -239,7 +215,7 @@ def test_summary_worst_residual_keeps_nan(capsys, monkeypatch):
     assert row.split()[1:3] == ["fail", "nan"]
 
 
-def test_aliases_share_their_source_line(capsys):
+def test_aliases_share_their_source_line(all_lines):
     """A function registered under two ids gives both ids the same line,
     but for check_id."""
     checks = suite_checks("all")
@@ -249,11 +225,9 @@ def test_aliases_share_their_source_line(capsys):
     aliases = {cid: source[fn] for cid, fn in checks if source[fn] != cid}
     assert sorted(aliases) == ["g2-thm2.torsion-free", "g2-thm2.weak-monopole",
                                "negative.ellipsoid", "negative.nonharmonic-pole"]
-    _, out, _ = run_cli(capsys, ["--suite", "all", "--json-only", "--samples", "20"])
-    lines = {json.loads(l)["check_id"]: l for l in out.strip().splitlines()}
     for alias, src in aliases.items():
-        assert lines[alias] == lines[src].replace(f'"check_id":"{src}"',
-                                                  f'"check_id":"{alias}"', 1)
+        assert all_lines[alias] == all_lines[src].replace(f'"check_id":"{src}"',
+                                                      f'"check_id":"{alias}"', 1)
 
 
 def isolated(script: str, openblas_threads=None) -> list:

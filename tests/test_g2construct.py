@@ -98,7 +98,7 @@ def test_nan_hypothesis_residual_fails_the_hypothesis_check(monkeypatch):
                                                     "minus_minus": 0.0, "basic_v": 0.0,
                                                     "basic_a": 0.0})
     check = dict(suites.suite_checks("all"))["g2-thm1.monopole-hypothesis"]
-    rep = check(SuiteContext(seed=42, samples=25, h=None, dump_dir=None))
+    rep = check(SuiteContext(seed=42, samples=25, dump_dir=None))
     assert rep.status == "fail"
 
 

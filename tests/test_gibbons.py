@@ -144,7 +144,7 @@ def test_taub_nut_riemann_floor_keeps_nan(monkeypatch):
     second = GH_REFERENCE_POINTS[1]
     monkeypatch.setattr(suites, "riemann_lowered", lambda g, p, cfg: (
         np.full((4, 4, 4, 4), np.nan) if p is second else real(g, p, cfg)))
-    rep = suites.check_gh_taub_nut(SuiteContext(seed=42, samples=10, h=None, dump_dir=None))
+    rep = suites.check_gh_taub_nut(SuiteContext(seed=42, samples=10, dump_dir=None))
     assert math.isnan(rep.residuals["riemann_floor_shortfall"])
     assert rep.status == "fail"
 

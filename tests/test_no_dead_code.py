@@ -6,7 +6,8 @@ A function counts as called when a whole run, `g2lab --suite all --samples
 package, nested ones included, must have received a call.  A class counts as
 used when its name appears in the package's code outside its own body; a
 string, a docstring or a re-export in `__init__` is no use.  Dunder names are
-exempt: the language calls them.
+exempt: the language calls them.  A module-level import counts as used when
+the module reads the name it binds.
 """
 
 import ast
@@ -97,6 +98,39 @@ def test_every_definition_is_referenced():
     assert not missing, f"defined but never called by a whole run: {missing}"
     unnamed = unnamed_classes()
     assert not unnamed, f"classes no package code refers to: {unnamed}"
+
+
+def unread_imports(tree: ast.Module) -> list:
+    """(line, bound name) of each module-level import whose name the module
+    never reads; `from __future__` binds nothing."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [(node.lineno, bound) for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for bound in (a.asname or a.name.split(".")[0] for a in node.names)
+            if bound not in read]
+
+
+def test_every_import_is_read():
+    found = [(path.name, line, name) for path in sorted(PACKAGE.glob("*.py"))
+             for line, name in unread_imports(ast.parse(path.read_text()))]
+    assert not found, f"imports the module never reads: {found}"
+
+
+def test_the_import_check_sees_a_planted_import():
+    """An unread module, as `cli` kept `math` once `--h` was gone, and an
+    unread name of a `from` import; a dotted import binds its first name, and
+    an annotation reads a name."""
+    src = ("from __future__ import annotations\n"
+           "import math\n"
+           "import os.path\n"
+           "import numpy as np\n"
+           "from typing import Callable\n"
+           "from .fields import blocks, sup\n"
+           "def f(x: Callable):\n"
+           "    return sup(os.path.join(x), np.abs)\n")
+    assert unread_imports(ast.parse(src)) == [(2, "math"), (6, "blocks")]
 
 
 def test_the_call_check_sees_an_uncalled_function():

@@ -2,12 +2,18 @@
 planted fault and `pass` without it (mutation testing, DeMillo, Lipton and
 Sayward 1978).
 
-A fault monkeypatches one gallery function with a wrapper of it:
+A fault monkeypatches one function with a replacement, mostly a wrapper of it:
 `g2_build_thm1`, through which every gallery bundle of the two constructions
 is built, so that the built bundle's metric or coframe is off;
-`taub_nut_monopole`, so that its v is pushed off the monopole equation; or,
-for a negative control, the builder of its data, so that the planted defect
-is gone.  Each check runs alone, on a fresh context at 25 samples.
+`taub_nut_monopole`, so that its v is pushed off the monopole equation; the
+builder of a positive check's data, so that it returns data that breaks what
+the check asserts; or, for a negative control, the builder of its data, so
+that the planted defect is gone.  Each check runs alone, on a fresh context
+at 25 samples.
+
+The table names the module beside the function, because a check reads a
+builder from where it is imported: `hypersurface.sphere` calls `unit_sphere`
+as a name of `suites`, not of `hypersurfaces`, so the fault patches it there.
 """
 
 import dataclasses
@@ -15,7 +21,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from g2lab import gallery, suites
+from g2lab import gallery, hypersurfaces, suites
 from g2lab.reports import SuiteContext
 
 
@@ -52,25 +58,46 @@ def unbroken(build):
     return lambda eps: build(0.0)
 
 
-# name -> (check id, gallery function the fault wraps, fault)
+def returns(make):
+    """A builder that returns `make()` in place of its own value.  `make()`
+    runs before the patch, so it may call the builder it replaces."""
+    def fault(build):
+        value = make()
+        return lambda: value
+    return fault
+
+
+# name -> (check id, module and name of the function the fault wraps, fault)
 FAULTS = {
-    "agrees-metric": ("g2-thm2.agrees-with-thm1", "g2_build_thm1", bundle_fault("metric")),
-    "agrees-coframe": ("g2-thm2.agrees-with-thm1", "g2_build_thm1", bundle_fault("coframe")),
-    "monopole-hypothesis": ("g2-thm1.monopole-hypothesis", "taub_nut_monopole", off_monopole),
-    "broken-monopole": ("negative.broken-monopole", "thm1_broken_monopole_bundle", unbroken),
+    "agrees-metric": ("g2-thm2.agrees-with-thm1", gallery, "g2_build_thm1",
+                      bundle_fault("metric")),
+    "agrees-coframe": ("g2-thm2.agrees-with-thm1", gallery, "g2_build_thm1",
+                       bundle_fault("coframe")),
+    "monopole-hypothesis": ("g2-thm1.monopole-hypothesis", gallery, "taub_nut_monopole",
+                            off_monopole),
+    "broken-monopole": ("negative.broken-monopole", gallery, "thm1_broken_monopole_bundle",
+                        unbroken),
+    "nonharmonic-data": ("gh.data-consistency", gallery, "gh_taub_nut_example",
+                         returns(gallery.gh_nonharmonic_example)),
+    "perturbed-quotient": ("oracle-pairs.quotient-conditions", gallery, "killing_taub_nut_data",
+                           returns(lambda: gallery.killing_perturbed_data(0.2))),
+    "ellipsoid-sphere": ("hypersurface.sphere", suites, "unit_sphere",
+                         returns(hypersurfaces.ellipsoid)),
+    "taub-nut-flat": ("g2-thm1.flat", gallery, "thm1_flat_bundle",
+                      returns(gallery.thm1_taub_nut_bundle)),
 }
 
 
 @pytest.mark.parametrize("name", list(FAULTS))
 def test_a_planted_fault_fails_the_check(name, monkeypatch):
-    check_id, target, fault = FAULTS[name]
+    check_id, module, target, fault = FAULTS[name]
     check = dict(suites.suite_checks("all"))[check_id]
 
     def run():
-        return check(SuiteContext(seed=42, samples=25, h=None, dump_dir=None))
+        return check(SuiteContext(seed=42, samples=25, dump_dir=None))
 
     clean = run()
     assert clean.status == "pass", clean.residuals
-    monkeypatch.setattr(gallery, target, fault(getattr(gallery, target)))
+    monkeypatch.setattr(module, target, fault(getattr(module, target)))
     planted = run()
     assert planted.status == "fail", planted.residuals

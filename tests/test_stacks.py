@@ -222,7 +222,7 @@ def test_a_flipped_table_sign_fails_a_certificate(i):
 
 def test_a_nudged_structure_constant_breaks_closure(monkeypatch):
     basis = emb.g2_basis()
-    ctx = SuiteContext(seed=42, samples=200, h=None, dump_dir=None)
+    ctx = SuiteContext(seed=42, samples=200, dump_dir=None)
     assert check_algebra_closure(ctx).residuals["closure"] == 0.0
     rows = [list(r) for r in basis.structure_constants]
     rows[40][9] += Q(1, 7)
