@@ -4,7 +4,7 @@ constructions of G2 metrics from 6-dimensional data.
 
 The exact layer (rational arithmetic, zero-residual certificates):
 
-    rational, subspaces     dense exact linear algebra and canonical subspaces
+    rational, subspaces     exact linear algebra, form signs, canonical subspaces
     embeddings              the sl(3) and complement embeddings, h-map, lifts
     threeform, octonions    the invariant 3-form, cross product, octonion table
     spin8                   the two so(7) copies inside so(8)

@@ -19,11 +19,12 @@ sets, and samplers reject points too close to an exclusion or the boundary.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .rational import alternating_table
 
 Point = np.ndarray
 
@@ -130,12 +131,6 @@ def star_jet(f: Callable, p: Point, cfg: StencilConfig) -> tuple:
                              p, cfg.h)
 
 
-@functools.lru_cache(maxsize=None)
-def combinations_index(n: int, k: int):
-    combos = tuple(itertools.combinations(range(n), k))
-    return combos, {c: i for i, c in enumerate(combos)}
-
-
 def d_one_form(a: Callable, p: Point, cfg: StencilConfig) -> np.ndarray:
     """Exterior derivative of a 1-form field as a skew matrix:
     (dA)[i, j] = d_i A_j - d_j A_i."""
@@ -145,20 +140,11 @@ def d_one_form(a: Callable, p: Point, cfg: StencilConfig) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _antisymmetrizer(n: int, k: int) -> tuple:
-    """(E, S): E of shape (C(n, k), n**k) takes components over the sorted
-    k-combinations to the dense antisymmetric tensor, flattened (+-1, the
-    sign of the permutation, at every ordering of each combination); S holds
-    the flat positions of the sorted combinations themselves."""
-    combos, _ = combinations_index(n, k)
-    shape = (n,) * k
-    expand = np.zeros((len(combos), n ** k))
-    for ci, combo in enumerate(combos):
-        for perm in itertools.permutations(range(k)):
-            inversions = sum(perm[i] > perm[j]
-                             for i, j in itertools.combinations(range(k), 2))
-            at = np.ravel_multi_index(tuple(combo[i] for i in perm), shape)
-            expand[ci, at] = (-1.0) ** inversions
-    return expand, np.array([np.ravel_multi_index(c, shape) for c in combos], dtype=int)
+    """(E, S): E, the float view of `rational.alternating_table(n, k)`, and
+    S, the flat positions of the sorted combinations: the first nonzero
+    column of each row, as a sorted word precedes its other orderings."""
+    table = alternating_table(n, k)
+    return table.astype(float), (table != 0).argmax(axis=1)
 
 
 def transform_form(comps: np.ndarray, k: int, n: int, frame: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,11 +20,11 @@ import numpy as np
 from .curvature import christoffel, riemann
 from .fields import (MINUS6, MM, PLUS6, PM, PP, STACK_BLOCK, Domain, StencilConfig,
                      _at_offsets, _shifts, _star_differences,
-                     adapted_frame, blocks, combinations_index, frame_derivatives,
+                     adapted_frame, blocks, frame_derivatives,
                      hodge_restricted, star_jet, sup, transform_form)
-from .modeldata import (complex_structure_norm, h6, off_g2_fraction,
-                        phi_constants, so6_part_projectors, star_phi_constants)
-from .threeform import invariant_threeform
+from .modeldata import (cross_tensor, h6, h_image_basis, off_g2_fraction,
+                        phi_constants, star_phi_constants)
+from .rational import combinations_index, sort_with_sign
 
 @dataclass(frozen=True)
 class MonopoleData:
@@ -147,9 +146,9 @@ def weak_sl3_consistency(k6, alpha, samples, cfg: StencilConfig) -> dict:
     """Decompose the Levi-Civita form of the base in the adapted frame and
     compare its complement part with the twist prescribed by alpha.
 
-    Reports the spurious complex-structure component and the mismatch between
-    the h-part and h(S) for S(X+, X-) = (a X-, a X+), a = 1/4 hat(alpha#),
-    with the sharp taken in the base metric.
+    Reports the mismatch between the h-part and h(S) for S(X+, X-)
+    = (a X-, a X+), a = 1/4 hat(alpha#), with the sharp taken in the base
+    metric.
     """
     def at(x):
         metrics = _at_offsets(k6, x, _shifts(6, cfg.h, star=True))
@@ -158,13 +157,11 @@ def weak_sl3_consistency(k6, alpha, samples, cfg: StencilConfig) -> dict:
         # connection form in the frame: omega(f_c)[k, b] = <f^k, nabla_{f_c} f_b>
         _, nabla = frame_derivatives(fr, dframe, christoffel(g, dg))
         e = np.linalg.inv(fr)
-        alpha_v = np.zeros(3) if alpha is None else np.asarray(alpha(x), float)
-        sharp = np.linalg.solve(g[MM], alpha_v)
+        sharp = np.linalg.solve(g[MM], np.asarray(alpha(x), float))
         omega = e @ nabla.mT      # the six omega(f_c) at once
         omega = 0.5 * (omega - omega.mT)
         target = h6(_s_alpha(fr.T, e, sharp))
-        return {"complex_structure_part": complex_structure_norm(omega),
-                "twist_mismatch": np.abs(_h_component(omega) - target)}
+        return {"twist_mismatch": np.abs(_h_component(omega) - target)}
     return sup(samples, at)
 
 
@@ -178,7 +175,7 @@ def _s_alpha(xvec, e, sharp) -> np.ndarray:
 
 def _h_component(omega: np.ndarray) -> np.ndarray:
     """Orthogonal projection of skew 6x6 matrices onto the h-image, as matrices."""
-    q = so6_part_projectors()["h"]
+    q = h_image_basis()
     v = omega.reshape(omega.shape[:-2] + (36,))
     return np.matvec(q.T, np.matvec(q, v)).reshape(omega.shape)
 
@@ -200,11 +197,9 @@ def _structure_table(constants: Callable[[], np.ndarray], k: int) -> np.ndarray:
             continue
         for m, a in enumerate(word):
             for bc, pair in enumerate(pairs):
-                term = word[:m] + pair + word[m + 1:]
-                if len(set(term)) < k + 1:
-                    continue
-                inversions = sum(term[i] > term[j] for i, j in combinations(range(k + 1), 2))
-                table[a, bc, out_index[tuple(sorted(term))]] += (-1) ** (m + inversions) * w
+                term, sign = sort_with_sign(word[:m] + pair + word[m + 1:])
+                if sign:
+                    table[a, bc, out_index[term]] += (-1) ** m * sign * w
     return table.reshape(-1, len(out_index))
 
 
@@ -292,10 +287,7 @@ def model_phi_check(bundle: G2MetricBundle, samples) -> float:
     """Deviation of the assembled 3-form from the constant model form (read
     through the coordinate-to-slot identification); zero for the trivial flat
     build."""
-    phi = invariant_threeform()
-    combos, _ = combinations_index(7, 3)
-    target = np.array([float(phi.value(COORD_TO_SLOT[a], COORD_TO_SLOT[b],
-                                       COORD_TO_SLOT[c]))
-                       for a, b, c in combos])
+    slots = np.array(COORD_TO_SLOT)[np.array(combinations_index(7, 3)[0])]
+    target = cross_tensor()[slots[:, 0], slots[:, 1], slots[:, 2]]
     return sup(blocks(samples),
                lambda p: {"phi": np.abs(bundle.phi_field(p) - target)})["phi"]

@@ -12,30 +12,28 @@ import numpy as np
 
 from .embeddings import g2_basis, h_map
 from .rational import unit_rows
-from .threeform import invariant_threeform, star_phi
+from .threeform import dense, invariant_threeform, star_phi
 
 
 @functools.lru_cache(maxsize=1)
 def phi_constants() -> np.ndarray:
     """Components of the model 3-form over the sorted triples, as floats."""
-    return np.array([float(c) for c in invariant_threeform().components])
+    phi = invariant_threeform()
+    return phi.num[0] / phi.den
 
 
 @functools.lru_cache(maxsize=1)
 def star_phi_constants() -> np.ndarray:
-    return np.array([float(c) for c in star_phi(invariant_threeform()).components])
+    star = star_phi(invariant_threeform())
+    return star.num[0] / star.den
 
 
 @functools.lru_cache(maxsize=1)
 def cross_tensor() -> np.ndarray:
-    """F with (x X y)_k = sum_ij x_i y_j F[i, j, k]."""
-    phi = invariant_threeform()
-    f = np.zeros((7, 7, 7))
-    for i in range(7):
-        for j in range(7):
-            for k in range(7):
-                f[i, j, k] = float(phi.value(i, j, k))
-    return f
+    """F with (x X y)_k = sum_ij x_i y_j F[i, j, k]: the dense tensor of
+    the model 3-form, F[i, j, k] = phi(e_i, e_j, e_k), as floats."""
+    f = dense(invariant_threeform(), 7, 3)
+    return f.num / f.den
 
 
 def cross7(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -78,17 +76,8 @@ def off_g2_fraction(m: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def so6_part_projectors() -> dict:
-    """Orthonormal bases of two pieces of so(6) = sl3 + R J + h(m), as
-    (dim, 36) float arrays keyed by 'J' and 'h'."""
-    j = np.zeros((6, 6))
-    j[:3, 3:] = -np.eye(3)
-    j[3:, :3] = np.eye(3)
+def h_image_basis() -> np.ndarray:
+    """Orthonormal basis of the piece h(m) of so(6) = sl3 + R J + h(m), as a
+    (6, 36) float array of flattened matrices."""
     q, _ = np.linalg.qr(h_tensors().reshape(6, 36).T)
-    return {"J": j.reshape(1, 36) / np.linalg.norm(j), "h": q.T}
-
-
-def complex_structure_norm(m: np.ndarray) -> np.ndarray:
-    """Norm of the orthogonal component of a skew 6x6 matrix along the
-    complex structure J, over any leading axes of `m`."""
-    return np.abs(np.vecdot(m.reshape(m.shape[:-2] + (36,)), so6_part_projectors()["J"][0]))
+    return q.T

@@ -24,8 +24,7 @@ from .embeddings import g2_basis, intertwiner_solve
 from .rational import (Bilinear, ExactMatrix, bracket, combination, common_ratio,
                        trace_form, unit_rows)
 from .subspaces import Coordinates, Subspace, gram_matrix, inverse, kernel_basis
-from .threeform import (CrossProduct7, _det3, invariant_threeform,
-                        phi_cross_duality, so7_basis)
+from .threeform import dense, invariant_threeform, phi_cross_duality, so7_basis
 
 
 def dot(x, y):
@@ -85,7 +84,7 @@ def torsion_cross() -> TorsionCrossResult:
         raise ValueError("a bracket of complement elements has no coordinates in so(7)")
     pulled = (t_inv @ coords[..., :7].transpose()).transpose()
     e = unit_rows(7)
-    ratio = common_ratio(pulled.flatten(), standard_cross().cross(e[i], e[j]).flatten())
+    ratio = common_ratio(pulled.flatten(), standard_cross()(e[i], e[j]).flatten())
     if ratio is None:
         raise ValueError("pulled-back product is not proportional "
                          "to the 3-form cross product")
@@ -108,9 +107,10 @@ class OctonionTable:
 
     @functools.cached_property
     def _map(self) -> Bilinear:
-        # e_i e_j = sign[i, j] e_index[i, j]
-        return Bilinear([(i, j, int(self.index[i, j]), int(self.sign[i, j]))
-                         for i in range(8) for j in range(8)], 8)
+        # e_i e_j = sign[i, j] e_index[i, j]: row 8 i + j of the table
+        num = np.zeros((64, 8), dtype=np.int64)
+        num[np.arange(64), self.index.ravel()] = self.sign.ravel()
+        return Bilinear(ExactMatrix(num, 1))
 
     def multiply(self, p, q):
         """pq: a tuple for two sequences, a stack of rows for two stacks of
@@ -124,7 +124,7 @@ class OctonionTable:
         return dot(p, p)
 
 
-def octonion_from_cross(cross: CrossProduct7) -> OctonionTable:
+def octonion_from_cross(cross: Bilinear) -> OctonionTable:
     """Build the 8-dimensional algebra and certify that every basis product
     is a signed basis element, and the unit and the basis squares."""
     products = _basis_products(cross)
@@ -146,13 +146,13 @@ def octonion_from_cross(cross: CrossProduct7) -> OctonionTable:
     return t
 
 
-def _basis_products(cross: CrossProduct7) -> ExactMatrix:
+def _basis_products(cross: Bilinear) -> ExactMatrix:
     """The stack (8, 8, 8) of the products e_i e_j, row [i, j]: slot 0 is the
     unit, and (0, x)(0, y) = (-<x, y>, x X y) on the imaginary units."""
     e = unit_rows(7)
     x, y = e[:, None], e
     imag = ExactMatrix.concatenate([(-dot(x, y)).transpose(),
-                                    cross.cross(x, y).transpose()]).transpose()
+                                    cross(x, y).transpose()]).transpose()
     num = np.zeros((8, 8, 8), dtype=imag.num.dtype)
     num[0] = num[:, 0] = imag.den * np.eye(8, dtype=np.int64)
     num[1:, 1:] = imag.num[:, :, 0]
@@ -208,21 +208,23 @@ def associative_test(p1: Sequence, p2: Sequence, p3: Sequence) -> bool:
         raise ValueError("vectors do not span a 3-plane")
     rows = vecs.reshape(3, 1, 7)
     i, j = np.triu_indices(3, 1)
-    return bool(np.all(plane.contains(standard_cross().cross(rows[i], rows[j]))))
+    return bool(np.all(plane.contains(standard_cross()(rows[i], rows[j]))))
 
 
 def calibration_gap(p1: Sequence, p2: Sequence,
                     p3: Sequence) -> tuple[Fraction, Fraction]:
     """(phi(v1,v2,v3)^2, Gram determinant): equal iff the plane is associative,
-    and the first is strictly smaller otherwise (exact calibration bound)."""
-    phi = invariant_threeform()
-    val = phi(p1, p2, p3)
+    and the first is strictly smaller otherwise (exact calibration bound).
+    Both are triple products <x X y, z>: phi's of the vectors, and that of
+    the cross product of Q^3 (the dense volume form) of the Gram rows."""
+    val = dot(standard_cross()(p1, p2), p3)
     g = gram_matrix([p1, p2, p3], dot)
-    return val * val, _det3(g.row(0), g.row(1), g.row(2), 0, 1, 2)
+    cross3 = Bilinear(dense(ExactMatrix.identity(1), 3, 3).reshape(9, 3))
+    return val * val, dot(cross3(g.row(0), g.row(1)), g.row(2))
 
 
 @functools.lru_cache(maxsize=1)
-def standard_cross() -> CrossProduct7:
+def standard_cross() -> Bilinear:
     return phi_cross_duality(invariant_threeform())
 
 

@@ -26,10 +26,17 @@ enters), and `__getitem__`, `row`, `flatten`, iteration and `exact_json` hand
 them out.  The functions that take vectors (`Bilinear`, and `dot` in
 `octonions`) take either one sequence of exact scalars, and return a tuple,
 or a stack of rows, and return a stack.
+
+The bookkeeping of alternating forms lives here once, for the exact forms
+(rows of an `ExactMatrix`) and the float ones alike: `combinations_index`
+orders the sorted k-tuples that hold a k-form's components, `sort_with_sign`
+is the one inversion count, and `alternating_table` the one sign table from
+components to the dense antisymmetric tensor.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
@@ -254,18 +261,15 @@ class ExactMatrix:
 
 class Bilinear:
     """An exact bilinear map on Q^n, B(x, y)_k = sum_ij x_i y_j T[i n + j, k],
-    held as one n^2 x n matrix T built from its nonzero terms (i, j, k, c).
-    A call multiplies the outer products of its operand rows by T, so it
+    held as its n^2 x n matrix T: a dense tensor T[i, j, k] reshaped.  A
+    call multiplies the outer products of its operand rows by T, so it
     broadcasts over stacks of rows (..., n) and checks its bounds as `@`
     does: int64 below 2^62, Python ints past it."""
 
     __slots__ = ("table",)
 
-    def __init__(self, terms: Iterable[tuple], size: int):
-        rows = [[Q(0)] * size for _ in range(size * size)]
-        for i, j, k, c in terms:
-            rows[i * size + j][k] += c
-        self.table = ExactMatrix.from_rows(rows)
+    def __init__(self, table: ExactMatrix):
+        self.table = table
 
     def __call__(self, x, y):
         """B(x, y): a tuple for two sequences, a stack of rows for two
@@ -286,6 +290,40 @@ def unit(n: int, i: int) -> tuple:
 def unit_rows(n: int) -> ExactMatrix:
     """The n standard unit vectors of Q^n as a stack of rows (n, 1, n)."""
     return ExactMatrix.identity(n).reshape(n, 1, n)
+
+
+@functools.lru_cache(maxsize=None)
+def combinations_index(n: int, k: int) -> tuple:
+    """The sorted k-tuples of range(n) in lexicographic order, and the
+    position of each: the slots of a k-form's components on Q^n."""
+    combos = tuple(itertools.combinations(range(n), k))
+    return combos, {c: i for i, c in enumerate(combos)}
+
+
+def sort_with_sign(word: Sequence[int]) -> tuple[tuple, int]:
+    """(sorted word, sign of the permutation that sorts it); the sign is 0
+    when an index repeats."""
+    ordered = tuple(sorted(word))
+    if len(set(ordered)) < len(ordered):
+        return ordered, 0
+    inversions = sum(a > b for a, b in itertools.combinations(word, 2))
+    return ordered, -1 if inversions % 2 else 1
+
+
+@functools.lru_cache(maxsize=None)
+def alternating_table(n: int, k: int) -> np.ndarray:
+    """The read-only integer (C(n, k), n^k) matrix that takes a k-form's
+    components on the sorted k-tuples to its dense antisymmetric tensor,
+    flattened row-major: the sign of the permutation at every ordering of
+    each sorted tuple, 0 elsewhere.  One assignment per ordering of the k
+    slots fills the whole column set of that ordering."""
+    words = np.array(combinations_index(n, k)[0], dtype=np.intp)
+    place = n ** np.arange(k - 1, -1, -1)      # row-major weight of each slot
+    table = np.zeros((len(words), n ** k), dtype=np.int64)
+    for perm in itertools.permutations(range(k)):
+        table[np.arange(len(words)), words[:, list(perm)] @ place] = sort_with_sign(perm)[1]
+    table.flags.writeable = False
+    return table
 
 
 def skew_basis(n: int, slots: Sequence[int]) -> ExactMatrix:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from g2lab.fields import (BLOCK, Domain, StencilConfig, adapted_frame, blocks, combinations_index, d_one_form,
+from g2lab.fields import (BLOCK, Domain, StencilConfig, adapted_frame, blocks, d_one_form,
                           fd_gradient, frame_derivatives, hat,
                           hodge_restricted, sample_points, star_jet, sup,
                           transform_form)
@@ -13,6 +13,7 @@ from g2lab.gallery import killing_taub_nut_data
 from g2lab.gibbons import spatial_domain
 from g2lab.hypersurfaces import unit_sphere
 from g2lab.modeldata import cross7, cross_tensor, h6
+from g2lab.rational import combinations_index
 
 
 def reference_transform_form(comps, k, n, frame):

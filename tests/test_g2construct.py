@@ -12,8 +12,7 @@ from g2lab.g2construct import (MonopoleData, _h_component,
                                holonomy_residual, model_phi_check,
                                torsion_forms, torsionfree_residual,
                                weak_monopole_residual, weak_sl3_consistency)
-from g2lab.modeldata import (complex_structure_norm, h6, phi_constants,
-                             so6_part_projectors, star_phi_constants)
+from g2lab.modeldata import h6, h_image_basis, phi_constants, star_phi_constants
 from g2lab.gallery import (base_domain6, constant_field, monopole_potential6,
                            taub_nut_monopole, taub_nut_v6,
                            thm1_broken_monopole_bundle, thm1_flat_bundle,
@@ -153,8 +152,7 @@ def test_weak_monopole_residuals_zero_twist():
 def test_flat_base_has_no_twist():
     cfg = StencilConfig(h=1e-3)
     pts = sample_points(base_domain6(), 5, cfg, seed=10)
-    res = weak_sl3_consistency(flat_product_metric, None, pts, cfg)
-    assert res["complex_structure_part"] <= 1e-10
+    res = weak_sl3_consistency(flat_product_metric, constant_field(np.zeros(3)), pts, cfg)
     assert res["twist_mismatch"] <= 1e-10
 
 
@@ -205,24 +203,22 @@ def test_frame_derivatives_give_a_metric_connection_form():
 
 
 def test_weak_sl3_consistency_on_a_curved_base_matches_koszul_reference():
-    """With alpha = 0 the twist mismatch is the h-part of the connection form
-    and the complex-structure part its J-part; both match the bracket-only
-    reference on a base where the frame derivative is not symmetric."""
+    """With alpha = 0 the twist mismatch is the h-part of the connection
+    form; it matches the bracket-only reference on a base where the frame
+    derivative is not symmetric."""
     cfg = StencilConfig(h=1e-3)
     pts = sample_points(Domain(lo=(-0.5,) * 6, hi=(0.5,) * 6), 4, cfg, seed=3)
-    got = weak_sl3_consistency(curved_base, None, pts, cfg)
+    got = weak_sl3_consistency(curved_base, constant_field(np.zeros(3)), pts, cfg)
     omegas = [om for p in pts for om in _koszul_connection_form(p, cfg)]
     ref_twist = max(float(np.max(np.abs(_h_component(om)))) for om in omegas)
-    ref_j = max(complex_structure_norm(om) for om in omegas)
-    assert ref_twist >= 0.1 and ref_j >= 0.1       # the base is far from flat
+    assert ref_twist >= 0.1       # the base is far from flat
     assert abs(got["twist_mismatch"] - ref_twist) <= 1e-6
-    assert abs(got["complex_structure_part"] - ref_j) <= 1e-6
 
 
 def reference_weak_sl3_consistency(k6, alpha, samples, cfg):
     """weak_sl3_consistency by its loop over the six frame vectors of a
     point, with the per-matrix projections it used."""
-    q_j, q_h = so6_part_projectors()["J"], so6_part_projectors()["h"]
+    q_h = h_image_basis()
 
     def at(x):
         g, dg, _ = star_jet(k6, x, cfg)
@@ -231,11 +227,10 @@ def reference_weak_sl3_consistency(k6, alpha, samples, cfg):
                                      christoffel(g, dg))
         e = np.linalg.inv(fr)
         sharp = np.linalg.solve(g[MM], np.asarray(alpha(x), float))
-        out = {"complex_structure_part": [], "twist_mismatch": []}
+        out = {"twist_mismatch": []}
         for c in range(6):
             omega = e @ nabla[c].T
             omega = 0.5 * (omega - omega.T)
-            out["complex_structure_part"].append(float(np.linalg.norm(q_j @ omega.reshape(-1))))
             xf = e @ fr[:, c]
             s_alpha = 0.25 * np.concatenate([np.cross(sharp, xf[3:]), np.cross(sharp, xf[:3])])
             h_part = (q_h.T @ (q_h @ omega.reshape(-1))).reshape(6, 6)

@@ -293,17 +293,24 @@ def test_the_default_check_sees_a_planted_default():
     assert overridden == [("sample_points", "seed")]
 
 
+def _owned(tree: ast.AST):
+    """(name of the nearest enclosing function or None, node) for every
+    syntax node of `tree`."""
+    stack = [(tree, None)]
+    while stack:
+        node, owner = stack.pop()
+        yield owner, node
+        inner = (node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 else owner)
+        stack.extend((child, inner) for child in ast.iter_child_nodes(node))
+
+
 def _nodes_with_owner():
     """(path, name of the nearest enclosing function or None, node) for every
     syntax node of the package."""
     for path in sorted(PACKAGE.glob("*.py")):
-        stack = [(ast.parse(path.read_text()), None)]
-        while stack:
-            node, owner = stack.pop()
+        for owner, node in _owned(ast.parse(path.read_text())):
             yield path, owner, node
-            inner = (node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                     else owner)
-            stack.extend((child, inner) for child in ast.iter_child_nodes(node))
 
 
 def _calls(node, name: str) -> bool:
@@ -350,6 +357,36 @@ def test_the_seed_check_sees_a_planted_literal():
            "pre = sample_points(dom, 10, cfg, 7)\n"
            "pts = sample_points(dom, 10, cfg, seed=ctx.seed)\n")
     assert _literal_seed_calls(ast.parse(src)) == [1, 2]
+
+
+def _inversion_counts(tree: ast.AST) -> list:
+    """(line, owner) of each inversion count in `tree`: a `sum` over a
+    comprehension whose items are `>` comparisons."""
+    return [(node.lineno, owner) for owner, node in _owned(tree)
+            if _calls(node, "sum") and node.args
+            and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp))
+            and isinstance(node.args[0].elt, ast.Compare)
+            and any(isinstance(op, ast.Gt) for op in node.args[0].elt.ops)]
+
+
+def test_one_inversion_count():
+    """One sign of a permutation: in the package only
+    `rational.sort_with_sign` counts inversions; every other sign of a form
+    comes from it or from `rational.alternating_table`."""
+    found = sorted((path.name, owner) for path in PACKAGE.glob("*.py")
+                   for _, owner in _inversion_counts(ast.parse(path.read_text())))
+    assert found == [("rational.py", "sort_with_sign")], \
+        f"inversion counts outside rational.sort_with_sign: {found}"
+
+
+def test_the_inversion_check_sees_a_planted_count():
+    """The count that `g2construct._structure_table` once kept for itself;
+    a `sum` of values is no count."""
+    src = ("def _structure_table(term, k, w):\n"
+           "    total = sum(x * x for x in w)\n"
+           "    inversions = sum(term[i] > term[j] for i, j in combinations(range(k + 1), 2))\n"
+           "    return total, inversions\n")
+    assert _inversion_counts(ast.parse(src)) == [(3, "_structure_table")]
 
 
 def test_one_order_study():

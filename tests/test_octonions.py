@@ -10,8 +10,10 @@ from g2lab.octonions import (_basis_products, alternativity_certificate,
                              associative_test, associator, calibration_gap, dot,
                              norm_multiplicativity_certificate, standard_cross,
                              standard_octonions, torsion_cross)
-from g2lab.rational import ExactMatrix, Q, unit_rows
-from g2lab.threeform import invariant_threeform
+from g2lab.rational import ExactMatrix, Q, combinations_index, unit_rows
+from g2lab.subspaces import gram_matrix
+from g2lab.threeform import dense, invariant_threeform
+from test_threeform import reference_det3, reference_phi_value
 
 
 def test_cross_product_identity_exact():
@@ -22,7 +24,7 @@ def test_cross_product_identity_exact():
                   zip(rng.integers(-5, 6, size=7), rng.integers(1, 5, size=7)))
         y = tuple(Fraction(int(n), int(d)) for n, d in
                   zip(rng.integers(-5, 6, size=7), rng.integers(1, 5, size=7)))
-        lhs = cross.cross(x, cross.cross(x, y))
+        lhs = cross(x, cross(x, y))
         rhs = tuple(-dot(x, x) * yv + dot(x, y) * xv for xv, yv in zip(x, y))
         assert lhs == rhs
 
@@ -33,7 +35,7 @@ def test_cross_norm_identity():
     for _ in range(6):
         x = tuple(Fraction(int(v)) for v in rng.integers(-4, 5, size=7))
         y = tuple(Fraction(int(v)) for v in rng.integers(-4, 5, size=7))
-        xy = cross.cross(x, y)
+        xy = cross(x, y)
         assert dot(xy, xy) == dot(x, x) * dot(y, y) - dot(x, y) ** 2
 
 
@@ -86,13 +88,20 @@ def test_associative_planes():
     rng = np.random.default_rng(33)
     x = tuple(Fraction(int(v)) for v in rng.integers(-3, 4, size=7))
     y = tuple(Fraction(int(v)) for v in rng.integers(-3, 4, size=7))
-    xy = cross.cross(x, y)
+    xy = cross(x, y)
     assert associative_test(x, y, xy)                  # closure plane
 
 
 def test_minus_block_phi_value_is_zero():
-    phi = invariant_threeform()
-    assert phi.value(4, 5, 6) == 0
+    assert dense(invariant_threeform(), 7, 3)[4, 5, 6] == 0
+
+
+def reference_calibration_gap(x, y, z):
+    """phi(x, y, z)^2 by the loop over phi's components and the 3x3 minors
+    of x, y, z, and the Gram determinant by cofactors."""
+    val = reference_phi_value(invariant_threeform(), x, y, z)
+    g = gram_matrix([x, y, z], dot)
+    return val * val, reference_det3(g.row(0), g.row(1), g.row(2), 0, 1, 2)
 
 
 def test_calibration_bound():
@@ -106,6 +115,7 @@ def test_calibration_bound():
         x, y, z = (tuple(Fraction(int(v)) for v in rng.integers(-3, 4, size=7))
                    for _ in range(3))
         v2, det = calibration_gap(x, y, z)
+        assert (v2, det) == reference_calibration_gap(x, y, z)
         assert v2 <= det
         if v2 < det:
             hits += 1
@@ -156,9 +166,12 @@ def reference_dot(x, y):
 
 
 def reference_phi_cross(phi, x, y):
-    """The Fraction loop over the nonzero triples of phi, all six orderings."""
+    """The Fraction loop over the nonzero components of the 3-form row phi,
+    all six orderings of each triple."""
     out = [Fraction(0)] * 7
-    for (i, j, k), c in phi.nonzero_items():
+    for (i, j, k), c in zip(combinations_index(7, 3)[0], phi.row(0)):
+        if c == 0:
+            continue
         out[k] += c * (x[i] * y[j] - x[j] * y[i])
         out[j] += c * (x[k] * y[i] - x[i] * y[k])
         out[i] += c * (x[j] * y[k] - x[k] * y[j])
@@ -176,7 +189,7 @@ def test_integer_cross_products_and_dot_match_the_fraction_loops():
     # numerators near 2^40 over mixed denominators take the Python-int path
     pairs = [(vec(), vec()) for _ in range(10)] + [(vec(1 << 40), vec(-(1 << 40)))]
     for x, y in pairs:
-        assert cross.cross(x, y) == reference_phi_cross(cross.phi, x, y)
+        assert cross(x, y) == reference_phi_cross(invariant_threeform(), x, y)
         assert dot(x, y) == reference_dot(x, y)
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -6,14 +8,43 @@ from hypothesis import given, settings, strategies as st
 
 from g2lab.embeddings import Sl3Param, hat3
 from g2lab.octonions import dot, standard_cross, standard_octonions
-from g2lab.rational import ExactMatrix, bracket, trace_form
+from g2lab.rational import (ExactMatrix, alternating_table, bracket, sort_with_sign,
+                            trace_form)
 from g2lab.subspaces import Subspace, rref
+from test_threeform import perm_sign
 
 
 def rand_skew(rng, n):
     m = rng.integers(-5, 6, size=(n, n))
     m = m - m.T
     return ExactMatrix.from_rows(m.tolist())
+
+
+def test_sort_with_sign_is_the_sign_of_the_permutation():
+    """Every word of up to four letters over range(5): its sorted form, and
+    the sign of the swap loop, 0 when a letter repeats."""
+    for length in range(5):
+        for word in itertools.product(range(5), repeat=length):
+            sign = perm_sign(word) if len(set(word)) == length else 0
+            assert sort_with_sign(word) == (tuple(sorted(word)), sign)
+
+
+def reference_alternating_table(n, k):
+    """The per-word loop of `ravel_multi_index` that the one table replaced."""
+    combos = list(itertools.combinations(range(n), k))
+    out = np.zeros((len(combos), n ** k), dtype=np.int64)
+    for ci, combo in enumerate(combos):
+        for perm in itertools.permutations(range(k)):
+            at = np.ravel_multi_index(tuple(combo[i] for i in perm), (n,) * k) if k else 0
+            out[ci, at] = perm_sign(perm)
+    return out
+
+
+@pytest.mark.parametrize("n, k", [(7, 0), (7, 1), (7, 2), (7, 3), (7, 4), (3, 3), (5, 5)])
+def test_alternating_table_equals_the_per_word_loop(n, k):
+    table = alternating_table(n, k)
+    assert not table.flags.writeable
+    assert np.array_equal(table, reference_alternating_table(n, k))
 
 
 def test_bracket_self_is_zero():
@@ -82,7 +113,7 @@ EXACT_ENTRY_POINTS = {
     "OctonionTable.multiply":
         lambda s: standard_octonions().multiply([s] + [0] * 7, [1] + [0] * 7),
     "dot": lambda s: dot((1, s), (s, 1)),
-    "CrossProduct7.cross": lambda s: standard_cross().cross([s] * 7, [1] * 7),
+    "standard_cross": lambda s: standard_cross()([s] * 7, [1] * 7),
     "rref": lambda s: rref([[s, 1]]),
     "Subspace.span": lambda s: Subspace.span([[s, 1]]),
     "Subspace.contains": lambda s: Subspace.span([[1, 0]]).contains([s, 0]),

@@ -21,7 +21,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from g2lab import gallery, hypersurfaces, suites
+from g2lab import gallery, hypersurfaces, suites, threeform
+from g2lab.rational import ExactMatrix, combinations_index
 from g2lab.reports import SuiteContext
 
 
@@ -67,6 +68,14 @@ def returns(make):
     return fault
 
 
+def plus_unit_456():
+    """The invariant 3-form plus the unit component on the triple (4, 5, 6):
+    squared norm 8, and phi(e4, e5, e6) = 1."""
+    unit = np.zeros((1, 35), dtype=np.int64)
+    unit[0, combinations_index(7, 3)[1][(4, 5, 6)]] = 1
+    return threeform.invariant_threeform() + ExactMatrix(unit, 1)
+
+
 # name -> (check id, module and name of the function the fault wraps, fault)
 FAULTS = {
     "agrees-metric": ("g2-thm2.agrees-with-thm1", gallery, "g2_build_thm1",
@@ -85,6 +94,12 @@ FAULTS = {
                          returns(hypersurfaces.ellipsoid)),
     "taub-nut-flat": ("g2-thm1.flat", gallery, "thm1_flat_bundle",
                       returns(gallery.thm1_taub_nut_bundle)),
+    "kernel-off-norm": ("octonion.invariant-kernel", suites, "invariant_threeform",
+                        returns(plus_unit_456)),
+    "planes-minus-block": ("octonion.associative-planes", suites, "invariant_threeform",
+                           returns(plus_unit_456)),
+    "star-wedge-off-norm": ("octonion.star-wedge", suites, "invariant_threeform",
+                            returns(plus_unit_456)),
 }
 
 

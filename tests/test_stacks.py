@@ -3,6 +3,7 @@ and negative controls that keep every stacked certificate from passing on
 no cases or on a broken input."""
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -13,11 +14,13 @@ from g2lab import embeddings as emb
 from g2lab import modeldata, octonions, spin8
 from g2lab.octonions import (OctonionTable, alternativity_certificate,
                              norm_multiplicativity_certificate, standard_octonions)
-from g2lab.rational import (LIMIT, Bilinear, ExactMatrix, Q, bracket, trace_form,
-                            unit_rows)
+from g2lab.rational import (LIMIT, Bilinear, ExactMatrix, Q, bracket,
+                            combinations_index, trace_form, unit_rows)
 from g2lab.reports import SuiteContext
 from g2lab.suites import check_algebra_closure
-from g2lab.threeform import _threeform_action_terms, action_on_threeforms
+from g2lab.threeform import (_threeform_action_terms, action_on_threeforms,
+                             invariant_threeform)
+from test_threeform import perm_sign, reference_star
 
 RATIONALS = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 BIG = 1 << 40   # shifts the first members' numerators: their products pass 2^62
@@ -91,11 +94,15 @@ def test_stacked_operations_equal_the_per_matrix_loop(data, s, t, n, k, big):
 @given(st.data(), st.integers(2, 4), st.integers(1, 4), st.booleans())
 def test_stacked_bilinear_equals_the_per_row_loop(data, n, rows, big):
     """A Bilinear on stacks of rows (rows, 1, n) equals its call on each pair
-    of rows as sequences, and the Fraction sum over its terms."""
+    of rows as sequences, and the Fraction sum over the terms (i, j, k, c)
+    its table holds."""
     terms = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
                                          st.integers(0, n - 1), RATIONALS),
                                min_size=1, max_size=12))
-    bil = Bilinear(terms, n)
+    table = [[Fraction(0)] * n for _ in range(n * n)]
+    for i, j, k, c in terms:
+        table[i * n + j][k] += c
+    bil = Bilinear(ExactMatrix.from_rows(table))
     xs = data.draw(stack(rows, 1, n, big))
     ys = data.draw(stack(rows, 1, n, big))
     x_rows, y_rows = as_stack(xs), as_stack(ys)
@@ -198,9 +205,20 @@ def test_float_views_equal_the_entry_loops():
                   for e in unit_rows(6)])
     g2 = np.array([[float(v) for v in el.flatten()] for el in emb.g2_basis().elements])
     assert np.array_equal(modeldata.h_tensors(), h)
-    assert np.array_equal(modeldata.so6_part_projectors()["h"],
+    assert np.array_equal(modeldata.h_image_basis(),
                           np.linalg.qr(h.reshape(6, 36).T)[0].T)
     assert np.array_equal(modeldata.g2_orthonormal_span(), np.linalg.qr(g2.T)[0].T[:14])
+    # the model forms: phi, *phi by the per-quad loop, and phi's dense tensor
+    # by the sign of every ordering of each triple
+    phi = invariant_threeform().row(0)
+    assert np.array_equal(modeldata.phi_constants(), [float(c) for c in phi])
+    assert np.array_equal(modeldata.star_phi_constants(),
+                          [float(c) for c in reference_star(phi)])
+    f = np.zeros((7, 7, 7))
+    for t, c in zip(combinations_index(7, 3)[0], phi):
+        for word in itertools.permutations(t):
+            f[word] = perm_sign(word) * float(c)
+    assert np.array_equal(modeldata.cross_tensor(), f)
 
 
 # ------------------------------------------------------- negative controls
