@@ -12,12 +12,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 import numpy as np
 
-from .rational import (ExactMatrix, _as_q, _over_common_den, bracket,
-                       common_ratio, trace_form, unit, unit_rows)
+from .rational import (ExactMatrix, _fit, _over_common_den, alternating_table,
+                       bracket, common_ratio, trace_form, unit_rows)
 from .subspaces import Coordinates, Subspace, kernel_basis, rref
 
 PLUS = (0, 1, 2)
@@ -25,46 +26,22 @@ AXIS = 3
 MINUS = (4, 5, 6)
 
 
-def hat3(x: Sequence) -> ExactMatrix:
-    """3x3 skew matrix of the cross product: hat3(x) @ y = x x y (e1 x e2 = e3)."""
-    x0, x1, x2 = (_as_q(v) for v in x)
-    return ExactMatrix.from_rows([
-        [0, -x2, x1],
-        [x2, 0, -x0],
-        [-x1, x0, 0],
-    ])
-
-
-@dataclass(frozen=True)
-class Sl3Param:
-    """Parameters (x, y) of an sl(3) element: x a 3-vector, y symmetric trace-free."""
-
-    x: tuple
-    y: ExactMatrix
-
-    def __post_init__(self):
-        if len(self.x) != 3 or self.y.rows != 3 or self.y.cols != 3:
-            raise ValueError("Sl3Param needs a 3-vector and a 3x3 matrix")
-        if not self.y.is_symmetric():
-            raise ValueError("y must be symmetric")
-        if self.y.trace() != 0:
-            raise ValueError("y must be trace-free")
-
-    @staticmethod
-    def make(x=(0, 0, 0), y=None) -> "Sl3Param":
-        y = ExactMatrix.zeros(3) if y is None else y
-        return Sl3Param(tuple(_as_q(v) for v in x), y)
-
-
-def sl3_embed(p: Sl3Param) -> ExactMatrix:
-    """The 6x6 block matrix [[hat(x), -y], [y, hat(x)]] realizing sl(3) in so(6)."""
-    hx = hat3(p.x)
-    rows = []
-    for i in range(3):
-        rows.append(list(hx.row(i)) + [-v for v in p.y.row(i)])
-    for i in range(3):
-        rows.append(list(p.y.row(i)) + list(hx.row(i)))
-    return ExactMatrix.from_rows(rows)
+@functools.lru_cache(maxsize=1)
+def _sl3_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The fixed sl(3) basis as its parameters (x, y), two read-only (8, 3, 3)
+    integer stacks: hat(x), the skew matrix of the cross product with x
+    (hat(x) y = x X y, e1 X e2 = e3), and the symmetric trace-free y.  The
+    first three elements are x = e_0, e_1, e_2, the other five are y."""
+    hat = np.zeros((8, 3, 3), dtype=np.int64)
+    hat[:3] = -alternating_table(3, 3).reshape(3, 3, 3)    # hat(e_k)_ij = -eps_kij
+    y = np.zeros((8, 3, 3), dtype=np.int64)
+    y[3:] = [[[1, 0, 0], [0, -1, 0], [0, 0, 0]],
+             [[0, 0, 0], [0, 1, 0], [0, 0, -1]],
+             [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+             [[0, 0, 1], [0, 0, 0], [1, 0, 0]],
+             [[0, 0, 0], [0, 0, 1], [0, 1, 0]]]
+    hat.flags.writeable = y.flags.writeable = False
+    return hat, y
 
 
 def so6_to_so7(m: ExactMatrix) -> ExactMatrix:
@@ -84,11 +61,6 @@ def so7_to_so6(m: ExactMatrix) -> ExactMatrix:
     return m.submatrix(idx, idx)
 
 
-def _hat_stack() -> np.ndarray:
-    """The integer numerators of hat3(e_0), hat3(e_1), hat3(e_2), as (3, 3, 3)."""
-    return np.stack([hat3(unit(3, k)).num for k in range(3)])
-
-
 @functools.lru_cache(maxsize=1)
 def _m_table() -> ExactMatrix:
     """m_embed(e_t) flattened row-major, one row per coordinate t of (a, b):
@@ -96,7 +68,7 @@ def _m_table() -> ExactMatrix:
     hat(e_t), the b coordinates PLUS x PLUS with hat(e_t) and MINUS x MINUS
     with -hat(e_t); the axis column holds 2 e_t.  Laid out on its own, not
     from _h_table, so that h_scale_certificate compares two constructions."""
-    hat = _hat_stack()
+    hat = _sl3_tables()[0][:3]
     m = np.zeros((6, 7, 7), dtype=np.int64)
     m[:3, 0:3, 4:7] = m[:3, 4:7, 0:3] = hat
     m[3:, 0:3, 0:3], m[3:, 4:7, 4:7] = hat, -hat
@@ -110,7 +82,7 @@ def _h_table() -> ExactMatrix:
     """h(e_t) flattened row-major, one row per coordinate t of (a, b): the
     a coordinates fill the off-diagonal blocks with hat(e_t), the b
     coordinates the diagonal blocks with hat(e_t) and -hat(e_t), over 2."""
-    hat = _hat_stack()
+    hat = _sl3_tables()[0][:3]
     h = np.zeros((6, 6, 6), dtype=np.int64)
     h[:3, :3, 3:] = h[:3, 3:, :3] = hat
     h[3:, :3, :3], h[3:, 3:, 3:] = hat, -hat
@@ -151,19 +123,6 @@ def lift_gtilde(a6: ExactMatrix, x) -> ExactMatrix:
     num[..., :6, 6] = col[..., 0, :]
     num[..., 6, :6] = -col[..., 0, :]
     return ExactMatrix(num, den)
-
-
-def sl3_param_basis() -> list[Sl3Param]:
-    """Fixed 8-element basis: 3 rotation parameters, then 5 symmetric trace-free."""
-    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    ys = [
-        ExactMatrix.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, 0]]),
-        ExactMatrix.from_rows([[0, 0, 0], [0, 1, 0], [0, 0, -1]]),
-        ExactMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
-        ExactMatrix.from_rows([[0, 0, 1], [0, 0, 0], [1, 0, 0]]),
-        ExactMatrix.from_rows([[0, 0, 0], [0, 0, 1], [0, 1, 0]]),
-    ]
-    return [Sl3Param.make(x=v) for v in e] + [Sl3Param.make(y=y) for y in ys]
 
 
 H_SLOTS = slice(0, 8)     # the sl(3) images among the 14 basis elements
@@ -248,12 +207,12 @@ def h_equivariance_certificate() -> bool:
 
 def _one_scale(lhs: ExactMatrix, rhs: ExactMatrix, what: str) -> Fraction:
     """The single s with lhs = s * rhs for every member of the two stacks."""
-    scales = {common_ratio(a.flatten(), b.flatten()) for a, b in zip(lhs, rhs)}
-    if None in scales:
+    scale = common_ratio(lhs, rhs)
+    if scale is not None:
+        return scale
+    if any(common_ratio(a, b) is None for a, b in zip(lhs, rhs)):
         raise AssertionError(f"{what} is not proportional")
-    if len(scales) != 1:
-        raise AssertionError(f"{what}: the scale differs between basis vectors")
-    return scales.pop()
+    raise AssertionError(f"{what}: the scale differs between basis vectors")
 
 
 def h_scale_certificate() -> Fraction:
@@ -288,26 +247,38 @@ def _full_rank(m: ExactMatrix) -> bool:
     return len(rref(m)[1]) == m.rows
 
 
+def _intertwiner_system(rep1: ExactMatrix, rep2: ExactMatrix) -> ExactMatrix:
+    """The linear system of T rep1[i] = rep2[i] T for two stacks (N, n, n)
+    and (N, m, m), over the unknowns T_kl row-major: the rows (i, j) of
+    T r1 - r2 T are kron(I_m, r1^T) - kron(r2, I_n), so entry ((i, j),
+    (k, l)) is [i = k] r1_lj - r2_ik [j = l].  All members are written over
+    one denominator into one array."""
+    n, m = rep1.rows, rep2.rows
+    den = lcm(rep1.den, rep2.den)
+    f1, f2 = den // rep1.den, den // rep2.den
+    r1, r2 = _fit(max(rep1.bound * f1 + rep2.bound * f2, f1, f2), rep1.num, rep2.num)
+    system = np.zeros((len(rep1), m, n, m, n), dtype=np.result_type(r1, r2))
+    diag_m, diag_n = np.arange(m), np.arange(n)
+    system[:, diag_m, :, diag_m, :] = np.swapaxes(r1, -1, -2) * f1
+    system[:, :, diag_n, :, diag_n] -= r2 * f2
+    return ExactMatrix(system.reshape(-1, m * n), den)
+
+
 def intertwiner_solve(rep1: Sequence[ExactMatrix], rep2: Sequence[ExactMatrix]) -> IntertwinerResult:
-    """Solve T rep1[i] = rep2[i] T for all i over the rationals.
+    """Solve T rep1[i] = rep2[i] T for all i over the rationals.  Each
+    representation is a stack or a sequence of matrices.
 
     rep1 acts on Q^n, rep2 on Q^m; T is m x n.  The kernel basis is canonical;
     an invertible combination is searched deterministically (basis elements,
     then pairwise integer combinations).
     """
+    rep1, rep2 = ExactMatrix.stack(rep1), ExactMatrix.stack(rep2)
     if len(rep1) != len(rep2):
         raise ValueError("representations must list images of the same basis")
-    n = rep1[0].rows
-    m = rep2[0].rows
-    for r1, r2 in zip(rep1, rep2):
-        if r1.rows != n or r2.rows != m:
-            raise ValueError("inconsistent representation dimensions")
-    # Over the unknowns T_kl, row-major, the rows (i, j) of T r1 - r2 T are
-    # kron(I_m, r1^T) - kron(r2, I_n).
-    system = ExactMatrix.concatenate(
-        [ExactMatrix(np.kron(np.eye(m, dtype=np.int64), r1.num.T), r1.den)
-         - ExactMatrix(np.kron(r2.num, np.eye(n, dtype=np.int64)), r2.den)
-         for r1, r2 in zip(rep1, rep2)])
+    n, m = rep1.rows, rep2.rows
+    if rep1.cols != n or rep2.cols != m:
+        raise ValueError("inconsistent representation dimensions")
+    system = _intertwiner_system(rep1, rep2)
     kernel = kernel_basis(system)
     mats = list(kernel.reshape(len(kernel), m, n)) if len(kernel) else []
     witness = None
@@ -344,17 +315,22 @@ def adjoint_rep_on_m() -> ExactMatrix:
 
 @functools.lru_cache(maxsize=1)
 def canonical_rep6() -> ExactMatrix:
-    """The defining 6-dimensional action of the sl(3) basis, as a stack."""
-    return ExactMatrix.stack([sl3_embed(p) for p in sl3_param_basis()])
+    """The defining 6-dimensional action of the sl(3) basis, as a stack of
+    the block matrices [[hat(x), -y], [y, hat(x)]]."""
+    hat, y = _sl3_tables()
+    num = np.zeros((8, 6, 6), dtype=np.int64)
+    num[:, :3, :3] = num[:, 3:, 3:] = hat
+    num[:, :3, 3:], num[:, 3:, :3] = -y, y
+    return ExactMatrix(num, 1)
 
 
-def sl3_canonical_rep3() -> list[ExactMatrix]:
-    """The split form: 8 trace-free 3x3 matrices hat(x) + y on the same basis order."""
-    out = []
-    for p in sl3_param_basis():
-        out.append(hat3(p.x) + p.y)
-    return out
+def sl3_canonical_rep3() -> ExactMatrix:
+    """The split form: the stack of 8 trace-free 3x3 matrices hat(x) + y on
+    the same basis order."""
+    hat, y = _sl3_tables()
+    return ExactMatrix(hat + y, 1)
 
 
-def dual_rep(rep: Sequence[ExactMatrix]) -> list[ExactMatrix]:
-    return [(-m).transpose() for m in rep]
+def dual_rep(rep: ExactMatrix) -> ExactMatrix:
+    """The dual representation of a stack: each member's negative transpose."""
+    return (-rep).transpose()

@@ -84,7 +84,7 @@ def torsion_cross() -> TorsionCrossResult:
         raise ValueError("a bracket of complement elements has no coordinates in so(7)")
     pulled = (t_inv @ coords[..., :7].transpose()).transpose()
     e = unit_rows(7)
-    ratio = common_ratio(pulled.flatten(), standard_cross()(e[i], e[j]).flatten())
+    ratio = common_ratio(pulled, standard_cross()(e[i], e[j]))
     if ratio is None:
         raise ValueError("pulled-back product is not proportional "
                          "to the 3-form cross product")
@@ -187,13 +187,12 @@ def alternativity_certificate(table: OctonionTable, seed: int) -> bool:
 
 def _random_octonion_pairs(n: int, seed: int) -> tuple[ExactMatrix, ExactMatrix]:
     """n seeded random rational pairs (p, q) as two stacks of rows (n, 1, 8),
-    drawn from `random.Random(seed)` pair by pair: p then q, each as eight
-    numerators in [-9, 9], then eight denominators in [1, 6]."""
-    rng = random.Random(seed)
-    draws = np.array([[rng.randint(lo, hi) for _ in range(8)]
-                      for _ in range(2 * n) for lo, hi in ((-9, 9), (1, 6))],
-                     dtype=np.int64).reshape(n, 2, 2, 1, 8)
-    nums, dens = draws[:, :, 0], draws[:, :, 1]
+    read from the 32 n bytes of one `random.Random(seed).randbytes`: pair by
+    pair p then q, each as eight numerators (byte mod 19, less 9: in
+    [-9, 9]), then eight denominators (byte mod 6, plus 1: in [1, 6])."""
+    draws = np.frombuffer(random.Random(seed).randbytes(32 * n), dtype=np.uint8)
+    draws = draws.astype(np.int64).reshape(n, 2, 2, 1, 8)
+    nums, dens = draws[:, :, 0] % 19 - 9, draws[:, :, 1] % 6 + 1
     den = lcm(*dens.ravel().tolist())
     pairs = ExactMatrix(nums * (den // dens), den)
     return pairs[:, 0], pairs[:, 1]

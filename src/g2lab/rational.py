@@ -18,12 +18,15 @@ on the entries of the result (for a product, max|A| * max|B| * k, over the
 whole stack) is checked against 2^62; when it is not below, the same
 expression runs on Python integers (`dtype=object`).  The result is exact
 either way, and the check is the certificate.  Numerators are held as int64
-exactly when all of them lie below 2^62.
+exactly when all of them lie below 2^62.  The constructor divides out the
+gcd of the denominator and the numerators, except at denominator 1, which
+is in lowest terms already; `reshape`, `transpose` and `-` move or negate
+entries, which keeps the gcd and the bound, so they reuse both.
 
 `fractions.Fraction` appears only at the boundary.  `_as_q` reads scalars in
 (an int or a Fraction; a float is a TypeError, so no floating point ever
-enters), and `__getitem__`, `row`, `flatten`, iteration and `exact_json` hand
-them out.  The functions that take vectors (`Bilinear`, and `dot` in
+enters), and `__getitem__`, `row`, iteration and `exact_json` hand them
+out.  The functions that take vectors (`Bilinear`, and `dot` in
 `octonions`) take either one sequence of exact scalars, and return a tuple,
 or a stack of rows, and return a stack.
 
@@ -69,6 +72,12 @@ def _fit(bound: int, *arrays) -> tuple:
     return tuple(a.astype(object) for a in arrays)
 
 
+def _refuse_empty(num: np.ndarray):
+    if 0 in num.shape[:-2]:
+        raise ValueError(f"empty stack of shape {num.shape}: a stacked "
+                         "check would hold on no cases")
+
+
 def _magnitude(num: np.ndarray) -> int:
     """max |entry| of an integer array, 0 when it is empty."""
     return int(max(num.max(), -num.min())) if num.size else 0
@@ -98,19 +107,28 @@ class ExactMatrix:
     __slots__ = ("num", "den", "bound")
 
     def __init__(self, num: np.ndarray, den: int):
-        if 0 in num.shape[:-2]:
-            raise ValueError(f"empty stack of shape {num.shape}: a stacked "
-                             "check would hold on no cases")
-        g = gcd(den, int(np.gcd.reduce(num, axis=None)))
-        if g > 1:
-            num = num // g
-            den //= g
+        _refuse_empty(num)
+        if den != 1:        # gcd(1, anything) = 1: already in lowest terms
+            g = gcd(den, int(np.gcd.reduce(num, axis=None)))
+            if g > 1:
+                num = num // g
+                den //= g
         bound = _magnitude(num)
         dtype = object if bound >= LIMIT else np.int64
         if num.dtype != dtype:
             num = num.astype(dtype)
         num.flags.writeable = False
         self.num, self.den, self.bound = num, den, bound
+
+    def _unchecked(self, num: np.ndarray) -> "ExactMatrix":
+        """`num`, the entries of this matrix moved or negated, over its `den`:
+        such a change keeps the gcd, the bound and the dtype, so neither is
+        computed again.  Only this module calls it."""
+        _refuse_empty(num)
+        num.flags.writeable = False
+        out = ExactMatrix.__new__(ExactMatrix)
+        out.num, out.den, out.bound = num, self.den, self.bound
+        return out
 
     @staticmethod
     def from_rows(rows) -> "ExactMatrix":
@@ -183,7 +201,7 @@ class ExactMatrix:
 
     def reshape(self, *shape: int) -> "ExactMatrix":
         """The entries read row-major into `shape`."""
-        return ExactMatrix(self.num.reshape(shape), self.den)
+        return self._unchecked(self.num.reshape(shape))
 
     def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
         """self + sign * other over the least common denominator."""
@@ -201,7 +219,7 @@ class ExactMatrix:
         return self._combine(other, -1)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(-self.num, self.den)
+        return self._unchecked(-self.num)
 
     def scale(self, s) -> "ExactMatrix":
         s = _as_q(s)
@@ -216,15 +234,7 @@ class ExactMatrix:
 
     def transpose(self) -> "ExactMatrix":
         """Each matrix of the stack transposed."""
-        return ExactMatrix(np.swapaxes(self.num, -1, -2), self.den)
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return Fraction(sum(np.diagonal(self.num).tolist()), self.den)
-
-    def flatten(self) -> tuple:
-        return tuple(Fraction(x, self.den) for x in self.num.ravel().tolist())
+        return self._unchecked(np.swapaxes(self.num, -1, -2))
 
     def max_abs(self) -> Fraction:
         """max |entry| over the whole stack."""
@@ -235,9 +245,6 @@ class ExactMatrix:
 
     def is_skew(self) -> bool:
         return self.rows == self.cols and np.array_equal(self.num, -self.transpose().num)
-
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and np.array_equal(self.num, self.transpose().num)
 
     def equal(self, other: "ExactMatrix") -> np.ndarray:
         """Member-wise equality of two stacks, broadcast: a bool array of
@@ -368,16 +375,16 @@ def combination(coeffs: ExactMatrix, mats) -> ExactMatrix:
     return total.reshape(*total.shape[:-1], mats.rows, mats.cols)
 
 
-def common_ratio(xs: Sequence, ys: Sequence) -> Fraction | None:
-    """The single r with xs = r * ys entrywise, or None if there is none (or
-    if ys is all zero, so that r is not determined)."""
-    r = None
-    for x, y in zip(xs, ys):
-        if y != 0:
-            if r is None:
-                r = x / y
-            elif x / y != r:
-                return None
-        elif x != 0:
-            return None
-    return r
+def common_ratio(x: ExactMatrix, y: ExactMatrix) -> Fraction | None:
+    """The single r with x = r y entrywise, for two stacks of one shape, or
+    None if there is none (or if y is all zero, so that r is not
+    determined).  r is read off the first nonzero entry of y and checked on
+    the numerators: x den_y r_den = y den_x r_num."""
+    nonzero = np.flatnonzero(y.num)
+    if not nonzero.size:
+        return None
+    k = nonzero[0]
+    r = Fraction(int(x.num.flat[k]) * y.den, int(y.num.flat[k]) * x.den)
+    fx, fy = y.den * r.denominator, x.den * r.numerator
+    a, b = _fit(max(max(x.bound, 1) * fx, max(y.bound, 1) * abs(fy)), x.num, y.num)
+    return r if np.array_equal(a * fx, b * fy) else None

@@ -61,16 +61,20 @@ def dense(form: ExactMatrix, n: int, k: int) -> ExactMatrix:
 def _threeform_action_terms() -> tuple:
     """The nonzero terms of (A.phi)_ijk = -sum_m (A_mi phi_mjk + A_mj phi_imk
     + A_mk phi_ijm) as index arrays (row, column, sign, m, i): the entry
-    sign * A[m, i] adds to the 35x35 action at (row, column)."""
-    triples, index = combinations_index(7, 3)
-    terms = []
-    for row, triple in enumerate(triples):
-        for slot, i in enumerate(triple):
-            for m in range(7):
-                t, s = sort_with_sign(triple[:slot] + (m,) + triple[slot + 1:])
-                if s != 0:
-                    terms.append((row, index[t], -s, m, i))
-    return tuple(np.array(col) for col in zip(*terms))
+    sign * A[m, i] adds to the 35x35 action at (row, column).  Each word, a
+    sorted triple with one slot replaced by m, reads its sorted triple and
+    its sign off its column of `alternating_table(7, 3)`, in one gather."""
+    triples = np.array(combinations_index(7, 3)[0])
+    words = np.broadcast_to(triples[:, None, None], (35, 3, 7, 3)).copy()
+    slot, m = np.arange(3)[:, None], np.arange(7)
+    words[:, slot, m, slot] = m              # words[row, slot, m]
+    table = alternating_table(7, 3)
+    flat = (words @ 7 ** np.arange(2, -1, -1)).ravel()    # each word's column
+    hit = (table != 0).argmax(axis=0)[flat]               # its sorted triple
+    sign = table[hit, flat]
+    term = np.flatnonzero(sign)              # in (row, slot, m) order
+    row, slot, m = np.unravel_index(term, (35, 3, 7))
+    return row, hit[term], -sign[term], m, triples[row, slot]
 
 
 def action_on_threeforms(a: ExactMatrix) -> ExactMatrix:

@@ -419,3 +419,31 @@ def test_check_ids_live_in_the_registry():
                    if isinstance(node, ast.Constant) and node.value in ids
                    and id(node) not in allowed]
     assert not copies, f"check ids written outside the registry: {sorted(copies)}"
+
+
+def _unchecked_calls(tree: ast.AST) -> list:
+    """Line numbers of the calls of `ExactMatrix._unchecked` in `tree`, by
+    any receiver."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "_unchecked"]
+
+
+def test_only_rational_calls_the_unchecked_constructor():
+    """One owner of the invariant: `ExactMatrix._unchecked` skips the gcd
+    and the bound, which holds only for the shape-only operations of
+    `rational`; every other module builds through the full constructor."""
+    found = [(path.name, line) for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "rational.py"
+             for line in _unchecked_calls(ast.parse(path.read_text()))]
+    assert not found, f"ExactMatrix._unchecked called outside rational: {found}"
+    assert _unchecked_calls(ast.parse((PACKAGE / "rational.py").read_text()))
+
+
+def test_the_unchecked_check_sees_a_planted_call():
+    """A permuted copy built without the gcd, as a caller outside `rational`
+    might write it; a full construction is no unchecked call."""
+    src = ("def so7_to_so6(m):\n"
+           "    full = ExactMatrix(m.num[..., IDX, :], m.den)\n"
+           "    return m._unchecked(m.num[..., IDX, :][..., IDX])\n")
+    assert _unchecked_calls(ast.parse(src)) == [3]

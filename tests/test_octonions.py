@@ -6,7 +6,8 @@ import pytest
 from fractions import Fraction
 
 from g2lab.embeddings import adjoint_rep_on_m, canonical_rep6, intertwiner_solve
-from g2lab.octonions import (_basis_products, alternativity_certificate,
+from g2lab.octonions import (_basis_products, _random_octonion_pairs,
+                             alternativity_certificate,
                              associative_test, associator, calibration_gap, dot,
                              norm_multiplicativity_certificate, standard_cross,
                              standard_octonions, torsion_cross)
@@ -137,6 +138,25 @@ def dense_product(table, p, q):
             for k in range(8):
                 out[k] += p[i] * q[j] * table[i][j][k]
     return tuple(out)
+
+
+def test_random_pairs_are_drawn_from_their_ranges():
+    """Each entry is a/b with a in [-9, 9] and b in [1, 6], and over 2,000
+    pairs every such value appears; the stacks are (n, 1, 8)."""
+    allowed = {Fraction(a, b) for a in range(-9, 10) for b in range(1, 7)}
+    p, q = _random_octonion_pairs(2000, 42)
+    assert p.shape == q.shape == (2000, 1, 8)
+    values = {Fraction(x, m.den) for m in (p, q) for x in m.num.ravel().tolist()}
+    assert values == allowed
+
+
+def test_random_pairs_are_determined_by_the_seed():
+    p, q = _random_octonion_pairs(5, 42)
+    again = _random_octonion_pairs(5, 42)
+    assert p == again[0] and q == again[1]
+    draws = {(p.den, q.den, p.num.tobytes(), q.num.tobytes())
+             for p, q in (_random_octonion_pairs(5, seed) for seed in range(20))}
+    assert len(draws) == 20
 
 
 def test_signed_sparse_product_matches_the_dense_sum():

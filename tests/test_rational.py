@@ -6,10 +6,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from g2lab.embeddings import Sl3Param, hat3
 from g2lab.octonions import dot, standard_cross, standard_octonions
-from g2lab.rational import (ExactMatrix, alternating_table, bracket, sort_with_sign,
-                            trace_form)
+from g2lab.rational import (LIMIT, ExactMatrix, alternating_table, bracket,
+                            common_ratio, sort_with_sign, trace_form)
 from g2lab.subspaces import Subspace, rref
 from test_threeform import perm_sign
 
@@ -108,8 +107,6 @@ def test_matrix_ops_exact():
 # Each entry point of the exact layer, called with one scalar s in its input.
 EXACT_ENTRY_POINTS = {
     "ExactMatrix.from_rows": lambda s: ExactMatrix.from_rows([[s]]),
-    "hat3": lambda s: hat3((s, 0, 0)),
-    "Sl3Param.make": lambda s: Sl3Param.make(x=(s, 0, 0)),
     "OctonionTable.multiply":
         lambda s: standard_octonions().multiply([s] + [0] * 7, [1] + [0] * 7),
     "dot": lambda s: dot((1, s), (s, 1)),
@@ -221,3 +218,91 @@ def test_large_entries_take_the_python_int_path():
     assert (entries(rref(expected)[0]), rref(expected)[1]) == ref_rref(expected)
     # a result that fits again goes back to machine integers
     assert (product - product).num.dtype == np.int64
+
+
+# ------------------------------- shape-only operations and the common ratio
+
+@st.composite
+def exact_stacks(draw):
+    """An ExactMatrix of 2 or 3 axes with numerators in [-50, 50] over a
+    denominator that is 1 half of the time; with `big` the numerators are
+    shifted by 2^70, so they are Python ints (dtype object)."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    size = int(np.prod(shape))
+    num = draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size))
+    big = draw(st.booleans())
+    num = np.array([x + (1 << 70) for x in num] if big else num,
+                   dtype=object if big else np.int64).reshape(shape)
+    return ExactMatrix(num, draw(st.one_of(st.just(1), st.integers(1, 12))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_stacks(), st.data())
+def test_shape_operations_equal_a_full_construction(m, data):
+    """reshape, transpose and unary minus keep the denominator, the bound
+    and the dtype of their source; each result equals a full construction
+    from a copy of its numerators, field by field, and is read-only."""
+    size = m.num.size
+    shape = data.draw(st.sampled_from([(size, 1, 1), (1, size), m.shape,
+                                       (size // m.cols, m.cols)]))
+    for out, num in ((m.reshape(*shape), m.num.reshape(shape)),
+                     (m.transpose(), np.swapaxes(m.num, -1, -2)),
+                     (-m, -m.num)):
+        full = ExactMatrix(np.array(num), m.den)
+        assert out == full
+        assert (out.den, out.bound, out.num.dtype) == (full.den, full.bound, full.num.dtype)
+        assert not out.num.flags.writeable
+    assert (m.num.dtype == object) == (m.bound >= LIMIT)
+
+
+def test_a_reshape_to_an_empty_stack_is_refused():
+    for cols in (1, 4):
+        with pytest.raises(ValueError, match="empty stack"):
+            ExactMatrix.zeros(0, cols).reshape(0, 1, cols)
+
+
+def reference_common_ratio(xs, ys):
+    """The Fraction loop over two flat sequences that the check on the
+    numerators replaced."""
+    r = None
+    for x, y in zip(xs, ys):
+        if y != 0:
+            if r is None:
+                r = x / y
+            elif x / y != r:
+                return None
+        elif x != 0:
+            return None
+    return r
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.lists(st.integers(1, 3), min_size=2, max_size=3),
+       st.sampled_from(["proportional", "broken", "zero y"]), st.booleans())
+def test_common_ratio_equals_the_fraction_loop(data, shape, kind, big):
+    """Drawn stacks with zero entries, proportional at a drawn ratio (0
+    included), or broken at one entry, or against an all-zero y; with `big`
+    y's numerators pass 2^62, so both stacks hold Python ints."""
+    size = int(np.prod(shape))
+    scale = (1 << 70) if big else 1
+    ys = [Fraction(scale * n, d) for n, d in zip(
+        data.draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size)),
+        data.draw(st.lists(st.integers(1, 6), min_size=size, max_size=size)))]
+    r = data.draw(RATIONALS)
+    xs = [r * y for y in ys]
+    if kind == "broken":
+        k = data.draw(st.integers(0, size - 1))
+        xs[k] += data.draw(RATIONALS.filter(lambda q: q != 0))
+    if kind == "zero y":
+        ys = [Fraction(0)] * size
+        xs = data.draw(st.lists(RATIONALS, min_size=size, max_size=size))
+    x = ExactMatrix.from_rows([xs]).reshape(*shape)
+    y = ExactMatrix.from_rows([ys]).reshape(*shape)
+    expected = reference_common_ratio(xs, ys)
+    assert common_ratio(x, y) == expected
+    if kind == "proportional" and any(ys):
+        assert expected == r
+    if kind == "zero y":
+        assert expected is None
+    if big and any(ys):
+        assert y.num.dtype == object

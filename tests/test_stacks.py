@@ -15,11 +15,12 @@ from g2lab import modeldata, octonions, spin8
 from g2lab.octonions import (OctonionTable, alternativity_certificate,
                              norm_multiplicativity_certificate, standard_octonions)
 from g2lab.rational import (LIMIT, Bilinear, ExactMatrix, Q, bracket,
-                            combinations_index, trace_form, unit_rows)
+                            combinations_index, sort_with_sign, trace_form, unit_rows)
 from g2lab.reports import SuiteContext
 from g2lab.suites import check_algebra_closure
 from g2lab.threeform import (_threeform_action_terms, action_on_threeforms,
                              invariant_threeform)
+from test_embeddings import hat3
 from test_threeform import perm_sign, reference_star
 
 RATIONALS = st.fractions(min_value=-40, max_value=40, max_denominator=12)
@@ -121,7 +122,7 @@ def reference_m_embed(v):
     """The entry-by-entry build of m_embed from the six Fractions (a, b),
     kept as the reference for the table route."""
     a, b = v[:3], v[3:]
-    ha, hb = emb.hat3(a), emb.hat3(b)
+    ha, hb = hat3(a), hat3(b)
     ent = [[Q(0)] * 7 for _ in range(7)]
     for i in range(3):
         for j in range(3):
@@ -169,6 +170,23 @@ def test_complement_maps_equal_the_entry_loops(data, k):
         assert permuted[i] == reference_permute_matrix(ref, emb.AXIS_TO_LAST)
 
 
+def test_threeform_action_terms_equal_the_sort_with_sign_loop():
+    """The gathered terms, as a set, equal the per-word loop that they
+    replaced: each slot of each sorted triple replaced by each m, sorted
+    with its sign."""
+    triples, index = combinations_index(7, 3)
+    reference = set()
+    for row, triple in enumerate(triples):
+        for slot, i in enumerate(triple):
+            for m in range(7):
+                t, s = sort_with_sign(triple[:slot] + (m,) + triple[slot + 1:])
+                if s != 0:
+                    reference.add((row, index[t], -s, m, i))
+    terms = list(zip(*(col.tolist() for col in _threeform_action_terms())))
+    assert len(terms) == len(set(terms)) == len(reference)
+    assert set(terms) == reference
+
+
 def reference_threeform_action(a):
     """The 35 x 35 action of one 7 x 7 matrix on Python ints, kept as the
     reference for the stacked call."""
@@ -203,7 +221,8 @@ def test_float_views_equal_the_entry_loops():
     loops built them."""
     h = np.array([[[float(v) for v in row] for row in emb.h_map(e)]
                   for e in unit_rows(6)])
-    g2 = np.array([[float(v) for v in el.flatten()] for el in emb.g2_basis().elements])
+    g2 = np.array([[float(v) for v in el.reshape(1, 49).row(0)]
+                   for el in emb.g2_basis().elements])
     assert np.array_equal(modeldata.h_tensors(), h)
     assert np.array_equal(modeldata.h_image_basis(),
                           np.linalg.qr(h.reshape(6, 36).T)[0].T)

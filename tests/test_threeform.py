@@ -157,7 +157,7 @@ def test_invariance_solver_rejects_non_algebra_basis(monkeypatch):
     from g2lab.subspaces import Coordinates
     from g2lab.threeform import so7_basis
     wrong = so7_basis()[:14]
-    fake = G2Basis(wrong, {}, Coordinates.of([m.flatten() for m in wrong]))
+    fake = G2Basis(wrong, {}, Coordinates.of(wrong.reshape(14, 49)))
     monkeypatch.setattr(threeform, "g2_basis", lambda: fake)
     with pytest.raises(ValueError):
         invariant_threeform.__wrapped__()   # the solver, past its cache
