@@ -156,6 +156,11 @@ class G2Basis:
     def m_elements(self) -> ExactMatrix:
         return self.elements[M_SLOTS]
 
+    @functools.cached_property
+    def m_span(self) -> Subspace:
+        """The span of the complement elements, built on first use."""
+        return Subspace.span_matrices(self.m_elements)
+
 
 @functools.lru_cache(maxsize=1)
 def g2_basis() -> G2Basis:
@@ -178,8 +183,7 @@ def reductivity_certificate() -> bool:
     """[h, m] lies in m, exactly, for every pair of basis elements."""
     basis = g2_basis()
     m = basis.m_elements
-    msub = Subspace.span_matrices(m)
-    return bool(np.all(msub.contains(bracket(basis.h_elements[:, None], m))))
+    return bool(np.all(basis.m_span.contains(bracket(basis.h_elements[:, None], m))))
 
 
 def non_symmetry_witness():
@@ -187,7 +191,7 @@ def non_symmetry_witness():
     nonzero sl(3) part, or None."""
     m = g2_basis().m_elements
     i, j = np.triu_indices(len(m), 1)
-    outside = np.flatnonzero(~Subspace.span_matrices(m).contains(bracket(m[i], m[j])))
+    outside = np.flatnonzero(~g2_basis().m_span.contains(bracket(m[i], m[j])))
     return (int(i[outside[0]]), int(j[outside[0]])) if outside.size else None
 
 

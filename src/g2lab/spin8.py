@@ -60,19 +60,14 @@ class So8IntersectionReport:
 def so8_intersection_report() -> So8IntersectionReport:
     if not clifford_certificate():
         raise ValueError("gamma anticommutation failed: octonion table corrupt")
-    spin = Subspace.span_matrices(spin7_basis())
-    canon = Subspace.span_matrices(so7_canonical_basis())
-    total = spin.sum(canon)
-    inter = spin.intersect(canon)
+    total, inter = Subspace.sum_and_intersection(spin7_basis().reshape(21, 64),
+                                                 so7_canonical_basis().reshape(21, 64))
 
     # restrict intersection elements (which kill slot 0) to the imaginary block
-    if inter.dim == 0:
-        inter7 = Subspace.span([], 49)
-    else:
-        mats = inter.basis.reshape(inter.dim, 8, 8)
-        if mats.num[:, 0].any() or mats.num[:, :, 0].any():
-            raise ValueError("intersection element does not fix the unit axis")
-        inter7 = Subspace.span_matrices(mats.submatrix(range(1, 8), range(1, 8)))
+    mats = inter.basis.num.reshape(inter.dim, 8, 8)
+    if mats[:, 0].any() or mats[:, :, 0].any():
+        raise ValueError("intersection element does not fix the unit axis")
+    inter7 = Subspace.span(ExactMatrix(mats[:, 1:, 1:].reshape(inter.dim, 49), inter.basis.den), 49)
     return So8IntersectionReport(
         sum_dim=total.dim,
         intersection_dim=inter.dim,

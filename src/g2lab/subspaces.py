@@ -1,14 +1,17 @@
 """Exact subspace arithmetic: canonical echelon forms, spans, kernels, inverses.
 
 Elimination runs on the integer numerator rows of an `ExactMatrix` and is
-fraction-free (Bareiss-style): each step combines integer rows and divides
-out each new row's content, so coefficient growth stays polynomial.  Before
-each step the bound on the new entries is checked against 2^62, as in
-`rational`, and past it the rows continue as Python integers.  The reduced
-echelon form comes out once, at the end, as an `ExactMatrix` over the least
-common multiple of the pivots.  Every subspace is held in its reduced
-row-echelon basis, which makes equality of subspaces literal equality of
-bases.
+fraction-free (Bareiss-style): each column is scanned for nonzeros once, and
+each step combines the pivot row with the rows it touches and divides out
+each new row's content, so coefficient growth stays polynomial.  Before each
+step the bound on the new entries, read from those rows alone, is checked
+against 2^62, as in `rational`, and past it the rows continue as Python
+integers.  The reduced echelon form comes out once, at the end, as an
+`ExactMatrix` over the least common multiple of the pivots.  Every subspace
+is held in its reduced row-echelon basis, which makes equality of subspaces
+literal equality of bases.  One elimination of [[a, a], [b, 0]] gives the
+sum and the intersection of two spans (Zassenhaus), and one of [A | I] the
+span of A and its coordinates.
 
 Membership and coordinates take stacks: each member of a matrix or stack
 (..., rows, cols) is read row-major as one vector, so `Subspace.contains`
@@ -51,18 +54,19 @@ def rref(rows) -> tuple[ExactMatrix, list[int]]:
     for c in range(m.cols):
         if r == len(work):
             break
-        nz = np.flatnonzero(work[r:, c])
-        if not nz.size:
+        nz = work[:, c].nonzero()[0]
+        below = nz[nz >= r]
+        if not below.size:
             continue
-        piv = r + int(nz[0])
+        piv = int(below[0])
         if piv != r:
             work[[r, piv]] = work[[piv, r]]
-        hit = np.flatnonzero(work[:, c])
-        hit = hit[hit != r]
+        hit = nz[nz != piv]   # after the swap, row piv holds a zero of column c
         if hit.size:
-            # |p * w - q * w_r| <= 2 max|w|^2
-            work, = _fit(2 * _magnitude(work) ** 2, work)
-            work[hit] = _divide_content(work[r, c] * work[hit] - work[hit, c, None] * work[r])
+            # |p * w - q * w_r| <= 2 max(|w_r|, |w|)^2 over the touched rows w
+            touched = work[hit]
+            work, touched = _fit(2 * max(_magnitude(work[r]), _magnitude(touched)) ** 2, work, touched)
+            work[hit] = _divide_content(work[r, c] * touched - touched[:, c, None] * work[r])
         pivots.append(c)
         r += 1
     lead = [int(x) for x in work[np.arange(r), pivots]]
@@ -89,14 +93,11 @@ def _side_by_side(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 
 def inverse(m: ExactMatrix) -> ExactMatrix:
-    """Exact inverse of a square matrix, read off the reduced form of [m | I]."""
-    n = m.rows
-    if m.cols != n:
+    """Exact inverse of a square matrix: the coordinates of the unit vectors
+    in its rows."""
+    if m.cols != m.rows:
         raise ValueError("inverse of a non-square matrix")
-    red, pivots = rref(_side_by_side(m, ExactMatrix.identity(n)))
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix not invertible")
-    return red.submatrix(range(n), range(n, 2 * n))
+    return Coordinates.of(m).pivot_inverse
 
 
 @dataclass(frozen=True)
@@ -108,17 +109,28 @@ class Subspace:
 
     @staticmethod
     def span(vectors, ambient_dim: int | None = None) -> "Subspace":
-        """Span of the rows of a matrix, or of a sequence of vectors of exact
-        scalars."""
-        if not isinstance(vectors, ExactMatrix) and not vectors:
-            if ambient_dim is None:
-                raise ValueError("ambient dimension required for an empty span")
-            vectors = ExactMatrix.zeros(0, ambient_dim)
+        """Span of the rows of a matrix, which may have none, or of a
+        nonempty sequence of vectors of exact scalars."""
         rows = ExactMatrix.from_rows(vectors)
         if ambient_dim is not None and rows.cols != ambient_dim:
             raise ValueError("ambient dimension mismatch")
         basis, pivots = rref(rows)
         return Subspace(basis, tuple(pivots))
+
+    @staticmethod
+    def sum_and_intersection(a, b) -> tuple["Subspace", "Subspace"]:
+        """The sum and the intersection of the spans of rows a and b, not
+        necessarily independent: the reduced form of [[a, a], [b, 0]] holds
+        the sum's reduced basis in the first half of its rows with a pivot
+        there, and the intersection's in the second half of the rest."""
+        a, b = ExactMatrix.from_rows(a), ExactMatrix.from_rows(b)
+        n = a.cols
+        red, pivots = rref(ExactMatrix.concatenate(
+            [_side_by_side(a, a), _side_by_side(b, ExactMatrix.zeros(b.rows, n))]))
+        k = sum(p < n for p in pivots)
+        return (Subspace(red.submatrix(range(k), range(n)), tuple(pivots[:k])),
+                Subspace(red.submatrix(range(k, red.rows), range(n, 2 * n)),
+                         tuple(p - n for p in pivots[k:])))
 
     @staticmethod
     def span_matrices(mats) -> "Subspace":
@@ -155,23 +167,6 @@ class Subspace:
         inside = self._coefficients(v)[1]
         return inside if np.ndim(inside) else bool(inside)
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        return Subspace.span(ExactMatrix.concatenate([self.basis, other.basis]))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.span([], self.ambient_dim)
-        # x^T B1 = y^T B2  <=>  [B1^T | -B2^T] (x; y) = 0
-        ker = kernel_basis(ExactMatrix.concatenate([self.basis, -other.basis]).transpose())
-        x = ker.submatrix(range(ker.rows), range(self.dim))
-        return Subspace.span(x @ self.basis)
-
-    def _check_ambient(self, other: "Subspace"):
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
@@ -187,12 +182,17 @@ class Coordinates:
 
     @staticmethod
     def of(vectors) -> "Coordinates":
-        """Coordinates in the rows of a matrix, or in a sequence of vectors."""
+        """Coordinates in the rows A (k x n) of a matrix, or of a sequence of
+        vectors: [A | I] reduces to [R | T] with T A = R, the reduced basis
+        of the span, so T inverts A's pivot columns; [A | I] has rank k, so A
+        is dependent exactly when a pivot falls in I."""
         rows = ExactMatrix.from_rows(vectors)
-        span = Subspace.span(rows)
-        if span.dim != rows.rows:
+        k, n = rows.shape
+        red, pivots = rref(_side_by_side(rows, ExactMatrix.identity(k)))
+        if any(p >= n for p in pivots):
             raise ValueError("vectors are linearly dependent")
-        return Coordinates(span, inverse(rows.submatrix(range(rows.rows), span.pivots)))
+        return Coordinates(Subspace(red.submatrix(range(k), range(n)), tuple(pivots)),
+                           red.submatrix(range(k), range(n, n + k)))
 
     def __call__(self, v) -> ExactMatrix | None:
         """Coefficients in the basis of each vector of v, as rows
