@@ -17,13 +17,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .curvature import christoffel, riemann
+from .curvature import riemann
 from .fields import (MINUS6, MM, PLUS6, PM, PP, STACK_BLOCK, Domain, StencilConfig,
-                     _at_offsets, _shifts, _star_differences,
-                     adapted_frame, blocks, frame_derivatives,
-                     hodge_restricted, star_jet, sup, transform_form)
-from .modeldata import (cross_tensor, h6, h_image_basis, off_g2_fraction,
-                        phi_constants, star_phi_constants)
+                     blocks, hat, star_jet, sup, transform_form)
+from .modeldata import (cross_tensor, h6, off_g2_fraction, phi_constants,
+                        star_phi_constants)
 from .rational import combinations_index, sort_with_sign
 
 @dataclass(frozen=True)
@@ -61,21 +59,14 @@ class G2MetricBundle:
         return sup(blocks(samples), at)["orthonormality"]
 
 
-def _chol_coframe(gblock: np.ndarray) -> np.ndarray:
-    """Rows = coframe covectors of a positive block metric (Cholesky transpose)."""
-    return np.linalg.cholesky(gblock).mT
-
-
-def weak_monopole_residual(mono: MonopoleData, k6, samples,
-                           cfg: StencilConfig) -> dict:
-    """Blockwise weak monopole residuals:
-    (dA)++ - u^-1 *_+ alpha,  (dA)+-,  (dA)-- + *^1_- (dv - v alpha),
+def weak_monopole_residual(mono: MonopoleData, samples, cfg: StencilConfig) -> dict:
+    """Blockwise weak monopole residuals on the flat base:
+    (dA)++ - u^-1 *_+ alpha,  (dA)+-,  (dA)-- + *_- (dv - v alpha),
     plus basicness (v and A constant along the plus block, and A annihilating
-    it), with u = v^(-1/2) and the base metric playing the role of the
-    rescaled pairing.  Without twist the three blocks are those of the
-    monopole equation dA = -*_H dv."""
+    it), with u = v^(-1/2).  On an orthonormal 3-block the star of a 1-form
+    is -hat.  Without twist the three blocks are those of the monopole
+    equation dA = -*_H dv."""
     def at(x):
-        g = np.asarray(k6(x), float)
         alpha = mono.alpha_or_zero(x)
         a0, grad_a, _ = star_jet(mono.a, x, cfg)
         v, dv, _ = star_jet(mono.v, x, cfg)
@@ -83,19 +74,18 @@ def weak_monopole_residual(mono: MonopoleData, k6, samples,
         v = v[..., None]
         # alpha is carried to the plus block by the positional identification;
         # u^-1 = v^(1/2)
-        rhs_pp = np.sqrt(v)[..., None] * hodge_restricted(alpha, g[PP])
-        rhs_mm = hodge_restricted(dv[..., MINUS6] - v * alpha, g[MM])
-        return {"plus_plus": np.abs(da[PP] - rhs_pp), "mixed": np.abs(da[PM]),
-                "minus_minus": np.abs(da[MM] + rhs_mm),
+        return {"plus_plus": np.abs(da[PP] + np.sqrt(v)[..., None] * hat(alpha)),
+                "mixed": np.abs(da[PM]),
+                "minus_minus": np.abs(da[MM] - hat(dv[..., MINUS6] - v * alpha)),
                 "basic_v": np.abs(dv[..., PLUS6]),
                 "basic_a": np.maximum(np.max(np.abs(grad_a[..., PLUS6, :]), axis=(-2, -1)),
                                       np.max(np.abs(a0[..., PLUS6]), axis=-1))}
     return sup(blocks(samples), at)
 
 
-def g2_build_thm1(k6: Callable[[np.ndarray], np.ndarray], mono: MonopoleData,
-                  domain6: Domain) -> G2MetricBundle:
-    """Warped product bundle k_+ + v k_- + v^-1 (dt + A)^2 over a 6-base.
+def g2_build_thm1(mono: MonopoleData, domain6: Domain) -> G2MetricBundle:
+    """Warped product bundle k_+ + v k_- + v^-1 (dt + A)^2 over the flat
+    6-base, k_+ and k_- the identity on each block.
 
     Both constructions assemble this metric from a pair (v, A) that satisfies
     the weak monopole equations (`weak_monopole_residual`); the first is the
@@ -103,7 +93,7 @@ def g2_build_thm1(k6: Callable[[np.ndarray], np.ndarray], mono: MonopoleData,
     are the monopole equation dA = -*_H dv.  The builder only assembles: the
     suites sample the hypothesis on a run's points.  The bundle lives over t
     in [-1, 1]; its metric and coframe take a point or a block of points, as
-    must `k6` and the fields of `mono`.
+    must the fields of `mono`.
     """
 
     def positive_v(x: np.ndarray) -> np.ndarray:
@@ -116,68 +106,44 @@ def g2_build_thm1(k6: Callable[[np.ndarray], np.ndarray], mono: MonopoleData,
     def metric7(p: np.ndarray) -> np.ndarray:
         x = p[..., 1:]
         v = positive_v(x)[..., None]
-        k = np.asarray(k6(x), dtype=float)
         w = np.empty(p.shape[:-1] + (7,))
         w[..., 0] = 1.0
         w[..., 1:] = mono.a(x)
         # w w^T / v, then the k_+ and v k_- blocks, in place
         g = np.einsum('...i,...j->...ij', w, w)
         g /= v
-        g[..., 1:4, 1:4] += k[PP]
-        g[..., 4:, 4:] += v * k[MM]
+        g[..., 1:4, 1:4] += np.eye(3)
+        g[..., 4:, 4:] += v * np.eye(3)
         return g
 
     def coframe(p: np.ndarray) -> np.ndarray:
         x = p[..., 1:]
         v = positive_v(x)
-        k = np.asarray(k6(x), dtype=float)
         e = np.zeros(p.shape[:-1] + (7, 7))
-        e[..., :3, 1:4] = _chol_coframe(k[PP])
+        e[..., :3, 1:4] = np.eye(3)
         u = np.power(v, -0.5)
         e[..., 3, :1] = u
         e[..., 3, 1:] = u * np.asarray(mono.a(x), dtype=float)
-        e[..., 4:, 4:] = np.sqrt(v)[..., None] * _chol_coframe(k[MM])
+        e[..., 4:, 4:] = np.sqrt(v)[..., None] * np.eye(3)
         return e
 
     return G2MetricBundle(metric=metric7, coframe=coframe, domain=domain6.lift_t())
 
 
-def weak_sl3_consistency(k6, alpha, samples, cfg: StencilConfig) -> dict:
-    """Decompose the Levi-Civita form of the base in the adapted frame and
-    compare its complement part with the twist prescribed by alpha.
+def planted_twist(alpha, samples) -> float:
+    """sup |h(S(X))| over the six frame vectors X of the flat base, for the
+    twist S(X+, X-) = (a X-, a X+), a = 1/4 hat(alpha).
 
-    Reports the mismatch between the h-part and h(S) for S(X+, X-)
-    = (a X-, a X+), a = 1/4 hat(alpha#), with the sharp taken in the base
-    metric.
+    The flat base's Levi-Civita form vanishes, so its h-part, the twist the
+    base itself carries, is 0, and this is the whole mismatch between that
+    twist and the one alpha plants.
     """
     def at(x):
-        metrics = _at_offsets(k6, x, _shifts(6, cfg.h, star=True))
-        g, dg, _ = _star_differences(metrics, x, cfg.h)
-        fr, dframe, _ = _star_differences(adapted_frame(metrics), x, cfg.h)
-        # connection form in the frame: omega(f_c)[k, b] = <f^k, nabla_{f_c} f_b>
-        _, nabla = frame_derivatives(fr, dframe, christoffel(g, dg))
-        e = np.linalg.inv(fr)
-        sharp = np.linalg.solve(g[MM], np.asarray(alpha(x), float))
-        omega = e @ nabla.mT      # the six omega(f_c) at once
-        omega = 0.5 * (omega - omega.mT)
-        target = h6(_s_alpha(fr.T, e, sharp))
-        return {"twist_mismatch": np.abs(_h_component(omega) - target)}
-    return sup(samples, at)
-
-
-def _s_alpha(xvec, e, sharp) -> np.ndarray:
-    """S(X) = (a X_-, a X_+) in frame components for each row X of `xvec`, a = 1/4 hat(sharp) x."""
-    xf = np.matvec(e, xvec)
-    xp, xm = xf[..., :3], xf[..., 3:]
-    a_of = lambda w: 0.25 * np.cross(sharp, w)
-    return np.concatenate([a_of(xm), a_of(xp)], axis=-1)
-
-
-def _h_component(omega: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of skew 6x6 matrices onto the h-image, as matrices."""
-    q = h_image_basis()
-    v = omega.reshape(omega.shape[:-2] + (36,))
-    return np.matvec(q.T, np.matvec(q, v)).reshape(omega.shape)
+        a = 0.25 * np.cross(np.asarray(alpha(x), float), np.eye(3))   # row j: a e_j
+        s = np.zeros((6, 6))      # row X of S(X), X = e_0 .. e_5
+        s[:3, 3:], s[3:, :3] = a, a
+        return {"planted_twist": np.abs(h6(s))}
+    return sup(samples, at)["planted_twist"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -274,10 +240,6 @@ def holonomy_residual(bundle: G2MetricBundle, samples, cfg: StencilConfig) -> di
                 "ricci_norm": np.linalg.norm(ric_f, axis=(-2, -1)),
                 "curvature_norm": np.linalg.norm(m, axis=(-2, -1))}
     return sup(blocks(samples, CURVATURE_BLOCK), at)
-
-
-def flat_product_metric(x: np.ndarray) -> np.ndarray:
-    return np.broadcast_to(np.eye(6), np.shape(x)[:-1] + (6, 6))
 
 
 COORD_TO_SLOT = (3, 0, 1, 2, 4, 5, 6)   # bundle coordinates (t, x1..x6) -> model slots

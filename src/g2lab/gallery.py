@@ -17,8 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import MM, Domain, hat
-from .g2construct import (G2MetricBundle, MonopoleData, flat_product_metric,
-                          g2_build_thm1)
+from .g2construct import G2MetricBundle, MonopoleData, g2_build_thm1
 from .gibbons import (CENTER_MARGIN, STRING_MARGIN, GHData, dirac_potential,
                       dirac_string_exclusion, margined,
                       monopole_center_exclusion, radius, spatial_domain,
@@ -92,7 +91,7 @@ def constant_field(value) -> Callable[[np.ndarray], np.ndarray]:
 def thm1_flat_bundle() -> G2MetricBundle:
     mono = MonopoleData(v=constant_field(1.0), a=constant_field(np.zeros(6)))
     dom = Domain(lo=(-1.0,) * 6, hi=(1.0,) * 6)
-    return g2_build_thm1(flat_product_metric, mono, dom)
+    return g2_build_thm1(mono, dom)
 
 
 def taub_nut_monopole() -> MonopoleData:
@@ -101,7 +100,7 @@ def taub_nut_monopole() -> MonopoleData:
 
 
 def thm1_taub_nut_bundle() -> G2MetricBundle:
-    return g2_build_thm1(flat_product_metric, taub_nut_monopole(), base_domain6())
+    return g2_build_thm1(taub_nut_monopole(), base_domain6())
 
 
 def thm1_broken_monopole_bundle(eps: float):
@@ -114,7 +113,7 @@ def thm1_broken_monopole_bundle(eps: float):
         return taub_nut_v6(x) * (1.0 + eps * x[..., 3])
 
     mono = MonopoleData(v=v, a=monopole_potential6())
-    return g2_build_thm1(flat_product_metric, mono, base_domain6()), mono
+    return g2_build_thm1(mono, base_domain6()), mono
 
 
 def thm2_mismatched_alpha_bundle(eps: float):
@@ -138,7 +137,7 @@ def thm2_mismatched_alpha_bundle(eps: float):
         return out
 
     mono = MonopoleData(v=taub_nut_v6, a=a, alpha=fake_alpha)
-    return g2_build_thm1(flat_product_metric, mono, base_domain6()), mono
+    return g2_build_thm1(mono, base_domain6()), mono
 
 
 def warped_control_bundle() -> G2MetricBundle:

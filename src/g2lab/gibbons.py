@@ -9,8 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import (Domain, StencilConfig, blocks, d_one_form,
-                     hodge_restricted, star_jet, sup)
+from .fields import Domain, StencilConfig, blocks, d_one_form, hat, star_jet, sup
 
 
 def dirac_string_exclusion(p3: np.ndarray) -> np.ndarray:
@@ -81,9 +80,9 @@ class GHData:
         star p, p +- h e_a (`fields.star_jet`), one call of V per block."""
         def at(p):
             _, dv, lap = star_jet(self.v, p, cfg)
-            star_dv = hodge_restricted(dv, np.eye(3))
+            # *dV on the flat 3-space is -hat(dV)
             return {"harmonicity": np.abs(np.sum(lap, axis=-1)),
-                    "potential": np.abs(d_one_form(self.a, p, cfg) - star_dv)}
+                    "potential": np.abs(d_one_form(self.a, p, cfg) + hat(dv))}
         return sup(blocks(samples), at)
 
 

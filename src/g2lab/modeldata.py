@@ -73,11 +73,3 @@ def off_g2_fraction(m: np.ndarray) -> np.ndarray:
     q = g2_orthonormal_span()
     outside = np.linalg.norm(v - (v @ q.T) @ q, axis=-1)
     return np.divide(outside, total, out=np.zeros(total.shape), where=total >= 1e-10)
-
-
-@functools.lru_cache(maxsize=1)
-def h_image_basis() -> np.ndarray:
-    """Orthonormal basis of the piece h(m) of so(6) = sl3 + R J + h(m), as a
-    (6, 36) float array of flattened matrices."""
-    q, _ = np.linalg.qr(h_tensors().reshape(6, 36).T)
-    return q.T

@@ -23,7 +23,7 @@ import numpy as np
 from .embeddings import g2_basis, intertwiner_solve
 from .rational import (Bilinear, ExactMatrix, bracket, combination, common_ratio,
                        trace_form, unit_rows)
-from .subspaces import Coordinates, Subspace, gram_matrix, inverse, kernel_basis
+from .subspaces import Coordinates, Subspace, inverse, kernel_basis
 from .threeform import dense, invariant_threeform, phi_cross_duality, so7_basis
 
 
@@ -217,7 +217,8 @@ def calibration_gap(p1: Sequence, p2: Sequence,
     Both are triple products <x X y, z>: phi's of the vectors, and that of
     the cross product of Q^3 (the dense volume form) of the Gram rows."""
     val = dot(standard_cross()(p1, p2), p3)
-    g = gram_matrix([p1, p2, p3], dot)
+    m = ExactMatrix.from_rows([list(p1), list(p2), list(p3)])
+    g = dot(m, m)
     cross3 = Bilinear(dense(ExactMatrix.identity(1), 3, 3).reshape(9, 3))
     return val * val, dot(cross3(g.row(0), g.row(1)), g.row(2))
 

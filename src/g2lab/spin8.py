@@ -56,6 +56,18 @@ class So8IntersectionReport:
     clifford_ok: bool
 
 
+def imaginary_block(sub: Subspace) -> Subspace:
+    """A subspace of so(8) whose elements kill slot 0, restricted to the
+    imaginary slots 1..7.  Its reduced rows stay reduced once the zero row
+    and column of slot 0 are dropped, so the pivots are only relabelled,
+    8 i + j -> 7 (i - 1) + j - 1, with no elimination."""
+    mats = sub.basis.num.reshape(sub.dim, 8, 8)
+    if mats[:, 0].any() or mats[:, :, 0].any():
+        raise ValueError("element does not fix the unit axis")
+    return Subspace(ExactMatrix(mats[:, 1:, 1:].reshape(sub.dim, 49), sub.basis.den),
+                    tuple(7 * (p // 8 - 1) + p % 8 - 1 for p in sub.pivots))
+
+
 @functools.lru_cache(maxsize=1)
 def so8_intersection_report() -> So8IntersectionReport:
     if not clifford_certificate():
@@ -63,14 +75,9 @@ def so8_intersection_report() -> So8IntersectionReport:
     total, inter = Subspace.sum_and_intersection(spin7_basis().reshape(21, 64),
                                                  so7_canonical_basis().reshape(21, 64))
 
-    # restrict intersection elements (which kill slot 0) to the imaginary block
-    mats = inter.basis.num.reshape(inter.dim, 8, 8)
-    if mats[:, 0].any() or mats[:, :, 0].any():
-        raise ValueError("intersection element does not fix the unit axis")
-    inter7 = Subspace.span(ExactMatrix(mats[:, 1:, 1:].reshape(inter.dim, 49), inter.basis.den), 49)
     return So8IntersectionReport(
         sum_dim=total.dim,
         intersection_dim=inter.dim,
-        intersection_is_g2=(inter7 == g2_basis().span),
+        intersection_is_g2=(imaginary_block(inter) == g2_basis().span),
         clifford_ok=True,
     )

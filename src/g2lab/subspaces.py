@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Sequence
 
 import numpy as np
 
@@ -199,10 +198,3 @@ class Coordinates:
         (..., 1, dim), or None if any of them is outside the span."""
         c, inside = self.span._coefficients(v)
         return c @ self.pivot_inverse if np.all(inside) else None
-
-
-def gram_matrix(vectors: Sequence[Sequence], pairing) -> ExactMatrix:
-    """Matrix of a bilinear pairing evaluated on all pairs of the given vectors."""
-    n = len(vectors)
-    return ExactMatrix.from_rows([[pairing(vectors[i], vectors[j]) for j in range(n)]
-                                  for i in range(n)])

@@ -19,11 +19,10 @@ import numpy as np
 from . import embeddings as emb
 from . import gallery
 from .curvature import ricci, riemann, riemann_lowered
-from .fields import MM, PP, Domain, StencilConfig, blocks, sample_points, sup
+from .fields import Domain, StencilConfig, blocks, sample_points, sup
 from .g2construct import (MonopoleData, estimate_order, holonomy_residual,
-                          model_phi_check, torsionfree_residual,
-                          weak_monopole_residual, weak_sl3_consistency,
-                          flat_product_metric)
+                          model_phi_check, planted_twist, torsionfree_residual,
+                          weak_monopole_residual)
 from .gibbons import GHData, gh_build
 from .hypersurfaces import (affine_plane, ellipsoid, hypersurface_checks,
                             unit_sphere)
@@ -352,11 +351,10 @@ def check_thm2_agrees(ctx: SuiteContext) -> CheckReport:
     def at(p):
         x = p[..., 1:]
         v = gallery.taub_nut_v6(x)[..., None, None]
-        k = flat_product_metric(x)
         w = np.concatenate([np.ones(p.shape[:-1] + (1,)), a6(x)], axis=-1)
         g = w[..., :, None] * w[..., None, :] / v
-        g[..., 1:4, 1:4] += k[PP]
-        g[..., 4:, 4:] += v * k[MM]
+        g[..., 1:4, 1:4] += np.eye(3)
+        g[..., 4:, 4:] += v * np.eye(3)
         e = bundle.coframe(p)
         return {"metric": np.abs(bundle.metric(p) - g), "coframe": np.abs(e.mT @ e - g)}
 
@@ -371,7 +369,7 @@ def check_thm2_weak_monopole(ctx: SuiteContext) -> CheckReport:
     # h = 1e-3 on some seeds; it falls by about 3.8 per halving of h
     cfg = StencilConfig(h=2.5e-4)
     pts = _points(ctx, gallery.base_domain6(), 50, cfg)
-    res = weak_monopole_residual(gallery.taub_nut_monopole(), flat_product_metric, pts, cfg)
+    res = weak_monopole_residual(gallery.taub_nut_monopole(), pts, cfg)
     return simple_report(res, 1e-4)
 
 
@@ -477,7 +475,7 @@ def check_neg_broken_monopole(ctx: SuiteContext) -> CheckReport:
                                GH_H_LIST, functools.partial(torsionfree_residual, bundle))
     cfg = StencilConfig(h=1e-3)
     pts = _points(ctx, gallery.base_domain6(), 10, cfg)
-    hyp = weak_monopole_residual(mono, flat_product_metric, pts, cfg)
+    hyp = weak_monopole_residual(mono, pts, cfg)
     return control_report({"sup_dphi": _final(by_h)["sup_dphi"],
                            "monopole_residual": hyp["minus_minus"]}, 0.01,
                           params=_tag("thm1-broken-monopole", {"dphi_by_h": by_h["sup_dphi"]}),
@@ -492,12 +490,11 @@ def check_neg_mismatched_twist(ctx: SuiteContext) -> CheckReport:
     # first six points, whatever the budget
     pts6 = sample_points(dom, max(6, ctx.scaled_samples(15)), cfg, seed=ctx.seed)
     honest = MonopoleData(v=mono.v, a=mono.a, alpha=None)
-    weak = weak_monopole_residual(honest, flat_product_metric, pts6, cfg)
-    base = weak_sl3_consistency(flat_product_metric, mono.alpha, pts6[:6], cfg)
+    weak = weak_monopole_residual(honest, pts6, cfg)
     pts7 = _points(ctx, bundle.domain, 10, StencilConfig(h=1e-2))
     tf = torsionfree_residual(bundle, pts7, StencilConfig(h=1e-2))
     return control_report({"weak_residual_vs_true_base": weak["plus_plus"],
-                           "twist_vs_connection": base["twist_mismatch"],
+                           "planted_twist": planted_twist(mono.alpha, pts6[:6]),
                            "sup_dphi": tf["sup_dphi"]}, 0.01,
                           params=_tag("thm2-mismatched-alpha"))
 
@@ -508,7 +505,7 @@ def check_neg_nonbasic(ctx: SuiteContext) -> CheckReport:
     mono = MonopoleData(v=v, a=gallery.monopole_potential6())
     cfg = StencilConfig(h=1e-3)
     pts = _points(ctx, gallery.base_domain6(), 15, cfg)
-    res = weak_monopole_residual(mono, flat_product_metric, pts, cfg)
+    res = weak_monopole_residual(mono, pts, cfg)
     return control_report({"basic_v": res["basic_v"]}, 0.01)
 
 

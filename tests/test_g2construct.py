@@ -6,13 +6,13 @@ import pytest
 from g2lab import suites
 from g2lab.curvature import christoffel
 from g2lab.fields import (MM, STACK_BLOCK, Domain, StencilConfig, adapted_frame,
-                          fd_gradient, frame_derivatives, sample_points, star_jet, sup)
-from g2lab.g2construct import (MonopoleData, _h_component,
-                               estimate_order, flat_product_metric, g2_build_thm1,
-                               holonomy_residual, model_phi_check,
+                          fd_gradient, frame_derivatives, hat, hodge_restricted,
+                          sample_points, star_jet, sup)
+from g2lab.g2construct import (MonopoleData, estimate_order, g2_build_thm1,
+                               holonomy_residual, model_phi_check, planted_twist,
                                torsion_forms, torsionfree_residual,
-                               weak_monopole_residual, weak_sl3_consistency)
-from g2lab.modeldata import h6, h_image_basis, phi_constants, star_phi_constants
+                               weak_monopole_residual)
+from g2lab.modeldata import h6, h_tensors, phi_constants, star_phi_constants
 from g2lab.gallery import (base_domain6, constant_field, monopole_potential6,
                            taub_nut_monopole, taub_nut_v6,
                            thm1_broken_monopole_bundle, thm1_flat_bundle,
@@ -31,8 +31,7 @@ def hypothesis_residual(mono, domain6, seed=5):
     """The largest of the three block residuals of the weak monopole
     equations of `mono` on the flat base, at 10 points and h = 1e-3."""
     cfg = StencilConfig(h=1e-3)
-    res = weak_monopole_residual(mono, flat_product_metric,
-                                 sample_points(domain6, 10, cfg, seed=seed), cfg)
+    res = weak_monopole_residual(mono, sample_points(domain6, 10, cfg, seed=seed), cfg)
     return max(res["plus_plus"], res["mixed"], res["minus_minus"])
 
 
@@ -53,7 +52,7 @@ def test_monopole_hypothesis_holds_for_pole_pair():
     mono = MonopoleData(v=taub_nut_v6, a=monopole_potential6())
     cfg = StencilConfig(h=1e-3)
     pts = sample_points(base_domain6(), 10, cfg, seed=7)
-    res = weak_monopole_residual(mono, flat_product_metric, pts, cfg)
+    res = weak_monopole_residual(mono, pts, cfg)
     assert max(res["plus_plus"], res["mixed"], res["minus_minus"]) <= 1e-4
     assert res["basic_v"] <= 1e-12
     assert res["basic_a"] <= 1e-12
@@ -93,9 +92,9 @@ def test_broken_monopole_detected_and_not_convergent():
 
 def test_nan_hypothesis_residual_fails_the_hypothesis_check(monkeypatch):
     monkeypatch.setattr(suites, "weak_monopole_residual",
-                        lambda mono, k6, pts, cfg: {"plus_plus": float("nan"), "mixed": 0.0,
-                                                    "minus_minus": 0.0, "basic_v": 0.0,
-                                                    "basic_a": 0.0})
+                        lambda mono, pts, cfg: {"plus_plus": float("nan"), "mixed": 0.0,
+                                                "minus_minus": 0.0, "basic_v": 0.0,
+                                                "basic_a": 0.0})
     check = dict(suites.suite_checks("all"))["g2-thm1.monopole-hypothesis"]
     rep = check(SuiteContext(seed=42, samples=25, dump_dir=None))
     assert rep.status == "fail"
@@ -134,7 +133,7 @@ def test_weak_residual_without_twist_is_the_monopole_equation(case, h):
     mono = MonopoleData(v=MONOPOLE_V[case], a=monopole_potential6())
     cfg = StencilConfig(h=h)
     pts = sample_points(base_domain6(), 10, cfg, seed=911)
-    res = weak_monopole_residual(mono, flat_product_metric, pts, cfg)
+    res = weak_monopole_residual(mono, pts, cfg)
     assert max(res["plus_plus"], res["mixed"], res["minus_minus"]) == \
         product_monopole_residual(mono.v, mono.a, pts, cfg)
 
@@ -143,7 +142,7 @@ def test_weak_monopole_residuals_zero_twist():
     mono = MonopoleData(v=taub_nut_v6, a=monopole_potential6(), alpha=None)
     cfg = StencilConfig(h=1e-3)
     pts = sample_points(base_domain6(), 10, cfg, seed=8)
-    res = weak_monopole_residual(mono, flat_product_metric, pts, cfg)
+    res = weak_monopole_residual(mono, pts, cfg)
     assert res["plus_plus"] <= 1e-10
     assert res["mixed"] <= 1e-10
     assert res["minus_minus"] <= 1e-4
@@ -152,8 +151,7 @@ def test_weak_monopole_residuals_zero_twist():
 def test_flat_base_has_no_twist():
     cfg = StencilConfig(h=1e-3)
     pts = sample_points(base_domain6(), 5, cfg, seed=10)
-    res = weak_sl3_consistency(flat_product_metric, constant_field(np.zeros(3)), pts, cfg)
-    assert res["twist_mismatch"] <= 1e-10
+    assert planted_twist(constant_field(np.zeros(3)), pts) == 0.0
 
 
 def _block(a, b, c):
@@ -202,23 +200,16 @@ def test_frame_derivatives_give_a_metric_connection_form():
         np.testing.assert_allclose(omega, _koszul_connection_form(x, cfg)[c], atol=1e-6)
 
 
-def test_weak_sl3_consistency_on_a_curved_base_matches_koszul_reference():
-    """With alpha = 0 the twist mismatch is the h-part of the connection
-    form; it matches the bracket-only reference on a base where the frame
-    derivative is not symmetric."""
-    cfg = StencilConfig(h=1e-3)
-    pts = sample_points(Domain(lo=(-0.5,) * 6, hi=(0.5,) * 6), 4, cfg, seed=3)
-    got = weak_sl3_consistency(curved_base, constant_field(np.zeros(3)), pts, cfg)
-    omegas = [om for p in pts for om in _koszul_connection_form(p, cfg)]
-    ref_twist = max(float(np.max(np.abs(_h_component(om)))) for om in omegas)
-    assert ref_twist >= 0.1       # the base is far from flat
-    assert abs(got["twist_mismatch"] - ref_twist) <= 1e-6
+def flat_base(x):
+    return np.broadcast_to(np.eye(6), np.shape(x)[:-1] + (6, 6))
 
 
 def reference_weak_sl3_consistency(k6, alpha, samples, cfg):
-    """weak_sl3_consistency by its loop over the six frame vectors of a
-    point, with the per-matrix projections it used."""
-    q_h = h_image_basis()
+    """The twist check of a base metric k6 by its loop over the six frame
+    vectors of a point: the h-part of the Levi-Civita form against h(S) for
+    S(X+, X-) = (a X-, a X+), a = 1/4 hat(alpha#), the sharp taken in k6,
+    with the h-image basis from the QR of the h tensors."""
+    q_h = np.linalg.qr(h_tensors().reshape(6, 36).T)[0].T
 
     def at(x):
         g, dg, _ = star_jet(k6, x, cfg)
@@ -239,14 +230,48 @@ def reference_weak_sl3_consistency(k6, alpha, samples, cfg):
     return sup(samples, at)
 
 
-def test_weak_sl3_consistency_equals_the_loop_over_frame_vectors():
+@pytest.mark.parametrize("twisted", [True, False])
+def test_planted_twist_equals_the_connection_route_on_the_flat_base(twisted):
+    """On the flat base the Levi-Civita form is 0, and the twist read off
+    alpha alone carries the bits of the route through the connection."""
     cfg = StencilConfig(h=1e-3)
-    pts = sample_points(Domain(lo=(-0.5,) * 6, hi=(0.5,) * 6), 4, cfg, seed=3)
-    alpha = lambda x: np.array([0.3, -0.2 * x[0], 0.1 + x[4]])
-    got = weak_sl3_consistency(curved_base, alpha, pts, cfg)
-    ref = reference_weak_sl3_consistency(curved_base, alpha, pts, cfg)
-    assert ref["twist_mismatch"] >= 0.1          # alpha and the base both twist
-    assert got == ref
+    pts = sample_points(base_domain6(), 6, cfg, seed=3)
+    alpha = ((lambda x: np.array([0.3, -0.2 * x[0], 0.1 + x[4]])) if twisted
+             else constant_field(np.zeros(3)))
+    ref = reference_weak_sl3_consistency(flat_base, alpha, pts, cfg)["twist_mismatch"]
+    assert planted_twist(alpha, pts) == ref
+    assert (ref >= 0.05) if twisted else (ref == 0.0)
+
+
+def test_minus_hat_is_the_block_star_of_the_flat_base():
+    """-hat(a) equals hodge_restricted(a, I) byte for byte, at a point and on
+    a block: the solve by I and the factor sqrt(det I) = 1 are exact."""
+    a = np.random.default_rng(6).normal(size=(9, 3))
+    for x in (a[0], a):
+        assert (-hat(x)).tobytes() == hodge_restricted(x, np.eye(3)).tobytes()
+
+
+def cholesky_coframe(mono, p):
+    """The builder's coframe with the Cholesky factor of each block of the
+    flat base in place of the literal identity blocks."""
+    x = p[..., 1:]
+    v = np.asarray(mono.v(x), dtype=float)[..., None]
+    k = flat_base(x)
+    e = np.zeros(p.shape[:-1] + (7, 7))
+    e[..., :3, 1:4] = np.linalg.cholesky(k[..., :3, :3]).mT
+    u = np.power(v, -0.5)
+    e[..., 3, :1] = u
+    e[..., 3, 1:] = u * np.asarray(mono.a(x), dtype=float)
+    e[..., 4:, 4:] = np.sqrt(v)[..., None] * np.linalg.cholesky(k[..., 3:, 3:]).mT
+    return e
+
+
+def test_coframe_equals_the_cholesky_coframe():
+    """The identity blocks of the Taub-NUT coframe carry the bits of the
+    Cholesky factors of the flat base's blocks, on a block of points."""
+    bundle = thm1_taub_nut_bundle()
+    p = np.asarray(bundle_points(bundle, n=20, seed=8))
+    assert bundle.coframe(p).tobytes() == cholesky_coframe(taub_nut_monopole(), p).tobytes()
 
 
 def test_mismatched_twist_flagged_everywhere():
@@ -256,14 +281,13 @@ def test_mismatched_twist_flagged_everywhere():
     # the fabricated twist was derived to solve the plus-block equation for
     # this potential, a sign-sensitive closed form; the minus-block equation
     # then breaks, exposing the inconsistency of the triple
-    fake = weak_monopole_residual(mono, flat_product_metric, pts6, cfg)
+    fake = weak_monopole_residual(mono, pts6, cfg)
     assert fake["plus_plus"] <= 1e-4
     assert fake["minus_minus"] >= 0.01
     honest = MonopoleData(v=mono.v, a=mono.a, alpha=None)
-    weak = weak_monopole_residual(honest, flat_product_metric, pts6, cfg)
+    weak = weak_monopole_residual(honest, pts6, cfg)
     assert weak["plus_plus"] >= 0.01          # the pair fails the true equations
-    base = weak_sl3_consistency(flat_product_metric, mono.alpha, pts6[:4], cfg)
-    assert base["twist_mismatch"] >= 0.01     # alpha disagrees with the base
+    assert planted_twist(mono.alpha, pts6[:4]) >= 0.01   # alpha disagrees with the base
     pts7 = bundle_points(bundle, n=5, h=1e-2)
     tf = torsionfree_residual(bundle, pts7, StencilConfig(h=1e-2))
     assert tf["sup_dphi"] >= 0.01             # and the build is not torsion-free
@@ -282,7 +306,7 @@ def test_nonbasic_pole_detected():
     mono = MonopoleData(v=v, a=monopole_potential6())
     cfg = StencilConfig(h=1e-3)
     pts = sample_points(base_domain6(), 6, cfg, seed=13)
-    res = weak_monopole_residual(mono, flat_product_metric, pts, cfg)
+    res = weak_monopole_residual(mono, pts, cfg)
     assert res["basic_v"] >= 0.01
 
 
@@ -295,7 +319,7 @@ def test_estimate_order_exact_path():
 def test_builder_rejects_nonpositive_v():
     """The built metric and coframe raise where v is not positive."""
     mono = MonopoleData(v=lambda x: -1.0, a=lambda x: np.zeros(6))
-    b = g2_build_thm1(flat_product_metric, mono, Domain(lo=(-1.0,) * 6, hi=(1.0,) * 6))
+    b = g2_build_thm1(mono, Domain(lo=(-1.0,) * 6, hi=(1.0,) * 6))
     for field in (b.metric, b.coframe):
         with pytest.raises(ValueError):
             field(np.zeros(7))
@@ -329,7 +353,7 @@ def test_weak_monopole_twist_terms_with_a_vanishing_potential():
                         alpha=constant_twist)
     cfg = StencilConfig(h=1e-3)
     pts = sample_points(base_domain6(), 10, cfg, seed=8)
-    res = weak_monopole_residual(mono, flat_product_metric, pts, cfg)
+    res = weak_monopole_residual(mono, pts, cfg)
     big = np.max(np.abs(TWIST))
     assert abs(res["plus_plus"] - 2 * big) <= 1e-12
     assert abs(res["minus_minus"] - 4 * big) <= 1e-12
@@ -348,7 +372,7 @@ def test_weak_monopole_minus_block_closes_with_curl_a_equal_to_v_alpha():
     mono = MonopoleData(v=constant_v, a=potential, alpha=constant_twist)
     cfg = StencilConfig(h=1e-3)
     pts = sample_points(base_domain6(), 10, cfg, seed=8)
-    res = weak_monopole_residual(mono, flat_product_metric, pts, cfg)
+    res = weak_monopole_residual(mono, pts, cfg)
     assert res["minus_minus"] <= 1e-9
     assert res["mixed"] <= 1e-9
     assert abs(res["plus_plus"] - 2 * np.max(np.abs(TWIST))) <= 1e-12

@@ -293,6 +293,75 @@ def test_the_default_check_sees_a_planted_default():
     assert overridden == [("sample_points", "seed")]
 
 
+def _function_arguments(trees) -> dict:
+    """{(function, parameter): [what each call passes there]} over the
+    module-level functions of `trees` and every call of them in `trees`, by
+    name or as a module attribute.  A call passes the name of a module-level
+    function it hands over as that argument, or None for any other value and
+    for an argument it leaves out; a starred argument ends the positions."""
+    params = {node.name: [a.arg for a in node.args.posonlyargs + node.args.args
+                          + node.args.kwonlyargs]
+              for tree in trees for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+    def passed(value):
+        name = (value.id if isinstance(value, ast.Name)
+                else value.attr if isinstance(value, ast.Attribute) else None)
+        return name if name in params else None
+
+    out = {(f, arg): [] for f, args in params.items() for arg in args}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            f = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if f not in params:
+                continue
+            given = {k.arg: passed(k.value) for k in node.keywords if k.arg}
+            for arg, value in zip(params[f], node.args):
+                if isinstance(value, ast.Starred):
+                    break
+                given[arg] = passed(value)
+            for arg in params[f]:
+                out[(f, arg)].append(given.get(arg))
+    return out
+
+
+def fixed_function_arguments(passed: dict) -> list:
+    """(function, parameter, argument) wherever every call passes the same
+    module-level function as the argument."""
+    return sorted((f, arg, values[0]) for (f, arg), values in passed.items()
+                  if values and values[0] is not None and values.count(values[0]) == len(values))
+
+
+def test_no_parameter_takes_one_function():
+    """One value is no setting: a parameter to which every call of the
+    package hands the same function of the package is a knob the program
+    never turns, as the base metric `k6` of the builder was while every call
+    passed the flat product; the function belongs in the body."""
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    found = fixed_function_arguments(_function_arguments(trees))
+    assert not found, f"parameters that every call hands the same function: {found}"
+
+
+def test_the_function_check_sees_a_planted_knob():
+    """The builder's base metric, passed by position and by keyword, is
+    caught; a parameter that takes two functions, or a function at one call
+    and another value at the next, is a setting."""
+    src = ("def flat_product_metric(x):\n    return x\n"
+           "def curved(x):\n    return x\n"
+           "def g2_build_thm1(k6, mono, domain6):\n    return k6(mono)\n"
+           "def residual(mono, k6, samples):\n    return k6(samples)\n"
+           "def sampled(field, samples):\n    return field(samples)\n"
+           "a = g2_build_thm1(flat_product_metric, m, d)\n"
+           "b = g2_build_thm1(k6=flat_product_metric, mono=m, domain6=d)\n"
+           "c = residual(m, flat_product_metric, s) + residual(m, curved, s)\n"
+           "e = sampled(curved, s) + sampled(lambda x: x, s)\n")
+    passed = _function_arguments([ast.parse(src)])
+    assert fixed_function_arguments(passed) == [("g2_build_thm1", "k6", "flat_product_metric")]
+
+
 def _owned(tree: ast.AST):
     """(name of the nearest enclosing function or None, node) for every
     syntax node of `tree`."""

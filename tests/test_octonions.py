@@ -12,7 +12,6 @@ from g2lab.octonions import (_basis_products, _random_octonion_pairs,
                              norm_multiplicativity_certificate, standard_cross,
                              standard_octonions, torsion_cross)
 from g2lab.rational import ExactMatrix, Q, combinations_index, unit_rows
-from g2lab.subspaces import gram_matrix
 from g2lab.threeform import dense, invariant_threeform
 from test_threeform import reference_det3, reference_phi_value
 
@@ -101,8 +100,8 @@ def reference_calibration_gap(x, y, z):
     """phi(x, y, z)^2 by the loop over phi's components and the 3x3 minors
     of x, y, z, and the Gram determinant by cofactors."""
     val = reference_phi_value(invariant_threeform(), x, y, z)
-    g = gram_matrix([x, y, z], dot)
-    return val * val, reference_det3(g.row(0), g.row(1), g.row(2), 0, 1, 2)
+    g = [[dot(a, b) for b in (x, y, z)] for a in (x, y, z)]
+    return val * val, reference_det3(g[0], g[1], g[2], 0, 1, 2)
 
 
 def test_calibration_bound():

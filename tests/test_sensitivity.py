@@ -38,8 +38,8 @@ def minus_block_off(field):
 def bundle_fault(name):
     """A builder whose bundles carry `minus_block_off` of their field `name`."""
     def fault(build):
-        def faulty(k6, mono, domain6):
-            bundle = build(k6, mono, domain6)
+        def faulty(mono, domain6):
+            bundle = build(mono, domain6)
             return dataclasses.replace(bundle, **{name: minus_block_off(getattr(bundle, name))})
         return faulty
     return fault
@@ -55,7 +55,7 @@ def off_monopole(pair):
 
 
 def unbroken(build):
-    """The broken-monopole data at eps = 0, whatever eps the check asks for."""
+    """A control's data at eps = 0, whatever eps the check asks for."""
     return lambda eps: build(0.0)
 
 
@@ -86,6 +86,8 @@ FAULTS = {
                             off_monopole),
     "broken-monopole": ("negative.broken-monopole", gallery, "thm1_broken_monopole_bundle",
                         unbroken),
+    "matched-twist": ("negative.mismatched-twist", gallery, "thm2_mismatched_alpha_bundle",
+                      unbroken),
     "nonharmonic-data": ("gh.data-consistency", gallery, "gh_taub_nut_example",
                          returns(gallery.gh_nonharmonic_example)),
     "perturbed-quotient": ("oracle-pairs.quotient-conditions", gallery, "killing_taub_nut_data",

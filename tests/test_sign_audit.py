@@ -15,8 +15,7 @@ import itertools
 import numpy as np
 
 from g2lab.fields import StencilConfig, sample_points
-from g2lab.g2construct import (MonopoleData, estimate_order,
-                               flat_product_metric, holonomy_residual,
+from g2lab.g2construct import (MonopoleData, estimate_order, holonomy_residual,
                                model_phi_check, torsionfree_residual,
                                weak_monopole_residual, g2_build_thm1)
 from g2lab.gallery import (base_domain6, monopole_potential6, taub_nut_v6,
@@ -65,13 +64,13 @@ def test_star_sign_in_pairing_hypothesis_is_forced():
     good = MonopoleData(v=taub_nut_v6, a=monopole_potential6())
     flipped = MonopoleData(v=taub_nut_v6,
                            a=lambda x: -monopole_potential6()(x))
-    res_good = weak_monopole_residual(good, flat_product_metric, pts6, cfg)
-    res_flip = weak_monopole_residual(flipped, flat_product_metric, pts6, cfg)
+    res_good = weak_monopole_residual(good, pts6, cfg)
+    res_flip = weak_monopole_residual(flipped, pts6, cfg)
     assert res_good["minus_minus"] <= 1e-4
     assert res_flip["minus_minus"] >= 0.1
 
     # the wrong-sign pair builds a metric that is not torsion-free
-    bundle = g2_build_thm1(flat_product_metric, flipped, base_domain6())
+    bundle = g2_build_thm1(flipped, base_domain6())
     pts7 = sample_points(bundle.domain, 5, StencilConfig(h=2e-2), seed=6)
     h_list = (2e-2, 1e-2, 5e-3)
     vals = [torsionfree_residual(bundle, pts7, StencilConfig(h=h))["sup_dphi"]

@@ -224,8 +224,6 @@ def test_float_views_equal_the_entry_loops():
     g2 = np.array([[float(v) for v in el.reshape(1, 49).row(0)]
                    for el in emb.g2_basis().elements])
     assert np.array_equal(modeldata.h_tensors(), h)
-    assert np.array_equal(modeldata.h_image_basis(),
-                          np.linalg.qr(h.reshape(6, 36).T)[0].T)
     assert np.array_equal(modeldata.g2_orthonormal_span(), np.linalg.qr(g2.T)[0].T[:14])
     # the model forms: phi, *phi by the per-quad loop, and phi's dense tensor
     # by the sign of every ordering of each triple

@@ -249,7 +249,7 @@ def test_coordinates_equal_the_span_and_inverse_route(data, k, n, repeat):
 # ------------------------------------------ eliminations per certifying run
 
 # rref calls of one cold `main(["--suite", s, "--json-only"])`
-RREF_CALLS = {"algebra": 8, "octonion": 13}
+RREF_CALLS = {"algebra": 7, "octonion": 13}
 
 
 def rref_calls(monkeypatch, capsys, suite: str) -> int:
