@@ -10,6 +10,7 @@ certified exactly, never assumed.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -209,30 +210,22 @@ def h_equivariance_certificate() -> bool:
     return bracket(a, h_map(x)) == h_map(ax)
 
 
-def _one_scale(lhs: ExactMatrix, rhs: ExactMatrix, what: str) -> Fraction:
-    """The single s with lhs = s * rhs for every member of the two stacks."""
-    scale = common_ratio(lhs, rhs)
-    if scale is not None:
-        return scale
-    if any(common_ratio(a, b) is None for a, b in zip(lhs, rhs)):
-        raise AssertionError(f"{what} is not proportional")
-    raise AssertionError(f"{what}: the scale differs between basis vectors")
-
-
-def h_scale_certificate() -> Fraction:
-    """The single scale s with so(6)-part of m_embed(v) = s * h_map(v), all basis v."""
+def h_scale_certificate() -> Fraction | None:
+    """The single scale s with so(6)-part of m_embed(v) = s * h_map(v), all
+    basis v, or None if there is none."""
     v = unit_rows(6)
-    return _one_scale(so7_to_so6(m_embed(v)), h_map(v), "so(6)-part of m_embed to h_map")
+    return common_ratio(so7_to_so6(m_embed(v)), h_map(v))
 
 
 AXIS_TO_LAST = (0, 1, 2, 4, 5, 6, 3)  # permutation moving the axis slot to slot 7
 
 
-def lift_scale_certificate() -> Fraction:
-    """m_embed agrees with the lift after moving the axis slot last, up to one scale."""
+def lift_scale_certificate() -> Fraction | None:
+    """The single scale s with m_embed(v), its axis slot moved last, = s *
+    the lift of v, all basis v, or None if there is none."""
     v = unit_rows(6)
-    return _one_scale(m_embed(v).submatrix(AXIS_TO_LAST, AXIS_TO_LAST),
-                      lift_gtilde(ExactMatrix.zeros(6), v), "permuted m_embed to the lift")
+    return common_ratio(m_embed(v).submatrix(AXIS_TO_LAST, AXIS_TO_LAST),
+                        lift_gtilde(ExactMatrix.zeros(6), v))
 
 
 @dataclass(frozen=True)
@@ -285,24 +278,11 @@ def intertwiner_solve(rep1: Sequence[ExactMatrix], rep2: Sequence[ExactMatrix]) 
     system = _intertwiner_system(rep1, rep2)
     kernel = kernel_basis(system)
     mats = list(kernel.reshape(len(kernel), m, n)) if len(kernel) else []
-    witness = None
-    if m == n:
-        for t in mats:
-            if _full_rank(t):
-                witness = t
-                break
-        if witness is None and len(mats) > 1:
-            for i in range(len(mats)):
-                for j in range(i + 1, len(mats)):
-                    for c in (1, -1, 2, -2, 3):
-                        t = mats[i] + mats[j].scale(c)
-                        if _full_rank(t):
-                            witness = t
-                            break
-                    if witness is not None:
-                        break
-                if witness is not None:
-                    break
+    pairs = (mats[i] + mats[j].scale(c)
+             for i, j in itertools.combinations(range(len(mats)), 2)
+             for c in (1, -1, 2, -2, 3))
+    candidates = itertools.chain(mats, pairs) if m == n else ()
+    witness = next((t for t in candidates if _full_rank(t)), None)
     return IntertwinerResult(tuple(mats), witness)
 
 

@@ -9,7 +9,7 @@ on the stacked rows, and `fd_gradient`, `star_jet` and `d_one_form` are
 difference formulas on its output.  The frame and form helpers
 (`transform_form` among them) broadcast over leading axes, so a block's rows
 carry the bits of the point results.  A 1-form value is a vector and a 2-form
-value a skew matrix (`d_one_form`, the block star `hodge_restricted`);
+value a skew matrix (`d_one_form`; on an orthonormal 3-block the star is -`hat`);
 `transform_form` takes a k-form value, 2k <= n, as a numpy vector over the
 sorted k-index combinations in lexicographic order, which is how the forms of
 degree 3 and more of a bundle are held.  Domains are boxes with explicit excluded
@@ -222,16 +222,6 @@ def hat(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def hodge_restricted(a: np.ndarray, gb: np.ndarray) -> np.ndarray:
-    """Hodge star of a 1-form on a 3-dimensional block with metric `gb`: the
-    skew matrix of a 2-form.  On an oriented orthonormal frame this realizes
-    *f1 = f2^f3 (cyclic)."""
-    det = np.linalg.det(gb)
-    if np.any(det <= 0):
-        raise ValueError("metric is degenerate on the block")
-    return -hat(np.linalg.solve(gb, a[..., None])[..., 0]) * np.sqrt(det)[..., None, None]
-
-
 def halton_sequence(index, bases):
     """The radical inverse of each index in each base (Halton 1960), with
     `index` and `bases` broadcast against each other, by the float operations
@@ -298,9 +288,9 @@ def sample_points(domain: Domain, n: int, cfg: StencilConfig, seed: int) -> list
 BLOCK = 64
 # Points per block of the verifiers that stack the most per point: the nested
 # stencil of `hypersurface_checks`, the frame derivatives of
-# `killing_conditions_check` and the 15 coframes of `torsionfree_residual`.
-# Their tracemalloc peaks read 2,043, 647 and 1,085 KiB at 64-point blocks
-# (bounds 1,536, 512 and 1,536 KiB) and 1,027, 331 and 584 KiB at 32.
+# `quotient_conditions` and the 15 coframes of `torsionfree_residual`.
+# Their tracemalloc peaks read 2,043, 644 and 1,085 KiB at 64-point blocks
+# (bounds 1,536, 512 and 1,536 KiB) and 1,027, 329 and 584 KiB at 32.
 STACK_BLOCK = 32
 
 

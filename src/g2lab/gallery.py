@@ -217,7 +217,6 @@ def killing_taub_nut_data() -> KillingData:
         return gam
 
     return KillingData(metric=metric, u=u, a_form=a6, b_plus=b_plus,
-                       b_hom=constant_field(np.zeros((3, 3))),
                        domain=base_domain6(), connection=connection)
 
 
@@ -231,8 +230,8 @@ def killing_perturbed_data(eps: float) -> KillingData:
         return out
 
     return KillingData(metric=good.metric, u=good.u, a_form=a_form,
-                       b_plus=good.b_plus, b_hom=good.b_hom,
-                       domain=good.domain, connection=good.connection)
+                       b_plus=good.b_plus, domain=good.domain,
+                       connection=good.connection)
 
 
 # ------------------------------------------------------ anchored-torsion data

@@ -1,21 +1,23 @@
 """Condition checkers for the quotient data of a symmetry-reduced 7-metric.
 
 Given a 6-metric with an adapted split, a nowhere-zero function u, a potential
-1-form A and the block data (b, B), the checkers evaluate, in an adapted
+1-form A and the block section b, the checkers evaluate, in an adapted
 orthonormal frame at blocks of sample points:
 
   (a) torsion of the supplied compatible connection against the h-twist,
   (b) dA(X, Y) = 2 u^-1 <gamma X, Y>,
   (c) metricity and torsion-freeness of (connection + h o gamma),
 
-together with the blockwise forms of (b) and their rescaled-metric variants.
-Where two algebraically equivalent expressions exist they are computed through
+together with the blockwise forms of (b) and their rescaled-metric variants,
+all in one pass (`quotient_conditions`).  The paper's second block section B
+is 0 in every data set here, and the code fixes it at 0.  Where two
+algebraically equivalent expressions exist they are computed through
 numerically distinct routes (separate stencil targets, or directional versus
 coordinate stencils), so each pair serves as its own oracle.
 
-All block quantities (b, B) are supplied in adapted-frame components; the
-frame is the blockwise Cholesky frame of the metric, which fixes the
-plus/minus identification positionally.
+The block section b is supplied in adapted-frame components; the frame is the
+blockwise Cholesky frame of the metric, which fixes the plus/minus
+identification positionally.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ import numpy as np
 
 from .fields import (MM, PM, PP, STACK_BLOCK, Domain, StencilConfig,
                      _at_offsets, _central, adapted_frame, blocks, d_one_form,
-                     fd_gradient, frame_derivatives, hat, hodge_restricted,
-                     star_jet, sup)
+                     fd_gradient, frame_derivatives, hat, star_jet, sup)
 from .modeldata import h6
 
 
@@ -39,15 +40,14 @@ class KillingData:
 
     Every field takes a point or a block of points.  connection returns the
     Christoffel symbols Gamma[c, a, b] of the supplied compatible connection
-    in coordinates.  b_plus and b_hom are the block sections in adapted-frame
-    components (b_hom trace-free and self-adjoint at samples).
+    in coordinates.  b_plus is the block section b in adapted-frame
+    components.
     """
 
     metric: Callable[[np.ndarray], np.ndarray]
     u: Callable[[np.ndarray], np.ndarray]
     a_form: Callable[[np.ndarray], np.ndarray]
     b_plus: Callable[[np.ndarray], np.ndarray]
-    b_hom: Callable[[np.ndarray], np.ndarray]
     domain: Domain
     connection: Callable[[np.ndarray], np.ndarray]
 
@@ -61,36 +61,32 @@ class KillingData:
         # frame components of the gradient
         grad_frame = np.vecmat(fd_gradient(self.u, x, cfg), frame)
         return {"frame": frame, "u": u, "grad_frame": grad_frame,
-                "b": np.asarray(self.b_plus(x), dtype=float),
-                "B": np.asarray(self.b_hom(x), dtype=float)}
+                "b": np.asarray(self.b_plus(x), dtype=float)}
 
 
 def gamma_expanded(info: dict) -> np.ndarray:
     """Blockwise twist endomorphism in frame components:
-    gamma(X)_+ = b x X_+ - B X_- - (1/2) u^-1 (grad u)_- x X_+ - (1/2) u^-1 (grad u)_+ x X_-,
-    gamma(X)_- = B X_+ + b x X_- - (1/2) u^-1 (grad u)_+ x X_+ + (1/2) u^-1 (grad u)_- x X_-.
+    gamma(X)_+ = b x X_+ - (1/2) u^-1 (grad u)_- x X_+ - (1/2) u^-1 (grad u)_+ x X_-,
+    gamma(X)_- = b x X_- - (1/2) u^-1 (grad u)_+ x X_+ + (1/2) u^-1 (grad u)_- x X_-.
     """
     u = info["u"][..., None, None]
     gp, gm = info["grad_frame"][..., :3], info["grad_frame"][..., 3:]
-    b, bb = info["b"], info["B"]
-    out = np.zeros(bb.shape[:-2] + (6, 6))
+    b = info["b"]
+    out = np.zeros(b.shape[:-1] + (6, 6))
     out[..., :3, :3] = hat(b) - 0.5 / u * hat(gm)
-    out[..., :3, 3:] = -bb - 0.5 / u * hat(gp)
-    out[..., 3:, :3] = bb - 0.5 / u * hat(gp)
+    out[..., :3, 3:] = out[..., 3:, :3] = -0.5 / u * hat(gp)
     out[..., 3:, 3:] = hat(b) + 0.5 / u * hat(gm)
     return out
 
 
 def gamma_unexpanded(info: dict) -> np.ndarray:
-    """The same endomorphism assembled as the adjoint-bundle section minus
-    u^-1 h(grad u), through the exactly certified h constants."""
+    """The same endomorphism assembled as the adjoint-bundle section
+    diag(hat(b), hat(b)) minus u^-1 h(grad u), through the exactly certified
+    h constants."""
     u = info["u"][..., None, None]
-    b, bb = info["b"], info["B"]
-    bcal = np.zeros(bb.shape[:-2] + (6, 6))
-    bcal[..., :3, :3] = hat(b)
-    bcal[..., :3, 3:] = -bb
-    bcal[..., 3:, :3] = bb
-    bcal[..., 3:, 3:] = hat(b)
+    b = info["b"]
+    bcal = np.zeros(b.shape[:-1] + (6, 6))
+    bcal[..., :3, :3] = bcal[..., 3:, 3:] = hat(b)
     return bcal - h6(info["grad_frame"]) / u
 
 
@@ -101,9 +97,43 @@ def gamma_pair_residual(data: KillingData, samples, cfg: StencilConfig) -> float
     return sup(blocks(samples), at)["pair"]
 
 
-def killing_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> dict:
-    """Residuals of the three structure conditions at the samples, evaluated
-    on adapted-frame pairs with honest frame-field brackets."""
+def _minus_block_routes(data: KillingData, info: dict, x: np.ndarray,
+                        cfg: StencilConfig) -> tuple:
+    """alpha = <2b - u^-1 (grad u)_-, .> and the right-hand side of (dA)-- by
+    the plain and by the rescaled pairing (see quotient_conditions).  The
+    rescaled metric on the minus block is u^2 I, so minus its star of a
+    1-form a is the closed form u hat(a)."""
+    fr, u = info["frame"], info["u"][..., None]
+    gm = info["grad_frame"][..., 3:]
+    alpha = 2.0 * info["b"] - gm / u
+
+    rhs_mm_plain = -1.0 / u[..., None] * hat(alpha + 2.0 / u * gm)
+
+    du2 = fd_gradient(lambda q: data.u(q) ** -2, x, cfg)
+    du2_frame = np.vecmat(du2, fr)[..., 3:]
+    rhs_mm_resc = u[..., None] * hat(du2_frame - alpha / u ** 2)
+    return alpha, rhs_mm_plain, rhs_mm_resc
+
+
+def quotient_conditions(data: KillingData, samples, cfg: StencilConfig) -> dict:
+    """Residuals of the structure conditions and of the blockwise potential
+    equations at the samples, on adapted-frame pairs with honest frame-field
+    brackets.  Each block evaluates gamma_info, the frame-field stencil and
+    dA once.
+
+    torsion_vs_twist:     (a); the torsion of (connection + h o gamma) is
+        T(X, Y) + h(gamma X) Y - h(gamma Y) X, on frame pairs exactly this
+        sum, so it is (c)'s torsion too.
+    potential_equation:   (b) on every ordered frame pair.
+    corrected_metricity:  (c), the frame connection form of
+        (connection + h o gamma) is skew.
+    plus_plus:   (dA)++ = u^-1 *_+ alpha
+    minus_minus: (dA)-- = u^-1 *_- (alpha + 2 u^-1 du)      [plain pairing]
+    minus_minus_rescaled: (dA)-- = -*^1_- (d(u^-2) - u^-2 alpha)  [rescaled]
+    mixed:       dA(X+, Y-) = -u^-2 det((grad u)+, X+, Y-)
+    with alpha = <2b - u^-1 (grad u)_-, .> .  route_agreement is |plain -
+    rescaled| of the two minus-block right-hand sides (see route_agreement).
+    """
     def frame_field(q: np.ndarray) -> np.ndarray:
         return adapted_frame(np.asarray(data.metric(q), dtype=float))
 
@@ -140,58 +170,18 @@ def killing_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> 
             omega = np.matvec(e[..., None, :, :], nabla[..., a, :, :]).mT
             omega = omega + h_cols[..., a, :, :]
             out["corrected_metricity"].append(np.abs(omega + omega.mT))
-        return out
-    res = sup(blocks(samples, STACK_BLOCK), at)
-    # The corrected connection's torsion is
-    # T^{nabla + h o gamma}(X, Y) = T^nabla(X, Y) + h(gamma X) Y - h(gamma Y) X,
-    # on frame pairs exactly t_frame + hterm above: condition (c)'s torsion
-    # is torsion_vs_twist, reported under both names.
-    res["corrected_torsion"] = res["torsion_vs_twist"]
-    return res
 
-
-def _minus_block_routes(data: KillingData, info: dict, x: np.ndarray,
-                        cfg: StencilConfig) -> tuple:
-    """alpha = <2b - u^-1 (grad u)_-, .> and the right-hand side of (dA)-- by
-    the plain and by the rescaled pairing (see da_conditions_check)."""
-    fr, u = info["frame"], info["u"][..., None]
-    gm = info["grad_frame"][..., 3:]
-    alpha = 2.0 * info["b"] - gm / u
-
-    rhs_mm_plain = -1.0 / u[..., None] * hat(alpha + 2.0 / u * gm)
-
-    du2 = fd_gradient(lambda q: data.u(q) ** -2, x, cfg)
-    du2_frame = np.vecmat(du2, fr)[..., 3:]
-    rhs_mm_resc = -hodge_restricted(du2_frame - alpha / u ** 2,
-                                    u[..., None] ** 2 * np.eye(3))
-    return alpha, rhs_mm_plain, rhs_mm_resc
-
-
-def da_conditions_check(data: KillingData, samples, cfg: StencilConfig) -> dict:
-    """Blockwise potential equations, in both the plain and the rescaled form.
-
-    plus_plus:   (dA)++ = u^-1 *_+ alpha
-    minus_minus: (dA)-- = u^-1 *_- (alpha + 2 u^-1 du)      [plain pairing]
-                 (dA)-- = -*^1_- (d(u^-2) - u^-2 alpha)     [rescaled pairing]
-    mixed:       dA(X+, Y-) = 2 u^-1 (<B X+, Y-> - (1/2) u^-1 det((grad u)+, X+, Y-))
-    with alpha = <2b - u^-1 (grad u)_-, .> .  route_agreement is |plain -
-    rescaled| of the two minus-block right-hand sides (see route_agreement).
-    """
-    def at(x):
-        info = data.gamma_info(x, cfg)
-        fr, u = info["frame"], info["u"][..., None, None]
-        gp = info["grad_frame"][..., :3]
         alpha, rhs_mm_plain, rhs_mm_resc = _minus_block_routes(data, info, x, cfg)
-
-        da_f = fr.mT @ d_one_form(data.a_form, x, cfg) @ fr   # frame components
-        rhs_pp = -1.0 / u * hat(alpha)
-        rhs_mixed = 2.0 / u * (info["B"].mT + 0.5 / u * hat(gp))
-        return {"plus_plus": np.abs(da_f[PP] - rhs_pp),
-                "minus_minus": np.abs(da_f[MM] - rhs_mm_plain),
-                "minus_minus_rescaled": np.abs(da_f[MM] - rhs_mm_resc),
-                "mixed": np.abs(da_f[PM] - rhs_mixed),
-                "route_agreement": np.abs(rhs_mm_plain - rhs_mm_resc)}
-    return sup(blocks(samples), at)
+        da_f = fr.mT @ da_mat @ fr   # frame components
+        u = u[..., None, None]
+        rhs_mixed = 2.0 / u * (0.5 / u * hat(info["grad_frame"][..., :3]))
+        out.update(plus_plus=np.abs(da_f[PP] + 1.0 / u * hat(alpha)),
+                   minus_minus=np.abs(da_f[MM] - rhs_mm_plain),
+                   minus_minus_rescaled=np.abs(da_f[MM] - rhs_mm_resc),
+                   mixed=np.abs(da_f[PM] - rhs_mixed),
+                   route_agreement=np.abs(rhs_mm_plain - rhs_mm_resc))
+        return out
+    return sup(blocks(samples, STACK_BLOCK), at)
 
 
 def route_agreement(data: KillingData, samples, cfg: StencilConfig) -> float:

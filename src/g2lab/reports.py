@@ -97,7 +97,8 @@ def control_report(measured: dict, required: float, params: dict | None = None,
 
 @dataclass
 class SuiteContext:
-    """Knobs shared by every check in a run, and the results they share."""
+    """Knobs shared by every check in a run; its memo runs an aliased check
+    once per run."""
 
     seed: int
     samples: int

@@ -53,7 +53,6 @@ class So8IntersectionReport:
     sum_dim: int
     intersection_dim: int
     intersection_is_g2: bool       # restricted to the imaginary slots
-    clifford_ok: bool
 
 
 def imaginary_block(sub: Subspace) -> Subspace:
@@ -70,8 +69,6 @@ def imaginary_block(sub: Subspace) -> Subspace:
 
 @functools.lru_cache(maxsize=1)
 def so8_intersection_report() -> So8IntersectionReport:
-    if not clifford_certificate():
-        raise ValueError("gamma anticommutation failed: octonion table corrupt")
     total, inter = Subspace.sum_and_intersection(spin7_basis().reshape(21, 64),
                                                  so7_canonical_basis().reshape(21, 64))
 
@@ -79,5 +76,4 @@ def so8_intersection_report() -> So8IntersectionReport:
         sum_dim=total.dim,
         intersection_dim=inter.dim,
         intersection_is_g2=(imaginary_block(inter) == g2_basis().span),
-        clifford_ok=True,
     )

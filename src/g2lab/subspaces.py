@@ -32,10 +32,12 @@ from .rational import ExactMatrix, _fit, _magnitude
 
 
 def _divide_content(rows: np.ndarray) -> np.ndarray:
-    """Each integer row divided by the gcd of its entries (zero rows kept)."""
+    """Each integer row divided by the gcd of its entries, in place: only the
+    rows whose gcd exceeds 1 are touched (zero rows kept)."""
     g = np.gcd.reduce(rows, axis=1)
-    g[g == 0] = 1
-    return rows // g[:, None]
+    big = g > 1
+    rows[big] //= g[big, None]
+    return rows
 
 
 def rref(rows) -> tuple[ExactMatrix, list[int]]:

@@ -3,9 +3,9 @@
 Each check is a function of the shared context returning its verdict, a
 CheckReport.  `SUITES` names the checks: a function listed under two ids is
 an alias, and the runner (`cli.main`) runs it once per run and stamps each
-line with its id and the run's seed.  Exact certifications carry tolerance 0; finite-difference checks carry the
-tolerance or order band stated with them.  Negative controls pass when the
-expected violation is observed.
+line with its id and the run's seed.  Exact certifications carry tolerance
+0; finite-difference checks carry the tolerance or order band stated with
+them.  Negative controls pass when the expected violation is observed.
 """
 
 from __future__ import annotations
@@ -26,15 +26,15 @@ from .g2construct import (MonopoleData, estimate_order, holonomy_residual,
 from .gibbons import GHData, gh_build
 from .hypersurfaces import (affine_plane, ellipsoid, hypersurface_checks,
                             unit_sphere)
-from .killing import (da_conditions_check, gamma_pair_residual,
-                      killing_conditions_check, rho_torsion_check, route_agreement)
+from .killing import (gamma_pair_residual, quotient_conditions, rho_torsion_check,
+                      route_agreement)
 from .octonions import (NORM_PAIRS, alternativity_certificate, associative_test,
                         calibration_gap, dot, norm_multiplicativity_certificate,
                         standard_cross, standard_octonions, torsion_cross)
 from .rational import ExactMatrix, bracket, combination, exact_json, unit
 from .reports import (CheckReport, SuiteContext, control_report, shortfall,
                       simple_report)
-from .spin8 import so8_intersection_report
+from .spin8 import clifford_certificate, so8_intersection_report
 from .threeform import (dense, invariant_threeform, norm_sq, stabilizer_in_so7,
                         star_phi, wedge_3_4)
 
@@ -128,9 +128,10 @@ def check_algebra_equivariance(ctx: SuiteContext) -> CheckReport:
 def check_algebra_scales(ctx: SuiteContext) -> CheckReport:
     s1 = emb.h_scale_certificate()
     s2 = emb.lift_scale_certificate()
-    res = {"h_scale_inconsistency": 0.0, "lift_scale_inconsistency": 0.0,
+    res = {"h_scale_inconsistency": float(s1 is None),
+           "lift_scale_inconsistency": float(s2 is None),
            "scales_differ": 0.0 if s1 == s2 else 1.0}
-    return simple_report(res, 0.0, params={"scale": exact_json(s1)})
+    return simple_report(res, 0.0, params={"scale": None if s1 is None else exact_json(s1)})
 
 
 def check_algebra_rep_equivalence(ctx: SuiteContext) -> CheckReport:
@@ -149,8 +150,7 @@ def check_algebra_rep_dual(ctx: SuiteContext) -> CheckReport:
 
 
 def check_algebra_clifford(ctx: SuiteContext) -> CheckReport:
-    rep = so8_intersection_report()
-    return simple_report({"anticommutation": 0.0 if rep.clifford_ok else 1.0}, 0.0)
+    return simple_report({"anticommutation": 0.0 if clifford_certificate() else 1.0}, 0.0)
 
 
 def check_algebra_so8(ctx: SuiteContext) -> CheckReport:
@@ -448,11 +448,8 @@ def check_oracle_blocks(ctx: SuiteContext) -> CheckReport:
     data = gallery.killing_taub_nut_data()
     cfg = StencilConfig(h=1e-3)
     pts = _points(ctx, data.domain, 100, cfg)
-    cond = killing_conditions_check(data, pts, cfg)
-    blocks = da_conditions_check(data, pts, cfg)
-    res = {**{f"cond_{k}": v for k, v in cond.items()},
-           **{f"block_{k}": v for k, v in blocks.items()}}
-    return simple_report(res, 1e-4, params=_tag("killing-taub-nut"))
+    return simple_report(quotient_conditions(data, pts, cfg), 1e-4,
+                         params=_tag("killing-taub-nut"))
 
 
 # ---------------------------------------------------------- negative controls
@@ -461,8 +458,8 @@ def check_neg_perturbed_potential(ctx: SuiteContext) -> CheckReport:
     data = gallery.killing_perturbed_data(0.2)
     cfg = StencilConfig(h=1e-3)
     pts = _points(ctx, data.domain, 40, cfg)
-    cond = killing_conditions_check(data, pts, cfg)
-    return control_report({"potential_equation": cond["potential_equation"]}, 0.05,
+    res = quotient_conditions(data, pts, cfg)
+    return control_report({"potential_equation": res["potential_equation"]}, 0.05,
                           params=_tag("killing-perturbed"))
 
 

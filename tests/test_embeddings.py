@@ -163,10 +163,8 @@ def test_scale_certificates_catch_a_layout_error_in_h(monkeypatch):
     good = emb._h_table().num.reshape(6, 6, 6)
     swapped = ExactMatrix(np.concatenate([good[3:], good[:3]]).reshape(6, 36), 2)
     monkeypatch.setattr(emb, "_h_table", lambda: swapped)
-    with pytest.raises(AssertionError, match="not proportional"):
-        emb.h_scale_certificate()
-    with pytest.raises(AssertionError, match="not proportional"):
-        emb.lift_scale_certificate()
+    assert emb.h_scale_certificate() is None
+    assert emb.lift_scale_certificate() is None
 
 
 def test_lift_image_spans_complement():

@@ -1,19 +1,20 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from g2lab.fields import (Domain, StencilConfig, adapted_frame, d_one_form,
-                          fd_gradient, frame_derivatives, hat,
-                          hodge_restricted, sample_points, sup)
+from g2lab.fields import (STACK_BLOCK, Domain, StencilConfig, adapted_frame,
+                          d_one_form, fd_gradient, frame_derivatives, hat,
+                          sample_points, sup)
 from g2lab.g2construct import estimate_order
 from g2lab.gallery import (constant_field, killing_perturbed_data,
                            killing_taub_nut_data, polynomial_sections,
                            rho_polynomial_setup)
-from g2lab.killing import (KillingData, RhoConnectionSetup, da_conditions_check,
-                           gamma_pair_residual, killing_conditions_check,
-                           rho_torsion_check, route_agreement)
+from g2lab.killing import (KillingData, RhoConnectionSetup, gamma_pair_residual,
+                           quotient_conditions, rho_torsion_check, route_agreement)
 from g2lab.modeldata import h6
+from test_fields import reference_block_star
 
 CFG = StencilConfig(h=1e-3)
 
@@ -23,9 +24,7 @@ def killing_flat_data() -> KillingData:
     dom = Domain(lo=(-1.0,) * 6, hi=(1.0,) * 6)
     return KillingData(metric=constant_field(np.eye(6)), u=constant_field(1.0),
                        a_form=constant_field(np.zeros(6)),
-                       b_plus=constant_field(np.zeros(3)),
-                       b_hom=constant_field(np.zeros((3, 3))),
-                       domain=dom, connection=constant_field(np.zeros((6, 6, 6))))
+                       b_plus=constant_field(np.zeros(3)), domain=dom, connection=constant_field(np.zeros((6, 6, 6))))
 
 
 def rho_flat_setup() -> RhoConnectionSetup:
@@ -40,28 +39,32 @@ def pts_of(data, n=10, seed=11, h=2e-3):
     return sample_points(data.domain, n, StencilConfig(h=h), seed=seed)
 
 
+BLOCK_KEYS = ("plus_plus", "minus_minus", "minus_minus_rescaled", "mixed",
+              "route_agreement")
+
+
 def test_flat_data_all_residuals_vanish():
     data = killing_flat_data()
-    res = killing_conditions_check(data, pts_of(data), CFG)
+    res = quotient_conditions(data, pts_of(data), CFG)
     assert all(v <= 1e-10 for v in res.values()), res
 
 
 def test_flat_data_block_equations_vanish():
     data = killing_flat_data()
-    res = da_conditions_check(data, pts_of(data), CFG)
+    res = quotient_conditions(data, pts_of(data), CFG)
     # u constant, twist zero: every right-hand side and dA vanish
-    assert all(v <= 1e-12 for v in res.values()), res
+    assert all(res[k] <= 1e-12 for k in BLOCK_KEYS), res
 
 
 def test_pole_data_satisfies_conditions():
     data = killing_taub_nut_data()
-    res = killing_conditions_check(data, pts_of(data), CFG)
+    res = quotient_conditions(data, pts_of(data), CFG)
     assert all(v <= 1e-4 for v in res.values()), res
 
 
 def test_pole_data_block_equations():
     data = killing_taub_nut_data()
-    res = da_conditions_check(data, pts_of(data), CFG)
+    res = quotient_conditions(data, pts_of(data), CFG)
     # the plain route realizes dA = 2 u^-2 *_- du, the rescaled route
     # dA = -*^1_- d(u^-2); both must hold and agree
     assert res["minus_minus"] <= 1e-4
@@ -75,8 +78,7 @@ def test_route_agreement_is_second_order():
     data = killing_taub_nut_data()
     pts = pts_of(data, n=8)
     h_list = (2e-3, 1e-3, 5e-4)
-    vals = [da_conditions_check(data, pts, StencilConfig(h=h))["route_agreement"]
-            for h in h_list]
+    vals = [route_agreement(data, pts, StencilConfig(h=h)) for h in h_list]
     order = estimate_order(h_list, vals)
     assert order == "exact" or order >= 1.9, (order, vals)
 
@@ -90,8 +92,8 @@ def test_perturbed_potential_detected():
     data = killing_perturbed_data(0.1)
     good = killing_taub_nut_data()
     pts = pts_of(data)
-    res = killing_conditions_check(data, pts, CFG)
-    ref = killing_conditions_check(good, pts, CFG)
+    res = quotient_conditions(data, pts, CFG)
+    ref = quotient_conditions(good, pts, CFG)
     assert res["potential_equation"] >= 0.05
     # only the potential equation is affected
     assert res["torsion_vs_twist"] <= ref["torsion_vs_twist"] + 1e-10
@@ -124,9 +126,6 @@ def test_minus_block_equation_reproduces_determinant_form():
     # on flat blocks with a pole depending only on minus coordinates, the
     # minus-block right-hand side must equal 2 u^-2 det((grad u)_-, X, Y)
     # computed independently from the raw components
-    from g2lab.fields import Domain
-    from g2lab.killing import KillingData, da_conditions_check
-
     for expo in ((1, 0, 0), (2, 1, 0)):
         def u(x, expo=expo):
             return 2.0 + np.prod([x[..., 3 + i] ** e for i, e in enumerate(expo)], axis=0)
@@ -145,7 +144,6 @@ def test_minus_block_equation_reproduces_determinant_form():
         data = KillingData(
             metric=lambda x: np.eye(6), u=u, a_form=lambda x: np.zeros(6),
             b_plus=lambda x: 0.5 / u(x) * du_minus(x),
-            b_hom=lambda x: np.zeros((3, 3)),
             domain=Domain(lo=(-0.6,) * 6, hi=(0.6,) * 6),
             connection=lambda x: np.zeros((6, 6, 6)))
         cfg = StencilConfig(h=1e-4)
@@ -181,29 +179,26 @@ def reference_gamma_info(data, x, cfg):
     u = float(data.u(x))
     du = fd_gradient(data.u, x, cfg)
     return {"frame": frame, "u": u, "grad_frame": frame.T @ du,
-            "b": np.asarray(data.b_plus(x), dtype=float),
-            "B": np.asarray(data.b_hom(x), dtype=float)}
+            "b": np.asarray(data.b_plus(x), dtype=float)}
 
 
 def reference_gamma_expanded(info):
     u = info["u"]
     gp, gm = info["grad_frame"][:3], info["grad_frame"][3:]
-    b, bb = info["b"], info["B"]
+    b = info["b"]
     out = np.zeros((6, 6))
     out[:3, :3] = hat(b) - 0.5 / u * hat(gm)
-    out[:3, 3:] = -bb - 0.5 / u * hat(gp)
-    out[3:, :3] = bb - 0.5 / u * hat(gp)
+    out[:3, 3:] = -0.5 / u * hat(gp)
+    out[3:, :3] = -0.5 / u * hat(gp)
     out[3:, 3:] = hat(b) + 0.5 / u * hat(gm)
     return out
 
 
 def reference_gamma_unexpanded(info):
     u = info["u"]
-    b, bb = info["b"], info["B"]
+    b = info["b"]
     bcal = np.zeros((6, 6))
     bcal[:3, :3] = hat(b)
-    bcal[:3, 3:] = -bb
-    bcal[3:, :3] = bb
     bcal[3:, 3:] = hat(b)
     return bcal - h6(info["grad_frame"]) / u
 
@@ -248,9 +243,7 @@ def reference_killing_conditions(data, pts, cfg):
             omega = omega + h6(gamma_f[:, a])
             out["corrected_metricity"].append(np.abs(omega + omega.T))
         return out
-    res = sup(pts, at)
-    res["corrected_torsion"] = res["torsion_vs_twist"]
-    return res
+    return sup(pts, at)
 
 
 def reference_minus_block_routes(data, info, x, cfg):
@@ -260,7 +253,7 @@ def reference_minus_block_routes(data, info, x, cfg):
     rhs_mm_plain = -1.0 / u * hat(alpha + 2.0 / u * gm)
     du2 = fd_gradient(lambda q: np.asarray(data.u(q), float) ** -2, x, cfg)
     du2_frame = (fr.T @ du2)[3:]
-    rhs_mm_resc = -hodge_restricted(du2_frame - alpha / u ** 2, u ** 2 * np.eye(3))
+    rhs_mm_resc = -reference_block_star(du2_frame - alpha / u ** 2, u ** 2 * np.eye(3))
     return alpha, rhs_mm_plain, rhs_mm_resc
 
 
@@ -272,7 +265,7 @@ def reference_da_conditions(data, pts, cfg):
         alpha, plain, resc = reference_minus_block_routes(data, info, x, cfg)
         da_f = fr.T @ d_one_form(data.a_form, x, cfg) @ fr
         rhs_pp = -1.0 / u * hat(alpha)
-        rhs_mixed = 2.0 / u * (info["B"].T + 0.5 / u * hat(gp))
+        rhs_mixed = 2.0 / u * (0.5 / u * hat(gp))
         return {"plus_plus": np.abs(da_f[:3, :3] - rhs_pp),
                 "minus_minus": np.abs(da_f[3:, 3:] - plain),
                 "minus_minus_rescaled": np.abs(da_f[3:, 3:] - resc),
@@ -345,10 +338,9 @@ def test_quotient_verifiers_match_their_pointwise_references(name):
     pts = sample_points(data.domain, 70, StencilConfig(h=2e-3), seed=29)
     _assert_close(gamma_pair_residual(data, pts, CFG),
                   reference_gamma_pair(data, pts, CFG), 1e-9)
-    _assert_close(killing_conditions_check(data, pts, CFG),
-                  reference_killing_conditions(data, pts, CFG), 1e-9)
-    _assert_close(da_conditions_check(data, pts, CFG),
-                  reference_da_conditions(data, pts, CFG), 1e-9)
+    _assert_close(quotient_conditions(data, pts, CFG),
+                  {**reference_killing_conditions(data, pts, CFG),
+                   **reference_da_conditions(data, pts, CFG)}, 1e-9)
     _assert_close(route_agreement(data, pts, CFG),
                   reference_route_agreement(data, pts, CFG), 1e-9)
 
@@ -364,9 +356,31 @@ def test_rho_torsion_matches_its_pointwise_reference(flat):
                   reference_rho_torsion(setup, secs, pts, CFG), 1e-5)
 
 
+def test_quotient_conditions_read_each_field_on_the_rows_of_one_pass():
+    """Per block of k points: metric on the points and on the frame
+    stencil, u on the points, on the stencil of its gradient and on the
+    rescaled route's own stencil of u^-2, a_form on the stencil of dA, and
+    b_plus and connection on the points, each once (12 k rows a stencil)."""
+    data = killing_taub_nut_data()
+    pts = sample_points(data.domain, STACK_BLOCK + 3, StencilConfig(h=2e-3), seed=4)
+    rows = {name: [] for name in ("metric", "u", "a_form", "b_plus", "connection")}
+
+    def counting(name):
+        field = getattr(data, name)
+        return lambda p: rows[name].append(len(p)) or field(p)
+
+    counted = dataclasses.replace(data, **{name: counting(name) for name in rows})
+    assert quotient_conditions(counted, pts, CFG) == quotient_conditions(data, pts, CFG)
+
+    def one_pass(k):
+        return {"metric": [k, 12 * k], "u": [k, 12 * k, 12 * k], "a_form": [12 * k],
+                "b_plus": [k], "connection": [k]}
+    assert rows == {name: one_pass(STACK_BLOCK)[name] + one_pass(3)[name] for name in rows}
+
+
 # ------------------------------------------------------ broadcasting fields
 
-QUOTIENT_FIELDS = ("metric", "u", "a_form", "b_plus", "b_hom", "connection")
+QUOTIENT_FIELDS = ("metric", "u", "a_form", "b_plus", "connection")
 RHO_FIELDS = ("u", "gamma_tm", "gamma_one")
 
 
@@ -401,8 +415,8 @@ def test_quotient_field_on_a_block_equals_row_by_row(name):
 # Measured with NumPy 2.4.6 on 800 points: 64-392 KiB, the top being
 # rho_torsion_check (64-point blocks, fields.BLOCK; its stars and directional
 # stencils stack 78 rows per point), 77% of this bound.  Its frame field
-# stacked on 12 rows per point, killing_conditions_check reads 330 KiB at
-# 32-point blocks (fields.STACK_BLOCK) and 647 KiB at 64.  tracemalloc
+# stacked on 12 rows per point, quotient_conditions reads 329 KiB at
+# 32-point blocks (fields.STACK_BLOCK) and 644 KiB at 64.  tracemalloc
 # counts NumPy's temporaries, so another NumPy version or a reshuffle of that
 # check can move the margin: re-measure before changing the bound.
 PEAK_BOUND = 512 * 1024
@@ -426,8 +440,7 @@ def _memory_runs():
     rho_pts = sample_points(setup.domain, 800, StencilConfig(h=2e-3), seed=7)
     return {
         "gamma_pair_residual": lambda: gamma_pair_residual(data, pts, CFG),
-        "killing_conditions_check": lambda: killing_conditions_check(data, pts, CFG),
-        "da_conditions_check": lambda: da_conditions_check(data, pts, CFG),
+        "quotient_conditions": lambda: quotient_conditions(data, pts, CFG),
         "route_agreement": lambda: route_agreement(data, pts, CFG),
         "rho_torsion_check": lambda: rho_torsion_check(setup, secs, rho_pts, CFG),
     }

@@ -7,9 +7,10 @@ A fault monkeypatches one function with a replacement, mostly a wrapper of it:
 is built, so that the built bundle's metric or coframe is off;
 `taub_nut_monopole`, so that its v is pushed off the monopole equation; the
 builder of a positive check's data, so that it returns data that breaks what
-the check asserts; or, for a negative control, the builder of its data, so
-that the planted defect is gone.  Each check runs alone, on a fresh context
-at 25 samples.
+the check asserts; an exact table (`_h_table`, `gamma_matrices`) with one
+row scaled; or, for a negative control, the builder of its data, so that the
+planted defect is gone.  Each check runs alone, on a fresh context at 25
+samples.
 
 The table names the module beside the function, because a check reads a
 builder from where it is imported: `hypersurface.sphere` calls `unit_sphere`
@@ -21,7 +22,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from g2lab import gallery, hypersurfaces, suites, threeform
+from g2lab import embeddings, gallery, hypersurfaces, spin8, suites, threeform
 from g2lab.rational import ExactMatrix, combinations_index
 from g2lab.reports import SuiteContext
 
@@ -68,6 +69,19 @@ def returns(make):
     return fault
 
 
+def row_times(row, factor):
+    """A builder of an exact stack whose `row` (an index into its numerator)
+    is `factor` times its own."""
+    def fault(build):
+        def faulty():
+            value = build()
+            num = value.num.copy()
+            num[row] *= factor
+            return ExactMatrix(num, value.den)
+        return faulty
+    return fault
+
+
 def plus_unit_456():
     """The invariant 3-form plus the unit component on the triple (4, 5, 6):
     squared norm 8, and phi(e4, e5, e6) = 1."""
@@ -102,6 +116,10 @@ FAULTS = {
                            returns(plus_unit_456)),
     "star-wedge-off-norm": ("octonion.star-wedge", suites, "invariant_threeform",
                             returns(plus_unit_456)),
+    "h-row-doubled": ("algebra.embedding-scales", embeddings, "_h_table",
+                      row_times(0, 2)),
+    "gamma-row-negated": ("algebra.clifford", spin8, "gamma_matrices",
+                          row_times((0, 1), -1)),
 }
 
 

@@ -33,7 +33,6 @@ def test_sum_is_so8_and_intersection_is_g2():
     assert rep.sum_dim == 28
     assert rep.intersection_dim == 14
     assert rep.intersection_is_g2
-    assert rep.clifford_ok
 
 
 def test_imaginary_block_equals_the_span_of_the_restricted_rows():

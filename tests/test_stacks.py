@@ -278,17 +278,16 @@ def test_a_flipped_gamma_entry_fails_clifford(monkeypatch):
         assert not spin8.clifford_certificate(), (i, k, j)
 
 
-def test_a_broken_member_fails_the_scale_certificate():
-    rhs = emb.h_map(unit_rows(6))
-    twice = rhs.scale(2)
-    assert emb._one_scale(twice, rhs, "h") == 2
-    num = twice.num.copy()
-    num[3] *= 3     # member 3 is 6 h: proportional, at another scale
-    with pytest.raises(AssertionError, match="scale differs"):
-        emb._one_scale(ExactMatrix(num.copy(), twice.den), rhs, "h")
-    num[3, 0, 0] += 1   # where h(e_3) is 0: member 3 is no longer proportional
-    with pytest.raises(AssertionError, match="not proportional"):
-        emb._one_scale(ExactMatrix(num, twice.den), rhs, "h")
+def test_a_broken_member_fails_the_scale_certificate(monkeypatch):
+    table = emb._h_table()
+    assert emb.h_scale_certificate() == 2
+    num = table.num.copy()
+    num[3] *= 3     # h(e_3) three times over: proportional, at another scale
+    monkeypatch.setattr(emb, "_h_table", lambda: ExactMatrix(num.copy(), table.den))
+    assert emb.h_scale_certificate() is None
+    num[3, 0] += 1   # where h(e_3) is 0: member 3 is no longer proportional
+    monkeypatch.setattr(emb, "_h_table", lambda: ExactMatrix(num, table.den))
+    assert emb.h_scale_certificate() is None
 
 
 def test_an_empty_stack_is_refused(monkeypatch):
