@@ -26,18 +26,11 @@ from .rational import combinations_index, sort_with_sign
 
 @dataclass(frozen=True)
 class MonopoleData:
-    """A pair (v, A) on the 6-dimensional base, with the optional twist form
-    of the weak case.  v and A must be basic: constant along the plus block
-    and, for A, annihilating it."""
+    """A pair (v, A) on the 6-dimensional base.  v and A must be basic:
+    constant along the plus block and, for A, annihilating it."""
 
     v: Callable[[np.ndarray], np.ndarray]
     a: Callable[[np.ndarray], np.ndarray]          # 6 components
-    alpha: Callable[[np.ndarray], np.ndarray] | None = None   # minus-block 1-form, 3 comps
-
-    def alpha_or_zero(self, x: np.ndarray) -> np.ndarray:
-        if self.alpha is None:
-            return np.zeros(np.shape(x)[:-1] + (3,))
-        return np.asarray(self.alpha(x), float)
 
 
 @dataclass(frozen=True)
@@ -60,23 +53,18 @@ class G2MetricBundle:
 
 
 def weak_monopole_residual(mono: MonopoleData, samples, cfg: StencilConfig) -> dict:
-    """Blockwise weak monopole residuals on the flat base:
-    (dA)++ - u^-1 *_+ alpha,  (dA)+-,  (dA)-- + *_- (dv - v alpha),
-    plus basicness (v and A constant along the plus block, and A annihilating
-    it), with u = v^(-1/2).  On an orthonormal 3-block the star of a 1-form
-    is -hat.  Without twist the three blocks are those of the monopole
-    equation dA = -*_H dv."""
+    """Blockwise monopole residuals on the flat base, (dA)++, (dA)+- and
+    (dA)-- + *_- dv, plus basicness (v and A constant along the plus block,
+    and A annihilating it).  On an orthonormal 3-block the star of a 1-form
+    is -hat.  The flat base's twist alpha is 0, so these are the weak monopole
+    equations, and together the monopole equation dA = -*_H dv."""
     def at(x):
-        alpha = mono.alpha_or_zero(x)
         a0, grad_a, _ = star_jet(mono.a, x, cfg)
-        v, dv, _ = star_jet(mono.v, x, cfg)
+        _, dv, _ = star_jet(mono.v, x, cfg)
         da = grad_a - grad_a.mT
-        v = v[..., None]
-        # alpha is carried to the plus block by the positional identification;
-        # u^-1 = v^(1/2)
-        return {"plus_plus": np.abs(da[PP] + np.sqrt(v)[..., None] * hat(alpha)),
+        return {"plus_plus": np.abs(da[PP]),
                 "mixed": np.abs(da[PM]),
-                "minus_minus": np.abs(da[MM] - hat(dv[..., MINUS6] - v * alpha)),
+                "minus_minus": np.abs(da[MM] - hat(dv[..., MINUS6])),
                 "basic_v": np.abs(dv[..., PLUS6]),
                 "basic_a": np.maximum(np.max(np.abs(grad_a[..., PLUS6, :]), axis=(-2, -1)),
                                       np.max(np.abs(a0[..., PLUS6]), axis=-1))}
@@ -88,9 +76,9 @@ def g2_build_thm1(mono: MonopoleData, domain6: Domain) -> G2MetricBundle:
     6-base, k_+ and k_- the identity on each block.
 
     Both constructions assemble this metric from a pair (v, A) that satisfies
-    the weak monopole equations (`weak_monopole_residual`); the first is the
-    case without twist (`mono.alpha` None), where the three blocks together
-    are the monopole equation dA = -*_H dv.  The builder only assembles: the
+    the weak monopole equations (`weak_monopole_residual`), whose twist is 0
+    on the flat base, so that the three blocks together are the monopole
+    equation dA = -*_H dv.  The builder only assembles: the
     suites sample the hypothesis on a run's points.  The bundle lives over t
     in [-1, 1]; its metric and coframe take a point or a block of points, as
     must the fields of `mono`.

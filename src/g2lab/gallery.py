@@ -22,7 +22,7 @@ from .gibbons import (CENTER_MARGIN, STRING_MARGIN, GHData, dirac_potential,
                       dirac_string_exclusion, margined,
                       monopole_center_exclusion, radius, spatial_domain,
                       v_flat_quotient, v_nonharmonic, v_taub_nut)
-from .killing import KillingData, RhoConnectionSetup
+from .killing import KillingData
 from .modeldata import h6
 
 
@@ -120,8 +120,9 @@ def thm2_mismatched_alpha_bundle(eps: float):
     """A potential carrying a plus-block piece consistent only with a nonzero
     twist, over a flat product base whose true twist vanishes.
 
-    Returns (bundle, monopole data); the weak residual against the base's
-    alpha = 0 and the built torsion both stay bounded below.
+    Returns (bundle, monopole data, the planted twist alpha); the weak
+    residual of the pair on the flat base, whose twist is 0, and the built
+    torsion both stay bounded below.
     """
     base_a = monopole_potential6()
 
@@ -136,8 +137,8 @@ def thm2_mismatched_alpha_bundle(eps: float):
         out[..., 0] = -eps * np.power(taub_nut_v6(x), -0.5)
         return out
 
-    mono = MonopoleData(v=taub_nut_v6, a=a, alpha=fake_alpha)
-    return g2_build_thm1(mono, base_domain6()), mono
+    mono = MonopoleData(v=taub_nut_v6, a=a)
+    return g2_build_thm1(mono, base_domain6()), mono, fake_alpha
 
 
 def warped_control_bundle() -> G2MetricBundle:
@@ -234,7 +235,7 @@ def killing_perturbed_data(eps: float) -> KillingData:
                        connection=good.connection)
 
 
-# ------------------------------------------------------ anchored-torsion data
+# ------------------------------------------------------------------- registry
 
 GALLERY = {
     "gh-flat-quotient": {"builder": "gh_flat_example",
@@ -265,6 +266,8 @@ GALLERY = {
 }
 
 
+# ------------------------------------------------------ anchored-torsion data
+
 def _powers(x: np.ndarray) -> np.ndarray:
     """The stacked powers (x, x^2, x^3), of shape (..., 3, dim): a cubic
     polynomial without constant term is one contraction with them."""
@@ -279,26 +282,15 @@ def _uniform(rng: random.Random, bound: float, shape: tuple) -> np.ndarray:
                      for _ in range(math.prod(shape))]).reshape(shape)
 
 
-def rho_polynomial_setup(seed: int) -> RhoConnectionSetup:
-    """Cubic-coefficient fields on the flat 6-box: smooth, with nonvanishing
-    third derivatives so stencil errors scale honestly."""
-    rng = random.Random(seed)
-    c_g = _uniform(rng, 0.4, (6, 6, 3, 6))
-    c_u = _uniform(rng, 0.2, (3, 6))
-    c_1 = _uniform(rng, 0.4, (6, 3, 6))
-
-    def gamma_tm(x):
-        return np.einsum('ijdm,...dm->...ij', c_g, _powers(x))
+def rho_polynomial_setup(seed: int) -> tuple:
+    """(u, domain): a cubic-coefficient function u on the flat 6-box, smooth,
+    with nonvanishing third derivatives so stencil errors scale honestly."""
+    c_u = _uniform(random.Random(seed), 0.2, (3, 6))
 
     def u(x):
         return 2.0 + np.einsum('dm,...dm->...', c_u, _powers(x))
 
-    def gamma_one(x):
-        return np.einsum('idm,...dm->...i', c_1, _powers(x))
-
-    dom = Domain(lo=(-0.8,) * 6, hi=(0.8,) * 6)
-    return RhoConnectionSetup(u=u, gamma_tm=gamma_tm, gamma_one=gamma_one,
-                              domain=dom)
+    return u, Domain(lo=(-0.8,) * 6, hi=(0.8,) * 6)
 
 
 def polynomial_sections(seed: int) -> list:

@@ -18,6 +18,11 @@ coordinate stencils), so each pair serves as its own oracle.
 The block section b is supplied in adapted-frame components; the frame is the
 blockwise Cholesky frame of the metric, which fixes the plus/minus
 identification positionally.
+
+The oracle pair `rho_torsion_check` checks that the flat connection is
+torsion-free on sections.  The anchored connection's twist, a section gamma
+of Hom(E, TM), is not sampled: it enters both routes of the torsion as the
+same expression and cancels.
 """
 
 from __future__ import annotations
@@ -29,8 +34,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fields import (MM, PM, PP, STACK_BLOCK, Domain, StencilConfig,
-                     _at_offsets, _central, adapted_frame, blocks, d_one_form,
-                     fd_gradient, frame_derivatives, hat, star_jet, sup)
+                     _at_offsets, _central, _shifts, adapted_frame, blocks,
+                     d_one_form, fd_gradient, frame_derivatives, hat, star_jet,
+                     sup)
 from .modeldata import h6
 
 
@@ -58,9 +64,12 @@ class KillingData:
         u = np.asarray(self.u(x), dtype=float)
         if np.any(u == 0.0):
             raise ValueError(f"u vanishes at {x}")
+        # u at x +- h e_a, read once for grad u here and grad u^-2 in
+        # _minus_block_routes
+        u_shifted = _at_offsets(self.u, x, _shifts(x.shape[-1], cfg.h))
         # frame components of the gradient
-        grad_frame = np.vecmat(fd_gradient(self.u, x, cfg), frame)
-        return {"frame": frame, "u": u, "grad_frame": grad_frame,
+        grad_frame = np.vecmat(_central(u_shifted, x, cfg.h), frame)
+        return {"frame": frame, "u": u, "u_shifted": u_shifted, "grad_frame": grad_frame,
                 "b": np.asarray(self.b_plus(x), dtype=float)}
 
 
@@ -97,8 +106,7 @@ def gamma_pair_residual(data: KillingData, samples, cfg: StencilConfig) -> float
     return sup(blocks(samples), at)["pair"]
 
 
-def _minus_block_routes(data: KillingData, info: dict, x: np.ndarray,
-                        cfg: StencilConfig) -> tuple:
+def _minus_block_routes(info: dict, x: np.ndarray, cfg: StencilConfig) -> tuple:
     """alpha = <2b - u^-1 (grad u)_-, .> and the right-hand side of (dA)-- by
     the plain and by the rescaled pairing (see quotient_conditions).  The
     rescaled metric on the minus block is u^2 I, so minus its star of a
@@ -109,7 +117,7 @@ def _minus_block_routes(data: KillingData, info: dict, x: np.ndarray,
 
     rhs_mm_plain = -1.0 / u[..., None] * hat(alpha + 2.0 / u * gm)
 
-    du2 = fd_gradient(lambda q: data.u(q) ** -2, x, cfg)
+    du2 = _central(info["u_shifted"] ** -2, x, cfg.h)
     du2_frame = np.vecmat(du2, fr)[..., 3:]
     rhs_mm_resc = u[..., None] * hat(du2_frame - alpha / u ** 2)
     return alpha, rhs_mm_plain, rhs_mm_resc
@@ -171,7 +179,7 @@ def quotient_conditions(data: KillingData, samples, cfg: StencilConfig) -> dict:
             omega = omega + h_cols[..., a, :, :]
             out["corrected_metricity"].append(np.abs(omega + omega.mT))
 
-        alpha, rhs_mm_plain, rhs_mm_resc = _minus_block_routes(data, info, x, cfg)
+        alpha, rhs_mm_plain, rhs_mm_resc = _minus_block_routes(info, x, cfg)
         da_f = fr.mT @ da_mat @ fr   # frame components
         u = u[..., None, None]
         rhs_mixed = 2.0 / u * (0.5 / u * hat(info["grad_frame"][..., :3]))
@@ -189,74 +197,42 @@ def route_agreement(data: KillingData, samples, cfg: StencilConfig) -> float:
     differentiate u and u^-2 through separate stencils, so their agreement is
     a genuine mutual oracle with an O(h^2) discrepancy."""
     def at(x):
-        _, plain, resc = _minus_block_routes(data, data.gamma_info(x, cfg), x, cfg)
+        _, plain, resc = _minus_block_routes(data.gamma_info(x, cfg), x, cfg)
         return {"route_agreement": np.abs(plain - resc)}
     return sup(blocks(samples), at)["route_agreement"]
 
 
-@dataclass(frozen=True)
-class RhoConnectionSetup:
-    """Data for the anchored-connection torsion oracle on a flat 6-box, with
-    the flat coordinate connection; every field takes a point or a block of
-    points.
+def rho_torsion_check(u: Callable[[np.ndarray], np.ndarray], sections: Sequence,
+                      samples, cfg: StencilConfig) -> dict:
+    """The flat connection is torsion-free on sections, by two independent
+    stencil routes.
 
-    gamma_tm and gamma_one are the two components of the Hom(E, TM) section.
-    """
-
-    u: Callable[[np.ndarray], np.ndarray]
-    gamma_tm: Callable[[np.ndarray], np.ndarray]          # 6x6
-    gamma_one: Callable[[np.ndarray], np.ndarray]         # 6
-    domain: Domain
-
-
-def rho_torsion_check(setup: RhoConnectionSetup, sections: Sequence, samples,
-                      cfg: StencilConfig) -> dict:
-    """Two independent computations of the anchored-connection torsion.
-
-    Direct route: antisymmetrized covariant derivatives of honest section
-    fields (directional stencils along the section values) minus their bracket
-    (coordinate stencils).  Closed route: the torsion formula, pointwise in
-    the section values.  The two agree up to stencil truncation; the reported
-    discrepancy therefore decreases at the stencil order.
+    Tangent pairs: |nabla_X Y - nabla_Y X - [X, Y]|, the covariant derivatives
+    by directional stencils along the section values, the bracket by
+    coordinate stencils.  Axis pairs: |X(u) - X . du| / |u|, the directional
+    stencil of u against its coordinate gradient.  Both read the stencil
+    truncation alone, so the discrepancy decreases at the stencil order.  The
+    anchored twist h(gamma X) Y - h(gamma Y) X enters both routes of a
+    tangent pair as the same expression and cancels, so it is not sampled.
     """
     def at(x):
-        gtm = np.asarray(setup.gamma_tm(x), float)
-        g1 = np.asarray(setup.gamma_one(x), float)
-        u, du, _ = star_jet(setup.u, x, cfg)
+        u_x, du, _ = star_jet(u, x, cfg)
         values, jacobians = zip(*(star_jet(s, x, cfg)[:2] for s in sections))
         # (f(x + h v) - f(x - h v)) / 2h of u and the sections along each section
         # value v: not assembled from coordinate partials, so independent of them
         along = cfg.h * np.stack(values, axis=-2)
         offsets = np.concatenate([along, -along], axis=-2)     # they move with x
         u_along, *sections_along = (_central(_at_offsets(f, x, offsets), x, cfg.h)
-                                    for f in (setup.u, *sections))
+                                    for f in (u, *sections))
 
         out = {"tangent_pairs": [], "axis_pairs": []}
         for si, xv in enumerate(values):
-            gx = np.matvec(gtm, xv)
             for sj in range(si + 1, len(sections)):
                 yv = values[sj]
-                gy = np.matvec(gtm, yv)
-
-                # direct: directional covariant derivatives, coordinate bracket
-                nab_xy = sections_along[sj][..., si, :]
-                nab_yx = sections_along[si][..., sj, :]
                 lie = np.vecmat(xv, jacobians[sj]) - np.vecmat(yv, jacobians[si])
-                direct_tm = ((nab_xy + np.matvec(h6(gx), yv))
-                             - (nab_yx + np.matvec(h6(gy), xv)) - lie)
-
-                # closed: the flat connection is torsion-free, so only the
-                # twist terms remain
-                closed_tm = np.matvec(h6(gx), yv) - np.matvec(h6(gy), xv)
-                out["tangent_pairs"].append(np.abs(direct_tm - closed_tm))
-
-            # (X, axis) pair: the axis direction has zero anchor, so the
-            # tangent parts agree pointwise; the scalar part differs only in
-            # the X(u) stencil (directional vs assembled from the gradient)
-            xu_dir = u_along[..., si]
-            xu_coord = np.vecdot(xv, du)
-            direct_ax = xu_dir / u + np.vecdot(g1, xv)
-            closed_ax = xu_coord / u + np.vecdot(g1, xv)
-            out["axis_pairs"].append(np.abs(direct_ax - closed_ax))
+                torsion = sections_along[sj][..., si, :] - sections_along[si][..., sj, :] - lie
+                out["tangent_pairs"].append(np.abs(torsion))
+            xu_dir, xu_coord = u_along[..., si], np.vecdot(xv, du)
+            out["axis_pairs"].append(np.abs(xu_dir - xu_coord) / np.abs(u_x))
         return out
     return sup(blocks(samples), at)

@@ -413,14 +413,14 @@ def check_hyp_ellipsoid(ctx: SuiteContext) -> CheckReport:
 # -------------------------------------------------------------- oracle pairs
 
 def check_oracle_torsion(ctx: SuiteContext) -> CheckReport:
-    setup = gallery.rho_polynomial_setup(ctx.seed)
+    u, domain = gallery.rho_polynomial_setup(ctx.seed)
     secs = gallery.polynomial_sections(ctx.seed + 1)
 
     def measure(pts, cfg):
-        r = rho_torsion_check(setup, secs, pts, cfg)
+        r = rho_torsion_check(u, secs, pts, cfg)
         return {"discrepancy": float(np.maximum(r["tangent_pairs"], r["axis_pairs"]))}
 
-    by_h, order = _order_study(ctx, "oracle-pairs.torsion", setup.domain, 200,
+    by_h, order = _order_study(ctx, "oracle-pairs.torsion", domain, 200,
                                ORACLE_H_LIST, measure)
     return _over_truncation(by_h, order)
 
@@ -480,18 +480,17 @@ def check_neg_broken_monopole(ctx: SuiteContext) -> CheckReport:
 
 
 def check_neg_mismatched_twist(ctx: SuiteContext) -> CheckReport:
-    bundle, mono = gallery.thm2_mismatched_alpha_bundle(0.1)
+    bundle, mono, alpha = gallery.thm2_mismatched_alpha_bundle(0.1)
     cfg = StencilConfig(h=1e-3)
     dom = gallery.base_domain6()
     # the sampler is prefix-stable: the twist witness is always the same
     # first six points, whatever the budget
     pts6 = sample_points(dom, max(6, ctx.scaled_samples(15)), cfg, seed=ctx.seed)
-    honest = MonopoleData(v=mono.v, a=mono.a, alpha=None)
-    weak = weak_monopole_residual(honest, pts6, cfg)
+    weak = weak_monopole_residual(mono, pts6, cfg)
     pts7 = _points(ctx, bundle.domain, 10, StencilConfig(h=1e-2))
     tf = torsionfree_residual(bundle, pts7, StencilConfig(h=1e-2))
     return control_report({"weak_residual_vs_true_base": weak["plus_plus"],
-                           "planted_twist": planted_twist(mono.alpha, pts6[:6]),
+                           "planted_twist": planted_twist(alpha, pts6[:6]),
                            "sup_dphi": tf["sup_dphi"]}, 0.01,
                           params=_tag("thm2-mismatched-alpha"))
 

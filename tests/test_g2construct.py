@@ -139,7 +139,7 @@ def test_weak_residual_without_twist_is_the_monopole_equation(case, h):
 
 
 def test_weak_monopole_residuals_zero_twist():
-    mono = MonopoleData(v=taub_nut_v6, a=monopole_potential6(), alpha=None)
+    mono = MonopoleData(v=taub_nut_v6, a=monopole_potential6())
     cfg = StencilConfig(h=1e-3)
     pts = sample_points(base_domain6(), 10, cfg, seed=8)
     res = weak_monopole_residual(mono, pts, cfg)
@@ -277,19 +277,12 @@ def test_coframe_equals_the_cholesky_coframe():
 
 
 def test_mismatched_twist_flagged_everywhere():
-    bundle, mono = thm2_mismatched_alpha_bundle(0.1)
+    bundle, mono, alpha = thm2_mismatched_alpha_bundle(0.1)
     cfg = StencilConfig(h=1e-3)
     pts6 = sample_points(base_domain6(), 8, cfg, seed=11)
-    # the fabricated twist was derived to solve the plus-block equation for
-    # this potential, a sign-sensitive closed form; the minus-block equation
-    # then breaks, exposing the inconsistency of the triple
-    fake = weak_monopole_residual(mono, pts6, cfg)
-    assert fake["plus_plus"] <= 1e-4
-    assert fake["minus_minus"] >= 0.01
-    honest = MonopoleData(v=mono.v, a=mono.a, alpha=None)
-    weak = weak_monopole_residual(honest, pts6, cfg)
+    weak = weak_monopole_residual(mono, pts6, cfg)
     assert weak["plus_plus"] >= 0.01          # the pair fails the true equations
-    assert planted_twist(mono.alpha, pts6[:4]) >= 0.01   # alpha disagrees with the base
+    assert planted_twist(alpha, pts6[:4]) >= 0.01   # alpha disagrees with the base
     pts7 = bundle_points(bundle, n=5, h=1e-2)
     tf = torsionfree_residual(bundle, pts7, StencilConfig(h=1e-2))
     assert tf["sup_dphi"] >= 0.01             # and the build is not torsion-free
@@ -333,51 +326,6 @@ def test_flat_bundle_holonomy_zero_over_zero_convention():
     hol = holonomy_residual(b, pts, StencilConfig(h=1e-2))
     assert hol["off_g2_fraction"] == 0.0
     assert hol["curvature_norm"] <= 1e-10
-
-
-# The twist terms of the weak monopole equations on data where each term is
-# known in closed form: flat base, v = 4, a constant twist alpha.
-TWIST = np.array([0.3, -0.5, 0.2])
-
-
-def constant_v(x):
-    return np.full(np.shape(x)[:-1], 4.0)
-
-
-def constant_twist(x):
-    return np.broadcast_to(TWIST, np.shape(x)[:-1] + (3,))
-
-
-def test_weak_monopole_twist_terms_with_a_vanishing_potential():
-    """A = 0: (dA)++ = 0 = u^-1 *alpha - 2 *alpha leaves 2 max|alpha|, and
-    (dA)-- = 0 against *(dv - v alpha) = -4 *alpha leaves 4 max|alpha|."""
-    mono = MonopoleData(v=constant_v, a=lambda x: np.zeros(np.shape(x)[:-1] + (6,)),
-                        alpha=constant_twist)
-    cfg = StencilConfig(h=1e-3)
-    pts = sample_points(base_domain6(), 10, cfg, seed=8)
-    res = weak_monopole_residual(mono, pts, cfg)
-    big = np.max(np.abs(TWIST))
-    assert abs(res["plus_plus"] - 2 * big) <= 1e-12
-    assert abs(res["minus_minus"] - 4 * big) <= 1e-12
-    assert res["mixed"] == 0.0
-    assert res["basic_v"] == 0.0 and res["basic_a"] == 0.0
-
-
-def test_weak_monopole_minus_block_closes_with_curl_a_equal_to_v_alpha():
-    """A = 2 alpha x y on the minus block y has curl A = 4 alpha = v alpha,
-    so (dA)-- + *(dv - v alpha) vanishes; the plus block keeps 2 max|alpha|."""
-    def potential(x):
-        a = np.zeros(np.shape(x)[:-1] + (6,))
-        a[..., 3:] = 2 * np.cross(TWIST, x[..., 3:])
-        return a
-
-    mono = MonopoleData(v=constant_v, a=potential, alpha=constant_twist)
-    cfg = StencilConfig(h=1e-3)
-    pts = sample_points(base_domain6(), 10, cfg, seed=8)
-    res = weak_monopole_residual(mono, pts, cfg)
-    assert res["minus_minus"] <= 1e-9
-    assert res["mixed"] <= 1e-9
-    assert abs(res["plus_plus"] - 2 * np.max(np.abs(TWIST))) <= 1e-12
 
 
 def test_torsion_reads_the_coframe_once_per_block_for_its_stencil():

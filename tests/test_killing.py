@@ -1,19 +1,21 @@
 import dataclasses
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from g2lab.fields import (STACK_BLOCK, Domain, StencilConfig, adapted_frame,
-                          d_one_form, fd_gradient, frame_derivatives, hat,
-                          sample_points, sup)
+from g2lab.fields import (STACK_BLOCK, Domain, StencilConfig, _at_offsets, _central,
+                          adapted_frame, blocks, d_one_form, fd_gradient,
+                          frame_derivatives, hat, sample_points, star_jet, sup)
 from g2lab.g2construct import estimate_order
-from g2lab.gallery import (constant_field, killing_perturbed_data,
+from g2lab.gallery import (_powers, _uniform, constant_field, killing_perturbed_data,
                            killing_taub_nut_data, polynomial_sections,
                            rho_polynomial_setup)
-from g2lab.killing import (KillingData, RhoConnectionSetup, gamma_pair_residual,
-                           quotient_conditions, rho_torsion_check, route_agreement)
+from g2lab.killing import (KillingData, gamma_pair_residual, quotient_conditions,
+                           rho_torsion_check, route_agreement)
 from g2lab.modeldata import h6
+from g2lab.suites import ORACLE_H_LIST
 from test_fields import reference_block_star
 
 CFG = StencilConfig(h=1e-3)
@@ -27,12 +29,9 @@ def killing_flat_data() -> KillingData:
                        b_plus=constant_field(np.zeros(3)), domain=dom, connection=constant_field(np.zeros((6, 6, 6))))
 
 
-def rho_flat_setup() -> RhoConnectionSetup:
-    """Constant rho-connection data on the flat 6-box."""
-    dom = Domain(lo=(-1.0,) * 6, hi=(1.0,) * 6)
-    return RhoConnectionSetup(u=constant_field(1.0),
-                              gamma_tm=constant_field(np.zeros((6, 6))),
-                              gamma_one=constant_field(np.zeros(6)), domain=dom)
+def rho_flat_setup() -> tuple:
+    """(u, domain): constant u on the flat 6-box."""
+    return constant_field(1.0), Domain(lo=(-1.0,) * 6, hi=(1.0,) * 6)
 
 
 def pts_of(data, n=10, seed=11, h=2e-3):
@@ -74,6 +73,25 @@ def test_pole_data_block_equations():
     assert res["route_agreement"] <= 1e-5
 
 
+def test_mixed_reads_a_planted_mixed_term():
+    """The shipped data's u depends on the minus block alone and its dA has
+    no mixed block, so `mixed` reads 0.0 there.  eps x1 dx5 added to A plants
+    dA(f_1, f_5) = eps u, which `mixed` must read."""
+    good = killing_taub_nut_data()
+    eps = 0.01
+
+    def a_form(x):
+        out = good.a_form(x).copy()
+        out[..., 4] += eps * x[..., 0]
+        return out
+
+    pts = pts_of(good)
+    assert quotient_conditions(good, pts, CFG)["mixed"] == 0.0
+    planted = quotient_conditions(dataclasses.replace(good, a_form=a_form), pts, CFG)
+    assert planted["mixed"] == pytest.approx(eps * max(float(good.u(p)) for p in pts),
+                                             rel=1e-9, abs=0.0)
+
+
 def test_route_agreement_is_second_order():
     data = killing_taub_nut_data()
     pts = pts_of(data, n=8)
@@ -100,22 +118,22 @@ def test_perturbed_potential_detected():
 
 
 def test_rho_torsion_flat_exact_on_constant_sections():
-    setup = rho_flat_setup()
+    u, domain = rho_flat_setup()
     consts = [constant_field(v) for v in (np.eye(6)[0], np.eye(6)[3], np.ones(6) / 2)]
-    pts = sample_points(setup.domain, 6, CFG, seed=13)
-    res = rho_torsion_check(setup, consts, pts, CFG)
+    pts = sample_points(domain, 6, CFG, seed=13)
+    res = rho_torsion_check(u, consts, pts, CFG)
     assert res["tangent_pairs"] <= 1e-12
     assert res["axis_pairs"] <= 1e-12
 
 
 def test_rho_torsion_polynomial_small_and_second_order():
-    setup = rho_polynomial_setup(42)
+    u, domain = rho_polynomial_setup(42)
     secs = polynomial_sections(43)
-    pts = sample_points(setup.domain, 8, StencilConfig(h=4e-3), seed=14)
+    pts = sample_points(domain, 8, StencilConfig(h=4e-3), seed=14)
     h_list = (2e-3, 1e-3, 5e-4)
     vals = []
     for h in h_list:
-        r = rho_torsion_check(setup, secs, pts, StencilConfig(h=h))
+        r = rho_torsion_check(u, secs, pts, StencilConfig(h=h))
         vals.append(max(r["tangent_pairs"], r["axis_pairs"]))
     assert vals[1] <= 1e-5
     order = estimate_order(h_list, vals)
@@ -286,36 +304,90 @@ def _directional(f, x, v, h):
     return (np.asarray(f(x + h * v), float) - np.asarray(f(x - h * v), float)) / (2 * h)
 
 
-def reference_rho_torsion(setup, sections, pts, cfg):
-    """The per-point body without the tangent pairs' scalar entry, which
-    compared one expression with itself and so was exactly 0."""
+def reference_rho_torsion(u, sections, pts, cfg):
+    """The per-point body: a section's directional stencil at each shifted
+    point, the bracket and du from per-point coordinate gradients."""
     def at(x):
-        gtm = np.asarray(setup.gamma_tm(x), float)
-        g1 = np.asarray(setup.gamma_one(x), float)
-        u = float(setup.u(x))
-        du = fd_gradient(setup.u, x, cfg)
+        du = fd_gradient(u, x, cfg)
         out = {"tangent_pairs": [], "axis_pairs": []}
         for si in range(len(sections)):
             xs = sections[si]
             xv = np.asarray(xs(x), float)
-            gx = gtm @ xv
             for sj in range(si + 1, len(sections)):
                 ys = sections[sj]
                 yv = np.asarray(ys(x), float)
-                gy = gtm @ yv
                 nab_xy = _directional(ys, x, xv, cfg.h)
                 nab_yx = _directional(xs, x, yv, cfg.h)
                 lie = xv @ fd_gradient(ys, x, cfg) - yv @ fd_gradient(xs, x, cfg)
-                direct_tm = (nab_xy + h6(gx) @ yv) - (nab_yx + h6(gy) @ xv) - lie
-                closed_tm = h6(gx) @ yv - h6(gy) @ xv
-                out["tangent_pairs"] += [*np.abs(direct_tm - closed_tm)]
-            xu_dir = float(_directional(setup.u, x, xv, cfg.h))
-            xu_coord = float(xv @ du)
-            direct_ax = xu_dir / u + float(g1 @ xv)
-            closed_ax = xu_coord / u + float(g1 @ xv)
-            out["axis_pairs"].append(abs(direct_ax - closed_ax))
+                out["tangent_pairs"] += [*np.abs(nab_xy - nab_yx - lie)]
+            xu_dir = float(_directional(u, x, xv, cfg.h))
+            out["axis_pairs"].append(abs(xu_dir - float(xv @ du)) / abs(float(u(x))))
         return out
     return sup(pts, at)
+
+
+def twisted_gamma(seed):
+    """(gamma_tm, gamma_one): the two components of a section gamma of
+    Hom(E, TM), cubic on the flat 6-box, drawn after u's coefficients from
+    `random.Random(seed)`."""
+    rng = random.Random(seed)
+    _uniform(rng, 0.2, (3, 6))                   # u's coefficients
+    c_g = _uniform(rng, 0.4, (6, 6, 3, 6))
+    c_1 = _uniform(rng, 0.4, (6, 3, 6))
+    return (lambda x: np.einsum('ijdm,...dm->...ij', c_g, _powers(x)),
+            lambda x: np.einsum('idm,...dm->...i', c_1, _powers(x)))
+
+
+def zero_gamma():
+    return constant_field(np.zeros((6, 6))), constant_field(np.zeros(6))
+
+
+def twisted_rho_torsion(u, gamma_tm, gamma_one, sections, samples, cfg):
+    """The torsion oracle of the anchored connection nabla + h o gamma: the
+    direct route carries the twist h(gamma X) Y - h(gamma Y) X and the
+    gamma_one term, and the closed route is that twist alone."""
+    def at(x):
+        gtm = np.asarray(gamma_tm(x), float)
+        g1 = np.asarray(gamma_one(x), float)
+        u_x, du, _ = star_jet(u, x, cfg)
+        values, jacobians = zip(*(star_jet(s, x, cfg)[:2] for s in sections))
+        along = cfg.h * np.stack(values, axis=-2)
+        offsets = np.concatenate([along, -along], axis=-2)
+        u_along, *sections_along = (_central(_at_offsets(f, x, offsets), x, cfg.h)
+                                    for f in (u, *sections))
+        out = {"tangent_pairs": [], "axis_pairs": []}
+        for si, xv in enumerate(values):
+            gx = np.matvec(gtm, xv)
+            for sj in range(si + 1, len(sections)):
+                yv = values[sj]
+                gy = np.matvec(gtm, yv)
+                nab_xy = sections_along[sj][..., si, :]
+                nab_yx = sections_along[si][..., sj, :]
+                lie = np.vecmat(xv, jacobians[sj]) - np.vecmat(yv, jacobians[si])
+                direct_tm = ((nab_xy + np.matvec(h6(gx), yv))
+                             - (nab_yx + np.matvec(h6(gy), xv)) - lie)
+                closed_tm = np.matvec(h6(gx), yv) - np.matvec(h6(gy), xv)
+                out["tangent_pairs"].append(np.abs(direct_tm - closed_tm))
+            direct_ax = u_along[..., si] / u_x + np.vecdot(g1, xv)
+            closed_ax = np.vecdot(xv, du) / u_x + np.vecdot(g1, xv)
+            out["axis_pairs"].append(np.abs(direct_ax - closed_ax))
+        return out
+    return sup(blocks(samples), at)
+
+
+@pytest.mark.parametrize("twisted", [True, False])
+def test_the_anchored_twist_cancels_from_the_torsion_oracle(twisted):
+    """The oracle without gamma equals the anchored connection's twisted
+    route, for a drawn gamma and for gamma = 0, at each step of the check:
+    the twist enters both routes as the same expression."""
+    u, domain = rho_polynomial_setup(42)
+    secs = polynomial_sections(43)
+    gamma = twisted_gamma(42) if twisted else zero_gamma()
+    pts = sample_points(domain, 200, StencilConfig(h=max(ORACLE_H_LIST)), seed=42)
+    for h in ORACLE_H_LIST:
+        cfg = StencilConfig(h=h)
+        _assert_close(rho_torsion_check(u, secs, pts, cfg),
+                      twisted_rho_torsion(u, *gamma, secs, pts, cfg), 1e-9)
 
 
 def _assert_close(new, ref, rtol):
@@ -347,20 +419,20 @@ def test_quotient_verifiers_match_their_pointwise_references(name):
 
 @pytest.mark.parametrize("flat", [False, True])
 def test_rho_torsion_matches_its_pointwise_reference(flat):
-    setup = rho_flat_setup() if flat else rho_polynomial_setup(42)
+    u, domain = rho_flat_setup() if flat else rho_polynomial_setup(42)
     secs = polynomial_sections(43)
-    pts = sample_points(setup.domain, 70, StencilConfig(h=2e-3), seed=31)
+    pts = sample_points(domain, 70, StencilConfig(h=2e-3), seed=31)
     # the discrepancy is a stencil truncation, which amplifies the roundoff
     # of reordered sums
-    _assert_close(rho_torsion_check(setup, secs, pts, CFG),
-                  reference_rho_torsion(setup, secs, pts, CFG), 1e-5)
+    _assert_close(rho_torsion_check(u, secs, pts, CFG),
+                  reference_rho_torsion(u, secs, pts, CFG), 1e-5)
 
 
 def test_quotient_conditions_read_each_field_on_the_rows_of_one_pass():
     """Per block of k points: metric on the points and on the frame
-    stencil, u on the points, on the stencil of its gradient and on the
-    rescaled route's own stencil of u^-2, a_form on the stencil of dA, and
-    b_plus and connection on the points, each once (12 k rows a stencil)."""
+    stencil, u on the points and on the stencil of its gradient, whose values
+    give grad u^-2 too, a_form on the stencil of dA, and b_plus and
+    connection on the points, each once (12 k rows a stencil)."""
     data = killing_taub_nut_data()
     pts = sample_points(data.domain, STACK_BLOCK + 3, StencilConfig(h=2e-3), seed=4)
     rows = {name: [] for name in ("metric", "u", "a_form", "b_plus", "connection")}
@@ -373,7 +445,7 @@ def test_quotient_conditions_read_each_field_on_the_rows_of_one_pass():
     assert quotient_conditions(counted, pts, CFG) == quotient_conditions(data, pts, CFG)
 
     def one_pass(k):
-        return {"metric": [k, 12 * k], "u": [k, 12 * k, 12 * k], "a_form": [12 * k],
+        return {"metric": [k, 12 * k], "u": [k, 12 * k], "a_form": [12 * k],
                 "b_plus": [k], "connection": [k]}
     assert rows == {name: one_pass(STACK_BLOCK)[name] + one_pass(3)[name] for name in rows}
 
@@ -381,19 +453,21 @@ def test_quotient_conditions_read_each_field_on_the_rows_of_one_pass():
 # ------------------------------------------------------ broadcasting fields
 
 QUOTIENT_FIELDS = ("metric", "u", "a_form", "b_plus", "connection")
-RHO_FIELDS = ("u", "gamma_tm", "gamma_one")
 
 
 def _block_fields() -> dict:
-    """{name: (domain, field)} for every field of the quotient layer."""
+    """{name: (domain, field)} for every field of the quotient layer, and
+    the gamma fields that the twisted torsion reference evaluates on blocks."""
     out = {}
     for tag, obj, names in (("taub-nut", killing_taub_nut_data(), QUOTIENT_FIELDS),
                             ("perturbed", killing_perturbed_data(0.1), QUOTIENT_FIELDS),
-                            ("flat", killing_flat_data(), QUOTIENT_FIELDS),
-                            ("rho", rho_polynomial_setup(42), RHO_FIELDS),
-                            ("rho-flat", rho_flat_setup(), RHO_FIELDS)):
+                            ("flat", killing_flat_data(), QUOTIENT_FIELDS)):
         out.update({f"{tag}.{name}": (obj.domain, getattr(obj, name)) for name in names})
-    domain = rho_polynomial_setup(42).domain
+    for tag, (u, domain), gamma in (("rho", rho_polynomial_setup(42), twisted_gamma(42)),
+                                    ("rho-flat", rho_flat_setup(), zero_gamma())):
+        fields = zip(("u", "gamma_tm", "gamma_one"), (u, *gamma))
+        out.update({f"{tag}.{name}": (domain, field) for name, field in fields})
+    domain = rho_polynomial_setup(42)[1]
     out.update({f"section{i}": (domain, s) for i, s in enumerate(polynomial_sections(43))})
     return out
 
@@ -434,15 +508,15 @@ def _peak_bytes(run) -> int:
 
 def _memory_runs():
     data = killing_taub_nut_data()
-    setup = rho_polynomial_setup(42)
+    u, domain = rho_polynomial_setup(42)
     secs = polynomial_sections(43)
     pts = sample_points(data.domain, 800, StencilConfig(h=2e-3), seed=7)
-    rho_pts = sample_points(setup.domain, 800, StencilConfig(h=2e-3), seed=7)
+    rho_pts = sample_points(domain, 800, StencilConfig(h=2e-3), seed=7)
     return {
         "gamma_pair_residual": lambda: gamma_pair_residual(data, pts, CFG),
         "quotient_conditions": lambda: quotient_conditions(data, pts, CFG),
         "route_agreement": lambda: route_agreement(data, pts, CFG),
-        "rho_torsion_check": lambda: rho_torsion_check(setup, secs, rho_pts, CFG),
+        "rho_torsion_check": lambda: rho_torsion_check(u, secs, rho_pts, CFG),
     }
 
 

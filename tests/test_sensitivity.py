@@ -8,9 +8,10 @@ is built, so that the built bundle's metric or coframe is off;
 `taub_nut_monopole`, so that its v is pushed off the monopole equation; the
 builder of a positive check's data, so that it returns data that breaks what
 the check asserts; an exact table (`_h_table`, `gamma_matrices`) with one
-row scaled; or, for a negative control, the builder of its data, so that the
-planted defect is gone.  Each check runs alone, on a fresh context at 25
-samples.
+row scaled; one route of an oracle pair (`star_jet`, `h6` and
+`_minus_block_routes` as `killing` reads them) off; or, for a negative
+control, the builder of its data, so that the planted defect is gone.  Each
+check runs alone, on a fresh context at 25 samples.
 
 The table names the module beside the function, because a check reads a
 builder from where it is imported: `hypersurface.sphere` calls `unit_sphere`
@@ -22,7 +23,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from g2lab import embeddings, gallery, hypersurfaces, spin8, suites, threeform
+from g2lab import embeddings, gallery, hypersurfaces, killing, spin8, suites, threeform
 from g2lab.rational import ExactMatrix, combinations_index
 from g2lab.reports import SuiteContext
 
@@ -82,6 +83,36 @@ def row_times(row, factor):
     return fault
 
 
+def jacobian_times(factor):
+    """A `star_jet` whose first derivatives are `factor` times its own."""
+    def fault(jet):
+        def faulty(f, p, cfg):
+            value, grad, second = jet(f, p, cfg)
+            return value, factor * grad, second
+        return faulty
+    return fault
+
+
+def h_row_negated(h):
+    """An `h6` whose first matrix row is negated."""
+    def faulty(w):
+        out = h(w)
+        out[..., 0, :] *= -1
+        return out
+    return faulty
+
+
+def rescaled_route_times(factor):
+    """A `_minus_block_routes` whose rescaled right-hand side is `factor`
+    times its own."""
+    def fault(routes):
+        def faulty(*args):
+            alpha, plain, rescaled = routes(*args)
+            return alpha, plain, factor * rescaled
+        return faulty
+    return fault
+
+
 def plus_unit_456():
     """The invariant 3-form plus the unit component on the triple (4, 5, 6):
     squared norm 8, and phi(e4, e5, e6) = 1."""
@@ -120,6 +151,11 @@ FAULTS = {
                       row_times(0, 2)),
     "gamma-row-negated": ("algebra.clifford", spin8, "gamma_matrices",
                           row_times((0, 1), -1)),
+    "torsion-jacobian-off": ("oracle-pairs.torsion", killing, "star_jet",
+                             jacobian_times(1.01)),
+    "twist-h-row-negated": ("oracle-pairs.twist-assembly", killing, "h6", h_row_negated),
+    "rescaled-route-off": ("oracle-pairs.potential-routes", killing, "_minus_block_routes",
+                           rescaled_route_times(1.01)),
 }
 
 
