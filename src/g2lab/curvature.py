@@ -10,7 +10,8 @@ does: R[..., a, b, c, d].
 A metric handed to `metric_jet`, and so to `riemann` and what is built on
 it, is a field in the sense of `fields`: on an (m, dim) array of rows it
 returns (m, n, n).  The jet reads it through the stencil engine
-`fields._at_offsets`, in n calls in place of one per stencil offset.
+`fields._at_offsets`, on the star and corners of the coordinates it reads:
+19 rows a point for 3 of them, 99 for all 7.
 """
 
 from __future__ import annotations
@@ -20,37 +21,36 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import Point, StencilConfig, _at_offsets, star_jet
+from .fields import (Point, StencilConfig, _at_offsets, _on_axes, _shifts,
+                     _star_differences, read_axes)
 
 
 def metric_jet(g: Callable, p: Point, cfg: StencilConfig):
-    """(g, dg, ddg) with dg[..., a, :, :] = d_a g and ddg[..., a, b, :, :] =
-    d_a d_b g, from the standard second-order 3- and 4-point stencils: the
-    star p, p +- h e_a of `fields.star_jet` and the cross points
-    p +- h e_a +- h e_b.  The metric is called n times, to bound the stack:
-    on the star and on the cross points of each row a < n - 1, whose offsets
-    are built once per (n, h).  Each difference is taken term for term, so
-    the jet keeps the bits of one call per offset."""
+    """(g, dg, ddg, axes): `axes` the coordinates g reads, dg[..., a, :, :] =
+    d_a g and ddg[..., i, a, :, :] = d_c d_a g, c = axes[i], both exact zeros
+    where a is not read, by the standard second-order 3- and 4-point
+    stencils: the star p, p +- h e_c and the corners p +- h e_c +- h e_a of
+    the read pairs c < a.  To bound the stack g is called on the star and on
+    the corners of each row c but the last.  Each difference is taken term
+    for term, so the jet keeps the bits of one call per offset."""
     h, n = cfg.h, p.shape[-1]
-    g0, dg, diagonal = star_jet(g, p, cfg)
-    ddg = np.empty(dg.shape[:-3] + (n,) + dg.shape[-3:])
-    ddg[..., np.arange(n), np.arange(n), :, :] = diagonal
-    for a in range(n - 1):
-        m = n - 1 - a
-        at = _at_offsets(g, p, _corners(n, h, a))
-        cross = (at[..., :m, :, :] - at[..., m:2 * m, :, :] - at[..., 2 * m:3 * m, :, :]
-                 + at[..., 3 * m:, :, :]) / (4 * h**2)
-        ddg[..., a, a + 1:, :, :] = cross
-        ddg[..., a + 1:, a, :, :] = cross
-    return g0, dg, ddg
+    axes = read_axes(g, n)
+    g0, dg, diagonal = _star_differences(_at_offsets(g, p, _shifts(n, h, axes, star=True)), p, h)
+    ddg = np.zeros(dg.shape[:-3] + (len(axes), n) + dg.shape[-2:])
+    ddg[..., range(len(axes)), axes, :, :] = diagonal
+    for i in range(len(axes) - 1):
+        pp, pm, mp, mm = np.split(_at_offsets(g, p, _corners(n, h, axes, i)), 4, axis=p.ndim - 1)
+        ddg[..., i, axes[i + 1:], :, :] = ddg[..., i + 1:, axes[i], :, :] = \
+            (pp - pm - mp + mm) / (4 * h**2)
+    return g0, _on_axes(dg, p, axes), ddg, axes
 
 
 @functools.lru_cache(maxsize=256)
-def _corners(n: int, h: float, a: int) -> np.ndarray:
+def _corners(n: int, h: float, axes: tuple, i: int) -> np.ndarray:
     """The read-only offsets of the corners ++, +-, -+, -- of the pairs
-    (a, b > a), in that order."""
-    eye = h * np.eye(n)
-    out = np.concatenate([sa * eye[a] + sb * eye[a + 1:]
+    (axes[i], axes[j > i]), in that order."""
+    eye = (h * np.eye(n))[list(axes)]
+    out = np.concatenate([sa * eye[i] + sb * eye[i + 1:]
                           for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1))])
     out.flags.writeable = False
     return out
@@ -90,16 +90,17 @@ def riemann(g: Callable, p: Point, cfg: StencilConfig) -> np.ndarray:
     derivatives of g are raised with g^-1 (and with d g^-1 = -g^-1 dg g^-1),
     and Gamma Gamma is one (..., n, n, n) @ (..., 1, n, n^2) product.  With
     Q[a, c, d, b] = d_c Gamma^a_db + Gamma^a_ce Gamma^e_db, R[a, b, c, d] =
-    Q[a, c, d, b] - Q[a, d, c, b].  Each (..., n, n, n, n) operand is dropped
+    Q[a, c, d, b] - Q[a, d, c, b], with d Gamma formed along the r read
+    coordinates only, as (..., r, n, n, n).  Each large operand is dropped
     once read."""
-    g0, dg, ddg = metric_jet(g, p, cfg)
+    g0, dg, ddg, axes = metric_jet(g, p, cfg)
     n = g0.shape[-1]
     ginv = _inverse(g0)
     s = _symmetrized(dg)
     gam = 0.5 * _raise(ginv, s)
-    dginv = -(ginv[..., None, :, :] @ dg @ ginv[..., None, :, :])
+    dginv = -(ginv[..., None, :, :] @ dg[..., axes, :, :] @ ginv[..., None, :, :])
     del dg
-    # dgam[..., e, c, a, b] = d_e Gamma^c_ab
+    # dgam[..., i, c, a, b] = d_e Gamma^c_ab, e = axes[i]
     sym = _symmetrized(ddg)
     del ddg
     dgam = _raise(ginv[..., None, :, :], sym)
@@ -107,8 +108,9 @@ def riemann(g: Callable, p: Point, cfg: StencilConfig) -> np.ndarray:
     dgam += _raise(dginv, s[..., None, :, :, :])
     dgam *= 0.5
     # q[..., a, c, d, b] = Gamma^a_ce Gamma^e_db + d_c Gamma^a_db
-    q = (gam @ gam.reshape(gam.shape[:-3] + (1, n, n * n))).reshape(dgam.shape)
-    q += dgam.swapaxes(-4, -3)
+    q = (gam @ gam.reshape(gam.shape[:-3] + (1, n, n * n))).reshape(gam.shape[:-3] + (n,) * 4)
+    for i, c in enumerate(axes):      # in place: a fancy index would copy
+        q[..., c, :, :] += dgam[..., i, :, :, :]
     del dgam
     q = np.einsum('...acdb->...abcd', q)
     return q - q.swapaxes(-2, -1)

@@ -6,10 +6,11 @@ point (dim,) or a block (k, dim).  A field handed to a stencil takes an
 (m, dim) array of rows and returns one value per row, of any shape:
 `_at_offsets`, the one place a field is evaluated on a stencil, calls it once
 on the stacked rows, and `fd_gradient`, `star_jet` and `d_one_form` are
-difference formulas on its output.  The frame and form helpers
-(`transform_form` among them) broadcast over leading axes, so a block's rows
-carry the bits of the point results.  A 1-form value is a vector and a 2-form
-value a skew matrix (`d_one_form`; on an orthonormal 3-block the star is -`hat`);
+difference formulas on its output, stepping only along the coordinates a
+field reads (`reading`).  The frame and form helpers (`transform_form` among
+them) broadcast over leading axes, so a block's rows carry the bits of the
+point results.  A 1-form value is a vector and a 2-form value a skew matrix
+(`d_one_form`; on an orthonormal 3-block the star is -`hat`);
 `transform_form` takes a k-form value, 2k <= n, as a numpy vector over the
 sorted k-index combinations in lexicographic order, which is how the forms of
 degree 3 and more of a bundle are held.  Domains are boxes with explicit excluded
@@ -92,10 +93,23 @@ def _at_offsets(f: Callable, p: Point, offsets: np.ndarray) -> np.ndarray:
     return out.reshape(p.shape[:-1] + offsets.shape[-2:-1] + out.shape[1:])
 
 
-@functools.lru_cache(maxsize=64)
-def _shifts(n: int, h: float, star: bool = False) -> np.ndarray:
-    """The offsets +h e_a, then -h e_a; with `star`, 0 before them (read-only)."""
-    eye = h * np.eye(n)
+def reading(lo: int, hi: int, f: Callable) -> Callable:
+    """The field x -> f(x[..., lo:hi]), whose `reads` are lo, ..., hi - 1 alone."""
+    def field(x):
+        return f(x[..., lo:hi])
+    field.reads = tuple(range(lo, hi))
+    return field
+
+
+def read_axes(f: Callable, n: int) -> tuple:
+    """The coordinates a field on n dimensions reads: its `reads`, or all."""
+    return getattr(f, "reads", tuple(range(n)))
+
+
+@functools.lru_cache(maxsize=256)
+def _shifts(n: int, h: float, axes: tuple, star: bool = False) -> np.ndarray:
+    """The offsets +h e_a, then -h e_a, a in `axes`; with `star`, 0 first (read-only)."""
+    eye = (h * np.eye(n))[list(axes)]
     out = np.concatenate([np.zeros((1, n))] * star + [eye, -eye])
     out.flags.writeable = False
     return out
@@ -110,25 +124,36 @@ def _central(values: np.ndarray, p: Point, h: float) -> np.ndarray:
 
 def _star_differences(values: np.ndarray, p: Point, h: float) -> tuple:
     """(f, df, dd) from the values of f (or of a function of it) on the star
-    `_shifts(n, h, star=True)`: df[..., a, :] = d_a f by central and
-    dd[..., a, :] = d_a d_a f by 3-point second differences."""
-    lead, n = (slice(None),) * (p.ndim - 1), p.shape[-1]
+    `_shifts(n, h, axes, star=True)`: df[..., i, :] = d_a f by central and
+    dd[..., i, :] = d_a d_a f by 3-point second differences, a = axes[i]."""
+    lead, r = (slice(None),) * (p.ndim - 1), values.shape[p.ndim - 1] // 2
     f0 = values[lead + (slice(1),)]
-    fp, fm = values[lead + (slice(1, n + 1),)], values[lead + (slice(n + 1, None),)]
+    fp, fm = values[lead + (slice(1, r + 1),)], values[lead + (slice(r + 1, None),)]
     return values[lead + (0,)], (fp - fm) / (2 * h), (fp - 2 * f0 + fm) / h**2
+
+
+def _on_axes(d: np.ndarray, p: Point, axes: tuple) -> np.ndarray:
+    """The derivatives along `axes`, at [..., i, ...], put at [..., axes[i], ...] among zeros."""
+    out = np.zeros(d.shape[:p.ndim - 1] + p.shape[-1:] + d.shape[p.ndim:])
+    out[(slice(None),) * (p.ndim - 1) + (list(axes),)] = d
+    return out
 
 
 def fd_gradient(f: Callable, p: Point, cfg: StencilConfig) -> np.ndarray:
     """The central-difference partials d_d f stacked after the point axes:
     shape (dim, ...) at a point and (k, dim, ...) at a block; exact on
     quadratics."""
-    return _central(_at_offsets(f, p, _shifts(p.shape[-1], cfg.h)), p, cfg.h)
+    axes = read_axes(f, p.shape[-1])
+    return _on_axes(_central(_at_offsets(f, p, _shifts(p.shape[-1], cfg.h, axes)), p, cfg.h),
+                    p, axes)
 
 
 def star_jet(f: Callable, p: Point, cfg: StencilConfig) -> tuple:
-    """`_star_differences` of f on the star p, p +- h e_a."""
-    return _star_differences(_at_offsets(f, p, _shifts(p.shape[-1], cfg.h, star=True)),
-                             p, cfg.h)
+    """`_star_differences` of f on the star p, p +- h e_a of the a it reads."""
+    axes = read_axes(f, p.shape[-1])
+    f0, df, dd = _star_differences(
+        _at_offsets(f, p, _shifts(p.shape[-1], cfg.h, axes, star=True)), p, cfg.h)
+    return f0, _on_axes(df, p, axes), _on_axes(dd, p, axes)
 
 
 def d_one_form(a: Callable, p: Point, cfg: StencilConfig) -> np.ndarray:
@@ -288,9 +313,9 @@ def sample_points(domain: Domain, n: int, cfg: StencilConfig, seed: int) -> list
 BLOCK = 64
 # Points per block of the verifiers that stack the most per point: the nested
 # stencil of `hypersurface_checks`, the frame derivatives of
-# `quotient_conditions` and the 15 coframes of `torsionfree_residual`.
-# Their tracemalloc peaks read 2,043, 644 and 1,085 KiB at 64-point blocks
-# (bounds 1,536, 512 and 1,536 KiB) and 1,027, 329 and 584 KiB at 32.
+# `quotient_conditions` and the coframe star of `torsionfree_residual`.
+# Their tracemalloc peaks read 2,042, 733 and 888 KiB at 64-point blocks
+# (bounds 1,536, 512 and 1,536 KiB) and 1,025, 376 and 484 KiB at 32.
 STACK_BLOCK = 32
 
 

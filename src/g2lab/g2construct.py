@@ -19,7 +19,7 @@ import numpy as np
 
 from .curvature import riemann
 from .fields import (MINUS6, MM, PLUS6, PM, PP, STACK_BLOCK, Domain, StencilConfig,
-                     blocks, hat, star_jet, sup, transform_form)
+                     blocks, hat, read_axes, star_jet, sup, transform_form)
 from .modeldata import (cross_tensor, h6, off_g2_fraction, phi_constants,
                         star_phi_constants)
 from .rational import combinations_index, sort_with_sign
@@ -81,8 +81,9 @@ def g2_build_thm1(mono: MonopoleData, domain6: Domain) -> G2MetricBundle:
     equation dA = -*_H dv.  The builder only assembles: the
     suites sample the hypothesis on a run's points.  The bundle lives over t
     in [-1, 1]; its metric and coframe take a point or a block of points, as
-    must the fields of `mono`.
+    must the fields of `mono`; they read what v and A read, and never t.
     """
+    reads = tuple(1 + i for i in sorted(set(read_axes(mono.v, 6)) | set(read_axes(mono.a, 6))))
 
     def positive_v(x: np.ndarray) -> np.ndarray:
         """v at x, with a trailing axis; raises unless positive at every point."""
@@ -115,6 +116,7 @@ def g2_build_thm1(mono: MonopoleData, domain6: Domain) -> G2MetricBundle:
         e[..., 4:, 4:] = np.sqrt(v)[..., None] * np.eye(3)
         return e
 
+    metric7.reads = coframe.reads = reads
     return G2MetricBundle(metric=metric7, coframe=coframe, domain=domain6.lift_t())
 
 
@@ -202,8 +204,8 @@ def estimate_order(h_list: Sequence[float], residuals: Sequence[float]):
 
 # Points per block of `holonomy_residual`.  A block of 7-dimensional
 # `riemann` holds a few (k, 7, 7, 7, 7) arrays: on 200 points at three
-# steps the tracemalloc peak was 500 KiB at 8-point blocks, 939 KiB at 16,
-# 1,860 KiB at 32 and 3,710 KiB at 64 (NumPy 2.4.6), against at most 1.1 MiB
+# steps the tracemalloc peak was 514 KiB at 8-point blocks, 918 KiB at 16,
+# 1,754 KiB at 32 and 3,436 KiB at 64 (NumPy 2.4.6), against at most 1.1 MiB
 # for every other blocked verifier at `fields.BLOCK`.
 CURVATURE_BLOCK = 16
 
@@ -217,11 +219,11 @@ def holonomy_residual(bundle: G2MetricBundle, samples, cfg: StencilConfig) -> di
         e = bundle.coframe(p)
         fr = np.linalg.inv(e)
         ric_f = fr.mT @ ric @ fr
-        # R(f_a, f_b) for the 21 pairs a < b, in the coframe, by the path that
-        # optimize=True finds at every block size, without its search
-        r_f = np.einsum('...ijcd,...ca,...db->...abij', r, fr, fr,
-                        optimize=['einsum_path', (0, 1), (0, 1)])
+        # R(f_a, f_b) for the 21 pairs a < b, in the coframe: (F^T R[i, j] F)[a, b]
+        frame = fr[..., None, None, :, :]
+        r_f = frame.mT @ r
         del r
+        r_f = np.moveaxis(r_f @ frame, (-2, -1), (-4, -3))
         a, b = np.triu_indices(7, 1)
         m = e[..., None, :, :] @ r_f[..., a, b, :, :] @ fr[..., None, :, :]
         return {"off_g2_fraction": off_g2_fraction(0.5 * (m - m.mT)),

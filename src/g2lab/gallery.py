@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import MM, Domain, hat
+from .fields import MM, Domain, hat, reading
 from .g2construct import G2MetricBundle, MonopoleData, g2_build_thm1
 from .gibbons import (CENTER_MARGIN, STRING_MARGIN, GHData, dirac_potential,
                       dirac_string_exclusion, margined,
@@ -38,17 +38,16 @@ def base_domain6() -> Domain:
 
 def monopole_potential6() -> Callable[[np.ndarray], np.ndarray]:
     """The pair potential on the 6-base: minus-block components with
-    dA = -*_minus dv for the pole functions below."""
-    def a(x: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.shape(x))
-        out[..., 3:] = -dirac_potential(x[..., 3:])
+    dA = -*_minus dv for the pole functions below.  It reads x4..x6."""
+    def a(x3: np.ndarray) -> np.ndarray:
+        out = np.zeros(np.shape(x3)[:-1] + (6,))
+        out[..., 3:] = -dirac_potential(x3)
         return out
 
-    return a
+    return reading(3, 6, a)
 
 
-def taub_nut_v6(x: np.ndarray) -> np.ndarray:
-    return v_taub_nut(x[..., 3:])
+taub_nut_v6 = reading(3, 6, v_taub_nut)
 
 
 # ---------------------------------------------------------------- classical GH
@@ -174,25 +173,23 @@ def killing_taub_nut_data() -> KillingData:
     """The quotient data of the positive 7-bundle: metric dx_+^2 + V dx_-^2,
     u = V^(-1/2), the string potential, b = -(1/4) V^(-3/2) dV in frame
     components, B = 0, and the explicit compatible connection (Levi-Civita
-    minus the h-twist, both in closed form)."""
-    a6 = monopole_potential6()
-
-    def metric(x: np.ndarray) -> np.ndarray:
-        v, _ = _pole(x[..., 3:])
+    minus the h-twist, both in closed form).  Every field reads x4..x6."""
+    def metric(x3: np.ndarray) -> np.ndarray:
+        v, _ = _pole(x3)
         g = np.tile(np.eye(6), np.shape(v) + (1, 1))
         g[MM] *= v[..., None, None]
         return g
 
-    def u(x: np.ndarray) -> np.ndarray:
-        v, _ = _pole(x[..., 3:])
+    def u(x3: np.ndarray) -> np.ndarray:
+        v, _ = _pole(x3)
         return np.power(v, -0.5)
 
-    def b_plus(x: np.ndarray) -> np.ndarray:
-        v, dv = _pole(x[..., 3:])
+    def b_plus(x3: np.ndarray) -> np.ndarray:
+        v, dv = _pole(x3)
         return -0.25 * np.power(v, -1.5)[..., None] * dv
 
-    def connection(x: np.ndarray) -> np.ndarray:
-        v, dv = _pole(x[..., 3:])
+    def connection(x3: np.ndarray) -> np.ndarray:
+        v, dv = _pole(x3)
         # Levi-Civita of dx_+^2 + v dx_-^2, on the minus block:
         # (dv_i delta_jk + dv_j delta_ik - dv_k delta_ij) / 2v at [k, i, j]
         delta = np.eye(3)
@@ -203,10 +200,10 @@ def killing_taub_nut_data() -> KillingData:
         # of the twist endomorphism is nonzero, gamma_f = u^-1 hat(g_minus)
         gm = -0.5 * np.power(v, -2.0)[..., None] * dv   # frame components of (grad u)_minus
         u_val = np.power(v, -0.5)
-        scale = np.ones(np.shape(x))                     # the diagonal frame
+        scale = np.ones(np.shape(v) + (6,))              # the diagonal frame
         scale[..., 3:] = u_val[..., None]
         cof = 1.0 / scale
-        gamma_f = np.zeros(np.shape(x)[:-1] + (6, 6))
+        gamma_f = np.zeros(np.shape(v) + (6, 6))
         gamma_f[MM] = hat(gm) / u_val[..., None, None]
         # minus the twist along f_a, in coordinates: [a, c, b] holds
         # -scale_c h6(gamma_f f_a)[c, b] cof_b, and gam is its [c, a, b] view
@@ -217,7 +214,8 @@ def killing_taub_nut_data() -> KillingData:
         gam[..., 3:, 3:, 3:] += levi_civita
         return gam
 
-    return KillingData(metric=metric, u=u, a_form=a6, b_plus=b_plus,
+    metric, u, b_plus, connection = (reading(3, 6, f) for f in (metric, u, b_plus, connection))
+    return KillingData(metric=metric, u=u, a_form=monopole_potential6(), b_plus=b_plus,
                        domain=base_domain6(), connection=connection)
 
 

@@ -88,7 +88,7 @@ class GHData:
 
 def gh_build(data: GHData):
     """Metric field on (t, x, y, z), at a point or a block of points; raises
-    if V is not positive at any of them."""
+    if V is not positive at any of them.  It never reads t."""
     def metric(p: np.ndarray) -> np.ndarray:
         x = p[..., 1:4]
         v = np.asarray(data.v(x), dtype=float)
@@ -102,6 +102,7 @@ def gh_build(data: GHData):
         g /= v[..., None, None]
         g[..., range(1, 4), range(1, 4)] += v[..., None]
         return g
+    metric.reads = (1, 2, 3)
     return metric
 
 

@@ -97,7 +97,7 @@ def hypersurface_checks(imm: Immersion, samples, cfg: StencilConfig) -> dict:
     the induced metric, J and the second fundamental form are read from it."""
     def at(y):
         ts = _at_offsets(functools.partial(_tangent, imm, cfg), y,
-                         _shifts(y.shape[-1], cfg.h, star=True))
+                         _shifts(y.shape[-1], cfg.h, tuple(range(y.shape[-1])), star=True))
         _, ddf, _ = _star_differences(ts, y, cfg.h)
         g, dg, _ = _star_differences(ts.mT @ ts, y, cfg.h)
         if np.any(np.linalg.det(g) < 1e-10):

@@ -27,16 +27,14 @@ same expression and cancels.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .fields import (MM, PM, PP, STACK_BLOCK, Domain, StencilConfig,
-                     _at_offsets, _central, _shifts, adapted_frame, blocks,
-                     d_one_form, fd_gradient, frame_derivatives, hat, star_jet,
-                     sup)
+from .fields import (MM, PM, PP, STACK_BLOCK, Domain, StencilConfig, _at_offsets,
+                     _central, adapted_frame, blocks, d_one_form, fd_gradient,
+                     frame_derivatives, hat, read_axes, star_jet, sup)
 from .modeldata import h6
 
 
@@ -58,19 +56,21 @@ class KillingData:
     connection: Callable[[np.ndarray], np.ndarray]
 
     def gamma_info(self, x: np.ndarray, cfg: StencilConfig) -> dict:
-        """Frame-component data entering the twist endomorphism at a point or
-        a block of points."""
+        """Frame-component data entering the twist endomorphism, and grad
+        u^-2, at a point or a block of points."""
         frame = adapted_frame(np.asarray(self.metric(x), dtype=float))
         u = np.asarray(self.u(x), dtype=float)
         if np.any(u == 0.0):
             raise ValueError(f"u vanishes at {x}")
-        # u at x +- h e_a, read once for grad u here and grad u^-2 in
-        # _minus_block_routes
-        u_shifted = _at_offsets(self.u, x, _shifts(x.shape[-1], cfg.h))
-        # frame components of the gradient
-        grad_frame = np.vecmat(_central(u_shifted, x, cfg.h), frame)
-        return {"frame": frame, "u": u, "u_shifted": u_shifted, "grad_frame": grad_frame,
-                "b": np.asarray(self.b_plus(x), dtype=float)}
+
+        def u_powers(q):     # one stencil of u gives grad u and grad u^-2
+            values = np.asarray(self.u(q), dtype=float)
+            return np.stack([values, values ** -2], axis=-1)
+        u_powers.reads = read_axes(self.u, x.shape[-1])
+        # contiguous, as the bits of vecmat depend on the strides it reads
+        du, du2 = np.moveaxis(fd_gradient(u_powers, x, cfg), -1, 0).copy()
+        return {"frame": frame, "u": u, "grad_frame": np.vecmat(du, frame),
+                "du2_frame": np.vecmat(du2, frame), "b": np.asarray(self.b_plus(x), dtype=float)}
 
 
 def gamma_expanded(info: dict) -> np.ndarray:
@@ -99,28 +99,30 @@ def gamma_unexpanded(info: dict) -> np.ndarray:
     return bcal - h6(info["grad_frame"]) / u
 
 
-def gamma_pair_residual(data: KillingData, samples, cfg: StencilConfig) -> float:
-    def at(x):
-        info = data.gamma_info(x, cfg)
-        return {"pair": np.abs(gamma_expanded(info) - gamma_unexpanded(info))}
-    return sup(blocks(samples), at)["pair"]
-
-
-def _minus_block_routes(info: dict, x: np.ndarray, cfg: StencilConfig) -> tuple:
+def _minus_block_routes(info: dict) -> tuple:
     """alpha = <2b - u^-1 (grad u)_-, .> and the right-hand side of (dA)-- by
     the plain and by the rescaled pairing (see quotient_conditions).  The
     rescaled metric on the minus block is u^2 I, so minus its star of a
     1-form a is the closed form u hat(a)."""
-    fr, u = info["frame"], info["u"][..., None]
+    u = info["u"][..., None]
     gm = info["grad_frame"][..., 3:]
     alpha = 2.0 * info["b"] - gm / u
-
     rhs_mm_plain = -1.0 / u[..., None] * hat(alpha + 2.0 / u * gm)
-
-    du2 = _central(info["u_shifted"] ** -2, x, cfg.h)
-    du2_frame = np.vecmat(du2, fr)[..., 3:]
-    rhs_mm_resc = u[..., None] * hat(du2_frame - alpha / u ** 2)
+    rhs_mm_resc = u[..., None] * hat(info["du2_frame"][..., 3:] - alpha / u ** 2)
     return alpha, rhs_mm_plain, rhs_mm_resc
+
+
+def twist_oracles(data: KillingData, samples, cfg: StencilConfig) -> dict:
+    """Both twist oracle pairs from one gamma_info per block: twist_assembly,
+    sup |expanded - unexpanded| of the two assemblies of the twist, equal to
+    roundoff, and route_agreement, sup |plain - rescaled| of the two (dA)--
+    right-hand sides, whose separate differences of u and u^-2 part by O(h^2)."""
+    def at(x):
+        info = data.gamma_info(x, cfg)
+        _, plain, resc = _minus_block_routes(info)
+        return {"twist_assembly": np.abs(gamma_expanded(info) - gamma_unexpanded(info)),
+                "route_agreement": np.abs(plain - resc)}
+    return sup(blocks(samples), at)
 
 
 def quotient_conditions(data: KillingData, samples, cfg: StencilConfig) -> dict:
@@ -140,10 +142,11 @@ def quotient_conditions(data: KillingData, samples, cfg: StencilConfig) -> dict:
     minus_minus_rescaled: (dA)-- = -*^1_- (d(u^-2) - u^-2 alpha)  [rescaled]
     mixed:       dA(X+, Y-) = -u^-2 det((grad u)+, X+, Y-)
     with alpha = <2b - u^-1 (grad u)_-, .> .  route_agreement is |plain -
-    rescaled| of the two minus-block right-hand sides (see route_agreement).
+    rescaled| of the two minus-block right-hand sides (see twist_oracles).
     """
     def frame_field(q: np.ndarray) -> np.ndarray:
         return adapted_frame(np.asarray(data.metric(q), dtype=float))
+    frame_field.reads = read_axes(data.metric, data.domain.dim)
 
     def at(x):
         info = data.gamma_info(x, cfg)
@@ -155,33 +158,31 @@ def quotient_conditions(data: KillingData, samples, cfg: StencilConfig) -> dict:
                                            np.asarray(data.connection(x), dtype=float))
 
         da_mat = d_one_form(data.a_form, x, cfg)
-        u = info["u"]
+        u = info["u"][..., None]
         h_cols = h6(gamma_f.mT)       # h_cols[..., a, :, :] = h(gamma f_a)
-
-        out = {"torsion_vs_twist": [], "potential_equation": [],
-               "corrected_metricity": []}
+        # the 15 pairs a < b and the 30 ordered pairs c != d of frame vectors
+        (a, b), (c, d) = np.triu_indices(6, 1), np.nonzero(~np.eye(6, dtype=bool))
         # t_frame + hterm is skew in (a, b) bit for bit (each term changes
         # sign exactly under the swap), so the entry of (b, a) repeats that
-        # of (a, b) and each unordered pair is taken once.
-        for a, b in itertools.combinations(range(6), 2):
-            lie_ab = d_along[..., a, :, b] - d_along[..., b, :, a]     # [f_a, f_b]
-            t_frame = np.matvec(e, nabla[..., a, b, :] - nabla[..., b, a, :] - lie_ab)
-            hterm = h_cols[..., a, :, b] - h_cols[..., b, :, a]
-            out["torsion_vs_twist"].append(np.abs(t_frame + hterm))
+        # of (a, b) and each unordered pair a < b is taken once.
+        lie = d_along.mT[..., a, b, :] - d_along.mT[..., b, a, :]     # [f_a, f_b]
         del d_along   # the brackets are taken: free the block's frame derivatives
-        for a, b in itertools.permutations(range(6), 2):
-            da_ab = np.vecdot(np.vecmat(fr[..., :, a], da_mat), fr[..., :, b])
-            rhs = 2.0 / u * gamma_f[..., b, a]
-            out["potential_equation"].append(np.abs(da_ab - rhs))
-        for a in range(6):
-            # metricity of (nabla + h o gamma): its frame connection form is skew
-            omega = np.matvec(e[..., None, :, :], nabla[..., a, :, :]).mT
-            omega = omega + h_cols[..., a, :, :]
-            out["corrected_metricity"].append(np.abs(omega + omega.mT))
+        t_frame = np.matvec(e[..., None, :, :], nabla[..., a, b, :] - nabla[..., b, a, :] - lie)
+        hterm = h_cols.mT[..., a, b, :] - h_cols.mT[..., b, a, :]
+        # dA(f_c, f_d) on the ordered pairs c != d; fr[..., :, d].mT keeps
+        # the strides of the columns it reads
+        da_cd = np.vecdot(np.vecmat(fr.mT, da_mat[..., None, :, :])[..., c, :], fr[..., :, d].mT)
+        # metricity of (nabla + h o gamma): each frame connection form is skew
+        omega = np.matvec(e[..., None, None, :, :], nabla).mT
+        del nabla
+        omega += h_cols
+        out = {"torsion_vs_twist": np.abs(t_frame + hterm),
+               "potential_equation": np.abs(da_cd - 2.0 / u * gamma_f[..., d, c]),
+               "corrected_metricity": np.abs(omega + omega.mT)}
 
-        alpha, rhs_mm_plain, rhs_mm_resc = _minus_block_routes(info, x, cfg)
+        alpha, rhs_mm_plain, rhs_mm_resc = _minus_block_routes(info)
         da_f = fr.mT @ da_mat @ fr   # frame components
-        u = u[..., None, None]
+        u = u[..., None]
         rhs_mixed = 2.0 / u * (0.5 / u * hat(info["grad_frame"][..., :3]))
         out.update(plus_plus=np.abs(da_f[PP] + 1.0 / u * hat(alpha)),
                    minus_minus=np.abs(da_f[MM] - rhs_mm_plain),
@@ -190,16 +191,6 @@ def quotient_conditions(data: KillingData, samples, cfg: StencilConfig) -> dict:
                    route_agreement=np.abs(rhs_mm_plain - rhs_mm_resc))
         return out
     return sup(blocks(samples, STACK_BLOCK), at)
-
-
-def route_agreement(data: KillingData, samples, cfg: StencilConfig) -> float:
-    """sup |plain - rescaled| of the two (dA)-- right-hand sides.  They
-    differentiate u and u^-2 through separate stencils, so their agreement is
-    a genuine mutual oracle with an O(h^2) discrepancy."""
-    def at(x):
-        _, plain, resc = _minus_block_routes(data.gamma_info(x, cfg), x, cfg)
-        return {"route_agreement": np.abs(plain - resc)}
-    return sup(blocks(samples), at)["route_agreement"]
 
 
 def rho_torsion_check(u: Callable[[np.ndarray], np.ndarray], sections: Sequence,
@@ -215,24 +206,26 @@ def rho_torsion_check(u: Callable[[np.ndarray], np.ndarray], sections: Sequence,
     anchored twist h(gamma X) Y - h(gamma Y) X enters both routes of a
     tangent pair as the same expression and cancels, so it is not sampled.
     """
+    def stacked(q):      # one star and one directional stencil read them all
+        return np.concatenate([np.asarray(u(q), dtype=float)[..., None],
+                               *(s(q) for s in sections)], axis=-1)
+
     def at(x):
-        u_x, du, _ = star_jet(u, x, cfg)
-        values, jacobians = zip(*(star_jet(s, x, cfg)[:2] for s in sections))
+        n, (i, j) = x.shape[-1], np.triu_indices(len(sections), 1)
+        value, jacobian, _ = star_jet(stacked, x, cfg)
+        u_x, values = value[..., 0], value[..., 1:].reshape(value.shape[:-1] + (-1, n))
+        # jacobians[..., s, d, :] = d_d of section s; du contiguous, as the
+        # bits of vecdot depend on the strides it reads
+        jacobians = np.moveaxis(jacobian[..., 1:].reshape(jacobian.shape[:-1] + (-1, n)), -2, -3)
+        du = np.ascontiguousarray(jacobian[..., 0])
         # (f(x + h v) - f(x - h v)) / 2h of u and the sections along each section
         # value v: not assembled from coordinate partials, so independent of them
-        along = cfg.h * np.stack(values, axis=-2)
-        offsets = np.concatenate([along, -along], axis=-2)     # they move with x
-        u_along, *sections_along = (_central(_at_offsets(f, x, offsets), x, cfg.h)
-                                    for f in (u, *sections))
-
-        out = {"tangent_pairs": [], "axis_pairs": []}
-        for si, xv in enumerate(values):
-            for sj in range(si + 1, len(sections)):
-                yv = values[sj]
-                lie = np.vecmat(xv, jacobians[sj]) - np.vecmat(yv, jacobians[si])
-                torsion = sections_along[sj][..., si, :] - sections_along[si][..., sj, :] - lie
-                out["tangent_pairs"].append(np.abs(torsion))
-            xu_dir, xu_coord = u_along[..., si], np.vecdot(xv, du)
-            out["axis_pairs"].append(np.abs(xu_dir - xu_coord) / np.abs(u_x))
-        return out
+        offsets = cfg.h * np.concatenate([values, -values], axis=-2)   # they move with x
+        along = _central(_at_offsets(stacked, x, offsets), x, cfg.h)
+        along_sections = along[..., 1:].reshape(along.shape[:-1] + (-1, n))  # [v, section, :]
+        lie = (np.vecmat(values[..., i, :], jacobians[..., j, :, :])
+               - np.vecmat(values[..., j, :], jacobians[..., i, :, :]))
+        torsion = np.abs(along_sections[..., i, j, :] - along_sections[..., j, i, :] - lie)
+        axis = np.abs(along[..., 0] - np.vecdot(values, du[..., None, :])) / np.abs(u_x)[..., None]
+        return {"tangent_pairs": torsion, "axis_pairs": axis}
     return sup(blocks(samples), at)

@@ -11,6 +11,7 @@ regenerates these files; their diff names every value that moved.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import io
 import json
 import platform
@@ -34,12 +35,29 @@ EXACT_SUITES = ("algebra", "octonion")   # their lines hold no sampled float
 
 
 def stamp() -> dict:
-    """What, besides the code, decides the float bytes of a run."""
+    """What, besides the code, decides the float bytes of a run: the
+    versions, the SIMD extensions numpy dispatches to and the core OpenBLAS
+    picked its kernels for."""
     import numpy as np    # here, so that `g2lab.cli` sets one BLAS thread first
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": f"{blas['name']} {blas['version']}",
-            "machine": platform.machine()}
+            "machine": platform.machine(),
+            "simd": config["SIMD Extensions"]["found"],
+            "openblas_core": openblas_core(np)}
+
+
+def openblas_core(np) -> str | None:
+    """The core name OpenBLAS chose at load time (`SkylakeX`, `Haswell`),
+    read from numpy's bundled scipy-openblas; None for another BLAS."""
+    libs = sorted(Path(np.__file__).parent.with_name("numpy.libs")
+                  .glob("libscipy_openblas64_*.so"))
+    if not libs:
+        return None
+    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
 
 
 def stream(args: list, dump_dir: str | None = None) -> tuple:

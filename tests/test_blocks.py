@@ -143,12 +143,12 @@ def test_nested_stencil_equals_the_per_offset_loop(imm):
 # --------------------------------------------------------------- memory guard
 
 # Measured with NumPy 2.4.6 on 160 points, two or more blocks each:
-# holonomy_residual (16-point blocks, g2construct.CURVATURE_BLOCK) 932 KiB,
-# hypersurface_checks 1,025 KiB and torsionfree_residual 582 KiB (32-point
-# blocks, fields.STACK_BLOCK), GH riemann and ricci 554 KiB (64-point
+# holonomy_residual (16-point blocks, g2construct.CURVATURE_BLOCK) 908 KiB,
+# hypersurface_checks 1,026 KiB and torsionfree_residual 485 KiB (32-point
+# blocks, fields.STACK_BLOCK), GH riemann and ricci 478 KiB (64-point
 # blocks), so the top is 67% of this bound.  A 64-point block of
-# 7-dimensional riemann reads 3,708 KiB, and of hypersurface_checks, whose
-# stencil nests, 2,042 KiB.  tracemalloc counts
+# 7-dimensional holonomy_residual reads 3,432 KiB, and of hypersurface_checks,
+# whose stencil nests, 2,042 KiB.  tracemalloc counts
 # NumPy's temporaries, so another NumPy version or a reshuffle of these
 # verifiers can move the margin: re-measure before changing the bound.
 PEAK_BOUND = 1536 * 1024

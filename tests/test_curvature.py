@@ -138,8 +138,9 @@ def _curvature_blocks():
     bundle = gallery.thm1_taub_nut_bundle()
     gh = gallery.gh_taub_nut_example()
     cfg = StencilConfig(h=1e-2)
-    return {"taub-nut-7": (bundle.metric,
-                           np.array(sample_points(bundle.domain, 16, cfg, seed=3))),
+    pts7 = np.array(sample_points(bundle.domain, 16, cfg, seed=3))
+    return {"taub-nut-7": (bundle.metric, pts7),
+            "taub-nut-7-undeclared": (lambda p: bundle.metric(p), pts7),
             "gh-4": (gh_build(gh),
                      np.array(sample_points(gh.domain.lift_t(), 64, cfg, seed=3)))}
 
@@ -149,18 +150,29 @@ CURVATURE_BLOCKS = _curvature_blocks()
 
 @pytest.mark.parametrize("name", sorted(CURVATURE_BLOCKS))
 def test_riemann_equals_the_einsum_formula(name):
+    """The jet carries the bits of one metric call per offset, along the
+    coordinates the metric reads.  A second difference along an unread
+    coordinate is an exact zero, written, where the per-offset corners read
+    roundoff; a metric that declares nothing reads every coordinate."""
     g, block = CURVATURE_BLOCKS[name]
     cfg = StencilConfig(h=1e-2)
-    for got, ref in zip(metric_jet(g, block, cfg), reference_metric_jet(g, block, cfg)):
-        assert np.array_equal(got, ref)
+    g0, dg, ddg, axes = metric_jet(g, block, cfg)
+    ref_g0, ref_dg, ref_ddg = reference_metric_jet(g, block, cfg)
+    assert axes == getattr(g, "reads", tuple(range(block.shape[-1])))
+    assert np.array_equal(g0, ref_g0) and np.array_equal(dg, ref_dg)
+    read = np.isin(np.arange(block.shape[-1]), axes)
+    assert np.array_equal(ddg[:, :, read], ref_ddg[:, axes][:, :, read])
+    assert not ddg[:, :, ~read].any()
+    unread = np.concatenate([ref_ddg[:, ~read].ravel(), ref_ddg[:, :, ~read].ravel()])
+    assert np.max(np.abs(unread), initial=0.0) <= 1e-12 * np.max(np.abs(ref_ddg))
     ref = reference_riemann(g, block, cfg)
     assert np.max(np.abs(riemann(g, block, cfg) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_riemann_calls_the_metric_once_per_stencil_row(monkeypatch):
-    """Every stencil point of the jet goes through the shared engine, in n
-    calls of 7 dimensions: the star, then the cross points of each row
-    a < n - 1.  The metric is called by the engine alone."""
+def _jet_rows(monkeypatch, declared: bool) -> tuple:
+    """The rows a point of each engine call of `riemann` on a Taub-NUT block,
+    each one metric call, through a counting metric that carries the
+    metric's read set when `declared`."""
     g, block = CURVATURE_BLOCKS["taub-nut-7"]
     engine_calls, metric_rows = [], []
 
@@ -168,9 +180,30 @@ def test_riemann_calls_the_metric_once_per_stencil_row(monkeypatch):
         engine_calls.append(len(offsets))
         return engine(f, p, offsets)
 
+    def counted(p):
+        metric_rows.append(len(p))
+        return g(p)
+    if declared:
+        counted.reads = g.reads
+
     monkeypatch.setattr(fields, "_at_offsets", counted_engine)
     monkeypatch.setattr(curvature, "_at_offsets", counted_engine)
-    riemann(lambda p: metric_rows.append(len(p)) or g(p), block, StencilConfig(h=1e-2))
-    assert len(engine_calls) == len(metric_rows) == 7
-    assert sum(engine_calls) == 99           # one call per stencil offset made 99
-    assert sum(metric_rows) == 99 * len(block)
+    riemann(counted, block, StencilConfig(h=1e-2))
+    assert [rows / len(block) for rows in metric_rows] == engine_calls
+    return engine_calls
+
+
+def test_riemann_calls_the_metric_once_per_stencil_row(monkeypatch):
+    """Every stencil point of the jet goes through the shared engine, on
+    the star and the corners of the pairs of read coordinates, 1 + 2 r +
+    4 r (r - 1) / 2 rows a point: 19 for the Taub-NUT metric of
+    `g2-thm1.curvature`, which reads x4..x6, in r calls: the star, then the
+    corners of each row but the last.  The metric is called by the engine
+    alone."""
+    assert _jet_rows(monkeypatch, declared=True) == [7, 8, 4]
+
+
+def test_riemann_reads_an_undeclared_metric_on_every_stencil_row(monkeypatch):
+    """A 7-metric that declares nothing reads every coordinate: 99 rows a
+    point in 7 calls, by the same route."""
+    assert _jet_rows(monkeypatch, declared=False) == [15, 24, 20, 16, 12, 8, 4]

@@ -9,7 +9,7 @@ from g2lab.fields import (BLOCK, Domain, StencilConfig, adapted_frame, blocks, d
                           star_jet, sup, transform_form)
 from g2lab import fields, gallery
 from g2lab.gallery import killing_taub_nut_data
-from g2lab.gibbons import spatial_domain
+from g2lab.gibbons import gh_build, spatial_domain
 from g2lab.hypersurfaces import unit_sphere
 from g2lab.modeldata import cross7, cross_tensor, h6
 from g2lab.rational import combinations_index
@@ -704,3 +704,52 @@ def test_each_stencil_calls_its_field_once_per_query(k):
 def test_engine_refuses_a_field_without_one_value_per_row():
     with pytest.raises(ValueError, match="one value per row"):
         fd_gradient(lambda p: 5.0, np.array([0.1, 0.2]), StencilConfig(h=1e-3))
+
+
+# ------------------------------------------------------------- read sets
+
+def _declared_fields() -> dict:
+    """{name: (domain, field)} for every field and composite of the
+    package that declares the coordinates it reads."""
+    out = {"taub_nut_v6": (gallery.base_domain6(), gallery.taub_nut_v6),
+           "monopole_potential6": (gallery.base_domain6(), gallery.monopole_potential6())}
+    bundles = {"thm1-flat": gallery.thm1_flat_bundle(),
+               "thm1-taub-nut": gallery.thm1_taub_nut_bundle(),
+               "thm1-broken-monopole": gallery.thm1_broken_monopole_bundle(0.1)[0],
+               "thm2-mismatched-alpha": gallery.thm2_mismatched_alpha_bundle(0.1)[0]}
+    for tag, bundle in bundles.items():
+        out.update({f"{tag}.{name}": (bundle.domain, getattr(bundle, name))
+                    for name in ("metric", "coframe")})
+    killing = killing_taub_nut_data()
+    out.update({f"killing.{name}": (killing.domain, getattr(killing, name))
+                for name in ("metric", "u", "a_form", "b_plus", "connection")})
+    for tag in ("gh_flat_example", "gh_taub_nut_example", "gh_nonharmonic_example"):
+        data = getattr(gallery, tag)()
+        out[f"{tag}.metric"] = (data.domain.lift_t(), gh_build(data))
+    return out
+
+
+DECLARED_FIELDS = _declared_fields()
+
+
+@pytest.mark.parametrize("name", sorted(DECLARED_FIELDS))
+def test_a_declared_read_set_is_honest(name):
+    """A field is bit for bit unmoved by a shift of +-h along any coordinate
+    outside its read set, on a block of sampled points, so the derivatives
+    that the stencils write as zeros along those coordinates are the exact
+    zeros that stepping along them gives: the declared route and that of a
+    wrapper that declares nothing agree to the bit."""
+    domain, f = DECLARED_FIELDS[name]
+    unread = sorted(set(range(domain.dim)) - set(f.reads))
+    assert unread, f"{name} declares that it reads every coordinate"
+    cfg = StencilConfig(h=1e-2)
+    block = np.array(sample_points(domain, 16, cfg, seed=21))
+    value = np.asarray(f(block), float)
+    for a in unread:
+        for step in (cfg.h, -cfg.h):
+            shifted = block.copy()
+            shifted[:, a] += step
+            assert np.array_equal(np.asarray(f(shifted), float), value), (a, step)
+    assert np.array_equal(fd_gradient(f, block, cfg), fd_gradient(lambda p: f(p), block, cfg))
+    for got, ref in zip(star_jet(f, block, cfg), star_jet(lambda p: f(p), block, cfg)):
+        assert np.array_equal(got, ref)

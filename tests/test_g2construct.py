@@ -148,6 +148,39 @@ def test_weak_monopole_residuals_zero_twist():
     assert res["minus_minus"] <= 1e-4
 
 
+def _planted_pair(key, eps):
+    """The Taub-NUT pair with a term of size eps that the weak monopole key
+    `key` must read, by a plain closure that declares no read set."""
+    pair = taub_nut_monopole()
+
+    def plus_a(slot, at):
+        """A + eps x_at dx_slot (0-based slots)."""
+        def a(x):
+            out = pair.a(x).copy()
+            out[..., slot] += eps * x[..., at]
+            return out
+        return MonopoleData(v=pair.v, a=a)
+
+    return {"basic_v": MonopoleData(v=lambda x: pair.v(x) + eps * x[..., 0], a=pair.a),
+            "plus_plus": plus_a(2, 1),      # A + eps x2 dx3
+            "mixed": plus_a(4, 0),          # A + eps x1 dx5
+            "basic_a": plus_a(0, 0)}[key]   # A_+ = eps x1 dx1, which is closed
+
+
+@pytest.mark.parametrize("key", ["plus_plus", "mixed", "basic_v", "basic_a"])
+def test_weak_monopole_keys_read_a_planted_term(key):
+    """The Taub-NUT pair reads only x4..x6 and A has no plus part, so these
+    four keys read exactly 0.0 on it: its declared route writes the zero
+    derivatives along x1..x3.  A term eps on the plus block, planted by a
+    closure that reads every coordinate, reads eps in its key."""
+    cfg = StencilConfig(h=1e-3)
+    pts = sample_points(base_domain6(), 10, cfg, seed=8)
+    eps = 0.01
+    assert weak_monopole_residual(taub_nut_monopole(), pts, cfg)[key] == 0.0
+    planted = weak_monopole_residual(_planted_pair(key, eps), pts, cfg)
+    assert planted[key] == pytest.approx(eps, rel=1e-6)
+
+
 def test_flat_base_has_no_twist():
     cfg = StencilConfig(h=1e-3)
     pts = sample_points(base_domain6(), 5, cfg, seed=10)
@@ -328,17 +361,36 @@ def test_flat_bundle_holonomy_zero_over_zero_convention():
     assert hol["curvature_norm"] <= 1e-10
 
 
-def test_torsion_reads_the_coframe_once_per_block_for_its_stencil():
-    """One coframe call on the star p, p +- h e_i of every block point (15
-    rows a point): d phi and d *phi both come from its structure functions."""
+def _coframe_rows(declared: bool) -> list:
+    """The rows of each coframe call of `torsionfree_residual` on two blocks
+    of Taub-NUT points, through a counting coframe that carries the
+    coframe's read set when `declared`, per point of its block."""
     bundle = thm1_taub_nut_bundle()
     cfg = StencilConfig(h=1e-2)
     pts = sample_points(bundle.domain, STACK_BLOCK + 3, cfg, seed=4)
     rows = []
-    counted = dataclasses.replace(
-        bundle, coframe=lambda p: rows.append(len(p)) or bundle.coframe(p))
-    assert torsionfree_residual(counted, pts, cfg) == torsionfree_residual(bundle, pts, cfg)
-    assert rows == [15 * STACK_BLOCK, 15 * 3]
+
+    def counted(p):
+        rows.append(len(p))
+        return bundle.coframe(p)
+    if declared:
+        counted.reads = bundle.coframe.reads
+    counted_bundle = dataclasses.replace(bundle, coframe=counted)
+    assert torsionfree_residual(counted_bundle, pts, cfg) == torsionfree_residual(bundle, pts, cfg)
+    return [rows[0] / STACK_BLOCK, rows[1] / 3]
+
+
+def test_torsion_reads_the_coframe_once_per_block_for_its_stencil():
+    """One coframe call on the star p, p +- h e_i of every block point, along
+    the coordinates x4..x6 that the Taub-NUT coframe reads (7 rows a point):
+    d phi and d *phi both come from its structure functions."""
+    assert _coframe_rows(declared=True) == [7, 7]
+
+
+def test_torsion_reads_an_undeclared_coframe_on_the_whole_star():
+    """A coframe that declares nothing is stepped along all seven
+    coordinates: 15 rows a point, by the same route."""
+    assert _coframe_rows(declared=False) == [15, 15]
 
 
 def differenced_forms_route(coframe, pts, h):

@@ -12,10 +12,10 @@ from g2lab.g2construct import estimate_order
 from g2lab.gallery import (_powers, _uniform, constant_field, killing_perturbed_data,
                            killing_taub_nut_data, polynomial_sections,
                            rho_polynomial_setup)
-from g2lab.killing import (KillingData, gamma_pair_residual, quotient_conditions,
-                           rho_torsion_check, route_agreement)
+from g2lab.killing import KillingData, quotient_conditions, rho_torsion_check, twist_oracles
 from g2lab.modeldata import h6
-from g2lab.suites import ORACLE_H_LIST
+from g2lab.reports import SuiteContext
+from g2lab.suites import ORACLE_H_LIST, suite_checks
 from test_fields import reference_block_star
 
 CFG = StencilConfig(h=1e-3)
@@ -96,14 +96,14 @@ def test_route_agreement_is_second_order():
     data = killing_taub_nut_data()
     pts = pts_of(data, n=8)
     h_list = (2e-3, 1e-3, 5e-4)
-    vals = [route_agreement(data, pts, StencilConfig(h=h)) for h in h_list]
+    vals = [twist_oracles(data, pts, StencilConfig(h=h))["route_agreement"] for h in h_list]
     order = estimate_order(h_list, vals)
     assert order == "exact" or order >= 1.9, (order, vals)
 
 
 def test_gamma_two_assemblies_agree_to_machine_precision():
     data = killing_taub_nut_data()
-    assert gamma_pair_residual(data, pts_of(data), CFG) <= 1e-10
+    assert twist_oracles(data, pts_of(data), CFG)["twist_assembly"] <= 1e-10
 
 
 def test_perturbed_potential_detected():
@@ -408,13 +408,12 @@ QUOTIENT_DATA = {"taub-nut": killing_taub_nut_data,
 def test_quotient_verifiers_match_their_pointwise_references(name):
     data = QUOTIENT_DATA[name]()
     pts = sample_points(data.domain, 70, StencilConfig(h=2e-3), seed=29)
-    _assert_close(gamma_pair_residual(data, pts, CFG),
-                  reference_gamma_pair(data, pts, CFG), 1e-9)
+    _assert_close(twist_oracles(data, pts, CFG),
+                  {"twist_assembly": reference_gamma_pair(data, pts, CFG),
+                   "route_agreement": reference_route_agreement(data, pts, CFG)}, 1e-9)
     _assert_close(quotient_conditions(data, pts, CFG),
                   {**reference_killing_conditions(data, pts, CFG),
                    **reference_da_conditions(data, pts, CFG)}, 1e-9)
-    _assert_close(route_agreement(data, pts, CFG),
-                  reference_route_agreement(data, pts, CFG), 1e-9)
 
 
 @pytest.mark.parametrize("flat", [False, True])
@@ -428,26 +427,70 @@ def test_rho_torsion_matches_its_pointwise_reference(flat):
                   reference_rho_torsion(u, secs, pts, CFG), 1e-5)
 
 
-def test_quotient_conditions_read_each_field_on_the_rows_of_one_pass():
-    """Per block of k points: metric on the points and on the frame
-    stencil, u on the points and on the stencil of its gradient, whose values
-    give grad u^-2 too, a_form on the stencil of dA, and b_plus and
-    connection on the points, each once (12 k rows a stencil)."""
+def _quotient_rows(declared: bool) -> dict:
+    """{field: rows of each call} of `quotient_conditions` on two blocks,
+    through counting fields that carry their read sets when `declared`."""
     data = killing_taub_nut_data()
     pts = sample_points(data.domain, STACK_BLOCK + 3, StencilConfig(h=2e-3), seed=4)
     rows = {name: [] for name in ("metric", "u", "a_form", "b_plus", "connection")}
 
     def counting(name):
         field = getattr(data, name)
-        return lambda p: rows[name].append(len(p)) or field(p)
+
+        def counted(p):
+            rows[name].append(len(p))
+            return field(p)
+        if declared:
+            counted.reads = field.reads
+        return counted
 
     counted = dataclasses.replace(data, **{name: counting(name) for name in rows})
     assert quotient_conditions(counted, pts, CFG) == quotient_conditions(data, pts, CFG)
+    return rows
 
-    def one_pass(k):
-        return {"metric": [k, 12 * k], "u": [k, 12 * k], "a_form": [12 * k],
-                "b_plus": [k], "connection": [k]}
-    assert rows == {name: one_pass(STACK_BLOCK)[name] + one_pass(3)[name] for name in rows}
+
+def _one_pass(stencil: int) -> dict:
+    """Per block of k points: metric on the points and on the frame
+    stencil, u on the points and on the stencil of its gradient, whose values
+    give grad u^-2 too, a_form on the stencil of dA, and b_plus and
+    connection on the points, each once (`stencil` rows a point)."""
+    def rows(k):
+        return {"metric": [k, stencil * k], "u": [k, stencil * k],
+                "a_form": [stencil * k], "b_plus": [k], "connection": [k]}
+    return {name: rows(STACK_BLOCK)[name] + rows(3)[name] for name in rows(1)}
+
+
+def test_quotient_conditions_read_each_field_on_the_rows_of_one_pass():
+    """Each field once per block, its stencils stepping along the three
+    coordinates x4..x6 that the fields read: 6 k rows a stencil."""
+    assert _quotient_rows(declared=True) == _one_pass(6)
+
+
+def test_quotient_conditions_step_undeclared_fields_along_every_coordinate():
+    """Fields that declare nothing are stepped along all six coordinates:
+    12 k rows a stencil, by the same route."""
+    assert _quotient_rows(declared=False) == _one_pass(12)
+
+
+def test_both_twist_oracles_read_gamma_info_once_per_block_per_step(monkeypatch):
+    """`oracle-pairs.twist-assembly` and `oracle-pairs.potential-routes` share
+    one `twist_oracles` pass per step through the run's memo: gamma_info runs
+    once per block (64, 64, 64 and 8 of 200 points) at each step, and each
+    check still writes its own table of its own series."""
+    gamma_info, calls = KillingData.gamma_info, []
+
+    def counted(self, x, cfg):
+        calls.append((len(x), cfg.h))
+        return gamma_info(self, x, cfg)
+
+    monkeypatch.setattr(KillingData, "gamma_info", counted)
+    ctx = SuiteContext(seed=42, samples=200, dump_dir="unused")
+    checks = dict(suite_checks("oracle-pairs"))
+    ids = ("oracle-pairs.twist-assembly", "oracle-pairs.potential-routes")
+    assert all(checks[check_id](ctx).status == "pass" for check_id in ids)
+    assert calls == [(k, h) for h in ORACLE_H_LIST for k in (64, 64, 64, 8)]
+    assert {check_id: ctx.sample_rows[check_id][0] for check_id in ids} == \
+        {check_id: ["h", "discrepancy"] for check_id in ids}
 
 
 # ------------------------------------------------------ broadcasting fields
@@ -486,13 +529,14 @@ def test_quotient_field_on_a_block_equals_row_by_row(name):
 # --------------------------------------------------------------- memory guard
 
 # The verifiers run block by block, so a block's temporaries bound the peak.
-# Measured with NumPy 2.4.6 on 800 points: 64-392 KiB, the top being
-# rho_torsion_check (64-point blocks, fields.BLOCK; its stars and directional
-# stencils stack 78 rows per point), 77% of this bound.  Its frame field
-# stacked on 12 rows per point, quotient_conditions reads 329 KiB at
-# 32-point blocks (fields.STACK_BLOCK) and 644 KiB at 64.  tracemalloc
-# counts NumPy's temporaries, so another NumPy version or a reshuffle of that
-# check can move the margin: re-measure before changing the bound.
+# Measured with NumPy 2.4.6 on 800 points: 136-416 KiB, the top being
+# rho_torsion_check (64-point blocks, fields.BLOCK; the star and directional
+# stencil of its stacked field take 19 rows of 19 values per point), 81% of
+# this bound.  Its frame field stacked on 6 rows per point, quotient_conditions
+# reads 376 KiB at 32-point blocks (fields.STACK_BLOCK) and 733 KiB at 64.
+# tracemalloc counts NumPy's temporaries, so another NumPy version or a
+# reshuffle of that check can move the margin: re-measure before changing the
+# bound.
 PEAK_BOUND = 512 * 1024
 
 
@@ -513,9 +557,8 @@ def _memory_runs():
     pts = sample_points(data.domain, 800, StencilConfig(h=2e-3), seed=7)
     rho_pts = sample_points(domain, 800, StencilConfig(h=2e-3), seed=7)
     return {
-        "gamma_pair_residual": lambda: gamma_pair_residual(data, pts, CFG),
+        "twist_oracles": lambda: twist_oracles(data, pts, CFG),
         "quotient_conditions": lambda: quotient_conditions(data, pts, CFG),
-        "route_agreement": lambda: route_agreement(data, pts, CFG),
         "rho_torsion_check": lambda: rho_torsion_check(u, secs, rho_pts, CFG),
     }
 

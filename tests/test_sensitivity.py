@@ -9,7 +9,8 @@ is built, so that the built bundle's metric or coframe is off;
 builder of a positive check's data, so that it returns data that breaks what
 the check asserts; an exact table (`_h_table`, `gamma_matrices`) with one
 row scaled; one route of an oracle pair (`star_jet`, `h6` and
-`_minus_block_routes` as `killing` reads them) off; or, for a negative
+`_minus_block_routes` as `killing` reads them) off; a route of a residual
+that `suites` reads (`torsionfree_residual`) replaced; or, for a negative
 control, the builder of its data, so that the planted defect is gone.  Each
 check runs alone, on a fresh context at 25 samples.
 
@@ -113,6 +114,13 @@ def rescaled_route_times(factor):
     return fault
 
 
+def exact_dstarphi_constant_dphi(residual):
+    """A `torsionfree_residual` whose d phi reads an h-independent 5e-4,
+    inside the tolerance but of order 0, and whose d *phi route returns
+    zeros, an exact series that must not waive the band of d phi."""
+    return lambda bundle, samples, cfg: {"sup_dphi": 5e-4, "sup_dstarphi": 0.0}
+
+
 def plus_unit_456():
     """The invariant 3-form plus the unit component on the triple (4, 5, 6):
     squared norm 8, and phi(e4, e5, e6) = 1."""
@@ -156,6 +164,8 @@ FAULTS = {
     "twist-h-row-negated": ("oracle-pairs.twist-assembly", killing, "h6", h_row_negated),
     "rescaled-route-off": ("oracle-pairs.potential-routes", killing, "_minus_block_routes",
                            rescaled_route_times(1.01)),
+    "torsion-order-waived": ("g2-thm1.torsion-free", suites, "torsionfree_residual",
+                             exact_dstarphi_constant_dphi),
 }
 
 
